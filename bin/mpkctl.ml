@@ -25,7 +25,7 @@
                                  prints the per-frame delta against a
                                  committed BENCH baseline
      mpkctl bench run|diff       multi-trial seed-varied baselines
-                                 (BENCH_<id>.json) and the noise-aware
+                                 (BENCH_<id>.json) and the exact per-seed
                                  regression gate with differential cycle
                                  attribution (--plant for gate self-tests)
 
@@ -120,14 +120,12 @@ let maps_cmd =
   in
   Cmd.v (Cmd.info "maps" ~doc) Term.(const run $ const ())
 
-let audit_cmd =
-  let doc =
-    "Run the randomized stress driver with the cross-layer invariant auditor enabled \
-     after every operation. Exits 0 when every audit passes; on a violation, prints \
-     the replayable seed and a minimized failing op trace and exits nonzero."
-  in
+(* --- audit / faults: the randomized stress driver --- *)
+
+(* The flags `audit` and `faults` share; only the --ops default differs. *)
+let stress_term ~ops_default =
   let ops =
-    Arg.(value & opt int 1000 & info [ "ops" ] ~docv:"N" ~doc:"number of operations")
+    Arg.(value & opt int ops_default & info [ "ops" ] ~docv:"N" ~doc:"number of operations")
   in
   let seed =
     Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (replayable)")
@@ -145,26 +143,42 @@ let audit_cmd =
       value & opt float 1.0
       & info [ "evict-rate" ] ~docv:"P" ~doc:"mpk_mprotect eviction probability")
   in
-  let run ops seed hw_keys tasks evict_rate =
-    let cfg =
-      { Mpk_check.Stress.default_config with seed; hw_keys; tasks; evict_rate }
-    in
-    let op_list = Mpk_check.Stress.gen_ops cfg ops in
-    match Mpk_check.Stress.run cfg op_list with
-    | Mpk_check.Stress.Passed { applied; benign_errors } ->
+  Term.(
+    const (fun ops seed hw_keys tasks evict_rate ->
+        ops, { Mpk_check.Stress.default_config with seed; hw_keys; tasks; evict_rate })
+    $ ops $ seed $ hw_keys $ tasks $ evict_rate)
+
+(* Run [ops] generated operations under [cfg]: the applied and benign
+   error counts, or the failure report with its minimized trace. *)
+let stress_check cfg ~ops =
+  let op_list = Mpk_check.Stress.gen_ops cfg ops in
+  match Mpk_check.Stress.run cfg op_list with
+  | Mpk_check.Stress.Passed { applied; benign_errors } -> Ok (applied, benign_errors)
+  | Mpk_check.Stress.Failed failure ->
+      Error
+        (Mpk_check.Stress.report cfg ~ops_total:ops failure
+           (Mpk_check.Stress.minimize cfg op_list))
+
+let audit_cmd =
+  let doc =
+    "Run the randomized stress driver with the cross-layer invariant auditor enabled \
+     after every operation. Exits 0 when every audit passes; on a violation, prints \
+     the replayable seed and a minimized failing op trace and exits nonzero."
+  in
+  let run (ops, (cfg : Mpk_check.Stress.config)) =
+    match stress_check cfg ~ops with
+    | Ok (applied, benign_errors) ->
         Printf.printf
           "audit OK: %d ops (seed %Ld, %d hw keys, %d tasks), %d benign API errors, \
            all invariants held after every operation\n"
-          applied seed hw_keys tasks benign_errors;
+          applied cfg.seed cfg.hw_keys cfg.tasks benign_errors;
         0
-    | Mpk_check.Stress.Failed failure ->
-        let minimized = Mpk_check.Stress.minimize cfg op_list in
-        print_string (Mpk_check.Stress.report cfg ~ops_total:ops failure minimized);
+    | Error report ->
+        print_string report;
         Printf.eprintf "mpkctl: audit: invariant violation\n";
         1
   in
-  Cmd.v (Cmd.info "audit" ~doc)
-    Term.(const run $ ops $ seed $ hw_keys $ tasks $ evict_rate)
+  Cmd.v (Cmd.info "audit" ~doc) Term.(const run $ stress_term ~ops_default:1000)
 
 let faults_cmd =
   let doc =
@@ -174,32 +188,13 @@ let faults_cmd =
      run. With no --spec, every registered failure point is exercised in its own run \
      (fire once, first hit)."
   in
-  let ops =
-    Arg.(value & opt int 500 & info [ "ops" ] ~docv:"N" ~doc:"number of operations")
-  in
-  let seed =
-    Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (replayable)")
-  in
-  let hw_keys =
-    Arg.(
-      value & opt int 15
-      & info [ "hw-keys" ] ~docv:"K" ~doc:"hardware keys in circulation (1-15)")
-  in
-  let tasks =
-    Arg.(value & opt int 2 & info [ "tasks" ] ~docv:"T" ~doc:"interleaved tasks")
-  in
-  let evict_rate =
-    Arg.(
-      value & opt float 1.0
-      & info [ "evict-rate" ] ~docv:"P" ~doc:"mpk_mprotect eviction probability")
-  in
   let spec =
     Arg.(
       value
       & opt (some string) None
       & info [ "spec" ] ~docv:"SPEC" ~doc:("failure schedule: " ^ Mpk_faultinj.spec_grammar))
   in
-  let run ops seed hw_keys tasks evict_rate spec =
+  let run (ops, cfg) spec =
     let schedules =
       match spec with
       | Some s -> Result.map (fun fs -> [ fs ]) (Mpk_faultinj.parse_spec s)
@@ -222,12 +217,8 @@ let faults_cmd =
               String.concat ","
                 (List.map (fun (n, p) -> n ^ Mpk_faultinj.plan_to_string p) faults)
             in
-            let cfg =
-              { Mpk_check.Stress.default_config with seed; hw_keys; tasks; evict_rate; faults }
-            in
-            let op_list = Mpk_check.Stress.gen_ops cfg ops in
-            match Mpk_check.Stress.run cfg op_list with
-            | Mpk_check.Stress.Passed { applied; benign_errors } ->
+            match stress_check { cfg with Mpk_check.Stress.faults } ~ops with
+            | Ok (applied, benign_errors) ->
                 let fired =
                   Mpk_check.Stress.last_fault_stats ()
                   |> List.map (fun s ->
@@ -237,11 +228,10 @@ let faults_cmd =
                 in
                 Printf.printf "faults OK [%s]: %d ops, %d benign errors | %s\n" label
                   applied benign_errors fired
-            | Mpk_check.Stress.Failed failure ->
+            | Error report ->
                 incr failures;
                 Printf.printf "faults FAILED [%s]:\n" label;
-                let minimized = Mpk_check.Stress.minimize cfg op_list in
-                print_string (Mpk_check.Stress.report cfg ~ops_total:ops failure minimized))
+                print_string report)
           schedules;
         if !failures = 0 then 0
         else begin
@@ -250,8 +240,7 @@ let faults_cmd =
           1
         end
   in
-  Cmd.v (Cmd.info "faults" ~doc)
-    Term.(const run $ ops $ seed $ hw_keys $ tasks $ evict_rate $ spec)
+  Cmd.v (Cmd.info "faults" ~doc) Term.(const run $ stress_term ~ops_default:500 $ spec)
 
 (* --- trace / profile: the observability layer --- *)
 
@@ -692,7 +681,7 @@ let scale_cmd =
       const run $ cores_arg $ mode_arg $ smoke_arg $ seed_arg $ open_loop_arg
       $ json_arg)
 
-(* --- bench: multi-trial perf baselines and the noise-aware gate --- *)
+(* --- bench: multi-trial perf baselines and the per-seed gate --- *)
 
 let bench_ids_arg =
   Arg.(
@@ -705,30 +694,23 @@ let check_bench_ids ids =
   List.filter (fun id -> not (Mpk_bench.Scenario.known id)) ids
 
 let print_bench_report (r : Mpk_bench.Runner.report) =
-  let cy = Mpk_util.Table.float_cell in
-  Printf.printf "bench %s: %d trial%s, base seed %d%s\n" r.Mpk_bench.Runner.r_id
-    r.Mpk_bench.Runner.r_trials
-    (if r.Mpk_bench.Runner.r_trials = 1 then "" else "s")
-    r.Mpk_bench.Runner.r_seed
+  let seed = r.Mpk_bench.Runner.r_seed and trials = r.Mpk_bench.Runner.r_trials in
+  Printf.printf "bench %s: %d trial%s, base seed %d%s\n" r.Mpk_bench.Runner.r_id trials
+    (if trials = 1 then "" else "s")
+    seed
     (if r.Mpk_bench.Runner.r_smoke then " (smoke)" else "");
   print_string
     (Mpk_util.Table.render
-       ~aligns:Mpk_util.Table.[ Left; Left; Right; Right; Right; Right; Right ]
-       ~header:[ "metric"; "dir"; "mean"; "stddev"; "ci95"; "min"; "max" ]
+       ~aligns:Mpk_util.Table.(Left :: Left :: List.init trials (fun _ -> Right))
+       ~header:
+         ("metric" :: "dir" :: List.init trials (fun t -> Printf.sprintf "seed %d" (seed + t)))
        (List.map
-          (fun (ms : Mpk_bench.Runner.metric_stats) ->
-            let s = ms.Mpk_bench.Runner.ms_stats in
-            [
-              ms.Mpk_bench.Runner.ms_name;
-              (match ms.Mpk_bench.Runner.ms_direction with
-              | Mpk_bench.Noise.Lower_better -> "lower"
-              | Mpk_bench.Noise.Higher_better -> "higher");
-              cy s.Mpk_bench.Noise.mean;
-              cy s.Mpk_bench.Noise.stddev;
-              cy s.Mpk_bench.Noise.ci95;
-              cy s.Mpk_bench.Noise.minimum;
-              cy s.Mpk_bench.Noise.maximum;
-            ])
+          (fun (ms : Mpk_bench.Runner.metric_samples) ->
+            ms.Mpk_bench.Runner.ms_name
+            :: (match ms.Mpk_bench.Runner.ms_direction with
+               | Mpk_bench.Scenario.Lower_better -> "lower"
+               | Mpk_bench.Scenario.Higher_better -> "higher")
+            :: List.map Mpk_util.Table.float_cell ms.Mpk_bench.Runner.ms_samples)
           r.Mpk_bench.Runner.r_metrics));
   Printf.printf "\nattribution: %s\n"
     (if r.Mpk_bench.Runner.r_attribution_exact then "exact" else "MISMATCH")
@@ -736,10 +718,10 @@ let print_bench_report (r : Mpk_bench.Runner.report) =
 let bench_run_cmd =
   let doc =
     "Re-run each benchmark scenario across --trials seeds under the \
-     cycle-attribution profiler and write BENCH_$(i,ID).json: per-metric \
-     mean/stddev/CI (the baseline's own noise model), the trial-0 attribution \
-     tree, and the metrics-registry export. Exits 1 on a scenario failure, \
-     attribution mismatch, or invalid export."
+     cycle-attribution profiler and write BENCH_$(i,ID).json: every metric's \
+     per-seed samples, the trial-0 attribution tree, and the metrics-registry \
+     export. Exits 1 on a scenario failure, attribution mismatch, or invalid \
+     export."
   in
   let trials =
     Arg.(value & opt int 3 & info [ "trials" ] ~docv:"N" ~doc:"trials per id (>= 1)")
@@ -799,132 +781,84 @@ let bench_run_cmd =
 
 let bench_diff_cmd =
   let doc =
-    "Noise-aware perf regression gate: re-run each scenario with the trials, seed \
-     and smoke mode recorded in its committed baseline, then compare every metric \
-     against the baseline's noise model — threshold = max(rel-floor * |mean|, \
-     sigma * stddev) — and diff the attribution trees so a regression names the \
-     offending frame. Writes a machine-readable verdict report. Exits 0 when \
-     nothing regressed, 1 on any $(b,regressed) verdict (or metric-set drift), \
-     2 on a missing or malformed baseline."
+    "Exact per-seed perf regression gate: re-run each scenario with the trials, seed \
+     and smoke mode recorded in its committed baseline, compare every fresh trial \
+     with the baseline sample of the same seed (a metric regresses when any seed \
+     moves the harmful way by more than 1%), and diff the attribution trees so a \
+     regression names the offending frame. Writes a machine-readable verdict \
+     report. Exits 0 when nothing regressed, 1 on any $(b,regressed) verdict (or \
+     metric-set drift), 2 on a missing or malformed baseline."
   in
   let baseline_dir =
     Arg.(
       value & opt string "."
       & info [ "baseline" ] ~docv:"DIR" ~doc:"directory holding BENCH_*.json baselines")
   in
-  let sigma =
-    Arg.(
-      value & opt float 3.0
-      & info [ "threshold-sigma" ] ~docv:"K"
-          ~doc:"flag a metric only beyond K standard deviations of its baseline")
-  in
-  let rel_floor =
-    Arg.(
-      value & opt float 0.01
-      & info [ "rel-floor" ] ~docv:"F"
-          ~doc:
-            "absolute threshold floor as a fraction of the baseline mean — keeps \
-             deterministic (stddev 0) metrics from tripping on sub-percent drift")
-  in
   let report_arg =
     Arg.(
       value & opt string "BENCH_diff.json"
       & info [ "report" ] ~docv:"FILE" ~doc:"machine-readable diff report output")
   in
-  let run ids baseline_dir sigma rel_floor plant report_path =
+  let run ids baseline_dir plant report_path =
     match check_bench_ids ids with
     | _ :: _ as bad ->
         Printf.eprintf "mpkctl: bench: unknown ids: %s\n" (String.concat ", " bad);
         2
     | [] ->
-        if sigma <= 0.0 || rel_floor < 0.0 then begin
-          Printf.eprintf
-            "mpkctl: bench: --threshold-sigma must be > 0 and --rel-floor >= 0\n";
-          2
-        end
-        else begin
-          let usage_error = ref false in
-          let failures = ref false in
-          let diffs =
-            List.filter_map
-              (fun id ->
-                let path = Filename.concat baseline_dir ("BENCH_" ^ id ^ ".json") in
-                match
-                  Result.bind
-                    (Mpk_bench.Io.read ~path Mpk_bench.Io.Bench)
-                    Mpk_bench.Runner.of_json
-                with
-                | Error e ->
-                    Printf.eprintf "mpkctl: bench diff: %s\n" e;
-                    usage_error := true;
-                    None
-                | Ok base -> (
-                    let fresh =
-                      with_plant plant @@ fun () ->
-                      Mpk_bench.Runner.run ~id
-                        ~trials:base.Mpk_bench.Runner.r_trials
-                        ~seed:base.Mpk_bench.Runner.r_seed
-                        ~smoke:base.Mpk_bench.Runner.r_smoke
-                    in
-                    match fresh with
-                    | Error e ->
-                        Printf.eprintf "mpkctl: bench diff: %s: %s\n" id e;
-                        failures := true;
-                        None
-                    | Ok fresh ->
-                        let d =
-                          Mpk_bench.Gate.diff ~baseline:base ~fresh ~sigma ~rel_floor
-                        in
-                        print_string (Mpk_bench.Gate.render d);
-                        print_newline ();
-                        Some d))
-              ids
-          in
-          let regressed =
-            List.exists (fun d -> d.Mpk_bench.Gate.d_regressed) diffs
-          in
-          let report =
-            Mpk_trace.Json.Obj
-              [
-                "schema", Mpk_trace.Json.String "bench-diff/1";
-                "sigma", Mpk_trace.Json.Float sigma;
-                "rel_floor", Mpk_trace.Json.Float rel_floor;
-                ( "planted",
-                  match plant with
-                  | None -> Mpk_trace.Json.Null
-                  | Some (l, c) ->
-                      Mpk_trace.Json.Obj
-                        [
-                          "label", Mpk_trace.Json.String l;
-                          "extra_cycles", Mpk_trace.Json.Float c;
-                        ] );
-                ( "results",
-                  Mpk_trace.Json.List (List.map Mpk_bench.Gate.to_json diffs) );
-                ( "attribution",
-                  Mpk_trace.Json.List
-                    (List.map Mpk_bench.Gate.attribution_json diffs) );
-                "regressed", Mpk_trace.Json.Bool regressed;
-              ]
-          in
-          (match Mpk_bench.Io.write ~path:report_path Mpk_bench.Io.Bench_diff report with
-          | Ok () -> Printf.printf "wrote %s\n" report_path
-          | Error e ->
-              Printf.eprintf "mpkctl: bench diff: %s\n" e;
-              failures := true);
-          if !usage_error then 2
-          else if regressed || !failures then 1
-          else 0
-        end
+        let usage_error = ref false in
+        let failures = ref false in
+        let diffs =
+          List.filter_map
+            (fun id ->
+              let path = Filename.concat baseline_dir ("BENCH_" ^ id ^ ".json") in
+              match
+                Result.bind
+                  (Mpk_bench.Io.read ~path Mpk_bench.Io.Bench)
+                  Mpk_bench.Runner.of_json
+              with
+              | Error e ->
+                  Printf.eprintf "mpkctl: bench diff: %s\n" e;
+                  usage_error := true;
+                  None
+              | Ok base -> (
+                  let fresh =
+                    with_plant plant @@ fun () ->
+                    Mpk_bench.Runner.run ~id ~trials:base.Mpk_bench.Runner.r_trials
+                      ~seed:base.Mpk_bench.Runner.r_seed
+                      ~smoke:base.Mpk_bench.Runner.r_smoke
+                  in
+                  match fresh with
+                  | Error e ->
+                      Printf.eprintf "mpkctl: bench diff: %s: %s\n" id e;
+                      failures := true;
+                      None
+                  | Ok fresh ->
+                      let d = Mpk_bench.Gate.diff ~baseline:base ~fresh in
+                      print_string (Mpk_bench.Gate.render d);
+                      print_newline ();
+                      Some d))
+            ids
+        in
+        (match
+           Mpk_bench.Io.write ~path:report_path Mpk_bench.Io.Bench_diff
+             (Mpk_bench.Gate.report_json ~planted:plant diffs)
+         with
+        | Ok () -> Printf.printf "wrote %s\n" report_path
+        | Error e ->
+            Printf.eprintf "mpkctl: bench diff: %s\n" e;
+            failures := true);
+        if !usage_error then 2
+        else if List.exists (fun d -> d.Mpk_bench.Gate.d_regressed) diffs || !failures
+        then 1
+        else 0
   in
   Cmd.v (Cmd.info "diff" ~doc)
-    Term.(
-      const run $ bench_ids_arg $ baseline_dir $ sigma $ rel_floor $ plant_arg
-      $ report_arg)
+    Term.(const run $ bench_ids_arg $ baseline_dir $ plant_arg $ report_arg)
 
 let bench_cmd =
   let doc =
-    "Perf regression observatory: multi-trial baselines with per-metric noise \
-     models ($(b,bench run)) and the noise-aware diff/gate against them \
+    "Perf regression observatory: multi-trial per-seed baselines \
+     ($(b,bench run)) and the exact per-seed diff/gate against them \
      ($(b,bench diff))."
   in
   Cmd.group (Cmd.info "bench" ~doc) [ bench_run_cmd; bench_diff_cmd ]
@@ -1094,9 +1028,8 @@ let program_for app plant =
            k (app_name app))
 
 (* Print one program's findings (optionally replaying each witness) and
-   return whether any was an Error. [confirm_finding] is Replay.confirm
-   for the sequential apps, Witness.confirm for the concurrency model. *)
-let lint_report ~tag ~confirm ~confirm_finding (p : Mpk_analysis.Ir.program) findings =
+   return whether any was an Error. *)
+let lint_report ~tag ~confirm (p : Mpk_analysis.Ir.program) findings =
   Printf.printf "== lint %s: %d node(s), %d finding(s) ==\n" tag
     (Array.length p.Mpk_analysis.Ir.nodes)
     (List.length findings);
@@ -1104,7 +1037,9 @@ let lint_report ~tag ~confirm ~confirm_finding (p : Mpk_analysis.Ir.program) fin
     (fun f ->
       Format.printf "%a@." Mpk_analysis.Lint.pp_finding f;
       Format.printf "  witness:@.%a" Mpk_analysis.Lint.pp_witness f;
-      if confirm then confirm_finding f)
+      if confirm then
+        Format.printf "  replay: %a@." Mpk_check.Witness.pp_outcome
+          (Mpk_check.Witness.confirm f))
     findings;
   Mpk_analysis.Lint.has_errors findings
 
@@ -1268,13 +1203,7 @@ let lint_cmd =
                     | None -> ""
                     | Some pl -> "+" ^ Mpk_check.Mm_model.plant_to_string pl
                 in
-                let any_error =
-                  lint_report ~tag ~confirm
-                    ~confirm_finding:(fun f ->
-                      Format.printf "  replay: %a@." Mpk_check.Witness.pp_outcome
-                        (Mpk_check.Witness.confirm f))
-                    p findings
-                in
+                let any_error = lint_report ~tag ~confirm p findings in
                 let covered = lint_crosscheck mplant p in
                 if any_error then begin
                   Printf.eprintf "mpkctl: lint: ERROR finding(s) present\n";
@@ -1308,13 +1237,8 @@ let lint_cmd =
                       ~default_passes:(List.map fst Mpk_analysis.Lint.classic_passes)
                       p
                   in
-                  if
-                    lint_report ~tag:(app_name a) ~confirm
-                      ~confirm_finding:(fun f ->
-                        Format.printf "  replay: %a@." Mpk_check.Replay.pp_outcome
-                          (Mpk_check.Replay.confirm f))
-                      p findings
-                  then any_error := true)
+                  if lint_report ~tag:(app_name a) ~confirm p findings then
+                    any_error := true)
                 (List.map Result.get_ok programs);
               if !any_error then begin
                 Printf.eprintf "mpkctl: lint: ERROR finding(s) present\n";

@@ -1,48 +1,82 @@
 module J = Mpk_trace.Json
 
+type verdict = Improved | Unchanged | Regressed
+
+let verdict_to_string = function
+  | Improved -> "improved"
+  | Unchanged -> "unchanged"
+  | Regressed -> "regressed"
+
+let rel_floor = 0.01
+
+type pair = { seed : int; base : float; fresh : float }
+
+(* The pair's move in the harmful direction, so one comparison serves
+   both metric polarities. *)
+let harmful direction p =
+  match direction with
+  | Scenario.Lower_better -> p.fresh -. p.base
+  | Scenario.Higher_better -> p.base -. p.fresh
+
+(* A multiplication, not a division: a zero baseline gets a zero floor. *)
+let floor p = rel_floor *. Float.abs p.base
+
+let classify direction pairs =
+  match pairs with
+  | [] -> invalid_arg "Gate.classify: no seed pairs"
+  | first :: _ ->
+      let excess p = harmful direction p -. floor p in
+      let worst =
+        List.fold_left (fun w p -> if excess p > excess w then p else w) first pairs
+      in
+      let verdict =
+        if excess worst > 0.0 then Regressed
+        else if List.exists (fun p -> harmful direction p < -.floor p) pairs then
+          Improved
+        else Unchanged
+      in
+      verdict, worst
+
 type metric_verdict = {
   v_name : string;
-  v_direction : Noise.direction;
-  v_baseline : Noise.stats;
-  v_fresh : float;
-  v_delta : float;
-  v_threshold : float;
-  v_verdict : Noise.verdict;
+  v_direction : Scenario.direction;
+  v_verdict : verdict;
+  v_worst : pair;
 }
 
 type diff = {
   d_id : string;
-  d_sigma : float;
-  d_rel_floor : float;
   d_verdicts : metric_verdict list;
   d_missing : string list;
   d_tree : Tree.delta list;
   d_regressed : bool;
 }
 
-let diff ~(baseline : Runner.report) ~(fresh : Runner.report) ~sigma ~rel_floor =
-  let fresh_mean name =
-    List.find_opt (fun m -> m.Runner.ms_name = name) fresh.Runner.r_metrics
-    |> Option.map (fun m -> m.Runner.ms_stats.Noise.mean)
+let diff ~(baseline : Runner.report) ~(fresh : Runner.report) =
+  if
+    baseline.Runner.r_seed <> fresh.Runner.r_seed
+    || baseline.Runner.r_trials <> fresh.Runner.r_trials
+  then invalid_arg "Gate.diff: the fresh run must replay the baseline's seeds";
+  let find name (r : Runner.report) =
+    List.find_opt (fun m -> m.Runner.ms_name = name) r.Runner.r_metrics
   in
   let verdicts, baseline_only =
     List.fold_left
-      (fun (vs, missing) (bm : Runner.metric_stats) ->
-        match fresh_mean bm.Runner.ms_name with
+      (fun (vs, missing) (bm : Runner.metric_samples) ->
+        match find bm.Runner.ms_name fresh with
         | None -> vs, ("baseline-only:" ^ bm.Runner.ms_name) :: missing
-        | Some f ->
-            let verdict, threshold =
-              Noise.classify bm.Runner.ms_direction ~baseline:bm.Runner.ms_stats
-                ~fresh:f ~sigma ~rel_floor
+        | Some fm ->
+            let pairs =
+              List.mapi
+                (fun t (base, fresh) -> { seed = baseline.Runner.r_seed + t; base; fresh })
+                (List.combine bm.Runner.ms_samples fm.Runner.ms_samples)
             in
+            let verdict, worst = classify bm.Runner.ms_direction pairs in
             ( {
                 v_name = bm.Runner.ms_name;
                 v_direction = bm.Runner.ms_direction;
-                v_baseline = bm.Runner.ms_stats;
-                v_fresh = f;
-                v_delta = f -. bm.Runner.ms_stats.Noise.mean;
-                v_threshold = threshold;
                 v_verdict = verdict;
+                v_worst = worst;
               }
               :: vs,
               missing ))
@@ -50,13 +84,10 @@ let diff ~(baseline : Runner.report) ~(fresh : Runner.report) ~sigma ~rel_floor 
   in
   let fresh_only =
     List.filter_map
-      (fun (fm : Runner.metric_stats) ->
-        if
-          List.exists
-            (fun (bm : Runner.metric_stats) -> bm.Runner.ms_name = fm.Runner.ms_name)
-            baseline.Runner.r_metrics
-        then None
-        else Some ("fresh-only:" ^ fm.Runner.ms_name))
+      (fun (fm : Runner.metric_samples) ->
+        match find fm.Runner.ms_name baseline with
+        | Some _ -> None
+        | None -> Some ("fresh-only:" ^ fm.Runner.ms_name))
       fresh.Runner.r_metrics
   in
   let missing = List.rev baseline_only @ fresh_only in
@@ -64,19 +95,17 @@ let diff ~(baseline : Runner.report) ~(fresh : Runner.report) ~sigma ~rel_floor 
   let tree = Tree.diff ~base:baseline.Runner.r_profile ~cur:fresh.Runner.r_profile in
   {
     d_id = baseline.Runner.r_id;
-    d_sigma = sigma;
-    d_rel_floor = rel_floor;
     d_verdicts = verdicts;
     d_missing = missing;
     d_tree = tree;
     d_regressed =
       missing <> []
       || (not fresh.Runner.r_attribution_exact)
-      || List.exists (fun v -> v.v_verdict = Noise.Regressed) verdicts;
+      || List.exists (fun v -> v.v_verdict = Regressed) verdicts;
   }
 
 (* Attribution shown for a regression: frames whose self cycles grew by
-   more than noise-floor-sized dust. *)
+   more than rounding-sized dust. *)
 let hot_frames d = Tree.self_regressions ~min_cycles:0.5 d.d_tree
 
 let render d =
@@ -84,21 +113,22 @@ let render d =
   let rows =
     List.map
       (fun v ->
-        let s = v.v_baseline in
+        let p = v.v_worst in
+        let delta = p.fresh -. p.base in
         [
           v.v_name;
           (match v.v_direction with
-          | Noise.Lower_better -> "lower"
-          | Noise.Higher_better -> "higher");
-          Printf.sprintf "%s ±%s" (cy s.Noise.mean) (cy s.Noise.stddev);
-          cy v.v_fresh;
-          (let s = cy v.v_delta in
-           if v.v_delta >= 0.0 then "+" ^ s else s);
-          (match Tree.pct_change ~base:s.Noise.mean ~cur:v.v_fresh with
+          | Scenario.Lower_better -> "lower"
+          | Scenario.Higher_better -> "higher");
+          string_of_int p.seed;
+          cy p.base;
+          cy p.fresh;
+          (let s = cy delta in
+           if delta >= 0.0 then "+" ^ s else s);
+          (match Tree.pct_change ~base:p.base ~cur:p.fresh with
           | None -> "-"
-          | Some p -> Printf.sprintf "%+.2f%%" p);
-          cy v.v_threshold;
-          Noise.verdict_to_string v.v_verdict;
+          | Some pct -> Printf.sprintf "%+.2f%%" pct);
+          verdict_to_string v.v_verdict;
         ])
       d.d_verdicts
   in
@@ -106,16 +136,15 @@ let render d =
     Mpk_util.Table.render
       ~aligns:
         Mpk_util.Table.[ Left; Left; Right; Right; Right; Right; Right; Left ]
-      ~header:
-        [
-          "metric"; "dir"; "baseline"; "fresh"; "delta"; "d%"; "threshold"; "verdict";
-        ]
+      ~header:[ "metric"; "dir"; "seed"; "baseline"; "fresh"; "delta"; "d%"; "verdict" ]
       rows
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "bench diff %s: sigma=%.1f rel_floor=%.2f%%\n" d.d_id d.d_sigma
-       (100.0 *. d.d_rel_floor));
+    (Printf.sprintf
+       "bench diff %s: each trial against the baseline sample of its seed, %g%% \
+        floor; worst seed shown\n"
+       d.d_id (100.0 *. rel_floor));
   Buffer.add_string buf table;
   Buffer.add_char buf '\n';
   List.iter
@@ -152,7 +181,7 @@ let attribution_json d =
            ])
        (hot_frames d))
 
-let to_json d =
+let diff_json d =
   J.Obj
     [
       "experiment", J.String d.d_id;
@@ -163,16 +192,31 @@ let to_json d =
                J.Obj
                  [
                    "name", J.String v.v_name;
-                   "direction", J.String (Noise.direction_to_string v.v_direction);
-                   "baseline_mean", J.Float v.v_baseline.Noise.mean;
-                   "baseline_stddev", J.Float v.v_baseline.Noise.stddev;
-                   "fresh", J.Float v.v_fresh;
-                   "delta", J.Float v.v_delta;
-                   "threshold", J.Float v.v_threshold;
-                   "verdict", J.String (Noise.verdict_to_string v.v_verdict);
+                   "verdict", J.String (verdict_to_string v.v_verdict);
+                   ( "worst",
+                     J.Obj
+                       [
+                         "seed", J.Int v.v_worst.seed;
+                         "baseline", J.Float v.v_worst.base;
+                         "fresh", J.Float v.v_worst.fresh;
+                       ] );
                  ])
              d.d_verdicts) );
       "metric_set_drift", J.List (List.map (fun s -> J.String s) d.d_missing);
       "attribution", attribution_json d;
       "regressed", J.Bool d.d_regressed;
+    ]
+
+let report_json ~planted diffs =
+  J.Obj
+    [
+      "schema", J.String "bench-diff/2";
+      ( "planted",
+        match planted with
+        | None -> J.Null
+        | Some (label, cycles) ->
+            J.Obj [ "label", J.String label; "extra_cycles", J.Float cycles ] );
+      "results", J.List (List.map diff_json diffs);
+      "attribution", J.List (List.map attribution_json diffs);
+      "regressed", J.Bool (List.exists (fun d -> d.d_regressed) diffs);
     ]

@@ -40,32 +40,28 @@ let each_of_list name check j =
       go 0 items
   | Some _ | None -> Error (Printf.sprintf "missing list member %S" name)
 
-(* A bench metric entry: name/direction plus the full noise model. *)
+(* A bench metric entry: name, direction and the per-trial samples. *)
 let check_metric j =
   let* _ = require "name" "a string" is_string j in
   let* dir = require "direction" "a string" is_string j in
   let* () =
     match dir with
-    | J.String s -> Result.map (fun (_ : Noise.direction) -> ()) (Noise.direction_of_string s)
+    | J.String s ->
+        Result.map (fun (_ : Scenario.direction) -> ()) (Scenario.direction_of_string s)
     | _ -> Ok ()
-  in
-  let* () =
-    List.fold_left
-      (fun acc f ->
-        let* () = acc in
-        unit_of (require f "a number" is_number j))
-      (Ok ())
-      [ "mean"; "stddev"; "ci95"; "min"; "max" ]
   in
   unit_of (require "samples" "a non-empty list" is_nonempty_list j)
 
 let check_verdict j =
   let* _ = require "name" "a string" is_string j in
   let* v = require "verdict" "a string" is_string j in
-  match v with
-  | J.String ("improved" | "unchanged" | "regressed") -> Ok ()
-  | J.String s -> Error (Printf.sprintf "unknown verdict %S" s)
-  | _ -> Ok ()
+  let* () =
+    match v with
+    | J.String ("improved" | "unchanged" | "regressed") -> Ok ()
+    | J.String s -> Error (Printf.sprintf "unknown verdict %S" s)
+    | _ -> Ok ()
+  in
+  unit_of (require "worst" "an object" is_obj j)
 
 let validate kind j =
   let result =
@@ -92,8 +88,8 @@ let validate kind j =
         let* s = require "schema" "a string" is_string j in
         let* () =
           match s with
-          | J.String "bench/1" -> Ok ()
-          | _ -> Error "member \"schema\" is not \"bench/1\""
+          | J.String "bench/2" -> Ok ()
+          | _ -> Error "member \"schema\" is not \"bench/2\""
         in
         let* _ = require "experiment" "a string" is_string j in
         let* _ = require "trials" "a number" is_number j in
@@ -107,10 +103,9 @@ let validate kind j =
         let* s = require "schema" "a string" is_string j in
         let* () =
           match s with
-          | J.String "bench-diff/1" -> Ok ()
-          | _ -> Error "member \"schema\" is not \"bench-diff/1\""
+          | J.String "bench-diff/2" -> Ok ()
+          | _ -> Error "member \"schema\" is not \"bench-diff/2\""
         in
-        let* _ = require "sigma" "a number" is_number j in
         let* _ = require "regressed" "a bool" is_bool j in
         let* () =
           each_of_list "results"

@@ -5,7 +5,7 @@
     baseline can never silently gate a build. *)
 
 type kind =
-  | Bench  (** [BENCH_<id>.json] — multi-trial report with noise model *)
+  | Bench  (** [BENCH_<id>.json] — multi-trial report with per-seed samples *)
   | Bench_diff  (** [BENCH_diff.json] — `bench diff` verdict report *)
   | Profile  (** [PROFILE_<id>.json] — single-run attribution export *)
   | Scale_report  (** [SCALE_report.json] — `mpkctl scale` output *)

@@ -1,9 +1,9 @@
 module J = Mpk_trace.Json
 
-type metric_stats = {
+type metric_samples = {
   ms_name : string;
-  ms_direction : Noise.direction;
-  ms_stats : Noise.stats;
+  ms_direction : Scenario.direction;
+  ms_samples : float list;
 }
 
 type report = {
@@ -11,7 +11,7 @@ type report = {
   r_trials : int;
   r_seed : int;
   r_smoke : bool;
-  r_metrics : metric_stats list;
+  r_metrics : metric_samples list;
   r_attribution_exact : bool;
   r_profile : Mpk_trace.Prof.snapshot;
   r_registry : J.t;
@@ -82,15 +82,11 @@ let run ~id ~trials ~seed ~smoke =
       let metrics =
         List.map
           (fun name ->
-            let values = List.rev !(Hashtbl.find samples name) in
-            match Noise.of_samples values with
-            | Ok s ->
-                {
-                  ms_name = name;
-                  ms_direction = List.assoc name !directions;
-                  ms_stats = s;
-                }
-            | Error e -> failwith (Printf.sprintf "metric %s: %s" name e))
+            {
+              ms_name = name;
+              ms_direction = List.assoc name !directions;
+              ms_samples = List.rev !(Hashtbl.find samples name);
+            })
           !names
       in
       {
@@ -111,7 +107,7 @@ let run ~id ~trials ~seed ~smoke =
 let to_json r =
   J.Obj
     [
-      "schema", J.String "bench/1";
+      "schema", J.String "bench/2";
       "experiment", J.String r.r_id;
       "trials", J.Int r.r_trials;
       "seed", J.Int r.r_seed;
@@ -120,17 +116,11 @@ let to_json r =
         J.List
           (List.map
              (fun ms ->
-               let s = ms.ms_stats in
                J.Obj
                  [
                    "name", J.String ms.ms_name;
-                   "direction", J.String (Noise.direction_to_string ms.ms_direction);
-                   "mean", J.Float s.Noise.mean;
-                   "stddev", J.Float s.Noise.stddev;
-                   "ci95", J.Float s.Noise.ci95;
-                   "min", J.Float s.Noise.minimum;
-                   "max", J.Float s.Noise.maximum;
-                   "samples", J.List (List.map (fun v -> J.Float v) s.Noise.samples);
+                   "direction", J.String (Scenario.direction_to_string ms.ms_direction);
+                   "samples", J.List (List.map (fun v -> J.Float v) ms.ms_samples);
                  ])
              r.r_metrics) );
       "attribution_exact", J.Bool r.r_attribution_exact;
@@ -163,6 +153,8 @@ let bool_err name j =
 let of_json j =
   let* id = string_err "experiment" j in
   let* trials = number_err "trials" j in
+  let trials = int_of_float trials in
+  let* () = if trials < 1 then Error "trials must be >= 1" else Ok () in
   let* seed = number_err "seed" j in
   let* smoke = bool_err "smoke" j in
   let* exact = bool_err "attribution_exact" j in
@@ -177,7 +169,7 @@ let of_json j =
         let* acc = acc in
         let* name = string_err "name" mj in
         let* dir_s = string_err "direction" mj in
-        let* dir = Noise.direction_of_string dir_s in
+        let* dir = Scenario.direction_of_string dir_s in
         let* samples =
           match Option.bind (J.member "samples" mj) J.to_list with
           | Some l ->
@@ -191,12 +183,16 @@ let of_json j =
               |> Result.map List.rev
           | None -> Error (Printf.sprintf "metric %s: missing samples" name)
         in
-        let* stats =
-          Result.map_error
-            (fun e -> Printf.sprintf "metric %s: %s" name e)
-            (Noise.of_samples samples)
+        (* sample [t] pairs with fresh trial [t], so a short or long
+           sample list would pair the wrong seeds *)
+        let* () =
+          if List.length samples = trials then Ok ()
+          else
+            Error
+              (Printf.sprintf "metric %s: %d samples for %d trials" name
+                 (List.length samples) trials)
         in
-        Ok ({ ms_name = name; ms_direction = dir; ms_stats = stats } :: acc))
+        Ok ({ ms_name = name; ms_direction = dir; ms_samples = samples } :: acc))
       (Ok []) metrics_json
     |> Result.map List.rev
   in
@@ -206,7 +202,7 @@ let of_json j =
   Ok
     {
       r_id = id;
-      r_trials = int_of_float trials;
+      r_trials = trials;
       r_seed = int_of_float seed;
       r_smoke = smoke;
       r_metrics = metrics;

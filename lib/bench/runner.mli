@@ -1,13 +1,12 @@
 (** Multi-trial benchmark runner: re-run a scenario across varied seeds
-    under the cycle-attribution profiler, aggregate each metric into a
-    noise model ({!Noise.stats}), and keep the trial-0 attribution tree
-    and metrics-registry export so the whole observability surface lands
-    in one artifact. *)
+    under the cycle-attribution profiler, keep every metric's per-trial
+    samples, and keep the trial-0 attribution tree and metrics-registry
+    export so the whole observability surface lands in one artifact. *)
 
-type metric_stats = {
+type metric_samples = {
   ms_name : string;
-  ms_direction : Noise.direction;
-  ms_stats : Noise.stats;
+  ms_direction : Scenario.direction;
+  ms_samples : float list;  (** one per trial, in trial order *)
 }
 
 type report = {
@@ -15,7 +14,7 @@ type report = {
   r_trials : int;
   r_seed : int;  (** base seed; trial [t] ran at [r_seed + t] *)
   r_smoke : bool;
-  r_metrics : metric_stats list;  (** scenario order *)
+  r_metrics : metric_samples list;  (** scenario order *)
   r_attribution_exact : bool;
       (** every trial's attributed total matched the machine's cycle
           counter bit-for-bit *)
@@ -29,8 +28,9 @@ val run :
     non-finite metric, or trials disagreeing on the metric set. *)
 
 val to_json : report -> Mpk_trace.Json.t
-(** The [bench/1] schema ({!Io.Bench}). *)
+(** The [bench/2] schema ({!Io.Bench}). *)
 
 val of_json : Mpk_trace.Json.t -> (report, string) result
-(** Reload a committed baseline. Stats are recomputed from the stored
-    samples, so hand-edited summary numbers cannot skew the gate. *)
+(** Reload a committed baseline. Errors when a metric's sample count
+    differs from [trials]: the gate pairs sample [t] with the fresh
+    trial at seed [seed + t]. *)

@@ -1,6 +1,17 @@
 open Mpk_experiments
 
-type metric = { name : string; value : float; direction : Noise.direction }
+type direction = Lower_better | Higher_better
+
+let direction_to_string = function
+  | Lower_better -> "lower_better"
+  | Higher_better -> "higher_better"
+
+let direction_of_string = function
+  | "lower_better" -> Ok Lower_better
+  | "higher_better" -> Ok Higher_better
+  | s -> Error (Printf.sprintf "unknown metric direction %S" s)
+
+type metric = { name : string; value : float; direction : direction }
 
 let ids = [ "fig8"; "table1"; "scale"; "fig14" ]
 let known id = List.mem id ids
@@ -39,22 +50,22 @@ let fig8 ~seed ~smoke =
   let reference = Exp_fig8.mprotect_reference ~threads:1 in
   let base =
     [
-      m "fig8.hit_cycles" Noise.Lower_better hit;
-      m "fig8.miss_cycles" Noise.Lower_better (cell ~hit_rate:0 ~evict_rate:100 ~threads:1);
-      (* the genuinely noisy cell: the 50/50 hit/miss mix varies with the
-         workload seed, so this metric carries a real stddev *)
-      m "fig8.mixed50_cycles" Noise.Lower_better
+      m "fig8.hit_cycles" Lower_better hit;
+      m "fig8.miss_cycles" Lower_better (cell ~hit_rate:0 ~evict_rate:100 ~threads:1);
+      (* the seed-sensitive cell: the 50/50 hit/miss mix varies with the
+         workload seed, so each trial reads a different value *)
+      m "fig8.mixed50_cycles" Lower_better
         (cell ~hit_rate:50 ~evict_rate:100 ~threads:1);
-      m "fig8.mprotect_ref_cycles" Noise.Lower_better reference;
-      m "fig8.hit_speedup_vs_mprotect" Noise.Higher_better (reference /. hit);
-      m "fig8.begin_end_hit_cycles" Noise.Lower_better (begin_end_hit ~reps:200);
+      m "fig8.mprotect_ref_cycles" Lower_better reference;
+      m "fig8.hit_speedup_vs_mprotect" Higher_better (reference /. hit);
+      m "fig8.begin_end_hit_cycles" Lower_better (begin_end_hit ~reps:200);
     ]
   in
   if smoke then base
   else
     base
     @ [
-        m "fig8.hit_cycles_t4" Noise.Lower_better
+        m "fig8.hit_cycles_t4" Lower_better
           (cell ~hit_rate:100 ~evict_rate:100 ~threads:4);
       ]
 
@@ -76,7 +87,7 @@ let sanitize name =
 let table1 ~seed:_ ~smoke:_ =
   List.map
     (fun (r : Exp_table1.row) ->
-      m ("table1." ^ sanitize r.Exp_table1.name ^ "_cycles") Noise.Lower_better
+      m ("table1." ^ sanitize r.Exp_table1.name ^ "_cycles") Lower_better
         r.Exp_table1.cycles)
     (Exp_table1.rows ())
 
@@ -94,11 +105,11 @@ let fig14 ~seed ~smoke =
   let sync = mb Mpk_kvstore.Server.Sync in
   let mprotect = mb Mpk_kvstore.Server.Mprotect_sys in
   [
-    m "fig14.baseline_mb_s" Noise.Higher_better (mb Mpk_kvstore.Server.Baseline);
-    m "fig14.domain_mb_s" Noise.Higher_better (mb Mpk_kvstore.Server.Domain);
-    m "fig14.sync_mb_s" Noise.Higher_better sync;
-    m "fig14.mprotect_mb_s" Noise.Higher_better mprotect;
-    m "fig14.sync_vs_mprotect" Noise.Higher_better (sync /. Float.max 0.001 mprotect);
+    m "fig14.baseline_mb_s" Higher_better (mb Mpk_kvstore.Server.Baseline);
+    m "fig14.domain_mb_s" Higher_better (mb Mpk_kvstore.Server.Domain);
+    m "fig14.sync_mb_s" Higher_better sync;
+    m "fig14.mprotect_mb_s" Higher_better mprotect;
+    m "fig14.sync_vs_mprotect" Higher_better (sync /. Float.max 0.001 mprotect);
   ]
 
 let scale ~seed ~smoke =
@@ -116,9 +127,9 @@ let scale ~seed ~smoke =
         let c = p.Mpk_kvstore.Scale.cores in
         let b = p.Mpk_kvstore.Scale.batched in
         [
-          m (Printf.sprintf "scale.rps_c%d" c) Noise.Higher_better
+          m (Printf.sprintf "scale.rps_c%d" c) Higher_better
             b.Mpk_kvstore.Loadgen.s_throughput_rps;
-          m (Printf.sprintf "scale.p99_c%d" c) Noise.Lower_better
+          m (Printf.sprintf "scale.p99_c%d" c) Lower_better
             b.Mpk_kvstore.Loadgen.p99_cycles;
         ])
       report.Mpk_kvstore.Scale.points
@@ -129,7 +140,7 @@ let scale ~seed ~smoke =
         acc + p.Mpk_kvstore.Scale.ipi_events_batched)
       0 report.Mpk_kvstore.Scale.points
   in
-  per_point @ [ m "scale.ipi_events_batched" Noise.Lower_better (float_of_int ipis) ]
+  per_point @ [ m "scale.ipi_events_batched" Lower_better (float_of_int ipis) ]
 
 let run ~id ~seed ~smoke =
   match id with

@@ -2,15 +2,22 @@
     baseline id, each a seed-parameterized re-run of (a slice of) the
     corresponding paper experiment that returns named metrics.
 
-    The simulator is fully deterministic for a fixed seed, so the noise
-    a baseline carries is real workload variation: trial [t] runs at
-    [seed + t], which re-seeds the hit/miss choice sequence (fig8), the
-    zipfian key stream (scale), and the get/set request mix (fig14).
-    table1 measures fixed instruction sequences and is deterministic by
-    construction — its stddev is legitimately zero, which is exactly
-    what the gate's absolute floor exists for. *)
+    The simulator is fully deterministic for a fixed seed: trial [t]
+    runs at [seed + t], which re-seeds the hit/miss choice sequence
+    (fig8), the zipfian key stream (scale), and the get/set request mix
+    (fig14), and re-running a seed reproduces its value bit-for-bit.
+    Values differ between seeds because the workload differs, not
+    because of noise, so the gate compares each fresh trial with the
+    baseline sample of the same seed ({!Gate}). *)
 
-type metric = { name : string; value : float; direction : Noise.direction }
+type direction =
+  | Lower_better  (** latencies, cycle counts *)
+  | Higher_better  (** throughputs, speedup ratios *)
+
+val direction_to_string : direction -> string
+val direction_of_string : string -> (direction, string) result
+
+type metric = { name : string; value : float; direction : direction }
 
 val ids : string list
 (** [["fig8"; "table1"; "scale"; "fig14"]]. *)

@@ -18,14 +18,9 @@ open Mpk_analysis
 
 type verdict = Confirmed | Unreproduced
 
-type outcome = { verdict : verdict; note : string }
-
 let verdict_to_string = function
   | Confirmed -> "CONFIRMED"
   | Unreproduced -> "UNREPRODUCED"
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "%s — %s" (verdict_to_string o.verdict) o.note
 
 (* --- replay environment --- *)
 
@@ -125,30 +120,18 @@ let diverged_note (i, (s : Lint.step), exn) =
 let expect_rejection env final =
   match exec_step env final with
   | () ->
-      {
-        verdict = Unreproduced;
-        note =
-          Printf.sprintf "final op '%s' succeeded on the simulator"
-            (Ir.op_to_string final.Lint.sop);
-      }
+      ( Unreproduced,
+        Printf.sprintf "final op '%s' succeeded on the simulator"
+          (Ir.op_to_string final.Lint.sop) )
   | exception Errno.Error (e, m) ->
-      {
-        verdict = Confirmed;
-        note = Printf.sprintf "API rejected it: %s (%s)" (Errno.to_string e) m;
-      }
+      (Confirmed, Printf.sprintf "API rejected it: %s (%s)" (Errno.to_string e) m)
   | exception Libmpk.Unregistered_vkey v ->
-      { verdict = Confirmed; note = Printf.sprintf "API rejected vkey %d" v }
+      (Confirmed, Printf.sprintf "API rejected vkey %d" v)
   | exception Mmu.Fault f ->
-      {
-        verdict = Confirmed;
-        note = Printf.sprintf "MMU fault: %s" (Mmu.fault_to_string f);
-      }
+      (Confirmed, Printf.sprintf "MMU fault: %s" (Mmu.fault_to_string f))
   | exception Signal.Killed s ->
-      {
-        verdict = Confirmed;
-        note = Printf.sprintf "delivered fatal signal %s" (Signal.to_string s);
-      }
-  | exception Invalid_argument m -> { verdict = Confirmed; note = m }
+      (Confirmed, Printf.sprintf "delivered fatal signal %s" (Signal.to_string s))
+  | exception Invalid_argument m -> (Confirmed, m)
 
 let audit_clean env = Audit.run env.mpk = []
 
@@ -185,27 +168,19 @@ let confirm (f : Lint.finding) =
            path holds several lifecycle violations and the simulator
            refuses at the first one — still a real, confirmed path. *)
         | Diverged (i, s, (Errno.Error _ | Libmpk.Unregistered_vkey _ as exn)) ->
-          {
-            verdict = Confirmed;
-            note =
-              Printf.sprintf
-                "an earlier violation on this witness was already rejected (step %d: \
-                 %s raised %s)"
-                i
-                (Ir.op_to_string s.Lint.sop)
-                (Printexc.to_string exn);
-          })
+          ( Confirmed,
+            Printf.sprintf
+              "an earlier violation on this witness was already rejected (step %d: \
+               %s raised %s)"
+              i
+              (Ir.op_to_string s.Lint.sop)
+              (Printexc.to_string exn) ))
     (* -- leak: the group outlives the program -- *)
     | Lint.Leak_on_exit { vkey } ->
         replay_prefix env f.Lint.witness;
         if Libmpk.find_group env.mpk vkey <> None && audit_clean env then
-          {
-            verdict = Confirmed;
-            note =
-              Printf.sprintf "vkey %d still holds a live page group at exit" vkey;
-          }
-        else
-          { verdict = Unreproduced; note = "group was gone at program exit" }
+          (Confirmed, Printf.sprintf "vkey %d still holds a live page group at exit" vkey)
+        else (Unreproduced, "group was gone at program exit")
     (* -- leaked begin: the hardware key stays pinned forever -- *)
     | Lint.Unbalanced { vkey; _ } ->
         replay_prefix env f.Lint.witness;
@@ -216,16 +191,12 @@ let confirm (f : Lint.finding) =
           | None -> 0
         in
         if pins > 0 || depth > 0 then
-          {
-            verdict = Confirmed;
-            note =
-              Printf.sprintf
-                "thread exited with vkey %d still pinned (pins=%d, begin_depth=%d): \
-                 the hardware key can never be recycled"
-                vkey pins depth;
-          }
-        else
-          { verdict = Unreproduced; note = "no pin survived the replayed path" }
+          ( Confirmed,
+            Printf.sprintf
+              "thread exited with vkey %d still pinned (pins=%d, begin_depth=%d): \
+               the hardware key can never be recycled"
+              vkey pins depth )
+        else (Unreproduced, "no pin survived the replayed path")
     (* -- W^X on the mapping: both rights globally live at once -- *)
     | Lint.Wx_mapping { vkey } ->
         replay_prefix env f.Lint.witness;
@@ -235,13 +206,8 @@ let confirm (f : Lint.finding) =
           | None -> false
         in
         if wx then
-          {
-            verdict = Confirmed;
-            note =
-              Printf.sprintf "group vkey %d is globally writable and executable" vkey;
-          }
-        else
-          { verdict = Unreproduced; note = "group never held write+exec together" }
+          (Confirmed, Printf.sprintf "group vkey %d is globally writable and executable" vkey)
+        else (Unreproduced, "group never held write+exec together")
     (* -- W^X on the fetch: instruction fetch out of writable memory -- *)
     | Lint.Wx_exec_writable { vkey; _ } ->
         let prefix, final = split_last_op f.Lint.witness in
@@ -260,24 +226,19 @@ let confirm (f : Lint.finding) =
         in
         (match exec_step env final with
         | () when writable ->
-            {
-              verdict = Confirmed;
-              note =
-                Printf.sprintf
-                  "fetch from vkey %d succeeded while the region was writable \
-                   (PKRU never gates instruction fetch)"
-                  vkey;
-            }
-        | () -> { verdict = Unreproduced; note = "region was not writable at the fetch" }
-        | exception _ ->
-            { verdict = Unreproduced; note = "the fetch itself faulted" })
+            ( Confirmed,
+              Printf.sprintf
+                "fetch from vkey %d succeeded while the region was writable \
+                 (PKRU never gates instruction fetch)"
+                vkey )
+        | () -> (Unreproduced, "region was not writable at the fetch")
+        | exception _ -> (Unreproduced, "the fetch itself faulted"))
     (* -- WRPKRU gadget: jumping to it rewrites PKRU behind libmpk -- *)
     | Lint.Unsafe_wrpkru { vkey; offset } ->
         replay_prefix env f.Lint.witness;
         let t = env.main in
         (match Libmpk.Key_cache.free_keys (Libmpk.cache env.mpk) with
-        | [] ->
-            { verdict = Unreproduced; note = "no free hardware key to attack with" }
+        | [] -> (Unreproduced, "no free hardware key to attack with")
         | k :: _ ->
             (* The attacker jumps to the unchecked WRPKRU with a chosen
                eax: model the effect as a direct PKRU write granting
@@ -289,19 +250,12 @@ let confirm (f : Lint.finding) =
             let caught = not (audit_clean env) in
             Cpu.set_pkru_direct (Task.core t) before;
             if caught then
-              {
-                verdict = Confirmed;
-                note =
-                  Printf.sprintf
-                    "gadget at offset %d of vkey %d's stream grants rights on free \
-                     key %d; auditor flags the corrupted PKRU (I1)"
-                    offset vkey (Pkey.to_int k);
-              }
-            else
-              {
-                verdict = Unreproduced;
-                note = "auditor did not object to the forged PKRU";
-              })
+              ( Confirmed,
+                Printf.sprintf
+                  "gadget at offset %d of vkey %d's stream grants rights on free \
+                   key %d; auditor flags the corrupted PKRU (I1)"
+                  offset vkey (Pkey.to_int k) )
+            else (Unreproduced, "auditor did not object to the forged PKRU"))
     (* -- TOCTOU: revocation vs a descheduled thread's lazy sync -- *)
     | Lint.Toctou { vkey; victim; access } ->
         let prefix, final = split_last_op f.Lint.witness in
@@ -325,44 +279,27 @@ let confirm (f : Lint.finding) =
                 ~write:(access = Lint.A_write)
         in
         if Task.work_pending vt > 0 && stale && audit_clean env then
-          {
-            verdict = Confirmed;
-            note =
-              Printf.sprintf
-                "after the revocation, descheduled thread %d still holds the revoked \
-                 %s right on vkey %d's key with %d task_work item(s) queued — the \
-                 window the auditor legally tolerates (I1) and the thread can use \
-                 until its lazy do_pkey_sync runs"
-                victim
-                (Lint.access_to_string access)
-                vkey (Task.work_pending vt);
-          }
+          ( Confirmed,
+            Printf.sprintf
+              "after the revocation, descheduled thread %d still holds the revoked \
+               %s right on vkey %d's key with %d task_work item(s) queued — the \
+               window the auditor legally tolerates (I1) and the thread can use \
+               until its lazy do_pkey_sync runs"
+              victim
+              (Lint.access_to_string access)
+              vkey (Task.work_pending vt) )
         else
-          {
-            verdict = Unreproduced;
-            note =
-              Printf.sprintf
-                "no stale-rights window (work_pending=%d, stale=%b)"
-                (Task.work_pending vt) stale;
-          }
-    (* -- concurrency findings need an interleaving, not a straight-line
-       replay: Witness.confirm compiles them to torture schedules -- *)
+          ( Unreproduced,
+            Printf.sprintf "no stale-rights window (work_pending=%d, stale=%b)"
+              (Task.work_pending vt) stale )
+    (* -- concurrency findings need an interleaving: Witness.confirm
+       searches for one and never hands them here -- *)
     | Lint.Race _ | Lint.Deadlock _ | Lint.Atomicity _ | Lint.Unlock_unheld _ ->
-        {
-          verdict = Unreproduced;
-          note =
-            "concurrency finding: needs an adversarial schedule — replay it \
-             with Witness.confirm";
-        }
+        assert false
     (* -- imprecision findings have no single concrete failure -- *)
     | Lint.Maybe _ ->
         ignore (split_last f.Lint.witness);
-        {
-          verdict = Unreproduced;
-          note = "imprecision finding (joined paths): nothing concrete to replay";
-        }
+        (Unreproduced, "imprecision finding (joined paths): nothing concrete to replay")
   with
-  | Diverged (i, s, exn) ->
-      { verdict = Unreproduced; note = diverged_note (i, s, exn) }
-  | Invalid_argument msg ->
-      { verdict = Unreproduced; note = Printf.sprintf "replay setup failed: %s" msg }
+  | Diverged (i, s, exn) -> (Unreproduced, diverged_note (i, s, exn))
+  | Invalid_argument msg -> (Unreproduced, Printf.sprintf "replay setup failed: %s" msg)

@@ -227,6 +227,6 @@ let confirm (f : Lint.finding) : outcome =
         unreproduced
           (Printf.sprintf "no harness mapping for lock class %s" lk.Ir.lcls)
   | _ ->
-      (* Sequential findings already have a replay engine. *)
-      let r = Replay.confirm f in
-      { verdict = r.Replay.verdict; schedule = None; runs = 1; note = r.Replay.note }
+      (* Sequential findings replay straight-line, in one run. *)
+      let verdict, note = Replay.confirm f in
+      { verdict; schedule = None; runs = 1; note }

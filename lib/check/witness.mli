@@ -1,4 +1,6 @@
-(** Concurrency-witness replay: compile a static race/deadlock/atomicity
+(** The one confirm entry point for static findings.
+
+    Concurrency-witness replay: compile a static race/deadlock/atomicity
     finding ({!Mpk_analysis.Lint}) into a torture-harness run
     ({!Torture.run_once} with explicit [fiber_ops]) and search for the
     adversarial schedule the finding claims exists.
@@ -13,7 +15,7 @@
     horizon.
 
     Sequential findings (typestate, balance, W^X, gadget, TOCTOU) are
-    delegated to {!Replay.confirm} unchanged. *)
+    delegated to {!Replay.confirm}, as one run with no schedule. *)
 
 type outcome = {
   verdict : Replay.verdict;

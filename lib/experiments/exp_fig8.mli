@@ -11,8 +11,8 @@ type cell = {
 
 (** One grid cell. The seeds default to the figure's fixed values;
     `mpkctl bench` varies [wl_seed] (the hit/miss choice sequence) and
-    [mpk_seed] (libmpk's internal PRNG) across trials to put a real
-    noise distribution behind each metric. *)
+    [mpk_seed] (libmpk's internal PRNG) across trials, one seed per
+    trial. *)
 val run_cell :
   ?mpk_seed:int64 ->
   ?wl_seed:int64 ->

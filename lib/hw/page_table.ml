@@ -114,20 +114,6 @@ let update_range t ~vpn ~pages f =
   walk t.root 0 0;
   !touched
 
-let protect_range t ~vpn ~pages perm =
-  let touched = ref 0 in
-  for v = vpn to vpn + pages - 1 do
-    if update t ~vpn:v (fun pte -> Pte.with_perm pte perm) then incr touched
-  done;
-  !touched
-
-let set_pkey_range t ~vpn ~pages pkey =
-  let touched = ref 0 in
-  for v = vpn to vpn + pages - 1 do
-    if update t ~vpn:v (fun pte -> Pte.with_pkey pte pkey) then incr touched
-  done;
-  !touched
-
 let fold t f init =
   let acc = ref init in
   let rec walk arr level prefix =

@@ -26,13 +26,6 @@ val update : t -> vpn:int -> (Pte.t -> Pte.t) -> bool
     entries rewritten. *)
 val update_range : t -> vpn:int -> pages:int -> (Pte.t -> Pte.t) -> int
 
-(** [protect_range t ~vpn ~pages perm] rewrites permission bits over a
-    range; returns the number of present PTEs touched. *)
-val protect_range : t -> vpn:int -> pages:int -> Perm.t -> int
-
-(** [set_pkey_range t ~vpn ~pages pkey]; returns present PTEs touched. *)
-val set_pkey_range : t -> vpn:int -> pages:int -> Pkey.t -> int
-
 (** [fold t f init] over all present (vpn, pte) pairs, ascending vpn. *)
 val fold : t -> (int -> Pte.t -> 'a -> 'a) -> 'a -> 'a
 

@@ -331,8 +331,8 @@ let confirm_all what fs =
       match f.Lint.detail with
       | Lint.Maybe _ -> ()  (* imprecision-only; no concrete path to replay *)
       | _ -> (
-          match Mpk_check.Replay.confirm f with
-          | { Mpk_check.Replay.verdict = Mpk_check.Replay.Confirmed; _ } -> ()
+          match Mpk_check.Witness.confirm f with
+          | { Mpk_check.Witness.verdict = Mpk_check.Replay.Confirmed; _ } -> ()
           | { note; _ } ->
               Alcotest.fail
                 (Format.asprintf "%s: unreproduced finding %a (%s)" what

@@ -1,9 +1,9 @@
 (* Tests for the perf regression observatory (lib/bench): attribution
-   tree diffing, the noise-aware threshold model, the benchmark schema
+   tree diffing, the paired per-seed rule, the benchmark schema
    validator, runner determinism, and the end-to-end gate verdict on a
    planted slowdown. *)
 
-module Noise = Mpk_bench.Noise
+module Scenario = Mpk_bench.Scenario
 module Tree = Mpk_bench.Tree
 module Io = Mpk_bench.Io
 module Runner = Mpk_bench.Runner
@@ -105,66 +105,59 @@ let test_pct_change_zero_base () =
     "nonzero base is Some" true
     (Tree.pct_change ~base:10.0 ~cur:15.0 = Some 50.0)
 
-(* --- Noise model --- *)
+(* --- The paired rule: each seed against its own baseline sample, with
+   a 1% floor for arithmetic noise --- *)
 
-let stats_of samples =
-  match Noise.of_samples samples with
-  | Ok s -> s
-  | Error e -> Alcotest.failf "of_samples: %s" e
+let classify direction base fresh =
+  Gate.classify direction
+    (List.mapi (fun seed (base, fresh) -> { Gate.seed; base; fresh }) (List.combine base fresh))
 
-let test_noise_of_samples () =
-  let s = stats_of [ 10.0; 12.0; 14.0 ] in
-  Alcotest.(check (float 1e-9)) "mean" 12.0 s.Noise.mean;
-  Alcotest.(check (float 1e-9)) "stddev" 2.0 s.Noise.stddev;
-  Alcotest.(check (float 1e-9)) "min" 10.0 s.Noise.minimum;
-  Alcotest.(check (float 1e-9)) "max" 14.0 s.Noise.maximum;
-  Alcotest.(check bool) "empty errors" true (Result.is_error (Noise.of_samples []));
-  Alcotest.(check bool)
-    "nan errors" true
-    (Result.is_error (Noise.of_samples [ 1.0; Float.nan ]))
+let check_verdict what want (v, _) =
+  Alcotest.(check string) what (Gate.verdict_to_string want) (Gate.verdict_to_string v)
 
 let test_classify_deterministic_floor () =
-  (* stddev 0: the relative floor is the only guard. 0.5% drift on a
-     lower-better metric stays unchanged; 2% is regressed. *)
-  let s = stats_of [ 100.0; 100.0; 100.0 ] in
-  let v, _ = Noise.classify Noise.Lower_better ~baseline:s ~fresh:100.5 ~sigma:3.0 ~rel_floor:0.01 in
-  Alcotest.(check bool) "small drift unchanged" true (v = Noise.Unchanged);
-  let v, _ = Noise.classify Noise.Lower_better ~baseline:s ~fresh:102.0 ~sigma:3.0 ~rel_floor:0.01 in
-  Alcotest.(check bool) "2% slower regressed" true (v = Noise.Regressed);
-  let v, _ = Noise.classify Noise.Lower_better ~baseline:s ~fresh:98.0 ~sigma:3.0 ~rel_floor:0.01 in
-  Alcotest.(check bool) "2% faster improved" true (v = Noise.Improved)
+  (* 0.5% drift on a lower-better metric stays unchanged; 2% is regressed. *)
+  let base = [ 100.0; 100.0; 100.0 ] in
+  check_verdict "small drift unchanged" Gate.Unchanged
+    (classify Scenario.Lower_better base [ 100.5; 100.5; 100.5 ]);
+  check_verdict "2% slower regressed" Gate.Regressed
+    (classify Scenario.Lower_better base [ 102.0; 102.0; 102.0 ]);
+  check_verdict "2% faster improved" Gate.Improved
+    (classify Scenario.Lower_better base [ 98.0; 98.0; 98.0 ])
 
-let test_classify_sigma_band () =
-  (* noisy metric: mean 100, stddev 10 -> 3-sigma band is +-30, wider
-     than the 1% floor. A 2-sigma move is noise; a 4-sigma move is real. *)
-  let s = stats_of [ 90.0; 100.0; 110.0 ] in
-  Alcotest.(check bool) "stddev 10" true (Float.abs (s.Noise.stddev -. 10.0) < 1e-9);
-  let v, th = Noise.classify Noise.Lower_better ~baseline:s ~fresh:120.0 ~sigma:3.0 ~rel_floor:0.01 in
-  Alcotest.(check (float 1e-9)) "threshold is 3 sigma" 30.0 th;
-  Alcotest.(check bool) "2-sigma move is noise" true (v = Noise.Unchanged);
-  let v, _ = Noise.classify Noise.Lower_better ~baseline:s ~fresh:141.0 ~sigma:3.0 ~rel_floor:0.01 in
-  Alcotest.(check bool) "4-sigma move regressed" true (v = Noise.Regressed)
+let test_classify_mixed50_plant () =
+  (* fig8.mixed50's committed samples, each 30 cycles slower (2.3-2.7%):
+     small against the 174-cycle spread between seeds, but past the 1%
+     floor on every seed. *)
+  let base = [ 1223.0; 1288.1; 1114.5 ] in
+  let ((_, worst) as r) =
+    classify Scenario.Lower_better base (List.map (fun b -> b +. 30.0) base)
+  in
+  check_verdict "+30 cycles regressed" Gate.Regressed r;
+  Alcotest.(check int) "worst pair is the smallest sample" 2 worst.Gate.seed
+
+let test_classify_mixed_pairs () =
+  let ((_, worst) as r) = classify Scenario.Lower_better [ 100.0; 100.0 ] [ 98.0; 102.0 ] in
+  check_verdict "one seed better, one worse: regressed" Gate.Regressed r;
+  Alcotest.(check int) "worst pair is the slower seed" 1 worst.Gate.seed
 
 let test_classify_higher_better () =
-  let s = stats_of [ 1000.0; 1000.0 ] in
-  let v, _ =
-    Noise.classify Noise.Higher_better ~baseline:s ~fresh:900.0 ~sigma:3.0 ~rel_floor:0.01
-  in
-  Alcotest.(check bool) "throughput drop regressed" true (v = Noise.Regressed);
-  let v, _ =
-    Noise.classify Noise.Higher_better ~baseline:s ~fresh:1100.0 ~sigma:3.0 ~rel_floor:0.01
-  in
-  Alcotest.(check bool) "throughput gain improved" true (v = Noise.Improved)
+  let base = [ 1000.0; 1000.0 ] in
+  check_verdict "throughput drop regressed" Gate.Regressed
+    (classify Scenario.Higher_better base [ 900.0; 900.0 ]);
+  check_verdict "throughput gain improved" Gate.Improved
+    (classify Scenario.Higher_better base [ 1100.0; 1100.0 ])
 
 let test_classify_zero_baseline () =
-  (* mean 0, stddev 0: threshold degenerates to 0 and any harmful delta
-     regresses, with no division anywhere. *)
-  let s = stats_of [ 0.0; 0.0 ] in
-  let v, th = Noise.classify Noise.Lower_better ~baseline:s ~fresh:1.0 ~sigma:3.0 ~rel_floor:0.01 in
-  Alcotest.(check (float 0.0)) "zero threshold" 0.0 th;
-  Alcotest.(check bool) "any growth regressed" true (v = Noise.Regressed);
-  let v, _ = Noise.classify Noise.Lower_better ~baseline:s ~fresh:0.0 ~sigma:3.0 ~rel_floor:0.01 in
-  Alcotest.(check bool) "exact zero unchanged" true (v = Noise.Unchanged)
+  (* a zero baseline sample has a zero floor: any harmful move regresses,
+     with no division anywhere *)
+  let ((_, worst) as r) = classify Scenario.Lower_better [ 0.0; 0.0 ] [ 0.0; 1.0 ] in
+  check_verdict "any growth regressed" Gate.Regressed r;
+  Alcotest.(check (float 0.0)) "worst fresh" 1.0 worst.Gate.fresh;
+  check_verdict "exact zero unchanged" Gate.Unchanged
+    (classify Scenario.Lower_better [ 0.0; 0.0 ] [ 0.0; 0.0 ]);
+  check_verdict "drop below zero improved" Gate.Improved
+    (classify Scenario.Lower_better [ 0.0 ] [ -1.0 ])
 
 (* --- Prof snapshot JSON round-trip --- *)
 
@@ -195,15 +188,14 @@ let test_io_validate_rejects () =
     Alcotest.(check bool) "rejected" true (Result.is_error (Io.validate kind j))
   in
   check_err Io.Perfetto (J.Obj [ "traceEvents", J.List [] ]);
-  check_err Io.Bench (J.Obj [ "schema", J.String "bench/2" ]);
-  check_err Io.Bench_diff (J.Obj [ "schema", J.String "bench-diff/1" ]);
+  check_err Io.Bench (J.Obj [ "schema", J.String "bench/1" ]);
+  check_err Io.Bench_diff (J.Obj [ "schema", J.String "bench-diff/2" ]);
   check_err Io.Profile (J.Obj [ "experiment", J.String "fig8" ]);
   (* a verdict string outside the enum is caught inside results[] *)
   let bad_diff =
     J.Obj
       [
-        "schema", J.String "bench-diff/1";
-        "sigma", J.Float 3.0;
+        "schema", J.String "bench-diff/2";
         "regressed", J.Bool false;
         ( "results",
           J.List
@@ -212,7 +204,15 @@ let test_io_validate_rejects () =
                 [
                   "experiment", J.String "fig8";
                   ( "verdicts",
-                    J.List [ J.Obj [ "name", J.String "m"; "verdict", J.String "meh" ] ] );
+                    J.List
+                      [
+                        J.Obj
+                          [
+                            "name", J.String "m";
+                            "verdict", J.String "meh";
+                            "worst", J.Obj [];
+                          ];
+                      ] );
                   "regressed", J.Bool false;
                 ];
             ] );
@@ -240,15 +240,33 @@ let test_io_write_read_roundtrip () =
               | Ok r' ->
                   Alcotest.(check string) "id" r.Runner.r_id r'.Runner.r_id;
                   Alcotest.(check int) "trials" r.Runner.r_trials r'.Runner.r_trials;
-                  let means rep =
+                  let samples rep =
                     List.map
-                      (fun m -> m.Runner.ms_name, m.Runner.ms_stats.Noise.mean)
+                      (fun m -> m.Runner.ms_name, m.Runner.ms_samples)
                       rep.Runner.r_metrics
                   in
-                  Alcotest.(check bool) "means survive" true (means r = means r');
+                  Alcotest.(check bool) "samples survive" true (samples r = samples r');
                   Alcotest.(check bool)
                     "profile survives" true
                     (snapshot_equal r.Runner.r_profile r'.Runner.r_profile))))
+
+let test_of_json_rejects_sample_count () =
+  (* pairing depends on the count: sample t is the baseline at seed+t *)
+  match Runner.run ~id:"table1" ~trials:2 ~seed:7 ~smoke:true with
+  | Error e -> Alcotest.failf "runner: %s" e
+  | Ok r -> (
+      match Runner.to_json r with
+      | J.Obj fields ->
+          let with_trials n =
+            J.Obj (List.map (fun (k, v) -> if k = "trials" then k, J.Int n else k, v) fields)
+          in
+          Alcotest.(check bool)
+            "2 samples, 2 trials accepted" true
+            (Result.is_ok (Runner.of_json (with_trials 2)));
+          Alcotest.(check bool)
+            "2 samples, 3 trials rejected" true
+            (Result.is_error (Runner.of_json (with_trials 3)))
+      | _ -> Alcotest.fail "bench report is not an object")
 
 (* --- Runner determinism + gate end-to-end --- *)
 
@@ -261,13 +279,12 @@ let test_runner_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "attribution exact" true a.Runner.r_attribution_exact;
   List.iter2
-    (fun (ma : Runner.metric_stats) (mb : Runner.metric_stats) ->
+    (fun (ma : Runner.metric_samples) (mb : Runner.metric_samples) ->
       Alcotest.(check string) "same metric" ma.Runner.ms_name mb.Runner.ms_name;
       Alcotest.(check bool)
         ("identical samples for " ^ ma.Runner.ms_name)
         true
-        (List.for_all2 Float.equal ma.Runner.ms_stats.Noise.samples
-           mb.Runner.ms_stats.Noise.samples))
+        (List.for_all2 Float.equal ma.Runner.ms_samples mb.Runner.ms_samples))
     a.Runner.r_metrics b.Runner.r_metrics;
   Alcotest.(check bool)
     "identical profile" true
@@ -277,14 +294,14 @@ let test_gate_unchanged_on_identical_runs () =
   match Runner.run ~id:"table1" ~trials:2 ~seed:5 ~smoke:true with
   | Error e -> Alcotest.failf "runner: %s" e
   | Ok r ->
-      let d = Gate.diff ~baseline:r ~fresh:r ~sigma:3.0 ~rel_floor:0.01 in
+      let d = Gate.diff ~baseline:r ~fresh:r in
       Alcotest.(check bool) "not regressed" false d.Gate.d_regressed;
       List.iter
         (fun v ->
           Alcotest.(check bool)
             ("unchanged: " ^ v.Gate.v_name)
             true
-            (v.Gate.v_verdict = Noise.Unchanged))
+            (v.Gate.v_verdict = Gate.Unchanged))
         d.Gate.d_verdicts;
       Alcotest.(check (list string)) "no drift" [] d.Gate.d_missing
 
@@ -304,15 +321,16 @@ let test_gate_catches_planted_slowdown () =
         | Ok r -> r
         | Error e -> Alcotest.failf "planted run: %s" e)
   in
-  let d = Gate.diff ~baseline ~fresh ~sigma:3.0 ~rel_floor:0.01 in
+  let d = Gate.diff ~baseline ~fresh in
   Alcotest.(check bool) "regressed" true d.Gate.d_regressed;
   let wrpkru_verdict =
     List.find (fun v -> v.Gate.v_name = "table1.pkey_set_wrpkru_cycles") d.Gate.d_verdicts
   in
   Alcotest.(check bool)
     "wrpkru metric regressed" true
-    (wrpkru_verdict.Gate.v_verdict = Noise.Regressed);
-  Alcotest.(check (float 1e-6)) "delta is the plant" 40.0 wrpkru_verdict.Gate.v_delta;
+    (wrpkru_verdict.Gate.v_verdict = Gate.Regressed);
+  let worst = wrpkru_verdict.Gate.v_worst in
+  Alcotest.(check (float 1e-6)) "delta is the plant" 40.0 (worst.Gate.fresh -. worst.Gate.base);
   (* attribution names a frame ending in wrpkru *)
   let frames = Gate.hot_frames d in
   Alcotest.(check bool) "has attribution" true (frames <> []);
@@ -327,7 +345,7 @@ let test_gate_metric_set_drift_regresses () =
   | Error e -> Alcotest.failf "runner: %s" e
   | Ok r ->
       let truncated = { r with Runner.r_metrics = List.tl r.Runner.r_metrics } in
-      let d = Gate.diff ~baseline:r ~fresh:truncated ~sigma:3.0 ~rel_floor:0.01 in
+      let d = Gate.diff ~baseline:r ~fresh:truncated in
       Alcotest.(check bool) "drift regresses" true d.Gate.d_regressed;
       Alcotest.(check bool)
         "drift named" true
@@ -349,9 +367,10 @@ let () =
         ] );
       ( "noise",
         [
-          Alcotest.test_case "of_samples stats" `Quick test_noise_of_samples;
           Alcotest.test_case "deterministic floor" `Quick test_classify_deterministic_floor;
-          Alcotest.test_case "sigma band" `Quick test_classify_sigma_band;
+          Alcotest.test_case "fig8.mixed50 +30 regressed" `Quick
+            test_classify_mixed50_plant;
+          Alcotest.test_case "one seed worse regressed" `Quick test_classify_mixed_pairs;
           Alcotest.test_case "higher-better direction" `Quick test_classify_higher_better;
           Alcotest.test_case "zero baseline no div" `Quick test_classify_zero_baseline;
         ] );
@@ -362,6 +381,8 @@ let () =
             test_snapshot_of_json_rejects_garbage;
           Alcotest.test_case "validate rejects" `Quick test_io_validate_rejects;
           Alcotest.test_case "write/read round-trip" `Quick test_io_write_read_roundtrip;
+          Alcotest.test_case "of_json checks sample count" `Quick
+            test_of_json_rejects_sample_count;
         ] );
       ( "gate",
         [

@@ -219,7 +219,9 @@ let test_detects_stale_pte_tag () =
     | [] -> Alcotest.fail "no free key"
   in
   let pt = Mm.page_table (Proc.mm proc) in
-  ignore (Page_table.set_pkey_range pt ~vpn:(Page_table.vpn_of_addr a) ~pages:1 stranger);
+  ignore
+    (Page_table.update_range pt ~vpn:(Page_table.vpn_of_addr a) ~pages:1 (fun pte ->
+         Pte.with_pkey pte stranger));
   check_flags "PTE tag tamper" 2 mpk
 
 let test_detects_stale_tlb_entry () =

@@ -176,7 +176,9 @@ let test_page_table_protect_range () =
   for v = 10 to 19 do
     Page_table.set pt ~vpn:v (Pte.make ~frame:v ~perm:Perm.rw ~pkey:Pkey.default)
   done;
-  let touched = Page_table.protect_range pt ~vpn:12 ~pages:5 Perm.r in
+  let touched =
+    Page_table.update_range pt ~vpn:12 ~pages:5 (fun pte -> Pte.with_perm pte Perm.r)
+  in
   Alcotest.(check int) "touched 5" 5 touched;
   Alcotest.(check string) "inside changed" "r--"
     (Perm.to_string (Pte.perm (Page_table.get pt ~vpn:14)));
@@ -189,7 +191,7 @@ let test_page_table_pkey_range () =
     Page_table.set pt ~vpn:v (Pte.make ~frame:v ~perm:Perm.rw ~pkey:Pkey.default)
   done;
   let k = Pkey.of_int 9 in
-  ignore (Page_table.set_pkey_range pt ~vpn:3 ~pages:4 k);
+  ignore (Page_table.update_range pt ~vpn:3 ~pages:4 (fun pte -> Pte.with_pkey pte k));
   Alcotest.(check int) "count with pkey" 4 (Page_table.count_with_pkey pt k);
   Alcotest.(check int) "pkey set" 9 (Pkey.to_int (Pte.pkey (Page_table.get pt ~vpn:5)))
 
