@@ -624,9 +624,9 @@ let scale_cmd =
           Printf.printf
             "cores=%d  batched: %.0f req/s p50=%.0f p99=%.0f cycles ipi_events=%d | \
              per-update: %.0f req/s p99=%.0f ipi_events=%d\n"
-            p.Mpk_kvstore.Scale.cores b.Mpk_kvstore.Loadgen.s_throughput_rps
+            p.Mpk_kvstore.Scale.cores b.Mpk_kvstore.Loadgen.throughput_rps
             b.Mpk_kvstore.Loadgen.p50_cycles b.Mpk_kvstore.Loadgen.p99_cycles
-            p.Mpk_kvstore.Scale.ipi_events_batched u.Mpk_kvstore.Loadgen.s_throughput_rps
+            p.Mpk_kvstore.Scale.ipi_events_batched u.Mpk_kvstore.Loadgen.throughput_rps
             u.Mpk_kvstore.Loadgen.p99_cycles p.Mpk_kvstore.Scale.ipi_events_per_update)
         report.Mpk_kvstore.Scale.points;
       (match report.Mpk_kvstore.Scale.open_loop with
@@ -638,10 +638,10 @@ let scale_cmd =
               Printf.printf
                 "open-loop rate=%d  %.0f req/s p50=%.0f p99=%.0f cycles \
                  dropped=%d/%d\n"
-                p.Mpk_kvstore.Scale.op_rate r.Mpk_kvstore.Loadgen.s_throughput_rps
+                p.Mpk_kvstore.Scale.op_rate r.Mpk_kvstore.Loadgen.throughput_rps
                 r.Mpk_kvstore.Loadgen.p50_cycles r.Mpk_kvstore.Loadgen.p99_cycles
-                r.Mpk_kvstore.Loadgen.s_dropped_conns
-                r.Mpk_kvstore.Loadgen.s_offered_conns)
+                r.Mpk_kvstore.Loadgen.dropped_conns
+                r.Mpk_kvstore.Loadgen.offered_conns)
             s.Mpk_kvstore.Scale.os_points;
           (match s.Mpk_kvstore.Scale.os_knee with
           | Some rate ->

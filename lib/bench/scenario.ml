@@ -128,7 +128,7 @@ let scale ~seed ~smoke =
         let b = p.Mpk_kvstore.Scale.batched in
         [
           m (Printf.sprintf "scale.rps_c%d" c) Higher_better
-            b.Mpk_kvstore.Loadgen.s_throughput_rps;
+            b.Mpk_kvstore.Loadgen.throughput_rps;
           m (Printf.sprintf "scale.p99_c%d" c) Lower_better
             b.Mpk_kvstore.Loadgen.p99_cycles;
         ])

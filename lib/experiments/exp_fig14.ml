@@ -12,14 +12,23 @@ let modes = [ Server.Baseline; Server.Domain; Server.Sync; Server.Mprotect_sys ]
 let duration_s = 0.05
 let working_set = 300
 
-let run_mode ?(slab_mib = 1024) ?seed ?(conn_rates = conn_rates) mode =
+let run_mode ?(slab_mib = 1024) ?(seed = 0xFEEDL) ?(conn_rates = conn_rates) mode =
   let srv = Server.create ~mode ~workers:4 ~slab_mib ~buckets:4096 () in
   Server.prefill srv ~items:working_set ~value_size:1024;
   Server.populate_slab srv ~mib:slab_mib;
   List.map
     (fun conn_rate ->
-      let r = Loadgen.run srv ~conn_rate ~duration_s ~working_set ~value_size:1024 ?seed () in
-      { mode; conn_rate; data_mb_s = r.Loadgen.data_mb_s; unhandled = r.Loadgen.unhandled_conns })
+      (* twemperf: connections at a fixed rate, uniform keys, no churn cost *)
+      let r =
+        Loadgen.run srv ~loop:(Loadgen.Open_loop conn_rate) ~duration_s ~working_set
+          ~theta:0.0 ~conn_setup_cycles:0.0 ~seed ()
+      in
+      {
+        mode;
+        conn_rate;
+        data_mb_s = float r.Loadgen.data_bytes /. (r.Loadgen.duration_s *. 1e6);
+        unhandled = r.Loadgen.dropped_conns;
+      })
     conn_rates
 
 let points ?slab_mib ?seed ?conn_rates () =

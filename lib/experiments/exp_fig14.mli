@@ -12,8 +12,10 @@ type point = {
 
 (** [points ()] sweeps the figure's full grid. `mpkctl bench` passes a
     smaller [slab_mib], a single [conn_rates] entry, and a per-trial
-    workload [seed] to turn one cell of the figure into a repeatable
-    noisy metric. *)
+    workload [seed] (default 0xFEED) to turn one cell of the figure into
+    a repeatable per-seed metric. Each cell is one
+    {!Mpk_kvstore.Loadgen.run} open loop with uniform keys and no
+    connection churn cost. *)
 val points :
   ?slab_mib:int -> ?seed:int64 -> ?conn_rates:int list -> unit -> point list
 

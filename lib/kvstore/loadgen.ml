@@ -1,111 +1,21 @@
 open Mpk_hw
 open Mpk_kernel
 
-type result = {
-  offered_conns : int;
-  handled_conns : int;
-  unhandled_conns : int;
-  requests : int;
-  data_bytes : int;
-  duration_s : float;
-  throughput_rps : float;
-  data_mb_s : float;
-}
-
-let run server ~conn_rate ?(duration_s = 1.0) ?(reqs_per_conn = 10) ?(value_size = 1024)
-    ?(working_set = 1000) ?(max_delay_s = 0.1) ?(ghz = 2.4) ?(protocol = false)
-    ?(seed = 0xFEEDL) () =
-  let workers = Server.workers server in
-  let n = Array.length workers in
-  let cycles_per_s = ghz *. 1e9 in
-  let prng = Mpk_util.Prng.create ~seed in
-  let start = Array.map (fun w -> Cpu.cycles (Task.core w)) workers in
-  let clock i = Cpu.cycles (Task.core workers.(i)) -. start.(i) in
-  let offered = int_of_float (float_of_int conn_rate *. duration_s) in
-  let interval = cycles_per_s /. float_of_int conn_rate in
-  let max_delay = max_delay_s *. cycles_per_s in
-  let handled = ref 0 in
-  let unhandled = ref 0 in
-  let requests = ref 0 in
-  let data = ref 0 in
-  for c = 0 to offered - 1 do
-    let arrival = float_of_int c *. interval in
-    (* least-loaded worker *)
-    let w = ref 0 in
-    for i = 1 to n - 1 do
-      if clock i < clock !w then w := i
-    done;
-    if clock !w -. arrival > max_delay then incr unhandled
-    else begin
-      (* idle worker waits for the connection to arrive *)
-      if clock !w < arrival then
-        Cpu.charge ~label:"idle_wait" (Task.core workers.(!w)) (arrival -. clock !w);
-      incr handled;
-      for _ = 1 to reqs_per_conn do
-        incr requests;
-        let key = Printf.sprintf "key-%d" (Mpk_util.Prng.int prng working_set) in
-        let is_get = Mpk_util.Prng.float prng < 0.9 in
-        if protocol then begin
-          let wire =
-            if is_get then Protocol.render_request (Protocol.Get key)
-            else
-              Protocol.render_request
-                (Protocol.Set { key; flags = 0; exptime = 0; data = Bytes.make value_size 'w' })
-          in
-          let now = clock !w /. cycles_per_s in
-          let reply = Server.dispatch server ~worker:!w ~now wire in
-          match Protocol.parse_response reply with
-          | Ok (Protocol.Value { data = d; _ }) -> data := !data + Bytes.length d
-          | Ok Protocol.Stored -> data := !data + value_size
-          | Ok _ | Error _ -> ()
-        end
-        else if is_get then (
-          match Server.get server ~worker:!w ~key with
-          | Some v -> data := !data + Bytes.length v
-          | None -> ())
-        else begin
-          match Server.set server ~worker:!w ~key ~value:(Bytes.make value_size 'w') with
-          | Ok () -> data := !data + value_size
-          | Error _ -> ()
-        end
-      done
-    end
-  done;
-  let makespan =
-    Array.to_list workers
-    |> List.mapi (fun i _ -> clock i)
-    |> List.fold_left Float.max (duration_s *. cycles_per_s)
-  in
-  let seconds = makespan /. cycles_per_s in
-  {
-    offered_conns = offered;
-    handled_conns = !handled;
-    unhandled_conns = !unhandled;
-    requests = !requests;
-    data_bytes = !data;
-    duration_s = seconds;
-    throughput_rps = float_of_int !requests /. seconds;
-    data_mb_s = float_of_int !data /. (seconds *. 1e6);
-  }
-
-(* --- multi-core scale workload: zipfian keys, connection churn, shard
-   routing, per-core accounting --- *)
-
 type loop =
   | Open_loop of int  (* offered connections per second; late arrivals drop *)
   | Closed_loop of int  (* total connections, issued back-to-back (saturation) *)
 
-type scale_result = {
+type result = {
   loop : loop;
-  s_offered_conns : int;
-  s_handled_conns : int;
-  s_dropped_conns : int;
-  s_requests : int;
-  s_gets : int;
-  s_sets : int;
-  s_data_bytes : int;
-  s_duration_s : float;
-  s_throughput_rps : float;
+  offered_conns : int;
+  handled_conns : int;
+  dropped_conns : int;
+  requests : int;
+  gets : int;
+  sets : int;
+  data_bytes : int;
+  duration_s : float;
+  throughput_rps : float;
   p50_cycles : float;
   p95_cycles : float;
   p99_cycles : float;
@@ -113,7 +23,7 @@ type scale_result = {
   per_core_busy_s : float array;  (* per-worker busy time, seconds *)
 }
 
-let run_scale server ~loop ?(reqs_per_conn = 10) ?(value_size = 1024)
+let run server ~loop ?(reqs_per_conn = 10) ?(value_size = 1024)
     ?(working_set = 10_000) ?(theta = 0.99) ?(get_ratio = 0.9)
     ?(conn_setup_cycles = 3_000.0) ?(duration_s = 1.0) ?(max_delay_s = 0.1) ?(ghz = 2.4)
     ?(seed = 0xC0FEL) () =
@@ -160,8 +70,10 @@ let run_scale server ~loop ?(reqs_per_conn = 10) ?(value_size = 1024)
   in
   let run_conn ?(queue_delay = 0.0) w =
     incr handled;
-    (* connection churn: accept + session setup + teardown *)
-    Cpu.charge ~label:"conn_churn" (Task.core workers.(w)) conn_setup_cycles;
+    (* connection churn: accept + session setup + teardown; a churn-free
+       load (Fig 14) charges nothing rather than a zero-cycle frame *)
+    if conn_setup_cycles > 0.0 then
+      Cpu.charge ~label:"conn_churn" (Task.core workers.(w)) conn_setup_cycles;
     for _ = 1 to reqs_per_conn do
       exec_request ~queue_delay w
     done
@@ -194,7 +106,12 @@ let run_scale server ~loop ?(reqs_per_conn = 10) ?(value_size = 1024)
         done;
         offered
   in
-  let makespan = ref 0.0 in
+  (* An open loop is measured over at least its arrival window: load
+     offered over the whole window and served early still took the
+     window, so throughput never exceeds the offered load. *)
+  let makespan =
+    ref (match loop with Open_loop _ -> duration_s *. cycles_per_s | Closed_loop _ -> 0.0)
+  in
   for i = 0 to n - 1 do
     makespan := Float.max !makespan (clock i)
   done;
@@ -202,15 +119,15 @@ let run_scale server ~loop ?(reqs_per_conn = 10) ?(value_size = 1024)
   let pct p = Mpk_util.Stats.Histogram.percentile lat p in
   {
     loop;
-    s_offered_conns = offered;
-    s_handled_conns = !handled;
-    s_dropped_conns = !dropped;
-    s_requests = !requests;
-    s_gets = !gets;
-    s_sets = !sets;
-    s_data_bytes = !data;
-    s_duration_s = seconds;
-    s_throughput_rps = (if seconds > 0.0 then float_of_int !requests /. seconds else 0.0);
+    offered_conns = offered;
+    handled_conns = !handled;
+    dropped_conns = !dropped;
+    requests = !requests;
+    gets = !gets;
+    sets = !sets;
+    data_bytes = !data;
+    duration_s = seconds;
+    throughput_rps = (if seconds > 0.0 then float_of_int !requests /. seconds else 0.0);
     p50_cycles = pct 50.0;
     p95_cycles = pct 95.0;
     p99_cycles = pct 99.0;

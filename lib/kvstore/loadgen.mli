@@ -1,41 +1,12 @@
-(** twemperf-style connection generator (paper Fig 14).
+(** Connection-oriented load generator for the kvstore.
 
-    Connections arrive at a fixed rate; each carries [reqs_per_conn]
-    requests (the paper: 10). Arrivals go to the least-loaded worker; a
-    connection that would wait longer than [max_delay_s] in the accept
-    queue is dropped and counted unhandled — the figure's second panel. *)
-
-type result = {
-  offered_conns : int;
-  handled_conns : int;
-  unhandled_conns : int;
-  requests : int;
-  data_bytes : int;
-  duration_s : float;
-  throughput_rps : float;
-  data_mb_s : float;
-}
-
-(** [run server ~conn_rate ~duration_s ~reqs_per_conn ~value_size ()] —
-    90% gets / 10% sets over a working set preloaded by the caller. With
-    [protocol:true] every request travels as Memcached text-protocol
-    bytes through [Server.dispatch] (parse + TTL + LRU path) instead of
-    the direct API. *)
-val run :
-  Server.t ->
-  conn_rate:int ->
-  ?duration_s:float ->
-  ?reqs_per_conn:int ->
-  ?value_size:int ->
-  ?working_set:int ->
-  ?max_delay_s:float ->
-  ?ghz:float ->
-  ?protocol:bool ->
-  ?seed:int64 ->
-  unit ->
-  result
-
-(** {2 Multi-core scale workload} *)
+    Each connection carries [reqs_per_conn] requests. An open loop offers
+    connections at a fixed rate to the least-loaded worker and drops any
+    that would wait longer than [max_delay_s] in the accept queue; a
+    closed loop issues them back-to-back. Paper Fig 14 (twemperf) is the
+    open loop with uniform keys ([theta = 0.]) and no churn cost
+    ([conn_setup_cycles = 0.]); `mpkctl scale` drives both loops with the
+    zipfian defaults. *)
 
 type loop =
   | Open_loop of int
@@ -45,17 +16,19 @@ type loop =
       (** total connections issued back-to-back with zero think time —
           the saturation (capacity) measurement *)
 
-type scale_result = {
+type result = {
   loop : loop;
-  s_offered_conns : int;
-  s_handled_conns : int;
-  s_dropped_conns : int;
-  s_requests : int;
-  s_gets : int;
-  s_sets : int;
-  s_data_bytes : int;
-  s_duration_s : float;  (** makespan across worker cores *)
-  s_throughput_rps : float;
+  offered_conns : int;
+  handled_conns : int;
+  dropped_conns : int;
+  requests : int;
+  gets : int;
+  sets : int;
+  data_bytes : int;
+  duration_s : float;
+      (** makespan across worker cores; an open loop's is at least its
+          [duration_s] arrival window *)
+  throughput_rps : float;
   p50_cycles : float;
   p95_cycles : float;
   p99_cycles : float;
@@ -63,16 +36,16 @@ type scale_result = {
   per_core_busy_s : float array;  (** per-worker busy time, seconds *)
 }
 
-(** [run_scale server ~loop ()] — the scale-out workload: zipfian keys
-    ([theta], default 0.99 over [working_set] ranks), [get_ratio]
-    get/set mix, per-connection churn cost ([conn_setup_cycles] on the
-    accepting worker), and key-affine routing — with a sharded server
-    each request executes on its shard's owning worker. Latency
-    percentiles cover exactly this run's requests (end-to-end per
-    request, protection discipline included); [ipis] counts the
-    scheduler's IPIs during the run, so batched and per-update sync can
-    be compared on identical workloads by seed. *)
-val run_scale :
+(** [run server ~loop ()] — keys drawn from a Zipf distribution
+    ([theta], default 0.99 over [working_set] ranks, preloaded by the
+    caller), [get_ratio] get/set mix, per-connection churn cost
+    ([conn_setup_cycles] on the accepting worker), and key-affine
+    routing — with a sharded server each request executes on its shard's
+    owning worker. Latency percentiles cover exactly this run's requests
+    (end-to-end per request, protection discipline included); [ipis]
+    counts the scheduler's IPIs during the run, so batched and per-update
+    sync can be compared on identical workloads by seed. *)
+val run :
   Server.t ->
   loop:loop ->
   ?reqs_per_conn:int ->
@@ -86,4 +59,4 @@ val run_scale :
   ?ghz:float ->
   ?seed:int64 ->
   unit ->
-  scale_result
+  result

@@ -10,8 +10,8 @@ module Metrics = Mpk_trace.Metrics
    supposed to shrink. *)
 type point = {
   cores : int;
-  batched : Loadgen.scale_result;
-  per_update : Loadgen.scale_result;
+  batched : Loadgen.result;
+  per_update : Loadgen.result;
   ipi_events_batched : int;
   ipi_events_per_update : int;
   per_core_ipis : (int * int * int) list;  (* core, sent, received (batched run) *)
@@ -25,7 +25,7 @@ type point = {
    flat region — the knee the sweep exists to locate. *)
 type open_point = {
   op_rate : int;  (* offered connections per second *)
-  op_result : Loadgen.scale_result;
+  op_result : Loadgen.result;
   op_audit_violations : string list;
   op_slabs_ok : bool;
 }
@@ -104,7 +104,7 @@ let run_one ~mode ~workers ~batch ~seed cfg =
             Mpk_trace.Tracer.clear_sinks ();
             Mpk_trace.Tracer.clear ())
           (fun () ->
-            Loadgen.run_scale server ~loop:(Loadgen.Closed_loop cfg.c_conns)
+            Loadgen.run server ~loop:(Loadgen.Closed_loop cfg.c_conns)
               ~value_size:cfg.c_value_size ~working_set:cfg.c_working_set ~seed ())
       in
       (* The concurrent run must leave a consistent cross-layer state:
@@ -133,7 +133,7 @@ let run_open_one ~mode ~workers ~rate ~duration_s ~seed cfg =
   (* Accept deadline scaled to the window: a saturated server must be
      able to shed load within the run, or drops never register. *)
   let result =
-    Loadgen.run_scale server ~loop:(Loadgen.Open_loop rate) ~duration_s
+    Loadgen.run server ~loop:(Loadgen.Open_loop rate) ~duration_s
       ~max_delay_s:(duration_s /. 10.0) ~value_size:cfg.c_value_size
       ~working_set:cfg.c_working_set ~seed ()
   in
@@ -159,8 +159,8 @@ let find_knee points =
       let saturated p =
         let r = p.op_result in
         r.Loadgen.p99_cycles > 2.0 *. baseline
-        || float_of_int r.Loadgen.s_dropped_conns
-           > 0.01 *. float_of_int (max 1 r.Loadgen.s_offered_conns)
+        || float_of_int r.Loadgen.dropped_conns
+           > 0.01 *. float_of_int (max 1 r.Loadgen.offered_conns)
       in
       List.find_opt saturated points |> Option.map (fun p -> p.op_rate)
 
@@ -180,7 +180,7 @@ let run_open ~mode ~workers ~rates ?(smoke = false) ?(seed = 0xC0FEL) () =
   { os_cores = workers; os_duration_s = duration_s; os_points = points;
     os_knee = find_knee points }
 
-let publish_metrics ~cores (r : Loadgen.scale_result) per_core_ipis =
+let publish_metrics ~cores (r : Loadgen.result) per_core_ipis =
   Array.iteri
     (fun i busy ->
       Metrics.set
@@ -236,18 +236,18 @@ let run ~mode ~cores ?(open_rates = []) ?(smoke = false) ?(seed = 0xC0FEL) () =
   in
   { mode; closed_conns = cfg.c_conns; seed; smoke; points; open_loop }
 
-let result_json (r : Loadgen.scale_result) =
+let result_json (r : Loadgen.result) =
   Json.Obj
     [
-      ("offered_conns", Json.Int r.Loadgen.s_offered_conns);
-      ("handled_conns", Json.Int r.Loadgen.s_handled_conns);
-      ("dropped_conns", Json.Int r.Loadgen.s_dropped_conns);
-      ("requests", Json.Int r.Loadgen.s_requests);
-      ("gets", Json.Int r.Loadgen.s_gets);
-      ("sets", Json.Int r.Loadgen.s_sets);
-      ("data_bytes", Json.Int r.Loadgen.s_data_bytes);
-      ("duration_s", Json.Float r.Loadgen.s_duration_s);
-      ("throughput_rps", Json.Float r.Loadgen.s_throughput_rps);
+      ("offered_conns", Json.Int r.Loadgen.offered_conns);
+      ("handled_conns", Json.Int r.Loadgen.handled_conns);
+      ("dropped_conns", Json.Int r.Loadgen.dropped_conns);
+      ("requests", Json.Int r.Loadgen.requests);
+      ("gets", Json.Int r.Loadgen.gets);
+      ("sets", Json.Int r.Loadgen.sets);
+      ("data_bytes", Json.Int r.Loadgen.data_bytes);
+      ("duration_s", Json.Float r.Loadgen.duration_s);
+      ("throughput_rps", Json.Float r.Loadgen.throughput_rps);
       ("p50_cycles", Json.Float r.Loadgen.p50_cycles);
       ("p95_cycles", Json.Float r.Loadgen.p95_cycles);
       ("p99_cycles", Json.Float r.Loadgen.p99_cycles);
@@ -332,7 +332,7 @@ let problems r =
       then
         add "cores=%d: batched sync emitted %d Ipi events, per-update %d (expected fewer)"
           p.cores p.ipi_events_batched p.ipi_events_per_update;
-      if p.batched.Loadgen.s_requests = 0 then add "cores=%d: no requests completed" p.cores;
+      if p.batched.Loadgen.requests = 0 then add "cores=%d: no requests completed" p.cores;
       List.rev !issues)
     r.points
   @
@@ -349,7 +349,7 @@ let problems r =
               (String.concat "; " p.op_audit_violations);
           if not p.op_slabs_ok then
             add "open-loop rate=%d: shard slab invariant failed" p.op_rate;
-          if p.op_result.Loadgen.s_requests = 0 then
+          if p.op_result.Loadgen.requests = 0 then
             add "open-loop rate=%d: no requests completed" p.op_rate;
           List.rev !issues)
         s.os_points

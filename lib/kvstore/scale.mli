@@ -13,8 +13,8 @@
 
 type point = {
   cores : int;
-  batched : Loadgen.scale_result;
-  per_update : Loadgen.scale_result;
+  batched : Loadgen.result;
+  per_update : Loadgen.result;
   ipi_events_batched : int;
   ipi_events_per_update : int;
   per_core_ipis : (int * int * int) list;  (** core, sent, received (batched run) *)
@@ -25,7 +25,7 @@ type point = {
 (** One arrival rate of the open-loop sweep. *)
 type open_point = {
   op_rate : int;  (** offered connections per second *)
-  op_result : Loadgen.scale_result;
+  op_result : Loadgen.result;
   op_audit_violations : string list;
   op_slabs_ok : bool;
 }

@@ -1,6 +1,6 @@
 (* Tests for the Memcached case study: slab allocator, in-simulated-
    memory hash table, the four protection modes (correctness + isolation),
-   and the twemperf-style load generator. *)
+   and the open/closed-loop load generator. *)
 
 open Mpk_hw
 open Mpk_kernel
@@ -352,40 +352,35 @@ let test_set_enospc_is_server_error () =
   Alcotest.(check bool) "earlier items still served" true
     (Server.get srv ~worker:0 ~key:"k0" <> None)
 
-(* --- Loadgen --- *)
+(* --- Loadgen: Fig 14's twemperf load is the open loop with uniform keys
+   and no connection churn cost --- *)
+
+let fig14_load srv ~rate ~duration_s ~max_delay_s =
+  Loadgen.run srv ~loop:(Loadgen.Open_loop rate) ~duration_s ~max_delay_s ~working_set:200
+    ~theta:0.0 ~conn_setup_cycles:0.0 ~seed:0xFEEDL ()
 
 let test_loadgen_baseline_keeps_up () =
   let srv = Server.create ~mode:Server.Baseline ~workers:4 ~slab_mib:16 ~buckets:1024 () in
   Server.prefill srv ~items:200 ~value_size:512;
-  let r = Loadgen.run srv ~conn_rate:500 ~duration_s:0.2 ~working_set:200 () in
-  Alcotest.(check int) "no drops" 0 r.Loadgen.unhandled_conns;
+  let r = fig14_load srv ~rate:500 ~duration_s:0.2 ~max_delay_s:0.1 in
+  Alcotest.(check int) "no drops" 0 r.Loadgen.dropped_conns;
   Alcotest.(check int) "all requests served" (r.Loadgen.handled_conns * 10) r.Loadgen.requests
 
 let test_loadgen_mprotect_drops_when_populated () =
   (* Fig 14: with the region populated, per-request mprotect makes the
-     server fall behind and drop connections. *)
-  let srv = Server.create ~mode:Server.Mprotect_sys ~workers:4 ~slab_mib:256 ~buckets:1024 () in
-  Server.prefill srv ~items:200 ~value_size:512;
-  Server.populate_slab srv ~mib:256;
-  let r = Loadgen.run srv ~conn_rate:1000 ~duration_s:0.2 ~working_set:200 () in
-  Alcotest.(check bool)
-    (Printf.sprintf "drops connections (%d unhandled)" r.Loadgen.unhandled_conns)
-    true (r.Loadgen.unhandled_conns > 0)
-
-let test_loadgen_protocol_path () =
-  let srv = Server.create ~mode:Server.Domain ~workers:4 ~slab_mib:16 ~buckets:1024 () in
-  (* prefill through the protocol so items carry the wire-format header *)
-  for i = 0 to 199 do
-    let wire =
-      Protocol.render_request
-        (Protocol.Set { key = Printf.sprintf "key-%d" i; flags = 0; exptime = 0; data = Bytes.make 512 'v' })
-    in
-    ignore (Server.dispatch srv ~worker:(i mod 4) ~now:0.0 wire)
-  done;
-  let r = Loadgen.run srv ~conn_rate:500 ~duration_s:0.1 ~working_set:200 ~protocol:true () in
-  Alcotest.(check int) "no drops" 0 r.Loadgen.unhandled_conns;
-  Alcotest.(check bool) "data flowed" true (r.Loadgen.data_bytes > 0);
-  Alcotest.(check int) "all requests" (r.Loadgen.handled_conns * 10) r.Loadgen.requests
+     server fall behind and drop connections; mpk_mprotect keeps up with
+     the same load. *)
+  let dropped mode =
+    let srv = Server.create ~mode ~workers:4 ~slab_mib:16 ~buckets:1024 () in
+    Server.prefill srv ~items:200 ~value_size:512;
+    Server.populate_slab srv ~mib:16;
+    let r = fig14_load srv ~rate:20_000 ~duration_s:0.02 ~max_delay_s:0.005 in
+    (r.Loadgen.dropped_conns, r.Loadgen.offered_conns)
+  in
+  let d, o = dropped Server.Mprotect_sys in
+  Alcotest.(check bool) (Printf.sprintf "mprotect drops connections (%d/%d)" d o) true (d > 0);
+  let d, o = dropped Server.Sync in
+  Alcotest.(check int) (Printf.sprintf "mpk_mprotect drops none of %d" o) 0 d
 
 let test_loadgen_mpk_outperforms_mprotect () =
   (* Fig 14's headline: with ~1 GiB populated, mpk_mprotect beats
@@ -394,8 +389,8 @@ let test_loadgen_mpk_outperforms_mprotect () =
     let srv = Server.create ~mode ~workers:4 ~slab_mib:1024 ~buckets:1024 () in
     Server.prefill srv ~items:200 ~value_size:512;
     Server.populate_slab srv ~mib:1024;
-    let r = Loadgen.run srv ~conn_rate:1000 ~duration_s:0.1 ~working_set:200 () in
-    r.Loadgen.data_mb_s
+    let r = fig14_load srv ~rate:1000 ~duration_s:0.1 ~max_delay_s:0.1 in
+    float r.Loadgen.data_bytes /. (r.Loadgen.duration_s *. 1e6)
   in
   let sync = throughput Server.Sync in
   let mprotect = throughput Server.Mprotect_sys in
@@ -477,27 +472,27 @@ let test_sharded_sync_still_blocks_attacker () =
 
 (* --- scale workload --- *)
 
-let test_run_scale_closed_loop_accounting () =
+let test_closed_loop_accounting () =
   let srv =
     Server.create ~mode:Server.Domain ~workers:2 ~shards:2 ~slab_mib:16
       ~buckets:(1 lsl 10) ()
   in
   Server.prefill srv ~items:100 ~value_size:128;
   let r =
-    Loadgen.run_scale srv ~loop:(Loadgen.Closed_loop 40) ~value_size:128
+    Loadgen.run srv ~loop:(Loadgen.Closed_loop 40) ~value_size:128
       ~working_set:200 ()
   in
-  Alcotest.(check int) "closed loop handles every conn" 40 r.Loadgen.s_handled_conns;
-  Alcotest.(check int) "closed loop never drops" 0 r.Loadgen.s_dropped_conns;
-  Alcotest.(check int) "requests = conns x reqs_per_conn" (40 * 10) r.Loadgen.s_requests;
-  Alcotest.(check int) "mix adds up" r.Loadgen.s_requests
-    (r.Loadgen.s_gets + r.Loadgen.s_sets);
+  Alcotest.(check int) "closed loop handles every conn" 40 r.Loadgen.handled_conns;
+  Alcotest.(check int) "closed loop never drops" 0 r.Loadgen.dropped_conns;
+  Alcotest.(check int) "requests = conns x reqs_per_conn" (40 * 10) r.Loadgen.requests;
+  Alcotest.(check int) "mix adds up" r.Loadgen.requests
+    (r.Loadgen.gets + r.Loadgen.sets);
   Alcotest.(check int) "one busy counter per worker" 2
     (Array.length r.Loadgen.per_core_busy_s);
-  Alcotest.(check bool) "throughput measured" true (r.Loadgen.s_throughput_rps > 0.0);
+  Alcotest.(check bool) "throughput measured" true (r.Loadgen.throughput_rps > 0.0);
   Alcotest.(check bool) "p99 >= p50" true (r.Loadgen.p99_cycles >= r.Loadgen.p50_cycles)
 
-let test_run_scale_deterministic_by_seed () =
+let test_loadgen_deterministic_by_seed () =
   let go seed =
     let srv =
       Server.create ~mode:Server.Sync ~workers:2 ~shards:2 ~slab_mib:16
@@ -505,12 +500,31 @@ let test_run_scale_deterministic_by_seed () =
     in
     Server.prefill srv ~items:100 ~value_size:128;
     let r =
-      Loadgen.run_scale srv ~loop:(Loadgen.Closed_loop 30) ~value_size:128
+      Loadgen.run srv ~loop:(Loadgen.Closed_loop 30) ~value_size:128
         ~working_set:200 ~seed ()
     in
-    (r.Loadgen.s_gets, r.Loadgen.s_sets, r.Loadgen.p99_cycles, r.Loadgen.ipis)
+    (r.Loadgen.gets, r.Loadgen.sets, r.Loadgen.p99_cycles, r.Loadgen.ipis)
   in
   Alcotest.(check bool) "same seed, same run" true (go 5L = go 5L)
+
+let test_open_loop_within_offered_load () =
+  (* An open loop is measured over at least its arrival window, so no
+     rate reports more requests per second than it offered. *)
+  let sweep =
+    Scale.run_open ~mode:Server.Sync ~workers:4 ~rates:[ 2000; 10000; 100000 ] ~smoke:true ()
+  in
+  List.iter
+    (fun (p : Scale.open_point) ->
+      let r = p.Scale.op_result in
+      let offered = float_of_int (p.Scale.op_rate * 10) in
+      Alcotest.(check bool)
+        (Printf.sprintf "rate=%d: %.1f req/s <= offered %.0f" p.Scale.op_rate
+           r.Loadgen.throughput_rps offered)
+        true
+        (r.Loadgen.throughput_rps <= offered))
+    sweep.Scale.os_points;
+  Alcotest.(check int) "lowest rate drops nothing" 0
+    (List.hd sweep.Scale.os_points).Scale.op_result.Loadgen.dropped_conns
 
 let test_scale_report_batched_fewer_ipis () =
   Mpk_trace.Metrics.reset ();
@@ -526,7 +540,7 @@ let test_scale_report_batched_fewer_ipis () =
         (p.Scale.ipi_events_batched < p.Scale.ipi_events_per_update);
       Alcotest.(check bool) "shard slabs survive the run" true p.Scale.slabs_ok;
       Alcotest.(check bool) "requests completed" true
-        (p.Scale.batched.Loadgen.s_requests > 0))
+        (p.Scale.batched.Loadgen.requests > 0))
     report.Scale.points;
   match Mpk_trace.Json.parse (Mpk_trace.Json.to_string (Scale.to_json report)) with
   | Ok _ -> ()
@@ -578,7 +592,6 @@ let () =
       ( "loadgen",
         [
           tc "baseline keeps up" `Quick test_loadgen_baseline_keeps_up;
-          tc "protocol path" `Quick test_loadgen_protocol_path;
           tc "mprotect drops" `Quick test_loadgen_mprotect_drops_when_populated;
           tc "mpk beats mprotect" `Quick test_loadgen_mpk_outperforms_mprotect;
         ] );
@@ -590,8 +603,9 @@ let () =
         ] );
       ( "scale",
         [
-          tc "closed-loop accounting" `Quick test_run_scale_closed_loop_accounting;
-          tc "deterministic by seed" `Quick test_run_scale_deterministic_by_seed;
+          tc "closed-loop accounting" `Quick test_closed_loop_accounting;
+          tc "deterministic by seed" `Quick test_loadgen_deterministic_by_seed;
+          tc "open loop within offered load" `Quick test_open_loop_within_offered_load;
           tc "batched fewer IPIs" `Quick test_scale_report_batched_fewer_ipis;
         ] );
     ]

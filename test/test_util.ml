@@ -259,7 +259,12 @@ let test_zipf_theta_zero_is_uniform () =
         (Printf.sprintf "rank %d roughly uniform (%d)" r c)
         true
         (c > 700 && c < 1300))
-    counts
+    counts;
+  (* the uniform key stream Fig 14 draws: one Prng.int per sample *)
+  let a = Prng.create ~seed:5L and b = Prng.create ~seed:5L in
+  for i = 1 to 1000 do
+    Alcotest.(check int) (Printf.sprintf "draw %d = Prng.int" i) (Prng.int b 10) (Zipf.sample z a)
+  done
 
 let test_zipf_rejects_bad_args () =
   Alcotest.check_raises "n too small" (Invalid_argument "Zipf.create: n must be >= 1")
