@@ -734,7 +734,8 @@ let bench_run_cmd =
   let smoke =
     Arg.(
       value & flag
-      & info [ "smoke" ] ~doc:"CI-sized scenarios (committed baselines use this)")
+      & info [ "smoke" ]
+          ~doc:"CI-sized scenarios (committed baselines use this, except fig14's)")
   in
   let out_dir =
     Arg.(

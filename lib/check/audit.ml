@@ -175,9 +175,9 @@ let run mpk =
       Tlb.fold (Cpu.tlb core)
         (fun (e : Tlb.entry) () ->
           let current = Page_table.get pt ~vpn:e.Tlb.vpn in
-          if not (Int64.equal (Pte.to_int64 e.Tlb.pte) (Pte.to_int64 current)) then
-            fail 4 "core %d TLB entry for vpn %#x is stale (cached %Lx, table %Lx)"
-              (Cpu.id core) e.Tlb.vpn (Pte.to_int64 e.Tlb.pte) (Pte.to_int64 current))
+          if e.Tlb.pte <> current then
+            fail 4 "core %d TLB entry for vpn %#x is stale (cached %x, table %x)"
+              (Cpu.id core) e.Tlb.vpn (e.Tlb.pte :> int) (current :> int))
         ())
     (Machine.cores machine);
 

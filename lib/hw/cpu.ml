@@ -1,19 +1,24 @@
+(* A cycle counter lives in an all-float record, whose field is stored
+   unboxed: advancing it allocates nothing, where a float field of a
+   mixed record would box every new value. *)
+type clock = { mutable now : float }
+
 type t = {
   id : int;
   costs : Costs.t;
   tlb : Tlb.t;
   mutable pkru : Pkru.t;
-  mutable cycles : float;
+  cycles : clock;
   mutable refill_left : int;  (* instructions still paying the drain *)
 }
 
 let create ?(costs = Costs.default) ~id () =
-  { id; costs; tlb = Tlb.create (); pkru = Pkru.init; cycles = 0.0; refill_left = 0 }
+  { id; costs; tlb = Tlb.create (); pkru = Pkru.init; cycles = { now = 0.0 }; refill_left = 0 }
 
 let id t = t.id
 let costs t = t.costs
 let tlb t = t.tlb
-let cycles t = t.cycles
+let cycles t = t.cycles.now
 
 (* Fault injection: a charged event is the finest-grained point at which
    the scheduler may preempt the running task (the kernel installs the
@@ -25,10 +30,10 @@ let () = Mpk_faultinj.declare fp_preempt
    this accumulator and [Prof.total_recorded] perform the same float
    additions in the same order when both are reset together, so `mpkctl
    profile` can require bit-identical totals. *)
-let total_ever = ref 0.0
+let total_ever = { now = 0.0 }
 
-let total_charged () = !total_ever
-let reset_total_charged () = total_ever := 0.0
+let total_charged () = total_ever.now
+let reset_total_charged () = total_ever.now <- 0.0
 
 (* Planted slowdown: extra cycles injected on one charge label, used by
    the bench gate's self-test (`mpkctl bench diff --plant`) to prove a
@@ -53,21 +58,21 @@ let charge ?label t c =
     | Some (pl, extra), Some l when String.equal l pl -> c +. extra
     | _ -> c
   in
-  t.cycles <- t.cycles +. c;
-  total_ever := !total_ever +. c;
+  t.cycles.now <- t.cycles.now +. c;
+  total_ever.now <- total_ever.now +. c;
   if Mpk_trace.Prof.on () then Mpk_trace.Prof.record ?label c;
   if Mpk_faultinj.fire fp_preempt then Mpk_faultinj.preempt t.id
 
 let measure t f =
-  let before = t.cycles in
+  let before = cycles t in
   let result = f () in
-  result, t.cycles -. before
+  result, cycles t -. before
 
 (* Tracer shims: the core's cycle counter is the event clock. *)
-let emit t ev = Mpk_trace.Tracer.emit ~core:t.id ~ts:t.cycles ev
+let emit t ev = Mpk_trace.Tracer.emit ~core:t.id ~ts:(cycles t) ev
 
 let span t name f =
-  Mpk_trace.Tracer.with_span ~core:t.id ~clock:(fun () -> t.cycles) name f
+  Mpk_trace.Tracer.with_span ~core:t.id ~clock:(fun () -> cycles t) name f
 
 let pkru t = t.pkru
 let set_pkru_direct t v = t.pkru <- v

@@ -130,8 +130,7 @@ let read_bytes t cpu ~addr ~len =
   let out = Bytes.create len in
   split_pages ~addr ~len (fun page_addr page_off out_off chunk ->
       let pte = check t cpu ~addr:page_addr ~access:Read in
-      let data = Physmem.read_bytes t.mem (Pte.frame pte) page_off chunk in
-      Bytes.blit data 0 out out_off chunk);
+      Physmem.read_into t.mem (Pte.frame pte) page_off out out_off chunk);
   out
 
 let write_bytes t cpu ~addr src =
@@ -154,8 +153,7 @@ let fetch t cpu ~addr ~len =
   let out = Bytes.create len in
   split_pages ~addr ~len (fun page_addr page_off out_off chunk ->
       let pte = check t cpu ~addr:page_addr ~access:Fetch in
-      let data = Physmem.read_bytes t.mem (Pte.frame pte) page_off chunk in
-      Bytes.blit data 0 out out_off chunk);
+      Physmem.read_into t.mem (Pte.frame pte) page_off out out_off chunk);
   out
 
 let kernel_pte t ~addr ~access =
@@ -181,6 +179,5 @@ let kernel_read_bytes t ~addr ~len =
   let out = Bytes.create len in
   split_pages ~addr ~len (fun page_addr page_off out_off chunk ->
       let pte = kernel_pte t ~addr:page_addr ~access:Read in
-      let data = Physmem.read_bytes t.mem (Pte.frame pte) page_off chunk in
-      Bytes.blit data 0 out out_off chunk);
+      Physmem.read_into t.mem (Pte.frame pte) page_off out out_off chunk);
   out

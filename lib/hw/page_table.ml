@@ -1,5 +1,6 @@
 (* Four radix levels of 512 entries each. Inner nodes are lazily allocated
-   arrays; leaves store raw PTE bits as int64 for fidelity with hardware. *)
+   arrays; leaves store the PTEs themselves, which are immediates, so a
+   rewrite neither allocates nor runs the write barrier. *)
 
 let fanout = 512
 let level_bits = 9
@@ -7,7 +8,7 @@ let levels = 4
 
 type node =
   | Inner of node option array
-  | Leaf of int64 array
+  | Leaf of Pte.t array
 
 type t = { root : node option array; mutable mapped : int }
 
@@ -33,7 +34,7 @@ let rec find_leaf ~create_missing arr vpn level =
     | None ->
         if not create_missing then None
         else begin
-          let leaf = Array.make fanout 0L in
+          let leaf = Array.make fanout Pte.absent in
           arr.(i) <- Some (Leaf leaf);
           Some leaf
         end
@@ -52,28 +53,27 @@ let rec find_leaf ~create_missing arr vpn level =
 
 let set t ~vpn pte =
   check_vpn vpn;
-  let raw = Pte.to_int64 pte in
-  if raw = 0L then begin
+  if not (Pte.is_present pte) then begin
     match find_leaf ~create_missing:false t.root vpn 0 with
     | None -> ()
     | Some leaf ->
         let i = index vpn (levels - 1) in
-        if leaf.(i) <> 0L then t.mapped <- t.mapped - 1;
-        leaf.(i) <- 0L
+        if Pte.is_present leaf.(i) then t.mapped <- t.mapped - 1;
+        leaf.(i) <- Pte.absent
   end
   else
     match find_leaf ~create_missing:true t.root vpn 0 with
     | None -> assert false
     | Some leaf ->
         let i = index vpn (levels - 1) in
-        if leaf.(i) = 0L then t.mapped <- t.mapped + 1;
-        leaf.(i) <- raw
+        if not (Pte.is_present leaf.(i)) then t.mapped <- t.mapped + 1;
+        leaf.(i) <- pte
 
 let get t ~vpn =
   check_vpn vpn;
   match find_leaf ~create_missing:false t.root vpn 0 with
   | None -> Pte.absent
-  | Some leaf -> Pte.of_int64 leaf.(index vpn (levels - 1))
+  | Some leaf -> leaf.(index vpn (levels - 1))
 
 let update t ~vpn f =
   let pte = get t ~vpn in
@@ -102,8 +102,8 @@ let update_range t ~vpn ~pages f =
             let jlo = max 0 (lo - slot_lo) in
             let jhi = min fanout (hi - slot_lo) in
             for j = jlo to jhi - 1 do
-              if leaf.(j) <> 0L then begin
-                leaf.(j) <- Pte.to_int64 (f (Pte.of_int64 leaf.(j)));
+              if Pte.is_present leaf.(j) then begin
+                leaf.(j) <- f leaf.(j);
                 incr touched
               end
             done
@@ -124,7 +124,7 @@ let fold t f init =
       | Some (Leaf leaf) ->
           let base = ((prefix lsl level_bits) lor i) lsl level_bits in
           for j = 0 to fanout - 1 do
-            if leaf.(j) <> 0L then acc := f (base lor j) (Pte.of_int64 leaf.(j)) !acc
+            if Pte.is_present leaf.(j) then acc := f (base lor j) leaf.(j) !acc
           done
     done
   in

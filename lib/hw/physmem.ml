@@ -95,11 +95,17 @@ let write_byte t f off c =
   check_off off 1;
   Bytes.set (storage t f) off c
 
-let read_bytes t f off len =
+let read_into t f off dst dst_off len =
   check_off off len;
   match Hashtbl.find_opt t.backing f with
-  | None -> Bytes.make len '\000'
-  | Some b -> Bytes.sub b off len
+  | None -> Bytes.fill dst dst_off len '\000'
+  | Some b -> Bytes.blit b off dst dst_off len
+
+let read_bytes t f off len =
+  check_off off len;
+  let b = Bytes.create len in
+  read_into t f off b 0 len;
+  b
 
 let write_bytes t f off src src_off len =
   check_off off len;

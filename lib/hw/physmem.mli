@@ -37,6 +37,11 @@ val frame_of_int : t -> int -> frame
 val read_byte : t -> frame -> int -> char
 val write_byte : t -> frame -> int -> char -> unit
 val read_bytes : t -> frame -> int -> int -> bytes
+
+(** [read_into t f off dst dst_off len] copies [len] bytes of the frame
+    into [dst] without an intermediate buffer. *)
+val read_into : t -> frame -> int -> bytes -> int -> int -> unit
+
 val write_bytes : t -> frame -> int -> bytes -> int -> int -> unit
 
 (** 64-bit little-endian access (must not cross the frame boundary). *)

@@ -138,13 +138,18 @@ let find t vpn =
   | Some v when vpn < vend v -> Some v
   | Some _ | None -> None
 
+(* Logarithmic in the number of areas: begin at the area holding [start],
+   then step from each area's end to the next area's start. *)
 let overlapping t ~start ~pages =
   let stop = start + pages in
-  let seq = IntMap.to_seq t.areas in
-  Seq.filter_map
-    (fun (_, v) -> if v.start < stop && vend v > start then Some v else None)
-    seq
-  |> List.of_seq
+  let rec from vpn acc =
+    match IntMap.find_first_opt (fun s -> s >= vpn) t.areas with
+    | Some (_, v) when v.start < stop -> from (vend v) (v :: acc)
+    | Some _ | None -> List.rev acc
+  in
+  match find t start with
+  | Some v when v.start < stop -> from (vend v) [ v ]
+  | Some _ | None -> from start []
 
 let covered t ~start ~pages =
   let rec check vpn =

@@ -228,7 +228,7 @@ let update_range_matches_per_page =
       na = !nb
       && List.for_all
            (fun vpn ->
-             Pte.to_int64 (Page_table.get a ~vpn) = Pte.to_int64 (Page_table.get b ~vpn))
+             Page_table.get a ~vpn = Page_table.get b ~vpn)
            mapped)
 
 let test_update_range_counts_present_only () =

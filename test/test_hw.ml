@@ -87,17 +87,30 @@ let pkru_independence =
 
 (* --- Pte --- *)
 
+let max_frame = 0xFFFFFFFFF (* 36 bits *)
+
+(* Every frame, permission and key, and both rewrites: keys 8-15 set
+   bit 62, the sign bit of the immediate. *)
 let pte_roundtrip =
   QCheck.Test.make ~name:"pte encode/decode roundtrip" ~count:1000
-    QCheck.(triple (int_bound 0xFFFFF) (int_bound 7) (int_bound 15))
-    (fun (frame, p, k) ->
-      let perm = Perm.make ~read:(p land 1 <> 0) ~write:(p land 2 <> 0) ~exec:(p land 4 <> 0) () in
-      let pkey = Pkey.of_int k in
+    QCheck.(quad (int_bound max_frame) (pair (int_bound 7) (int_bound 7))
+              (int_bound 15) (int_bound 15))
+    (fun (frame, (p, p'), k, k') ->
+      let perm_of p =
+        Perm.make ~read:(p land 1 <> 0) ~write:(p land 2 <> 0) ~exec:(p land 4 <> 0) ()
+      in
+      let decodes pte perm pkey =
+        Pte.is_present pte
+        && Pte.frame pte = frame
+        && Perm.equal (Pte.perm pte) perm
+        && Pkey.equal (Pte.pkey pte) pkey
+      in
+      let perm = perm_of p and pkey = Pkey.of_int k in
+      let perm' = perm_of p' and pkey' = Pkey.of_int k' in
       let pte = Pte.make ~frame ~perm ~pkey in
-      Pte.is_present pte
-      && Pte.frame pte = frame
-      && Perm.equal (Pte.perm pte) perm
-      && Pkey.equal (Pte.pkey pte) pkey)
+      decodes pte perm pkey
+      && decodes (Pte.with_perm pte perm') perm' pkey
+      && decodes (Pte.with_pkey pte pkey') perm pkey')
 
 let test_pte_absent () =
   Alcotest.(check bool) "absent not present" false (Pte.is_present Pte.absent)
@@ -202,6 +215,25 @@ let test_page_table_fold_order () =
     [ 1000; 5; 0xFFFFF; 42 ];
   let vpns = List.rev (Page_table.fold pt (fun vpn _ acc -> vpn :: acc) []) in
   Alcotest.(check (list int)) "ascending" [ 5; 42; 1000; 0xFFFFF ] vpns
+
+let test_page_table_top_bits () =
+  let pt = Page_table.create () in
+  let vpn = (1 lsl 36) - 1 and k = Pkey.of_int 15 in
+  let pte = Pte.make ~frame:max_frame ~perm:Perm.rw ~pkey:k in
+  Alcotest.(check bool) "key 15 sets the sign bit" true ((pte :> int) < 0);
+  Page_table.set pt ~vpn pte;
+  Alcotest.(check int) "mapped" 1 (Page_table.mapped_pages pt);
+  let n =
+    Page_table.update_range pt ~vpn:(vpn - 9) ~pages:10 (fun pte -> Pte.with_perm pte Perm.r)
+  in
+  Alcotest.(check int) "one rewritten" 1 n;
+  let want = Pte.make ~frame:max_frame ~perm:Perm.r ~pkey:k in
+  Alcotest.(check bool) "perm rewritten, frame and key kept" true
+    (Page_table.get pt ~vpn = want);
+  Alcotest.(check bool) "fold sees it" true
+    (Page_table.fold pt (fun v p acc -> (v, p) :: acc) [] = [ (vpn, want) ]);
+  Alcotest.(check int) "count_with_pkey" 1 (Page_table.count_with_pkey pt k);
+  Alcotest.(check int) "still mapped" 1 (Page_table.mapped_pages pt)
 
 let page_table_model =
   QCheck.Test.make ~name:"page table matches model map" ~count:200
@@ -560,6 +592,7 @@ let () =
           tc "protect range" `Quick test_page_table_protect_range;
           tc "pkey range" `Quick test_page_table_pkey_range;
           tc "fold order" `Quick test_page_table_fold_order;
+          tc "key 15, largest frame" `Quick test_page_table_top_bits;
           qtest page_table_model;
         ] );
       ( "tlb",

@@ -93,22 +93,42 @@ let test_vma_overlapping () =
   Vma.add t ~start:10 ~pages:3 (attrs Perm.rx);
   Alcotest.(check int) "two overlap" 2 (List.length (Vma.overlapping t ~start:2 ~pages:5))
 
+let vma_ops = QCheck.(small_list (triple (int_bound 50) (int_range 1 8) (int_bound 3)))
+
+(* Random add / remove_range / set_attrs calls; set_attrs picks one of two
+   protections so that areas both split and merge back. *)
+let run_vma_ops ops =
+  let t = Vma.create () in
+  List.iter
+    (fun (start, pages, op) ->
+      match op with
+      | 0 -> ( try Vma.add t ~start ~pages (attrs Perm.rw) with Invalid_argument _ -> ())
+      | 1 -> ignore (Vma.remove_range t ~start ~pages)
+      | _ ->
+          let prot = if op = 2 then Perm.r else Perm.rx in
+          if Vma.covered t ~start ~pages then
+            ignore (Vma.set_attrs t ~start ~pages (fun a -> { a with Vma.prot })))
+    ops;
+  t
+
 let vma_random_ops =
-  QCheck.Test.make ~name:"vma invariant under random ops" ~count:300
-    QCheck.(small_list (triple (int_bound 50) (int_range 1 8) (int_bound 2)))
-    (fun ops ->
-      let t = Vma.create () in
-      List.iter
-        (fun (start, pages, op) ->
-          match op with
-          | 0 -> (
-              try Vma.add t ~start ~pages (attrs Perm.rw) with Invalid_argument _ -> ())
-          | 1 -> ignore (Vma.remove_range t ~start ~pages)
-          | _ ->
-              if Vma.covered t ~start ~pages then
-                ignore (Vma.set_attrs t ~start ~pages (fun a -> { a with Vma.prot = Perm.r })))
-        ops;
-      Vma.invariant t)
+  QCheck.Test.make ~name:"vma invariant under random ops" ~count:300 vma_ops (fun ops ->
+      Vma.invariant (run_vma_ops ops))
+
+let vma_overlapping_model =
+  QCheck.Test.make ~name:"vma overlapping = filter over to_list" ~count:300
+    QCheck.(pair vma_ops (small_list (pair (int_bound 60) (int_range 1 16))))
+    (fun (ops, queries) ->
+      let t = run_vma_ops ops in
+      List.for_all
+        (fun (start, pages) ->
+          let naive =
+            List.filter
+              (fun v -> v.Vma.start < start + pages && Vma.vend v > start)
+              (Vma.to_list t)
+          in
+          List.equal ( == ) (Vma.overlapping t ~start ~pages) naive)
+        queries)
 
 (* --- Pkey_bitmap --- *)
 
@@ -866,6 +886,7 @@ let () =
           tc "covered" `Quick test_vma_covered;
           tc "overlapping" `Quick test_vma_overlapping;
           qtest vma_random_ops;
+          qtest vma_overlapping_model;
         ] );
       ( "pkey_bitmap",
         [
