@@ -20,7 +20,7 @@
      mpkctl scale [OPTIONS]      kvstore throughput/latency vs core count,
                                  batched do_pkey_sync IPIs vs the
                                  per-update broadcast, auditor-validated
-     mpkctl profile ID           one experiment under the cycle-attribution
+     mpkctl profile run|diff     one experiment under the cycle-attribution
                                  profiler, exactness-checked; `profile diff`
                                  prints the per-frame delta against a
                                  committed BENCH baseline
@@ -98,22 +98,29 @@ let attack_cmd =
   in
   Cmd.v (Cmd.info "attack" ~doc) Term.(const run $ strategy)
 
+(* The demo process behind `maps` and `trace demo`: a 16 KiB group written
+   inside an mpk_begin domain and a one-page execute-only group. Returns the
+   process, its task, the libmpk handle and the written group's base. *)
+let demo_workout () =
+  let machine = Mpk_hw.Machine.create ~cores:2 ~mem_mib:64 () in
+  let proc = Mpk_kernel.Proc.create machine in
+  let task = Mpk_kernel.Proc.spawn proc ~core_id:0 () in
+  let mpk = Libmpk.init ~evict_rate:1.0 proc task in
+  let a = Libmpk.mpk_mmap mpk task ~vkey:1 ~len:16384 ~prot:Mpk_hw.Perm.rw in
+  ignore (Libmpk.mpk_mmap mpk task ~vkey:2 ~len:4096 ~prot:Mpk_hw.Perm.rwx);
+  Libmpk.mpk_mprotect mpk task ~vkey:2 ~prot:Mpk_hw.Perm.x_only;
+  Libmpk.mpk_begin mpk task ~vkey:1 ~prot:Mpk_hw.Perm.rw;
+  Mpk_hw.Mmu.write_byte (Mpk_kernel.Proc.mmu proc) (Mpk_kernel.Task.core task) ~addr:a 'x';
+  Libmpk.mpk_end mpk task ~vkey:1;
+  (proc, task, mpk, a)
+
 let maps_cmd =
   let doc =
     "Show a /proc-style memory map of a demo process with libmpk groups (note the \
      protection-key tags and per-area residency)."
   in
   let run () =
-    let machine = Mpk_hw.Machine.create ~cores:2 ~mem_mib:64 () in
-    let proc = Mpk_kernel.Proc.create machine in
-    let task = Mpk_kernel.Proc.spawn proc ~core_id:0 () in
-    let mpk = Libmpk.init ~evict_rate:1.0 proc task in
-    let a = Libmpk.mpk_mmap mpk task ~vkey:1 ~len:16384 ~prot:Mpk_hw.Perm.rw in
-    ignore (Libmpk.mpk_mmap mpk task ~vkey:2 ~len:4096 ~prot:Mpk_hw.Perm.rwx);
-    Libmpk.mpk_mprotect mpk task ~vkey:2 ~prot:Mpk_hw.Perm.x_only;
-    Libmpk.mpk_begin mpk task ~vkey:1 ~prot:Mpk_hw.Perm.rw;
-    Mpk_hw.Mmu.write_byte (Mpk_kernel.Proc.mmu proc) (Mpk_kernel.Task.core task) ~addr:a 'x';
-    Libmpk.mpk_end mpk task ~vkey:1;
+    let proc, _task, mpk, _a = demo_workout () in
     print_string (Mpk_kernel.Mm.show_maps (Mpk_kernel.Proc.mm proc));
     Format.printf "\nlibmpk stats: %a\n" Libmpk.pp_stats (Libmpk.stats mpk);
     0
@@ -244,19 +251,10 @@ let faults_cmd =
 
 (* --- trace / profile: the observability layer --- *)
 
-(* A short deterministic libmpk workout (the [maps] demo plus a heap op
-   and an access denial) used as the `trace demo` scenario. *)
+(* The `trace demo` scenario: the [maps] workout plus a heap op and an
+   access denial. *)
 let trace_demo_scenario () =
-  let machine = Mpk_hw.Machine.create ~cores:2 ~mem_mib:64 () in
-  let proc = Mpk_kernel.Proc.create machine in
-  let task = Mpk_kernel.Proc.spawn proc ~core_id:0 () in
-  let mpk = Libmpk.init ~evict_rate:1.0 proc task in
-  let a = Libmpk.mpk_mmap mpk task ~vkey:1 ~len:16384 ~prot:Mpk_hw.Perm.rw in
-  ignore (Libmpk.mpk_mmap mpk task ~vkey:2 ~len:4096 ~prot:Mpk_hw.Perm.rwx);
-  Libmpk.mpk_mprotect mpk task ~vkey:2 ~prot:Mpk_hw.Perm.x_only;
-  Libmpk.mpk_begin mpk task ~vkey:1 ~prot:Mpk_hw.Perm.rw;
-  Mpk_hw.Mmu.write_byte (Mpk_kernel.Proc.mmu proc) (Mpk_kernel.Task.core task) ~addr:a 'x';
-  Libmpk.mpk_end mpk task ~vkey:1;
+  let proc, task, mpk, a = demo_workout () in
   ignore (Libmpk.mpk_malloc mpk task ~vkey:1 ~size:256);
   (* a denied read, so the trace shows fault + signal delivery *)
   (match
@@ -348,7 +346,15 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ scenario $ out $ last)
 
-let profile_run_term =
+let profile_run_cmd =
+  let doc =
+    "Run one experiment under the cycle-attribution profiler: every Cpu.charge is \
+     attributed to a labeled node under the enclosing spans. Prints the experiment \
+     output and the attribution tree, checks that the attributed total equals the \
+     machine's cycle counter exactly (bit-for-bit float equality), and writes \
+     per-figure metrics JSON. Exits 1 on attribution mismatch or invalid export, \
+     2 on an unknown id."
+  in
   let id =
     Arg.(
       required
@@ -444,7 +450,7 @@ let profile_run_term =
         in
         if exact && json_ok && perfetto_ok then 0 else 1
   in
-  Term.(const run $ id $ json_out $ perfetto_out $ folded_out)
+  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ id $ json_out $ perfetto_out $ folded_out)
 
 (* Shared by `profile diff` and `bench diff`: parse LABEL:CYCLES. *)
 let plant_conv =
@@ -534,14 +540,10 @@ let profile_diff_cmd =
 
 let profile_cmd =
   let doc =
-    "Run one experiment under the cycle-attribution profiler: every Cpu.charge is \
-     attributed to a labeled node under the enclosing spans. Prints the experiment \
-     output and the attribution tree, checks that the attributed total equals the \
-     machine's cycle counter exactly (bit-for-bit float equality), and writes \
-     per-figure metrics JSON. Exits 1 on attribution mismatch or invalid export. \
-     The $(b,diff) subcommand compares attribution trees across runs."
+    "Cycle attribution: $(b,run) profiles one experiment, $(b,diff) compares a fresh \
+     attribution tree with a committed baseline's."
   in
-  Cmd.group ~default:profile_run_term (Cmd.info "profile" ~doc) [ profile_diff_cmd ]
+  Cmd.group (Cmd.info "profile" ~doc) [ profile_run_cmd; profile_diff_cmd ]
 
 (* --- scale: multi-core throughput/latency curves --- *)
 
@@ -922,16 +924,13 @@ let torture_cmd =
             "replay one run with this exact preemption schedule instead of \
              sweeping (use the schedule a failure report prints)")
   in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"CI-sized sweep: fewer ops and rounds")
-  in
   let out =
     Arg.(
       value
       & opt string "TORTURE_failure.txt"
       & info [ "out" ] ~docv:"FILE" ~doc:"failure report written here (CI artifact)")
   in
-  let run tasks ops slots seed seeds rounds points plant schedule smoke out =
+  let run tasks ops slots seed seeds rounds points plant schedule out =
     match Mpk_check.Torture.plant_of_string plant with
     | None ->
         Printf.eprintf
@@ -940,8 +939,6 @@ let torture_cmd =
           plant;
         2
     | Some plant -> (
-        let ops = if smoke then min ops 32 else ops in
-        let rounds = if smoke then min rounds 8 else rounds in
         let cfg = { Mpk_check.Torture.tasks; ops; slots; seed; plant } in
         match schedule with
         | Some sched_str -> (
@@ -996,7 +993,7 @@ let torture_cmd =
   Cmd.v (Cmd.info "torture" ~doc)
     Term.(
       const run $ tasks $ ops $ slots $ seed $ seeds $ rounds $ points $ plant
-      $ schedule_arg $ smoke $ out)
+      $ schedule_arg $ out)
 
 (* --- lint: the static domain-safety analyzer --- *)
 

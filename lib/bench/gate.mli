@@ -3,8 +3,8 @@
     The simulator is deterministic for a fixed seed and `bench diff`
     replays the baseline's seed schedule, so fresh trial [t] has an
     exact partner: baseline sample [t], run at the same seed. Each pair
-    is judged on its own against a fixed relative floor ({!rel_floor})
-    that absorbs sub-percent arithmetic drift; a metric is
+    is judged on its own against a fixed relative floor of 1% of its
+    baseline sample, which absorbs sub-percent arithmetic drift; a metric is
     {ul
     {- [Regressed] if any pair moved the harmful way by more than the
        floor;}
@@ -18,9 +18,6 @@
 type verdict = Improved | Unchanged | Regressed
 
 val verdict_to_string : verdict -> string
-
-val rel_floor : float
-(** 0.01: a pair must move by more than 1% of its baseline sample. *)
 
 type pair = { seed : int; base : float; fresh : float }
 

@@ -11,8 +11,6 @@ type kind =
   | Scale_report  (** [SCALE_report.json] — `mpkctl scale` output *)
   | Perfetto  (** [TRACE_*.json] — Chrome trace_event stream *)
 
-val kind_name : kind -> string
-
 val validate : kind -> Mpk_trace.Json.t -> (unit, string) result
 (** Structural schema check: required members present with the right
     shapes (non-empty where emptiness would make the artifact useless). *)

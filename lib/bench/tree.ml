@@ -129,7 +129,7 @@ let pct_change ~base ~cur = if base = 0.0 then None else Some ((cur -. base) /. 
 
 let path_string d = String.concat "/" d.path
 
-let self_regressions ?(limit = 8) ~min_cycles deltas =
+let self_regressions ~min_cycles deltas =
   List.filter
     (fun d ->
       (match d.status with Removed -> false | Matched | Added | Renamed _ -> true)
@@ -137,7 +137,7 @@ let self_regressions ?(limit = 8) ~min_cycles deltas =
     deltas
   |> List.stable_sort (fun a b ->
          Float.compare (b.cur_self -. b.base_self) (a.cur_self -. a.base_self))
-  |> List.filteri (fun i _ -> i < limit)
+  |> List.filteri (fun i _ -> i < 8)
 
 let status_string = function
   | Matched -> ""

@@ -43,10 +43,10 @@ val pct_change : base:float -> cur:float -> float option
 
 val path_string : delta -> string
 
-val self_regressions : ?limit:int -> min_cycles:float -> delta list -> delta list
-(** Nodes whose self cycles grew by more than [min_cycles] ([Added]
-    nodes count from zero), largest increase first — the attribution
-    the gate prints for a regressed metric. *)
+val self_regressions : min_cycles:float -> delta list -> delta list
+(** The (at most eight) nodes whose self cycles grew by more than
+    [min_cycles] ([Added] nodes count from zero), largest increase first
+    — the attribution the gate prints for a regressed metric. *)
 
 val render : delta list -> string
 (** Human table ({!Mpk_util.Table}): per node status, baseline/current

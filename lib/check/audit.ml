@@ -191,6 +191,18 @@ let run mpk =
       free_n reserved_n in_use hw;
   if Libmpk.Key_cache.capacity cache <> hw then
     fail 5 "cache capacity %d drifted from %d hw keys" (Libmpk.Key_cache.capacity cache) hw;
+  (* Counter conservation: every miss inserts a mapping or finds no usable
+     key, and every inserted mapping is still present, was evicted, or was
+     invalidated by a release. *)
+  let misses = Libmpk.Key_cache.misses cache in
+  let evictions = Libmpk.Key_cache.evictions cache in
+  let invalidations = Libmpk.Key_cache.invalidations cache in
+  let full = Libmpk.Key_cache.full_misses cache in
+  if misses <> in_use + evictions + invalidations + full then
+    fail 5
+      "key-cache counters broken: %d misses <> %d mapped + %d evicted + %d invalidated \
+       + %d full"
+      misses in_use evictions invalidations full;
   let owned = free @ reserved @ List.map (fun (_, k, _) -> k) mappings in
   let seen = Hashtbl.create 16 in
   List.iter

@@ -23,7 +23,9 @@
     - I5 {e key conservation}: free + mapped + reserved keys always sum
       to the [hw_keys] handed over at init; every owned key is allocated
       in the kernel bitmap; no key is owned twice; the execute-only
-      reserve agrees with the live execute-only group count.
+      reserve agrees with the live execute-only group count; and the
+      cache's counters balance: misses = mapped + evictions +
+      invalidations + full misses.
     - I6 {e metadata agreement}: every group's protected-metadata slot
       deserializes to the group's current (vkey, base, pages, prot,
       pkey), slots are distinct, and occupancy equals the group count.

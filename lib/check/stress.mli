@@ -44,11 +44,6 @@ type op =
 
 val show_op : op -> string
 
-(** The static analyzer's view of one random op, as [(tid, ir_op)]:
-    mmap/munmap/begin/end/mprotect/touch map to their IR counterparts,
-    heap ops (no IR-level meaning) to labels. *)
-val ir_of_op : op -> int * Mpk_analysis.Ir.op
-
 (** [ir_of_trace ~name ops] — the straight-line IR program of a (usually
     minimized) trace, via [Mpk_analysis.Ir.of_trace]: per-thread chains,
     main spawning/joining the others. Re-emitted in failure reports so

@@ -4,20 +4,6 @@ open Mpk_kernel
 exception Key_exhausted
 exception Unregistered_vkey of Vkey.t
 
-type begin_policy =
-  | Fail_fast
-  | Retry of { attempts : int; backoff_cycles : float }
-  | Wait_for_key of { max_wait_cycles : float; poll_cycles : float }
-
-let check_policy = function
-  | Fail_fast -> ()
-  | Retry { attempts; backoff_cycles } ->
-      if attempts < 1 then invalid_arg "begin_policy: Retry needs attempts >= 1";
-      if backoff_cycles < 0.0 then invalid_arg "begin_policy: negative backoff"
-  | Wait_for_key { max_wait_cycles; poll_cycles } ->
-      if poll_cycles <= 0.0 then invalid_arg "begin_policy: poll_cycles must be positive";
-      if max_wait_cycles < 0.0 then invalid_arg "begin_policy: negative max_wait"
-
 (* Debug tracing: enable with Logs.Src.set_level Api.log_src (Some Debug). *)
 let log_src = Logs.Src.create "libmpk" ~doc:"libmpk key-management events"
 
@@ -27,7 +13,6 @@ type t = {
   proc : Proc.t;
   hw_keys : int;  (* keys handed to the cache at init — the conserved total *)
   evict_rate : float;
-  begin_policy : begin_policy;  (* default when mpk_begin gets no override *)
   prng : Mpk_util.Prng.t;
   cache : Key_cache.t;
   metadata : Metadata.t;
@@ -105,9 +90,7 @@ let emit_group_op task op vkey =
   if Mpk_trace.Tracer.on () then temit task (Mpk_trace.Event.Group_op { op; vkey })
 
 let init ?vkeys ?(default_heap_bytes = 1 lsl 20) ?(seed = 0xC0FFEEL)
-    ?(policy = Key_cache.Lru) ?(hw_keys = 15) ?(begin_policy = Fail_fast) ~evict_rate
-    proc task =
-  check_policy begin_policy;
+    ?(policy = Key_cache.Lru) ?(hw_keys = 15) ~evict_rate proc task =
   let evict_rate = if evict_rate < 0.0 then 1.0 else Float.min evict_rate 1.0 in
   let hw_keys = max 1 (min 15 hw_keys) in
   (* Take every hardware key away from the kernel so nothing else in the
@@ -123,7 +106,6 @@ let init ?vkeys ?(default_heap_bytes = 1 lsl 20) ?(seed = 0xC0FFEEL)
     proc;
     hw_keys;
     evict_rate;
-    begin_policy;
     prng = Mpk_util.Prng.create ~seed;
     cache = Key_cache.create ~policy ~seed ~keys ();
     metadata = Metadata.create proc task;
@@ -366,52 +348,7 @@ let try_map_for_begin t task group =
           Some pkey
       | Key_cache.Full -> None)
 
-let exhausted group =
-  Log.warn (fun m ->
-      m "mpk_begin vkey:%d: every hardware key pinned — Key_exhausted" group.Group.vkey);
-  raise Key_exhausted
-
-(* Degradation policy for key exhaustion: fail fast (the paper's
-   behaviour — "mpk_begin raises an exception and lets the calling thread
-   handle it"), retry with backoff a bounded number of times, or poll
-   until a cycle budget runs out. Retrying charges cycles, so injected
-   preemptions fire inside the wait and other threads' task_work can
-   release pins. *)
-let ensure_mapped_for_begin t task ~policy group =
-  match try_map_for_begin t task group with
-  | Some pkey -> pkey
-  | None -> (
-      match policy with
-      | Fail_fast -> exhausted group
-      | Retry { attempts; backoff_cycles } ->
-          let rec go n =
-            if n >= attempts then exhausted group
-            else begin
-              Cpu.charge ~label:"begin_backoff" (Task.core task) backoff_cycles;
-              match try_map_for_begin t task group with
-              | Some pkey ->
-                  Log.debug (fun m ->
-                      m "mpk_begin vkey:%d: key appeared after %d retries"
-                        group.Group.vkey (n + 1));
-                  pkey
-              | None -> go (n + 1)
-            end
-          in
-          go 0
-      | Wait_for_key { max_wait_cycles; poll_cycles } ->
-          let deadline = Cpu.cycles (Task.core task) +. max_wait_cycles in
-          let rec go () =
-            if Cpu.cycles (Task.core task) >= deadline then exhausted group
-            else begin
-              Cpu.charge ~label:"begin_poll" (Task.core task) poll_cycles;
-              match try_map_for_begin t task group with
-              | Some pkey -> pkey
-              | None -> go ()
-            end
-          in
-          go ())
-
-let mpk_begin ?policy t task ~vkey ~prot =
+let mpk_begin t task ~vkey ~prot =
   span task "mpk_begin" @@ fun () ->
   check_vkey t vkey;
   charge_user ~lookups:2 task;
@@ -423,14 +360,16 @@ let mpk_begin ?policy t task ~vkey ~prot =
     Errno.fail EACCES "mpk_begin: requested %s exceeds group permission %s"
       (Perm.to_string prot)
       (Perm.to_string group.Group.max_prot);
-  let policy =
-    match policy with
-    | Some p ->
-        check_policy p;
-        p
-    | None -> t.begin_policy
+  (* Key exhaustion fails fast, the paper's answer: "mpk_begin raises an
+     exception and lets the calling thread handle it". *)
+  let pkey =
+    match try_map_for_begin t task group with
+    | Some pkey -> pkey
+    | None ->
+        Log.warn (fun m ->
+            m "mpk_begin vkey:%d: every hardware key pinned — Key_exhausted" vkey);
+        raise Key_exhausted
   in
-  let pkey = ensure_mapped_for_begin t task ~policy group in
   Key_cache.pin t.cache vkey;
   if Mpk_trace.Tracer.on () then temit task (Mpk_trace.Event.Cache_pin { vkey });
   group.Group.begin_depth <- group.Group.begin_depth + 1;

@@ -28,25 +28,6 @@ exception Key_exhausted
 (** Raised when the hardcoded-vkey check rejects a key. *)
 exception Unregistered_vkey of Vkey.t
 
-(** What [mpk_begin] does when every hardware key is pinned by another
-    active domain (graceful degradation under key pressure):
-
-    - [Fail_fast] — raise [Key_exhausted] immediately (the paper's
-      behaviour, and the default).
-    - [Retry] — re-attempt up to [attempts] times, charging
-      [backoff_cycles] to the calling core between attempts; then raise.
-    - [Wait_for_key] — poll every [poll_cycles] until a key frees up or
-      [max_wait_cycles] have been burned; then raise.
-
-    Waiting charges real (simulated) cycles, so injected preemptions can
-    fire inside the wait and pending task_work on the caller's core
-    drains — which is how a key pinned by a descheduled thread can
-    actually become free. *)
-type begin_policy =
-  | Fail_fast
-  | Retry of { attempts : int; backoff_cycles : float }
-  | Wait_for_key of { max_wait_cycles : float; poll_cycles : float }
-
 (** [init proc task ~evict_rate ()] — pre-allocate all 15 hardware keys
     and initialize metadata. [evict_rate] is the probability that an
     [mpk_mprotect] cache miss evicts a key rather than falling back to
@@ -57,7 +38,6 @@ val init :
   ?seed:int64 ->
   ?policy:Key_cache.policy ->
   ?hw_keys:int ->
-  ?begin_policy:begin_policy ->
   evict_rate:float ->
   Proc.t ->
   Task.t ->
@@ -83,10 +63,9 @@ val mpk_munmap : t -> Task.t -> vkey:Vkey.t -> unit
 
 (** [mpk_begin t task ~vkey ~prot] — obtain [prot] access to the group for
     the calling thread only. Guaranteed to hold a hardware key on return
-    (evicting if necessary); when all keys are pinned by other active
-    domains, behaves per [?policy] (default: the [begin_policy] given to
-    [init]), ultimately raising [Key_exhausted]. *)
-val mpk_begin : ?policy:begin_policy -> t -> Task.t -> vkey:Vkey.t -> prot:Perm.t -> unit
+    (evicting if necessary); raises [Key_exhausted] when every key is
+    pinned by an active domain. *)
+val mpk_begin : t -> Task.t -> vkey:Vkey.t -> prot:Perm.t -> unit
 
 (** [mpk_end t task ~vkey] — drop the calling thread's access. *)
 val mpk_end : t -> Task.t -> vkey:Vkey.t -> unit

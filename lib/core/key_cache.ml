@@ -191,13 +191,6 @@ let hit_rate t =
   let total = t.hits + t.misses in
   if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  t.invalidations <- 0;
-  t.full <- 0
-
 let dump t =
   Hashtbl.fold (fun vkey e acc -> (vkey, e.pkey, e.pins > 0, e.stamp) :: acc) t.map []
   |> List.sort (fun (_, _, _, a) (_, _, _, b) -> compare a b)

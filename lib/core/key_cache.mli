@@ -95,7 +95,5 @@ val full_misses : t -> int
 (** hits / (hits + misses); 0 before any lookup. *)
 val hit_rate : t -> float
 
-val reset_stats : t -> unit
-
 (** Mappings as (vkey, pkey, pinned) triples, LRU first. *)
 val dump : t -> (Vkey.t * Pkey.t * bool) list

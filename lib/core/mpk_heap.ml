@@ -58,8 +58,6 @@ let allocated_bytes t = t.allocated
 
 let free_bytes t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.free_list
 
-let live_blocks t = Hashtbl.length t.blocks
-
 let invariant t =
   let sorted_disjoint =
     let rec check = function

@@ -24,7 +24,6 @@ val block_size : t -> addr:int -> int option
 
 val allocated_bytes : t -> int
 val free_bytes : t -> int
-val live_blocks : t -> int
 
 (** Allocator soundness: free list sorted/ disjoint/coalesced, blocks
     disjoint, free + allocated = total. *)

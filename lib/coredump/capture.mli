@@ -25,8 +25,6 @@ val fault_point : string
     read an operator-provisioned key instead. *)
 val default_key : seed:int64 -> bytes
 
-val report_of_siginfo : Signal.siginfo -> Dump.sig_report
-
 (** [capture ~proc ~task ?mpk ?siginfo ~key ~seed ~policy ()].
 
     [siginfo] defaults to the pending {!Signal.last_crash} record when

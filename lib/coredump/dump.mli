@@ -37,9 +37,6 @@ type policy =
 val policy_of_string : string -> (policy, string) result
 val policy_to_string : policy -> string
 
-(** [REDACTED:<pkey>] *)
-val redaction_marker : pkey:int -> string
-
 (** Fault description, stringly-typed so the format is self-contained. *)
 type sig_report = { signo : int; code : string; addr : int; access : string; pkey : int }
 
@@ -82,8 +79,6 @@ type t = {
   sections : section list;
   mac : bytes;  (** dump-level HMAC over the whole serialized document *)
 }
-
-val current_version : int
 
 (** What the capture layer hands over: page runs with plaintext data,
     already classified ([protected] = tagged with a nonzero pkey {e or}

@@ -1,6 +1,5 @@
 let key_bytes = 32
 let nonce_bytes = 12
-let tag_bytes = 32
 
 let check_sizes ~key ~nonce =
   if Bytes.length key <> key_bytes then

@@ -21,9 +21,6 @@ val key_bytes : int
 val nonce_bytes : int
 (** 12 (the ChaCha20 IETF nonce). *)
 
-val tag_bytes : int
-(** 32 (full HMAC-SHA256 output; not truncated). *)
-
 val seal : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes * bytes
 (** [seal ~key ~nonce ~aad plaintext] is [(ciphertext, tag)].
     Raises [Invalid_argument] on wrong key/nonce sizes. Deterministic:

@@ -61,5 +61,4 @@ val to_bytes_padded : t -> len:int -> bytes
 (** [random prng ~bits] — uniform with exactly [bits] bits (msb set). *)
 val random : Mpk_util.Prng.t -> bits:int -> t
 
-val to_hex : t -> string
 val pp : Format.formatter -> t -> unit

@@ -82,8 +82,6 @@ let digest msg =
   done;
   out
 
-let digest_string s = digest (Bytes.of_string s)
-
 let hex msg =
   let d = digest msg in
   let buf = Buffer.create 64 in

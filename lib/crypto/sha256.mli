@@ -4,7 +4,5 @@
 (** 32-byte digest. *)
 val digest : bytes -> bytes
 
-val digest_string : string -> bytes
-
 (** Lowercase hex of [digest]. *)
 val hex : bytes -> string

@@ -10,8 +10,6 @@
 
 val render_sync : unit -> string
 val render_policy : unit -> string
-val render_key_count : unit -> string
-val render_pte_cost : unit -> string
 
 (** All four, concatenated. *)
 val render : unit -> string

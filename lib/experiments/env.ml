@@ -3,8 +3,6 @@ open Mpk_kernel
 
 let ghz = 2.4
 
-let cycles_to_us c = c /. (ghz *. 1e3)
-
 type t = { proc : Proc.t; tasks : Task.t array }
 
 let make ?(threads = 1) ?(mem_mib = 2048) () =

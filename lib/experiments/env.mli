@@ -7,8 +7,6 @@ open Mpk_kernel
 (** Simulated clock frequency used for cycle→seconds conversions. *)
 val ghz : float
 
-val cycles_to_us : float -> float
-
 type t = { proc : Proc.t; tasks : Task.t array }
 
 (** [make ~threads ()] — a fresh machine with [threads] tasks on distinct

@@ -8,7 +8,6 @@ type point = {
 }
 
 let sizes_kb = [ 1; 4; 16; 64; 128; 256; 512 ]
-let clients = 4
 
 (* The paper sends 1000 requests; 400 keeps the host-side RSA cost of
    this experiment short without changing the simulated means. *)
@@ -24,10 +23,7 @@ let throughput mode ~size =
     | Keystore.Insecure -> None
   in
   let server = Tls_server.create ~mode proc main ?mpk ~seed:0x11L () in
-  let result =
-    Loadgen.run server (Array.to_list env.Env.tasks) ~clients ~requests ~size ()
-  in
-  result.Loadgen.throughput_rps
+  (Loadgen.run server (Array.to_list env.Env.tasks) ~requests ~size).Loadgen.throughput_rps
 
 let points () =
   List.map

@@ -1,7 +1,8 @@
 (** Paper Fig 11: throughput of the TLS-terminating server (httpd +
     OpenSSL stand-in) with the original keystore vs the libmpk-protected
-    one, across response sizes. ApacheBench-style: 4 concurrent clients,
-    1000 requests. *)
+    one, across response sizes. ApacheBench-style, without keep-alive:
+    400 requests over 4 worker threads (the paper sends 1000 requests
+    from 4 concurrent clients; the rendered title keeps its setup). *)
 
 type point = {
   size_kb : int;

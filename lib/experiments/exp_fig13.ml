@@ -18,6 +18,7 @@ let rows () =
 let geomean proj rows =
   exp (List.fold_left (fun acc r -> acc +. log (proj r)) 0.0 rows /. float_of_int (List.length rows))
 
+(* Overall (geomean) overhead percentages: (sdcg, libmpk). *)
 let overall_overhead () =
   let rs = rows () in
   let orig = geomean (fun r -> r.original) rs in

@@ -6,7 +6,4 @@ type row = { program : string; original : float; sdcg : float; libmpk : float }
 
 val rows : unit -> row list
 
-(** overall (geomean) overhead percentages: (sdcg, libmpk). *)
-val overall_overhead : unit -> float * float
-
 val render : unit -> string

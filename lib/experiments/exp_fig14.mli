@@ -19,11 +19,4 @@ type point = {
 val points :
   ?slab_mib:int -> ?seed:int64 -> ?conn_rates:int list -> unit -> point list
 
-val run_mode :
-  ?slab_mib:int ->
-  ?seed:int64 ->
-  ?conn_rates:int list ->
-  Mpk_kvstore.Server.mode ->
-  point list
-
 val render : ?slab_mib:int -> unit -> string

@@ -23,18 +23,18 @@ let banner title =
   let bar = String.make 78 '=' in
   Printf.sprintf "%s\n%s\n%s\n" bar title bar
 
-let run_experiment out e =
-  output_string out (banner e.title);
+let run_experiment e =
+  print_string (banner e.title);
   let t0 = Unix.gettimeofday () in
-  output_string out (e.run ());
-  Printf.fprintf out "[%s completed in %.1fs]\n\n" e.id (Unix.gettimeofday () -. t0);
-  flush out
+  print_string (e.run ());
+  Printf.printf "[%s completed in %.1fs]\n\n" e.id (Unix.gettimeofday () -. t0);
+  flush stdout
 
-let run_all ?(out = stdout) () = List.iter (run_experiment out) all
+let run_all () = List.iter run_experiment all
 
-let run_one ?(out = stdout) id =
+let run_one id =
   match find id with
   | Some e ->
-      run_experiment out e;
+      run_experiment e;
       true
   | None -> false

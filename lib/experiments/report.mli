@@ -8,8 +8,10 @@ val all : experiment list
 
 val find : string -> experiment option
 
-(** [run_all ~out ()] executes everything, writing to [out] (default
-    stdout) as results arrive. *)
-val run_all : ?out:out_channel -> unit -> unit
+(** [run_all ()] executes everything, printing each result to stdout as
+    it arrives. *)
+val run_all : unit -> unit
 
-val run_one : ?out:out_channel -> string -> bool
+(** [run_one id] runs one experiment like [run_all]; [false] when [id]
+    names none. *)
+val run_one : string -> bool

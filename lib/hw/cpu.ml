@@ -50,8 +50,6 @@ let set_plant_slowdown p =
   | Some _ | None -> ());
   planted := p
 
-let plant_slowdown () = !planted
-
 let charge ?label t c =
   let c =
     match !planted, label with

@@ -36,8 +36,6 @@ val reset_total_charged : unit -> unit
     [Invalid_argument] on a negative or non-finite surcharge. *)
 val set_plant_slowdown : (string * float) option -> unit
 
-val plant_slowdown : unit -> (string * float) option
-
 (** [measure t f] is [f ()] together with the cycles it consumed. *)
 val measure : t -> (unit -> 'a) -> 'a * float
 

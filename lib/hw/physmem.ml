@@ -27,7 +27,6 @@ let create ~frames =
     in_use = 0;
   }
 
-let total_frames t = t.total
 let frames_in_use t = t.in_use
 
 let alloc_frame t =
@@ -66,12 +65,6 @@ let free_frame t f =
       Hashtbl.remove t.backing f;
       t.free_list <- f :: t.free_list;
       t.in_use <- t.in_use - 1
-
-let frame_to_int f = f
-
-let frame_of_int t f =
-  if f < 0 || f >= t.total then invalid_arg "Physmem.frame_of_int: out of range";
-  f
 
 let storage t f =
   match Hashtbl.find_opt t.backing f with

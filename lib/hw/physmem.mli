@@ -13,7 +13,6 @@ type t
 (** [create ~frames] makes a physical memory of [frames] 4 KiB frames. *)
 val create : frames:int -> t
 
-val total_frames : t -> int
 val frames_in_use : t -> int
 
 (** [alloc_frame t] grabs a zeroed frame with reference count 1. Raises
@@ -29,9 +28,6 @@ val ref_frame : t -> frame -> unit
 val free_frame : t -> frame -> unit
 
 val refcount : t -> frame -> int
-
-val frame_to_int : frame -> int
-val frame_of_int : t -> int -> frame
 
 (** Byte access within a frame; [off] in [\[0, page_size)]. *)
 val read_byte : t -> frame -> int -> char

@@ -23,8 +23,6 @@ let instr_size = function
   | Jmp _ | Jz _ -> 3
   | Add | Sub | Mul | Dup | Swap | Ret -> 1
 
-let code_size f = List.fold_left (fun acc i -> acc + instr_size i) 0 f.body
-
 let compile f =
   let buf = Buffer.create 64 in
   let u16 v =

@@ -26,9 +26,6 @@ type func = { name : string; body : instr list }
 
 val locals : int
 
-(** Encoded size in bytes. *)
-val code_size : func -> int
-
 val compile : func -> bytes
 
 (** [eval_host code] — interpret encoded code host-side (no simulated

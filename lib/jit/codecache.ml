@@ -30,7 +30,6 @@ type t = {
   mutable group_used : int;
   mutable next_page_vkey : int;
   mutable switch_cycles : float;
-  mutable switch_calls : int;
   (* SDCG: a dedicated emitter process holding the only writable view of
      the cache (shared frames, rw in the emitter's page table, rx in the
      executor's). *)
@@ -89,7 +88,6 @@ let create strategy proc task ?mpk ?(cache_pages = 64) () =
     group_used = 0;
     next_page_vkey = vkey_base + 1;
     switch_cycles = 0.0;
-    switch_calls = 0;
     emitter;
   }
 
@@ -99,8 +97,7 @@ let mpk_exn t = match t.mpk with Some m -> m | None -> assert false
 
 let measure_switch t task f =
   let _, cycles = Cpu.measure (Task.core task) f in
-  t.switch_cycles <- t.switch_cycles +. cycles;
-  t.switch_calls <- t.switch_calls + 1
+  t.switch_cycles <- t.switch_cycles +. cycles
 
 (* Commit a fresh cache page per the strategy; returns its info. *)
 let commit_page t task =
@@ -212,8 +209,4 @@ let pages t = List.length t.committed
 
 let perm_switch_cycles t = t.switch_cycles
 
-let reset_perm_switch_cycles t =
-  t.switch_cycles <- 0.0;
-  t.switch_calls <- 0
-
-let switch_syscalls t = t.switch_calls
+let reset_perm_switch_cycles t = t.switch_cycles <- 0.0

@@ -44,6 +44,3 @@ val pages : t -> int
 val perm_switch_cycles : t -> float
 
 val reset_perm_switch_cycles : t -> unit
-
-(** Number of mprotect-family syscalls issued for permission switching. *)
-val switch_syscalls : t -> int

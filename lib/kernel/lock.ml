@@ -95,8 +95,6 @@ let reader_count_of t ~actor =
   match List.assoc_opt actor t.readers with Some c -> c | None -> 0
 
 let write_locked t = t.writer <> None
-let held_exclusive t ~actor = t.writer = Some actor
-let held_shared t ~actor = reader_count_of t ~actor > 0
 
 (* --- transitions --- *)
 

@@ -65,8 +65,6 @@ val release : t -> mode -> actor:int -> unit
 
 val reader_count : t -> int
 val write_locked : t -> bool
-val held_exclusive : t -> actor:int -> bool
-val held_shared : t -> actor:int -> bool
 
 val unbalanced : unit -> int
 (** Releases-not-held observed since process start (monotonic; compare

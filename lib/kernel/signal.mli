@@ -38,7 +38,6 @@ val sigsegv : int
 val sigbus : int
 
 val code_to_string : code -> string
-val signo_to_string : int -> string
 val to_string : siginfo -> string
 
 (** Classify a hardware fault the way the kernel's fault handler does.

@@ -139,7 +139,6 @@ let queue_pkru_update ~core ~pkey_int target make_pkru =
    toggle as the reference point `mpkctl scale` compares against. *)
 let batching = ref true
 
-let ipi_batching () = !batching
 let set_ipi_batching b = batching := b
 
 (* Shared body of pkey_sync / pkey_sync_many: queue every (pkey, rights)

@@ -67,8 +67,6 @@ val pkey_sync_many : Proc.t -> Task.t -> updates:(Pkey.t * Pkru.rights) list -> 
     restores the per-update broadcast (one kick per target per update,
     plus a separate shootdown IPI on eviction) as a reference point for
     scaling comparisons. *)
-val ipi_batching : unit -> bool
-
 val set_ipi_batching : bool -> unit
 
 (** [pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey] — libmpk's

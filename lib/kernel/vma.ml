@@ -54,7 +54,6 @@ let create () =
   ignore (grab_cell !next_mm_id);
   { mm_id = !next_mm_id; areas = IntMap.empty; mm_lock = Lock.make ~cls:"mm_lock" }
 
-let mm_id t = t.mm_id
 let mm_lock t = t.mm_lock
 
 (* --- typesafe slab (SLAB_TYPESAFE_BY_RCU model) --- *)
@@ -68,7 +67,6 @@ let mm_lock t = t.mm_lock
 let slab : vma list ref = ref []
 let recycle_count = ref 0
 
-let slab_free () = List.length !slab
 let slab_recycled () = !recycle_count
 
 (* Empty the free-list (records pinned by abandoned readers included:
@@ -165,7 +163,6 @@ let covered t ~start ~pages =
 
 let recycle_check = ref true
 let set_recycle_check b = recycle_check := b
-let recycle_check_enabled () = !recycle_check
 
 let start_read v ~actor = Lock.try_acquire v.vlock Lock.Shared ~actor
 

@@ -39,7 +39,6 @@ type t
 
 val create : unit -> t
 
-val mm_id : t -> int
 val mm_lock : t -> Lock.t
 
 val count : t -> int
@@ -106,12 +105,8 @@ val read_valid : t -> vma -> int -> bool
 val end_read : t -> vma -> actor:int -> unit
 
 val set_recycle_check : bool -> unit
-val recycle_check_enabled : unit -> bool
 
 (** {2 Slab and identity diagnostics} *)
-
-val slab_free : unit -> int
-(** Entries currently on the free-list. *)
 
 val slab_recycled : unit -> int
 (** Allocations served by reuse since process start (monotonic). *)

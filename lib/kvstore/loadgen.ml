@@ -23,13 +23,15 @@ type result = {
   per_core_busy_s : float array;  (* per-worker busy time, seconds *)
 }
 
-let run server ~loop ?(reqs_per_conn = 10) ?(value_size = 1024)
-    ?(working_set = 10_000) ?(theta = 0.99) ?(get_ratio = 0.9)
-    ?(conn_setup_cycles = 3_000.0) ?(duration_s = 1.0) ?(max_delay_s = 0.1) ?(ghz = 2.4)
+let reqs_per_conn = 10
+let get_ratio = 0.9
+let cycles_per_s = 2.4e9
+
+let run server ~loop ?(value_size = 1024) ?(working_set = 10_000) ?(theta = 0.99)
+    ?(conn_setup_cycles = 3_000.0) ?(duration_s = 1.0) ?(max_delay_s = 0.1)
     ?(seed = 0xC0FEL) () =
   let workers = Server.workers server in
   let n = Array.length workers in
-  let cycles_per_s = ghz *. 1e9 in
   let prng = Mpk_util.Prng.create ~seed in
   let zipf = Mpk_util.Zipf.create ~theta ~n:working_set () in
   let start = Array.map (fun w -> Cpu.cycles (Task.core w)) workers in

@@ -1,12 +1,12 @@
 (** Connection-oriented load generator for the kvstore.
 
-    Each connection carries [reqs_per_conn] requests. An open loop offers
-    connections at a fixed rate to the least-loaded worker and drops any
-    that would wait longer than [max_delay_s] in the accept queue; a
-    closed loop issues them back-to-back. Paper Fig 14 (twemperf) is the
-    open loop with uniform keys ([theta = 0.]) and no churn cost
-    ([conn_setup_cycles = 0.]); `mpkctl scale` drives both loops with the
-    zipfian defaults. *)
+    Each connection carries 10 requests, 90% of them gets, and time runs
+    at 2.4 GHz. An open loop offers connections at a fixed rate to the
+    least-loaded worker and drops any that would wait longer than
+    [max_delay_s] in the accept queue; a closed loop issues them
+    back-to-back. Paper Fig 14 (twemperf) is the open loop with uniform
+    keys ([theta = 0.]) and no churn cost ([conn_setup_cycles = 0.]);
+    `mpkctl scale` drives both loops with the zipfian defaults. *)
 
 type loop =
   | Open_loop of int
@@ -38,7 +38,7 @@ type result = {
 
 (** [run server ~loop ()] — keys drawn from a Zipf distribution
     ([theta], default 0.99 over [working_set] ranks, preloaded by the
-    caller), [get_ratio] get/set mix, per-connection churn cost
+    caller), per-connection churn cost
     ([conn_setup_cycles] on the accepting worker), and key-affine
     routing — with a sharded server each request executes on its shard's
     owning worker. Latency percentiles cover exactly this run's requests
@@ -48,15 +48,12 @@ type result = {
 val run :
   Server.t ->
   loop:loop ->
-  ?reqs_per_conn:int ->
   ?value_size:int ->
   ?working_set:int ->
   ?theta:float ->
-  ?get_ratio:float ->
   ?conn_setup_cycles:float ->
   ?duration_s:float ->
   ?max_delay_s:float ->
-  ?ghz:float ->
   ?seed:int64 ->
   unit ->
   result

@@ -72,9 +72,6 @@ val slab_invariants : t -> bool
     server. *)
 val mpk : t -> Libmpk.t option
 
-(** Per-request parsing/response cost charged outside the store proper. *)
-val request_overhead_cycles : float
-
 (** [set t ~worker ~key ~value] / [get t ~worker ~key] — one client
     request handled by the given worker thread, with the mode's
     protection discipline around the store access. [Error ENOSPC] when

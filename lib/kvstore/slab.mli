@@ -9,7 +9,6 @@
 type t
 
 val slab_bytes : int
-val min_chunk : int
 val max_chunk : int
 
 (** [create ~base ~len] — manage [len] bytes starting at [base]. *)

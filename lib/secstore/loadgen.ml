@@ -8,16 +8,13 @@ type result = {
   mb_per_s : float;
 }
 
-let run server workers ~clients ~requests ~size ?(per_conn = 1) ?(ghz = 2.4) () =
+let run server workers ~requests ~size =
   (match workers with [] -> invalid_arg "Loadgen.run: no workers" | _ -> ());
-  ignore clients;  (* concurrency is bounded by the worker pool *)
   let workers = Array.of_list workers in
   let nworkers = Array.length workers in
   let start = Array.map (fun w -> Cpu.cycles (Task.core w)) workers in
   let prng = Mpk_util.Prng.create ~seed:0x10adL in
-  let served = ref 0 in
-  let conn = ref 0 in
-  while !served < requests do
+  for _ = 1 to requests do
     (* Least-loaded worker picks up the next connection. *)
     let w = ref 0 in
     for i = 1 to nworkers - 1 do
@@ -29,19 +26,14 @@ let run server workers ~clients ~requests ~size ?(per_conn = 1) ?(ghz = 2.4) () 
     let task = workers.(!w) in
     let blob, _ckey = Tls_server.client_hello server prng in
     let session = Tls_server.accept server task blob in
-    let n = min per_conn (requests - !served) in
-    for _ = 1 to n do
-      ignore (Tls_server.serve server task session ~size)
-    done;
-    served := !served + n;
-    incr conn
+    ignore (Tls_server.serve server task session ~size)
   done;
   let makespan =
     Array.to_list workers
     |> List.mapi (fun i w -> Cpu.cycles (Task.core w) -. start.(i))
     |> List.fold_left Float.max 0.0
   in
-  let seconds = makespan /. (ghz *. 1e9) in
+  let seconds = makespan /. 2.4e9 in
   {
     requests;
     makespan_cycles = makespan;

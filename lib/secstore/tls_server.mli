@@ -19,12 +19,6 @@ type t
 
 type session
 
-(** Cycle charge for one private-key operation (models 1024-bit RSA). *)
-val rsa_decrypt_cycles : float
-
-(** Cycle charge per payload byte (encrypt + copy). *)
-val per_byte_cycles : float
-
 (** [create ~mode proc task ?mpk ~seed ()] — generates a keypair and
     stores it. *)
 val create : mode:Keystore.mode -> Proc.t -> Task.t -> ?mpk:Libmpk.t -> seed:int64 -> unit -> t

@@ -1,11 +1,5 @@
 (* Process-wide metrics registry: counters, gauges, and fixed-bucket
-   histograms (Util.Stats.Histogram), with Prometheus-style text export
-   and a JSON export.
-
-   Names may carry a Prometheus label suffix, e.g.
-   [trace_events_total{kind="wrpkru"}]; HELP/TYPE lines are emitted once
-   per base name (the part before '{'). Histogram names must be
-   label-free because the exporter appends its own [le] labels. *)
+   histograms (Util.Stats.Histogram), exported as JSON. *)
 
 module Stats = Mpk_util.Stats
 
@@ -21,11 +15,6 @@ let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 
 (* Registration order, for stable export output. *)
 let order : string list ref = ref []
-
-let base_name name =
-  match String.index_opt name '{' with
-  | Some i -> String.sub name 0 i
-  | None -> name
 
 let kind_to_string = function
   | Counter -> "counter"
@@ -57,8 +46,6 @@ let gauge ?(help = "") name =
   | Hist _ -> assert false
 
 let histogram ?(help = "") ?lo ?growth ?buckets name =
-  if String.contains name '{' then
-    invalid_arg "Metrics.histogram: labels not supported on histogram names";
   match
     find_or_register ~name ~help ~kind:Histogram (fun () ->
         Hist (Stats.Histogram.create ?lo ?growth ?buckets ()))
@@ -84,49 +71,6 @@ let reset () =
 let is_empty () = Hashtbl.length registry = 0
 
 let registered () = List.rev !order
-
-(* ---------- Prometheus text exposition ---------- *)
-
-let prom_float f =
-  if Float.is_nan f then "NaN"
-  else if f = infinity then "+Inf"
-  else if f = neg_infinity then "-Inf"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
-let export_prometheus () =
-  let buf = Buffer.create 4096 in
-  let headers_done = Hashtbl.create 16 in
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt registry name with
-      | None -> ()
-      | Some m ->
-          let base = base_name m.name in
-          if not (Hashtbl.mem headers_done base) then begin
-            Hashtbl.replace headers_done base ();
-            if m.help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" base m.help);
-            Buffer.add_string buf
-              (Printf.sprintf "# TYPE %s %s\n" base (kind_to_string m.kind))
-          end;
-          (match m.value with
-          | Scalar r -> Buffer.add_string buf (Printf.sprintf "%s %s\n" m.name (prom_float !r))
-          | Hist h ->
-              let cum = ref 0 in
-              Array.iter
-                (fun (ub, c) ->
-                  cum := !cum + c;
-                  Buffer.add_string buf
-                    (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" m.name (prom_float ub) !cum))
-                (Stats.Histogram.buckets h);
-              Buffer.add_string buf
-                (Printf.sprintf "%s_sum %s\n" m.name (prom_float (Stats.Histogram.total h)));
-              Buffer.add_string buf
-                (Printf.sprintf "%s_count %d\n" m.name (Stats.Histogram.count h))))
-    (registered ());
-  Buffer.contents buf
-
-(* ---------- JSON export ---------- *)
 
 let export_json () =
   let metric_json m =

@@ -2,12 +2,8 @@
 
     Counters, gauges, and fixed-bucket histograms (built on
     {!Mpk_util.Stats.Histogram}), registered by name with get-or-create
-    semantics, exported as Prometheus text exposition or JSON.
-
-    Names may carry a Prometheus-style label suffix, e.g.
-    [trace_events_total{kind="wrpkru"}]; the [# HELP]/[# TYPE] header is
-    emitted once per base name (the part before ['{']). Histogram names
-    must be label-free — the exporter appends its own [le] labels. *)
+    semantics and exported as JSON. Names may carry a label suffix, e.g.
+    [trace_events_total{kind="wrpkru"}]. *)
 
 type counter
 type gauge
@@ -39,11 +35,6 @@ val is_empty : unit -> bool
 
 val registered : unit -> string list
 (** Registered names in registration order (export order). *)
-
-val export_prometheus : unit -> string
-(** Prometheus text exposition: scalar lines for counters/gauges;
-    cumulative [_bucket{le=...}] lines plus [_sum]/[_count] for
-    histograms. *)
 
 val export_json : unit -> Json.t
 (** Array of metric objects; histograms include bucket arrays and

@@ -1,38 +1,3 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-  mutable total : float;
-}
-
-let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
-
-let add t x =
-  t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x;
-  t.total <- t.total +. x
-
-let count t = t.n
-let mean t = t.mean
-
-let stddev t =
-  if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
-
-(* Named [minimum]/[maximum] rather than [min]/[max]: an [open]ed or
-   locally-bound Stats would otherwise shadow [Stdlib.min]/[Stdlib.max]
-   with single-argument functions, turning `min a b` into a type error
-   (or worse, a partial application) far from the open. *)
-let minimum t = t.min
-let maximum t = t.max
-let total t = t.total
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty array";
@@ -52,16 +17,6 @@ let percentile xs p =
   else
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-
-let mean_of xs =
-  let t = create () in
-  Array.iter (add t) xs;
-  mean t
-
-let stddev_of xs =
-  let t = create () in
-  Array.iter (add t) xs;
-  stddev t
 
 module Histogram = struct
   type h = {

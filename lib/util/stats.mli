@@ -1,39 +1,7 @@
-(** Streaming statistics.
-
-    A Welford online accumulator plus a fixed-bucket log-spaced histogram.
-    Both are cheap enough to live inside hot simulator paths (kvstore
-    request handling, experiment inner loops). *)
-
-type t
-(** Welford online accumulator: O(1) per sample, numerically stable mean
-    and variance without retaining samples.
-
-    NaN behaviour: feeding a NaN sample {e poisons} the accumulator —
-    [mean], [stddev] and [total] become (and stay) NaN, because NaN
-    propagates through the running sums. [minimum]/[maximum] are {e not}
-    updated by NaN samples (IEEE comparisons with NaN are false), so
-    after a NaN they describe only the non-NaN prefix. [count] keeps
-    counting. If NaN is a possible input, reject it before [add]; this
-    module deliberately does not hide it. *)
-
-val create : unit -> t
-
-val add : t -> float -> unit
-val count : t -> int
-val mean : t -> float
-
-val stddev : t -> float
-(** Sample standard deviation (Bessel-corrected); [0.0] when [count < 2]. *)
-
-val minimum : t -> float
-(** Smallest non-NaN sample; [infinity] when empty. Named [minimum]
-    rather than [min] so an [open Stats] cannot shadow [Stdlib.min]. *)
-
-val maximum : t -> float
-(** Largest non-NaN sample; [neg_infinity] when empty. See {!minimum}
-    for why this is not called [max]. *)
-
-val total : t -> float
+(** Summary statistics: percentiles of a sample array, and a
+    fixed-bucket log-spaced histogram cheap enough to live inside hot
+    simulator paths (kvstore and TLS request handling, the load
+    generator). *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [0..100] (clamped), with linear
@@ -41,16 +9,13 @@ val percentile : float array -> float -> float
     an empty array or any NaN sample (NaN has no rank; sorting it would
     silently skew the result). *)
 
-val mean_of : float array -> float
-val stddev_of : float array -> float
-
 (** Fixed-bucket histogram with log-spaced bounds.
 
     Bucket [i] covers [(lo·growth^(i-1), lo·growth^i]] (bucket 0 also
     absorbs everything [<= lo]); one extra overflow bucket catches
     samples above the last bound. The layout is fixed at [create] time,
-    which is what makes {!Histogram.merge_into} and bucket-level export
-    (Prometheus [le] bounds) well-defined. *)
+    which is what makes {!Histogram.merge_into} and the per-bucket JSON
+    export of the metrics registry well-defined. *)
 module Histogram : sig
   type h
 

@@ -280,66 +280,6 @@ let test_percentile_rejects_nan () =
   Alcotest.(check (float 1e-9)) "median of mixed signs" (-1.0)
     (Mpk_util.Stats.percentile [| 3.0; -1.0; -5.0 |] 50.0)
 
-(* --- key-cache counter conservation ---
-
-   Every miss either inserts a mapping or returns Full; every inserted
-   mapping is still present, was capacity-evicted, or was invalidated by
-   a release. So at any instant:
-
-     misses = in_use + evictions + invalidations + full
-
-   Checked after every op of a seeded random API run, so any accounting
-   hole (a removal path that forgets its counter) surfaces at the exact
-   op that opened it. *)
-
-let test_cache_counter_conservation () =
-  let mpk, _proc, tasks = make_env ~threads:2 ~hw_keys:4 () in
-  let t0 = tasks.(0) and t1 = tasks.(1) in
-  let prng = Mpk_util.Prng.create ~seed:7L in
-  let check_identity step =
-    let c = Libmpk.cache mpk in
-    let misses = Libmpk.Key_cache.misses c in
-    let rhs =
-      Libmpk.Key_cache.in_use c + Libmpk.Key_cache.evictions c
-      + Libmpk.Key_cache.invalidations c
-      + Libmpk.Key_cache.full_misses c
-    in
-    if misses <> rhs then
-      Alcotest.fail
-        (Printf.sprintf
-           "conservation broken after op %d: misses=%d <> in_use+evictions+\
-            invalidations+full=%d"
-           step misses rhs);
-    let s = Libmpk.stats mpk in
-    if s.Libmpk.cache_hit_rate < 0.0 || s.Libmpk.cache_hit_rate > 1.0 then
-      Alcotest.fail "hit rate outside [0,1]"
-  in
-  let benign f =
-    try f ()
-    with Errno.Error _ | Libmpk.Key_exhausted | Libmpk.Unregistered_vkey _ -> ()
-  in
-  for step = 1 to 400 do
-    let v = 1 + Mpk_util.Prng.int prng 8 in
-    let t = if Mpk_util.Prng.int prng 2 = 0 then t0 else t1 in
-    (match Mpk_util.Prng.int prng 6 with
-    | 0 -> benign (fun () -> ignore (Libmpk.mpk_mmap mpk t ~vkey:v ~len:page ~prot:Perm.rw))
-    | 1 -> benign (fun () -> Libmpk.mpk_munmap mpk t ~vkey:v)
-    | 2 -> benign (fun () -> Libmpk.mpk_begin mpk t ~vkey:v ~prot:Perm.r)
-    | 3 -> benign (fun () -> Libmpk.mpk_end mpk t ~vkey:v)
-    | 4 -> benign (fun () -> Libmpk.mpk_mprotect mpk t ~vkey:v ~prot:Perm.rw)
-    | _ -> benign (fun () -> Libmpk.mpk_mprotect mpk t ~vkey:v ~prot:Perm.x_only));
-    check_identity step
-  done;
-  let s = Libmpk.stats mpk in
-  Alcotest.(check bool) "run exercised hits, misses and invalidations" true
-    (s.Libmpk.cache_hits > 0 && s.Libmpk.cache_misses > 0
-    && s.Libmpk.cache_invalidations > 0);
-  Alcotest.(check (float 1e-9)) "hit rate = hits / lookups"
-    (float_of_int s.Libmpk.cache_hits
-    /. float_of_int (s.Libmpk.cache_hits + s.Libmpk.cache_misses))
-    s.Libmpk.cache_hit_rate;
-  check_clean "end of counter stress" mpk
-
 (* --- mpk_heap through the API: exhaustion, reuse, protected metadata --- *)
 
 let test_heap_exhaustion_and_reuse () =
@@ -478,11 +418,6 @@ let () =
           Alcotest.test_case "reserve conserves capacity" `Quick
             test_reserve_conserves_capacity;
           Alcotest.test_case "percentile rejects NaN" `Quick test_percentile_rejects_nan;
-        ] );
-      ( "counters",
-        [
-          Alcotest.test_case "key-cache counter conservation" `Quick
-            test_cache_counter_conservation;
         ] );
       ( "heap",
         [

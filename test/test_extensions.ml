@@ -170,7 +170,11 @@ let test_stats_cache_mirror () =
   Libmpk.mpk_mprotect mpk main ~vkey:1 ~prot:Perm.rw;
   let s = Libmpk.stats mpk in
   Alcotest.(check int) "hits mirrored" (Libmpk.Key_cache.hits (Libmpk.cache mpk))
-    s.Libmpk.cache_hits
+    s.Libmpk.cache_hits;
+  Alcotest.(check (float 1e-9)) "hit rate = hits / lookups"
+    (float_of_int s.Libmpk.cache_hits
+    /. float_of_int (s.Libmpk.cache_hits + s.Libmpk.cache_misses))
+    s.Libmpk.cache_hit_rate
 
 let test_pp_stats () =
   let mpk, _, main, _ = make_env () in

@@ -228,10 +228,7 @@ let test_loadgen_overhead_under_one_percent () =
       | Keystore.Insecure -> None
     in
     let server = Tls_server.create ~mode proc main ?mpk ~seed:11L () in
-    let result =
-      Loadgen.run server (main :: others) ~clients:4 ~requests:200 ~size:4096 ()
-    in
-    result.Loadgen.throughput_rps
+    (Loadgen.run server (main :: others) ~requests:200 ~size:4096).Loadgen.throughput_rps
   in
   let base = throughput Keystore.Insecure in
   let prot = throughput Keystore.Protected in

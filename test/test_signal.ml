@@ -189,7 +189,7 @@ let test_pkey_alloc_enospc () =
   let k = Syscall.pkey_alloc proc main ~init_rights:Pkru.Read_write in
   Syscall.pkey_free proc main k
 
-let test_key_cache_full_retry_policy () =
+let test_key_cache_full_fails_fast () =
   let mpk, _proc, main = make_env () in
   (* injected Full at mmap: the group starts Unmapped (PROT_NONE) *)
   Mpk_faultinj.arm "key_cache.full" (Mpk_faultinj.Once 0);
@@ -198,46 +198,27 @@ let test_key_cache_full_retry_policy () =
   | Some { Libmpk.Group.state = Libmpk.Group.Unmapped; _ } -> ()
   | _ -> Alcotest.fail "group should start keyless under injected Full");
   audit_clean "after keyless mmap" mpk;
-  (* Fail_fast (the default): an injected Full raises immediately. *)
+  (* an injected Full at begin raises immediately *)
   Mpk_faultinj.arm "key_cache.full" (Mpk_faultinj.Every 1);
   (match Libmpk.mpk_begin mpk main ~vkey:1 ~prot:Perm.rw with
-  | () -> Alcotest.fail "Fail_fast should raise on exhaustion"
+  | () -> Alcotest.fail "mpk_begin should raise on exhaustion"
   | exception Libmpk.Key_exhausted -> ());
-  audit_clean "after Fail_fast exhaustion" mpk;
-  (* Retry: the first attempt hits the injected Full, the second wins. *)
-  Mpk_faultinj.arm "key_cache.full" (Mpk_faultinj.Once 0);
-  Libmpk.mpk_begin mpk main
-    ~policy:(Libmpk.Retry { attempts = 3; backoff_cycles = 50. })
-    ~vkey:1 ~prot:Perm.rw;
-  (match Libmpk.find_group mpk 1 with
-  | Some { Libmpk.Group.state = Libmpk.Group.Mapped _; _ } -> ()
-  | _ -> Alcotest.fail "retry should have attached a key");
-  Libmpk.mpk_end mpk main ~vkey:1;
-  audit_clean "after successful retry" mpk;
+  audit_clean "after exhaustion" mpk;
   Mpk_faultinj.reset ()
 
-let test_wait_for_key_policy () =
+let test_pinned_key_exhaustion () =
   let mpk, proc, main = make_env ~hw_keys:1 () in
   let a1 = Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw in
   ignore (Libmpk.mpk_mmap mpk main ~vkey:2 ~len:page ~prot:Perm.rw);
   Libmpk.mpk_begin mpk main ~vkey:1 ~prot:Perm.rw;  (* pins the only key *)
-  let before = Cpu.cycles (Task.core main) in
-  (match
-     Libmpk.mpk_begin mpk main
-       ~policy:(Libmpk.Wait_for_key { max_wait_cycles = 1000.; poll_cycles = 100. })
-       ~vkey:2 ~prot:Perm.rw
-   with
-  | () -> Alcotest.fail "the only key is pinned: the wait must time out"
+  (match Libmpk.mpk_begin mpk main ~vkey:2 ~prot:Perm.rw with
+  | () -> Alcotest.fail "the only key is pinned: begin must raise"
   | exception Libmpk.Key_exhausted -> ());
-  Alcotest.(check bool) "waiting burned simulated cycles" true
-    (Cpu.cycles (Task.core main) -. before >= 1000.);
-  audit_clean "after wait timeout" mpk;
+  audit_clean "after exhaustion" mpk;
   write proc main ~addr:a1 'x';  (* the held domain still works *)
   Libmpk.mpk_end mpk main ~vkey:1;
   (* key released: the same begin now succeeds (evicting group 1) *)
-  Libmpk.mpk_begin mpk main
-    ~policy:(Libmpk.Wait_for_key { max_wait_cycles = 1000.; poll_cycles = 100. })
-    ~vkey:2 ~prot:Perm.rw;
+  Libmpk.mpk_begin mpk main ~vkey:2 ~prot:Perm.rw;
   Libmpk.mpk_end mpk main ~vkey:2;
   audit_clean "after post-release begin" mpk
 
@@ -291,10 +272,9 @@ let () =
           Alcotest.test_case "OOM during mpk_mmap rolls back" `Quick
             test_oom_during_mpk_mmap_rolls_back;
           Alcotest.test_case "pkey_alloc ENOSPC is typed" `Quick test_pkey_alloc_enospc;
-          Alcotest.test_case "key-cache Full: Fail_fast and Retry" `Quick
-            test_key_cache_full_retry_policy;
-          Alcotest.test_case "Wait_for_key burns cycles then raises" `Quick
-            test_wait_for_key_policy;
+          Alcotest.test_case "key-cache Full fails fast" `Quick
+            test_key_cache_full_fails_fast;
+          Alcotest.test_case "pinned key: begin raises" `Quick test_pinned_key_exhaustion;
           Alcotest.test_case "execute-only reserve refusal" `Quick test_xonly_reserve_refusal;
           Alcotest.test_case "forced preemption keeps invariants" `Quick
             test_forced_preemption_consistency;

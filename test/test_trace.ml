@@ -375,6 +375,20 @@ let test_perfetto_span_phases_balance () =
 
 (* --- metrics registry --- *)
 
+(* The registry's JSON export entry named [name]: strict-parser clean,
+   like every artifact that embeds it. *)
+let exported_metric name =
+  let j = Json.parse_exn (Json.to_string (Metrics.export_json ())) in
+  match
+    Option.value ~default:[] (Json.to_list j)
+    |> List.find_opt (fun m ->
+           Option.bind (Json.member "name" m) Json.to_string_opt = Some name)
+  with
+  | Some m -> m
+  | None -> Alcotest.failf "no %s in the JSON export" name
+
+let number_field m field = Option.bind (Json.member field m) Json.to_number
+
 let test_metrics_counter_gauge () =
   reset_observability ();
   let c = Metrics.counter ~help:"test counter" "test_total" in
@@ -382,35 +396,29 @@ let test_metrics_counter_gauge () =
   Metrics.inc ~by:4.0 c;
   let g = Metrics.gauge "test_gauge" in
   Metrics.set g 2.5;
-  let prom = Metrics.export_prometheus () in
-  let has needle =
-    let nl = String.length needle and hl = String.length prom in
-    let rec go i = i + nl <= hl && (String.sub prom i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "counter line" true (has "test_total 5");
-  Alcotest.(check bool) "gauge line" true (has "test_gauge 2.5");
-  Alcotest.(check bool) "help line" true (has "# HELP test_total test counter");
-  Alcotest.(check bool) "type line" true (has "# TYPE test_total counter");
+  let total = exported_metric "test_total" and gauge = exported_metric "test_gauge" in
+  Alcotest.(check (option (float 0.))) "counter value" (Some 5.0) (number_field total "value");
+  Alcotest.(check (option (float 0.))) "gauge value" (Some 2.5) (number_field gauge "value");
+  Alcotest.(check (option string)) "help text" (Some "test counter")
+    (Option.bind (Json.member "help" total) Json.to_string_opt);
+  Alcotest.(check (option string)) "type" (Some "counter")
+    (Option.bind (Json.member "type" total) Json.to_string_opt);
   reset_observability ()
 
 let test_metrics_histogram_export () =
   reset_observability ();
   let h = Metrics.histogram ~lo:1.0 ~growth:2.0 ~buckets:4 "lat_cycles" in
   List.iter (Metrics.observe h) [ 0.5; 1.5; 3.0; 100.0 ];
-  let prom = Metrics.export_prometheus () in
-  let has needle =
-    let nl = String.length needle and hl = String.length prom in
-    let rec go i = i + nl <= hl && (String.sub prom i nl = needle || go (i + 1)) in
-    go 0
+  let m = exported_metric "lat_cycles" in
+  Alcotest.(check (option (float 0.))) "count" (Some 4.0) (number_field m "count");
+  let buckets =
+    Option.value ~default:[] (Option.bind (Json.member "buckets" m) Json.to_list)
+    |> List.map (fun b -> number_field b "count")
   in
-  Alcotest.(check bool) "le=1 bucket" true (has "lat_cycles_bucket{le=\"1\"} 1");
-  Alcotest.(check bool) "le=+Inf cumulative" true (has "lat_cycles_bucket{le=\"+Inf\"} 4");
-  Alcotest.(check bool) "count" true (has "lat_cycles_count 4");
-  (* the JSON export is strict-parser clean *)
-  let j = Json.to_string (Metrics.export_json ()) in
-  Alcotest.(check bool) "json export parses" true
-    (match Json.parse j with Ok _ -> true | Error _ -> false);
+  (* per-bucket counts: le=1, 2, 4, 8, +Inf *)
+  Alcotest.(check (list (option (float 0.)))) "per-bucket counts"
+    [ Some 1.0; Some 1.0; Some 1.0; Some 0.0; Some 1.0 ]
+    buckets;
   reset_observability ()
 
 let test_metrics_event_counters () =
@@ -418,16 +426,9 @@ let test_metrics_event_counters () =
   Tracer.enable ();
   ignore (demo_workload ());
   Tracer.disable ();
-  let j = Metrics.export_json () in
-  let wrpkru =
-    Option.value ~default:[] (Json.to_list j)
-    |> List.find_opt (fun m ->
-           Option.bind (Json.member "name" m) Json.to_string_opt
-           = Some "trace_events_total{kind=\"wrpkru\"}")
-  in
-  (match Option.bind wrpkru (fun m -> Option.bind (Json.member "value" m) Json.to_number) with
+  (match number_field (exported_metric "trace_events_total{kind=\"wrpkru\"}") "value" with
   | Some n -> Alcotest.(check bool) "wrpkru counter positive" true (n > 0.0)
-  | None -> Alcotest.fail "no trace_events_total{kind=\"wrpkru\"} counter");
+  | None -> Alcotest.fail "the wrpkru counter has no value");
   reset_observability ()
 
 (* --- the stress harness's black box --- *)
