@@ -155,17 +155,6 @@ let stress_term ~ops_default =
         ops, { Mpk_check.Stress.default_config with seed; hw_keys; tasks; evict_rate })
     $ ops $ seed $ hw_keys $ tasks $ evict_rate)
 
-(* Run [ops] generated operations under [cfg]: the applied and benign
-   error counts, or the failure report with its minimized trace. *)
-let stress_check cfg ~ops =
-  let op_list = Mpk_check.Stress.gen_ops cfg ops in
-  match Mpk_check.Stress.run cfg op_list with
-  | Mpk_check.Stress.Passed { applied; benign_errors } -> Ok (applied, benign_errors)
-  | Mpk_check.Stress.Failed failure ->
-      Error
-        (Mpk_check.Stress.report cfg ~ops_total:ops failure
-           (Mpk_check.Stress.minimize cfg op_list))
-
 let audit_cmd =
   let doc =
     "Run the randomized stress driver with the cross-layer invariant auditor enabled \
@@ -173,8 +162,8 @@ let audit_cmd =
      the replayable seed and a minimized failing op trace and exits nonzero."
   in
   let run (ops, (cfg : Mpk_check.Stress.config)) =
-    match stress_check cfg ~ops with
-    | Ok (applied, benign_errors) ->
+    match Mpk_check.Stress.check cfg ~ops with
+    | Ok { applied; benign_errors; _ } ->
         Printf.printf
           "audit OK: %d ops (seed %Ld, %d hw keys, %d tasks), %d benign API errors, \
            all invariants held after every operation\n"
@@ -224,10 +213,10 @@ let faults_cmd =
               String.concat ","
                 (List.map (fun (n, p) -> n ^ Mpk_faultinj.plan_to_string p) faults)
             in
-            match stress_check { cfg with Mpk_check.Stress.faults } ~ops with
-            | Ok (applied, benign_errors) ->
+            match Mpk_check.Stress.check { cfg with Mpk_check.Stress.faults } ~ops with
+            | Ok { applied; benign_errors; fired } ->
                 let fired =
-                  Mpk_check.Stress.last_fault_stats ()
+                  fired
                   |> List.map (fun s ->
                          Printf.sprintf "%s hit:%d fired:%d" s.Mpk_faultinj.name
                            s.Mpk_faultinj.hits s.Mpk_faultinj.fired)

@@ -5,9 +5,11 @@
    regions it reads/writes/executes, what code its JIT emits, which
    threads it spawns — with the data computation abstracted away. The
    static analyzer (Lint) proves protocol properties over this IR before
-   a single simulated cycle runs; the dynamic stress driver emits the
-   same IR for its minimized failing traces, so the two tools share one
-   vocabulary.
+   a single simulated cycle runs. The dynamic tools speak it too: the
+   stress driver generates its random traffic as IR steps, and
+   Mpk_check.Stress.exec_step runs both those steps and the analyzer's
+   finding witnesses on the simulator, so static and dynamic checking
+   share one vocabulary.
 
    Control flow is explicit: branch/merge, loop back edges, and
    signal-escape edges (an op that can fault may transfer control to a
@@ -68,7 +70,7 @@ let loc_to_string = function
 
 type op =
   | Mmap of { vkey : int; pages : int; prot : Perm.t }  (* mpk_mmap *)
-  | Free of { vkey : int }  (* mpk_free / mpk_munmap: vkey leaves circulation *)
+  | Free of { vkey : int }  (* mpk_munmap: vkey leaves circulation *)
   | Begin of { vkey : int; prot : Perm.t }  (* mpk_begin *)
   | End of { vkey : int }  (* mpk_end *)
   | Mprotect of { vkey : int; prot : Perm.t }  (* mpk_mprotect: global, synchronized *)
@@ -82,6 +84,9 @@ type op =
   | Unlock of { lk : lockref; lmode : lmode }  (* kernel lock release *)
   | Load of { loc : loc }  (* read of shared kernel state *)
   | Store of { loc : loc }  (* write of shared kernel state *)
+  | Malloc of { vkey : int; size : int }  (* mpk_malloc from the group's heap *)
+  | Mfree of { vkey : int; nth : int }
+      (* mpk_free of the [nth] (mod live count) block the trace allocated *)
   | Label of string  (* structural no-op: branch points, loop heads, comments *)
 
 let op_to_string = function
@@ -105,6 +110,8 @@ let op_to_string = function
       Printf.sprintf "unlock %s %s" (lockref_to_string lk) (lmode_to_string lmode)
   | Load { loc } -> Printf.sprintf "load %s" (loc_to_string loc)
   | Store { loc } -> Printf.sprintf "store %s" (loc_to_string loc)
+  | Malloc { vkey; size } -> Printf.sprintf "malloc v%d %dB" vkey size
+  | Mfree { vkey; nth } -> Printf.sprintf "mfree v%d #%d" vkey nth
   | Label s -> Printf.sprintf "# %s" s
 
 (* --- control-flow graph --- *)

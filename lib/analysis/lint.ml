@@ -20,8 +20,8 @@
                  victim's deferred task_work runs, its PKRU still grants
                  the revoked right (§4.2, Fig 7)
 
-   Findings carry a severity and a concrete path witness; Mpk_check.Replay
-   executes witnesses on the simulator with the PR 2 auditor as oracle. *)
+   Findings carry a severity and a concrete path witness; Mpk_check.Witness
+   executes witnesses on the simulator with the invariant auditor as oracle. *)
 
 open Mpk_hw
 
@@ -57,6 +57,8 @@ type detail =
   | Maybe of string  (* imprecision-only findings (joined states) *)
 
 type step = { stid : int; sop : Ir.op }
+
+let step_to_string s = Printf.sprintf "%s @t%d" (Ir.op_to_string s.sop) s.stid
 
 type finding = {
   pass : string;

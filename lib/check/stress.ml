@@ -1,119 +1,152 @@
 open Mpk_hw
 open Mpk_kernel
+open Mpk_analysis
 
 type config = {
   hw_keys : int;
   tasks : int;
   evict_rate : float;
-  vkeys : int;
-  max_pages : int;
   seed : int64;
   faults : (string * Mpk_faultinj.plan) list;
 }
 
-let default_config =
-  {
-    hw_keys = 15;
-    tasks = 2;
-    evict_rate = 1.0;
-    vkeys = 8;
-    max_pages = 4;
-    seed = 1L;
-    faults = [];
-  }
+let default_config = { hw_keys = 15; tasks = 2; evict_rate = 1.0; seed = 1L; faults = [] }
 
-type op =
-  | Mmap of { vkey : int; task : int; pages : int; prot_sel : int }
-  | Munmap of { vkey : int; task : int }
-  | Begin of { vkey : int; task : int; prot_sel : int }
-  | End of { vkey : int; task : int }
-  | Mprotect of { vkey : int; task : int; prot_sel : int }
-  | Malloc of { vkey : int; task : int; size : int }
-  | Free of { vkey : int; task : int; index : int }
-  | Touch of { vkey : int; task : int }
+(* --- one machine builder, one executor --- *)
 
-let mmap_prot = function 0 -> Perm.rw | 1 -> Perm.r | _ -> Perm.rwx
-let begin_prot = function 0 -> Perm.r | 1 -> Perm.rw | _ -> Perm.rx
+type env = {
+  mpk : Libmpk.t;
+  proc : Proc.t;
+  tasks : (int, Task.t) Hashtbl.t;
+  allocs : (int, int list) Hashtbl.t;
+}
 
-(* Selector 4 is the execute-only transition (served by the reserved key). *)
-let mprotect_prot = function
-  | 0 -> Perm.none
-  | 1 -> Perm.r
-  | 2 -> Perm.rw
-  | 3 -> Perm.rx
-  | _ -> Perm.x_only
+let make_env (cfg : config) ~cores =
+  let machine = Machine.create ~cores ~mem_mib:128 () in
+  let proc = Proc.create machine in
+  let tasks = Hashtbl.create 4 in
+  for i = 0 to max 1 cfg.tasks - 1 do
+    Hashtbl.replace tasks i (Proc.spawn proc ~core_id:i ())
+  done;
+  let mpk =
+    Libmpk.init ~hw_keys:cfg.hw_keys ~evict_rate:cfg.evict_rate
+      ~default_heap_bytes:(16 * Physmem.page_size) ~seed:cfg.seed proc
+      (Hashtbl.find tasks 0)
+  in
+  { mpk; proc; tasks; allocs = Hashtbl.create 16 }
 
-let show_op = function
-  | Mmap { vkey; task; pages; prot_sel } ->
-      Printf.sprintf "mmap v%d %dp %s @t%d" vkey pages
-        (Perm.to_string (mmap_prot prot_sel)) task
-  | Munmap { vkey; task } -> Printf.sprintf "munmap v%d @t%d" vkey task
-  | Begin { vkey; task; prot_sel } ->
-      Printf.sprintf "begin v%d %s @t%d" vkey (Perm.to_string (begin_prot prot_sel)) task
-  | End { vkey; task } -> Printf.sprintf "end v%d @t%d" vkey task
-  | Mprotect { vkey; task; prot_sel } ->
-      Printf.sprintf "mprotect v%d %s @t%d" vkey
-        (Perm.to_string (mprotect_prot prot_sel)) task
-  | Malloc { vkey; task; size } -> Printf.sprintf "malloc v%d %dB @t%d" vkey size task
-  | Free { vkey; task; index } -> Printf.sprintf "free v%d #%d @t%d" vkey index task
-  | Touch { vkey; task } -> Printf.sprintf "touch v%d @t%d" vkey task
+let task env tid =
+  match Hashtbl.find_opt env.tasks tid with
+  | Some t -> t
+  | None -> invalid_arg (Printf.sprintf "thread %d never spawned" tid)
 
-let gen_ops cfg n =
+let group_base env vkey =
+  match Libmpk.find_group env.mpk vkey with
+  | Some g -> g.Libmpk.Group.base
+  | None -> invalid_arg (Printf.sprintf "vkey %d has no group" vkey)
+
+let live_allocs env vkey = Option.value ~default:[] (Hashtbl.find_opt env.allocs vkey)
+
+(* Labels and joins are structural no-ops; spawned threads inherit the
+   spawner's PKRU like a real clone(2) does, which is what makes the
+   TOCTOU witness replayable. *)
+let exec_step env (s : Lint.step) =
+  let t = task env s.Lint.stid in
+  let mmu = Proc.mmu env.proc in
+  match s.Lint.sop with
+  | Ir.Mmap { vkey; pages; prot } ->
+      ignore (Libmpk.mpk_mmap env.mpk t ~vkey ~len:(pages * Physmem.page_size) ~prot)
+  | Ir.Free { vkey } ->
+      Libmpk.mpk_munmap env.mpk t ~vkey;
+      Hashtbl.remove env.allocs vkey
+  | Ir.Begin { vkey; prot } -> Libmpk.mpk_begin env.mpk t ~vkey ~prot
+  | Ir.End { vkey } -> Libmpk.mpk_end env.mpk t ~vkey
+  | Ir.Mprotect { vkey; prot } -> Libmpk.mpk_mprotect env.mpk t ~vkey ~prot
+  | Ir.Malloc { vkey; size } ->
+      let addr = Libmpk.mpk_malloc env.mpk t ~vkey ~size in
+      Hashtbl.replace env.allocs vkey (addr :: live_allocs env vkey)
+  | Ir.Mfree { vkey; nth } -> (
+      match live_allocs env vkey with
+      | [] -> ()  (* nothing recorded to free *)
+      | live ->
+          let addr = List.nth live (nth mod List.length live) in
+          Hashtbl.replace env.allocs vkey (List.filter (fun a -> a <> addr) live);
+          Libmpk.mpk_free env.mpk t ~vkey ~addr)
+  | Ir.Read { vkey } -> ignore (Mmu.read_byte mmu (Task.core t) ~addr:(group_base env vkey))
+  | Ir.Write { vkey } -> Mmu.write_byte mmu (Task.core t) ~addr:(group_base env vkey) 'w'
+  | Ir.Emit { vkey; code } ->
+      (* one placeholder byte per instruction, through the MMU so the
+         write obeys (and exercises) the current PKRU state *)
+      let base = group_base env vkey in
+      List.iteri (fun i (_ : Ir.insn) -> Mmu.write_byte mmu (Task.core t) ~addr:(base + i) 'e') code
+  | Ir.Exec { vkey } -> ignore (Mmu.fetch mmu (Task.core t) ~addr:(group_base env vkey) ~len:1)
+  | Ir.Spawn { tid } ->
+      if not (Hashtbl.mem env.tasks tid) then
+        Hashtbl.replace env.tasks tid (Proc.spawn env.proc ~inherit_from:t ~core_id:tid ())
+  | Ir.Join { tid = _ } | Ir.Label _ -> ()
+  | Ir.Lock _ | Ir.Unlock _ | Ir.Load _ | Ir.Store _ ->
+      (* kernel-internal protocol steps: the live API takes its own
+         locks around its own shared state, so a step can't drive them
+         individually — Witness compiles these to torture fibers
+         instead *)
+      ()
+
+(* --- random traffic --- *)
+
+(* Generated steps draw vkeys from 1..8 and group sizes from 1..4 pages. *)
+let vkeys = 8
+let max_pages = 4
+let mmap_prots = [| Perm.rw; Perm.r; Perm.rwx |]
+let begin_prots = [| Perm.r; Perm.rw; Perm.rx |]
+
+(* The last one is the execute-only transition (served by the reserved key). *)
+let mprotect_prots = [| Perm.none; Perm.r; Perm.rw; Perm.rx; Perm.x_only |]
+
+let gen_ops (cfg : config) n =
   let prng = Mpk_util.Prng.create ~seed:cfg.seed in
-  let vkey () = 1 + Mpk_util.Prng.int prng (max 1 cfg.vkeys) in
-  let task () = Mpk_util.Prng.int prng (max 1 cfg.tasks) in
+  let int bound = Mpk_util.Prng.int prng bound in
+  let pick prots = prots.(int (Array.length prots)) in
+  (* Each step draws its operands, then its task, then its vkey. Any
+     other order makes every seed name a different trace. *)
+  let step sop =
+    let stid = int (max 1 cfg.tasks) in
+    let vkey = 1 + int vkeys in
+    { Lint.stid; sop = sop vkey }
+  in
   List.init n (fun _ ->
-      let r = Mpk_util.Prng.int prng 100 in
-      if r < 14 then
-        Mmap
-          {
-            vkey = vkey ();
-            task = task ();
-            pages = 1 + Mpk_util.Prng.int prng (max 1 cfg.max_pages);
-            prot_sel = Mpk_util.Prng.int prng 3;
-          }
-      else if r < 22 then Munmap { vkey = vkey (); task = task () }
-      else if r < 42 then
-        Begin { vkey = vkey (); task = task (); prot_sel = Mpk_util.Prng.int prng 3 }
-      else if r < 62 then End { vkey = vkey (); task = task () }
-      else if r < 74 then
-        Mprotect { vkey = vkey (); task = task (); prot_sel = Mpk_util.Prng.int prng 5 }
-      else if r < 82 then
-        Malloc { vkey = vkey (); task = task (); size = 16 + Mpk_util.Prng.int prng 2048 }
-      else if r < 88 then
-        Free { vkey = vkey (); task = task (); index = Mpk_util.Prng.int prng 8 }
-      else Touch { vkey = vkey (); task = task () })
+      let r = int 100 in
+      if r < 14 then (
+        let prot = pick mmap_prots in
+        let pages = 1 + int max_pages in
+        step (fun vkey -> Ir.Mmap { vkey; pages; prot }))
+      else if r < 22 then step (fun vkey -> Ir.Free { vkey })
+      else if r < 42 then (
+        let prot = pick begin_prots in
+        step (fun vkey -> Ir.Begin { vkey; prot }))
+      else if r < 62 then step (fun vkey -> Ir.End { vkey })
+      else if r < 74 then (
+        let prot = pick mprotect_prots in
+        step (fun vkey -> Ir.Mprotect { vkey; prot }))
+      else if r < 82 then (
+        let size = 16 + int 2048 in
+        step (fun vkey -> Ir.Malloc { vkey; size }))
+      else if r < 88 then (
+        let nth = int 8 in
+        step (fun vkey -> Ir.Mfree { vkey; nth }))
+      else step (fun vkey -> Ir.Read { vkey }))
 
-(* Each random op has a static-analyzer counterpart: a minimized failing
-   trace re-emits as an Mpk_analysis.Ir program, so a dynamic failure can
-   be cross-examined with the same vocabulary (and passes) the lints use.
-   Heap ops have no IR-level meaning and become labels. *)
-let ir_of_op op =
-  let open Mpk_analysis in
-  match op with
-  | Mmap { vkey; task; pages; prot_sel } ->
-      (task, Ir.Mmap { vkey; pages; prot = mmap_prot prot_sel })
-  | Munmap { vkey; task } -> (task, Ir.Free { vkey })
-  | Begin { vkey; task; prot_sel } ->
-      (task, Ir.Begin { vkey; prot = begin_prot prot_sel })
-  | End { vkey; task } -> (task, Ir.End { vkey })
-  | Mprotect { vkey; task; prot_sel } ->
-      (task, Ir.Mprotect { vkey; prot = mprotect_prot prot_sel })
-  | Touch { vkey; task } -> (task, Ir.Read { vkey })
-  | Malloc { task; _ } | Free { task; _ } -> (task, Ir.Label (show_op op))
+let ir_of_trace ~name steps =
+  Ir.of_trace ~name (List.map (fun (s : Lint.step) -> (s.Lint.stid, s.Lint.sop)) steps)
 
-let ir_of_trace ~name ops = Mpk_analysis.Ir.of_trace ~name (List.map ir_of_op ops)
-
-let last_fault_stats_ref : Mpk_faultinj.stats list ref = ref []
-let last_fault_stats () = !last_fault_stats_ref
+(* --- the audited run --- *)
 
 type kind = Violations of Audit.violation list | Crash of string
 
-type failure = { index : int; op : op; kind : kind; blackbox : string list }
+type failure = { index : int; step : Lint.step; kind : kind; blackbox : string list }
 
-type result =
-  | Passed of { applied : int; benign_errors : int }
-  | Failed of failure
+type passed = { applied : int; benign_errors : int; fired : Mpk_faultinj.stats list }
+
+type outcome = Passed of passed | Failed of failure
 
 exception Stop of failure
 
@@ -127,14 +160,13 @@ let blackbox_depth = Signal.blackbox_depth
 let blackbox () =
   List.map Mpk_trace.Event.to_line (Mpk_trace.Tracer.recent blackbox_depth)
 
-let run cfg ops =
-  let tasks = max 1 cfg.tasks in
+let run (cfg : config) steps =
   (* Injection must not perturb setup, so arming happens after init; and
      every run re-seeds and re-arms from the config, so a given
-     (cfg, ops) pair is fully deterministic — which is what lets
+     (cfg, steps) pair is fully deterministic — which is what lets
      [minimize] replay candidate traces meaningfully. *)
   Mpk_faultinj.reset ();
-  (* Fresh vma slab: replayability from (cfg, ops) must not depend on
+  (* Fresh vma slab: replayability from (cfg, steps) must not depend on
      what earlier runs left on the process-global free-list. *)
   Vma.slab_reset ();
   (* Flight recorder: every run traces into a fresh ring so a failure can
@@ -149,71 +181,25 @@ let run cfg ops =
      keep it. *)
   let lockdep_was_on = Lockdep.enabled () in
   if not lockdep_was_on then Lockdep.enable ();
-  let machine = Machine.create ~cores:tasks ~mem_mib:128 () in
-  let proc = Proc.create machine in
-  let threads = Array.init tasks (fun i -> Proc.spawn proc ~core_id:i ()) in
-  let mpk =
-    Libmpk.init ~hw_keys:cfg.hw_keys ~evict_rate:cfg.evict_rate
-      ~default_heap_bytes:(16 * Physmem.page_size) ~seed:cfg.seed proc threads.(0)
-  in
+  let env = make_env cfg ~cores:(max 1 cfg.tasks) in
   Mpk_faultinj.set_seed cfg.seed;
   List.iter (fun (name, plan) -> Mpk_faultinj.arm name plan) cfg.faults;
-  let mmu = Proc.mmu proc in
-  let allocs : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
   let benign = ref 0 in
-  let audit index op =
-    match Audit.run mpk with
+  let audit index step =
+    match Audit.run env.mpk with
     | [] -> ()
     | violations ->
-        raise (Stop { index; op; kind = Violations violations; blackbox = blackbox () })
+        raise (Stop { index; step; kind = Violations violations; blackbox = blackbox () })
   in
-  let apply op =
-    match op with
-    | Mmap { vkey; task; pages; prot_sel } ->
-        ignore
-          (Libmpk.mpk_mmap mpk threads.(task) ~vkey
-             ~len:(pages * Physmem.page_size)
-             ~prot:(mmap_prot prot_sel))
-    | Munmap { vkey; task } ->
-        Libmpk.mpk_munmap mpk threads.(task) ~vkey;
-        Hashtbl.remove allocs vkey
-    | Begin { vkey; task; prot_sel } ->
-        Libmpk.mpk_begin mpk threads.(task) ~vkey ~prot:(begin_prot prot_sel)
-    | End { vkey; task } -> Libmpk.mpk_end mpk threads.(task) ~vkey
-    | Mprotect { vkey; task; prot_sel } ->
-        Libmpk.mpk_mprotect mpk threads.(task) ~vkey ~prot:(mprotect_prot prot_sel)
-    | Malloc { vkey; task; size } ->
-        let addr = Libmpk.mpk_malloc mpk threads.(task) ~vkey ~size in
-        let live =
-          match Hashtbl.find_opt allocs vkey with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace allocs vkey l;
-              l
-        in
-        live := addr :: !live
-    | Free { vkey; task; index } -> (
-        match Hashtbl.find_opt allocs vkey with
-        | Some live when !live <> [] ->
-            let n = List.length !live in
-            let addr = List.nth !live (index mod n) in
-            live := List.filter (fun a -> a <> addr) !live;
-            Libmpk.mpk_free mpk threads.(task) ~vkey ~addr
-        | Some _ | None -> ()  (* nothing recorded to free *))
-    | Touch { vkey; task } -> (
-        match Libmpk.find_group mpk vkey with
-        | Some g -> (
-            match
-              Mmu.read_byte mmu (Task.core threads.(task)) ~addr:g.Libmpk.Group.base
-            with
-            | (_ : char) -> ()
-            | exception Mmu.Fault _ -> ()  (* denial is a legal outcome *)
-            | exception Signal.Killed _ -> ())  (* ditto, as a signal *)
-        | None -> ())
+  (* A read is a benign touch: with no group there is nothing to read,
+     and a denial is a legal outcome, not an API error. *)
+  let apply (s : Lint.step) =
+    match s.Lint.sop with
+    | Ir.Read { vkey } when Libmpk.find_group env.mpk vkey = None -> ()
+    | Ir.Read _ -> ( try exec_step env s with Mmu.Fault _ | Signal.Killed _ -> ())
+    | _ -> exec_step env s
   in
   let finish () =
-    last_fault_stats_ref := List.filter (fun s -> s.Mpk_faultinj.armed) (Mpk_faultinj.stats ());
     Mpk_faultinj.reset ();
     if not lockdep_was_on then Lockdep.disable ();
     if not trace_was_on then begin
@@ -223,10 +209,11 @@ let run cfg ops =
   in
   Fun.protect ~finally:finish @@ fun () ->
   try
-    audit (-1) (Touch { vkey = 0; task = 0 });  (* initial state must be clean *)
+    (* initial state must be clean *)
+    audit (-1) { Lint.stid = 0; sop = Ir.Read { vkey = 0 } };
     List.iteri
-      (fun index op ->
-        (match apply op with
+      (fun index step ->
+        (match apply step with
         | () -> ()
         | exception Libmpk.Key_exhausted -> incr benign
         | exception Errno.Error _ -> incr benign
@@ -240,30 +227,26 @@ let run cfg ops =
         | exception exn ->
             raise
               (Stop
-                 {
-                   index;
-                   op;
-                   kind = Crash (Printexc.to_string exn);
-                   blackbox = blackbox ();
-                 }));
-        audit index op)
-      ops;
-    Passed { applied = List.length ops; benign_errors = !benign }
+                 { index; step; kind = Crash (Printexc.to_string exn); blackbox = blackbox () }));
+        audit index step)
+      steps;
+    Passed
+      {
+        applied = List.length steps;
+        benign_errors = !benign;
+        fired = List.filter (fun s -> s.Mpk_faultinj.armed) (Mpk_faultinj.stats ());
+      }
   with Stop f -> Failed f
 
-let fails cfg ops = match run cfg ops with Failed _ -> true | Passed _ -> false
-
-let minimize cfg ops =
-  match run cfg ops with
-  | Passed _ -> ops
-  | Failed f ->
-      (* Everything after the failing op is irrelevant; ddmin does the rest. *)
-      Ddmin.minimize ~fails:(fails cfg) (List.filteri (fun i _ -> i <= f.index) ops)
+(* Everything after the failing step is irrelevant; ddmin does the rest. *)
+let minimize cfg steps failure =
+  let fails steps = match run cfg steps with Failed _ -> true | Passed _ -> false in
+  Ddmin.minimize ~fails (List.filteri (fun i _ -> i <= failure.index) steps)
 
 let report cfg ~ops_total failure minimized =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "audit FAILED at op %d: %s\n" failure.index (show_op failure.op));
+    (Printf.sprintf "audit FAILED at op %d: %s\n" failure.index (Lint.step_to_string failure.step));
   (match failure.kind with
   | Violations vs ->
       List.iter
@@ -286,12 +269,11 @@ let report cfg ~ops_total failure minimized =
   Buffer.add_string buf
     (Printf.sprintf "minimized trace (%d ops):\n" (List.length minimized));
   List.iteri
-    (fun i op -> Buffer.add_string buf (Printf.sprintf "  %3d: %s\n" i (show_op op)))
+    (fun i s -> Buffer.add_string buf (Printf.sprintf "  %3d: %s\n" i (Lint.step_to_string s)))
     minimized;
   Buffer.add_string buf "as analyzer IR (mpkctl lint vocabulary):\n";
   Buffer.add_string buf
-    (Format.asprintf "%a" Mpk_analysis.Ir.pp_program
-       (ir_of_trace ~name:"minimized-stress-trace" minimized));
+    (Format.asprintf "%a" Ir.pp_program (ir_of_trace ~name:"minimized-stress-trace" minimized));
   (match failure.blackbox with
   | [] -> ()
   | lines ->
@@ -300,3 +282,9 @@ let report cfg ~ops_total failure minimized =
            (List.length lines));
       List.iter (fun l -> Buffer.add_string buf ("  " ^ l ^ "\n")) lines);
   Buffer.contents buf
+
+let check cfg ~ops =
+  let steps = gen_ops cfg ops in
+  match run cfg steps with
+  | Passed p -> Ok p
+  | Failed f -> Error (report cfg ~ops_total:ops f (minimize cfg steps f))

@@ -1,24 +1,28 @@
-(** Randomized stress driver for the invariant auditor.
+(** Randomized stress driver for the invariant auditor, and the one
+    executor of libmpk traffic.
 
-    Generates a weighted, seeded sequence of libmpk API calls —
+    Traffic is a list of analyzer IR steps ({!Mpk_analysis.Lint.step}: a
+    thread id plus an {!Mpk_analysis.Ir.op}). {!exec_step} runs one step
+    on a machine built by {!make_env}; the stress driver, the witness
+    replay in {!Witness} and the model-based fuzzer all go through it.
+
+    The driver generates a weighted, seeded sequence of libmpk API calls —
     mmap/munmap/begin/end/mprotect (including execute-only transitions)
-    /malloc/free plus benign memory touches — interleaved across several
-    tasks, and runs {!Audit.run} after every operation. Everything is
-    derived from [config.seed] via [Mpk_util.Prng], so a failure is
-    replayable from the seed alone, and the pre-generated op list can be
-    shrunk to a minimal failing trace.
+    /malloc/free plus benign reads — interleaved across several tasks,
+    and runs {!Audit.run} after every step. Everything is derived from
+    [config.seed] via [Mpk_util.Prng], so a failure is replayable from
+    the seed alone, and the pre-generated trace can be shrunk to a
+    minimal failing one.
 
     Expected API errors (key exhaustion, EINVAL on an unmatched end,
     EACCES on an over-privileged begin, …) are caught and counted; any
     other exception, or a non-empty audit, stops the run and is reported
-    as a failure at that op index. *)
+    as a failure at that step index. *)
 
 type config = {
   hw_keys : int;  (** keys in circulation, 1..15 *)
-  tasks : int;  (** interleaved tasks, one per core *)
+  tasks : int;  (** tasks spawned before [Libmpk.init], one per core *)
   evict_rate : float;  (** mpk_mprotect eviction probability *)
-  vkeys : int;  (** virtual keys drawn from 1..vkeys *)
-  max_pages : int;  (** group size drawn from 1..max_pages *)
   seed : int64;
   faults : (string * Mpk_faultinj.plan) list;
       (** failure points armed for the run (after setup, seeded from
@@ -27,31 +31,48 @@ type config = {
           library state is caught. Empty = no injection. *)
 }
 
-(** 15 keys, 2 tasks, evict_rate 1.0, 8 vkeys, 4 pages, seed 1,
-    no fault injection. *)
+(** 15 keys, 2 tasks, evict_rate 1.0, seed 1, no fault injection. *)
 val default_config : config
 
-type op =
-  | Mmap of { vkey : int; task : int; pages : int; prot_sel : int }
-  | Munmap of { vkey : int; task : int }
-  | Begin of { vkey : int; task : int; prot_sel : int }
-  | End of { vkey : int; task : int }
-  | Mprotect of { vkey : int; task : int; prot_sel : int }
-  | Malloc of { vkey : int; task : int; size : int }
-  | Free of { vkey : int; task : int; index : int }
-      (** frees the [index]-th (mod live count) recorded allocation *)
-  | Touch of { vkey : int; task : int }  (** benign read attempt *)
+(** A simulated process with libmpk initialized. *)
+type env = {
+  mpk : Libmpk.t;
+  proc : Mpk_kernel.Proc.t;
+  tasks : (int, Mpk_kernel.Task.t) Hashtbl.t;  (** IR thread id -> task *)
+  allocs : (int, int list) Hashtbl.t;
+      (** vkey -> live [mpk_malloc] blocks, newest first *)
+}
 
-val show_op : op -> string
+(** [make_env cfg ~cores] — a fresh [cores]-core machine whose process
+    spawns [cfg.tasks] tasks (thread [i] on core [i]) and then runs
+    [Libmpk.init] from task 0 with [cfg]'s keys, eviction rate and seed,
+    and a 16-page default heap. *)
+val make_env : config -> cores:int -> env
 
-(** [ir_of_trace ~name ops] — the straight-line IR program of a (usually
-    minimized) trace, via [Mpk_analysis.Ir.of_trace]: per-thread chains,
-    main spawning/joining the others. Re-emitted in failure reports so
-    dynamic failures and static lints share one vocabulary. *)
-val ir_of_trace : name:string -> op list -> Mpk_analysis.Ir.program
+(** [task env tid] — the task running IR thread [tid].
+    @raise Invalid_argument when [tid] was never spawned. *)
+val task : env -> int -> Mpk_kernel.Task.t
 
-(** [gen_ops cfg n] — the deterministic op sequence for [cfg.seed]. *)
-val gen_ops : config -> int -> op list
+(** [exec_step env step] — run one step through the libmpk API or the
+    MMU, raising whatever they raise. [Free] is [mpk_munmap] and drops
+    the vkey's recorded allocations; [Malloc] records the block it gets;
+    [Mfree] frees the [nth] (mod live count) recorded block of its vkey,
+    or does nothing when none is recorded. Memory accesses target the
+    group's base address; [Spawn] starts a task that inherits the
+    spawner's PKRU. Labels, joins and kernel-internal lock/load/store
+    steps are no-ops.
+    @raise Invalid_argument for an unspawned thread, or an access to a
+    vkey with no group. *)
+val exec_step : env -> Mpk_analysis.Lint.step -> unit
+
+(** [gen_ops cfg n] — the deterministic [n]-step trace for [cfg.seed]:
+    vkeys 1..8, groups of 1..4 pages, threads [0 .. cfg.tasks - 1]. *)
+val gen_ops : config -> int -> Mpk_analysis.Lint.step list
+
+(** [ir_of_trace ~name steps] — the straight-line IR program of a
+    (usually minimized) trace, via [Mpk_analysis.Ir.of_trace]:
+    per-thread chains, main spawning/joining the others. *)
+val ir_of_trace : name:string -> Mpk_analysis.Lint.step list -> Mpk_analysis.Ir.program
 
 type kind =
   | Violations of Audit.violation list  (** the auditor flagged the state *)
@@ -59,33 +80,35 @@ type kind =
 
 type failure = {
   index : int;
-  op : op;
+  step : Mpk_analysis.Lint.step;
   kind : kind;
   blackbox : string list;
-      (** the last trace events before the failing op — every [run]
+      (** the last trace events before the failing step — every [run]
           records into the {!Mpk_trace.Tracer} ring (a flight recorder),
-          and a failure dumps its tail, captured before any [minimize]
+          and a failure dumps its tail, captured before any minimizing
           re-runs clobber the ring *)
 }
 
-type result =
-  | Passed of { applied : int; benign_errors : int }
-  | Failed of failure
+type passed = {
+  applied : int;
+  benign_errors : int;
+  fired : Mpk_faultinj.stats list;
+      (** hit and fired counts of every armed fault point, taken before
+          the run resets the injection registry *)
+}
 
-(** [run cfg ops] applies the sequence, auditing the initial state and
-    then after every operation. *)
-val run : config -> op list -> result
+type outcome = Passed of passed | Failed of failure
 
-(** Injection statistics (hits/fired per armed point) captured at the end
-    of the most recent [run] — the registry itself is reset between runs,
-    so this is the only way to see what actually fired. *)
-val last_fault_stats : unit -> Mpk_faultinj.stats list
+(** [run cfg steps] applies the trace, auditing the initial state and
+    then after every step. A read of a vkey with no group is skipped,
+    and a denied read is a legal outcome, not a benign error. *)
+val run : config -> Mpk_analysis.Lint.step list -> outcome
 
-(** [minimize cfg ops] — a smaller op list that still fails under [cfg]
-    (ddmin-style chunk removal; [ops] unchanged when it passes). *)
-val minimize : config -> op list -> op list
+(** [check cfg ~ops] — generate [ops] steps, run them, and on failure
+    ddmin-minimize the trace and render the {!report}. *)
+val check : config -> ops:int -> (passed, string) result
 
 (** [report cfg ~ops_total failure minimized] — human-readable failure
     report: the violated invariants, the replay seed/config, and the
     minimized trace. *)
-val report : config -> ops_total:int -> failure -> op list -> string
+val report : config -> ops_total:int -> failure -> Mpk_analysis.Lint.step list -> string

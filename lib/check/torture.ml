@@ -578,9 +578,9 @@ let render_report r =
     (Printf.sprintf "  replay byte-identical: %b\n" r.replay_identical);
   Buffer.add_string buf
     (Printf.sprintf
-       "  replay: mpkctl torture --tasks %d --ops %d --seed %Ld --plant %s \
+       "  replay: mpkctl torture --tasks %d --ops %d --slots %d --seed %Ld --plant %s \
         --schedule '%s'\n"
-       r.cfg.tasks r.cfg.ops r.cfg.seed (plant_to_string r.cfg.plant)
+       r.cfg.tasks r.cfg.ops r.cfg.slots r.cfg.seed (plant_to_string r.cfg.plant)
        (schedule_to_string r.shrunk));
   if r.log_tail <> [] then begin
     Buffer.add_string buf

@@ -373,25 +373,33 @@ let test_stress_passes () =
       List.iter
         (fun seed ->
           let cfg = { Mpk_check.Stress.default_config with hw_keys; seed } in
-          let ops = Mpk_check.Stress.gen_ops cfg 400 in
-          match Mpk_check.Stress.run cfg ops with
-          | Mpk_check.Stress.Passed _ -> ()
-          | Mpk_check.Stress.Failed f ->
-              let minimized = Mpk_check.Stress.minimize cfg ops in
-              Alcotest.fail
-                (Mpk_check.Stress.report cfg ~ops_total:400 f minimized))
+          match Mpk_check.Stress.check cfg ~ops:400 with
+          | Ok _ -> ()
+          | Error report -> Alcotest.fail report)
         [ 1L; 2L; 3L ])
     [ 1; 4; 15 ]
 
+(* [check] reports what each armed fault point did; the injection
+   registry itself is reset when the run ends. *)
+let test_stress_fault_stats () =
+  let cfg = Mpk_check.Stress.default_config in
+  let check cfg =
+    match Mpk_check.Stress.check cfg ~ops:200 with
+    | Ok p -> p.Mpk_check.Stress.fired
+    | Error report -> Alcotest.fail report
+  in
+  Alcotest.(check int) "no plan armed, no stats" 0 (List.length (check cfg));
+  match check { cfg with faults = [ ("key_cache.full", Mpk_faultinj.Once 0) ] } with
+  | [ s ] ->
+      Alcotest.(check string) "the armed point" "key_cache.full" s.Mpk_faultinj.name;
+      Alcotest.(check int) "fired once" 1 s.Mpk_faultinj.fired
+  | l -> Alcotest.failf "expected one armed point, got %d" (List.length l)
+
 let test_stress_deterministic () =
   let cfg = { Mpk_check.Stress.default_config with seed = 42L } in
-  let show ops = String.concat "|" (List.map Mpk_check.Stress.show_op ops) in
-  Alcotest.(check string) "same seed, same ops"
-    (show (Mpk_check.Stress.gen_ops cfg 50))
-    (show (Mpk_check.Stress.gen_ops cfg 50));
-  Alcotest.(check bool) "different seeds diverge" true
-    (show (Mpk_check.Stress.gen_ops cfg 50)
-    <> show (Mpk_check.Stress.gen_ops { cfg with seed = 43L } 50))
+  let gen cfg = Mpk_check.Stress.gen_ops cfg 50 in
+  Alcotest.(check bool) "same seed, same ops" true (gen cfg = gen cfg);
+  Alcotest.(check bool) "different seeds diverge" true (gen cfg <> gen { cfg with seed = 43L })
 
 let () =
   Alcotest.run "check"
@@ -434,5 +442,6 @@ let () =
         [
           Alcotest.test_case "passes across key regimes" `Slow test_stress_passes;
           Alcotest.test_case "deterministic generation" `Quick test_stress_deterministic;
+          Alcotest.test_case "check reports armed fault points" `Quick test_stress_fault_stats;
         ] );
     ]

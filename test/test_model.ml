@@ -15,41 +15,32 @@
 
 open Mpk_hw
 open Mpk_kernel
+open Mpk_analysis
+module Stress = Mpk_check.Stress
 
-let page = Physmem.page_size
-
-type op =
-  | Mmap of int  (* vkey *)
-  | Munmap of int
-  | Begin of int * int  (* vkey, thread *)
-  | End of int * int
-  | Mprotect of int * int  (* vkey, prot selector *)
-  | Touch of int * int  (* vkey, thread: benign read attempt *)
-
-let show_op = function
-  | Mmap v -> Printf.sprintf "mmap %d" v
-  | Munmap v -> Printf.sprintf "munmap %d" v
-  | Begin (v, t) -> Printf.sprintf "begin %d @t%d" v t
-  | End (v, t) -> Printf.sprintf "end %d @t%d" v t
-  | Mprotect (v, p) -> Printf.sprintf "mprotect %d p%d" v p
-  | Touch (v, t) -> Printf.sprintf "touch %d @t%d" v t
-
-let gen_op =
+(* Traffic is analyzer IR steps, run by the stress driver's executor.
+   Group-wide calls (mmap, munmap, mprotect) come from thread 0. *)
+let gen_step =
   QCheck.Gen.(
     let vkey = int_range 1 6 in
     let thread = int_range 0 1 in
+    let step stid sop = { Lint.stid; sop } in
     oneof
       [
-        map (fun v -> Mmap v) vkey;
-        map (fun v -> Munmap v) vkey;
-        map2 (fun v t -> Begin (v, t)) vkey thread;
-        map2 (fun v t -> End (v, t)) vkey thread;
-        map2 (fun v p -> Mprotect (v, p)) vkey (int_range 0 2);
-        map2 (fun v t -> Touch (v, t)) vkey thread;
+        map (fun vkey -> step 0 (Ir.Mmap { vkey; pages = 1; prot = Perm.rw })) vkey;
+        map (fun vkey -> step 0 (Ir.Free { vkey })) vkey;
+        map2 (fun vkey t -> step t (Ir.Begin { vkey; prot = Perm.rw })) vkey thread;
+        map2 (fun vkey t -> step t (Ir.End { vkey })) vkey thread;
+        map2
+          (fun vkey prot -> step 0 (Ir.Mprotect { vkey; prot }))
+          vkey
+          (oneofl [ Perm.none; Perm.r; Perm.rw ]);
+        map2 (fun vkey t -> step t (Ir.Read { vkey })) vkey thread;
       ])
 
-let arb_ops = QCheck.make ~print:(fun l -> String.concat "; " (List.map show_op l))
-    QCheck.Gen.(list_size (int_range 1 60) gen_op)
+let arb_steps =
+  QCheck.make ~print:(fun l -> String.concat "; " (List.map Lint.step_to_string l))
+    QCheck.Gen.(list_size (int_range 1 60) gen_step)
 
 (* The model: what we believe each group's state is. *)
 type mgroup = {
@@ -59,18 +50,14 @@ type mgroup = {
   mutable payload : char;
 }
 
-let prot_of_selector = function 0 -> Perm.none | 1 -> Perm.r | _ -> Perm.rw
-
-let run_sequence ?(hw_keys = 15) ops =
-  let machine = Machine.create ~cores:3 ~mem_mib:128 () in
-  let proc = Proc.create machine in
-  let t0 = Proc.spawn proc ~core_id:0 () in
-  let t1 = Proc.spawn proc ~core_id:1 () in
-  let threads = [| t0; t1 |] in
-  let mpk = Libmpk.init ~hw_keys ~evict_rate:1.0 proc t0 in
+let run_sequence ?(hw_keys = 15) steps =
+  let env = Stress.make_env { Stress.default_config with hw_keys } ~cores:3 in
+  let mpk = env.Stress.mpk and proc = env.Stress.proc in
+  let threads = [| Stress.task env 0; Stress.task env 1 |] in
+  let t0 = threads.(0) in
   let mmu = Proc.mmu proc in
   let model : (int, mgroup) Hashtbl.t = Hashtbl.create 8 in
-  let fail op msg = failwith (Printf.sprintf "[%s] %s" (show_op op) msg) in
+  let fail s msg = failwith (Printf.sprintf "[%s] %s" (Lint.step_to_string s) msg) in
 
   let readable_by g thread =
     (* what the model says this thread may read *)
@@ -117,11 +104,13 @@ let run_sequence ?(hw_keys = 15) ops =
   in
 
   List.iter
-    (fun op ->
-      (match op with
-      | Mmap vkey ->
+    (fun (s : Lint.step) ->
+      let exec () = Stress.exec_step env s in
+      (match s.Lint.sop with
+      | Ir.Mmap { vkey; _ } ->
           if not (Hashtbl.mem model vkey) then begin
-            let addr = Libmpk.mpk_mmap mpk t0 ~vkey ~len:page ~prot:Perm.rw in
+            exec ();
+            let addr = (Option.get (Libmpk.find_group mpk vkey)).Libmpk.Group.base in
             (* write an identifying byte through a temporary domain; under
                extreme key pressure the begin may legitimately fail, in
                which case the group keeps its zeroed contents *)
@@ -137,30 +126,28 @@ let run_sequence ?(hw_keys = 15) ops =
             Hashtbl.replace model vkey
               { addr; global_prot = None; open_by = Hashtbl.create 2; payload }
           end
-      | Munmap vkey -> (
+      | Ir.Free { vkey } -> (
           match Hashtbl.find_opt model vkey with
           | Some g when Hashtbl.fold (fun _ d acc -> acc + d) g.open_by 0 = 0 ->
-              Libmpk.mpk_munmap mpk t0 ~vkey;
+              exec ();
               Hashtbl.remove model vkey
           | Some _ | None -> ())
-      | Begin (vkey, thread) -> (
+      | Ir.Begin { vkey; _ } -> (
           match Hashtbl.find_opt model vkey with
           | Some g -> (
-              let task = threads.(thread) in
-              match Libmpk.mpk_begin mpk task ~vkey ~prot:Perm.rw with
+              match exec () with
               | () ->
-                  let tid = Task.id task in
+                  let tid = Task.id threads.(s.Lint.stid) in
                   Hashtbl.replace g.open_by tid
                     (1 + Option.value ~default:0 (Hashtbl.find_opt g.open_by tid))
               | exception Libmpk.Key_exhausted -> ())
           | None -> ())
-      | End (vkey, thread) -> (
+      | Ir.End { vkey } -> (
           match Hashtbl.find_opt model vkey with
           | Some g -> (
-              let task = threads.(thread) in
-              let tid = Task.id task in
+              let tid = Task.id threads.(s.Lint.stid) in
               let depth = Option.value ~default:0 (Hashtbl.find_opt g.open_by tid) in
-              match Libmpk.mpk_end mpk task ~vkey with
+              match exec () with
               | () ->
                   if depth = 0 then failwith "mpk_end accepted without begin";
                   if depth = 1 then Hashtbl.remove g.open_by tid
@@ -168,37 +155,30 @@ let run_sequence ?(hw_keys = 15) ops =
               | exception Errno.Error (Errno.EINVAL, _) ->
                   if depth > 0 then failwith "mpk_end rejected a legitimate end")
           | None -> ())
-      | Mprotect (vkey, sel) -> (
+      | Ir.Mprotect { vkey; prot } -> (
           match Hashtbl.find_opt model vkey with
           | Some g
             when Hashtbl.fold (fun _ d acc -> acc + d) g.open_by 0 = 0 ->
-              let prot = prot_of_selector sel in
-              Libmpk.mpk_mprotect mpk t0 ~vkey ~prot;
+              exec ();
               g.global_prot <- Some prot
           | Some _ | None -> ())
-      | Touch (vkey, thread) -> (
-          match Hashtbl.find_opt model vkey with
-          | Some g ->
-              ignore
-                (match Mmu.read_byte mmu (Task.core threads.(thread)) ~addr:g.addr with
-                | (_ : char) -> ()
-                | exception Signal.Killed _ -> ())
-          | None -> ()));
-      check_invariants op)
-    ops;
+      | Ir.Read { vkey } ->
+          if Hashtbl.mem model vkey then (try exec () with Signal.Killed _ -> ())
+      | _ -> ());
+      check_invariants s)
+    steps;
   true
 
 let model_fuzz =
   QCheck.Test.make ~name:"libmpk invariants hold under random API sequences" ~count:500
-    arb_ops
-    (fun ops -> run_sequence ops)
+    arb_steps run_sequence
 
 (* Two hardware keys for six groups: nearly every begin evicts, so the
    recycle/scrub/retag paths run constantly. *)
 let model_fuzz_key_pressure =
   QCheck.Test.make ~name:"invariants hold under extreme key pressure (2 hw keys)"
-    ~count:500 arb_ops
-    (fun ops -> run_sequence ~hw_keys:2 ops)
+    ~count:500 arb_steps
+    (fun steps -> run_sequence ~hw_keys:2 steps)
 
 let () =
   Alcotest.run "model"

@@ -15,6 +15,11 @@ let cfg = Torture.default_config
    guarantee. *)
 let sweep_budget c = Torture.sweep ~entries:48 ~rounds:16 ~seeds:8 c
 
+let contains hay needle =
+  let nl = String.length needle in
+  let rec at i = i + nl <= String.length hay && (String.sub hay i nl = needle || at (i + 1)) in
+  at 0
+
 let outcome_fingerprint (o : Torture.outcome) =
   Printf.sprintf "ok=%b reason=%s ops=%d benign=%d points=%d cycles=%h log=%s"
     o.Torture.ok
@@ -110,23 +115,21 @@ let test_planted_lock_order_found () =
   match r.Torture.failure with
   | None -> Alcotest.fail "planted AB/BA inversion not found"
   | Some f ->
-      let mentions_inversion =
-        List.exists
-          (fun line ->
-            String.length line >= 9
-            && (let found = ref false in
-                String.iteri
-                  (fun i _ ->
-                    if
-                      i + 9 <= String.length line
-                      && String.sub line i 9 = "inversion"
-                    then found := true)
-                  line;
-                !found))
-          (f.Torture.reason :: f.Torture.log_tail)
-      in
       Alcotest.(check bool) "lockdep reports an ordering inversion" true
-        mentions_inversion
+        (List.exists
+           (fun line -> contains line "inversion")
+           (f.Torture.reason :: f.Torture.log_tail))
+
+(* The replay line must carry every config field the run depends on, or
+   it replays a different run: a failure found at 2 slots prints
+   --slots 2. *)
+let test_reproducer_names_slots () =
+  let c = { cfg with Torture.slots = 2; plant = Torture.Plant_recycle } in
+  match (sweep_budget c).Torture.failure with
+  | None -> Alcotest.fail "planted use-after-recycle not found at 2 slots"
+  | Some f ->
+      Alcotest.(check bool) "replay line names --slots 2" true
+        (contains (Torture.render_report f) "--slots 2 ")
 
 let test_planted_release_held_found () =
   let c = { cfg with Torture.plant = Torture.Plant_release_held } in
@@ -247,7 +250,7 @@ let expect_confirmed plant =
       Alcotest.(check string)
         (Mm_model.plant_to_string plant ^ " witness confirms")
         "CONFIRMED"
-        (Mpk_check.Replay.verdict_to_string o.Witness.verdict);
+        (Witness.verdict_to_string o.Witness.verdict);
       Alcotest.(check bool) "a confirming schedule is returned" true
         (o.Witness.schedule <> None)
 
@@ -299,6 +302,8 @@ let () =
             test_planted_lock_order_found;
           Alcotest.test_case "release-not-held found" `Quick
             test_planted_release_held_found;
+          Alcotest.test_case "reproducer names a non-default slot count" `Quick
+            test_reproducer_names_slots;
         ] );
       ( "clean",
         [

@@ -437,17 +437,17 @@ let test_stress_failure_carries_blackbox () =
   (* An invariant violation needs a real bug to trigger, so plant a
      synthetic failure record and check the report renders its black
      box. *)
+  let step = { Mpk_analysis.Lint.stid = 0; sop = Mpk_analysis.Ir.Read { vkey = 1 } } in
   let failure =
     {
       Mpk_check.Stress.index = 3;
-      op = Mpk_check.Stress.Touch { vkey = 1; task = 0 };
+      step;
       kind = Mpk_check.Stress.Crash "Boom";
       blackbox = [ "#1 fake event"; "#2 fake event" ];
     }
   in
   let report =
-    Mpk_check.Stress.report Mpk_check.Stress.default_config ~ops_total:10 failure
-      [ Mpk_check.Stress.Touch { vkey = 1; task = 0 } ]
+    Mpk_check.Stress.report Mpk_check.Stress.default_config ~ops_total:10 failure [ step ]
   in
   let has needle =
     let nl = String.length needle and hl = String.length report in
