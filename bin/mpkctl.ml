@@ -38,10 +38,9 @@ open Cmdliner
 let list_cmd =
   let doc = "List the paper's tables and figures that can be regenerated." in
   let run () =
-    List.iter
-      (fun e ->
-        Printf.printf "%-8s %s\n" e.Mpk_experiments.Report.id e.Mpk_experiments.Report.title)
-      Mpk_experiments.Report.all;
+    let open Mpk_experiments.Report in
+    let width = List.fold_left (fun w e -> max w (String.length e.id)) 0 all in
+    List.iter (fun e -> Printf.printf "%-*s %s\n" width e.id e.title) all;
     0
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
@@ -52,20 +51,17 @@ let run_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"experiment ids, e.g. fig8 table1")
   in
   let run ids =
-    match ids with
+    let open Mpk_experiments.Report in
+    (* every id is checked before anything runs *)
+    match List.filter (fun id -> Option.is_none (find id)) ids with
     | [] ->
-        Mpk_experiments.Report.run_all ();
+        List.iter run_experiment (if ids = [] then all else List.filter_map find ids);
         0
-    | ids ->
-        let ok =
-          List.for_all
-            (fun id ->
-              let found = Mpk_experiments.Report.run_one id in
-              if not found then Printf.eprintf "unknown experiment %S (try `mpkctl list`)\n" id;
-              found)
-            ids
-        in
-        if ok then 0 else 2
+    | unknown ->
+        List.iter
+          (fun id -> Printf.eprintf "unknown experiment %S (try `mpkctl list`)\n" id)
+          unknown;
+        2
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ ids)
 
@@ -272,6 +268,16 @@ let write_validated_perfetto path events =
       Printf.eprintf "mpkctl: %s: %s\n" path e;
       false
 
+(* Every plain-text artifact: an unwritable path is reported as
+   "mpkctl: CMD: PATH: reason" and fails the command like a failed JSON
+   export, instead of escaping as an exception. *)
+let write_text ~cmd path content =
+  match Out_channel.with_open_text path (fun oc -> output_string oc content) with
+  | () -> true
+  | exception Sys_error e ->
+      Printf.eprintf "mpkctl: %s: %s\n" cmd e;
+      false
+
 let trace_cmd =
   let doc =
     "Record a cross-layer event trace of a scenario (demo: a short libmpk workout; \
@@ -380,23 +386,15 @@ let profile_run_cmd =
         let json_path =
           match json_out with Some p -> p | None -> Printf.sprintf "PROFILE_%s.json" id
         in
-        Mpk_trace.Metrics.reset ();
-        Mpk_trace.Tracer.clear ();
-        if perfetto_out <> None then Mpk_trace.Tracer.enable ();
-        Mpk_trace.Prof.reset ();
-        Mpk_trace.Prof.enable ();
-        Mpk_hw.Cpu.reset_total_charged ();
-        let rendered = e.Mpk_experiments.Report.run () in
-        Mpk_trace.Prof.disable ();
+        let rendered, exact =
+          Mpk_bench.Runner.observe ~trace:(perfetto_out <> None)
+            e.Mpk_experiments.Report.render
+        in
         let attributed = Mpk_trace.Prof.total_recorded () in
         let charged = Mpk_hw.Cpu.total_charged () in
         print_string rendered;
         print_newline ();
         print_string (Mpk_trace.Prof.render ());
-        (* [charge] feeds both totals with the same additions from the
-           same reset point, so any difference at all means a charge
-           escaped attribution. *)
-        let exact = Float.equal attributed charged in
         Printf.printf "attributed %.1f cycles, machine charged %.1f cycles: %s\n"
           attributed charged
           (if exact then "exact match" else "MISMATCH");
@@ -421,13 +419,14 @@ let profile_run_cmd =
               Printf.eprintf "mpkctl: profile: %s\n" err;
               false
         in
-        (match folded_out with
-        | None -> ()
-        | Some p ->
-            let oc = open_out p in
-            output_string oc (Mpk_trace.Prof.folded ());
-            close_out oc;
-            Printf.printf "wrote %s\n" p);
+        let folded_ok =
+          match folded_out with
+          | None -> true
+          | Some p ->
+              let ok = write_text ~cmd:"profile" p (Mpk_trace.Prof.folded ()) in
+              if ok then Printf.printf "wrote %s\n" p;
+              ok
+        in
         let perfetto_ok =
           match perfetto_out with
           | None -> true
@@ -437,7 +436,7 @@ let profile_run_cmd =
               Mpk_trace.Tracer.clear ();
               ok
         in
-        if exact && json_ok && perfetto_ok then 0 else 1
+        if exact && json_ok && folded_ok && perfetto_ok then 0 else 1
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ id $ json_out $ perfetto_out $ folded_out)
 
@@ -479,14 +478,14 @@ let profile_diff_cmd =
     "Differential profiling: re-run one benchmark scenario at the committed \
      baseline's seed and align the fresh attribution tree against the baseline's \
      by label path, reporting per-node self/total-cycle and call-count deltas \
-     (added/removed/renamed nodes flagged explicitly). Exits 2 when the baseline \
-     is missing or malformed."
+     (added/removed/renamed nodes flagged explicitly). Exits 2 on an unknown id \
+     or when the baseline is missing, malformed or another experiment's."
   in
   let id =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"ID" ~doc:"bench id: fig8, table1, scale or fig14")
+      & info [] ~docv:"ID" ~doc:"bench id: table1, fig8, fig14 or scale")
   in
   let baseline =
     Arg.(
@@ -500,7 +499,9 @@ let profile_diff_cmd =
       match baseline with Some p -> p | None -> Printf.sprintf "BENCH_%s.json" id
     in
     match
-      Result.bind (Mpk_bench.Io.read ~path Mpk_bench.Io.Bench) Mpk_bench.Runner.of_json
+      if List.mem_assoc id Mpk_experiments.Report.gated then
+        Mpk_bench.Io.read_baseline ~id ~path
+      else Error (Printf.sprintf "unknown bench id %S" id)
     with
     | Error e ->
         Printf.eprintf "mpkctl: profile diff: %s\n" e;
@@ -608,39 +609,7 @@ let scale_cmd =
         Mpk_kvstore.Scale.run ~mode ~cores ~open_rates ~smoke
           ~seed:(Int64.of_int seed) ()
       in
-      List.iter
-        (fun (p : Mpk_kvstore.Scale.point) ->
-          let b = p.Mpk_kvstore.Scale.batched in
-          let u = p.Mpk_kvstore.Scale.per_update in
-          Printf.printf
-            "cores=%d  batched: %.0f req/s p50=%.0f p99=%.0f cycles ipi_events=%d | \
-             per-update: %.0f req/s p99=%.0f ipi_events=%d\n"
-            p.Mpk_kvstore.Scale.cores b.Mpk_kvstore.Loadgen.throughput_rps
-            b.Mpk_kvstore.Loadgen.p50_cycles b.Mpk_kvstore.Loadgen.p99_cycles
-            p.Mpk_kvstore.Scale.ipi_events_batched u.Mpk_kvstore.Loadgen.throughput_rps
-            u.Mpk_kvstore.Loadgen.p99_cycles p.Mpk_kvstore.Scale.ipi_events_per_update)
-        report.Mpk_kvstore.Scale.points;
-      (match report.Mpk_kvstore.Scale.open_loop with
-      | None -> ()
-      | Some s ->
-          List.iter
-            (fun (p : Mpk_kvstore.Scale.open_point) ->
-              let r = p.Mpk_kvstore.Scale.op_result in
-              Printf.printf
-                "open-loop rate=%d  %.0f req/s p50=%.0f p99=%.0f cycles \
-                 dropped=%d/%d\n"
-                p.Mpk_kvstore.Scale.op_rate r.Mpk_kvstore.Loadgen.throughput_rps
-                r.Mpk_kvstore.Loadgen.p50_cycles r.Mpk_kvstore.Loadgen.p99_cycles
-                r.Mpk_kvstore.Loadgen.dropped_conns
-                r.Mpk_kvstore.Loadgen.offered_conns)
-            s.Mpk_kvstore.Scale.os_points;
-          (match s.Mpk_kvstore.Scale.os_knee with
-          | Some rate ->
-              Printf.printf "open-loop latency knee: %d conns/s (%d cores)\n" rate
-                s.Mpk_kvstore.Scale.os_cores
-          | None ->
-              Printf.printf "open-loop latency knee: beyond swept range (%d cores)\n"
-                s.Mpk_kvstore.Scale.os_cores));
+      print_string (Mpk_kvstore.Scale.render report);
       let problems = Mpk_kvstore.Scale.problems report in
       List.iter (fun m -> Printf.eprintf "mpkctl: scale: %s\n" m) problems;
       let json =
@@ -677,12 +646,12 @@ let scale_cmd =
 let bench_ids_arg =
   Arg.(
     value
-    & opt (list string) Mpk_bench.Scenario.ids
+    & opt (list string) (List.map fst Mpk_experiments.Report.gated)
     & info [ "ids" ] ~docv:"ID,ID,..."
-        ~doc:"benchmark ids to run (default: fig8,table1,scale,fig14)")
+        ~doc:"benchmark ids to run (default: every gated experiment)")
 
 let check_bench_ids ids =
-  List.filter (fun id -> not (Mpk_bench.Scenario.known id)) ids
+  List.filter (fun id -> not (List.mem_assoc id Mpk_experiments.Report.gated)) ids
 
 let print_bench_report (r : Mpk_bench.Runner.report) =
   let seed = r.Mpk_bench.Runner.r_seed and trials = r.Mpk_bench.Runner.r_trials in
@@ -699,8 +668,8 @@ let print_bench_report (r : Mpk_bench.Runner.report) =
           (fun (ms : Mpk_bench.Runner.metric_samples) ->
             ms.Mpk_bench.Runner.ms_name
             :: (match ms.Mpk_bench.Runner.ms_direction with
-               | Mpk_bench.Scenario.Lower_better -> "lower"
-               | Mpk_bench.Scenario.Higher_better -> "higher")
+               | Mpk_experiments.Env.Lower_better -> "lower"
+               | Mpk_experiments.Env.Higher_better -> "higher")
             :: List.map Mpk_util.Table.float_cell ms.Mpk_bench.Runner.ms_samples)
           r.Mpk_bench.Runner.r_metrics));
   Printf.printf "\nattribution: %s\n"
@@ -803,11 +772,7 @@ let bench_diff_cmd =
           List.filter_map
             (fun id ->
               let path = Filename.concat baseline_dir ("BENCH_" ^ id ^ ".json") in
-              match
-                Result.bind
-                  (Mpk_bench.Io.read ~path Mpk_bench.Io.Bench)
-                  Mpk_bench.Runner.of_json
-              with
+              match Mpk_bench.Io.read_baseline ~id ~path with
               | Error e ->
                   Printf.eprintf "mpkctl: bench diff: %s\n" e;
                   usage_error := true;
@@ -972,10 +937,8 @@ let torture_cmd =
             | Some rep ->
                 let report = Mpk_check.Torture.render_report rep in
                 print_string report;
-                let oc = open_out out in
-                output_string oc report;
-                close_out oc;
-                Printf.printf "wrote %s\n" out;
+                if write_text ~cmd:"torture" out report then
+                  Printf.printf "wrote %s\n" out;
                 Printf.eprintf "mpkctl: torture: failure found\n";
                 1))
   in
@@ -1367,16 +1330,17 @@ let coredump_capture_cmd =
                 let path =
                   match out with Some p -> p | None -> Mpk_coredump.Dump.filename dump
                 in
-                let oc = open_out path in
-                output_string oc (Mpk_coredump.Dump.to_string dump);
-                close_out oc;
-                Printf.printf "wrote %s (%d sections, policy %s)\n" path
-                  (List.length dump.Mpk_coredump.Dump.sections)
-                  (Mpk_coredump.Dump.policy_to_string policy);
-                if key_opt = None then
-                  Printf.printf "key: %s (derived from seed %Ld)\n"
-                    (Mpk_util.Hex.encode key) seed;
-                0))
+                let dumped = Mpk_coredump.Dump.to_string dump in
+                if write_text ~cmd:"coredump" path dumped then begin
+                  Printf.printf "wrote %s (%d sections, policy %s)\n" path
+                    (List.length dump.Mpk_coredump.Dump.sections)
+                    (Mpk_coredump.Dump.policy_to_string policy);
+                  if key_opt = None then
+                    Printf.printf "key: %s (derived from seed %Ld)\n"
+                      (Mpk_util.Hex.encode key) seed;
+                  0
+                end
+                else 1))
   in
   Cmd.v (Cmd.info "capture" ~doc)
     Term.(const run $ policy_arg $ seed_arg $ crash_arg $ key_arg $ out_arg $ sentinel_arg)

@@ -1,4 +1,5 @@
 module J = Mpk_trace.Json
+module Env = Mpk_experiments.Env
 
 type verdict = Improved | Unchanged | Regressed
 
@@ -15,8 +16,8 @@ type pair = { seed : int; base : float; fresh : float }
    both metric polarities. *)
 let harmful direction p =
   match direction with
-  | Scenario.Lower_better -> p.fresh -. p.base
-  | Scenario.Higher_better -> p.base -. p.fresh
+  | Env.Lower_better -> p.fresh -. p.base
+  | Env.Higher_better -> p.base -. p.fresh
 
 (* A multiplication, not a division: a zero baseline gets a zero floor. *)
 let floor p = rel_floor *. Float.abs p.base
@@ -39,7 +40,7 @@ let classify direction pairs =
 
 type metric_verdict = {
   v_name : string;
-  v_direction : Scenario.direction;
+  v_direction : Env.direction;
   v_verdict : verdict;
   v_worst : pair;
 }
@@ -118,8 +119,8 @@ let render d =
         [
           v.v_name;
           (match v.v_direction with
-          | Scenario.Lower_better -> "lower"
-          | Scenario.Higher_better -> "higher");
+          | Env.Lower_better -> "lower"
+          | Env.Higher_better -> "higher");
           string_of_int p.seed;
           cy p.base;
           cy p.fresh;

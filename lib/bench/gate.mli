@@ -21,7 +21,7 @@ val verdict_to_string : verdict -> string
 
 type pair = { seed : int; base : float; fresh : float }
 
-val classify : Scenario.direction -> pair list -> verdict * pair
+val classify : Mpk_experiments.Env.direction -> pair list -> verdict * pair
 (** The verdict and the worst pair: the one that moved furthest the
     harmful way past its floor. A zero baseline sample has a zero floor,
     so any harmful move from it regresses and nothing divides by it.
@@ -29,7 +29,7 @@ val classify : Scenario.direction -> pair list -> verdict * pair
 
 type metric_verdict = {
   v_name : string;
-  v_direction : Scenario.direction;
+  v_direction : Mpk_experiments.Env.direction;
   v_verdict : verdict;
   v_worst : pair;
 }

@@ -25,7 +25,7 @@ let is_obj = function J.Obj _ -> true | _ -> false
 let is_list = function J.List _ -> true | _ -> false
 let is_nonempty_list = function J.List (_ :: _) -> true | _ -> false
 
-let unit_of r = Result.map (fun (_ : J.t) -> ()) r
+let unit_of r = Result.map ignore r
 
 let each_of_list name check j =
   match J.member name j with
@@ -39,18 +39,6 @@ let each_of_list name check j =
       in
       go 0 items
   | Some _ | None -> Error (Printf.sprintf "missing list member %S" name)
-
-(* A bench metric entry: name, direction and the per-trial samples. *)
-let check_metric j =
-  let* _ = require "name" "a string" is_string j in
-  let* dir = require "direction" "a string" is_string j in
-  let* () =
-    match dir with
-    | J.String s ->
-        Result.map (fun (_ : Scenario.direction) -> ()) (Scenario.direction_of_string s)
-    | _ -> Ok ()
-  in
-  unit_of (require "samples" "a non-empty list" is_nonempty_list j)
 
 let check_verdict j =
   let* _ = require "name" "a string" is_string j in
@@ -84,21 +72,7 @@ let validate kind j =
         let* _ = require "points" "a non-empty list" is_nonempty_list j in
         let* _ = require "valid" "a bool" is_bool j in
         unit_of (require "metrics" "a list" is_list j)
-    | Bench ->
-        let* s = require "schema" "a string" is_string j in
-        let* () =
-          match s with
-          | J.String "bench/2" -> Ok ()
-          | _ -> Error "member \"schema\" is not \"bench/2\""
-        in
-        let* _ = require "experiment" "a string" is_string j in
-        let* _ = require "trials" "a number" is_number j in
-        let* _ = require "seed" "a number" is_number j in
-        let* _ = require "smoke" "a bool" is_bool j in
-        let* () = each_of_list "metrics" check_metric j in
-        let* _ = require "attribution_exact" "a bool" is_bool j in
-        let* _ = require "profile" "an object" is_obj j in
-        unit_of (require "registry" "a list" is_list j)
+    | Bench -> unit_of (Runner.of_json j)
     | Bench_diff ->
         let* s = require "schema" "a string" is_string j in
         let* () =
@@ -149,3 +123,11 @@ let read ~path kind =
             Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (validate kind j)
           in
           Ok j)
+
+let read_baseline ~id ~path =
+  let* j = read ~path Bench in
+  let* r = Result.map_error (fun e -> path ^ ": " ^ e) (Runner.of_json j) in
+  if r.Runner.r_id = id then Ok r
+  else
+    Error
+      (Printf.sprintf "%s: baseline of experiment %S, not %S" path r.Runner.r_id id)

@@ -12,8 +12,9 @@ type kind =
   | Perfetto  (** [TRACE_*.json] — Chrome trace_event stream *)
 
 val validate : kind -> Mpk_trace.Json.t -> (unit, string) result
-(** Structural schema check: required members present with the right
-    shapes (non-empty where emptiness would make the artifact useless). *)
+(** Schema check: required members present with the right shapes
+    (non-empty where emptiness would make the artifact useless). A
+    [Bench] report must decode through {!Runner.of_json}. *)
 
 val write : path:string -> kind -> Mpk_trace.Json.t -> (unit, string) result
 (** Serialize (indent 1), strict re-parse, {!validate}, then write. *)
@@ -24,3 +25,8 @@ val write_string : path:string -> kind -> string -> (unit, string) result
 
 val read : path:string -> kind -> (Mpk_trace.Json.t, string) result
 (** Read a file back through parse + {!validate}. *)
+
+val read_baseline : id:string -> path:string -> (Runner.report, string) result
+(** The committed baseline `bench diff` and `profile diff` compare [id]
+    with: {!read} as [Bench], decoded, and rejected unless it records
+    experiment [id]. Every error names [path]. *)

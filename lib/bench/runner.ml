@@ -1,8 +1,9 @@
 module J = Mpk_trace.Json
+module Env = Mpk_experiments.Env
 
 type metric_samples = {
   ms_name : string;
-  ms_direction : Scenario.direction;
+  ms_direction : Env.direction;
   ms_samples : float list;
 }
 
@@ -17,92 +18,76 @@ type report = {
   r_registry : J.t;
 }
 
-(* One trial under a clean observability slate: metrics registry, tracer,
-   profiler and the global cycle accumulator all reset together, so the
-   attribution exactness contract (Prof.total_recorded = Cpu.total_charged,
-   bit-for-bit) holds per trial. *)
-let trial ~id ~seed ~smoke ~keep_snapshot =
+(* A clean observability slate: metrics registry, tracer, profiler and
+   the global cycle accumulator all reset together, so the attribution
+   exactness contract (Prof.total_recorded = Cpu.total_charged,
+   bit-for-bit) holds for [f] alone. [charge] feeds both totals with
+   the same additions from the same reset point, so any difference at
+   all means a charge escaped attribution. *)
+let observe ?(trace = false) f =
   Mpk_trace.Metrics.reset ();
   Mpk_trace.Tracer.disable ();
   Mpk_trace.Tracer.clear ();
+  if trace then Mpk_trace.Tracer.enable ();
   Mpk_trace.Prof.reset ();
   Mpk_trace.Prof.enable ();
   Mpk_hw.Cpu.reset_total_charged ();
-  let metrics = Scenario.run ~id ~seed ~smoke in
-  Mpk_trace.Prof.disable ();
-  let exact =
-    Float.equal (Mpk_trace.Prof.total_recorded ()) (Mpk_hw.Cpu.total_charged ())
-  in
-  let extras =
-    if keep_snapshot then
-      Some (Mpk_trace.Prof.snapshot (), Mpk_trace.Metrics.export_json ())
-    else None
-  in
-  metrics, exact, extras
+  let result = Fun.protect ~finally:Mpk_trace.Prof.disable f in
+  result, Float.equal (Mpk_trace.Prof.total_recorded ()) (Mpk_hw.Cpu.total_charged ())
 
 let run ~id ~trials ~seed ~smoke =
-  if not (Scenario.known id) then Error (Printf.sprintf "unknown bench id %S" id)
-  else if trials < 1 then Error "trials must be >= 1"
-  else
-    match
-      let names = ref [] in
-      let directions = ref [] in
-      let samples : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
-      let exact = ref true in
-      let snapshot = ref None in
-      for t = 0 to trials - 1 do
-        let metrics, trial_exact, extras =
-          trial ~id ~seed:(seed + t) ~smoke ~keep_snapshot:(t = 0)
-        in
-        if not trial_exact then exact := false;
-        (match extras with Some e -> snapshot := Some e | None -> ());
-        let trial_names = List.map (fun m -> m.Scenario.name) metrics in
-        if t = 0 then begin
-          names := trial_names;
-          directions :=
-            List.map (fun m -> m.Scenario.name, m.Scenario.direction) metrics
-        end
-        else if trial_names <> !names then
-          failwith
-            (Printf.sprintf "trial %d changed the metric set for %s" t id);
-        List.iter
-          (fun (m : Scenario.metric) ->
-            if not (Float.is_finite m.Scenario.value) then
-              failwith (Printf.sprintf "metric %s is not finite" m.Scenario.name);
-            match Hashtbl.find_opt samples m.Scenario.name with
-            | Some l -> l := m.Scenario.value :: !l
-            | None -> Hashtbl.replace samples m.Scenario.name (ref [ m.Scenario.value ]))
-          metrics
-      done;
-      let profile, registry =
-        match !snapshot with
-        | Some (p, r) -> p, r
-        | None -> assert false (* trials >= 1 always keeps trial 0 *)
-      in
-      let metrics =
-        List.map
-          (fun name ->
-            {
-              ms_name = name;
-              ms_direction = List.assoc name !directions;
-              ms_samples = List.rev !(Hashtbl.find samples name);
-            })
-          !names
-      in
-      {
-        r_id = id;
-        r_trials = trials;
-        r_seed = seed;
-        r_smoke = smoke;
-        r_metrics = metrics;
-        r_attribution_exact = !exact;
-        r_profile = profile;
-        r_registry = registry;
-      }
-    with
-    | exception Failure msg -> Error msg
-    | exception Invalid_argument msg -> Error msg
-    | report -> Ok report
+  match List.assoc_opt id Mpk_experiments.Report.gated with
+  | None -> Error (Printf.sprintf "unknown bench id %S" id)
+  | Some _ when trials < 1 -> Error "trials must be >= 1"
+  | Some metrics -> (
+      match
+        List.init trials (fun t ->
+            let ms, exact = observe (fun () -> metrics ~seed:(seed + t) ~smoke) in
+            List.iter
+              (fun (m : Env.metric) ->
+                if not (Float.is_finite m.value) then
+                  failwith (Printf.sprintf "metric %s is not finite" m.name))
+              ms;
+            (* trial 0 keeps its attribution tree and registry export *)
+            let kept =
+              if t = 0 then
+                Some (Mpk_trace.Prof.snapshot (), Mpk_trace.Metrics.export_json ())
+              else None
+            in
+            ms, exact, kept)
+      with
+      | exception (Failure msg | Invalid_argument msg) -> Error msg
+      | per_trial -> (
+          let first, _, kept = List.hd per_trial in
+          let names ms = List.map (fun (m : Env.metric) -> m.name) ms in
+          match List.find_index (fun (ms, _, _) -> names ms <> names first) per_trial with
+          | Some t -> Error (Printf.sprintf "trial %d changed the metric set for %s" t id)
+          | None ->
+              let profile, registry = Option.get kept in
+              (* transpose: metric [i]'s samples are every trial's [i]th value *)
+              let samples i =
+                List.map (fun (ms, _, _) -> (List.nth ms i).Env.value) per_trial
+              in
+              Ok
+                {
+                  r_id = id;
+                  r_trials = trials;
+                  r_seed = seed;
+                  r_smoke = smoke;
+                  r_metrics =
+                    List.mapi
+                      (fun i (m : Env.metric) ->
+                        {
+                          ms_name = m.name;
+                          ms_direction = m.direction;
+                          ms_samples = samples i;
+                        })
+                      first;
+                  r_attribution_exact =
+                    List.for_all (fun (_, exact, _) -> exact) per_trial;
+                  r_profile = profile;
+                  r_registry = registry;
+                }))
 
 let to_json r =
   J.Obj
@@ -119,7 +104,7 @@ let to_json r =
                J.Obj
                  [
                    "name", J.String ms.ms_name;
-                   "direction", J.String (Scenario.direction_to_string ms.ms_direction);
+                   "direction", J.String (Env.direction_to_string ms.ms_direction);
                    "samples", J.List (List.map (fun v -> J.Float v) ms.ms_samples);
                  ])
              r.r_metrics) );
@@ -130,75 +115,66 @@ let to_json r =
 
 let ( let* ) = Result.bind
 
-let member_err name j =
-  match J.member name j with
+(* A member decoded by [conv], or an error naming what was expected. *)
+let field name what conv j =
+  match Option.bind (J.member name j) conv with
   | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing member %S" name)
+  | None -> Error (Printf.sprintf "missing %s %S" what name)
 
-let number_err name j =
-  match Option.bind (J.member name j) J.to_number with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing number %S" name)
+let string_field name = field name "string" J.to_string_opt
+let number_field name = field name "number" J.to_number
+let bool_field name = field name "bool" (function J.Bool b -> Some b | _ -> None)
 
-let string_err name j =
-  match Option.bind (J.member name j) J.to_string_opt with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing string %S" name)
-
-let bool_err name j =
-  match J.member name j with
-  | Some (J.Bool b) -> Ok b
-  | Some _ | None -> Error (Printf.sprintf "missing bool %S" name)
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
 
 let of_json j =
-  let* id = string_err "experiment" j in
-  let* trials = number_err "trials" j in
-  let trials = int_of_float trials in
-  let* () = if trials < 1 then Error "trials must be >= 1" else Ok () in
-  let* seed = number_err "seed" j in
-  let* smoke = bool_err "smoke" j in
-  let* exact = bool_err "attribution_exact" j in
-  let* metrics_json =
-    match Option.bind (J.member "metrics" j) J.to_list with
-    | Some l -> Ok l
-    | None -> Error "missing list \"metrics\""
+  let* schema = string_field "schema" j in
+  let* () =
+    if schema = "bench/2" then Ok ()
+    else Error (Printf.sprintf "schema %S is not \"bench/2\"" schema)
   in
+  let* id = string_field "experiment" j in
+  let* trials = Result.map int_of_float (number_field "trials" j) in
+  let* () = if trials < 1 then Error "trials must be >= 1" else Ok () in
+  let* seed = number_field "seed" j in
+  let* smoke = bool_field "smoke" j in
+  let* exact = bool_field "attribution_exact" j in
+  let* metrics_json = field "metrics" "list" J.to_list j in
   let* metrics =
-    List.fold_left
-      (fun acc mj ->
-        let* acc = acc in
-        let* name = string_err "name" mj in
-        let* dir_s = string_err "direction" mj in
-        let* dir = Scenario.direction_of_string dir_s in
+    map_result
+      (fun mj ->
+        let* name = string_field "name" mj in
+        let* direction =
+          Result.bind (string_field "direction" mj) Env.direction_of_string
+        in
+        let bad = Printf.sprintf "metric %s: missing or bad samples" name in
+        let* samples_json =
+          Option.to_result ~none:bad (Option.bind (J.member "samples" mj) J.to_list)
+        in
         let* samples =
-          match Option.bind (J.member "samples" mj) J.to_list with
-          | Some l ->
-              List.fold_left
-                (fun acc v ->
-                  let* acc = acc in
-                  match J.to_number v with
-                  | Some f -> Ok (f :: acc)
-                  | None -> Error (Printf.sprintf "metric %s: bad sample" name))
-                (Ok []) l
-              |> Result.map List.rev
-          | None -> Error (Printf.sprintf "metric %s: missing samples" name)
+          map_result (fun v -> Option.to_result ~none:bad (J.to_number v)) samples_json
         in
         (* sample [t] pairs with fresh trial [t], so a short or long
            sample list would pair the wrong seeds *)
-        let* () =
-          if List.length samples = trials then Ok ()
-          else
-            Error
-              (Printf.sprintf "metric %s: %d samples for %d trials" name
-                 (List.length samples) trials)
-        in
-        Ok ({ ms_name = name; ms_direction = dir; ms_samples = samples } :: acc))
-      (Ok []) metrics_json
-    |> Result.map List.rev
+        if List.length samples = trials then
+          Ok { ms_name = name; ms_direction = direction; ms_samples = samples }
+        else
+          Error
+            (Printf.sprintf "metric %s: %d samples for %d trials" name
+               (List.length samples) trials))
+      metrics_json
   in
-  let* profile_json = member_err "profile" j in
-  let* profile = Mpk_trace.Prof.snapshot_of_json profile_json in
-  let* registry = member_err "registry" j in
+  let* profile =
+    Result.bind (field "profile" "member" Option.some j) Mpk_trace.Prof.snapshot_of_json
+  in
+  let* registry =
+    field "registry" "list" (function J.List _ as l -> Some l | _ -> None) j
+  in
   Ok
     {
       r_id = id;

@@ -1,11 +1,12 @@
-(** Multi-trial benchmark runner: re-run a scenario across varied seeds
-    under the cycle-attribution profiler, keep every metric's per-trial
-    samples, and keep the trial-0 attribution tree and metrics-registry
-    export so the whole observability surface lands in one artifact. *)
+(** Multi-trial benchmark runner: re-run a gated experiment's metrics
+    ({!Mpk_experiments.Report.gated}) across varied seeds under the
+    cycle-attribution profiler, keep every metric's per-trial samples,
+    and keep the trial-0 attribution tree and metrics-registry export so
+    the whole observability surface lands in one artifact. *)
 
 type metric_samples = {
   ms_name : string;
-  ms_direction : Scenario.direction;
+  ms_direction : Mpk_experiments.Env.direction;
   ms_samples : float list;  (** one per trial, in trial order *)
 }
 
@@ -14,7 +15,7 @@ type report = {
   r_trials : int;
   r_seed : int;  (** base seed; trial [t] ran at [r_seed + t] *)
   r_smoke : bool;
-  r_metrics : metric_samples list;  (** scenario order *)
+  r_metrics : metric_samples list;  (** the experiment's metric order *)
   r_attribution_exact : bool;
       (** every trial's attributed total matched the machine's cycle
           counter bit-for-bit *)
@@ -22,15 +23,24 @@ type report = {
   r_registry : Mpk_trace.Json.t;  (** trial-0 {!Mpk_trace.Metrics} export *)
 }
 
+val observe : ?trace:bool -> (unit -> 'a) -> 'a * bool
+(** [observe f] runs [f] with the profiler on, after resetting the
+    metrics registry, tracer, profiler and {!Mpk_hw.Cpu.total_charged};
+    the profiler is off again even when [f] raises. Returns [f]'s result
+    and whether the recorded attribution equals the charged cycles bit
+    for bit. [trace] also records an event trace. *)
+
 val run :
   id:string -> trials:int -> seed:int -> smoke:bool -> (report, string) result
-(** Errors on an unknown id, [trials < 1], a scenario failure, a
-    non-finite metric, or trials disagreeing on the metric set. *)
+(** Trial [t] runs [id]'s metrics at seed [seed + t] under {!observe}.
+    Errors on an id outside {!Mpk_experiments.Report.gated}, [trials < 1],
+    a failing experiment, a non-finite metric, or trials disagreeing on
+    the metric set. *)
 
 val to_json : report -> Mpk_trace.Json.t
 (** The [bench/2] schema ({!Io.Bench}). *)
 
 val of_json : Mpk_trace.Json.t -> (report, string) result
-(** Reload a committed baseline. Errors when a metric's sample count
-    differs from [trials]: the gate pairs sample [t] with the fresh
-    trial at seed [seed + t]. *)
+(** Decode a [bench/2] report, checking every member's shape. Errors
+    when a metric's sample count differs from [trials]: the gate pairs
+    sample [t] with the fresh trial at seed [seed + t]. *)

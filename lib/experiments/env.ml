@@ -24,3 +24,19 @@ let mean_cycles ~reps task f =
     f i
   done;
   (Cpu.cycles core -. before) /. float_of_int reps
+
+type direction = Lower_better | Higher_better
+
+let direction_to_string = function
+  | Lower_better -> "lower_better"
+  | Higher_better -> "higher_better"
+
+let direction_of_string = function
+  | "lower_better" -> Ok Lower_better
+  | "higher_better" -> Ok Higher_better
+  | s -> Error (Printf.sprintf "unknown metric direction %S" s)
+
+type metric = { name : string; value : float; direction : direction }
+
+let metric name direction value = { name; value; direction }
+let mix seed k base = Int64.of_int (base + (seed * k))

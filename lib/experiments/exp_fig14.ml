@@ -12,30 +12,45 @@ let modes = [ Server.Baseline; Server.Domain; Server.Sync; Server.Mprotect_sys ]
 let duration_s = 0.05
 let working_set = 300
 
-let run_mode ?(slab_mib = 1024) ?(seed = 0xFEEDL) ?(conn_rates = conn_rates) mode =
-  let srv = Server.create ~mode ~workers:4 ~slab_mib ~buckets:4096 () in
-  Server.prefill srv ~items:working_set ~value_size:1024;
-  Server.populate_slab srv ~mib:slab_mib;
-  List.map
-    (fun conn_rate ->
-      (* twemperf: connections at a fixed rate, uniform keys, no churn cost *)
-      let r =
-        Loadgen.run srv ~loop:(Loadgen.Open_loop conn_rate) ~duration_s ~working_set
-          ~theta:0.0 ~conn_setup_cycles:0.0 ~seed ()
-      in
-      {
-        mode;
-        conn_rate;
-        data_mb_s = float r.Loadgen.data_bytes /. (r.Loadgen.duration_s *. 1e6);
-        unhandled = r.Loadgen.dropped_conns;
-      })
-    conn_rates
+(* One server per mode, reused across the rates. *)
+let points ~slab_mib ~seed ~conn_rates =
+  List.concat_map
+    (fun mode ->
+      let srv = Server.create ~mode ~workers:4 ~slab_mib ~buckets:4096 () in
+      Server.prefill srv ~items:working_set ~value_size:1024;
+      Server.populate_slab srv ~mib:slab_mib;
+      List.map
+        (fun conn_rate ->
+          (* twemperf: connections at a fixed rate, uniform keys, no churn cost *)
+          let r =
+            Loadgen.run srv ~loop:(Loadgen.Open_loop conn_rate) ~duration_s ~working_set
+              ~theta:0.0 ~conn_setup_cycles:0.0 ~seed ()
+          in
+          {
+            mode;
+            conn_rate;
+            data_mb_s = float r.Loadgen.data_bytes /. (r.Loadgen.duration_s *. 1e6);
+            unhandled = r.Loadgen.dropped_conns;
+          })
+        conn_rates)
+    modes
 
-let points ?slab_mib ?seed ?conn_rates () =
-  List.concat_map (fun m -> run_mode ?slab_mib ?seed ?conn_rates m) modes
+let metrics ~seed ~smoke =
+  let slab_mib = if smoke then 64 else 1024 in
+  let pts = points ~slab_mib ~seed:(Env.mix seed 6151 0xFEED) ~conn_rates:[ 1000 ] in
+  let mb mode = (List.find (fun p -> p.mode = mode) pts).data_mb_s in
+  let sync = mb Server.Sync in
+  let mprotect = mb Server.Mprotect_sys in
+  [
+    Env.metric "fig14.baseline_mb_s" Higher_better (mb Server.Baseline);
+    Env.metric "fig14.domain_mb_s" Higher_better (mb Server.Domain);
+    Env.metric "fig14.sync_mb_s" Higher_better sync;
+    Env.metric "fig14.mprotect_mb_s" Higher_better mprotect;
+    Env.metric "fig14.sync_vs_mprotect" Higher_better (sync /. Float.max 0.001 mprotect);
+  ]
 
-let render ?slab_mib () =
-  let pts = points ?slab_mib () in
+let render () =
+  let pts = points ~slab_mib:1024 ~seed:0xFEEDL ~conn_rates in
   let cell mode rate proj =
     match List.find_opt (fun p -> p.mode = mode && p.conn_rate = rate) pts with
     | Some p -> proj p

@@ -1,22 +1,13 @@
 (** Paper Fig 14: Memcached throughput and unhandled connections at
     increasing connection rates, for the original server and the three
     protected variants (mpk_begin / mpk_mprotect / mprotect), with ~1 GiB
-    of slab memory resident. *)
+    of slab memory resident. Each cell is one {!Mpk_kvstore.Loadgen.run}
+    open loop with uniform keys and no connection churn cost. *)
 
-type point = {
-  mode : Mpk_kvstore.Server.mode;
-  conn_rate : int;
-  data_mb_s : float;
-  unhandled : int;
-}
+val render : unit -> string
 
-(** [points ()] sweeps the figure's full grid. `mpkctl bench` passes a
-    smaller [slab_mib], a single [conn_rates] entry, and a per-trial
-    workload [seed] (default 0xFEED) to turn one cell of the figure into
-    a repeatable per-seed metric. Each cell is one
-    {!Mpk_kvstore.Loadgen.run} open loop with uniform keys and no
-    connection churn cost. *)
-val points :
-  ?slab_mib:int -> ?seed:int64 -> ?conn_rates:int list -> unit -> point list
-
-val render : ?slab_mib:int -> unit -> string
+(** The gated numbers: each mode's data throughput at 1000 conns/s and
+    [fig14.sync_vs_mprotect], the paper's 8.1x. [smoke] shrinks the slab
+    from 1 GiB to 64 MiB, where every mode keeps up with the offered
+    load; [seed] varies the get/set request mix. *)
+val metrics : seed:int -> smoke:bool -> Env.metric list

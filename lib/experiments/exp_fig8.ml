@@ -68,6 +68,45 @@ let mprotect_reference ~threads =
   Env.mean_cycles ~reps:ops task (fun i ->
       Syscall.mprotect proc task ~addr ~len:page ~prot:(flip i))
 
+(* A begin/end pair on a group that is already mapped and stays mapped:
+   the mpk_begin hot path, measured directly so `bench diff` sees it
+   move. *)
+let begin_end_hit ~reps =
+  let env = Env.make ~threads:1 () in
+  let task = Env.main env in
+  let mpk = Libmpk.init ~evict_rate:1.0 ~seed:0x5EEDL env.Env.proc task in
+  ignore (Libmpk.mpk_mmap mpk task ~vkey:1 ~len:page ~prot:Perm.rw);
+  (* warm: the first begin maps the group; afterwards every pair hits *)
+  Libmpk.mpk_begin mpk task ~vkey:1 ~prot:Perm.rw;
+  Libmpk.mpk_end mpk task ~vkey:1;
+  Env.mean_cycles ~reps task (fun _ ->
+      Libmpk.mpk_begin mpk task ~vkey:1 ~prot:Perm.rw;
+      Libmpk.mpk_end mpk task ~vkey:1)
+
+let metrics ~seed ~smoke =
+  let mpk_seed = Env.mix seed 7919 0x816 in
+  let wl_seed = Env.mix seed 104729 0x88 in
+  let cell ~hit_rate ~threads =
+    (run_cell ~mpk_seed ~wl_seed ~hit_rate ~evict_rate:100 ~threads ()).cycles
+  in
+  let hit = cell ~hit_rate:100 ~threads:1 in
+  let reference = mprotect_reference ~threads:1 in
+  let base =
+    [
+      Env.metric "fig8.hit_cycles" Lower_better hit;
+      Env.metric "fig8.miss_cycles" Lower_better (cell ~hit_rate:0 ~threads:1);
+      (* the seed-sensitive cell: the 50/50 hit/miss mix varies with the
+         workload seed, so each trial reads a different value *)
+      Env.metric "fig8.mixed50_cycles" Lower_better (cell ~hit_rate:50 ~threads:1);
+      Env.metric "fig8.mprotect_ref_cycles" Lower_better reference;
+      Env.metric "fig8.hit_speedup_vs_mprotect" Higher_better (reference /. hit);
+      Env.metric "fig8.begin_end_hit_cycles" Lower_better (begin_end_hit ~reps:200);
+    ]
+  in
+  if smoke then base
+  else
+    base @ [ Env.metric "fig8.hit_cycles_t4" Lower_better (cell ~hit_rate:100 ~threads:4) ]
+
 let render () =
   let cells = grid () in
   let buf = Buffer.create 1024 in

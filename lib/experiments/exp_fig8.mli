@@ -9,22 +9,16 @@ type cell = {
   cycles : float;
 }
 
-(** One grid cell. The seeds default to the figure's fixed values;
-    `mpkctl bench` varies [wl_seed] (the hit/miss choice sequence) and
-    [mpk_seed] (libmpk's internal PRNG) across trials, one seed per
-    trial. *)
-val run_cell :
-  ?mpk_seed:int64 ->
-  ?wl_seed:int64 ->
-  hit_rate:int ->
-  evict_rate:int ->
-  threads:int ->
-  unit ->
-  cell
-
 val grid : unit -> cell list
 
 (** mprotect latency on the same page with the given thread count. *)
 val mprotect_reference : threads:int -> float
 
 val render : unit -> string
+
+(** The gated numbers: the 100/0/50% hit-rate cells at a 100% eviction
+    rate and one thread, the mprotect reference and the hit path's
+    speedup over it, a warm begin/end pair, and (full size only) the
+    hit cell at four threads. [seed] varies the hit/miss choice
+    sequence and libmpk's eviction PRNG. *)
+val metrics : seed:int -> smoke:bool -> Env.metric list

@@ -63,6 +63,20 @@ let rows () =
     { name = "MOVQ rbx,rdx [ref]"; cycles = reg_move; paper = 0.0; description = "Reference: register move" };
   ]
 
+(* "pkey_set()/WRPKRU" -> "pkey_set_wrpkru": lowercase alphanumeric runs
+   joined by single underscores. *)
+let sanitize name =
+  String.lowercase_ascii name
+  |> String.map (function ('a' .. 'z' | '0' .. '9') as c -> c | _ -> '_')
+  |> String.split_on_char '_'
+  |> List.filter (fun run -> run <> "")
+  |> String.concat "_"
+
+let metrics ~seed:_ ~smoke:_ =
+  List.map
+    (fun r -> Env.metric ("table1." ^ sanitize r.name ^ "_cycles") Lower_better r.cycles)
+    (rows ())
+
 let render () =
   let body =
     List.map

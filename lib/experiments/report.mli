@@ -1,17 +1,22 @@
-(** Orchestrates the full paper reproduction: runs every table/figure
-    experiment and prints its output with a section banner. *)
+(** The registry of the paper's tables and figures: the one list behind
+    `mpkctl list`, `run`, `profile` and `bench`. *)
 
-type experiment = { id : string; title : string; run : unit -> string }
+type experiment = {
+  id : string;
+  title : string;
+  render : unit -> string;  (** the experiment's human-readable output *)
+  metrics : (seed:int -> smoke:bool -> Env.metric list) option;
+      (** the numbers `mpkctl bench` gates, each named [id ^ "."]; [None]
+          for an ungated experiment *)
+}
 
-(** All experiments in paper order. *)
+(** All experiments in paper order, the scale-out sweep last. *)
 val all : experiment list
 
 val find : string -> experiment option
 
-(** [run_all ()] executes everything, printing each result to stdout as
-    it arrives. *)
-val run_all : unit -> unit
+(** The gated experiments' ids and metric functions, in {!all}'s order. *)
+val gated : (string * (seed:int -> smoke:bool -> Env.metric list)) list
 
-(** [run_one id] runs one experiment like [run_all]; [false] when [id]
-    names none. *)
-val run_one : string -> bool
+(** Print the experiment's banner, its output and its host run time. *)
+val run_experiment : experiment -> unit

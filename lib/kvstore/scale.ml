@@ -81,7 +81,7 @@ let config ~smoke =
    workload with the tracer counting [Ipi] events. The tracer is left
    disabled with no sinks afterwards, and the global batching toggle is
    restored to its default (on). *)
-let run_one ~mode ~workers ~batch ~seed cfg =
+let run_closed ~mode ~workers ~batch ~seed cfg =
   Syscall.set_ipi_batching batch;
   Fun.protect
     ~finally:(fun () -> Syscall.set_ipi_batching true)
@@ -206,10 +206,10 @@ let run ~mode ~cores ?(open_rates = []) ?(smoke = false) ?(seed = 0xC0FEL) () =
       (fun workers ->
         if workers < 1 then invalid_arg "Scale.run: core counts must be >= 1";
         let batched, eb, per_core_ipis, audit_b, slabs_b =
-          run_one ~mode ~workers ~batch:true ~seed cfg
+          run_closed ~mode ~workers ~batch:true ~seed cfg
         in
         let per_update, eu, _, audit_u, slabs_u =
-          run_one ~mode ~workers ~batch:false ~seed cfg
+          run_closed ~mode ~workers ~batch:false ~seed cfg
         in
         publish_metrics ~cores:workers batched per_core_ipis;
         {
@@ -313,6 +313,38 @@ let to_json r =
     @ match r.open_loop with
       | None -> []
       | Some s -> [ ("open_loop", open_sweep_json s) ])
+
+let render r =
+  let b = Buffer.create 512 in
+  List.iter
+    (fun p ->
+      let x = p.batched and u = p.per_update in
+      Printf.bprintf b
+        "cores=%d  batched: %.0f req/s p50=%.0f p99=%.0f cycles ipi_events=%d | \
+         per-update: %.0f req/s p99=%.0f ipi_events=%d\n"
+        p.cores x.Loadgen.throughput_rps x.Loadgen.p50_cycles x.Loadgen.p99_cycles
+        p.ipi_events_batched u.Loadgen.throughput_rps u.Loadgen.p99_cycles
+        p.ipi_events_per_update)
+    r.points;
+  (match r.open_loop with
+  | None -> ()
+  | Some s ->
+      List.iter
+        (fun p ->
+          let x = p.op_result in
+          Printf.bprintf b
+            "open-loop rate=%d  %.0f req/s p50=%.0f p99=%.0f cycles dropped=%d/%d\n"
+            p.op_rate x.Loadgen.throughput_rps x.Loadgen.p50_cycles x.Loadgen.p99_cycles
+            x.Loadgen.dropped_conns x.Loadgen.offered_conns)
+        s.os_points;
+      match s.os_knee with
+      | Some rate ->
+          Printf.bprintf b "open-loop latency knee: %d conns/s (%d cores)\n" rate
+            s.os_cores
+      | None ->
+          Printf.bprintf b "open-loop latency knee: beyond swept range (%d cores)\n"
+            s.os_cores);
+  Buffer.contents b
 
 (* Validation shared by `mpkctl scale` and CI: the measured curve must
    have every audited invariant hold, every slab consistent, and the

@@ -80,6 +80,11 @@ val run_open :
 
 val to_json : report -> Mpk_trace.Json.t
 
+(** One line per core count (batched and per-update throughput, p50/p99
+    latency, [Ipi] event counts), then one per open-loop rate and the
+    knee when the sweep ran. *)
+val render : report -> string
+
 (** Human-readable validation failures: auditor violations, slab
     invariant breaks, a batched run that did not emit strictly fewer
     [Ipi] events than its per-update twin, or an empty run. Empty means

@@ -3,7 +3,7 @@
    validator, runner determinism, and the end-to-end gate verdict on a
    planted slowdown. *)
 
-module Scenario = Mpk_bench.Scenario
+module Env = Mpk_experiments.Env
 module Tree = Mpk_bench.Tree
 module Io = Mpk_bench.Io
 module Runner = Mpk_bench.Runner
@@ -119,11 +119,11 @@ let test_classify_deterministic_floor () =
   (* 0.5% drift on a lower-better metric stays unchanged; 2% is regressed. *)
   let base = [ 100.0; 100.0; 100.0 ] in
   check_verdict "small drift unchanged" Gate.Unchanged
-    (classify Scenario.Lower_better base [ 100.5; 100.5; 100.5 ]);
+    (classify Env.Lower_better base [ 100.5; 100.5; 100.5 ]);
   check_verdict "2% slower regressed" Gate.Regressed
-    (classify Scenario.Lower_better base [ 102.0; 102.0; 102.0 ]);
+    (classify Env.Lower_better base [ 102.0; 102.0; 102.0 ]);
   check_verdict "2% faster improved" Gate.Improved
-    (classify Scenario.Lower_better base [ 98.0; 98.0; 98.0 ])
+    (classify Env.Lower_better base [ 98.0; 98.0; 98.0 ])
 
 let test_classify_mixed50_plant () =
   (* fig8.mixed50's committed samples, each 30 cycles slower (2.3-2.7%):
@@ -131,33 +131,33 @@ let test_classify_mixed50_plant () =
      floor on every seed. *)
   let base = [ 1223.0; 1288.1; 1114.5 ] in
   let ((_, worst) as r) =
-    classify Scenario.Lower_better base (List.map (fun b -> b +. 30.0) base)
+    classify Env.Lower_better base (List.map (fun b -> b +. 30.0) base)
   in
   check_verdict "+30 cycles regressed" Gate.Regressed r;
   Alcotest.(check int) "worst pair is the smallest sample" 2 worst.Gate.seed
 
 let test_classify_mixed_pairs () =
-  let ((_, worst) as r) = classify Scenario.Lower_better [ 100.0; 100.0 ] [ 98.0; 102.0 ] in
+  let ((_, worst) as r) = classify Env.Lower_better [ 100.0; 100.0 ] [ 98.0; 102.0 ] in
   check_verdict "one seed better, one worse: regressed" Gate.Regressed r;
   Alcotest.(check int) "worst pair is the slower seed" 1 worst.Gate.seed
 
 let test_classify_higher_better () =
   let base = [ 1000.0; 1000.0 ] in
   check_verdict "throughput drop regressed" Gate.Regressed
-    (classify Scenario.Higher_better base [ 900.0; 900.0 ]);
+    (classify Env.Higher_better base [ 900.0; 900.0 ]);
   check_verdict "throughput gain improved" Gate.Improved
-    (classify Scenario.Higher_better base [ 1100.0; 1100.0 ])
+    (classify Env.Higher_better base [ 1100.0; 1100.0 ])
 
 let test_classify_zero_baseline () =
   (* a zero baseline sample has a zero floor: any harmful move regresses,
      with no division anywhere *)
-  let ((_, worst) as r) = classify Scenario.Lower_better [ 0.0; 0.0 ] [ 0.0; 1.0 ] in
+  let ((_, worst) as r) = classify Env.Lower_better [ 0.0; 0.0 ] [ 0.0; 1.0 ] in
   check_verdict "any growth regressed" Gate.Regressed r;
   Alcotest.(check (float 0.0)) "worst fresh" 1.0 worst.Gate.fresh;
   check_verdict "exact zero unchanged" Gate.Unchanged
-    (classify Scenario.Lower_better [ 0.0; 0.0 ] [ 0.0; 0.0 ]);
+    (classify Env.Lower_better [ 0.0; 0.0 ] [ 0.0; 0.0 ]);
   check_verdict "drop below zero improved" Gate.Improved
-    (classify Scenario.Lower_better [ 0.0 ] [ -1.0 ])
+    (classify Env.Lower_better [ 0.0 ] [ -1.0 ])
 
 (* --- Prof snapshot JSON round-trip --- *)
 
@@ -221,34 +221,44 @@ let test_io_validate_rejects () =
   in
   check_err Io.Bench_diff bad_diff
 
+let with_temp_file f =
+  let path = Filename.temp_file "bench_io" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+(* Rejected, with an error that names the file read. *)
+let check_rejected_naming path what = function
+  | Ok _ -> Alcotest.failf "accepted %s" what
+  | Error e ->
+      Alcotest.(check bool)
+        (what ^ ": " ^ e)
+        true
+        (String.starts_with ~prefix:(path ^ ": ") e)
+
 let test_io_write_read_roundtrip () =
   match Runner.run ~id:"table1" ~trials:2 ~seed:7 ~smoke:true with
   | Error e -> Alcotest.failf "runner: %s" e
   | Ok r -> (
-      let path = Filename.temp_file "bench_io" ".json" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          (match Io.write ~path Io.Bench (Runner.to_json r) with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "write: %s" e);
-          match Io.read ~path Io.Bench with
-          | Error e -> Alcotest.failf "read: %s" e
-          | Ok j -> (
-              match Runner.of_json j with
-              | Error e -> Alcotest.failf "of_json: %s" e
-              | Ok r' ->
-                  Alcotest.(check string) "id" r.Runner.r_id r'.Runner.r_id;
-                  Alcotest.(check int) "trials" r.Runner.r_trials r'.Runner.r_trials;
-                  let samples rep =
-                    List.map
-                      (fun m -> m.Runner.ms_name, m.Runner.ms_samples)
-                      rep.Runner.r_metrics
-                  in
-                  Alcotest.(check bool) "samples survive" true (samples r = samples r');
-                  Alcotest.(check bool)
-                    "profile survives" true
-                    (snapshot_equal r.Runner.r_profile r'.Runner.r_profile))))
+      with_temp_file @@ fun path ->
+      (match Io.write ~path Io.Bench (Runner.to_json r) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write: %s" e);
+      (* a diff must never compare against another experiment's baseline *)
+      check_rejected_naming path "table1's baseline as fig8's"
+        (Io.read_baseline ~id:"fig8" ~path);
+      match Io.read_baseline ~id:"table1" ~path with
+      | Error e -> Alcotest.failf "read: %s" e
+      | Ok r' ->
+          Alcotest.(check string) "id" r.Runner.r_id r'.Runner.r_id;
+          Alcotest.(check int) "trials" r.Runner.r_trials r'.Runner.r_trials;
+          let samples rep =
+            List.map (fun m -> m.Runner.ms_name, m.Runner.ms_samples) rep.Runner.r_metrics
+          in
+          Alcotest.(check bool) "samples survive" true (samples r = samples r');
+          Alcotest.(check bool)
+            "profile survives" true
+            (snapshot_equal r.Runner.r_profile r'.Runner.r_profile))
 
 let test_of_json_rejects_sample_count () =
   (* pairing depends on the count: sample t is the baseline at seed+t *)
@@ -265,10 +275,23 @@ let test_of_json_rejects_sample_count () =
             (Result.is_ok (Runner.of_json (with_trials 2)));
           Alcotest.(check bool)
             "2 samples, 3 trials rejected" true
-            (Result.is_error (Runner.of_json (with_trials 3)))
+            (Result.is_error (Runner.of_json (with_trials 3)));
+          with_temp_file (fun path ->
+              Out_channel.with_open_text path (fun oc ->
+                  output_string oc (J.to_string (with_trials 3)));
+              check_rejected_naming path "2 samples for 3 trials"
+                (Io.read ~path Io.Bench))
       | _ -> Alcotest.fail "bench report is not an object")
 
 (* --- Runner determinism + gate end-to-end --- *)
+
+(* Every metric is named [id ^ "."] and no name repeats. *)
+let check_metric_names (r : Runner.report) =
+  let names = List.map (fun m -> m.Runner.ms_name) r.Runner.r_metrics in
+  Alcotest.(check bool) "names start with the id" true
+    (List.for_all (String.starts_with ~prefix:(r.Runner.r_id ^ ".")) names);
+  Alcotest.(check (list string))
+    "names unique" (List.sort compare names) (List.sort_uniq compare names)
 
 let test_runner_deterministic () =
   let run () =
@@ -278,6 +301,10 @@ let test_runner_deterministic () =
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "attribution exact" true a.Runner.r_attribution_exact;
+  check_metric_names a;
+  Alcotest.(check (result reject string))
+    "fig2 has no metrics" (Error "unknown bench id \"fig2\"")
+    (Runner.run ~id:"fig2" ~trials:1 ~seed:1 ~smoke:true);
   List.iter2
     (fun (ma : Runner.metric_samples) (mb : Runner.metric_samples) ->
       Alcotest.(check string) "same metric" ma.Runner.ms_name mb.Runner.ms_name;
@@ -294,6 +321,7 @@ let test_gate_unchanged_on_identical_runs () =
   match Runner.run ~id:"table1" ~trials:2 ~seed:5 ~smoke:true with
   | Error e -> Alcotest.failf "runner: %s" e
   | Ok r ->
+      check_metric_names r;
       let d = Gate.diff ~baseline:r ~fresh:r in
       Alcotest.(check bool) "not regressed" false d.Gate.d_regressed;
       List.iter

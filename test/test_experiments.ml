@@ -114,7 +114,10 @@ let test_memover_32_bytes_per_group () =
     (at 4000).Exp_memover.bytes_per_group
 
 let test_report_catalogue () =
-  Alcotest.(check int) "13 experiments" 13 (List.length Report.all);
+  Alcotest.(check int) "14 experiments" 14 (List.length Report.all);
+  Alcotest.(check (list string))
+    "gated ids" [ "table1"; "fig8"; "fig14"; "scale" ]
+    (List.map fst Report.gated);
   Alcotest.(check bool) "fig8 findable" true (Report.find "fig8" <> None);
   Alcotest.(check bool) "unknown rejected" true (Report.find "fig99" = None);
   (* ids are unique *)
