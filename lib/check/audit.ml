@@ -173,11 +173,11 @@ let run mpk =
   Array.iter
     (fun core ->
       Tlb.fold (Cpu.tlb core)
-        (fun (e : Tlb.entry) () ->
-          let current = Page_table.get pt ~vpn:e.Tlb.vpn in
-          if e.Tlb.pte <> current then
+        (fun vpn cached () ->
+          let current = Page_table.get pt ~vpn in
+          if cached <> current then
             fail 4 "core %d TLB entry for vpn %#x is stale (cached %x, table %x)"
-              (Cpu.id core) e.Tlb.vpn (e.Tlb.pte :> int) (current :> int))
+              (Cpu.id core) vpn (cached :> int) (current :> int))
         ())
     (Machine.cores machine);
 

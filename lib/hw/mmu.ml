@@ -61,21 +61,23 @@ let resolve_or_fault t cpu fault =
 let translate t cpu ~addr =
   let vpn = Page_table.vpn_of_addr addr in
   let costs = Cpu.costs cpu in
-  match Tlb.lookup (Cpu.tlb cpu) ~vpn with
-  | Some pte ->
-      Cpu.charge ~label:"tlb_hit" cpu costs.tlb_hit;
-      pte
-  | None ->
-      Cpu.charge ~label:"page_walk" cpu costs.page_walk;
-      if Mpk_trace.Tracer.on () then Cpu.emit cpu (Mpk_trace.Event.Tlb_miss { vpn });
-      let pte = Page_table.get t.table ~vpn in
-      if Pte.is_present pte then begin
-        Tlb.insert (Cpu.tlb cpu) ~vpn pte;
-        if Mpk_trace.Tracer.on () then
-          Cpu.emit cpu
-            (Mpk_trace.Event.Tlb_fill { vpn; pkey = Pkey.to_int (Pte.pkey pte) })
-      end;
-      pte
+  let cached = Tlb.lookup (Cpu.tlb cpu) ~vpn in
+  if Pte.is_present cached then begin
+    Cpu.charge ~label:"tlb_hit" cpu costs.tlb_hit;
+    cached
+  end
+  else begin
+    Cpu.charge ~label:"page_walk" cpu costs.page_walk;
+    if Mpk_trace.Tracer.on () then Cpu.emit cpu (Mpk_trace.Event.Tlb_miss { vpn });
+    let pte = Page_table.get t.table ~vpn in
+    if Pte.is_present pte then begin
+      Tlb.insert (Cpu.tlb cpu) ~vpn pte;
+      if Mpk_trace.Tracer.on () then
+        Cpu.emit cpu
+          (Mpk_trace.Event.Tlb_fill { vpn; pkey = Pkey.to_int (Pte.pkey pte) })
+    end;
+    pte
+  end
 
 let check t cpu ~addr ~access =
   let pte =

@@ -75,44 +75,34 @@ let get t ~vpn =
   | None -> Pte.absent
   | Some leaf -> leaf.(index vpn (levels - 1))
 
-let update t ~vpn f =
-  let pte = get t ~vpn in
-  if Pte.is_present pte then begin
-    set t ~vpn (f pte);
-    true
-  end
-  else false
+(* Rewrites the present entries of [lo, hi) under [arr], a node at
+   [level] whose first slot starts at vpn [base]. Only the slots that
+   overlap the range are visited, and the range is never empty. *)
+let rec rewrite_node rw arr level base ~lo ~hi =
+  let shift = (levels - 1 - level) * level_bits in
+  let first = if lo > base then (lo - base) lsr shift else 0 in
+  let last = (hi - 1 - base) lsr shift in
+  let last = if last < fanout then last else fanout - 1 in
+  let n = ref 0 in
+  for i = first to last do
+    let slot = base + (i lsl shift) in
+    match arr.(i) with
+    | None -> ()
+    | Some (Inner next) -> n := !n + rewrite_node rw next (level + 1) slot ~lo ~hi
+    | Some (Leaf leaf) ->
+        let lo = if lo > slot then lo - slot else 0 in
+        let hi = if hi - slot < fanout then hi - slot else fanout in
+        n := !n + Pte.apply_present rw leaf ~lo ~hi
+  done;
+  !n
 
-let update_range t ~vpn ~pages f =
+let update_range t ~vpn ~pages rw =
   check_vpn vpn;
-  if pages > 0 then check_vpn (vpn + pages - 1);
-  let lo = vpn and hi = vpn + pages in  (* [lo, hi) *)
-  let touched = ref 0 in
-  (* [span] = number of vpns under one slot at this level *)
-  let rec walk arr level node_base =
-    let span = 1 lsl ((levels - 1 - level) * level_bits) in
-    for i = 0 to fanout - 1 do
-      let slot_lo = node_base + (i * span) in
-      let slot_hi = slot_lo + span in
-      if slot_lo < hi && slot_hi > lo then
-        match arr.(i) with
-        | None -> ()
-        | Some (Inner next) -> walk next (level + 1) slot_lo
-        | Some (Leaf leaf) ->
-            let jlo = max 0 (lo - slot_lo) in
-            let jhi = min fanout (hi - slot_lo) in
-            for j = jlo to jhi - 1 do
-              if Pte.is_present leaf.(j) then begin
-                leaf.(j) <- f leaf.(j);
-                incr touched
-              end
-            done
-    done
-  in
-  (* Leaves appear at level 2 holding the level-3 index, so a Leaf's
-     slot spans [fanout] vpns; walk handles that via span at level 2. *)
-  walk t.root 0 0;
-  !touched
+  if pages <= 0 then 0
+  else begin
+    check_vpn (vpn + pages - 1);
+    rewrite_node rw t.root 0 0 ~lo:vpn ~hi:(vpn + pages)
+  end
 
 let fold t f init =
   let acc = ref init in

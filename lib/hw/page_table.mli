@@ -16,15 +16,11 @@ val set : t -> vpn:int -> Pte.t -> unit
 (** [get t ~vpn] is the leaf entry, [Pte.absent] when unmapped. *)
 val get : t -> vpn:int -> Pte.t
 
-(** [update t ~vpn f] rewrites the entry at [vpn] by [f]; no-op when the
-    entry is absent. Returns [true] when an entry was present. *)
-val update : t -> vpn:int -> (Pte.t -> Pte.t) -> bool
-
-(** [update_range t ~vpn ~pages f] applies [f] to every *present* entry
-    in the range, skipping absent subtrees wholesale (this is what keeps
-    GB-scale [mprotect] simulation fast). Returns the number of present
-    entries rewritten. *)
-val update_range : t -> vpn:int -> pages:int -> (Pte.t -> Pte.t) -> int
+(** [update_range t ~vpn ~pages rw] applies [rw] to every *present* entry
+    in the range, visiting only the subtrees that overlap it and skipping
+    absent ones wholesale (this is what keeps GB-scale [mprotect]
+    simulation fast). Returns the number of present entries rewritten. *)
+val update_range : t -> vpn:int -> pages:int -> Pte.rewrite -> int
 
 (** [fold t f init] over all present (vpn, pte) pairs, ascending vpn. *)
 val fold : t -> (int -> Pte.t -> 'a -> 'a) -> 'a -> 'a

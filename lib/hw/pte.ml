@@ -14,13 +14,20 @@ let absent = 0
 let bit b = 1 lsl b
 let test v b = v land bit b <> 0
 
+let perm_field = 7 lsl bit_write
+let pkey_field = pkey_mask lsl pkey_shift
+
+let perm_bits (perm : Perm.t) =
+  (if perm.read then bit bit_read else 0)
+  lor (if perm.write then bit bit_write else 0)
+  lor if perm.exec then bit bit_exec else 0
+
+let pkey_bits pkey = Pkey.to_int pkey lsl pkey_shift
+
 let make ~frame ~perm ~pkey =
-  let v = bit bit_present in
-  let v = if (perm : Perm.t).read then v lor bit bit_read else v in
-  let v = if perm.write then v lor bit bit_write else v in
-  let v = if perm.exec then v lor bit bit_exec else v in
-  let v = v lor ((frame land frame_mask) lsl frame_shift) in
-  v lor (Pkey.to_int pkey lsl pkey_shift)
+  bit bit_present lor perm_bits perm
+  lor ((frame land frame_mask) lsl frame_shift)
+  lor pkey_bits pkey
 
 let is_present t = test t bit_present
 
@@ -37,8 +44,29 @@ let perm t = perms.((t lsr bit_write) land 7)
 
 let pkey t = Pkey.of_int ((t lsr pkey_shift) land pkey_mask)
 
-let with_perm t p = make ~frame:(frame t) ~perm:p ~pkey:(pkey t)
-let with_pkey t k = make ~frame:(frame t) ~perm:(perm t) ~pkey:k
+type rewrite = { clear : int; set : int }
+
+let rewrite ?perm ?pkey () =
+  let perm_clear, perm_set = match perm with None -> 0, 0 | Some p -> perm_field, perm_bits p in
+  let pkey_clear, pkey_set = match pkey with None -> 0, 0 | Some k -> pkey_field, pkey_bits k in
+  { clear = perm_clear lor pkey_clear; set = perm_set lor pkey_set }
+
+let apply rw t = if is_present t then t land lnot rw.clear lor rw.set else t
+
+(* The per-entry loop lives here, beside the representation: dune's dev
+   profile compiles with -opaque, so a call to [is_present] or [apply]
+   from another module would stay out of line for every entry. *)
+let apply_present rw (entries : t array) ~lo ~hi =
+  let keep = lnot rw.clear and set = rw.set in
+  let n = ref 0 in
+  for i = lo to hi - 1 do
+    let v = entries.(i) in
+    if is_present v then begin
+      entries.(i) <- v land keep lor set;
+      incr n
+    end
+  done;
+  !n
 
 let pp fmt t =
   if not (is_present t) then Format.pp_print_string fmt "<absent>"

@@ -25,7 +25,20 @@ val perm : t -> Perm.t
 
 val pkey : t -> Pkey.t
 
-val with_perm : t -> Perm.t -> t
-val with_pkey : t -> Pkey.t -> t
+(** A rewrite of the permission and/or key fields of present entries:
+    a pair of clear/set masks, built once and applied to many entries. *)
+type rewrite
+
+(** [rewrite ?perm ?pkey ()] replaces the fields given and keeps the rest
+    (the frame always). *)
+val rewrite : ?perm:Perm.t -> ?pkey:Pkey.t -> unit -> rewrite
+
+(** [apply rw t] is [t] rewritten by [rw]; an absent entry stays absent. *)
+val apply : rewrite -> t -> t
+
+(** [apply_present rw entries ~lo ~hi] rewrites every present entry of
+    [entries.(lo) .. entries.(hi - 1)] in place and returns how many
+    there were. Allocates nothing. *)
+val apply_present : rewrite -> t array -> lo:int -> hi:int -> int
 
 val pp : Format.formatter -> t -> unit

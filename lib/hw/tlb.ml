@@ -1,11 +1,15 @@
-type entry = { vpn : int; pte : Pte.t }
-
-type slot = { mutable e : entry option; mutable stamp : int }
-
+(* Way [w] of set [s] lives at index [s * ways + w] of four flat arrays,
+   so a lookup, a fill or a flush allocates nothing. A way is live when
+   its epoch is the TLB's: [flush_all] bumps the TLB's epoch, and
+   [flush_page] zeroes the way's (epochs start at 1). *)
 type t = {
   sets : int;
   ways : int;
-  slots : slot array array;  (* [set].[way] *)
+  vpns : int array;
+  ptes : Pte.t array;
+  stamps : int array;  (* LRU: the clock at the way's last fill or hit *)
+  epochs : int array;
+  mutable epoch : int;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -13,90 +17,93 @@ type t = {
 }
 
 let create ?(sets = 256) ?(ways = 6) () =
-  if sets <= 0 || ways <= 0 then invalid_arg "Tlb.create";
+  (* The set index masks the vpn, so [sets] must be a power of two. *)
+  if sets <= 0 || ways <= 0 || sets land (sets - 1) <> 0 then invalid_arg "Tlb.create";
+  let n = sets * ways in
   {
     sets;
     ways;
-    slots = Array.init sets (fun _ -> Array.init ways (fun _ -> { e = None; stamp = 0 }));
+    vpns = Array.make n 0;
+    ptes = Array.make n Pte.absent;
+    stamps = Array.make n 0;
+    epochs = Array.make n 0;
+    epoch = 1;
     clock = 0;
     hits = 0;
     misses = 0;
     flushes = 0;
   }
 
-let set_of t vpn = vpn land (t.sets - 1)
+let first_way t vpn = (vpn land (t.sets - 1)) * t.ways
+
+(* The live way of [vpn]'s set holding [vpn], or -1. *)
+let find t vpn =
+  let i = ref (first_way t vpn) in
+  let stop = !i + t.ways in
+  while !i < stop && not (t.vpns.(!i) = vpn && t.epochs.(!i) = t.epoch) do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 let lookup t ~vpn =
-  let row = t.slots.(set_of t vpn) in
-  let rec scan i =
-    if i >= t.ways then begin
-      t.misses <- t.misses + 1;
-      None
+  let i = find t vpn in
+  if i < 0 then begin
+    t.misses <- t.misses + 1;
+    Pte.absent
+  end
+  else begin
+    t.clock <- t.clock + 1;
+    t.stamps.(i) <- t.clock;
+    t.hits <- t.hits + 1;
+    t.ptes.(i)
+  end
+
+(* The way a fill of [vpn] takes: the one already holding it, else the
+   lowest free way, else the least recently used. *)
+let victim t vpn =
+  let same = find t vpn in
+  if same >= 0 then same
+  else begin
+    let first = first_way t vpn in
+    let stop = first + t.ways in
+    let i = ref first in
+    while !i < stop && t.epochs.(!i) = t.epoch do
+      incr i
+    done;
+    if !i < stop then !i
+    else begin
+      let lru = ref first in
+      for j = first + 1 to stop - 1 do
+        if t.stamps.(j) < t.stamps.(!lru) then lru := j
+      done;
+      !lru
     end
-    else
-      match row.(i).e with
-      | Some e when e.vpn = vpn ->
-          t.clock <- t.clock + 1;
-          row.(i).stamp <- t.clock;
-          t.hits <- t.hits + 1;
-          Some e.pte
-      | _ -> scan (i + 1)
-  in
-  scan 0
+  end
 
 let insert t ~vpn pte =
-  let row = t.slots.(set_of t vpn) in
-  (* Prefer the same vpn (update), then an empty way, then LRU victim. *)
-  let victim = ref 0 in
-  let found = ref false in
-  (try
-     for i = 0 to t.ways - 1 do
-       match row.(i).e with
-       | Some e when e.vpn = vpn ->
-           victim := i;
-           found := true;
-           raise Exit
-       | _ -> ()
-     done;
-     for i = 0 to t.ways - 1 do
-       if row.(i).e = None then begin
-         victim := i;
-         found := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if not !found then begin
-    let best = ref 0 in
-    for i = 1 to t.ways - 1 do
-      if row.(i).stamp < row.(!best).stamp then best := i
-    done;
-    victim := !best
-  end;
+  if not (Pte.is_present pte) then invalid_arg "Tlb.insert: absent entry";
+  let i = victim t vpn in
   t.clock <- t.clock + 1;
-  row.(!victim).e <- Some { vpn; pte };
-  row.(!victim).stamp <- t.clock
+  t.vpns.(i) <- vpn;
+  t.ptes.(i) <- pte;
+  t.stamps.(i) <- t.clock;
+  t.epochs.(i) <- t.epoch
 
 let flush_all t =
-  Array.iter (fun row -> Array.iter (fun s -> s.e <- None) row) t.slots;
+  t.epoch <- t.epoch + 1;
   t.flushes <- t.flushes + 1
 
 let flush_page t ~vpn =
-  let row = t.slots.(set_of t vpn) in
-  Array.iter
-    (fun s -> match s.e with Some e when e.vpn = vpn -> s.e <- None | _ -> ())
-    row;
+  let i = find t vpn in
+  if i >= 0 then t.epochs.(i) <- 0;
   t.flushes <- t.flushes + 1
 
 let fold t f init =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left
-        (fun acc s -> match s.e with Some e -> f e acc | None -> acc)
-        acc row)
-    init t.slots
-
-let entries t = List.rev (fold t (fun e acc -> e :: acc) [])
+  let acc = ref init in
+  for i = 0 to Array.length t.vpns - 1 do
+    if t.epochs.(i) = t.epoch then acc := f t.vpns.(i) t.ptes.(i) !acc
+  done;
+  !acc
 
 let hits t = t.hits
 let misses t = t.misses

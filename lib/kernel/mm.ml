@@ -203,7 +203,7 @@ let flush_local cpu ~start ~pages =
       Cpu.emit cpu (Mpk_trace.Event.Tlb_flush { pages; all = true })
   end
 
-let change_range t cpu ~addr ~len ~attr_f ~pte_f =
+let change_range t cpu ~addr ~len ~attr_f ~rewrite =
   let start, pages = vpn_range ~addr ~len in
   with_write_lock t cpu @@ fun () ->
   if not (Vma.covered t.vmas ~start ~pages) then
@@ -218,7 +218,7 @@ let change_range t cpu ~addr ~len ~attr_f ~pte_f =
     +. (float_of_int vmas_touched *. costs.vma_update));
   (* Rewrite present PTEs; absent slots cost only the scan and will
      materialize later from the updated VMA attributes. *)
-  let ptes_touched = Page_table.update_range t.table ~vpn:start ~pages pte_f in
+  let ptes_touched = Page_table.update_range t.table ~vpn:start ~pages rewrite in
   Cpu.charge ~label:"pte_update" cpu
     ((float_of_int pages *. costs.pte_scan)
     +. (float_of_int ptes_touched *. costs.pte_update));
@@ -230,17 +230,17 @@ let change_range t cpu ~addr ~len ~attr_f ~pte_f =
 let change_protection t cpu ~addr ~len ~prot =
   change_range t cpu ~addr ~len
     ~attr_f:(fun a -> { a with Vma.prot })
-    ~pte_f:(fun pte -> Pte.with_perm pte prot)
+    ~rewrite:(Pte.rewrite ~perm:prot ())
 
 let change_protection_pkey t cpu ~addr ~len ~prot ~pkey =
   change_range t cpu ~addr ~len
     ~attr_f:(fun _ -> { Vma.prot; pkey })
-    ~pte_f:(fun pte -> Pte.with_pkey (Pte.with_perm pte prot) pkey)
+    ~rewrite:(Pte.rewrite ~perm:prot ~pkey ())
 
 let assign_pkey t cpu ~addr ~len ~pkey =
   change_range t cpu ~addr ~len
     ~attr_f:(fun a -> { a with Vma.pkey })
-    ~pte_f:(fun pte -> Pte.with_pkey pte pkey)
+    ~rewrite:(Pte.rewrite ~pkey ())
 
 let mapped_pages t = Page_table.mapped_pages t.table
 

@@ -220,8 +220,8 @@ let test_detects_stale_pte_tag () =
   in
   let pt = Mm.page_table (Proc.mm proc) in
   ignore
-    (Page_table.update_range pt ~vpn:(Page_table.vpn_of_addr a) ~pages:1 (fun pte ->
-         Pte.with_pkey pte stranger));
+    (Page_table.update_range pt ~vpn:(Page_table.vpn_of_addr a) ~pages:1
+       (Pte.rewrite ~pkey:stranger ()));
   check_flags "PTE tag tamper" 2 mpk
 
 let test_detects_stale_tlb_entry () =
@@ -235,7 +235,7 @@ let test_detects_stale_tlb_entry () =
      is now stale. *)
   let pt = Mm.page_table (Proc.mm proc) in
   let vpn = Page_table.vpn_of_addr a in
-  ignore (Page_table.update pt ~vpn (fun pte -> Pte.with_perm pte Perm.r));
+  ignore (Page_table.update_range pt ~vpn ~pages:1 (Pte.rewrite ~perm:Perm.r ()));
   check_flags "stale TLB entry" 4 mpk
 
 (* --- key-cache regression fixes --- *)

@@ -223,11 +223,15 @@ let update_range_matches_per_page =
         pt
       in
       let a = mk () and b = mk () in
-      let f pte = Pte.with_perm pte Perm.r in
-      let na = Page_table.update_range a ~vpn:start ~pages f in
+      let rw = Pte.rewrite ~perm:Perm.r () in
+      let na = Page_table.update_range a ~vpn:start ~pages rw in
       let nb = ref 0 in
       for vpn = start to start + pages - 1 do
-        if Page_table.update b ~vpn f then incr nb
+        let pte = Page_table.get b ~vpn in
+        if Pte.is_present pte then begin
+          Page_table.set b ~vpn (Pte.apply rw pte);
+          incr nb
+        end
       done;
       na = !nb
       && List.for_all
@@ -235,11 +239,77 @@ let update_range_matches_per_page =
              Page_table.get a ~vpn = Page_table.get b ~vpn)
            mapped)
 
+(* The bounded walk computes, at each level, which slots overlap the
+   range. Ranges start next to a multiple of 512, 512^2 or 512^3 (where a
+   leaf, a level-2 or a level-1 node turns over), may be empty and may
+   run to the last vpn; entries sit on both sides of every edge. The
+   oracle rewrites vpn by vpn with get, Pte.make and set. Keys 8-15 set
+   the sign bit, so key 15 is drawn often, before and after. *)
+let update_range_every_level =
+  let last = (1 lsl 36) - 1 in
+  let perm_of p = Perm.make ~read:(p land 1 <> 0) ~write:(p land 2 <> 0) ~exec:(p land 4 <> 0) () in
+  let key = QCheck.Gen.(frequency [ (1, return 15); (3, int_range 0 15) ]) in
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 3 >>= fun level ->
+    let span = 1 lsl (9 * level) in
+    int_range 1 (((last + 1) / span) - 1) >>= fun k ->
+    int_range (-3) 3 >>= fun d ->
+    let start = (k * span) + d in
+    oneof
+      [ return 0; int_range 1 8; map (fun e -> span + e) (int_range (-3) 3); return (last + 1 - start) ]
+    >>= fun pages ->
+    let pages = min pages (last + 1 - start) in
+    int_range 0 2 >>= fun fields ->
+    quad (int_range 0 7) key (int_range 0 7) key >>= fun (p, k, p0, k0) ->
+    return (level, start, pages, fields, (p, k, p0, k0))
+  in
+  let print (level, start, pages, fields, (p, k, p0, k0)) =
+    Printf.sprintf "level %d: start %d pages %d fields %d perm %d key %d (from perm %d key %d)"
+      level start pages fields p k p0 k0
+  in
+  QCheck.Test.make ~name:"update_range = per-vpn oracle at every level" ~count:500
+    (QCheck.make ~print gen)
+    (fun (level, start, pages, fields, (p, k, p0, k0)) ->
+      let span = 1 lsl (9 * level) in
+      let edge = start - (start land (span - 1)) in
+      let vpns =
+        List.concat_map
+          (fun at -> List.init 5 (fun i -> at - 2 + i))
+          [ start; start + pages; edge; edge + span; last ]
+        |> List.filter (fun v -> v >= 0 && v <= last)
+        |> List.sort_uniq compare
+      in
+      let table () =
+        let pt = Page_table.create () in
+        List.iter
+          (fun vpn ->
+            Page_table.set pt ~vpn
+              (Pte.make ~frame:vpn ~perm:(perm_of p0) ~pkey:(Pkey.of_int k0)))
+          vpns;
+        pt
+      in
+      let perm = if fields <> 1 then Some (perm_of p) else None in
+      let pkey = if fields <> 0 then Some (Pkey.of_int k) else None in
+      let a = table () and b = table () in
+      let n = Page_table.update_range a ~vpn:start ~pages (Pte.rewrite ?perm ?pkey ()) in
+      let inside = List.filter (fun v -> v >= start && v < start + pages) vpns in
+      List.iter
+        (fun vpn ->
+          let old = Page_table.get b ~vpn in
+          Page_table.set b ~vpn
+            (Pte.make ~frame:(Pte.frame old)
+               ~perm:(Option.value perm ~default:(Pte.perm old))
+               ~pkey:(Option.value pkey ~default:(Pte.pkey old))))
+        inside;
+      let entries pt = Page_table.fold pt (fun v pte acc -> (v, pte) :: acc) [] in
+      n = List.length inside && entries a = entries b)
+
 let test_update_range_counts_present_only () =
   let pt = Page_table.create () in
   Page_table.set pt ~vpn:100 (Pte.make ~frame:1 ~perm:Perm.rw ~pkey:Pkey.default);
   Page_table.set pt ~vpn:102 (Pte.make ~frame:2 ~perm:Perm.rw ~pkey:Pkey.default);
-  let n = Page_table.update_range pt ~vpn:95 ~pages:20 (fun pte -> Pte.with_perm pte Perm.r) in
+  let n = Page_table.update_range pt ~vpn:95 ~pages:20 (Pte.rewrite ~perm:Perm.r ()) in
   Alcotest.(check int) "two present" 2 n
 
 let test_update_range_leaf_boundaries () =
@@ -248,7 +318,7 @@ let test_update_range_leaf_boundaries () =
   List.iter
     (fun vpn -> Page_table.set pt ~vpn (Pte.make ~frame:7 ~perm:Perm.rw ~pkey:Pkey.default))
     [ 510; 511; 512; 513; 1023; 1024 ];
-  let n = Page_table.update_range pt ~vpn:511 ~pages:514 (fun pte -> Pte.with_perm pte Perm.r) in
+  let n = Page_table.update_range pt ~vpn:511 ~pages:514 (Pte.rewrite ~perm:Perm.r ()) in
   (* 511, 512, 513, 1023, 1024 are inside [511, 1025) *)
   Alcotest.(check int) "five rewritten" 5 n;
   Alcotest.(check string) "outside untouched" "rw-"
@@ -383,6 +453,7 @@ let () =
         [
           tc "eviction preserves exec" `Quick test_eviction_preserves_exec_bit;
           qtest update_range_matches_per_page;
+          qtest update_range_every_level;
           tc "update_range present only" `Quick test_update_range_counts_present_only;
           tc "update_range leaf boundaries" `Quick test_update_range_leaf_boundaries;
           tc "nested begin" `Quick test_mpk_begin_nested;

@@ -89,8 +89,9 @@ let pkru_independence =
 
 let max_frame = 0xFFFFFFFFF (* 36 bits *)
 
-(* Every frame, permission and key, and both rewrites: keys 8-15 set
-   bit 62, the sign bit of the immediate. *)
+(* Every frame, permission and key, and every rewrite: keys 8-15 set
+   bit 62, the sign bit of the immediate. A rewrite keeps the frame and
+   the field it does not name. *)
 let pte_roundtrip =
   QCheck.Test.make ~name:"pte encode/decode roundtrip" ~count:1000
     QCheck.(quad (int_bound max_frame) (pair (int_bound 7) (int_bound 7))
@@ -109,21 +110,32 @@ let pte_roundtrip =
       let perm' = perm_of p' and pkey' = Pkey.of_int k' in
       let pte = Pte.make ~frame ~perm ~pkey in
       decodes pte perm pkey
-      && decodes (Pte.with_perm pte perm') perm' pkey
-      && decodes (Pte.with_pkey pte pkey') perm pkey')
+      && decodes (Pte.apply (Pte.rewrite ~perm:perm' ()) pte) perm' pkey
+      && decodes (Pte.apply (Pte.rewrite ~pkey:pkey' ()) pte) perm pkey'
+      && decodes (Pte.apply (Pte.rewrite ~perm:perm' ~pkey:pkey' ()) pte) perm' pkey'
+      && Pte.apply (Pte.rewrite ()) pte = pte)
 
 let test_pte_absent () =
-  Alcotest.(check bool) "absent not present" false (Pte.is_present Pte.absent)
+  Alcotest.(check bool) "absent not present" false (Pte.is_present Pte.absent);
+  Alcotest.(check bool) "a rewrite leaves absent absent" true
+    (Pte.apply (Pte.rewrite ~perm:Perm.rwx ~pkey:(Pkey.of_int 15) ()) Pte.absent = Pte.absent)
 
 let test_pte_with () =
   let pte = Pte.make ~frame:99 ~perm:Perm.rw ~pkey:(Pkey.of_int 3) in
-  let pte2 = Pte.with_perm pte Perm.r in
+  let pte2 = Pte.apply (Pte.rewrite ~perm:Perm.r ()) pte in
   Alcotest.(check int) "frame preserved" 99 (Pte.frame pte2);
   Alcotest.(check int) "pkey preserved" 3 (Pkey.to_int (Pte.pkey pte2));
   Alcotest.(check string) "perm changed" "r--" (Perm.to_string (Pte.perm pte2));
-  let pte3 = Pte.with_pkey pte (Pkey.of_int 11) in
+  let pte3 = Pte.apply (Pte.rewrite ~pkey:(Pkey.of_int 11) ()) pte in
   Alcotest.(check int) "pkey changed" 11 (Pkey.to_int (Pte.pkey pte3));
-  Alcotest.(check string) "perm preserved" "rw-" (Perm.to_string (Pte.perm pte3))
+  Alcotest.(check string) "perm preserved" "rw-" (Perm.to_string (Pte.perm pte3));
+  let entries = [| pte; Pte.absent; pte3 |] in
+  Alcotest.(check int) "apply_present counts present entries" 2
+    (Pte.apply_present (Pte.rewrite ~perm:Perm.none ()) entries ~lo:0 ~hi:3);
+  Alcotest.(check bool) "apply_present rewrites in place" true
+    (entries
+    = [| Pte.make ~frame:99 ~perm:Perm.none ~pkey:(Pkey.of_int 3); Pte.absent;
+         Pte.make ~frame:99 ~perm:Perm.none ~pkey:(Pkey.of_int 11) |])
 
 (* --- Physmem --- *)
 
@@ -190,7 +202,7 @@ let test_page_table_protect_range () =
     Page_table.set pt ~vpn:v (Pte.make ~frame:v ~perm:Perm.rw ~pkey:Pkey.default)
   done;
   let touched =
-    Page_table.update_range pt ~vpn:12 ~pages:5 (fun pte -> Pte.with_perm pte Perm.r)
+    Page_table.update_range pt ~vpn:12 ~pages:5 (Pte.rewrite ~perm:Perm.r ())
   in
   Alcotest.(check int) "touched 5" 5 touched;
   Alcotest.(check string) "inside changed" "r--"
@@ -204,7 +216,7 @@ let test_page_table_pkey_range () =
     Page_table.set pt ~vpn:v (Pte.make ~frame:v ~perm:Perm.rw ~pkey:Pkey.default)
   done;
   let k = Pkey.of_int 9 in
-  ignore (Page_table.update_range pt ~vpn:3 ~pages:4 (fun pte -> Pte.with_pkey pte k));
+  ignore (Page_table.update_range pt ~vpn:3 ~pages:4 (Pte.rewrite ~pkey:k ()));
   Alcotest.(check int) "count with pkey" 4 (Page_table.count_with_pkey pt k);
   Alcotest.(check int) "pkey set" 9 (Pkey.to_int (Pte.pkey (Page_table.get pt ~vpn:5)))
 
@@ -224,7 +236,7 @@ let test_page_table_top_bits () =
   Page_table.set pt ~vpn pte;
   Alcotest.(check int) "mapped" 1 (Page_table.mapped_pages pt);
   let n =
-    Page_table.update_range pt ~vpn:(vpn - 9) ~pages:10 (fun pte -> Pte.with_perm pte Perm.r)
+    Page_table.update_range pt ~vpn:(vpn - 9) ~pages:10 (Pte.rewrite ~perm:Perm.r ())
   in
   Alcotest.(check int) "one rewritten" 1 n;
   let want = Pte.make ~frame:max_frame ~perm:Perm.r ~pkey:k in
@@ -264,11 +276,9 @@ let mk_pte frame = Pte.make ~frame ~perm:Perm.rw ~pkey:Pkey.default
 
 let test_tlb_hit_miss () =
   let tlb = Tlb.create ~sets:4 ~ways:2 () in
-  Alcotest.(check bool) "cold miss" true (Tlb.lookup tlb ~vpn:1 = None);
+  Alcotest.(check bool) "cold miss" true (Tlb.lookup tlb ~vpn:1 = Pte.absent);
   Tlb.insert tlb ~vpn:1 (mk_pte 10);
-  (match Tlb.lookup tlb ~vpn:1 with
-  | Some pte -> Alcotest.(check int) "hit frame" 10 (Pte.frame pte)
-  | None -> Alcotest.fail "expected hit");
+  Alcotest.(check int) "hit frame" 10 (Pte.frame (Tlb.lookup tlb ~vpn:1));
   Alcotest.(check int) "one hit" 1 (Tlb.hits tlb);
   Alcotest.(check int) "one miss" 1 (Tlb.misses tlb)
 
@@ -277,8 +287,8 @@ let test_tlb_flush_all () =
   Tlb.insert tlb ~vpn:1 (mk_pte 1);
   Tlb.insert tlb ~vpn:2 (mk_pte 2);
   Tlb.flush_all tlb;
-  Alcotest.(check bool) "gone" true (Tlb.lookup tlb ~vpn:1 = None);
-  Alcotest.(check bool) "gone too" true (Tlb.lookup tlb ~vpn:2 = None);
+  Alcotest.(check bool) "gone" true (Tlb.lookup tlb ~vpn:1 = Pte.absent);
+  Alcotest.(check bool) "gone too" true (Tlb.lookup tlb ~vpn:2 = Pte.absent);
   Alcotest.(check int) "flush counted" 1 (Tlb.flushes tlb)
 
 let test_tlb_flush_page () =
@@ -286,8 +296,8 @@ let test_tlb_flush_page () =
   Tlb.insert tlb ~vpn:1 (mk_pte 1);
   Tlb.insert tlb ~vpn:2 (mk_pte 2);
   Tlb.flush_page tlb ~vpn:1;
-  Alcotest.(check bool) "flushed page gone" true (Tlb.lookup tlb ~vpn:1 = None);
-  Alcotest.(check bool) "other survives" true (Tlb.lookup tlb ~vpn:2 <> None)
+  Alcotest.(check bool) "flushed page gone" true (Tlb.lookup tlb ~vpn:1 = Pte.absent);
+  Alcotest.(check bool) "other survives" true (Tlb.lookup tlb ~vpn:2 <> Pte.absent)
 
 let test_tlb_lru_eviction () =
   let tlb = Tlb.create ~sets:1 ~ways:2 () in
@@ -295,16 +305,14 @@ let test_tlb_lru_eviction () =
   Tlb.insert tlb ~vpn:2 (mk_pte 2);
   ignore (Tlb.lookup tlb ~vpn:1);  (* make 2 the LRU *)
   Tlb.insert tlb ~vpn:3 (mk_pte 3);
-  Alcotest.(check bool) "1 survives (recently used)" true (Tlb.lookup tlb ~vpn:1 <> None);
-  Alcotest.(check bool) "2 evicted" true (Tlb.lookup tlb ~vpn:2 = None)
+  Alcotest.(check bool) "1 survives (recently used)" true (Tlb.lookup tlb ~vpn:1 <> Pte.absent);
+  Alcotest.(check bool) "2 evicted" true (Tlb.lookup tlb ~vpn:2 = Pte.absent)
 
 let test_tlb_update_in_place () =
   let tlb = Tlb.create ~sets:1 ~ways:2 () in
   Tlb.insert tlb ~vpn:1 (mk_pte 1);
   Tlb.insert tlb ~vpn:1 (mk_pte 99);
-  match Tlb.lookup tlb ~vpn:1 with
-  | Some pte -> Alcotest.(check int) "updated" 99 (Pte.frame pte)
-  | None -> Alcotest.fail "expected hit"
+  Alcotest.(check int) "updated" 99 (Pte.frame (Tlb.lookup tlb ~vpn:1))
 
 (* --- Cpu / pipeline (paper Fig 2 + Table 1) --- *)
 
@@ -509,12 +517,76 @@ let test_tlb_set_isolation () =
   Tlb.insert tlb ~vpn:2 (mk_pte 2);
   Tlb.insert tlb ~vpn:3 (mk_pte 3);
   List.iter
-    (fun vpn -> Alcotest.(check bool) (string_of_int vpn) true (Tlb.lookup tlb ~vpn <> None))
+    (fun vpn -> Alcotest.(check bool) (string_of_int vpn) true (Tlb.lookup tlb ~vpn <> Pte.absent))
     [ 0; 1; 2; 3 ];
   (* vpn 4 maps to set 0 and evicts only vpn 0 *)
   Tlb.insert tlb ~vpn:4 (mk_pte 4);
-  Alcotest.(check bool) "vpn 0 evicted" true (Tlb.lookup tlb ~vpn:0 = None);
-  Alcotest.(check bool) "vpn 1 untouched" true (Tlb.lookup tlb ~vpn:1 <> None)
+  Alcotest.(check bool) "vpn 0 evicted" true (Tlb.lookup tlb ~vpn:0 = Pte.absent);
+  Alcotest.(check bool) "vpn 1 untouched" true (Tlb.lookup tlb ~vpn:1 <> Pte.absent)
+
+let test_tlb_sets_power_of_two () =
+  Alcotest.check_raises "6 sets" (Invalid_argument "Tlb.create") (fun () ->
+      ignore (Tlb.create ~sets:6 ()));
+  List.iter
+    (fun sets ->
+      let tlb = Tlb.create ~sets ~ways:1 () in
+      for vpn = 0 to sets - 1 do
+        Tlb.insert tlb ~vpn (mk_pte vpn)
+      done;
+      for vpn = 0 to sets - 1 do
+        Alcotest.(check int) (Printf.sprintf "%d sets: vpn %d cached" sets vpn) vpn
+          (Pte.frame (Tlb.lookup tlb ~vpn))
+      done)
+    [ 1; 4; 256 ]
+
+let test_tlb_insert_absent () =
+  let tlb = Tlb.create () in
+  Alcotest.check_raises "absent is a miss, not an entry"
+    (Invalid_argument "Tlb.insert: absent entry") (fun () -> Tlb.insert tlb ~vpn:1 Pte.absent)
+
+(* --- allocation budget: translation and range rewrites run at memory
+   speed, so the hot paths allocate nothing per call --- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Words [f] allocates beyond an empty call's measurement overhead. *)
+let allocated f = minor_words f -. minor_words ignore
+
+let test_tlb_allocation () =
+  let n = 10_000 in
+  let tlb = Tlb.create () in
+  let each name f =
+    Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0.
+      (allocated (fun () ->
+           for i = 1 to n do
+             f i
+           done))
+  in
+  each "insert" (fun i -> Tlb.insert tlb ~vpn:(i land 2047) (mk_pte i));
+  Tlb.insert tlb ~vpn:7 (mk_pte 7);
+  each "lookup hit" (fun _ -> ignore (Tlb.lookup tlb ~vpn:7));
+  each "lookup miss" (fun i -> ignore (Tlb.lookup tlb ~vpn:(4096 + i)));
+  each "flush_page" (fun i -> Tlb.flush_page tlb ~vpn:(i land 2047));
+  each "flush_all" (fun _ -> Tlb.flush_all tlb);
+  Alcotest.(check int) "hits" n (Tlb.hits tlb);
+  Alcotest.(check int) "misses" n (Tlb.misses tlb)
+
+let test_update_range_allocation () =
+  let words pages =
+    let pt = Page_table.create () in
+    for vpn = 0 to pages - 1 do
+      Page_table.set pt ~vpn (mk_pte vpn)
+    done;
+    let rw = Pte.rewrite ~perm:Perm.r ~pkey:(Pkey.of_int 15) () in
+    let n = ref 0 in
+    let w = allocated (fun () -> n := Page_table.update_range pt ~vpn:0 ~pages rw) in
+    Alcotest.(check int) "every page rewritten" pages !n;
+    w
+  in
+  Alcotest.(check (float 0.)) "8 and 16384 pages allocate alike" (words 8) (words 16384)
 
 let test_tlb_stats_reset () =
   let tlb = Tlb.create () in
@@ -526,7 +598,7 @@ let test_tlb_stats_reset () =
   Alcotest.(check int) "misses" 0 (Tlb.misses tlb);
   Alcotest.(check int) "flushes" 0 (Tlb.flushes tlb);
   (* entries survive a stats reset *)
-  Alcotest.(check bool) "entry intact" true (Tlb.lookup tlb ~vpn:1 <> None)
+  Alcotest.(check bool) "entry intact" true (Tlb.lookup tlb ~vpn:1 <> Pte.absent)
 
 (* --- physmem refcounting (shared memory substrate) --- *)
 
@@ -549,8 +621,8 @@ let test_machine_flush_all_tlbs () =
   Tlb.insert (Cpu.tlb (Machine.core m 0)) ~vpn:5 (mk_pte 5);
   Tlb.insert (Cpu.tlb (Machine.core m 1)) ~vpn:6 (mk_pte 6);
   Machine.flush_all_tlbs m;
-  Alcotest.(check bool) "core0 flushed" true (Tlb.lookup (Cpu.tlb (Machine.core m 0)) ~vpn:5 = None);
-  Alcotest.(check bool) "core1 flushed" true (Tlb.lookup (Cpu.tlb (Machine.core m 1)) ~vpn:6 = None)
+  Alcotest.(check bool) "core0 flushed" true (Tlb.lookup (Cpu.tlb (Machine.core m 0)) ~vpn:5 = Pte.absent);
+  Alcotest.(check bool) "core1 flushed" true (Tlb.lookup (Cpu.tlb (Machine.core m 1)) ~vpn:6 = Pte.absent)
 
 let test_machine_basics () =
   let m = Machine.create ~cores:4 ~mem_mib:16 () in
@@ -602,6 +674,8 @@ let () =
           tc "flush page" `Quick test_tlb_flush_page;
           tc "lru eviction" `Quick test_tlb_lru_eviction;
           tc "update in place" `Quick test_tlb_update_in_place;
+          tc "sets must be a power of two" `Quick test_tlb_sets_power_of_two;
+          tc "insert absent" `Quick test_tlb_insert_absent;
         ] );
       ( "cpu",
         [
@@ -634,6 +708,11 @@ let () =
         [
           tc "set isolation" `Quick test_tlb_set_isolation;
           tc "stats reset" `Quick test_tlb_stats_reset;
+        ] );
+      ( "alloc_budget",
+        [
+          tc "tlb" `Quick test_tlb_allocation;
+          tc "update_range" `Quick test_update_range_allocation;
         ] );
       ("physmem_refs", [ tc "refcount" `Quick test_physmem_refcount ]);
       ( "machine",

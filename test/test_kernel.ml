@@ -227,7 +227,7 @@ let test_shootdown_flushes_remote_tlb () =
   let tlb1 = Cpu.tlb (Task.core t1) in
   Tlb.insert tlb1 ~vpn:42 (Pte.make ~frame:1 ~perm:Perm.rw ~pkey:Pkey.default);
   Sched.shootdown (Proc.sched proc) ~from:t0 t1;
-  Alcotest.(check bool) "remote tlb flushed" true (Tlb.lookup tlb1 ~vpn:42 = None)
+  Alcotest.(check bool) "remote tlb flushed" true (Tlb.lookup tlb1 ~vpn:42 = Pte.absent)
 
 (* --- IPI accounting regressions ---
 
@@ -310,7 +310,7 @@ let test_shootdown_lazy_idle_core () =
   Alcotest.(check (float 0.0)) "lazy: target pays nothing yet" c1 (cycles_on proc 1);
   Alcotest.(check int) "no IPI sent" 0 (Sched.ipis_sent (Proc.sched proc));
   Alcotest.(check bool) "idle core's stale entry dropped now" true
-    (Tlb.lookup tlb1 ~vpn:42 = None);
+    (Tlb.lookup tlb1 ~vpn:42 = Pte.absent);
   Alcotest.(check bool) "flush still owed" true (Task.tlb_flush_pending t1);
   Sched.schedule_in (Proc.sched proc) t1;
   Alcotest.(check (float 0.0)) "switch-in pays the switch + deferred flush"
@@ -331,12 +331,12 @@ let test_shootdown_lazy_busy_core () =
   Tlb.insert tlb1 ~vpn:42 (Pte.make ~frame:1 ~perm:Perm.rw ~pkey:Pkey.default);
   Sched.shootdown (Proc.sched proc) ~from:t0 t1;
   Alcotest.(check bool) "busy core keeps its entries" true
-    (Tlb.lookup tlb1 ~vpn:42 <> None);
+    (Tlb.lookup tlb1 ~vpn:42 <> Pte.absent);
   Alcotest.(check bool) "flush owed at switch-in" true (Task.tlb_flush_pending t1);
   Sched.schedule_out (Proc.sched proc) t2;
   Sched.schedule_in (Proc.sched proc) t1;
   Alcotest.(check bool) "flushed once the task runs" true
-    (Tlb.lookup tlb1 ~vpn:42 = None);
+    (Tlb.lookup tlb1 ~vpn:42 = Pte.absent);
   Alcotest.(check bool) "debt cleared" false (Task.tlb_flush_pending t1)
 
 (* --- Mm --- *)
