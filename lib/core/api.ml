@@ -19,6 +19,7 @@ type t = {
   groups : (Vkey.t, Group.t * int) Hashtbl.t;  (* vkey -> group, metadata slot *)
   heaps : (Vkey.t, Mpk_heap.t) Hashtbl.t;
   registry : (Vkey.t, unit) Hashtbl.t option;
+  deferred : Task.Updates.t;  (* mpk_mprotect_many's unsynced PKRU updates; empty between calls *)
   default_heap_bytes : int;
   mutable xonly_reserved : Pkey.t option;
   mutable xonly_groups : int;
@@ -63,9 +64,13 @@ type stats = {
 let user_base_cycles = 15.0
 let user_lookup_cycles = 15.0
 
-let charge_user ?(lookups = 3) task =
-  Cpu.charge ~label:"libmpk_user" (Task.core task)
-    (user_base_cycles +. (float_of_int lookups *. user_lookup_cycles))
+(* Both costs are computed once: a float computed per call would be boxed
+   on its way into [Cpu.charge]. *)
+let user_cycles lookups = user_base_cycles +. (float_of_int lookups *. user_lookup_cycles)
+let three_lookups = user_cycles 3
+let two_lookups = user_cycles 2
+
+let charge_user task cycles = Cpu.charge ~label:"libmpk_user" (Task.core task) cycles
 
 (* Tracing shims: every public API call runs inside a span named after
    it, and key-cache traffic / heap ops emit typed events. All of it is
@@ -118,6 +123,7 @@ let init ?vkeys ?(default_heap_bytes = 1 lsl 20) ?(seed = 0xC0FFEEL)
           List.iter (fun v -> Hashtbl.replace h v ()) vkeys;
           h)
         vkeys;
+    deferred = Task.Updates.create ();
     default_heap_bytes;
     xonly_reserved = None;
     xonly_groups = 0;
@@ -192,9 +198,9 @@ let check_vkey t vkey =
   | Some _ | None -> ()
 
 let group_slot t vkey =
-  match Hashtbl.find_opt t.groups vkey with
-  | Some pair -> pair
-  | None -> Errno.fail ENOENT "libmpk: no page group for vkey %d" vkey
+  match Hashtbl.find t.groups vkey with
+  | pair -> pair
+  | exception Not_found -> Errno.fail ENOENT "libmpk: no page group for vkey %d" vkey
 
 let sync_slot t task vkey =
   let group, slot = group_slot t vkey in
@@ -241,7 +247,7 @@ let attach_group t task group ~pkey ~page_prot =
 let mpk_mmap t task ~vkey ~len ~prot =
   span task "mpk_mmap" @@ fun () ->
   check_vkey t vkey;
-  charge_user task;
+  charge_user task three_lookups;
   count t c_mmap;
   emit_group_op task "mmap" vkey;
   if Hashtbl.mem t.groups vkey then
@@ -302,7 +308,7 @@ let scrub_rights t task pkey =
 let mpk_munmap t task ~vkey =
   span task "mpk_munmap" @@ fun () ->
   check_vkey t vkey;
-  charge_user task;
+  charge_user task three_lookups;
   count t c_munmap;
   emit_group_op task "munmap" vkey;
   let group, slot = group_slot t vkey in
@@ -348,10 +354,14 @@ let try_map_for_begin t task group =
           Some pkey
       | Key_cache.Full -> None)
 
+(* How many mpk_begin calls task [id] holds open on [group]. *)
+let begin_holds group id =
+  match Hashtbl.find group.Group.begin_holders id with n -> n | exception Not_found -> 0
+
 let mpk_begin t task ~vkey ~prot =
   span task "mpk_begin" @@ fun () ->
   check_vkey t vkey;
-  charge_user ~lookups:2 task;
+  charge_user task two_lookups;
   count t c_begin;
   let group, slot = group_slot t vkey in
   if group.Group.xonly then
@@ -374,8 +384,7 @@ let mpk_begin t task ~vkey ~prot =
   if Mpk_trace.Tracer.on () then temit task (Mpk_trace.Event.Cache_pin { vkey });
   group.Group.begin_depth <- group.Group.begin_depth + 1;
   let id = Task.id task in
-  Hashtbl.replace group.Group.begin_holders id
-    (1 + Option.value ~default:0 (Hashtbl.find_opt group.Group.begin_holders id));
+  Hashtbl.replace group.Group.begin_holders id (1 + begin_holds group id);
   (* note: [isolated] is not touched — a begin on a globally-unlocked
      group is a temporary elevation, not a switch of usage model *)
   set_own_rights task pkey (Pkru.rights_of_perm prot);
@@ -384,11 +393,11 @@ let mpk_begin t task ~vkey ~prot =
 let mpk_end t task ~vkey =
   span task "mpk_end" @@ fun () ->
   check_vkey t vkey;
-  charge_user ~lookups:2 task;
+  charge_user task two_lookups;
   count t c_end;
   let group, slot = group_slot t vkey in
   let id = Task.id task in
-  let own_depth = Option.value ~default:0 (Hashtbl.find_opt group.Group.begin_holders id) in
+  let own_depth = begin_holds group id in
   (match group.Group.state with
   | Group.Mapped pkey when own_depth > 0 ->
       group.Group.begin_depth <- group.Group.begin_depth - 1;
@@ -465,7 +474,7 @@ let mprotect_xonly t task group =
 let mpk_mprotect t task ~vkey ~prot =
   span task "mpk_mprotect" @@ fun () ->
   check_vkey t vkey;
-  charge_user task;
+  charge_user task three_lookups;
   count t c_mprotect;
   emit_group_op task "mprotect" vkey;
   let group, _ = group_slot t vkey in
@@ -515,36 +524,37 @@ let mpk_mprotect t task ~vkey ~prot =
 (* Batched protection change: apply every (vkey, prot) update, then
    propagate all the PKRU changes to other threads with one batched
    do_pkey_sync — one kernel entry and one IPI per target core — instead
-   of one sync per update. Only the hot path (a mapped, non-execute-only
-   group whose exec bit is unchanged) can defer its sync; anything else
-   (unmapped groups, execute-only transitions, exec-bit flips) falls back
-   to the full [mpk_mprotect], whose own synchronization is part of its
-   semantics. *)
-let mpk_mprotect_many t task ~updates =
-  span task "mpk_mprotect_many" @@ fun () ->
-  let deferred = ref [] in
-  List.iter
-    (fun ((vkey, prot) : int * Perm.t) ->
-      let fast =
-        (not (Perm.equal prot Perm.x_only))
-        &&
-        match Hashtbl.find_opt t.groups vkey with
-        | Some (group, _) ->
-            (not group.Group.xonly)
-            && group.Group.begin_depth = 0
-            && group.Group.prot.Perm.exec = prot.Perm.exec
-            && (match group.Group.state with
-               | Group.Mapped _ -> true
-               | Group.Unmapped -> false)
-        | None -> false
-      in
-      if not fast then mpk_mprotect t task ~vkey ~prot
-      else begin
+   of one sync per update. Only the hot path ([batchable]) can defer its
+   sync; anything else (unmapped groups, execute-only transitions,
+   exec-bit flips, unknown vkeys) falls back to the full [mpk_mprotect],
+   whose own synchronization is part of its semantics. *)
+let batchable t vkey (prot : Perm.t) =
+  (not (Perm.equal prot Perm.x_only))
+  &&
+  match Hashtbl.find t.groups vkey with
+  | group, _ ->
+      (not group.Group.xonly)
+      && group.Group.begin_depth = 0
+      && group.Group.prot.Perm.exec = prot.Perm.exec
+      && (match group.Group.state with Group.Mapped _ -> true | Group.Unmapped -> false)
+  | exception Not_found -> false
+
+(* Sync the deferred updates in one do_pkey_sync and empty the batch. *)
+let sync_deferred t task =
+  if Task.Updates.length t.deferred > 0 then begin
+    if multi_threaded t then Syscall.pkey_sync_many t.proc task ~updates:t.deferred;
+    Task.Updates.clear t.deferred
+  end
+
+let rec protect_each t task = function
+  | [] -> ()
+  | ((vkey, prot) : int * Perm.t) :: rest ->
+      if batchable t vkey prot then begin
         check_vkey t vkey;
-        charge_user task;
+        charge_user task three_lookups;
         count t c_mprotect;
         emit_group_op task "mprotect" vkey;
-        let group, _ = group_slot t vkey in
+        let group, slot = group_slot t vkey in
         (match group.Group.state with
         | Group.Mapped pkey ->
             emit_acquire task vkey (Key_cache.acquire t.cache vkey);  (* LRU bump + stats *)
@@ -552,19 +562,29 @@ let mpk_mprotect_many t task ~updates =
             group.Group.isolated <- false;
             let rights = Pkru.rights_of_perm prot in
             set_own_rights task pkey rights;
-            deferred := (pkey, rights) :: !deferred
+            Task.Updates.add t.deferred pkey rights
         | Group.Unmapped -> assert false);
-        sync_slot t task vkey
-      end)
-    updates;
-  match List.rev !deferred with
-  | [] -> ()
-  | ds -> if multi_threaded t then Syscall.pkey_sync_many t.proc task ~updates:ds
+        Metadata.update_slot t.metadata task ~slot group
+      end
+      else begin
+        (* What was deferred reaches the other threads first, as it would
+           between sequential calls: the full path may release or recycle
+           a key a deferred update names, and it is the only path that
+           can fail, leaving the updates before it applied. *)
+        sync_deferred t task;
+        mpk_mprotect t task ~vkey ~prot
+      end;
+      protect_each t task rest
+
+let mpk_mprotect_many t task ~updates =
+  span task "mpk_mprotect_many" @@ fun () ->
+  protect_each t task updates;
+  sync_deferred t task
 
 let mpk_malloc t task ~vkey ~size =
   span task "mpk_malloc" @@ fun () ->
   check_vkey t vkey;
-  charge_user task;
+  charge_user task three_lookups;
   count t c_malloc;
   let group =
     match Hashtbl.find_opt t.groups vkey with
@@ -592,7 +612,7 @@ let mpk_malloc t task ~vkey ~size =
 let mpk_free t task ~vkey ~addr =
   span task "mpk_free" @@ fun () ->
   check_vkey t vkey;
-  charge_user task;
+  charge_user task three_lookups;
   count t c_free;
   match Hashtbl.find_opt t.heaps vkey with
   | Some heap ->

@@ -81,7 +81,11 @@ val mpk_mprotect : t -> Task.t -> vkey:Vkey.t -> prot:Perm.t -> unit
     mapped-group fast path into one batched [do_pkey_sync] at the end:
     one kernel entry and one IPI per target core for the whole batch.
     Updates that cannot defer (unmapped groups, execute-only transitions,
-    exec-bit flips) fall back to [mpk_mprotect] individually. *)
+    exec-bit flips, unknown vkeys) fall back to [mpk_mprotect]
+    individually, after syncing the updates deferred so far. Every
+    thread ends as after the same sequence of [mpk_mprotect] calls; when
+    an update raises, the updates before it are applied and synced, and
+    the exception propagates. *)
 val mpk_mprotect_many : t -> Task.t -> updates:(Vkey.t * Perm.t) list -> unit
 
 (** [mpk_malloc t task ~vkey ~size] — allocate from the group's heap,

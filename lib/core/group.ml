@@ -41,14 +41,18 @@ let prot_to_int (p : Perm.t) =
 let prot_of_int v : Perm.t =
   { read = v land 1 <> 0; write = v land 2 <> 0; exec = v land 4 <> 0 }
 
-let serialize t =
-  let b = Bytes.make metadata_bytes '\000' in
+let serialize_into t b =
+  if Bytes.length b <> metadata_bytes then invalid_arg "Group.serialize_into: bad length";
   Bytes.set_int64_le b 0 (Int64.of_int t.vkey);
   Bytes.set_int64_le b 8 (Int64.of_int t.base);
   Bytes.set_int64_le b 16 (Int64.of_int t.pages);
   Bytes.set_int32_le b 24 (Int32.of_int (prot_to_int t.prot));
   let pk = match t.state with Unmapped -> 0 | Mapped k -> Pkey.to_int k in
-  Bytes.set_int32_le b 28 (Int32.of_int pk);
+  Bytes.set_int32_le b 28 (Int32.of_int pk)
+
+let serialize t =
+  let b = Bytes.create metadata_bytes in
+  serialize_into t b;
   b
 
 let deserialize b =

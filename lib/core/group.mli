@@ -44,4 +44,8 @@ val metadata_bytes : int
 (** [serialize t] — 32-byte record (vkey, base, pages, prot, pkey). *)
 val serialize : t -> bytes
 
+(** [serialize_into t b] writes [serialize t] into [b], which must be
+    [metadata_bytes] long. *)
+val serialize_into : t -> bytes -> unit
+
 val deserialize : bytes -> (Vkey.t * int * int * Perm.t * int) option

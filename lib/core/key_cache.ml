@@ -1,7 +1,14 @@
 open Mpk_hw
 
+type acquire_result =
+  | Hit of Pkey.t
+  | Fresh of Pkey.t
+  | Evicted of Pkey.t * Vkey.t
+  | Full
+
 type entry = {
   pkey : Pkey.t;
+  hit : acquire_result;  (* [Hit pkey], built once so that a hit allocates nothing *)
   mutable stamp : int;  (* last access (LRU) *)
   inserted : int;  (* insertion order (FIFO) *)
   mutable pins : int;
@@ -77,19 +84,15 @@ let lru_victim t =
       | [] -> None
       | _ -> Some (List.nth unpinned (Mpk_util.Prng.int t.prng (List.length unpinned))))
 
-type acquire_result =
-  | Hit of Pkey.t
-  | Fresh of Pkey.t
-  | Evicted of Pkey.t * Vkey.t
-  | Full
+let entry pkey ~now = { pkey; hit = Hit pkey; stamp = now; inserted = now; pins = 0 }
 
 let acquire t ?(may_evict = true) vkey =
-  match Hashtbl.find_opt t.map vkey with
-  | Some e ->
+  match Hashtbl.find t.map vkey with
+  | e ->
       e.stamp <- tick t;
       t.hits <- t.hits + 1;
-      Hit e.pkey
-  | None -> (
+      e.hit
+  | exception Not_found -> (
       t.misses <- t.misses + 1;
       let full () =
         t.full <- t.full + 1;
@@ -100,8 +103,7 @@ let acquire t ?(may_evict = true) vkey =
       match t.free with
       | pkey :: rest ->
           t.free <- rest;
-          let now = tick t in
-          Hashtbl.replace t.map vkey { pkey; stamp = now; inserted = now; pins = 0 };
+          Hashtbl.replace t.map vkey (entry pkey ~now:(tick t));
           Fresh pkey
       | [] ->
           if not may_evict then full ()
@@ -110,8 +112,7 @@ let acquire t ?(may_evict = true) vkey =
             | None -> full ()
             | Some (victim, e) ->
                 Hashtbl.remove t.map victim;
-                let now = tick t in
-                Hashtbl.replace t.map vkey { pkey = e.pkey; stamp = now; inserted = now; pins = 0 };
+                Hashtbl.replace t.map vkey (entry e.pkey ~now:(tick t));
                 t.evictions <- t.evictions + 1;
                 Evicted (e.pkey, victim)))
 

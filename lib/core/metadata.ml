@@ -8,13 +8,20 @@ type t = {
   mutable base : int;
   mutable bytes : int;
   mutable used : bool array;  (* slot occupancy, tracked library-side *)
+  record : bytes;  (* [update_slot] serializes here rather than into a fresh buffer *)
 }
 
 let slots_of_bytes bytes = bytes / Group.metadata_bytes
 
 let create proc task =
   let base = Syscall.mmap proc task ~len:initial_bytes ~prot:Perm.r () in
-  { proc; base; bytes = initial_bytes; used = Array.make (slots_of_bytes initial_bytes) false }
+  {
+    proc;
+    base;
+    bytes = initial_bytes;
+    used = Array.make (slots_of_bytes initial_bytes) false;
+    record = Bytes.create Group.metadata_bytes;
+  }
 
 let base t = t.base
 let capacity_slots t = slots_of_bytes t.bytes
@@ -74,7 +81,8 @@ let alloc_slot t task group =
 let update_slot t _task ~slot group =
   if slot < 0 || slot >= Array.length t.used || not t.used.(slot) then
     invalid_arg "Metadata.update_slot: bad slot";
-  kernel_write t ~slot (Group.serialize group)
+  Group.serialize_into group t.record;
+  kernel_write t ~slot t.record
 
 let free_slot t _task ~slot =
   if slot < 0 || slot >= Array.length t.used || not t.used.(slot) then

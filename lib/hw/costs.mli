@@ -42,8 +42,8 @@ type t = {
   (* Multi-thread machinery. *)
   ipi_send : float;  (** cost to the sender of one IPI *)
   ipi_receive : float;  (** cost to the receiver core *)
-  task_work_add : float;  (** enqueue one task_work callback *)
-  task_work_run : float;  (** run one callback at return-to-user *)
+  task_work_add : float;  (** enqueue one task_work PKRU update *)
+  task_work_run : float;  (** apply one queued update at return-to-user *)
   context_switch : float;
 }
 

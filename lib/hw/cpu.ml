@@ -69,8 +69,13 @@ let measure t f =
 (* Tracer shims: the core's cycle counter is the event clock. *)
 let emit t ev = Mpk_trace.Tracer.emit ~core:t.id ~ts:(cycles t) ev
 
+(* With tracing and profiling both off a span is just [f ()]: the check
+   comes first so that the clock closure is only built when a span will
+   read it. *)
 let span t name f =
-  Mpk_trace.Tracer.with_span ~core:t.id ~clock:(fun () -> cycles t) name f
+  if Mpk_trace.Tracer.on () || Mpk_trace.Prof.on () then
+    Mpk_trace.Tracer.with_span ~core:t.id ~clock:(fun () -> cycles t) name f
+  else f ()
 
 let pkru t = t.pkru
 let set_pkru_direct t v = t.pkru <- v

@@ -107,17 +107,24 @@ let check t cpu ~addr ~access =
   Cpu.charge ~label:"mem_access" cpu (Cpu.costs cpu).mem_access;
   pte
 
-let split_pages ~addr ~len f =
-  (* Apply [f pte_addr page_off chunk_off chunk_len] per page touched. *)
-  let rec go addr off remaining =
-    if remaining > 0 then begin
-      let page_off = addr land (Physmem.page_size - 1) in
-      let chunk = min remaining (Physmem.page_size - page_off) in
-      f addr page_off off chunk;
-      go (addr + chunk) (off + chunk) (remaining - chunk)
-    end
-  in
-  go addr 0 len
+let page_off addr = addr land (Physmem.page_size - 1)
+
+(* Copy between [buf] and the [Bytes.length buf] bytes at [addr], one
+   [check] per page touched, in address order. The loop builds no
+   closure, so an access allocates nothing whether it stays in one page
+   or crosses several. *)
+let user_copy t cpu ~access ~addr buf =
+  let len = Bytes.length buf in
+  let off = ref 0 in
+  while !off < len do
+    let a = addr + !off in
+    let chunk = Int.min (len - !off) (Physmem.page_size - page_off a) in
+    let frame = Pte.frame (check t cpu ~addr:a ~access) in
+    (match access with
+    | Write -> Physmem.write_bytes t.mem frame (page_off a) buf !off chunk
+    | Read | Fetch -> Physmem.read_into t.mem frame (page_off a) buf !off chunk);
+    off := !off + chunk
+  done
 
 let read_byte t cpu ~addr =
   let pte = check t cpu ~addr ~access:Read in
@@ -130,32 +137,37 @@ let write_byte t cpu ~addr c =
 let read_bytes t cpu ~addr ~len =
   if len < 0 then invalid_arg "Mmu.read_bytes: negative length";
   let out = Bytes.create len in
-  split_pages ~addr ~len (fun page_addr page_off out_off chunk ->
-      let pte = check t cpu ~addr:page_addr ~access:Read in
-      Physmem.read_into t.mem (Pte.frame pte) page_off out out_off chunk);
+  user_copy t cpu ~access:Read ~addr out;
   out
 
-let write_bytes t cpu ~addr src =
-  let len = Bytes.length src in
-  split_pages ~addr ~len (fun page_addr page_off src_off chunk ->
-      let pte = check t cpu ~addr:page_addr ~access:Write in
-      Physmem.write_bytes t.mem (Pte.frame pte) page_off src src_off chunk)
+let write_bytes t cpu ~addr src = user_copy t cpu ~access:Write ~addr src
+
+(* A word inside one page is read or written in place, without the
+   8-byte buffer a page-crossing word goes through. *)
+let word_in_page addr = page_off addr <= Physmem.page_size - 8
 
 let read_int64 t cpu ~addr =
-  let b = read_bytes t cpu ~addr ~len:8 in
-  Bytes.get_int64_le b 0
+  if word_in_page addr then begin
+    let pte = check t cpu ~addr ~access:Read in
+    Physmem.read_int64 t.mem (Pte.frame pte) (page_off addr)
+  end
+  else Bytes.get_int64_le (read_bytes t cpu ~addr ~len:8) 0
 
 let write_int64 t cpu ~addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write_bytes t cpu ~addr b
+  if word_in_page addr then begin
+    let pte = check t cpu ~addr ~access:Write in
+    Physmem.write_int64 t.mem (Pte.frame pte) (page_off addr) v
+  end
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    write_bytes t cpu ~addr b
+  end
 
 let fetch t cpu ~addr ~len =
   if len < 0 then invalid_arg "Mmu.fetch: negative length";
   let out = Bytes.create len in
-  split_pages ~addr ~len (fun page_addr page_off out_off chunk ->
-      let pte = check t cpu ~addr:page_addr ~access:Fetch in
-      Physmem.read_into t.mem (Pte.frame pte) page_off out out_off chunk);
+  user_copy t cpu ~access:Fetch ~addr out;
   out
 
 let kernel_pte t ~addr ~access =
@@ -170,16 +182,25 @@ let kernel_pte t ~addr ~access =
     else raise (Fault { addr; access; cause = Not_present })
   end
 
-let kernel_write_bytes t ~addr src =
-  let len = Bytes.length src in
-  split_pages ~addr ~len (fun page_addr page_off src_off chunk ->
-      let pte = kernel_pte t ~addr:page_addr ~access:Write in
-      Physmem.write_bytes t.mem (Pte.frame pte) page_off src src_off chunk)
+(* [user_copy] for privileged accesses: no PKRU or page-permission
+   check, but a missing page is faulted in. *)
+let kernel_copy t ~access ~addr buf =
+  let len = Bytes.length buf in
+  let off = ref 0 in
+  while !off < len do
+    let a = addr + !off in
+    let chunk = Int.min (len - !off) (Physmem.page_size - page_off a) in
+    let frame = Pte.frame (kernel_pte t ~addr:a ~access) in
+    (match access with
+    | Write -> Physmem.write_bytes t.mem frame (page_off a) buf !off chunk
+    | Read | Fetch -> Physmem.read_into t.mem frame (page_off a) buf !off chunk);
+    off := !off + chunk
+  done
+
+let kernel_write_bytes t ~addr src = kernel_copy t ~access:Write ~addr src
 
 let kernel_read_bytes t ~addr ~len =
   if len < 0 then invalid_arg "Mmu.kernel_read_bytes: negative length";
   let out = Bytes.create len in
-  split_pages ~addr ~len (fun page_addr page_off out_off chunk ->
-      let pte = kernel_pte t ~addr:page_addr ~access:Read in
-      Physmem.read_into t.mem (Pte.frame pte) page_off out out_off chunk);
+  kernel_copy t ~access:Read ~addr out;
   out

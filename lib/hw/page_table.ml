@@ -25,18 +25,22 @@ let check_vpn vpn =
   if vpn < 0 || vpn lsr (levels * level_bits) <> 0 then
     invalid_arg "Page_table: vpn out of 48-bit range"
 
+(* What [find_leaf] returns for a missing leaf it may not create: a
+   sentinel rather than an option, so that a lookup allocates nothing. *)
+let no_leaf : Pte.t array = [||]
+
 let rec find_leaf ~create_missing arr vpn level =
   let i = index vpn level in
   if level = levels - 2 then begin
     match arr.(i) with
-    | Some (Leaf leaf) -> Some leaf
+    | Some (Leaf leaf) -> leaf
     | Some (Inner _) -> assert false
     | None ->
-        if not create_missing then None
+        if not create_missing then no_leaf
         else begin
           let leaf = Array.make fanout Pte.absent in
           arr.(i) <- Some (Leaf leaf);
-          Some leaf
+          leaf
         end
   end
   else
@@ -44,7 +48,7 @@ let rec find_leaf ~create_missing arr vpn level =
     | Some (Inner next) -> find_leaf ~create_missing next vpn (level + 1)
     | Some (Leaf _) -> assert false
     | None ->
-        if not create_missing then None
+        if not create_missing then no_leaf
         else begin
           let next = Array.make fanout None in
           arr.(i) <- Some (Inner next);
@@ -53,27 +57,24 @@ let rec find_leaf ~create_missing arr vpn level =
 
 let set t ~vpn pte =
   check_vpn vpn;
+  let i = index vpn (levels - 1) in
   if not (Pte.is_present pte) then begin
-    match find_leaf ~create_missing:false t.root vpn 0 with
-    | None -> ()
-    | Some leaf ->
-        let i = index vpn (levels - 1) in
-        if Pte.is_present leaf.(i) then t.mapped <- t.mapped - 1;
-        leaf.(i) <- Pte.absent
+    let leaf = find_leaf ~create_missing:false t.root vpn 0 in
+    if leaf != no_leaf then begin
+      if Pte.is_present leaf.(i) then t.mapped <- t.mapped - 1;
+      leaf.(i) <- Pte.absent
+    end
   end
-  else
-    match find_leaf ~create_missing:true t.root vpn 0 with
-    | None -> assert false
-    | Some leaf ->
-        let i = index vpn (levels - 1) in
-        if not (Pte.is_present leaf.(i)) then t.mapped <- t.mapped + 1;
-        leaf.(i) <- pte
+  else begin
+    let leaf = find_leaf ~create_missing:true t.root vpn 0 in
+    if not (Pte.is_present leaf.(i)) then t.mapped <- t.mapped + 1;
+    leaf.(i) <- pte
+  end
 
 let get t ~vpn =
   check_vpn vpn;
-  match find_leaf ~create_missing:false t.root vpn 0 with
-  | None -> Pte.absent
-  | Some leaf -> leaf.(index vpn (levels - 1))
+  let leaf = find_leaf ~create_missing:false t.root vpn 0 in
+  if leaf == no_leaf then Pte.absent else leaf.(index vpn (levels - 1))
 
 (* Rewrites the present entries of [lo, hi) under [arr], a node at
    [level] whose first slot starts at vpn [base]. Only the slots that

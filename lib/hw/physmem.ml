@@ -48,31 +48,40 @@ let alloc_frame t =
   Hashtbl.replace t.refs frame 1;
   frame
 
-let refcount t f = Option.value ~default:0 (Hashtbl.find_opt t.refs f)
+(* Lookups below match on [Hashtbl.find] rather than [find_opt], so a
+   hit returns without allocating an option. *)
+let refcount t f = match Hashtbl.find t.refs f with n -> n | exception Not_found -> 0
 
 let ref_frame t f =
-  match Hashtbl.find_opt t.refs f with
-  | Some n -> Hashtbl.replace t.refs f (n + 1)
-  | None -> invalid_arg "Physmem.ref_frame: frame not allocated"
+  match Hashtbl.find t.refs f with
+  | n -> Hashtbl.replace t.refs f (n + 1)
+  | exception Not_found -> invalid_arg "Physmem.ref_frame: frame not allocated"
 
 let free_frame t f =
   if f < 0 || f >= t.next_fresh then invalid_arg "Physmem.free_frame: bad frame";
-  match Hashtbl.find_opt t.refs f with
-  | None -> invalid_arg "Physmem.free_frame: frame not allocated"
-  | Some n when n > 1 -> Hashtbl.replace t.refs f (n - 1)
-  | Some _ ->
+  match Hashtbl.find t.refs f with
+  | exception Not_found -> invalid_arg "Physmem.free_frame: frame not allocated"
+  | n when n > 1 -> Hashtbl.replace t.refs f (n - 1)
+  | _ ->
       Hashtbl.remove t.refs f;
       Hashtbl.remove t.backing f;
       t.free_list <- f :: t.free_list;
       t.in_use <- t.in_use - 1
 
+(* A frame never written since allocation has no storage yet and reads
+   as zeroes; [backing] returns [unbacked] for it. *)
+let unbacked = Bytes.empty
+
+let backing t f = match Hashtbl.find t.backing f with b -> b | exception Not_found -> unbacked
+
 let storage t f =
-  match Hashtbl.find_opt t.backing f with
-  | Some b -> b
-  | None ->
-      let b = Bytes.make page_size '\000' in
-      Hashtbl.replace t.backing f b;
-      b
+  let b = backing t f in
+  if b != unbacked then b
+  else begin
+    let b = Bytes.make page_size '\000' in
+    Hashtbl.replace t.backing f b;
+    b
+  end
 
 let check_off off len =
   if off < 0 || len < 0 || off + len > page_size then
@@ -80,9 +89,8 @@ let check_off off len =
 
 let read_byte t f off =
   check_off off 1;
-  match Hashtbl.find_opt t.backing f with
-  | None -> '\000'
-  | Some b -> Bytes.get b off
+  let b = backing t f in
+  if b == unbacked then '\000' else Bytes.get b off
 
 let write_byte t f off c =
   check_off off 1;
@@ -90,9 +98,8 @@ let write_byte t f off c =
 
 let read_into t f off dst dst_off len =
   check_off off len;
-  match Hashtbl.find_opt t.backing f with
-  | None -> Bytes.fill dst dst_off len '\000'
-  | Some b -> Bytes.blit b off dst dst_off len
+  let b = backing t f in
+  if b == unbacked then Bytes.fill dst dst_off len '\000' else Bytes.blit b off dst dst_off len
 
 let read_bytes t f off len =
   check_off off len;
@@ -106,9 +113,8 @@ let write_bytes t f off src src_off len =
 
 let read_int64 t f off =
   check_off off 8;
-  match Hashtbl.find_opt t.backing f with
-  | None -> 0L
-  | Some b -> Bytes.get_int64_le b off
+  let b = backing t f in
+  if b == unbacked then 0L else Bytes.get_int64_le b off
 
 let write_int64 t f off v =
   check_off off 8;

@@ -52,9 +52,19 @@ let cls t = t.cls
 
 (* --- observation hooks --- *)
 
-let hook : (event -> unit) ref = ref ignore
-let set_hook f = hook := f
-let clear_hook () = hook := ignore
+let hook : (event -> unit) option ref = ref None
+let set_hook f = hook := Some f
+let clear_hook () = hook := None
+
+(* An event is built only while a hook is installed: with none, a
+   transition allocates nothing for it. *)
+let observe event t mode ~actor =
+  match !hook with None -> () | Some h -> h (event t mode actor)
+
+let attempt lock mode actor = Attempt { lock; mode; actor }
+let acquired lock mode actor = Acquired { lock; mode; actor }
+let contended lock mode actor = Contended { lock; mode; actor }
+let released lock mode actor = Released { lock; mode; actor }
 
 let default_wait t ~actor =
   raise
@@ -129,36 +139,36 @@ let try_transition t mode ~actor =
           end)
 
 let try_acquire t mode ~actor =
-  !hook (Attempt { lock = t; mode; actor });
+  observe attempt t mode ~actor;
   if try_transition t mode ~actor then begin
-    !hook (Acquired { lock = t; mode; actor });
+    observe acquired t mode ~actor;
     emit_acquire t mode ~actor;
     true
   end
   else false
 
 let acquire t mode ~actor =
-  !hook (Attempt { lock = t; mode; actor });
+  observe attempt t mode ~actor;
   if not (try_transition t mode ~actor) then begin
-    !hook (Contended { lock = t; mode; actor });
+    observe contended t mode ~actor;
     emit_contended t mode ~actor;
     while not (try_transition t mode ~actor) do
       !wait_hook t ~actor
     done
   end;
-  !hook (Acquired { lock = t; mode; actor });
+  observe acquired t mode ~actor;
   emit_acquire t mode ~actor
 
 let release t mode ~actor =
-  !hook (Released { lock = t; mode; actor });
+  observe released t mode ~actor;
   emit_release t mode ~actor;
   match mode with
   | Shared ->
       if reader_count_of t ~actor > 0 then bump_reader t actor (-1)
       else incr unbalanced_releases
-  | Exclusive ->
-      if t.writer = Some actor then begin
-        t.write_depth <- t.write_depth - 1;
-        if t.write_depth = 0 then t.writer <- None
-      end
-      else incr unbalanced_releases
+  | Exclusive -> (
+      match t.writer with
+      | Some w when w = actor ->
+          t.write_depth <- t.write_depth - 1;
+          if t.write_depth = 0 then t.writer <- None
+      | Some _ | None -> incr unbalanced_releases)

@@ -38,7 +38,8 @@ val known_classes : unit -> string list
 
 val set_hook : (event -> unit) -> unit
 (** Install the lockdep recorder. Exactly one hook; [clear_hook]
-    restores the no-op. *)
+    removes it. Events are constructed only while a hook is installed,
+    so an unobserved transition allocates none. *)
 
 val clear_hook : unit -> unit
 

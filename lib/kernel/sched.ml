@@ -16,9 +16,9 @@ let create machine =
 let machine t = t.machine
 
 let ipi_stats_for t core_id =
-  match Hashtbl.find_opt t.ipi core_id with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.ipi core_id with
+  | s -> s
+  | exception Not_found ->
       let s = { sent = 0; received = 0 } in
       Hashtbl.add t.ipi core_id s;
       s
@@ -85,10 +85,22 @@ let spawn t ~core_id =
 
 let tasks t = t.tasks
 
-let task_on t ~core_id =
-  List.find_opt
-    (fun task -> Task.state task = Task.On_cpu && Cpu.id (Task.core task) = core_id)
-    t.tasks
+let on_cpu_at task ~core_id = Task.state task = Task.On_cpu && Cpu.id (Task.core task) = core_id
+
+let task_on t ~core_id = List.find_opt (fun task -> on_cpu_at task ~core_id) t.tasks
+
+let rec busy tasks ~core_id =
+  match tasks with
+  | [] -> false
+  | task :: rest -> on_cpu_at task ~core_id || busy rest ~core_id
+
+(* An off-CPU task's stale TLB entries: if no task runs on its core,
+   nothing can touch them before the flush its next [schedule_in] pays
+   for, so they are dropped now, for free, matching the eager path's
+   visible TLB state. *)
+let drop_if_idle t task =
+  let core = Task.core task in
+  if not (busy t.tasks ~core_id:(Cpu.id core)) then Tlb.flush_all (Cpu.tlb core)
 
 (* Forced preemption (fault injection): bounce the on-CPU task through a
    schedule_out/schedule_in pair. Context switches themselves charge
@@ -123,79 +135,88 @@ let kick t ~from target =
       Cpu.charge ~label:"ipi_receive" core (Cpu.costs core).ipi_receive;
       return_to_user target
 
-type batch = { cores_kicked : int; tasks_reached : int }
+(* [kick_batch] visits [targets] once per kicked core rather than
+   grouping them in a table: a process has a handful of tasks, and the
+   plain walks below allocate nothing. The sender is never its own
+   target. *)
+let is_target ~from tk = Task.id tk <> Task.id from
+
+let rec mark_off_cpu t ~from = function
+  | [] -> ()
+  | tk :: rest ->
+      if Task.state tk = Task.Off_cpu && is_target ~from tk then begin
+        Task.mark_tlb_flush tk;
+        drop_if_idle t tk
+      end;
+      mark_off_cpu t ~from rest
+
+(* The lowest id above [above] of a core holding an on-CPU target, or
+   [best] (-1 when called) if there is none. *)
+let rec next_core ~from ~above best = function
+  | [] -> best
+  | tk :: rest ->
+      let id = Cpu.id (Task.core tk) in
+      let best =
+        if
+          Task.state tk = Task.On_cpu && is_target ~from tk && id > above
+          && (best < 0 || id < best)
+        then id
+        else best
+      in
+      next_core ~from ~above best rest
+
+(* Every on-CPU target on core [core_id] drains, in list order. *)
+let rec drain_core ~from ~core_id = function
+  | [] -> ()
+  | tk :: rest ->
+      if on_cpu_at tk ~core_id && is_target ~from tk then return_to_user tk;
+      drain_core ~from ~core_id rest
+
+(* One IPI per core, in ascending core order; returns the cores kicked. *)
+let rec kick_cores t ~from ~kind ~flush_tlb ~above kicked targets =
+  let id = next_core ~from ~above (-1) targets in
+  if id < 0 then kicked
+  else begin
+    let sender = Task.core from in
+    let core = Machine.core t.machine id in
+    Cpu.charge ~label:"ipi_send" sender (Cpu.costs sender).ipi_send;
+    note_ipi t ~sender_id:(Cpu.id sender) ~target_id:id;
+    if Mpk_trace.Tracer.on () then
+      Cpu.emit sender (Mpk_trace.Event.Ipi { kind; target_core = id });
+    Cpu.charge ~label:"ipi_receive" core (Cpu.costs core).ipi_receive;
+    if flush_tlb then begin
+      Tlb.flush_all (Cpu.tlb core);
+      if Mpk_trace.Tracer.on () then
+        Cpu.emit core (Mpk_trace.Event.Tlb_flush { pages = 0; all = true })
+    end;
+    drain_core ~from ~core_id:id targets;
+    kick_cores t ~from ~kind ~flush_tlb ~above:id (kicked + 1) targets
+  end
 
 let kick_batch t ~from ?(kind = "pkey_sync_batch") ?(flush_tlb = false) ?(sync = false) targets =
-  let sender = Task.core from in
-  let costs = Cpu.costs sender in
   (* Off-CPU targets never see an IPI: their queued work runs at the next
      [schedule_in], which (for shootdown batches) also performs the
-     deferred flush. An idle core's stale entries are dropped immediately
-     — nothing can touch them before the flush we just scheduled — so the
-     audited TLB state matches the eager path throughout. *)
-  if flush_tlb then
-    List.iter
-      (fun tk ->
-        if Task.state tk = Task.Off_cpu then begin
-          Task.mark_tlb_flush tk;
-          match task_on t ~core_id:(Cpu.id (Task.core tk)) with
-          | Some _ -> ()
-          | None -> Tlb.flush_all (Cpu.tlb (Task.core tk))
-        end)
-      targets;
+     deferred flush. *)
+  if flush_tlb then mark_off_cpu t ~from targets;
   (* One IPI per distinct core holding at least one on-CPU target: every
      pending update queued on every task of that core drains under a
      single interrupt. *)
-  let by_core = Hashtbl.create 8 in
-  List.iter
-    (fun tk ->
-      if Task.state tk = Task.On_cpu then begin
-        let id = Cpu.id (Task.core tk) in
-        let prev = Option.value (Hashtbl.find_opt by_core id) ~default:[] in
-        Hashtbl.replace by_core id (tk :: prev)
-      end)
-    targets;
-  let core_ids =
-    Hashtbl.fold (fun id _ acc -> id :: acc) by_core [] |> List.sort compare
-  in
-  let reached = ref 0 in
-  List.iter
-    (fun id ->
-      let core_tasks = List.rev (Hashtbl.find by_core id) in
-      let core = Task.core (List.hd core_tasks) in
-      Cpu.charge ~label:"ipi_send" sender costs.ipi_send;
-      note_ipi t ~sender_id:(Cpu.id sender) ~target_id:id;
-      if Mpk_trace.Tracer.on () then
-        Cpu.emit sender (Mpk_trace.Event.Ipi { kind; target_core = id });
-      Cpu.charge ~label:"ipi_receive" core (Cpu.costs core).ipi_receive;
-      if flush_tlb then begin
-        Tlb.flush_all (Cpu.tlb core);
-        if Mpk_trace.Tracer.on () then
-          Cpu.emit core (Mpk_trace.Event.Tlb_flush { pages = 0; all = true })
-      end;
-      List.iter
-        (fun tk ->
-          incr reached;
-          return_to_user tk)
-        core_tasks)
-    core_ids;
+  let kicked = kick_cores t ~from ~kind ~flush_tlb ~above:(-1) 0 targets in
   (* A synchronous batch spin-waits for the acks; the sends overlap, so
      the initiator pays a single receive-latency wait regardless of
      fan-out. *)
-  if sync && core_ids <> [] then Cpu.charge ~label:"ipi_spin" sender costs.ipi_receive;
-  { cores_kicked = List.length core_ids; tasks_reached = !reached }
+  if sync && kicked > 0 then begin
+    let sender = Task.core from in
+    Cpu.charge ~label:"ipi_spin" sender (Cpu.costs sender).ipi_receive
+  end
 
 let shootdown t ~from target =
   match Task.state target with
   | Task.Off_cpu ->
       (* Lazy shootdown: no IPI. The task is marked so its next
-         [schedule_in] charges for and performs the flush; if its core is
-         idle the stale entries are dropped now for free (nothing can use
-         them first), matching the eager path's visible TLB state. *)
+         [schedule_in] charges for and performs the flush. *)
       Task.mark_tlb_flush target;
-      (match task_on t ~core_id:(Cpu.id (Task.core target)) with
-      | Some _ -> ()
-      | None -> Tlb.flush_all (Cpu.tlb (Task.core target)))
+      drop_if_idle t target
   | Task.On_cpu ->
       let sender = Task.core from in
       let costs = Cpu.costs sender in

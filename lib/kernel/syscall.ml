@@ -10,13 +10,27 @@ let enter task =
   let core = Task.core task in
   Cpu.charge ~label:"kernel_entry" core (Cpu.costs core).kernel_entry_exit
 
+(* A syscall's name and its span label, both built once rather than on
+   every call. *)
+type name = { name : string; span : string }
+
+let named name = { name; span = "sys_" ^ name }
+let sys_mmap = named "mmap"
+let sys_munmap = named "munmap"
+let sys_mprotect = named "mprotect"
+let sys_pkey_alloc = named "pkey_alloc"
+let sys_pkey_free = named "pkey_free"
+let sys_pkey_mprotect = named "pkey_mprotect"
+let sys_pkey_unmap_group = named "pkey_unmap_group"
+let sys_pkey_sync = named "pkey_sync"
+
 (* Every syscall body runs inside [sys]: a per-syscall tracing span plus
    Syscall_enter/Syscall_exit events, the exit carrying the errno when
    the body failed. The charge sequence is unchanged from the untraced
    code — [sys] itself charges nothing. *)
-let sys task name f =
+let sys task { name; span } f =
   let core = Task.core task in
-  Cpu.span core ("sys_" ^ name) (fun () ->
+  Cpu.span core span (fun () ->
       if Mpk_trace.Tracer.on () then
         Cpu.emit core (Mpk_trace.Event.Syscall_enter { name });
       enter task;
@@ -35,19 +49,24 @@ let sys task name f =
    validity check (Table 1: 1104.9 vs 1094.0 cycles). *)
 let pkey_check_cost = 10.9
 
-let other_tasks proc task =
-  List.filter (fun t -> Task.id t <> Task.id task) (Proc.tasks proc)
+(* The caller's siblings are reached by walking [Proc.tasks] and skipping
+   the caller, never through a filtered copy of the list. *)
+let other task t = Task.id t <> Task.id task
 
-let shootdown_others proc task =
-  let sched = Proc.sched proc in
-  List.iter (fun t -> Sched.shootdown sched ~from:task t) (other_tasks proc task)
+let rec shootdown_each sched task = function
+  | [] -> ()
+  | t :: rest ->
+      if other task t then Sched.shootdown sched ~from:task t;
+      shootdown_each sched task rest
+
+let shootdown_others proc task = shootdown_each (Proc.sched proc) task (Proc.tasks proc)
 
 let mmap proc task ?at ~len ~prot () =
-  sys task "mmap" (fun () ->
+  sys task sys_mmap (fun () ->
       Mm.mmap (Proc.mm proc) (Task.core task) ?at ~len ~prot ())
 
 let munmap proc task ~addr ~len =
-  sys task "munmap" (fun () ->
+  sys task sys_munmap (fun () ->
       Mm.munmap (Proc.mm proc) (Task.core task) ~addr ~len;
       shootdown_others proc task)
 
@@ -86,7 +105,7 @@ let mprotect_exec_only proc task ~addr ~len =
   shootdown_others proc task
 
 let mprotect proc task ~addr ~len ~prot =
-  sys task "mprotect" (fun () ->
+  sys task sys_mprotect (fun () ->
       if is_exec_only prot then mprotect_exec_only proc task ~addr ~len
       else begin
         ignore (Mm.change_protection (Proc.mm proc) (Task.core task) ~addr ~len ~prot);
@@ -94,7 +113,7 @@ let mprotect proc task ~addr ~len ~prot =
       end)
 
 let pkey_alloc proc task ~init_rights =
-  sys task "pkey_alloc" (fun () ->
+  sys task sys_pkey_alloc (fun () ->
       let core = Task.core task in
       Cpu.charge ~label:"pkey_alloc_work" core (Cpu.costs core).pkey_alloc_work;
       let key = alloc_key proc in
@@ -102,7 +121,7 @@ let pkey_alloc proc task ~init_rights =
       key)
 
 let pkey_free proc task key =
-  sys task "pkey_free" (fun () ->
+  sys task sys_pkey_free (fun () ->
       let core = Task.core task in
       Cpu.charge ~label:"pkey_free_work" core (Cpu.costs core).pkey_free_work;
       (* Only the bitmap is updated: PTEs keep the stale key and every
@@ -110,7 +129,7 @@ let pkey_free proc task key =
       Pkey_bitmap.free (Proc.pkey_bitmap proc) key)
 
 let pkey_mprotect proc task ~addr ~len ~prot ~pkey =
-  sys task "pkey_mprotect" (fun () ->
+  sys task sys_pkey_mprotect (fun () ->
       let core = Task.core task in
       Cpu.charge ~label:"pkey_bitmap_check" core pkey_check_cost;
       if Pkey.to_int pkey = 0 then
@@ -121,18 +140,33 @@ let pkey_mprotect proc task ~addr ~len ~prot ~pkey =
       shootdown_others proc task)
 
 (* Deferred PKRU scrub/update, the paper's lazy do_pkey_sync: queueing the
-   task_work is the "deferred" trace event; the work closure running on
+   task_work is the "deferred" trace event; the update being applied on
    the target (at its next return to user) is the "executed" one. *)
-let queue_pkru_update ~core ~pkey_int target make_pkru =
+let queue_pkru_update ~core target pkey rights =
   Cpu.charge ~label:"task_work_add" core (Cpu.costs core).task_work_add;
   if Mpk_trace.Tracer.on () then
     Cpu.emit core
-      (Mpk_trace.Event.Pkey_sync_deferred { target = Task.id target; pkey = pkey_int });
-  Task.work_add target (fun t ->
-      Task.set_pkru t (make_pkru t);
-      if Mpk_trace.Tracer.on () then
-        Cpu.emit (Task.core t)
-          (Mpk_trace.Event.Pkey_sync_executed { target = Task.id t; pkey = pkey_int }))
+      (Mpk_trace.Event.Pkey_sync_deferred
+         { target = Task.id target; pkey = Pkey.to_int pkey });
+  Task.work_add target pkey rights
+
+(* Queue one update on every task but the caller. *)
+let rec queue_on_others ~core task pkey rights = function
+  | [] -> ()
+  | t :: rest ->
+      if other task t then queue_pkru_update ~core t pkey rights;
+      queue_on_others ~core task pkey rights rest
+
+(* Queue every update, in order, on every task but the caller. *)
+let rec queue_all_on_others ~core task updates = function
+  | [] -> ()
+  | t :: rest ->
+      if other task t then
+        for i = 0 to Task.Updates.length updates - 1 do
+          queue_pkru_update ~core t (Task.Updates.pkey updates i)
+            (Task.Updates.rights updates i)
+        done;
+      queue_all_on_others ~core task updates rest
 
 (* IPI batching for the lazy-sync paths: on by default; the per-update
    broadcast (one kick per target per PKRU update) is kept behind this
@@ -141,8 +175,8 @@ let batching = ref true
 
 let set_ipi_batching b = batching := b
 
-(* Shared body of pkey_sync / pkey_sync_many: queue every (pkey, rights)
-   update on every other thread, then notify. Each handshake is charged
+(* Shared tail of pkey_sync / pkey_sync_many, once [count] updates are
+   queued on every other thread: notify them. Each handshake is charged
    exactly once:
    - lazy, batched: one IPI per distinct core with an on-CPU target
      (sender pays ipi_send per core, the core pays ipi_receive once);
@@ -153,62 +187,60 @@ let set_ipi_batching b = batching := b
      for the ack;
    - eager, off-CPU target: the sender pays the wakeup IPI + spin; the
      target pays its own context switch inside [schedule_in]. *)
-let sync_updates proc task ~eager updates =
+let notify_others proc task ~eager ~count =
   let core = Task.core task in
   let costs = Cpu.costs core in
   let sched = Proc.sched proc in
-  let others = other_tasks proc task in
-  List.iter
-    (fun t ->
-      List.iter
-        (fun (pkey, rights) ->
-          queue_pkru_update ~core ~pkey_int:(Pkey.to_int pkey) t (fun t ->
-              Pkru.set_rights (Task.pkru t) pkey rights))
-        updates)
-    others;
+  let tasks = Proc.tasks proc in
   if eager then
     List.iter
       (fun t ->
-        match Task.state t with
-        | Task.On_cpu ->
-            Sched.kick sched ~from:task t;
-            Cpu.charge ~label:"ipi_spin" core costs.ipi_receive
-        | Task.Off_cpu ->
-            Cpu.charge ~label:"ipi_send" core costs.ipi_send;
-            Cpu.charge ~label:"ipi_spin" core costs.ipi_receive;
-            Sched.schedule_in sched t)
-      others
-  else if !batching then ignore (Sched.kick_batch sched ~from:task others)
+        if other task t then
+          match Task.state t with
+          | Task.On_cpu ->
+              Sched.kick sched ~from:task t;
+              Cpu.charge ~label:"ipi_spin" core costs.ipi_receive
+          | Task.Off_cpu ->
+              Cpu.charge ~label:"ipi_send" core costs.ipi_send;
+              Cpu.charge ~label:"ipi_spin" core costs.ipi_receive;
+              Sched.schedule_in sched t)
+      tasks
+  else if !batching then Sched.kick_batch sched ~from:task tasks
   else
-    List.iter (fun t -> List.iter (fun _ -> Sched.kick sched ~from:task t) updates) others
+    List.iter
+      (fun t ->
+        if other task t then
+          for _ = 1 to count do
+            Sched.kick sched ~from:task t
+          done)
+      tasks
 
 let pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey =
-  sys task "pkey_unmap_group" (fun () ->
+  sys task sys_pkey_unmap_group (fun () ->
       let core = Task.core task in
       ignore
         (Mm.change_protection_pkey (Proc.mm proc) core ~addr ~len ~prot
            ~pkey:Pkey.default);
       (* Scrub stale rights for the recycled key everywhere, caller included. *)
       Task.set_pkru task (Pkru.set_rights (Task.pkru task) old_pkey Pkru.No_access);
-      let others = other_tasks proc task in
-      List.iter
-        (fun t ->
-          queue_pkru_update ~core ~pkey_int:(Pkey.to_int old_pkey) t (fun t ->
-              Pkru.set_rights (Task.pkru t) old_pkey Pkru.No_access))
-        others;
+      let tasks = Proc.tasks proc in
+      queue_on_others ~core task old_pkey Pkru.No_access tasks;
       if !batching then
         (* One synchronous IPI per target core both drains the PKRU scrub
            and flushes the TLB — the per-update path below sends two. *)
-        ignore
-          (Sched.kick_batch (Proc.sched proc) ~from:task ~kind:"pkey_sync_shootdown"
-             ~flush_tlb:true ~sync:true others)
+        Sched.kick_batch (Proc.sched proc) ~from:task ~kind:"pkey_sync_shootdown"
+          ~flush_tlb:true ~sync:true tasks
       else begin
-        List.iter (fun t -> Sched.kick (Proc.sched proc) ~from:task t) others;
+        List.iter (fun t -> if other task t then Sched.kick (Proc.sched proc) ~from:task t) tasks;
         shootdown_others proc task
       end)
 
 let pkey_sync proc task ?(eager = false) ~pkey rights =
-  sys task "pkey_sync" (fun () -> sync_updates proc task ~eager [ (pkey, rights) ])
+  sys task sys_pkey_sync (fun () ->
+      queue_on_others ~core:(Task.core task) task pkey rights (Proc.tasks proc);
+      notify_others proc task ~eager ~count:1)
 
 let pkey_sync_many proc task ~updates =
-  sys task "pkey_sync" (fun () -> sync_updates proc task ~eager:false updates)
+  sys task sys_pkey_sync (fun () ->
+      queue_all_on_others ~core:(Task.core task) task updates (Proc.tasks proc);
+      notify_others proc task ~eager:false ~count:(Task.Updates.length updates))

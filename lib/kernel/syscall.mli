@@ -34,8 +34,8 @@ val pkey_free : Proc.t -> Task.t -> Pkey.t -> unit
 val pkey_mprotect : Proc.t -> Task.t -> addr:int -> len:int -> prot:Perm.t -> pkey:Pkey.t -> unit
 
 (** [pkey_sync proc task ~pkey ~rights] — the paper's [do_pkey_sync]
-    kernel extension (Fig 7): registers a task_work callback on every
-    other thread that updates its PKRU rights for [pkey], kicks running
+    kernel extension (Fig 7): queues a task_work PKRU update on every
+    other thread that sets its rights for [pkey], kicks running
     threads with reschedule IPIs, and returns. Descheduled threads update
     lazily at their next schedule-in; by the time they can touch memory
     the new rights are in force. The caller's own PKRU must be updated in
@@ -57,10 +57,13 @@ val pkey_mprotect : Proc.t -> Task.t -> addr:int -> len:int -> prot:Perm.t -> pk
 val pkey_sync : Proc.t -> Task.t -> ?eager:bool -> pkey:Pkey.t -> Pkru.rights -> unit
 
 (** [pkey_sync_many proc task ~updates] — batched [do_pkey_sync]: queue
-    every (pkey, rights) update in [updates] on every other thread, then
-    kick each target core once (with batching on). One kernel entry, one
-    IPI per core, regardless of [List.length updates]. *)
-val pkey_sync_many : Proc.t -> Task.t -> updates:(Pkey.t * Pkru.rights) list -> unit
+    every (pkey, rights) update in [updates], in order, on every other
+    thread, then kick each target core once (with batching on). One
+    kernel entry, one IPI per core, regardless of the number of updates.
+    [updates] is only read, so a caller may reuse it across calls; with
+    tracing and profiling off, the call allocates the same whatever its
+    length. *)
+val pkey_sync_many : Proc.t -> Task.t -> updates:Task.Updates.t -> unit
 
 (** IPI batching toggle for the lazy sync paths ([pkey_sync],
     [pkey_sync_many], [pkey_unmap_group]). On by default; turning it off

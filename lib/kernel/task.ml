@@ -1,5 +1,51 @@
 open Mpk_hw
 
+(* A FIFO of PKRU updates, each (pkey, rights) pair packed into one int
+   of a ring. The ring doubles when full and never shrinks, so once it
+   has grown to the deepest backlog, adding and taking allocate nothing;
+   its capacity stays a power of two, so [slot] masks instead of
+   dividing. *)
+module Updates = struct
+  type t = { mutable ring : int array; mutable head : int; mutable len : int }
+
+  let create () = { ring = Array.make 4 0; head = 0; len = 0 }
+  let length q = q.len
+
+  let clear q =
+    q.head <- 0;
+    q.len <- 0
+
+  let code = function Pkru.No_access -> 0 | Pkru.Read_only -> 1 | Pkru.Read_write -> 2
+  let slot q i = (q.head + i) land (Array.length q.ring - 1)
+
+  let add q pkey rights =
+    let cap = Array.length q.ring in
+    if q.len = cap then begin
+      let ring = Array.make (2 * cap) 0 in
+      for i = 0 to q.len - 1 do
+        ring.(i) <- q.ring.(slot q i)
+      done;
+      q.ring <- ring;
+      q.head <- 0
+    end;
+    q.ring.(slot q q.len) <- (Pkey.to_int pkey lsl 2) lor code rights;
+    q.len <- q.len + 1
+
+  let nth q i =
+    if i < 0 || i >= q.len then invalid_arg "Task.Updates: index out of range";
+    q.ring.(slot q i)
+
+  let pkey q i = Pkey.of_int (nth q i lsr 2)
+
+  let rights q i =
+    match nth q i land 3 with 0 -> Pkru.No_access | 1 -> Pkru.Read_only | _ -> Pkru.Read_write
+
+  let drop_first q =
+    if q.len = 0 then invalid_arg "Task.Updates.drop_first: empty";
+    q.head <- slot q 1;
+    q.len <- q.len - 1
+end
+
 type state = On_cpu | Off_cpu
 
 type t = {
@@ -7,7 +53,7 @@ type t = {
   core : Cpu.t;
   mutable state : state;
   mutable saved_pkru : Pkru.t;
-  work : (t -> unit) Queue.t;
+  work : Updates.t;  (* task_work: the PKRU updates pending for this task *)
   mutable tlb_flush_pending : bool;
   mutable sig_handler : Signal.handler option;
   mutable sig_delivered : int;
@@ -19,7 +65,7 @@ let create ~id ~core () =
     core;
     state = Off_cpu;
     saved_pkru = Pkru.init;
-    work = Queue.create ();
+    work = Updates.create ();
     tlb_flush_pending = false;
     sig_handler = None;
     sig_delivered = 0;
@@ -72,14 +118,21 @@ let deliver_signal t (si : Signal.siginfo) =
   Signal.record_kill ~task:t.id si;
   raise (Signal.Killed si)
 
-let work_add t f = Queue.add f t.work
+let work_add t pkey rights = Updates.add t.work pkey rights
 
-let work_pending t = Queue.length t.work
+let work_pending t = Updates.length t.work
 
+(* Each update leaves the queue before its charge, which is a preemption
+   point: a preemption drains the rest at its [schedule_in], and this
+   update is applied after them. *)
 let work_run t =
   let costs = Cpu.costs t.core in
-  while not (Queue.is_empty t.work) do
-    let f = Queue.pop t.work in
+  while Updates.length t.work > 0 do
+    let pkey = Updates.pkey t.work 0 and rights = Updates.rights t.work 0 in
+    Updates.drop_first t.work;
     Cpu.charge ~label:"task_work_run" t.core costs.task_work_run;
-    f t
+    set_pkru t (Pkru.set_rights (pkru t) pkey rights);
+    if Mpk_trace.Tracer.on () then
+      Cpu.emit t.core
+        (Mpk_trace.Event.Pkey_sync_executed { target = t.id; pkey = Pkey.to_int pkey })
   done

@@ -1,9 +1,33 @@
 (** A kernel task (thread). Each task has its own PKRU state — saved in the
     task struct while descheduled, live in its core's register while on
-    CPU — and a [task_work] list of callbacks run on the next return to
-    userspace (the hook [do_pkey_sync] relies on, paper Fig 7). *)
+    CPU — and a [task_work] list of PKRU updates applied on the next
+    return to userspace (the hook [do_pkey_sync] relies on, paper Fig 7).
+    PKRU updates are the only work the kernel ever queues, so the list is
+    typed data rather than callbacks. *)
 
 open Mpk_hw
+
+(** A FIFO of [(pkey, rights)] PKRU updates. Once it has grown to its
+    deepest backlog, adding, reading and clearing allocate nothing: a
+    task's task_work is one, and a caller of [Syscall.pkey_sync_many]
+    can reuse one across calls. *)
+module Updates : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  (** Append an update at the tail. *)
+  val add : t -> Pkey.t -> Pkru.rights -> unit
+
+  (** The key and the rights of the [i]-th pending update, [0] being the
+      oldest. Raise [Invalid_argument] outside [\[0, length)]. *)
+  val pkey : t -> int -> Pkey.t
+
+  val rights : t -> int -> Pkru.rights
+
+  val clear : t -> unit
+end
 
 type state =
   | On_cpu  (** currently scheduled on [core] *)
@@ -59,12 +83,15 @@ val signals_delivered : t -> int
     the kernel's fault sink — never returns normally. *)
 val deliver_signal : t -> Signal.siginfo -> 'a
 
-(** Append a callback to the task's [task_work] list. *)
-val work_add : t -> (t -> unit) -> unit
+(** [work_add t pkey rights] queues a PKRU update on the task's
+    [task_work] list: at its next return to userspace the task's rights
+    for [pkey] become [rights]. *)
+val work_add : t -> Pkey.t -> Pkru.rights -> unit
 
-(** Number of queued callbacks. *)
+(** Number of queued updates. *)
 val work_pending : t -> int
 
-(** Run and clear all queued callbacks, charging [task_work_run] per
-    callback to the task's core. Called on return to userspace. *)
+(** Apply and clear all queued updates in FIFO order, charging
+    [task_work_run] per update to the task's core and emitting
+    [Pkey_sync_executed] when tracing. Called on return to userspace. *)
 val work_run : t -> unit

@@ -123,6 +123,10 @@ let slab_invariants t = Array.for_all (fun s -> Slab.invariant s.shard_slab) t.s
 let mpk t = t.mpk
 let mpk_exn t = match t.mpk with Some m -> m | None -> assert false
 
+(* The batched Sync mode's open and seal, built once. *)
+let open_both = [ (slab_vkey, Perm.rw); (hash_vkey, Perm.rw) ]
+let seal_both = [ (hash_vkey, Perm.none); (slab_vkey, Perm.none) ]
+
 (* Open both regions for the calling worker (or globally), run the store
    operation, seal again. Sealing happens even when [f] escapes with an
    exception (a signal-handler escape mid-request, an injected fault):
@@ -148,13 +152,8 @@ let with_store t task f =
          single do_pkey_sync per pair, so one IPI per remote core instead
          of one per vkey update. *)
       let mpk = mpk_exn t in
-      Libmpk.mpk_mprotect_many mpk task
-        ~updates:[ (slab_vkey, Perm.rw); (hash_vkey, Perm.rw) ];
-      Fun.protect
-        ~finally:(fun () ->
-          Libmpk.mpk_mprotect_many mpk task
-            ~updates:[ (hash_vkey, Perm.none); (slab_vkey, Perm.none) ])
-        f
+      Libmpk.mpk_mprotect_many mpk task ~updates:open_both;
+      Fun.protect ~finally:(fun () -> Libmpk.mpk_mprotect_many mpk task ~updates:seal_both) f
   | Sync ->
       let mpk = mpk_exn t in
       Libmpk.mpk_mprotect mpk task ~vkey:slab_vkey ~prot:Perm.rw;

@@ -1,8 +1,9 @@
 (* Per-core ring-buffer event tracer.
 
-   Runtime-off by default: [emit] and [with_span] check one mutable
-   bool and return immediately when tracing/profiling are both off, so
-   instrumented hot paths (TLB lookups, WRPKRU) cost a branch. When on,
+   Runtime-off by default: [emit] checks one mutable bool and returns
+   immediately when tracing is off, and [Cpu.span] skips [with_span]
+   when tracing and profiling are both off, so instrumented hot paths
+   (TLB lookups, WRPKRU) cost a branch. When on,
    events go to a bounded ring per core (newest events win), to the
    metrics registry (one counter per event kind), and to any registered
    sinks. *)
@@ -104,22 +105,21 @@ let emit ~core ~ts ev =
    latest cycle time observed anywhere. *)
 let emit_floating ev = emit ~core:(-1) ~ts:!last ev
 
+(* Callers check [on () || Prof.on ()] first and run [f] bare when both
+   are off, so that an unobserved span builds nothing. *)
 let with_span ~core ~clock name f =
   let tracing = !enabled in
   let profiling = Prof.on () in
-  if not (tracing || profiling) then f ()
-  else begin
-    incr span_counter;
-    span_stack := !span_counter :: !span_stack;
-    if tracing then emit ~core ~ts:(clock ()) (Event.Span_begin { name });
-    if profiling then Prof.enter name;
-    Fun.protect
-      ~finally:(fun () ->
-        if profiling then Prof.exit_ ();
-        if tracing then emit ~core ~ts:(clock ()) (Event.Span_end { name });
-        match !span_stack with _ :: tl -> span_stack := tl | [] -> ())
-      f
-  end
+  incr span_counter;
+  span_stack := !span_counter :: !span_stack;
+  if tracing then emit ~core ~ts:(clock ()) (Event.Span_begin { name });
+  if profiling then Prof.enter name;
+  Fun.protect
+    ~finally:(fun () ->
+      if profiling then Prof.exit_ ();
+      if tracing then emit ~core ~ts:(clock ()) (Event.Span_end { name });
+      match !span_stack with _ :: tl -> span_stack := tl | [] -> ())
+    f
 
 (* ---------- queries ---------- *)
 

@@ -1,9 +1,9 @@
 (** Per-core ring-buffer event tracer.
 
-    Compile-in, runtime-off: instrumentation calls {!emit} / {!with_span}
-    unconditionally, and both bail on one mutable-bool check when
-    tracing (and profiling) are disabled — the disabled cost on hot
-    paths is a branch, verified by the overhead-freedom test. When
+    Compile-in, runtime-off: {!emit} bails on one mutable-bool check
+    when tracing is disabled, and spans are opened only when tracing or
+    profiling is on — the disabled cost on hot paths is a branch,
+    verified by the overhead-freedom test. When
     enabled, each event is stamped (seq, cycle ts, core, resident task,
     innermost span id), pushed to that core's bounded ring (oldest
     events are dropped first), counted in the metrics registry per
@@ -46,7 +46,9 @@ val with_span : core:int -> clock:(unit -> float) -> string -> (unit -> 'a) -> '
     span id, emits [Span_begin]/[Span_end] stamped via [clock] (the
     core's cycle counter, read at entry and exit), and opens a
     {!Prof} attribution scope when profiling is enabled. Exception-safe.
-    Keep enable states fixed for the duration of a span. *)
+    Keep enable states fixed for the duration of a span. Callers run [f]
+    bare instead when neither {!on} nor {!Prof.on} holds: the span is
+    then unobserved, and skipping it builds nothing. *)
 
 val emitted : unit -> int
 (** Total events emitted since {!clear}, including ones already

@@ -547,20 +547,12 @@ let test_tlb_insert_absent () =
 (* --- allocation budget: translation and range rewrites run at memory
    speed, so the hot paths allocate nothing per call --- *)
 
-let minor_words f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
-(* Words [f] allocates beyond an empty call's measurement overhead. *)
-let allocated f = minor_words f -. minor_words ignore
-
 let test_tlb_allocation () =
   let n = 10_000 in
   let tlb = Tlb.create () in
   let each name f =
     Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0.
-      (allocated (fun () ->
+      (Alloc_budget.allocated (fun () ->
            for i = 1 to n do
              f i
            done))
@@ -582,11 +574,47 @@ let test_update_range_allocation () =
     done;
     let rw = Pte.rewrite ~perm:Perm.r ~pkey:(Pkey.of_int 15) () in
     let n = ref 0 in
-    let w = allocated (fun () -> n := Page_table.update_range pt ~vpn:0 ~pages rw) in
+    let w = Alloc_budget.allocated (fun () -> n := Page_table.update_range pt ~vpn:0 ~pages rw) in
     Alcotest.(check int) "every page rewritten" pages !n;
     w
   in
   Alcotest.(check (float 0.)) "8 and 16384 pages allocate alike" (words 8) (words 16384)
+
+let test_mmu_single_page_allocation () =
+  let mmu, cpu, map = make_mmu () in
+  map ~vpn:1 ~perm:Perm.rw ~pkey:Pkey.default;
+  map ~vpn:2 ~perm:Perm.rw ~pkey:Pkey.default;
+  let addr = addr_of 1 + 64 in
+  let record = Bytes.make 32 'm' in
+  let n = 1_000 in
+  let each name ~at_most f =
+    let w = Alloc_budget.allocated (fun () -> for _ = 1 to n do f () done) /. float_of_int n in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1f words per call, at most %d" name w at_most)
+      true
+      (w <= float_of_int at_most)
+  in
+  Mmu.write_bytes mmu cpu ~addr record;  (* the frame's storage now exists *)
+  each "read_int64 (its boxed result)" ~at_most:3 (fun () -> ignore (Mmu.read_int64 mmu cpu ~addr));
+  each "write_int64" ~at_most:0 (fun () -> Mmu.write_int64 mmu cpu ~addr 42L);
+  each "write_bytes" ~at_most:0 (fun () -> Mmu.write_bytes mmu cpu ~addr record);
+  each "kernel_write_bytes" ~at_most:0 (fun () -> Mmu.kernel_write_bytes mmu ~addr record);
+  Alcotest.(check string) "last write landed" (Bytes.to_string record)
+    (Bytes.to_string (Mmu.read_bytes mmu cpu ~addr ~len:32));
+  (* a page-crossing access takes the same closure-free page loop *)
+  let crossing = addr_of 2 - 16 in
+  Mmu.write_bytes mmu cpu ~addr:crossing record;  (* and the second page's *)
+  each "write_bytes across two pages" ~at_most:0 (fun () ->
+      Mmu.write_bytes mmu cpu ~addr:crossing record);
+  each "kernel_write_bytes across two pages" ~at_most:0 (fun () ->
+      Mmu.kernel_write_bytes mmu ~addr:crossing record);
+  Alcotest.(check string) "crossing write landed" (Bytes.to_string record)
+    (Bytes.to_string (Mmu.read_bytes mmu cpu ~addr:crossing ~len:32));
+  (* a word straddling the page boundary still takes both pages' path *)
+  let straddle = addr_of 2 - 4 in
+  Mmu.write_int64 mmu cpu ~addr:straddle 0x1122334455667788L;
+  Alcotest.(check int64) "straddling word" 0x1122334455667788L
+    (Mmu.read_int64 mmu cpu ~addr:straddle)
 
 let test_tlb_stats_reset () =
   let tlb = Tlb.create () in
@@ -713,6 +741,7 @@ let () =
         [
           tc "tlb" `Quick test_tlb_allocation;
           tc "update_range" `Quick test_update_range_allocation;
+          tc "mmu single page" `Quick test_mmu_single_page_allocation;
         ] );
       ("physmem_refs", [ tc "refcount" `Quick test_physmem_refcount ]);
       ( "machine",

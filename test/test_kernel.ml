@@ -189,27 +189,54 @@ let test_task_pkru_save_restore () =
   Sched.schedule_in (Proc.sched proc) t0;
   Alcotest.(check int) "restored" 0x1234 (Pkru.to_int (Cpu.pkru core))
 
+(* The PKRU update the task_work tests queue, and its observable effect:
+   key 1 starts access-disabled (Linux's initial PKRU). *)
+let k1 = Pkey.of_int 1
+let queue_rw t = Task.work_add t k1 Pkru.Read_write
+let holds_rw t = Pkru.rights (Task.pkru t) k1 = Pkru.Read_write
+
 let test_task_work_runs_on_kick () =
   let proc = make_proc () in
   let t0 = Proc.spawn proc ~core_id:0 () in
   let t1 = Proc.spawn proc ~core_id:1 () in
-  let ran = ref false in
-  Task.work_add t1 (fun _ -> ran := true);
-  Alcotest.(check bool) "not yet" false !ran;
+  queue_rw t1;
+  Alcotest.(check bool) "not yet" false (holds_rw t1);
   Sched.kick (Proc.sched proc) ~from:t0 t1;
-  Alcotest.(check bool) "ran after kick" true !ran
+  Alcotest.(check bool) "ran after kick" true (holds_rw t1)
 
 let test_task_work_lazy_when_off_cpu () =
   let proc = make_proc () in
   let t0 = Proc.spawn proc ~core_id:0 () in
   let t1 = Proc.spawn proc ~core_id:1 () in
   Sched.schedule_out (Proc.sched proc) t1;
-  let ran = ref false in
-  Task.work_add t1 (fun _ -> ran := true);
+  queue_rw t1;
   Sched.kick (Proc.sched proc) ~from:t0 t1;
-  Alcotest.(check bool) "kick ignored off-cpu" false !ran;
+  Alcotest.(check bool) "kick ignored off-cpu" false (holds_rw t1);
   Sched.schedule_in (Proc.sched proc) t1;
-  Alcotest.(check bool) "ran at schedule-in" true !ran
+  Alcotest.(check bool) "ran at schedule-in" true (holds_rw t1)
+
+let test_task_work_fifo () =
+  let proc = make_proc () in
+  let t0 = Proc.spawn proc ~core_id:0 () in
+  let t1 = Proc.spawn proc ~core_id:1 () in
+  (* more updates than the initial ring holds, with the ring wrapped:
+     the last update to a key wins *)
+  let rights i = if i mod 2 = 0 then Pkru.Read_only else Pkru.Read_write in
+  Task.work_add t1 k1 Pkru.Read_only;
+  Sched.kick (Proc.sched proc) ~from:t0 t1;
+  for i = 1 to 9 do
+    Task.work_add t1 (Pkey.of_int i) (rights i)
+  done;
+  Task.work_add t1 k1 Pkru.No_access;
+  Alcotest.(check int) "ten pending" 10 (Task.work_pending t1);
+  Sched.kick (Proc.sched proc) ~from:t0 t1;
+  Alcotest.(check int) "drained" 0 (Task.work_pending t1);
+  let want =
+    List.fold_left
+      (fun p i -> Pkru.set_rights p (Pkey.of_int i) (rights i))
+      Pkru.init [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+  in
+  Alcotest.(check int) "applied in order" (Pkru.to_int want) (Pkru.to_int (Task.pkru t1))
 
 let test_task_pkru_helpers () =
   let proc = make_proc () in
@@ -244,19 +271,20 @@ let test_kick_off_cpu_charges_nothing () =
   let t0 = Proc.spawn proc ~core_id:0 () in
   let t1 = Proc.spawn proc ~core_id:1 () in
   Sched.schedule_out (Proc.sched proc) t1;
-  Task.work_add t1 (fun _ -> ());
+  queue_rw t1;
   let c0 = cycles_on proc 0 and c1 = cycles_on proc 1 in
   Sched.kick (Proc.sched proc) ~from:t0 t1;
   Alcotest.(check (float 0.0)) "sender charged nothing" c0 (cycles_on proc 0);
   Alcotest.(check (float 0.0)) "target charged nothing" c1 (cycles_on proc 1);
-  Alcotest.(check int) "no IPI recorded" 0 (Sched.ipis_sent (Proc.sched proc))
+  Alcotest.(check int) "no IPI recorded" 0 (Sched.ipis_sent (Proc.sched proc));
+  Alcotest.(check bool) "PKRU update still parked" false (holds_rw t1)
 
 let test_kick_on_cpu_hand_model () =
   let proc = make_proc () in
   let t0 = Proc.spawn proc ~core_id:0 () in
   let t1 = Proc.spawn proc ~core_id:1 () in
   let costs = Cpu.costs (Task.core t0) in
-  Task.work_add t1 (fun _ -> ());
+  queue_rw t1;
   let c0 = cycles_on proc 0 and c1 = cycles_on proc 1 in
   Sched.kick (Proc.sched proc) ~from:t0 t1;
   Alcotest.(check (float 0.0)) "sender pays one ipi_send"
@@ -265,7 +293,8 @@ let test_kick_on_cpu_hand_model () =
     (c1 +. costs.Costs.ipi_receive +. costs.Costs.task_work_run)
     (cycles_on proc 1);
   Alcotest.check ipi_counters "counters" [ (0, 1, 0); (1, 0, 1) ]
-    (Sched.ipis_per_core (Proc.sched proc))
+    (Sched.ipis_per_core (Proc.sched proc));
+  Alcotest.(check bool) "PKRU updated" true (holds_rw t1)
 
 let test_kick_batch_one_ipi_per_core () =
   let proc = make_proc () in
@@ -275,13 +304,15 @@ let test_kick_batch_one_ipi_per_core () =
   let t3 = Proc.spawn proc ~core_id:2 () in
   let t4 = Proc.spawn proc ~core_id:3 () in
   Sched.schedule_out (Proc.sched proc) t4;
-  List.iter (fun t -> Task.work_add t (fun _ -> ())) [ t1; t2; t3; t4 ];
+  List.iter queue_rw [ t1; t2; t3; t4 ];
   let costs = Cpu.costs (Task.core t0) in
   let c0 = cycles_on proc 0 and c1 = cycles_on proc 1 in
   let c2 = cycles_on proc 2 and c3 = cycles_on proc 3 in
-  let batch = Sched.kick_batch (Proc.sched proc) ~from:t0 [ t1; t2; t3; t4 ] in
-  Alcotest.(check int) "two cores kicked" 2 batch.Sched.cores_kicked;
-  Alcotest.(check int) "three tasks reached" 3 batch.Sched.tasks_reached;
+  Sched.kick_batch (Proc.sched proc) ~from:t0 [ t1; t2; t3; t4 ];
+  Alcotest.(check int) "two cores kicked" 2 (Sched.ipis_sent (Proc.sched proc));
+  Alcotest.(check (list bool)) "three tasks reached, PKRU updated"
+    [ true; true; true; false ]
+    (List.map holds_rw [ t1; t2; t3; t4 ]);
   Alcotest.(check (float 0.0)) "sender: one send per distinct core"
     (c0 +. (2.0 *. costs.Costs.ipi_send)) (cycles_on proc 0);
   Alcotest.(check (float 0.0)) "core 1: one receive drains both tasks"
@@ -769,13 +800,18 @@ let test_lazy_pkey_sync_batched_model () =
   Alcotest.(check (float 0.0)) "off-cpu target untouched" c2 (cycles_on proc 2);
   Alcotest.(check int) "work parked for the sleeper" 1 (Task.work_pending t2)
 
+let updates_of pairs =
+  let u = Task.Updates.create () in
+  List.iter (fun (pkey, rights) -> Task.Updates.add u pkey rights) pairs;
+  u
+
 let test_pkey_sync_many_one_ipi_per_core () =
   let proc = make_proc () in
   let t0 = Proc.spawn proc ~core_id:0 () in
   let _t1 = Proc.spawn proc ~core_id:1 () in
   let _t2 = Proc.spawn proc ~core_id:2 () in
   let updates =
-    [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.No_access) ]
+    updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.No_access) ]
   in
   let costs = Cpu.costs (Task.core t0) in
   let c0 = cycles_on proc 0 and c1 = cycles_on proc 1 and c2 = cycles_on proc 2 in
@@ -833,7 +869,7 @@ let test_trace_one_ipi_per_core_per_batch () =
   let _t3 = Proc.spawn proc ~core_id:2 () in
   with_tracer (fun () ->
       let updates =
-        [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.Read_write) ]
+        updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.Read_write) ]
       in
       Syscall.pkey_sync_many proc t0 ~updates;
       Alcotest.(check (list int)) "one Ipi event per target core"
@@ -853,7 +889,7 @@ let test_trace_batching_conserves_sync_counts () =
       (fun () ->
         with_tracer (fun () ->
             let updates =
-              [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.No_access) ]
+              updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.No_access) ]
             in
             Syscall.pkey_sync_many proc t0 ~updates;
             Sched.schedule_in (Proc.sched proc) t2;
@@ -868,6 +904,138 @@ let test_trace_batching_conserves_sync_counts () =
   Alcotest.(check int) "batched: one Ipi for the on-cpu core" 1 ib;
   Alcotest.(check int) "per-update: one Ipi per update" 2 iu;
   Alcotest.(check bool) "batching emits strictly fewer Ipis" true (ib < iu)
+
+(* --- allocation budget: with tracing, profiling and lock hooks off, the
+   lazy-sync request path allocates nothing per update or per target --- *)
+
+(* The initiator on core 0 and two on-CPU siblings on cores 1 and 2. *)
+let two_on_cpu_targets () =
+  let proc = make_proc () in
+  let t0 = Proc.spawn proc ~core_id:0 () in
+  let t1 = Proc.spawn proc ~core_id:1 () in
+  let t2 = Proc.spawn proc ~core_id:2 () in
+  (proc, t0, [ t1; t2 ])
+
+let test_pkey_sync_many_allocation () =
+  let words n =
+    let proc, t0, _ = two_on_cpu_targets () in
+    let updates = updates_of (List.init n (fun i -> (Pkey.of_int (i + 1), Pkru.Read_only))) in
+    (* the first call grows the targets' task_work rings *)
+    Syscall.pkey_sync_many proc t0 ~updates;
+    Alloc_budget.allocated (fun () -> Syscall.pkey_sync_many proc t0 ~updates)
+  in
+  Alcotest.(check (float 0.)) "1 and 8 updates allocate alike" (words 1) (words 8)
+
+(* A single-update [pkey_sync] builds no update queue: all it allocates
+   per call is its syscall body closure (five captured values, 8 words)
+   and the span body [Syscall.sys] wraps it in (four, 7 words), whatever
+   the number of targets. A per-call update queue would add 9 words. *)
+let test_pkey_sync_allocation () =
+  let words ~targets =
+    let proc = make_proc () in
+    let t0 = Proc.spawn proc ~core_id:0 () in
+    let others = List.init targets (fun i -> Proc.spawn proc ~core_id:(i + 1) ()) in
+    let pkey = Pkey.of_int 1 in
+    Syscall.pkey_sync proc t0 ~pkey Pkru.Read_only;  (* grow the targets' rings *)
+    let w = Alloc_budget.allocated (fun () -> Syscall.pkey_sync proc t0 ~pkey Pkru.Read_only) in
+    Alcotest.(check int) "every target drained" 0
+      (List.fold_left (fun acc t -> acc + Task.work_pending t) 0 others);
+    w
+  in
+  let one = words ~targets:1 in
+  Alcotest.(check (float 0.)) "1 and 3 targets allocate alike" one (words ~targets:3);
+  Alcotest.(check bool) (Printf.sprintf "%.0f words per call, at most 15" one) true (one <= 15.)
+
+let test_kick_batch_allocation () =
+  let proc, t0, targets = two_on_cpu_targets () in
+  let sleeper = Proc.spawn proc ~core_id:3 () in
+  Sched.schedule_out (Proc.sched proc) sleeper;
+  let sched = Proc.sched proc in
+  let queue () = List.iter queue_rw targets in
+  let each name kick =
+    queue ();
+    kick ();  (* first IPIs create the per-core counters *)
+    Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0.
+      (Alloc_budget.allocated (fun () ->
+           for _ = 1 to 100 do
+             queue ();
+             kick ()
+           done))
+  in
+  each "queue, kick and drain" (fun () -> Sched.kick_batch sched ~from:t0 targets);
+  let with_sleeper = sleeper :: targets in
+  each "shootdown batch" (fun () ->
+      Sched.kick_batch sched ~from:t0 ~kind:"pkey_sync_shootdown" ~flush_tlb:true ~sync:true
+        with_sleeper);
+  Alcotest.(check (list bool)) "every on-CPU target drained" [ true; true ]
+    (List.map holds_rw targets);
+  Alcotest.(check int) "no work left behind" 0
+    (List.fold_left (fun acc t -> acc + Task.work_pending t) 0 targets)
+
+let test_lock_unobserved_allocation () =
+  let lock = Lock.make ~cls:"mm_lock" in
+  let round () =
+    Lock.acquire lock Lock.Exclusive ~actor:0;
+    Lock.release lock Lock.Exclusive ~actor:0
+  in
+  round ();
+  (* an exclusive hold records its owner as [Some actor]; no hook event
+     is built while no hook is installed *)
+  let w = Alloc_budget.allocated (fun () -> for _ = 1 to 100 do round () done) /. 100.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per acquire/release, at most 2" w)
+    true (w <= 2.0);
+  let seen = ref [] in
+  Lock.set_hook (fun ev ->
+      let name =
+        match ev with
+        | Lock.Attempt _ -> "attempt"
+        | Lock.Acquired _ -> "acquired"
+        | Lock.Contended _ -> "contended"
+        | Lock.Released _ -> "released"
+      in
+      seen := name :: !seen);
+  Fun.protect ~finally:Lock.clear_hook round;
+  Alcotest.(check (list string)) "a hook still sees every transition"
+    [ "attempt"; "acquired"; "released" ] (List.rev !seen)
+
+let test_kick_batch_order () =
+  let proc = make_proc () in
+  let t0 = Proc.spawn proc ~core_id:0 () in
+  let on1 = Proc.spawn proc ~core_id:1 () in
+  let also_on1 = Proc.spawn proc ~core_id:1 () in
+  let on2 = Proc.spawn proc ~core_id:2 () in
+  List.iter queue_rw [ on1; also_on1; on2 ];
+  let targets = [ on2; also_on1; on1 ] (* descending core order *) in
+  with_tracer (fun () ->
+      Sched.kick_batch (Proc.sched proc) ~from:t0 targets;
+      let evs =
+        List.sort (fun a b -> compare a.Mpk_trace.Event.seq b.Mpk_trace.Event.seq)
+          (Mpk_trace.Tracer.events ())
+      in
+      let ipis =
+        List.filter_map
+          (fun e ->
+            match e.Mpk_trace.Event.ev with
+            | Mpk_trace.Event.Ipi { target_core; _ } -> Some target_core
+            | _ -> None)
+          evs
+      in
+      let drained =
+        List.filter_map
+          (fun e ->
+            match e.Mpk_trace.Event.ev with
+            | Mpk_trace.Event.Pkey_sync_executed { target; _ } -> Some target
+            | _ -> None)
+          evs
+      in
+      Alcotest.(check (list int)) "IPIs in ascending core order" [ 1; 2 ] ipis;
+      Alcotest.(check (list int)) "a core's tasks drain in list order"
+        (List.map Task.id [ also_on1; on1; on2 ])
+        drained);
+  Alcotest.check ipi_counters "one IPI per core"
+    [ (0, 2, 0); (1, 0, 1); (2, 0, 1) ]
+    (Sched.ipis_per_core (Proc.sched proc))
 
 let () =
   let tc = Alcotest.test_case in
@@ -900,6 +1068,7 @@ let () =
           tc "pkru save/restore" `Quick test_task_pkru_save_restore;
           tc "task_work on kick" `Quick test_task_work_runs_on_kick;
           tc "task_work lazy off-cpu" `Quick test_task_work_lazy_when_off_cpu;
+          tc "task_work fifo" `Quick test_task_work_fifo;
           tc "set_pkru placement" `Quick test_task_pkru_helpers;
           tc "shootdown flushes tlb" `Quick test_shootdown_flushes_remote_tlb;
           tc "kick off-cpu is free" `Quick test_kick_off_cpu_charges_nothing;
@@ -954,5 +1123,13 @@ let () =
           tc "sync_many one IPI per core" `Quick test_pkey_sync_many_one_ipi_per_core;
           tc "trace: Ipi per core per batch" `Quick test_trace_one_ipi_per_core_per_batch;
           tc "trace: batching conserves syncs" `Quick test_trace_batching_conserves_sync_counts;
+        ] );
+      ( "alloc_budget",
+        [
+          tc "pkey_sync_many" `Quick test_pkey_sync_many_allocation;
+          tc "pkey_sync" `Quick test_pkey_sync_allocation;
+          tc "kick_batch" `Quick test_kick_batch_allocation;
+          tc "kick_batch order" `Quick test_kick_batch_order;
+          tc "lock without hook" `Quick test_lock_unobserved_allocation;
         ] );
     ]

@@ -531,6 +531,160 @@ let test_mprotect_hit_is_fast () =
     (Printf.sprintf "hit cost %.1f < 150 cycles" cycles)
     true (cycles < 150.0)
 
+(* --- mpk_mprotect_many: a run of cache hits shares one do_pkey_sync --- *)
+
+(* The caller on core 0, on-CPU siblings on cores 1 and 2, and groups
+   1-3 of two pages at rw. With [hw_keys] below 3 the last groups start
+   unmapped. *)
+let many_env ?(hw_keys = 15) ?vkeys () =
+  let machine = Machine.create ~cores:4 ~mem_mib:64 () in
+  let proc = Proc.create machine in
+  let main = Proc.spawn proc ~core_id:0 () in
+  let siblings = [ Proc.spawn proc ~core_id:1 (); Proc.spawn proc ~core_id:2 () ] in
+  let mpk = Libmpk.init ?vkeys ~hw_keys ~evict_rate:1.0 proc main in
+  List.iter
+    (fun vkey -> ignore (Libmpk.mpk_mmap mpk main ~vkey ~len:(2 * page) ~prot:Perm.rw))
+    [ 1; 2; 3 ];
+  mpk, proc, main, siblings
+
+(* Everything a protection change may touch: each group's state, the
+   key cache's mappings, and every thread's PKRU. *)
+let state mpk proc =
+  List.map
+    (fun (vkey, g, _) ->
+      Printf.sprintf "v%d %s key:%s isolated:%b xonly:%b" vkey
+        (Perm.to_string g.Libmpk.Group.prot)
+        (match g.Libmpk.Group.state with
+        | Libmpk.Group.Mapped k -> string_of_int (Pkey.to_int k)
+        | Libmpk.Group.Unmapped -> "-")
+        g.Libmpk.Group.isolated g.Libmpk.Group.xonly)
+    (Libmpk.groups mpk)
+  @ List.map
+      (fun (vkey, pkey, pins) ->
+        Printf.sprintf "cache v%d->%d pins:%d" vkey (Pkey.to_int pkey) pins)
+      (Libmpk.Key_cache.mappings (Libmpk.cache mpk))
+  @ List.map
+      (fun t ->
+        Printf.sprintf "t%d pkru:%08x pending:%d" (Task.id t) (Pkru.to_int (Task.pkru t))
+          (Task.work_pending t))
+      (Proc.tasks proc)
+
+let test_mprotect_many_matches_sequential () =
+  let agree name ?hw_keys updates =
+    let mpk, proc, main, _ = many_env ?hw_keys () in
+    Libmpk.mpk_mprotect_many mpk main ~updates;
+    let batched = state mpk proc in
+    Alcotest.(check int) (name ^ ": audit clean") 0 (List.length (Mpk_check.Audit.run mpk));
+    let mpk, proc, main, _ = many_env ?hw_keys () in
+    List.iter (fun (vkey, prot) -> Libmpk.mpk_mprotect mpk main ~vkey ~prot) updates;
+    Alcotest.(check (list string)) name (state mpk proc) batched
+  in
+  agree "cache hits" [ (1, Perm.r); (2, Perm.rw); (1, Perm.none); (3, Perm.r) ];
+  agree "exec flip and execute-only" [ (1, Perm.r); (2, Perm.rx); (3, Perm.x_only); (1, Perm.rw) ];
+  agree "unmapped group" ~hw_keys:2 [ (1, Perm.r); (3, Perm.rw); (2, Perm.r) ];
+  (* going execute-only releases vkey 1's key, which its deferred update
+     names *)
+  agree "key released mid-batch" [ (1, Perm.r); (1, Perm.x_only) ];
+  (* vkey 2 takes vkey 1's only key after vkey 1's update was deferred:
+     that update must reach the siblings before the key is recycled *)
+  agree "key recycled mid-batch" ~hw_keys:1 [ (1, Perm.rw); (2, Perm.r); (1, Perm.r) ]
+
+let test_mprotect_many_one_sync () =
+  let mpk, proc, main, siblings = many_env () in
+  let sharer = Proc.spawn proc ~core_id:1 () in
+  let sleeper = Proc.spawn proc ~core_id:3 () in
+  Sched.schedule_out (Proc.sched proc) sleeper;
+  let sched = Proc.sched proc in
+  let syscalls = Syscall.count () and ipis = Sched.ipis_sent sched in
+  Libmpk.mpk_mprotect_many mpk main ~updates:[ (1, Perm.r); (2, Perm.r); (3, Perm.r) ];
+  Alcotest.(check int) "one pkey_sync syscall" 1 (Syscall.count () - syscalls);
+  Alcotest.(check int) "one IPI per on-CPU core" 2 (Sched.ipis_sent sched - ipis);
+  let keys =
+    List.map
+      (fun (_, g, _) ->
+        match g.Libmpk.Group.state with
+        | Libmpk.Group.Mapped k -> k
+        | Libmpk.Group.Unmapped -> Alcotest.fail "group unmapped")
+      (Libmpk.groups mpk)
+  in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "t%d reads key %d" (Task.id t) (Pkey.to_int k))
+            true
+            (Pkru.rights (Task.pkru t) k = Pkru.Read_only))
+        keys)
+    (main :: sharer :: siblings);
+  Alcotest.(check int) "the sleeper's updates wait for it" 3 (Task.work_pending sleeper)
+
+let test_mprotect_many_full_path () =
+  let mpk, _, main, _ = many_env ~hw_keys:2 () in
+  let full_calls =
+    Fun.protect ~finally:(fun () ->
+        Mpk_trace.Tracer.disable ();
+        Mpk_trace.Tracer.clear ())
+    @@ fun () ->
+    Mpk_trace.Tracer.enable ();
+    Libmpk.mpk_mprotect_many mpk main
+      ~updates:[ (1, Perm.r); (1, Perm.rx); (2, Perm.x_only); (3, Perm.rw); (3, Perm.r) ];
+    List.length
+      (List.filter
+         (fun e ->
+           match e.Mpk_trace.Event.ev with
+           | Mpk_trace.Event.Span_begin { name = "mpk_mprotect" } -> true
+           | _ -> false)
+         (Mpk_trace.Tracer.events ()))
+  in
+  Alcotest.(check int) "exec flip, execute-only and unmapped take mpk_mprotect" 3 full_calls
+
+(* An update that raises must not skip the batch's sync: the earlier
+   updates, already in the caller's PKRU and the group state, must reach
+   the siblings too. *)
+let test_mprotect_many_failure_syncs_applied () =
+  let fails name ?vkeys ~setup updates check_exn =
+    let mpk, _, main, siblings = many_env ?vkeys () in
+    setup mpk main;
+    (match Libmpk.mpk_mprotect_many mpk main ~updates with
+    | () -> Alcotest.fail (name ^ ": expected a failure")
+    | exception e -> check_exn e);
+    let g = Option.get (Libmpk.find_group mpk 1) in
+    let k = Option.get (Libmpk.Group.pkey g) in
+    Alcotest.(check string) (name ^ ": vkey 1 updated") "rw-" (Perm.to_string g.Libmpk.Group.prot);
+    Alcotest.(check bool) (name ^ ": vkey 1 no longer isolated") false g.Libmpk.Group.isolated;
+    List.iter
+      (fun t ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: t%d holds rw" name (Task.id t))
+          true
+          (Pkru.rights (Task.pkru t) k = Pkru.Read_write);
+        Alcotest.(check int)
+          (Printf.sprintf "%s: t%d drained" name (Task.id t))
+          0 (Task.work_pending t))
+      (main :: siblings)
+  in
+  let no_setup _ _ = () in
+  fails "unknown vkey" ~setup:no_setup [ (1, Perm.rw); (4, Perm.rw) ] (function
+    | Errno.Error (Errno.ENOENT, _) -> ()
+    | e -> raise e);
+  fails "unregistered vkey" ~vkeys:[ 1; 2; 3 ] ~setup:no_setup [ (1, Perm.rw); (9, Perm.rw) ]
+    (function Libmpk.Unregistered_vkey 9 -> () | e -> raise e);
+  fails "inside mpk_begin"
+    ~setup:(fun mpk main -> Libmpk.mpk_begin mpk main ~vkey:2 ~prot:Perm.r)
+    [ (1, Perm.rw); (2, Perm.rw) ]
+    (function Errno.Error (Errno.EINVAL, _) -> () | e -> raise e)
+
+let test_mprotect_many_allocation () =
+  let words updates =
+    let mpk, _, main, _ = many_env () in
+    Libmpk.mpk_mprotect_many mpk main ~updates;  (* grow the task_work rings *)
+    Alloc_budget.allocated (fun () -> Libmpk.mpk_mprotect_many mpk main ~updates)
+  in
+  Alcotest.(check (float 0.)) "1 and 2 cache hits allocate alike"
+    (words [ (1, Perm.r) ])
+    (words [ (1, Perm.r); (2, Perm.r) ])
+
 (* --- mpk_malloc / mpk_free --- *)
 
 let test_malloc_free_basic () =
@@ -683,6 +837,14 @@ let () =
           tc "rejected during begin" `Quick test_mprotect_during_begin_rejected;
           tc "hit is fast" `Quick test_mprotect_hit_is_fast;
         ] );
+      ( "mprotect_many",
+        [
+          tc "matches sequential" `Quick test_mprotect_many_matches_sequential;
+          tc "one sync per batch" `Quick test_mprotect_many_one_sync;
+          tc "full path" `Quick test_mprotect_many_full_path;
+          tc "failure syncs what was applied" `Quick test_mprotect_many_failure_syncs_applied;
+        ] );
+      ("alloc_budget", [ tc "mpk_mprotect_many hit path" `Quick test_mprotect_many_allocation ]);
       ( "heap_api",
         [
           tc "malloc/free" `Quick test_malloc_free_basic;
