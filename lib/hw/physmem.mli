@@ -1,7 +1,11 @@
 (** Simulated physical memory: a frame allocator plus byte storage.
 
     Frames are 4 KiB and lazily backed by [Bytes]; a multi-gigabyte
-    "physical" memory only costs host RAM for frames actually written. *)
+    "physical" memory only costs host RAM for frames actually written.
+    Per-frame state (reference counts, storage) lives in frame-indexed
+    arrays that grow by doubling with the highest frame handed out, so
+    allocation, reference counting and access to a backed frame
+    allocate nothing once the arrays have grown. *)
 
 val page_size : int
 val page_shift : int
@@ -15,8 +19,9 @@ val create : frames:int -> t
 
 val frames_in_use : t -> int
 
-(** [alloc_frame t] grabs a zeroed frame with reference count 1. Raises
-    [Out_of_memory]. *)
+(** [alloc_frame t] grabs a zeroed frame with reference count 1: the
+    most recently freed frame if any, else the lowest never-used one.
+    Raises [Out_of_memory]. *)
 val alloc_frame : t -> frame
 
 (** [ref_frame t f] — one more mapping shares the frame (shared memory
@@ -29,7 +34,10 @@ val free_frame : t -> frame -> unit
 
 val refcount : t -> frame -> int
 
-(** Byte access within a frame; [off] in [\[0, page_size)]. *)
+(** Byte access within a frame; [off] in [\[0, page_size)]. Every
+    accessor raises [Invalid_argument] for a frame outside
+    [\[0, frames)] or a range outside the page; an in-range frame never
+    written reads as zeroes. *)
 val read_byte : t -> frame -> int -> char
 val write_byte : t -> frame -> int -> char -> unit
 val read_bytes : t -> frame -> int -> int -> bytes

@@ -68,29 +68,30 @@ let find_vma_read t cpu ~vpn f =
           | None -> None
           | Some v -> Some (f v))
 
-(* Demand paging: a not-present fault inside a VMA materializes a zeroed
-   frame with the VMA's protection and key; anything else is a real
-   segfault. Frame exhaustion refuses the fault with [No_memory], which
-   the MMU delivers in place of the original (SIGBUS upstream). The VMA
-   lookup takes the lock-free path: faults are the hot concurrent
-   readers racing mmap/munmap. *)
+(* Demand paging's unit of work: materialize absent page [vpn] of [v] as
+   a zeroed frame with the VMA's protection and key, charged as one page
+   fault at [addr]. Raises [Out_of_memory] when no frame is free. *)
+let fault_in t cpu (v : Vma.vma) ~vpn ~addr =
+  (match cpu with
+  | Some cpu ->
+      Cpu.charge ~label:"page_fault" cpu (Cpu.costs cpu).page_fault;
+      if Mpk_trace.Tracer.on () then
+        Cpu.emit cpu (Mpk_trace.Event.Page_fault { addr; cause = "demand_paging" })
+  | None -> ());
+  let frame = Physmem.alloc_frame t.mem in
+  Page_table.set t.table ~vpn
+    (Pte.make ~frame ~perm:v.Vma.attrs.Vma.prot ~pkey:v.Vma.attrs.Vma.pkey)
+
+(* A not-present fault inside a VMA is served by [fault_in]; anything
+   else is a real segfault. Frame exhaustion refuses the fault with
+   [No_memory], which the MMU delivers in place of the original (SIGBUS
+   upstream). The VMA lookup takes the lock-free path: faults are the
+   hot concurrent readers racing mmap/munmap. *)
 let fault_handler t cpu (fault : Mmu.fault) =
   let vpn = Page_table.vpn_of_addr fault.Mmu.addr in
-  let service (v : Vma.vma) =
-    (match cpu with
-    | Some cpu ->
-        Cpu.charge ~label:"page_fault" cpu (Cpu.costs cpu).page_fault;
-        if Mpk_trace.Tracer.on () then
-          Cpu.emit cpu
-            (Mpk_trace.Event.Page_fault
-               { addr = fault.Mmu.addr; cause = "demand_paging" })
-    | None -> ());
-    let frame =
-      try Physmem.alloc_frame t.mem
-      with Out_of_memory -> raise (Mmu.Fault { fault with Mmu.cause = Mmu.No_memory })
-    in
-    Page_table.set t.table ~vpn
-      (Pte.make ~frame ~perm:v.Vma.attrs.Vma.prot ~pkey:v.Vma.attrs.Vma.pkey)
+  let service v =
+    try fault_in t cpu v ~vpn ~addr:fault.Mmu.addr
+    with Out_of_memory -> raise (Mmu.Fault { fault with Mmu.cause = Mmu.No_memory })
   in
   match find_vma_read t cpu ~vpn service with
   | Some () -> true
@@ -262,28 +263,6 @@ let show_maps t =
     (Vma.to_list t.vmas);
   Buffer.contents buf
 
-let frames_of_range t cpu ~addr ~len =
-  let start, pages = vpn_range ~addr ~len in
-  Array.init pages (fun i ->
-      let vpn = start + i in
-      let pte = Page_table.get t.table ~vpn in
-      let pte =
-        if Pte.is_present pte then pte
-        else begin
-          (match
-             fault_handler t (Some cpu)
-               { Mmu.addr = Page_table.addr_of_vpn vpn; access = Mmu.Read; cause = Mmu.Not_present }
-           with
-          | true -> ()
-          | false ->
-              Errno.fail ENOMEM "frames_of_range: 0x%x not mapped" (Page_table.addr_of_vpn vpn)
-          | exception Mmu.Fault { Mmu.cause = Mmu.No_memory; _ } ->
-              Errno.fail ENOMEM "frames_of_range: out of physical frames");
-          Page_table.get t.table ~vpn
-        end
-      in
-      Pte.frame pte)
-
 let mmap_frames t cpu ?at ~frames ~prot () =
   let pages = Array.length frames in
   if pages = 0 then Errno.fail EINVAL "mmap_frames: empty mapping";
@@ -313,18 +292,39 @@ let mmap_frames t cpu ?at ~frames ~prot () =
     frames;
   Page_table.addr_of_vpn start
 
-(* Pre-fault a range, as a store touching its memory would. *)
+(* Pre-fault a range, as a store touching its memory would. Like Linux's
+   __mm_populate it walks the range one VMA at a time: one recycling-safe
+   lookup per VMA that holds an absent page, then every absent page of
+   the VMA's share of the range filled under that lookup's read lock, each
+   charged as the demand fault it stands for. A hole fails at its first
+   page, after the pages before it are filled. *)
 let populate t cpu ~addr ~len =
   let start, pages = vpn_range ~addr ~len in
-  for vpn = start to start + pages - 1 do
-    let pte = Page_table.get t.table ~vpn in
-    if not (Pte.is_present pte) then
-      match
-        fault_handler t (Some cpu)
-          { Mmu.addr = Page_table.addr_of_vpn vpn; access = Mmu.Read; cause = Mmu.Not_present }
-      with
-      | true -> ()
-      | false -> Errno.fail ENOMEM "populate: 0x%x not mapped" (Page_table.addr_of_vpn vpn)
-      | exception Mmu.Fault { Mmu.cause = Mmu.No_memory; _ } ->
-          Errno.fail ENOMEM "populate: out of physical frames"
-  done
+  let stop = start + pages in
+  let cpu = Some cpu in  (* built once, so the per-page loop allocates nothing *)
+  let rec next_absent vpn =
+    if vpn < stop && Pte.is_present (Page_table.get t.table ~vpn) then next_absent (vpn + 1)
+    else vpn
+  in
+  let fill first (v : Vma.vma) =
+    let last = min stop (Vma.vend v) in
+    for vpn = first to last - 1 do
+      if not (Pte.is_present (Page_table.get t.table ~vpn)) then
+        try fault_in t cpu v ~vpn ~addr:(Page_table.addr_of_vpn vpn)
+        with Out_of_memory -> Errno.fail ENOMEM "populate: out of physical frames"
+    done;
+    last
+  in
+  let rec from vpn =
+    let vpn = next_absent vpn in
+    if vpn < stop then
+      match find_vma_read t cpu ~vpn (fill vpn) with
+      | Some last -> from last
+      | None -> Errno.fail ENOMEM "populate: 0x%x not mapped" (Page_table.addr_of_vpn vpn)
+  in
+  from start
+
+let frames_of_range t cpu ~addr ~len =
+  populate t cpu ~addr ~len;
+  let start, pages = vpn_range ~addr ~len in
+  Array.init pages (fun i -> Pte.frame (Page_table.get t.table ~vpn:(start + i)))

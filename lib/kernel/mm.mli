@@ -51,12 +51,16 @@ val find_vma_read : t -> Cpu.t option -> vpn:int -> (Vma.vma -> 'a) -> 'a option
 val mmap : t -> Cpu.t -> ?at:int -> len:int -> prot:Perm.t -> unit -> int
 
 (** [populate t cpu ~addr ~len] pre-faults a range (like touching every
-    page), charging one page fault per absent page. *)
+    page), charging one page fault per absent page. It walks the range
+    one VMA at a time: one {!find_vma_read} per VMA with an absent page,
+    whose read hold covers the filling of all that VMA's absent pages.
+    Raises [Errno.Error ENOMEM] at the first unmapped page or when frames
+    run out, after filling the pages before it. *)
 val populate : t -> Cpu.t -> addr:int -> len:int -> unit
 
 (** [frames_of_range t cpu ~addr ~len] — the physical frames backing a
-    range, populating it first. Hand these to another address space's
-    [mmap_frames] to establish shared memory. *)
+    range, after {!populate} (and with its errors). Hand these to another
+    address space's [mmap_frames] to establish shared memory. *)
 val frames_of_range : t -> Cpu.t -> addr:int -> len:int -> Physmem.frame array
 
 (** [mmap_frames t cpu ?at ~frames ~prot ()] — map existing physical

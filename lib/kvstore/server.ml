@@ -222,14 +222,9 @@ let prefill t ~items ~value_size =
 let populate_slab t ~mib =
   let len = min (mib * 1024 * 1024) t.slab_len in
   let main = t.workers.(0) in
-  match t.mode with
-  | Baseline | Mprotect_sys ->
-      (* Mprotect_sys seals the region; populate through a write window. *)
-      with_store t main (fun () ->
-          Mm.populate (Proc.mm t.proc) (Task.core main) ~addr:t.slab_base ~len)
-  | Domain | Sync ->
-      with_store t main (fun () ->
-          Mm.populate (Proc.mm t.proc) (Task.core main) ~addr:t.slab_base ~len)
+  (* Mprotect_sys seals the region; populate through a write window. *)
+  with_store t main (fun () ->
+      Mm.populate (Proc.mm t.proc) (Task.core main) ~addr:t.slab_base ~len)
 
 (* --- protocol front end: items carry [flags:4][deadline:8][payload] --- *)
 

@@ -177,6 +177,89 @@ let test_physmem_bounds () =
     (Invalid_argument "Physmem: offset out of frame bounds") (fun () ->
       Physmem.write_byte m f 4096 'x')
 
+let test_physmem_frame_range () =
+  let m = Physmem.create ~frames:4 in
+  let buf = Bytes.make 8 'b' in
+  let out_of_range = Invalid_argument "Physmem: frame out of range" in
+  List.iter
+    (fun f ->
+      let raises name g = Alcotest.check_raises (Printf.sprintf "%s frame %d" name f) out_of_range g in
+      raises "write_byte" (fun () -> Physmem.write_byte m f 0 'x');
+      raises "read_byte" (fun () -> ignore (Physmem.read_byte m f 0));
+      raises "write_bytes" (fun () -> Physmem.write_bytes m f 0 buf 0 8);
+      raises "read_bytes" (fun () -> ignore (Physmem.read_bytes m f 0 8));
+      raises "read_into" (fun () -> Physmem.read_into m f 0 buf 0 8);
+      raises "write_int64" (fun () -> Physmem.write_int64 m f 0 1L);
+      raises "read_int64" (fun () -> ignore (Physmem.read_int64 m f 0)))
+    [ 100; 4; -1; -3 ];
+  Alcotest.(check char) "in-range frame never written reads zero" '\000' (Physmem.read_byte m 3 0);
+  Alcotest.(check int64) "as int64 too" 0L (Physmem.read_int64 m 3 8);
+  Physmem.write_byte m 3 5 'y';
+  Alcotest.(check char) "in-range frame holds its write" 'y' (Physmem.read_byte m 3 5)
+
+(* Frames come out in the order of a list-based allocator (the most
+   recently freed first, then the lowest never used) while the arrays
+   double from 1,024 to 2,048 and 4,096 and stop at the 5,000 frames. *)
+let test_physmem_growth () =
+  let total = 5000 in
+  let m = Physmem.create ~frames:total in
+  let model_free = ref [] and model_next = ref 0 in
+  let live = Hashtbl.create 4096 in  (* frame -> expected refcount *)
+  let stamp f = Char.chr (1 + (f mod 251)) in
+  let alloc () =
+    let want =
+      match !model_free with
+      | f :: rest ->
+          model_free := rest;
+          f
+      | [] ->
+          incr model_next;
+          !model_next - 1
+    in
+    let f = Physmem.alloc_frame m in
+    if f <> want then Alcotest.failf "allocated frame %d, list order gives %d" f want;
+    if Physmem.read_byte m f 9 <> '\000' then Alcotest.failf "frame %d not zeroed" f;
+    Physmem.write_byte m f 9 (stamp f);
+    Hashtbl.replace live f 1;
+    f
+  in
+  let free f =
+    Physmem.free_frame m f;
+    match Hashtbl.find live f with
+    | 1 ->
+        Hashtbl.remove live f;
+        model_free := f :: !model_free
+    | n -> Hashtbl.replace live f (n - 1)
+  in
+  for _round = 1 to 4 do
+    let fresh = Array.init 1200 (fun _ -> alloc ()) in
+    Array.iteri
+      (fun i f ->
+        if i mod 5 = 0 then begin
+          Physmem.ref_frame m f;
+          Hashtbl.replace live f 2
+        end;
+        if i mod 3 = 0 then free f)
+      fresh
+  done;
+  let check_live () =
+    Hashtbl.iter
+      (fun f n ->
+        if Physmem.refcount m f <> n then
+          Alcotest.failf "frame %d: refcount %d, want %d" f (Physmem.refcount m f) n;
+        if Physmem.read_byte m f 9 <> stamp f then Alcotest.failf "frame %d lost its data" f)
+      live
+  in
+  check_live ();
+  Alcotest.(check int) "frames in use" (Hashtbl.length live) (Physmem.frames_in_use m);
+  while Physmem.frames_in_use m < total do
+    ignore (alloc ())
+  done;
+  check_live ();
+  Alcotest.(check int) "every frame handed out once" total !model_next;
+  Alcotest.check_raises "exhausted at total" Out_of_memory (fun () ->
+      ignore (Physmem.alloc_frame m))
+
 (* --- Page_table --- *)
 
 let test_page_table_set_get () =
@@ -580,6 +663,49 @@ let test_update_range_allocation () =
   in
   Alcotest.(check (float 0.)) "8 and 16384 pages allocate alike" (words 8) (words 16384)
 
+(* Once the arrays have grown, the allocator and the accessors of a
+   backed frame allocate nothing ([read_bytes] and [read_int64] return
+   fresh values, so they are left out). *)
+let test_physmem_allocation () =
+  let n = 3000 in
+  let m = Physmem.create ~frames:n in
+  let frames = Array.make n 0 in
+  let alloc_all () =
+    for i = 0 to n - 1 do
+      frames.(i) <- Physmem.alloc_frame m
+    done
+  in
+  let free_all () =
+    for i = 0 to n - 1 do
+      Physmem.free_frame m frames.(i)
+    done
+  in
+  alloc_all ();  (* grows the arrays to every frame *)
+  free_all ();
+  let none name f = Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. (Alloc_budget.allocated f) in
+  none "alloc_frame" alloc_all;
+  none "ref_frame" (fun () ->
+      for i = 0 to n - 1 do
+        Physmem.ref_frame m frames.(i)
+      done);
+  none "free_frame (shared)" free_all;
+  none "free_frame (last ref)" free_all;
+  alloc_all ();
+  let f = frames.(7) in
+  let buf = Bytes.make 64 'p' in
+  Physmem.write_bytes m f 0 buf 0 64;  (* the frame's storage now exists *)
+  none "write_byte" (fun () ->
+      for off = 0 to 4095 do
+        Physmem.write_byte m f off 'w'
+      done);
+  none "read_byte" (fun () ->
+      for off = 0 to 4095 do
+        ignore (Physmem.read_byte m f off)
+      done);
+  none "write_bytes" (fun () -> Physmem.write_bytes m f 100 buf 0 64);
+  none "read_into" (fun () -> Physmem.read_into m f 100 buf 0 64);
+  none "write_int64" (fun () -> Physmem.write_int64 m f 512 42L)
+
 let test_mmu_single_page_allocation () =
   let mmu, cpu, map = make_mmu () in
   map ~vpn:1 ~perm:Perm.rw ~pkey:Pkey.default;
@@ -684,6 +810,8 @@ let () =
           tc "zeroed on reuse" `Quick test_physmem_zeroed_on_reuse;
           tc "bytes" `Quick test_physmem_bytes;
           tc "bounds" `Quick test_physmem_bounds;
+          tc "frame out of range" `Quick test_physmem_frame_range;
+          tc "growth keeps order and refcounts" `Quick test_physmem_growth;
         ] );
       ( "page_table",
         [
@@ -742,6 +870,7 @@ let () =
           tc "tlb" `Quick test_tlb_allocation;
           tc "update_range" `Quick test_update_range_allocation;
           tc "mmu single page" `Quick test_mmu_single_page_allocation;
+          tc "physmem" `Quick test_physmem_allocation;
         ] );
       ("physmem_refs", [ tc "refcount" `Quick test_physmem_refcount ]);
       ( "machine",

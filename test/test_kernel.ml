@@ -478,6 +478,155 @@ let test_mm_assign_pkey () =
   Alcotest.(check int) "pte tagged" 6 (Pkey.to_int (Pte.pkey pte));
   Alcotest.(check string) "perm kept" "rw-" (Perm.to_string (Pte.perm pte))
 
+(* --- range populate: one VMA lookup per VMA, the same pages, cycles and
+   faults as populating page by page --- *)
+
+(* From [base]: back-to-back segments, each a mapping or a guard-gap
+   hole, all mapped rw- with key 0; [splits] re-protect page ranges (each
+   fully mapped one splits VMAs into neighbours with other prot and
+   pkey); [touched] pages are populated before the range. [base] sits up
+   to 300 pages below a 512-page leaf boundary, so ranges cross leaves,
+   and a small [frames] runs out mid-range. *)
+type populate_case = {
+  base : int;
+  segs : (bool * int) list;  (* (mapped, pages) *)
+  splits : (int * int * bool * int) list;  (* (first, pages, read-only, pkey) *)
+  touched : int list;
+  first : int;  (* the populated range, in pages from [base] *)
+  pages : int;
+  frames : int;
+}
+
+let populate_case_gen =
+  let open QCheck.Gen in
+  let* lead = int_bound 300 in
+  let* segs =
+    list_size (int_range 1 8) (pair (frequency [ (4, return true); (1, return false) ]) (int_range 1 64))
+  in
+  let span = List.fold_left (fun acc (_, n) -> acc + n) 0 segs in
+  let* splits = list_size (int_bound 4) (quad (int_bound (span - 1)) (int_range 1 32) bool (int_bound 15)) in
+  let* touched = list_size (int_bound 8) (int_bound (span - 1)) in
+  let* first = int_bound (span - 1) in
+  let* pages = int_range 1 (span - first) in
+  let* frames = oneof [ int_range 1 64; return 4096 ] in
+  return { base = 0x20000 - lead; segs; splits; touched; first; pages; frames }
+
+let print_populate_case c =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "base %#x segs [%s] splits [%s] touched [%s] range %d+%d frames %d" c.base
+    (String.concat ";" (List.map (fun (m, n) -> Printf.sprintf "%s%d" (if m then "map" else "hole") n) c.segs))
+    (String.concat ";"
+       (List.map (fun (f, n, ro, k) -> Printf.sprintf "%d+%d %s k%d" f n (if ro then "r" else "rw") k) c.splits))
+    (ints c.touched) c.first c.pages c.frames
+
+type populate_outcome = {
+  result : string;
+  ptes : int list;  (* every vpn of the layout *)
+  in_use : int;
+  cycles : int64;
+  faults : (int * int64 * int * string) list;  (* Page_fault: core, ts, addr, cause *)
+}
+
+(* Build [c]'s layout on a fresh machine, run [populate] on it with the
+   tracer on, and report everything the range could have changed. *)
+let populate_outcome c populate =
+  let page = Physmem.page_size in
+  let mem = Physmem.create ~frames:c.frames in
+  let mm = Mm.create mem in
+  let cpu = Cpu.create ~id:0 () in
+  let addr off = Page_table.addr_of_vpn (c.base + off) in
+  let ignore_errno f = try f () with Errno.Error _ -> () in
+  ignore
+    (List.fold_left
+       (fun off (mapped, n) ->
+         if mapped then ignore (Mm.mmap mm cpu ~at:(addr off) ~len:(n * page) ~prot:Perm.rw ());
+         off + n)
+       0 c.segs);
+  List.iter
+    (fun (off, n, ro, k) ->
+      ignore_errno (fun () ->
+          ignore
+            (Mm.change_protection_pkey mm cpu ~addr:(addr off) ~len:(n * page)
+               ~prot:(if ro then Perm.r else Perm.rw) ~pkey:(Pkey.of_int k))))
+    c.splits;
+  List.iter (fun off -> ignore_errno (fun () -> Mm.populate mm cpu ~addr:(addr off) ~len:page)) c.touched;
+  Mpk_trace.Tracer.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Mpk_trace.Tracer.disable ();
+      Mpk_trace.Tracer.clear ())
+    (fun () ->
+      let result =
+        match populate mm cpu ~addr:(addr c.first) with
+        | () -> "ok"
+        | exception Errno.Error (e, msg) -> Errno.to_string e ^ " " ^ msg
+      in
+      let faults =
+        List.filter_map
+          (fun e ->
+            match e.Mpk_trace.Event.ev with
+            | Mpk_trace.Event.Page_fault { addr; cause } ->
+                Some (e.Mpk_trace.Event.core, Int64.bits_of_float e.Mpk_trace.Event.ts, addr, cause)
+            | _ -> None)
+          (Mpk_trace.Tracer.events ())
+      in
+      let span = List.fold_left (fun acc (_, n) -> acc + n) 0 c.segs in
+      {
+        result;
+        ptes = List.init span (fun i -> (Page_table.get (Mm.page_table mm) ~vpn:(c.base + i) :> int));
+        in_use = Physmem.frames_in_use mem;
+        cycles = Int64.bits_of_float (Cpu.cycles cpu);
+        faults;
+      })
+
+let populate_range_matches_pages =
+  QCheck.Test.make ~name:"range populate = page-at-a-time populate" ~count:300
+    (QCheck.make ~print:print_populate_case populate_case_gen)
+    (fun c ->
+      let page = Physmem.page_size in
+      let range mm cpu ~addr = Mm.populate mm cpu ~addr ~len:(c.pages * page) in
+      let by_page mm cpu ~addr =
+        for i = 0 to c.pages - 1 do
+          Mm.populate mm cpu ~addr:(addr + (i * page)) ~len:page
+        done
+      in
+      let got = populate_outcome c range and want = populate_outcome c by_page in
+      let differs =
+        List.filter_map
+          (fun (what, same) -> if same then None else Some what)
+          [
+            ("result", got.result = want.result);
+            ("PTEs", got.ptes = want.ptes);
+            ("frames in use", got.in_use = want.in_use);
+            ("cycles", got.cycles = want.cycles);
+            ("page faults", got.faults = want.faults);
+          ]
+      in
+      if differs <> [] then
+        QCheck.Test.fail_reportf "differs in %s (range: %s; page by page: %s)"
+          (String.concat ", " differs) got.result want.result;
+      true)
+
+(* Once Physmem's arrays and the page-table leaves exist (a munmap keeps
+   both), populate allocates only per call and per VMA, whatever the
+   number of pages. *)
+let test_populate_allocation () =
+  let words pages =
+    let mm = Mm.create (Physmem.create ~frames:8192) in
+    let cpu = Cpu.create ~id:0 () in
+    let len = pages * Physmem.page_size in
+    let addr = Mm.mmap mm cpu ~len ~prot:Perm.rw () in
+    Mm.populate mm cpu ~addr ~len;
+    Mm.munmap mm cpu ~addr ~len;
+    ignore (Mm.mmap mm cpu ~at:addr ~len ~prot:Perm.rw ());
+    let w = Alloc_budget.allocated (fun () -> Mm.populate mm cpu ~addr ~len) in
+    Alcotest.(check int) "every page present" pages (Mm.mapped_pages mm);
+    w
+  in
+  let eight = words 8 in
+  Alcotest.(check (float 0.)) (Printf.sprintf "4088 pages allocate as 8 do (%.0f words)" eight) eight
+    (words 4088)
+
 (* --- shared memory across processes --- *)
 
 let test_shared_mapping_visibility () =
@@ -1088,6 +1237,7 @@ let () =
           tc "tlb flushed" `Quick test_mm_change_protection_flushes_tlb;
           tc "unmapped fails" `Quick test_mm_unmapped_mprotect_fails;
           tc "assign pkey" `Quick test_mm_assign_pkey;
+          qtest populate_range_matches_pages;
         ] );
       ( "shared_memory",
         [
@@ -1131,5 +1281,6 @@ let () =
           tc "kick_batch" `Quick test_kick_batch_allocation;
           tc "kick_batch order" `Quick test_kick_batch_order;
           tc "lock without hook" `Quick test_lock_unobserved_allocation;
+          tc "populate" `Quick test_populate_allocation;
         ] );
     ]
