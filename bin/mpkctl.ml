@@ -347,8 +347,8 @@ let profile_run_cmd =
      attributed to a labeled node under the enclosing spans. Prints the experiment \
      output and the attribution tree, checks that the attributed total equals the \
      machine's cycle counter exactly (bit-for-bit float equality), and writes \
-     per-figure metrics JSON. Exits 1 on attribution mismatch or invalid export, \
-     2 on an unknown id."
+     per-figure metrics JSON. Exits 1 on attribution mismatch, an invalid export or \
+     an empty $(b,--perfetto) trace, 2 on an unknown id."
   in
   let id =
     Arg.(
@@ -431,7 +431,14 @@ let profile_run_cmd =
           match perfetto_out with
           | None -> true
           | Some p ->
-              let ok = write_validated_perfetto p (Mpk_trace.Tracer.events ()) in
+              let events = Mpk_trace.Tracer.events () in
+              let ok =
+                if events = [] then begin
+                  Printf.eprintf "mpkctl: profile: experiment %s emitted no events\n" id;
+                  false
+                end
+                else write_validated_perfetto p events
+              in
               Mpk_trace.Tracer.disable ();
               Mpk_trace.Tracer.clear ();
               ok
@@ -543,8 +550,9 @@ let scale_cmd =
      sharded server (one shard per worker core) driven by the zipfian closed-loop \
      load generator. Every point is measured twice from the same seed — batched \
      do_pkey_sync IPIs versus the per-update broadcast — and validated: the \
-     cross-layer auditor must be clean after each concurrent run and the batched \
-     run must emit strictly fewer Ipi trace events. Writes throughput, p50/p95/p99 \
+     cross-layer auditor must be clean after each concurrent run, the batched run \
+     must send strictly fewer IPIs, no p99 may fall below its p50, and no open-loop \
+     rate may serve more than it offered. Writes throughput, p50/p95/p99 \
      latency, and per-core IPI counters as validated JSON. Exits 1 on any \
      validation failure or invalid export."
   in

@@ -41,6 +41,9 @@ let banner title =
 let run_experiment e =
   print_string (banner e.title);
   let t0 = Unix.gettimeofday () in
-  print_string (e.render ());
+  let out = e.render () in
+  print_string out;
+  (* Some renders end without a newline; the timing line starts its own. *)
+  if not (String.ends_with ~suffix:"\n" out) then print_newline ();
   Printf.printf "[%s completed in %.1fs]\n\n" e.id (Unix.gettimeofday () -. t0);
   flush stdout

@@ -18,5 +18,6 @@ val find : string -> experiment option
 (** The gated experiments' ids and metric functions, in {!all}'s order. *)
 val gated : (string * (seed:int -> smoke:bool -> Env.metric list)) list
 
-(** Print the experiment's banner, its output and its host run time. *)
+(** Print the experiment's banner, its output and, on a line of its own,
+    its host run time. *)
 val run_experiment : experiment -> unit

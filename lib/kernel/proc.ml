@@ -5,10 +5,11 @@ type t = {
   mm : Mm.t;
   sched : Sched.t;
   pkeys : Pkey_bitmap.t;
+  ipi_batching : bool;
   mutable xonly : Pkey.t option;
 }
 
-let create machine =
+let create ?(ipi_batching = true) machine =
   let mm = Mm.create (Machine.mem machine) in
   let sched = Sched.create machine in
   (* Signal delivery: an unresolved user fault traps to the kernel, which
@@ -31,13 +32,14 @@ let create machine =
   (* Injected preemption ("sched.preempt") bounces the current task
      through a real schedule_out/in pair. *)
   Mpk_faultinj.set_preempt_action (fun core_id -> Sched.preempt sched ~core_id);
-  { machine; mm; sched; pkeys = Pkey_bitmap.create (); xonly = None }
+  { machine; mm; sched; pkeys = Pkey_bitmap.create (); ipi_batching; xonly = None }
 
 let machine t = t.machine
 let mm t = t.mm
 let mmu t = Mm.mmu t.mm
 let sched t = t.sched
 let pkey_bitmap t = t.pkeys
+let ipi_batching t = t.ipi_batching
 let tasks t = Sched.tasks t.sched
 
 let spawn t ?inherit_from ~core_id () =

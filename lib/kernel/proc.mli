@@ -6,13 +6,20 @@ open Mpk_hw
 
 type t
 
-val create : Machine.t -> t
+(** [ipi_batching] (default on) selects how the lazy sync paths
+    ([Syscall.pkey_sync], [pkey_sync_many], [pkey_unmap_group]) notify
+    other threads: one IPI per target core, or off, the per-update
+    broadcast (one kick per target per update, plus a separate shootdown
+    IPI on eviction) kept as the reference point for scaling
+    comparisons. *)
+val create : ?ipi_batching:bool -> Machine.t -> t
 
 val machine : t -> Machine.t
 val mm : t -> Mm.t
 val mmu : t -> Mmu.t
 val sched : t -> Sched.t
 val pkey_bitmap : t -> Pkey_bitmap.t
+val ipi_batching : t -> bool
 
 (** Tasks of this process, in spawn order. *)
 val tasks : t -> Task.t list

@@ -168,13 +168,6 @@ let rec queue_all_on_others ~core task updates = function
         done;
       queue_all_on_others ~core task updates rest
 
-(* IPI batching for the lazy-sync paths: on by default; the per-update
-   broadcast (one kick per target per PKRU update) is kept behind this
-   toggle as the reference point `mpkctl scale` compares against. *)
-let batching = ref true
-
-let set_ipi_batching b = batching := b
-
 (* Shared tail of pkey_sync / pkey_sync_many, once [count] updates are
    queued on every other thread: notify them. Each handshake is charged
    exactly once:
@@ -205,7 +198,7 @@ let notify_others proc task ~eager ~count =
               Cpu.charge ~label:"ipi_spin" core costs.ipi_receive;
               Sched.schedule_in sched t)
       tasks
-  else if !batching then Sched.kick_batch sched ~from:task tasks
+  else if Proc.ipi_batching proc then Sched.kick_batch sched ~from:task tasks
   else
     List.iter
       (fun t ->
@@ -225,7 +218,7 @@ let pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey =
       Task.set_pkru task (Pkru.set_rights (Task.pkru task) old_pkey Pkru.No_access);
       let tasks = Proc.tasks proc in
       queue_on_others ~core task old_pkey Pkru.No_access tasks;
-      if !batching then
+      if Proc.ipi_batching proc then
         (* One synchronous IPI per target core both drains the PKRU scrub
            and flushes the TLB — the per-update path below sends two. *)
         Sched.kick_batch (Proc.sched proc) ~from:task ~kind:"pkey_sync_shootdown"

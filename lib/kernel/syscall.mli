@@ -41,11 +41,12 @@ val pkey_mprotect : Proc.t -> Task.t -> addr:int -> len:int -> prot:Perm.t -> pk
     the new rights are in force. The caller's own PKRU must be updated in
     userspace (WRPKRU) by the caller.
 
-    With IPI batching on (the default), the lazy path sends one IPI per
-    distinct core holding a running target instead of one per target per
-    update. Each handshake is charged exactly once: lazily the kick pays
-    [ipi_send] (sender) + [ipi_receive] (target core); off-CPU targets
-    cost nothing until their next schedule-in.
+    With the process's IPI batching on (the default, see [Proc.create]),
+    the lazy path sends one IPI per distinct core holding a running
+    target instead of one per target per update. Each handshake is
+    charged exactly once: lazily the kick pays [ipi_send] (sender) +
+    [ipi_receive] (target core); off-CPU targets cost nothing until their
+    next schedule-in.
 
     [eager:true] models the strawman the paper rejects: a synchronous
     handshake where the caller spin-waits for each running thread to
@@ -64,13 +65,6 @@ val pkey_sync : Proc.t -> Task.t -> ?eager:bool -> pkey:Pkey.t -> Pkru.rights ->
     tracing and profiling off, the call allocates the same whatever its
     length. *)
 val pkey_sync_many : Proc.t -> Task.t -> updates:Task.Updates.t -> unit
-
-(** IPI batching toggle for the lazy sync paths ([pkey_sync],
-    [pkey_sync_many], [pkey_unmap_group]). On by default; turning it off
-    restores the per-update broadcast (one kick per target per update,
-    plus a separate shootdown IPI on eviction) as a reference point for
-    scaling comparisons. *)
-val set_ipi_batching : bool -> unit
 
 (** [pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey] — libmpk's
     kernel-side eviction primitive: retag the range with the default key,

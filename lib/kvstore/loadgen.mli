@@ -8,6 +8,9 @@
     keys ([theta = 0.]) and no churn cost ([conn_setup_cycles = 0.]);
     `mpkctl scale` drives both loops with the zipfian defaults. *)
 
+(** Requests per connection (10). *)
+val reqs_per_conn : int
+
 type loop =
   | Open_loop of int
       (** offered connections per second; arrivals waiting longer than

@@ -5,9 +5,9 @@ module Metrics = Mpk_trace.Metrics
 (* One core count, measured twice on the identical workload (same seed,
    same zipfian key stream): once with batched do_pkey_sync IPIs (and
    the server's batched mprotect pairs), once with the per-update
-   broadcast reference. [ipi_events_*] count actual [Ipi] trace events
-   observed during the measured run — the quantity the batching is
-   supposed to shrink. *)
+   broadcast reference. [ipi_events_*] count the IPIs sent during the
+   measured run, one [Ipi] trace event each — the quantity the batching
+   is supposed to shrink. *)
 type point = {
   cores : int;
   batched : Loadgen.result;
@@ -78,47 +78,32 @@ let config ~smoke =
     }
 
 (* One measured run: fresh server, prefill, then the zipfian closed-loop
-   workload with the tracer counting [Ipi] events. The tracer is left
-   disabled with no sinks afterwards, and the global batching toggle is
-   restored to its default (on). *)
+   workload. [batch] picks the server's batched mprotect pairs and its
+   process's batched IPIs. The result's [ipis] is the measured run's
+   [Sched.ipis_sent] delta, prefill excluded: each IPI [Sched] sends is
+   one [Ipi] trace event, so no tracer is needed. *)
 let run_closed ~mode ~workers ~batch ~seed cfg =
-  Syscall.set_ipi_batching batch;
-  Fun.protect
-    ~finally:(fun () -> Syscall.set_ipi_batching true)
-    (fun () ->
-      let server =
-        Server.create ~mode ~workers ~shards:workers ~sync_batch:batch
-          ~slab_mib:cfg.c_slab_mib ~buckets:cfg.c_buckets ()
-      in
-      Server.prefill server ~items:cfg.c_items ~value_size:cfg.c_value_size;
-      let ipi_events = ref 0 in
-      Mpk_trace.Tracer.add_sink (fun e ->
-          match e.Mpk_trace.Event.ev with
-          | Mpk_trace.Event.Ipi _ -> incr ipi_events
-          | _ -> ());
-      Mpk_trace.Tracer.enable ();
-      let result =
-        Fun.protect
-          ~finally:(fun () ->
-            Mpk_trace.Tracer.disable ();
-            Mpk_trace.Tracer.clear_sinks ();
-            Mpk_trace.Tracer.clear ())
-          (fun () ->
-            Loadgen.run server ~loop:(Loadgen.Closed_loop cfg.c_conns)
-              ~value_size:cfg.c_value_size ~working_set:cfg.c_working_set ~seed ())
-      in
-      (* The concurrent run must leave a consistent cross-layer state:
-         the full six-invariant audit for the libmpk modes, plus every
-         shard's slab allocator invariant. *)
-      let audit =
-        match Server.mpk server with
-        | None -> []
-        | Some mpk ->
-            Mpk_check.Audit.run mpk
-            |> List.map (fun v -> Format.asprintf "%a" Mpk_check.Audit.pp_violation v)
-      in
-      let per_core_ipis = Sched.ipis_per_core (Proc.sched (Server.proc server)) in
-      (result, !ipi_events, per_core_ipis, audit, Server.slab_invariants server))
+  let server =
+    Server.create ~mode ~workers ~shards:workers ~sync_batch:batch
+      ~slab_mib:cfg.c_slab_mib ~buckets:cfg.c_buckets ()
+  in
+  Server.prefill server ~items:cfg.c_items ~value_size:cfg.c_value_size;
+  let result =
+    Loadgen.run server ~loop:(Loadgen.Closed_loop cfg.c_conns)
+      ~value_size:cfg.c_value_size ~working_set:cfg.c_working_set ~seed ()
+  in
+  (* The concurrent run must leave a consistent cross-layer state:
+     the full six-invariant audit for the libmpk modes, plus every
+     shard's slab allocator invariant. *)
+  let audit =
+    match Server.mpk server with
+    | None -> []
+    | Some mpk ->
+        Mpk_check.Audit.run mpk
+        |> List.map (fun v -> Format.asprintf "%a" Mpk_check.Audit.pp_violation v)
+  in
+  let per_core_ipis = Sched.ipis_per_core (Proc.sched (Server.proc server)) in
+  (result, per_core_ipis, audit, Server.slab_invariants server)
 
 (* One open-loop rate point: fresh server, prefill, timed arrival
    process. Connections that would wait longer than the accept deadline
@@ -205,10 +190,10 @@ let run ~mode ~cores ?(open_rates = []) ?(smoke = false) ?(seed = 0xC0FEL) () =
     List.map
       (fun workers ->
         if workers < 1 then invalid_arg "Scale.run: core counts must be >= 1";
-        let batched, eb, per_core_ipis, audit_b, slabs_b =
+        let batched, per_core_ipis, audit_b, slabs_b =
           run_closed ~mode ~workers ~batch:true ~seed cfg
         in
-        let per_update, eu, _, audit_u, slabs_u =
+        let per_update, _, audit_u, slabs_u =
           run_closed ~mode ~workers ~batch:false ~seed cfg
         in
         publish_metrics ~cores:workers batched per_core_ipis;
@@ -216,8 +201,8 @@ let run ~mode ~cores ?(open_rates = []) ?(smoke = false) ?(seed = 0xC0FEL) () =
           cores = workers;
           batched;
           per_update;
-          ipi_events_batched = eb;
-          ipi_events_per_update = eu;
+          ipi_events_batched = batched.Loadgen.ipis;
+          ipi_events_per_update = per_update.Loadgen.ipis;
           per_core_ipis;
           audit_violations = audit_b @ audit_u;
           slabs_ok = slabs_b && slabs_u;
@@ -346,11 +331,13 @@ let render r =
             s.os_cores);
   Buffer.contents b
 
-(* Validation shared by `mpkctl scale` and CI: the measured curve must
-   have every audited invariant hold, every slab consistent, and the
-   batched runs must emit strictly fewer Ipi trace events than the
-   per-update reference wherever the reference emitted any. *)
+(* Validation shared by `mpkctl scale` and the scale-out experiment: the
+   measured curve must have every audited invariant hold, every slab
+   consistent, p99 >= p50 everywhere, the batched runs must send strictly
+   fewer IPIs than the per-update reference wherever the reference sent
+   any, and no open-loop rate may serve more than it offered. *)
 let problems r =
+  let ordered (x : Loadgen.result) = x.Loadgen.p99_cycles >= x.Loadgen.p50_cycles in
   List.concat_map
     (fun p ->
       let issues = ref [] in
@@ -365,6 +352,8 @@ let problems r =
         add "cores=%d: batched sync emitted %d Ipi events, per-update %d (expected fewer)"
           p.cores p.ipi_events_batched p.ipi_events_per_update;
       if p.batched.Loadgen.requests = 0 then add "cores=%d: no requests completed" p.cores;
+      if not (ordered p.batched && ordered p.per_update) then
+        add "cores=%d: p99 below p50" p.cores;
       List.rev !issues)
     r.points
   @
@@ -383,5 +372,10 @@ let problems r =
             add "open-loop rate=%d: shard slab invariant failed" p.op_rate;
           if p.op_result.Loadgen.requests = 0 then
             add "open-loop rate=%d: no requests completed" p.op_rate;
+          if not (ordered p.op_result) then add "open-loop rate=%d: p99 below p50" p.op_rate;
+          let offered = float_of_int (p.op_rate * Loadgen.reqs_per_conn) in
+          if p.op_result.Loadgen.throughput_rps > offered then
+            add "open-loop rate=%d: %.0f req/s exceeds the offered %.0f req/s" p.op_rate
+              p.op_result.Loadgen.throughput_rps offered;
           List.rev !issues)
         s.os_points

@@ -6,10 +6,11 @@
     worker per core), prefills it, and drives the zipfian closed-loop
     workload twice from the same seed: once with IPI batching (and the
     server's batched mprotect pairs), once with the per-update reference.
-    [Ipi] trace events are counted through a tracer sink during the
-    measured window, the cross-layer auditor runs against the live libmpk
-    instance after each run, and per-core busy time and IPI counters are
-    published to the metrics registry. *)
+    The IPIs of the measured window are counted from [Sched.ipis_sent]
+    (each is one [Ipi] trace event; no tracer is touched), the
+    cross-layer auditor runs against the live libmpk instance after each
+    run, and per-core busy time and IPI counters are published to the
+    metrics registry. *)
 
 type point = {
   cores : int;
@@ -86,7 +87,9 @@ val to_json : report -> Mpk_trace.Json.t
 val render : report -> string
 
 (** Human-readable validation failures: auditor violations, slab
-    invariant breaks, a batched run that did not emit strictly fewer
-    [Ipi] events than its per-update twin, or an empty run. Empty means
-    the report is good. *)
+    invariant breaks, a batched run that did not send strictly fewer
+    IPIs than its per-update twin, an empty run, a p99 below its p50,
+    or an open-loop rate served above its offered load (rate ×
+    {!Loadgen.reqs_per_conn} requests per second). Empty means the
+    report is good. *)
 val problems : report -> string list

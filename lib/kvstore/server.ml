@@ -47,7 +47,7 @@ let create ~mode ?(workers = 4) ?(shards = 1) ?(sync_batch = true) ?(slab_mib = 
     ?(buckets = 1 lsl 16) () =
   if shards < 1 then invalid_arg "Server.create: shards must be >= 1";
   let machine = Machine.create ~cores:(workers + 1) ~mem_mib:(slab_mib + 256) () in
-  let proc = Proc.create machine in
+  let proc = Proc.create ~ipi_batching:sync_batch machine in
   let tasks = Array.init workers (fun i -> Proc.spawn proc ~core_id:i ()) in
   let attacker = Proc.spawn proc ~core_id:workers () in
   let main = tasks.(0) in

@@ -41,7 +41,9 @@ type t
     [sync_batch] (default true) makes [Sync] mode open and seal the two
     regions with one batched [mpk_mprotect_many] pair per request (one
     [do_pkey_sync] — and so one IPI per remote core — per pair) instead
-    of four individually synchronized [mpk_mprotect] calls. *)
+    of four individually synchronized [mpk_mprotect] calls. It also sets
+    the process's IPI batching ([Proc.create ~ipi_batching]); off, the
+    server is the per-update reference `mpkctl scale` measures against. *)
 val create :
   mode:mode ->
   ?workers:int ->

@@ -174,9 +174,9 @@ let test_bitmap_free_errors () =
 
 (* --- Task / Sched --- *)
 
-let make_proc ?(cores = 4) () =
+let make_proc ?(cores = 4) ?ipi_batching () =
   let machine = Machine.create ~cores ~mem_mib:64 () in
-  Proc.create machine
+  Proc.create ?ipi_batching machine
 
 let test_task_pkru_save_restore () =
   let proc = make_proc () in
@@ -904,10 +904,10 @@ let test_syscall_counter () =
    — ipi_send on the sender, ipi_receive on the target, the spin-wait
    (eager only) on the initiator. *)
 
-let sync_env () =
+let sync_env ?ipi_batching () =
   (* initiator on core 0, an on-CPU sibling on core 1, a descheduled one
      on core 2 *)
-  let proc = make_proc () in
+  let proc = make_proc ?ipi_batching () in
   let t0 = Proc.spawn proc ~core_id:0 () in
   let t1 = Proc.spawn proc ~core_id:1 () in
   let t2 = Proc.spawn proc ~core_id:2 () in
@@ -1031,18 +1031,14 @@ let test_trace_batching_conserves_sync_counts () =
   (* The same sync executed batched and per-update: identical
      deferred/executed conservation, strictly fewer Ipi events batched. *)
   let run ~batch =
-    let proc, t0, _t1, t2 = sync_env () in
-    Syscall.set_ipi_batching batch;
-    Fun.protect
-      ~finally:(fun () -> Syscall.set_ipi_batching true)
-      (fun () ->
-        with_tracer (fun () ->
-            let updates =
-              updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.No_access) ]
-            in
-            Syscall.pkey_sync_many proc t0 ~updates;
-            Sched.schedule_in (Proc.sched proc) t2;
-            (List.length (ipi_targets ()), deferred_count (), executed_count ())))
+    let proc, t0, _t1, t2 = sync_env ~ipi_batching:batch () in
+    with_tracer (fun () ->
+        let updates =
+          updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.No_access) ]
+        in
+        Syscall.pkey_sync_many proc t0 ~updates;
+        Sched.schedule_in (Proc.sched proc) t2;
+        (List.length (ipi_targets ()), deferred_count (), executed_count ()))
   in
   let ib, db, eb = run ~batch:true in
   let iu, du, eu = run ~batch:false in

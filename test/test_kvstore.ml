@@ -516,7 +516,7 @@ let test_open_loop_within_offered_load () =
   List.iter
     (fun (p : Scale.open_point) ->
       let r = p.Scale.op_result in
-      let offered = float_of_int (p.Scale.op_rate * 10) in
+      let offered = float_of_int (p.Scale.op_rate * Loadgen.reqs_per_conn) in
       Alcotest.(check bool)
         (Printf.sprintf "rate=%d: %.1f req/s <= offered %.0f" p.Scale.op_rate
            r.Loadgen.throughput_rps offered)
@@ -525,6 +525,39 @@ let test_open_loop_within_offered_load () =
     sweep.Scale.os_points;
   Alcotest.(check int) "lowest rate drops nothing" 0
     (List.hd sweep.Scale.os_points).Scale.op_result.Loadgen.dropped_conns
+
+let test_scale_ipis_are_trace_events () =
+  (* Scale counts a run's IPIs as its [Sched.ipis_sent] delta: with the
+     tracer on around a smoke-sized measured run, that count equals the
+     run's [Ipi] events, batched and per-update alike. *)
+  let ipi_events = ref 0 in
+  Mpk_trace.Tracer.add_sink (fun e ->
+      match e.Mpk_trace.Event.ev with Mpk_trace.Event.Ipi _ -> incr ipi_events | _ -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      Mpk_trace.Tracer.disable ();
+      Mpk_trace.Tracer.clear_sinks ();
+      Mpk_trace.Tracer.clear ())
+    (fun () ->
+      List.iter
+        (fun batch ->
+          let srv =
+            Server.create ~mode:Server.Sync ~workers:2 ~shards:2 ~sync_batch:batch
+              ~slab_mib:16 ~buckets:4096 ()
+          in
+          Server.prefill srv ~items:300 ~value_size:128;
+          ipi_events := 0;
+          Mpk_trace.Tracer.enable ();
+          let r =
+            Loadgen.run srv ~loop:(Loadgen.Closed_loop 120) ~value_size:128
+              ~working_set:500 ()
+          in
+          Mpk_trace.Tracer.disable ();
+          Alcotest.(check int)
+            (Printf.sprintf "batch=%b: Ipi events = ipis_sent delta" batch)
+            r.Loadgen.ipis !ipi_events;
+          Alcotest.(check bool) "the run sent IPIs" true (r.Loadgen.ipis > 0))
+        [ true; false ])
 
 let test_scale_report_batched_fewer_ipis () =
   Mpk_trace.Metrics.reset ();
@@ -607,5 +640,6 @@ let () =
           tc "deterministic by seed" `Quick test_loadgen_deterministic_by_seed;
           tc "open loop within offered load" `Quick test_open_loop_within_offered_load;
           tc "batched fewer IPIs" `Quick test_scale_report_batched_fewer_ipis;
+          tc "IPIs are trace events" `Quick test_scale_ipis_are_trace_events;
         ] );
     ]

@@ -46,8 +46,8 @@ let arb_steps =
 type mgroup = {
   addr : int;
   mutable global_prot : Perm.t option;  (* None = domain-only (locked) *)
-  mutable open_by : (int, int) Hashtbl.t;  (* thread -> depth *)
-  mutable payload : char;
+  open_by : (int, int) Hashtbl.t;  (* thread -> depth *)
+  payload : char;
 }
 
 let run_sequence ?(hw_keys = 15) steps =
