@@ -530,7 +530,7 @@ let profile_diff_cmd =
             in
             Printf.printf "profile diff %s vs %s (trial 0, seed %d)\n" id path
               base.Mpk_bench.Runner.r_seed;
-            print_string (Mpk_bench.Tree.render deltas);
+            print_endline (Mpk_bench.Tree.render deltas);
             0)
   in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const run $ id $ baseline $ plant_arg)

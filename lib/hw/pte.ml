@@ -44,20 +44,36 @@ let perm t = perms.((t lsr bit_write) land 7)
 
 let pkey t = Pkey.of_int ((t lsr pkey_shift) land pkey_mask)
 
-type rewrite = { clear : int; set : int }
+(* A rewrite is one int: the new field values at their entry positions,
+   plus, in bits no entry field uses, a flag per field it replaces. *)
+type rewrite = int
+
+let replaces_perm = bit 4
+let replaces_pkey = bit 5
+
+let rewrite_perm perm = replaces_perm lor perm_bits perm
+let rewrite_pkey pkey = replaces_pkey lor pkey_bits pkey
+let rewrite_perm_pkey perm pkey = rewrite_perm perm lor rewrite_pkey pkey
 
 let rewrite ?perm ?pkey () =
-  let perm_clear, perm_set = match perm with None -> 0, 0 | Some p -> perm_field, perm_bits p in
-  let pkey_clear, pkey_set = match pkey with None -> 0, 0 | Some k -> pkey_field, pkey_bits k in
-  { clear = perm_clear lor pkey_clear; set = perm_set lor pkey_set }
+  (match perm with None -> 0 | Some p -> rewrite_perm p)
+  lor match pkey with None -> 0 | Some k -> rewrite_pkey k
 
-let apply rw t = if is_present t then t land lnot rw.clear lor rw.set else t
+(* The entry bits a rewrite keeps, and the ones it sets. *)
+let kept rw =
+  lnot
+    ((if rw land replaces_perm <> 0 then perm_field else 0)
+    lor if rw land replaces_pkey <> 0 then pkey_field else 0)
+
+let set_bits rw = rw land (perm_field lor pkey_field)
+
+let apply rw t = if is_present t then t land kept rw lor set_bits rw else t
 
 (* The per-entry loop lives here, beside the representation: dune's dev
    profile compiles with -opaque, so a call to [is_present] or [apply]
    from another module would stay out of line for every entry. *)
 let apply_present rw (entries : t array) ~lo ~hi =
-  let keep = lnot rw.clear and set = rw.set in
+  let keep = kept rw and set = set_bits rw in
   let n = ref 0 in
   for i = lo to hi - 1 do
     let v = entries.(i) in

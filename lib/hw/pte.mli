@@ -26,12 +26,21 @@ val perm : t -> Perm.t
 val pkey : t -> Pkey.t
 
 (** A rewrite of the permission and/or key fields of present entries:
-    a pair of clear/set masks, built once and applied to many entries. *)
+    an immediate value (no allocation), applied to many entries. *)
 type rewrite
 
 (** [rewrite ?perm ?pkey ()] replaces the fields given and keeps the rest
     (the frame always). *)
 val rewrite : ?perm:Perm.t -> ?pkey:Pkey.t -> unit -> rewrite
+
+(** The same rewrites without the options, so building one allocates
+    nothing: [rewrite_perm p] is [rewrite ~perm:p ()], [rewrite_pkey k]
+    is [rewrite ~pkey:k ()] and [rewrite_perm_pkey p k] is
+    [rewrite ~perm:p ~pkey:k ()]. *)
+val rewrite_perm : Perm.t -> rewrite
+
+val rewrite_pkey : Pkey.t -> rewrite
+val rewrite_perm_pkey : Perm.t -> Pkey.t -> rewrite
 
 (** [apply rw t] is [t] rewritten by [rw]; an absent entry stays absent. *)
 val apply : rewrite -> t -> t

@@ -18,8 +18,8 @@ type mode = Shared | Exclusive
 type t = {
   id : int;
   cls : string;
-  mutable writer : int option;  (* actor holding exclusively *)
-  mutable write_depth : int;  (* reentrant exclusive holds *)
+  mutable writer : int;  (* actor holding exclusively, while [write_depth > 0] *)
+  mutable write_depth : int;  (* reentrant exclusive holds; 0 when not write-held *)
   mutable readers : (int * int) list;  (* actor -> shared hold count *)
 }
 
@@ -45,7 +45,7 @@ let known_classes () =
 let make ~cls =
   incr next_id;
   Hashtbl.replace classes cls ();
-  { id = !next_id; cls; writer = None; write_depth = 0; readers = [] }
+  { id = !next_id; cls; writer = -1; write_depth = 0; readers = [] }
 
 let id t = t.id
 let cls t = t.cls
@@ -104,7 +104,7 @@ let reader_count t = List.fold_left (fun acc (_, c) -> acc + c) 0 t.readers
 let reader_count_of t ~actor =
   match List.assoc_opt actor t.readers with Some c -> c | None -> 0
 
-let write_locked t = t.writer <> None
+let write_locked t = t.write_depth > 0
 
 (* --- transitions --- *)
 
@@ -116,27 +116,27 @@ let bump_reader t actor delta =
 
 let try_transition t mode ~actor =
   match mode with
-  | Shared -> (
-      match t.writer with
-      | Some w when w <> actor -> false
-      | Some _ | None ->
-          bump_reader t actor 1;
-          true)
-  | Exclusive -> (
-      match t.writer with
-      | Some w when w = actor ->
-          t.write_depth <- t.write_depth + 1;
-          true
-      | Some _ -> false
-      | None ->
-          (* Readers (including our own: an upgrade would wait on itself)
-             must drain first. *)
-          if reader_count t > 0 then false
-          else begin
-            t.writer <- Some actor;
-            t.write_depth <- 1;
-            true
-          end)
+  | Shared ->
+      if write_locked t && t.writer <> actor then false
+      else begin
+        bump_reader t actor 1;
+        true
+      end
+  | Exclusive ->
+      if write_locked t then begin
+        let reentrant = t.writer = actor in
+        if reentrant then t.write_depth <- t.write_depth + 1;
+        reentrant
+      end
+      else if reader_count t > 0 then
+        (* Readers (including our own: an upgrade would wait on itself)
+           must drain first. *)
+        false
+      else begin
+        t.writer <- actor;
+        t.write_depth <- 1;
+        true
+      end
 
 let try_acquire t mode ~actor =
   observe attempt t mode ~actor;
@@ -166,9 +166,6 @@ let release t mode ~actor =
   | Shared ->
       if reader_count_of t ~actor > 0 then bump_reader t actor (-1)
       else incr unbalanced_releases
-  | Exclusive -> (
-      match t.writer with
-      | Some w when w = actor ->
-          t.write_depth <- t.write_depth - 1;
-          if t.write_depth = 0 then t.writer <- None
-      | Some _ | None -> incr unbalanced_releases)
+  | Exclusive ->
+      if write_locked t && t.writer = actor then t.write_depth <- t.write_depth - 1
+      else incr unbalanced_releases

@@ -30,10 +30,10 @@ let with_mm_lock ?cpu t mode f =
 let with_write_lock t cpu f = with_mm_lock ~cpu t Lock.Exclusive f
 
 (* Recycling-safe lookup (the lock_vma_under_rcu() shape, SNIPPETS.md
-   §2): walk the current tree snapshot with no lock, try to take the
-   vma's read lock, then re-validate identity/liveness/range — the
-   walk's result may have been unmapped and its record recycled (even
-   into another address space) between the walk and the refcount bump.
+   §2): walk the area array with no lock, try to take the vma's read
+   lock, then re-validate identity/liveness/range — the walk's result
+   may have been unmapped and its record recycled (even into another
+   address space) between the walk and the refcount bump.
    Any failure falls back to a walk under the mm read lock, which
    excludes writers. [f] runs with the vma read-held. *)
 let find_vma_read t cpu ~vpn f =
@@ -115,9 +115,12 @@ let check_aligned addr =
   if addr land (Physmem.page_size - 1) <> 0 then
     Errno.fail EINVAL "address 0x%x is not page-aligned" addr
 
-let vpn_range ~addr ~len =
+let check_range ~addr ~len =
   check_aligned addr;
-  if len <= 0 then Errno.fail EINVAL "length must be positive";
+  if len <= 0 then Errno.fail EINVAL "length must be positive"
+
+let vpn_range ~addr ~len =
+  check_range ~addr ~len;
   Page_table.vpn_of_addr addr, pages_of_len len
 
 let mmap t cpu ?at ~len ~prot () =
@@ -135,9 +138,8 @@ let mmap t cpu ?at ~len ~prot () =
         s
   in
   with_write_lock t cpu @@ fun () ->
-  (match Vma.overlapping t.vmas ~start ~pages with
-  | [] -> ()
-  | _ -> Errno.fail ENOMEM "mmap: range overlaps an existing mapping");
+  if Vma.overlaps t.vmas ~start ~pages then
+    Errno.fail ENOMEM "mmap: range overlaps an existing mapping";
   let costs = Cpu.costs cpu in
   Cpu.charge ~label:"vma" cpu (costs.vma_find +. costs.vma_update);
   (* Lazy: no frames or PTEs until first touch. *)
@@ -204,22 +206,23 @@ let flush_local cpu ~start ~pages =
       Cpu.emit cpu (Mpk_trace.Event.Tlb_flush { pages; all = true })
   end
 
-let change_range t cpu ~addr ~len ~attr_f ~rewrite =
-  let start, pages = vpn_range ~addr ~len in
-  with_write_lock t cpu @@ fun () ->
+(* The body of every protection change, run under the mm write lock:
+   [rw] rewrites the VMAs' attributes and the present PTEs alike. *)
+let change_locked t cpu ~addr ~len ~start ~pages rw =
   if not (Vma.covered t.vmas ~start ~pages) then
     Errno.fail ENOMEM "mprotect: range 0x%x+%d not fully mapped" addr len;
   let costs = Cpu.costs cpu in
   Cpu.charge ~label:"vma" cpu costs.vma_find;
-  let vmas_touched, splits, merges =
-    Vma.set_attrs ~actor:(Cpu.id cpu) t.vmas ~start ~pages attr_f
-  in
+  let actor = Cpu.id cpu in
+  let splits = Vma.split_edges ~actor t.vmas ~start ~pages in
+  let vmas_touched = Vma.rewrite_range ~actor t.vmas ~start ~pages rw in
+  let merges = Vma.merge_range ~actor t.vmas ~start ~pages in
   Cpu.charge ~label:"vma_split_merge" cpu
     ((float_of_int (splits + merges) *. costs.vma_split_merge)
     +. (float_of_int vmas_touched *. costs.vma_update));
   (* Rewrite present PTEs; absent slots cost only the scan and will
      materialize later from the updated VMA attributes. *)
-  let ptes_touched = Page_table.update_range t.table ~vpn:start ~pages rewrite in
+  let ptes_touched = Page_table.update_range t.table ~vpn:start ~pages rw in
   Cpu.charge ~label:"pte_update" cpu
     ((float_of_int pages *. costs.pte_scan)
     +. (float_of_int ptes_touched *. costs.pte_update));
@@ -228,20 +231,31 @@ let change_range t cpu ~addr ~len ~attr_f ~rewrite =
   flush_local cpu ~start ~pages;
   { vmas_touched; splits; merges; ptes_touched }
 
+(* [with_write_lock], written out so that a protection change builds no
+   closure: the same zero-cycle [mm_lock] preemption point, then the
+   exclusive hold around the body. *)
+let change_range t cpu ~addr ~len rw =
+  check_range ~addr ~len;
+  let start = Page_table.vpn_of_addr addr and pages = pages_of_len len in
+  let actor = Cpu.id cpu in
+  Cpu.charge ~label:"mm_lock" cpu 0.0;
+  let lock = Vma.mm_lock t.vmas in
+  Lock.acquire lock Lock.Exclusive ~actor;
+  match change_locked t cpu ~addr ~len ~start ~pages rw with
+  | result ->
+      Lock.release lock Lock.Exclusive ~actor;
+      result
+  | exception e ->
+      Lock.release lock Lock.Exclusive ~actor;
+      raise e
+
 let change_protection t cpu ~addr ~len ~prot =
-  change_range t cpu ~addr ~len
-    ~attr_f:(fun a -> { a with Vma.prot })
-    ~rewrite:(Pte.rewrite ~perm:prot ())
+  change_range t cpu ~addr ~len (Pte.rewrite_perm prot)
 
 let change_protection_pkey t cpu ~addr ~len ~prot ~pkey =
-  change_range t cpu ~addr ~len
-    ~attr_f:(fun _ -> { Vma.prot; pkey })
-    ~rewrite:(Pte.rewrite ~perm:prot ~pkey ())
+  change_range t cpu ~addr ~len (Pte.rewrite_perm_pkey prot pkey)
 
-let assign_pkey t cpu ~addr ~len ~pkey =
-  change_range t cpu ~addr ~len
-    ~attr_f:(fun a -> { a with Vma.pkey })
-    ~rewrite:(Pte.rewrite ~pkey ())
+let assign_pkey t cpu ~addr ~len ~pkey = change_range t cpu ~addr ~len (Pte.rewrite_pkey pkey)
 
 let mapped_pages t = Page_table.mapped_pages t.table
 
@@ -277,9 +291,8 @@ let mmap_frames t cpu ?at ~frames ~prot () =
         s
   in
   with_write_lock t cpu @@ fun () ->
-  (match Vma.overlapping t.vmas ~start ~pages with
-  | [] -> ()
-  | _ -> Errno.fail ENOMEM "mmap_frames: range overlaps an existing mapping");
+  if Vma.overlaps t.vmas ~start ~pages then
+    Errno.fail ENOMEM "mmap_frames: range overlaps an existing mapping";
   let costs = Cpu.costs cpu in
   Cpu.charge ~label:"vma" cpu (costs.vma_find +. costs.vma_update);
   Vma.add ~actor:(Cpu.id cpu) t.vmas ~start ~pages { prot; pkey = Pkey.default };

@@ -1,7 +1,5 @@
 open Mpk_hw
 
-module IntMap = Map.Make (Int)
-
 type attrs = { prot : Perm.t; pkey : Pkey.t }
 
 (* A vma is now an identity-bearing mutable record, because the
@@ -9,7 +7,7 @@ type attrs = { prot : Perm.t; pkey : Pkey.t }
    readers may hold a reference to a vma after it has been unmapped and
    its storage handed to another mapping. [vm_mm] names the owning
    address space (-1 only before first use), [detached] marks removal
-   from the tree, [gen] counts slab recycles (diagnostics only — the
+   from the array, [gen] counts slab recycles (diagnostics only — the
    lookup protocol never needs it), and [vlock]'s shared side is the
    vm_refcnt readers hold across their critical section. *)
 type vma = {
@@ -22,13 +20,36 @@ type vma = {
   vlock : Lock.t;
 }
 
+(* The areas live in one sorted array, searched by binary search and
+   walked by index: slots [0, len) hold the areas in ascending [start]
+   order, and the slots past [len] are spare capacity, never read. *)
 type t = {
   mm_id : int;
-  mutable areas : vma IntMap.t;
+  mutable areas : vma array;
+  mutable len : int;
   mm_lock : Lock.t;
 }
 
 let attrs_equal a b = Perm.equal a.prot b.prot && Pkey.equal a.pkey b.pkey
+
+(* Rewritten attributes are interned, one shared record per (prot, pkey)
+   pair, so that a protection change allocates nothing per area. *)
+let perm_index (p : Perm.t) =
+  (if p.read then 4 else 0) lor (if p.write then 2 else 0) lor if p.exec then 1 else 0
+
+let interned =
+  Array.init (8 * Pkey.count) (fun i ->
+      {
+        prot = Perm.make ~read:(i land 4 <> 0) ~write:(i land 2 <> 0) ~exec:(i land 1 <> 0) ();
+        pkey = Pkey.of_int (i lsr 3);
+      })
+
+(* A rewrite applies to an area's attributes as to the PTEs made from
+   them: the attributes are the template every PTE of the area is built
+   from when it faults in. *)
+let rewrite_attrs rw a =
+  let pte = Pte.apply rw (Pte.make ~frame:0 ~perm:a.prot ~pkey:a.pkey) in
+  interned.((Pkey.to_int (Pte.pkey pte) lsl 3) lor perm_index (Pte.perm pte))
 
 (* --- address-space identity (mmgrab/mmdrop model) --- *)
 
@@ -52,7 +73,7 @@ let grabs_outstanding () =
 let create () =
   incr next_mm_id;
   ignore (grab_cell !next_mm_id);
-  { mm_id = !next_mm_id; areas = IntMap.empty; mm_lock = Lock.make ~cls:"mm_lock" }
+  { mm_id = !next_mm_id; areas = [||]; len = 0; mm_lock = Lock.make ~cls:"mm_lock" }
 
 let mm_lock t = t.mm_lock
 
@@ -117,47 +138,58 @@ let free_vma v = slab := v :: !slab
 
 let free_detached vmas = List.iter free_vma vmas
 
-(* --- tree queries (walk-only; see the locking notes in the mli) --- *)
+(* --- array queries (walk-only; see the locking notes in the mli) --- *)
 
-let count t = IntMap.cardinal t.areas
+let count t = t.len
 
-let to_list t = IntMap.fold (fun _ v acc -> v :: acc) t.areas [] |> List.rev
+let to_list t = List.init t.len (fun i -> t.areas.(i))
 
 let vend v = v.start + v.pages
 
-(* Last area starting at or before [vpn]. *)
-let floor_area t vpn =
-  match IntMap.find_last_opt (fun s -> s <= vpn) t.areas with
-  | Some (_, v) -> Some v
-  | None -> None
+(* Index of the last area starting at or before [vpn]; -1 when none does. *)
+let floor_index t vpn =
+  let lo = ref 0 and hi = ref t.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.areas.(mid).start <= vpn then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+(* Index of the area containing [vpn]; -1 when [vpn] is unmapped. *)
+let index_of t vpn =
+  let i = floor_index t vpn in
+  if i >= 0 && vpn < vend t.areas.(i) then i else -1
+
+(* Index of the first area ending after [vpn]; [len] when none does. *)
+let first_ending_after t vpn =
+  let i = floor_index t vpn in
+  if i >= 0 && vpn < vend t.areas.(i) then i else i + 1
 
 let find t vpn =
-  match floor_area t vpn with
-  | Some v when vpn < vend v -> Some v
-  | Some _ | None -> None
+  let i = index_of t vpn in
+  if i < 0 then None else Some t.areas.(i)
 
-(* Logarithmic in the number of areas: begin at the area holding [start],
-   then step from each area's end to the next area's start. *)
+let overlaps t ~start ~pages =
+  pages > 0
+  &&
+  let i = first_ending_after t start in
+  i < t.len && t.areas.(i).start < start + pages
+
 let overlapping t ~start ~pages =
-  let stop = start + pages in
-  let rec from vpn acc =
-    match IntMap.find_first_opt (fun s -> s >= vpn) t.areas with
-    | Some (_, v) when v.start < stop -> from (vend v) (v :: acc)
-    | Some _ | None -> List.rev acc
-  in
-  match find t start with
-  | Some v when v.start < stop -> from (vend v) [ v ]
-  | Some _ | None -> from start []
+  let first = first_ending_after t start in
+  let rec collect i acc = if i < first then acc else collect (i - 1) (t.areas.(i) :: acc) in
+  if pages <= 0 then [] else collect (floor_index t (start + pages - 1)) []
+
+(* True when the areas from index [i] on reach [stop] with no gap. *)
+let rec reaches t i stop =
+  let e = vend t.areas.(i) in
+  e >= stop || (i + 1 < t.len && t.areas.(i + 1).start = e && reaches t (i + 1) stop)
 
 let covered t ~start ~pages =
-  let rec check vpn =
-    if vpn >= start + pages then true
-    else
-      match find t vpn with
-      | None -> false
-      | Some v -> check (vend v)
-  in
-  pages > 0 && check start
+  pages > 0
+  &&
+  let i = index_of t start in
+  i >= 0 && reaches t i (start + pages)
 
 (* --- recycling-safe lookup protocol (SNIPPETS.md §2) --- *)
 
@@ -189,16 +221,32 @@ let end_read t v ~actor =
    settings; every structural change write-locks the vmas it touches,
    which waits out any reader that won the refcount race) --- *)
 
-let insert t v = t.areas <- IntMap.add v.start v t.areas
+(* Put [v] in its sorted place, doubling the array when it is full. *)
+let insert t v =
+  let i = floor_index t v.start + 1 in
+  if t.len = Array.length t.areas then begin
+    let bigger = Array.make (max 8 (2 * t.len)) v in
+    Array.blit t.areas 0 bigger 0 t.len;
+    t.areas <- bigger
+  end;
+  Array.blit t.areas i t.areas (i + 1) (t.len - i);
+  t.areas.(i) <- v;
+  t.len <- t.len + 1
 
-(* Unlink from the tree. Acquiring the vma write lock drains readers;
+(* Take [v] out of the array; no two areas share a start. *)
+let unlink t v =
+  let i = floor_index t v.start in
+  Array.blit t.areas (i + 1) t.areas i (t.len - i - 1);
+  t.len <- t.len - 1
+
+(* Unlink from the array. Acquiring the vma write lock drains readers;
    after [detached] is set, any reader that raced the unlink fails
    validation and retries under the mm lock. The record is NOT freed:
    callers still need its fields (e.g. to free frames) and push it to
    the slab afterwards via [free_detached]. *)
 let detach t ~actor v =
   Lock.acquire v.vlock Lock.Exclusive ~actor;
-  t.areas <- IntMap.remove v.start t.areas;
+  unlink t v;
   v.detached <- true;
   Lock.release v.vlock Lock.Exclusive ~actor
 
@@ -208,9 +256,7 @@ let detach_free t ~actor v =
 
 let add ?(actor = -1) t ~start ~pages attrs =
   if pages <= 0 then invalid_arg "Vma.add: pages must be positive";
-  (match overlapping t ~start ~pages with
-  | [] -> ()
-  | _ -> invalid_arg "Vma.add: overlaps an existing area");
+  if overlaps t ~start ~pages then invalid_arg "Vma.add: overlaps an existing area";
   (* Merge with adjacent equal-attribute neighbours, as Linux does for
      compatible anonymous mappings. Mergeable neighbours are detached
      first (draining their readers), then a single area is grown or
@@ -218,34 +264,40 @@ let add ?(actor = -1) t ~start ~pages attrs =
      class-level lock order stays flat. *)
   let stop = start + pages in
   let right_extra =
-    match IntMap.find_opt stop t.areas with
-    | Some right when attrs_equal right.attrs attrs ->
-        let extra = right.pages in
-        detach_free t ~actor right;
-        extra
-    | Some _ | None -> 0
+    let i = floor_index t stop in
+    if i >= 0 && t.areas.(i).start = stop && attrs_equal t.areas.(i).attrs attrs then begin
+      let right = t.areas.(i) in
+      let extra = right.pages in
+      detach_free t ~actor right;
+      extra
+    end
+    else 0
   in
-  match find t (start - 1) with
-  | Some left when vend left = start && attrs_equal left.attrs attrs ->
-      Lock.acquire left.vlock Lock.Exclusive ~actor;
-      left.pages <- left.pages + pages + right_extra;
-      Lock.release left.vlock Lock.Exclusive ~actor
-  | Some _ | None ->
-      insert t (alloc_vma t ~start ~pages:(pages + right_extra) ~attrs)
+  let i = index_of t (start - 1) in
+  if i >= 0 && vend t.areas.(i) = start && attrs_equal t.areas.(i).attrs attrs then begin
+    let left = t.areas.(i) in
+    Lock.acquire left.vlock Lock.Exclusive ~actor;
+    left.pages <- left.pages + pages + right_extra;
+    Lock.release left.vlock Lock.Exclusive ~actor
+  end
+  else insert t (alloc_vma t ~start ~pages:(pages + right_extra) ~attrs)
 
-(* Split [v] so that [vpn] starts a new area; returns false if [vpn] is
-   already a boundary. The left part keeps the record (its tree key is
-   unchanged); the right part is a fresh allocation. *)
-let split_at ?(actor = -1) t vpn =
-  match find t vpn with
-  | Some v when v.start < vpn ->
-      Lock.acquire v.vlock Lock.Exclusive ~actor;
-      let right = alloc_vma t ~start:vpn ~pages:(vend v - vpn) ~attrs:v.attrs in
-      v.pages <- vpn - v.start;
-      Lock.release v.vlock Lock.Exclusive ~actor;
-      insert t right;
-      true
-  | Some _ | None -> false
+(* Split the area holding [vpn] so that [vpn] starts a new area; false if
+   [vpn] is unmapped or already a boundary. The left part keeps the
+   record (and its place in the array); the right part is a fresh
+   allocation. *)
+let split_at ~actor t vpn =
+  let i = index_of t vpn in
+  if i >= 0 && t.areas.(i).start < vpn then begin
+    let v = t.areas.(i) in
+    Lock.acquire v.vlock Lock.Exclusive ~actor;
+    let right = alloc_vma t ~start:vpn ~pages:(vend v - vpn) ~attrs:v.attrs in
+    v.pages <- vpn - v.start;
+    Lock.release v.vlock Lock.Exclusive ~actor;
+    insert t right;
+    true
+  end
+  else false
 
 let remove_range ?(actor = -1) t ~start ~pages =
   if pages <= 0 then invalid_arg "Vma.remove_range: pages must be positive";
@@ -256,56 +308,81 @@ let remove_range ?(actor = -1) t ~start ~pages =
   List.iter (detach t ~actor) doomed;
   doomed
 
-let merge_neighbours ?(actor = -1) t vpn =
-  (* Try to merge the area containing [vpn] with its left neighbour. *)
-  match find t vpn with
-  | None -> false
-  | Some v -> (
-      match find t (v.start - 1) with
-      | Some left when vend left = v.start && attrs_equal left.attrs v.attrs ->
-          let extra = v.pages in
-          detach_free t ~actor v;
-          Lock.acquire left.vlock Lock.Exclusive ~actor;
-          left.pages <- left.pages + extra;
-          Lock.release left.vlock Lock.Exclusive ~actor;
-          true
-      | Some _ | None -> false)
+(* Area [i] touches its left neighbour and carries equal attributes. *)
+let mergeable_left t i =
+  i > 0
+  && vend t.areas.(i - 1) = t.areas.(i).start
+  && attrs_equal t.areas.(i - 1).attrs t.areas.(i).attrs
 
-let set_attrs ?(actor = -1) t ~start ~pages f =
+(* Merge the area holding [vpn] into its left neighbour when they are
+   mergeable; true if they merged. *)
+let merge_at ~actor t vpn =
+  let i = index_of t vpn in
+  if mergeable_left t i then begin
+    let v = t.areas.(i) and left = t.areas.(i - 1) in
+    let extra = v.pages in
+    detach_free t ~actor v;
+    Lock.acquire left.vlock Lock.Exclusive ~actor;
+    left.pages <- left.pages + extra;
+    Lock.release left.vlock Lock.Exclusive ~actor;
+    true
+  end
+  else false
+
+(* --- the three steps of a protection change over a covered range --- *)
+
+let split_edges ~actor t ~start ~pages =
+  let at_start = Bool.to_int (split_at ~actor t start) in
+  at_start + Bool.to_int (split_at ~actor t (start + pages))
+
+let rewrite_range ~actor t ~start ~pages rw =
+  let stop = start + pages in
+  let i = ref (index_of t start) in
+  let touched = ref 0 in
+  while !i < t.len && t.areas.(!i).start < stop do
+    let v = t.areas.(!i) in
+    Lock.acquire v.vlock Lock.Exclusive ~actor;
+    v.attrs <- rewrite_attrs rw v.attrs;
+    Lock.release v.vlock Lock.Exclusive ~actor;
+    incr touched;
+    incr i
+  done;
+  !touched
+
+(* Merge across the whole affected neighbourhood, both edges included:
+   at the start of every area the range held after its split, then at
+   [stop]. An area's end stays put when it merges into its left
+   neighbour, so each next start is the end of the area holding the
+   current one. *)
+let merge_range ~actor t ~start ~pages =
+  let stop = start + pages in
+  let merges = ref 0 in
+  let vpn = ref start in
+  while !vpn < stop do
+    if merge_at ~actor t !vpn then incr merges;
+    vpn := vend t.areas.(index_of t !vpn)
+  done;
+  if merge_at ~actor t stop then incr merges;
+  !merges
+
+let set_attrs ?(actor = -1) t ~start ~pages rw =
   if pages <= 0 then invalid_arg "Vma.set_attrs: pages must be positive";
   if not (covered t ~start ~pages) then
     invalid_arg "Vma.set_attrs: range not fully covered";
-  let stop = start + pages in
-  let splits = ref 0 in
-  if split_at ~actor t start then incr splits;
-  if split_at ~actor t stop then incr splits;
-  let targets = overlapping t ~start ~pages in
-  List.iter
-    (fun v ->
-      Lock.acquire v.vlock Lock.Exclusive ~actor;
-      v.attrs <- f v.attrs;
-      Lock.release v.vlock Lock.Exclusive ~actor)
-    targets;
-  let touched = List.length targets in
-  let merges = ref 0 in
-  (* Merge across the whole affected neighbourhood, including both edges. *)
-  List.iter
-    (fun vpn -> if merge_neighbours ~actor t vpn then incr merges)
-    (start :: List.map (fun v -> v.start) targets @ [ stop ]);
-  touched, !splits, !merges
+  let splits = split_edges ~actor t ~start ~pages in
+  let touched = rewrite_range ~actor t ~start ~pages rw in
+  let merges = merge_range ~actor t ~start ~pages in
+  touched, splits, merges
 
 let invariant t =
   let ok = ref true in
-  let prev = ref None in
-  IntMap.iter
-    (fun start v ->
-      if start <> v.start || v.pages <= 0 then ok := false;
-      if v.vm_mm <> t.mm_id || v.detached then ok := false;
-      (match !prev with
-      | Some p ->
-          if vend p > v.start then ok := false;
-          if vend p = v.start && attrs_equal p.attrs v.attrs then ok := false
-      | None -> ());
-      prev := Some v)
-    t.areas;
+  for i = 0 to t.len - 1 do
+    let v = t.areas.(i) in
+    if v.pages <= 0 || v.vm_mm <> t.mm_id || v.detached then ok := false;
+    if i > 0 then begin
+      let p = t.areas.(i - 1) in
+      if vend p > v.start then ok := false;
+      if vend p = v.start && attrs_equal p.attrs v.attrs then ok := false
+    end
+  done;
   !ok

@@ -1,11 +1,13 @@
-(** Virtual memory areas: a sorted, non-overlapping interval map keyed by
-    virtual page number, with the split/merge behaviour of Linux's VMA
-    tree — plus the per-VMA locking and recycling protocol that makes
-    lookups safe against concurrent unmap/remap (DESIGN.md §13).
+(** Virtual memory areas: a sorted, non-overlapping array of areas
+    searched by virtual page number, with the split/merge behaviour of
+    Linux's VMA tree — plus the per-VMA locking and recycling protocol
+    that makes lookups safe against concurrent unmap/remap (DESIGN.md
+    §13).
 
-    {b Locking model.} The immutable interval map plays the role of the
-    RCU-protected tree: a reader walks whatever snapshot it loaded, and
-    writers publish new snapshots atomically. Each vma carries a
+    {b Locking model.} Writers change the array in place, but a walk
+    ([find] and the other queries) has no preemption point inside it, so
+    it reads one consistent array: the simulator's stand-in for the
+    RCU-protected tree a Linux reader walks. Each vma carries a
     reader/writer lock whose shared side is [vm_refcnt]; structural
     changes write-lock the vmas they touch (draining readers), and every
     [t] has an mm-wide lock that writers hold exclusively and readers
@@ -16,7 +18,7 @@
     ([vm_mm]), liveness ([detached]) and range before trusting the
     record.
 
-    Walk-only queries ([find]/[overlapping]/[covered]/[to_list]) take no
+    Walk-only queries ([find]/[overlaps]/[overlapping]/[covered]/[to_list]) take no
     locks themselves: call them under the mm lock (writers, slow-path
     readers, quiescent audits) or as step one of the
     [start_read]/[validate_read]/[end_read] protocol. *)
@@ -31,7 +33,7 @@ type vma = {
   mutable attrs : attrs;
   mutable vm_mm : int;  (** owning address-space id; stale after free *)
   mutable gen : int;  (** slab recycle count (diagnostics) *)
-  mutable detached : bool;  (** unlinked from the tree *)
+  mutable detached : bool;  (** unlinked from the area array *)
   vlock : Lock.t;  (** per-VMA lock; shared holds = [vm_refcnt] *)
 }
 
@@ -52,6 +54,9 @@ val add : ?actor:int -> t -> start:int -> pages:int -> attrs -> unit
 (** [find t vpn] is the area containing [vpn], if any (walk-only). *)
 val find : t -> int -> vma option
 
+(** [overlaps t ~start ~pages] — some area intersects the range. *)
+val overlaps : t -> start:int -> pages:int -> bool
+
 (** [overlapping t ~start ~pages] — areas intersecting the range,
     ascending. *)
 val overlapping : t -> start:int -> pages:int -> vma list
@@ -70,12 +75,30 @@ val remove_range : ?actor:int -> t -> start:int -> pages:int -> vma list
     storage may be recycled by any later allocation. *)
 val free_detached : vma list -> unit
 
-(** [set_attrs t ~start ~pages f] rewrites attributes over the range,
-    splitting boundary areas as needed and merging equal neighbours
-    afterwards. Returns [(vmas_touched, splits, merges)] for cost
-    accounting. The range must be fully covered. *)
+(** [set_attrs t ~start ~pages rw] rewrites attributes over the range as
+    [rw] rewrites the PTEs made from them, splitting boundary areas as
+    needed and merging equal neighbours afterwards. Returns
+    [(vmas_touched, splits, merges)] for cost accounting. Raises
+    [Invalid_argument] unless the range is fully covered.
+
+    It is {!split_edges}, then {!rewrite_range}, then {!merge_range};
+    [Mm]'s protection changes run the three themselves so that they
+    build no tuple. None of the three allocates unless an area splits
+    or merges. *)
 val set_attrs :
-  ?actor:int -> t -> start:int -> pages:int -> (attrs -> attrs) -> int * int * int
+  ?actor:int -> t -> start:int -> pages:int -> Pte.rewrite -> int * int * int
+
+(** Split the areas straddling either edge of a fully covered range;
+    returns the number of splits. *)
+val split_edges : actor:int -> t -> start:int -> pages:int -> int
+
+(** Rewrite the attributes of every area inside the range, which must
+    start and end on area boundaries; returns the number of areas. *)
+val rewrite_range : actor:int -> t -> start:int -> pages:int -> Pte.rewrite -> int
+
+(** Merge equal neighbours across the range and its two edges; returns
+    the number of merges. *)
+val merge_range : actor:int -> t -> start:int -> pages:int -> int
 
 (** {2 Recycling-safe lookup protocol}
 
