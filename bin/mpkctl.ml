@@ -35,6 +35,23 @@
 
 open Cmdliner
 
+(* The documented exit contract: [error] reports a reason on stderr as
+   "mpkctl: CMD: reason"; [fail] does so and returns the exit code. *)
+let error cmd fmt = Printf.ksprintf (Printf.eprintf "mpkctl: %s: %s\n" cmd) fmt
+
+let fail code cmd fmt =
+  Printf.ksprintf
+    (fun m ->
+      error cmd "%s" m;
+      code)
+    fmt
+
+(* Count flags below their minimum are usage errors; [k] runs otherwise. *)
+let check_counts cmd counts k =
+  match List.find_opt (fun (_, n, min) -> n < min) counts with
+  | Some (flag, _, min) -> fail 2 cmd "--%s must be >= %d" flag min
+  | None -> k ()
+
 let list_cmd =
   let doc = "List the paper's tables and figures that can be regenerated." in
   let run () =
@@ -158,6 +175,7 @@ let audit_cmd =
      the replayable seed and a minimized failing op trace and exits nonzero."
   in
   let run (ops, (cfg : Mpk_check.Stress.config)) =
+    check_counts "audit" [ "ops", ops, 0 ] @@ fun () ->
     match Mpk_check.Stress.check cfg ~ops with
     | Ok { applied; benign_errors; _ } ->
         Printf.printf
@@ -167,8 +185,7 @@ let audit_cmd =
         0
     | Error report ->
         print_string report;
-        Printf.eprintf "mpkctl: audit: invariant violation\n";
-        1
+        fail 1 "audit" "invariant violation"
   in
   Cmd.v (Cmd.info "audit" ~doc) Term.(const run $ stress_term ~ops_default:1000)
 
@@ -187,6 +204,7 @@ let faults_cmd =
       & info [ "spec" ] ~docv:"SPEC" ~doc:("failure schedule: " ^ Mpk_faultinj.spec_grammar))
   in
   let run (ops, cfg) spec =
+    check_counts "faults" [ "ops", ops, 0 ] @@ fun () ->
     let schedules =
       match spec with
       | Some s -> Result.map (fun fs -> [ fs ]) (Mpk_faultinj.parse_spec s)
@@ -195,12 +213,8 @@ let faults_cmd =
           Ok (List.map (fun p -> [ p, Mpk_faultinj.Once 0 ]) (Mpk_faultinj.points ()))
     in
     match schedules with
-    | Error e ->
-        Printf.eprintf "mpkctl: faults: %s\n" e;
-        2
-    | Ok [] ->
-        Printf.eprintf "mpkctl: faults: no failure points registered\n";
-        2
+    | Error e -> fail 2 "faults" "%s" e
+    | Ok [] -> fail 2 "faults" "no failure points registered"
     | Ok schedules ->
         let failures = ref 0 in
         List.iter
@@ -226,11 +240,7 @@ let faults_cmd =
                 print_string report)
           schedules;
         if !failures = 0 then 0
-        else begin
-          Printf.eprintf "mpkctl: faults: %d fault schedule(s) violated invariants\n"
-            !failures;
-          1
-        end
+        else fail 1 "faults" "%d fault schedule(s) violated invariants" !failures
   in
   Cmd.v (Cmd.info "faults" ~doc) Term.(const run $ stress_term ~ops_default:500 $ spec)
 
@@ -253,30 +263,34 @@ let trace_stress_scenario () =
   let ops = Mpk_check.Stress.gen_ops cfg 300 in
   ignore (Mpk_check.Stress.run cfg ops)
 
+(* Every artifact write ends here: "wrote PATH" (plus [note]) on success,
+   else the reason reported as a failure of [cmd]. True when written. *)
+let wrote ~cmd ?(note = "") path = function
+  | Ok () ->
+      Printf.printf "wrote %s%s\n" path note;
+      true
+  | Error e ->
+      error cmd "%s" e;
+      false
+
 (* Every JSON artifact goes through Bench.Io: serialize, strict re-parse,
    schema-check, and only then write — shared by the profile, scale,
    trace and bench paths. *)
+let write_json ~cmd path kind json = wrote ~cmd path (Mpk_bench.Io.write ~path kind json)
+
+(* A Perfetto export's failure is reported under its path, not a command. *)
 let write_validated_perfetto path events =
-  match
-    Mpk_bench.Io.write_string ~path Mpk_bench.Io.Perfetto
-      (Mpk_trace.Export.perfetto_string ~indent:1 events)
-  with
-  | Ok () ->
-      Printf.printf "wrote %s (%d trace events)\n" path (List.length events);
-      true
-  | Error e ->
-      Printf.eprintf "mpkctl: %s: %s\n" path e;
-      false
+  Mpk_bench.Io.write_string ~path Mpk_bench.Io.Perfetto
+    (Mpk_trace.Export.perfetto_string ~indent:1 events)
+  |> wrote ~cmd:path ~note:(Printf.sprintf " (%d trace events)" (List.length events)) path
 
 (* Every plain-text artifact: an unwritable path is reported as
    "mpkctl: CMD: PATH: reason" and fails the command like a failed JSON
    export, instead of escaping as an exception. *)
-let write_text ~cmd path content =
-  match Out_channel.with_open_text path (fun oc -> output_string oc content) with
-  | () -> true
-  | exception Sys_error e ->
-      Printf.eprintf "mpkctl: %s: %s\n" cmd e;
-      false
+let write_text ~cmd path ?note content =
+  wrote ~cmd ?note path
+    (try Ok (Out_channel.with_open_text path (fun oc -> output_string oc content))
+     with Sys_error e -> Error e)
 
 let trace_cmd =
   let doc =
@@ -301,6 +315,7 @@ let trace_cmd =
     Arg.(value & opt int 32 & info [ "last" ] ~docv:"N" ~doc:"tail events to print")
   in
   let run scenario out last =
+    check_counts "trace" [ "last", last, 0 ] @@ fun () ->
     let name = match scenario with `Demo -> "demo" | `Stress -> "stress" in
     let path = match out with Some p -> p | None -> Printf.sprintf "TRACE_%s.json" name in
     Mpk_trace.Metrics.reset ();
@@ -310,7 +325,7 @@ let trace_cmd =
     let events = Mpk_trace.Tracer.events () in
     let ok =
       if events = [] then begin
-        Printf.eprintf "mpkctl: trace: scenario %s emitted no events\n" name;
+        error "trace" "scenario %s emitted no events" name;
         false
       end
       else begin
@@ -379,9 +394,7 @@ let profile_run_cmd =
   in
   let run id json_out perfetto_out folded_out =
     match Mpk_experiments.Report.find id with
-    | None ->
-        Printf.eprintf "mpkctl: profile: unknown experiment %S (try `mpkctl list`)\n" id;
-        2
+    | None -> fail 2 "profile" "unknown experiment %S (try `mpkctl list`)" id
     | Some e ->
         let json_path =
           match json_out with Some p -> p | None -> Printf.sprintf "PROFILE_%s.json" id
@@ -410,22 +423,11 @@ let profile_run_cmd =
               "metrics", Mpk_trace.Metrics.export_json ();
             ]
         in
-        let json_ok =
-          match Mpk_bench.Io.write ~path:json_path Mpk_bench.Io.Profile json with
-          | Ok () ->
-              Printf.printf "wrote %s\n" json_path;
-              true
-          | Error err ->
-              Printf.eprintf "mpkctl: profile: %s\n" err;
-              false
-        in
+        let json_ok = write_json ~cmd:"profile" json_path Mpk_bench.Io.Profile json in
         let folded_ok =
           match folded_out with
           | None -> true
-          | Some p ->
-              let ok = write_text ~cmd:"profile" p (Mpk_trace.Prof.folded ()) in
-              if ok then Printf.printf "wrote %s\n" p;
-              ok
+          | Some p -> write_text ~cmd:"profile" p (Mpk_trace.Prof.folded ())
         in
         let perfetto_ok =
           match perfetto_out with
@@ -434,7 +436,7 @@ let profile_run_cmd =
               let events = Mpk_trace.Tracer.events () in
               let ok =
                 if events = [] then begin
-                  Printf.eprintf "mpkctl: profile: experiment %s emitted no events\n" id;
+                  error "profile" "experiment %s emitted no events" id;
                   false
                 end
                 else write_validated_perfetto p events
@@ -473,12 +475,17 @@ let plant_arg =
            $(i,LABEL) — a self-test that the diff catches and correctly \
            attributes a real slowdown (e.g. $(b,wrpkru:40))")
 
-let with_plant plant f =
+(* Re-run a committed baseline's scenario at its seed and smoke mode, for
+   [trials] trials, under the --plant slowdown when one is given. *)
+let rerun ~plant ~trials (base : Mpk_bench.Runner.report) =
+  let run () =
+    Mpk_bench.Runner.run ~id:base.r_id ~trials ~seed:base.r_seed ~smoke:base.r_smoke
+  in
   match plant with
-  | None -> f ()
+  | None -> run ()
   | Some p ->
       Mpk_hw.Cpu.set_plant_slowdown (Some p);
-      Fun.protect ~finally:(fun () -> Mpk_hw.Cpu.set_plant_slowdown None) f
+      Fun.protect ~finally:(fun () -> Mpk_hw.Cpu.set_plant_slowdown None) run
 
 let profile_diff_cmd =
   let doc =
@@ -510,19 +517,10 @@ let profile_diff_cmd =
         Mpk_bench.Io.read_baseline ~id ~path
       else Error (Printf.sprintf "unknown bench id %S" id)
     with
-    | Error e ->
-        Printf.eprintf "mpkctl: profile diff: %s\n" e;
-        2
+    | Error e -> fail 2 "profile diff" "%s" e
     | Ok base -> (
-        let fresh =
-          with_plant plant @@ fun () ->
-          Mpk_bench.Runner.run ~id ~trials:1 ~seed:base.Mpk_bench.Runner.r_seed
-            ~smoke:base.Mpk_bench.Runner.r_smoke
-        in
-        match fresh with
-        | Error e ->
-            Printf.eprintf "mpkctl: profile diff: %s\n" e;
-            1
+        match rerun ~plant ~trials:1 base with
+        | Error e -> fail 1 "profile diff" "%s" e
         | Ok fresh ->
             let deltas =
               Mpk_bench.Tree.diff ~base:base.Mpk_bench.Runner.r_profile
@@ -603,14 +601,10 @@ let scale_cmd =
       & info [ "json" ] ~docv:"FILE" ~doc:"metrics JSON output")
   in
   let run cores mode smoke seed open_rates json_path =
-    if cores = [] || List.exists (fun c -> c < 1) cores then begin
-      Printf.eprintf "mpkctl: scale: --cores needs a non-empty list of counts >= 1\n";
-      2
-    end
-    else if List.exists (fun r -> r < 1) open_rates then begin
-      Printf.eprintf "mpkctl: scale: --open-loop rates must be >= 1\n";
-      2
-    end
+    if cores = [] || List.exists (fun c -> c < 1) cores then
+      fail 2 "scale" "--cores needs a non-empty list of counts >= 1"
+    else if List.exists (fun r -> r < 1) open_rates then
+      fail 2 "scale" "--open-loop rates must be >= 1"
     else begin
       Mpk_trace.Metrics.reset ();
       let report =
@@ -619,27 +613,10 @@ let scale_cmd =
       in
       print_string (Mpk_kvstore.Scale.render report);
       let problems = Mpk_kvstore.Scale.problems report in
-      List.iter (fun m -> Printf.eprintf "mpkctl: scale: %s\n" m) problems;
-      let json =
-        Mpk_trace.Json.Obj
-          (match Mpk_kvstore.Scale.to_json report with
-          | Mpk_trace.Json.Obj fields ->
-              fields
-              @ [
-                  ( "valid",
-                    Mpk_trace.Json.Bool (problems = []) );
-                  "metrics", Mpk_trace.Metrics.export_json ();
-                ]
-          | other -> [ "report", other ])
-      in
+      List.iter (error "scale" "%s") problems;
       let json_ok =
-        match Mpk_bench.Io.write ~path:json_path Mpk_bench.Io.Scale_report json with
-        | Ok () ->
-            Printf.printf "wrote %s\n" json_path;
-            true
-        | Error err ->
-            Printf.eprintf "mpkctl: scale: %s\n" err;
-            false
+        write_json ~cmd:"scale" json_path Mpk_bench.Io.Scale_report
+          (Mpk_kvstore.Scale.to_json report)
       in
       if problems = [] && json_ok then 0 else 1
     end
@@ -658,8 +635,12 @@ let bench_ids_arg =
     & info [ "ids" ] ~docv:"ID,ID,..."
         ~doc:"benchmark ids to run (default: every gated experiment)")
 
-let check_bench_ids ids =
-  List.filter (fun id -> not (List.mem_assoc id Mpk_experiments.Report.gated)) ids
+(* An --ids entry outside the gated experiments is a usage error; [k]
+   runs otherwise. *)
+let check_bench_ids ids k =
+  match List.filter (fun id -> not (List.mem_assoc id Mpk_experiments.Report.gated)) ids with
+  | [] -> k ()
+  | bad -> fail 2 "bench" "unknown ids: %s" (String.concat ", " bad)
 
 let print_bench_report (r : Mpk_bench.Runner.report) =
   let seed = r.Mpk_bench.Runner.r_seed and trials = r.Mpk_bench.Runner.r_trials in
@@ -711,39 +692,21 @@ let bench_run_cmd =
       & info [ "out-dir" ] ~docv:"DIR" ~doc:"directory for BENCH_*.json")
   in
   let run ids trials seed smoke out_dir =
-    match check_bench_ids ids with
-    | _ :: _ as bad ->
-        Printf.eprintf "mpkctl: bench: unknown ids: %s\n" (String.concat ", " bad);
-        2
-    | [] ->
-        if trials < 1 then begin
-          Printf.eprintf "mpkctl: bench: --trials must be >= 1\n";
-          2
-        end
-        else
-          let ok =
-            List.for_all
-              (fun id ->
-                match Mpk_bench.Runner.run ~id ~trials ~seed ~smoke with
-                | Error e ->
-                    Printf.eprintf "mpkctl: bench: %s: %s\n" id e;
-                    false
-                | Ok r -> (
-                    print_bench_report r;
-                    let path = Filename.concat out_dir ("BENCH_" ^ id ^ ".json") in
-                    match
-                      Mpk_bench.Io.write ~path Mpk_bench.Io.Bench
-                        (Mpk_bench.Runner.to_json r)
-                    with
-                    | Ok () ->
-                        Printf.printf "wrote %s\n" path;
-                        r.Mpk_bench.Runner.r_attribution_exact
-                    | Error e ->
-                        Printf.eprintf "mpkctl: bench: %s\n" e;
-                        false))
-              ids
-          in
-          if ok then 0 else 1
+    check_bench_ids ids @@ fun () ->
+    check_counts "bench" [ "trials", trials, 1 ] @@ fun () ->
+    let bench id =
+      match Mpk_bench.Runner.run ~id ~trials ~seed ~smoke with
+      | Error e ->
+          error "bench" "%s: %s" id e;
+          false
+      | Ok r ->
+          print_bench_report r;
+          let path = Filename.concat out_dir ("BENCH_" ^ id ^ ".json") in
+          write_json ~cmd:"bench" path Mpk_bench.Io.Bench (Mpk_bench.Runner.to_json r)
+          && r.Mpk_bench.Runner.r_attribution_exact
+    in
+    (* every id runs, whichever failed before it *)
+    if List.fold_left (fun ok id -> bench id && ok) true ids then 0 else 1
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ bench_ids_arg $ trials $ seed $ smoke $ out_dir)
@@ -769,53 +732,39 @@ let bench_diff_cmd =
       & info [ "report" ] ~docv:"FILE" ~doc:"machine-readable diff report output")
   in
   let run ids baseline_dir plant report_path =
-    match check_bench_ids ids with
-    | _ :: _ as bad ->
-        Printf.eprintf "mpkctl: bench: unknown ids: %s\n" (String.concat ", " bad);
-        2
-    | [] ->
-        let usage_error = ref false in
-        let failures = ref false in
-        let diffs =
-          List.filter_map
-            (fun id ->
-              let path = Filename.concat baseline_dir ("BENCH_" ^ id ^ ".json") in
-              match Mpk_bench.Io.read_baseline ~id ~path with
+    check_bench_ids ids @@ fun () ->
+    let usage_error = ref false in
+    let failures = ref false in
+    let diffs =
+      List.filter_map
+        (fun id ->
+          let path = Filename.concat baseline_dir ("BENCH_" ^ id ^ ".json") in
+          match Mpk_bench.Io.read_baseline ~id ~path with
+          | Error e ->
+              error "bench diff" "%s" e;
+              usage_error := true;
+              None
+          | Ok base -> (
+              match rerun ~plant ~trials:base.r_trials base with
               | Error e ->
-                  Printf.eprintf "mpkctl: bench diff: %s\n" e;
-                  usage_error := true;
+                  error "bench diff" "%s: %s" id e;
+                  failures := true;
                   None
-              | Ok base -> (
-                  let fresh =
-                    with_plant plant @@ fun () ->
-                    Mpk_bench.Runner.run ~id ~trials:base.Mpk_bench.Runner.r_trials
-                      ~seed:base.Mpk_bench.Runner.r_seed
-                      ~smoke:base.Mpk_bench.Runner.r_smoke
-                  in
-                  match fresh with
-                  | Error e ->
-                      Printf.eprintf "mpkctl: bench diff: %s: %s\n" id e;
-                      failures := true;
-                      None
-                  | Ok fresh ->
-                      let d = Mpk_bench.Gate.diff ~baseline:base ~fresh in
-                      print_string (Mpk_bench.Gate.render d);
-                      print_newline ();
-                      Some d))
-            ids
-        in
-        (match
-           Mpk_bench.Io.write ~path:report_path Mpk_bench.Io.Bench_diff
-             (Mpk_bench.Gate.report_json ~planted:plant diffs)
-         with
-        | Ok () -> Printf.printf "wrote %s\n" report_path
-        | Error e ->
-            Printf.eprintf "mpkctl: bench diff: %s\n" e;
-            failures := true);
-        if !usage_error then 2
-        else if List.exists (fun d -> d.Mpk_bench.Gate.d_regressed) diffs || !failures
-        then 1
-        else 0
+              | Ok fresh ->
+                  let d = Mpk_bench.Gate.diff ~baseline:base ~fresh in
+                  print_string (Mpk_bench.Gate.render d);
+                  print_newline ();
+                  Some d))
+        ids
+    in
+    if
+      not
+        (write_json ~cmd:"bench diff" report_path Mpk_bench.Io.Bench_diff
+           (Mpk_bench.Gate.report_json ~planted:plant diffs))
+    then failures := true;
+    if !usage_error then 2
+    else if List.exists (fun d -> d.Mpk_bench.Gate.d_regressed) diffs || !failures then 1
+    else 0
   in
   Cmd.v (Cmd.info "diff" ~doc)
     Term.(const run $ bench_ids_arg $ baseline_dir $ plant_arg $ report_arg)
@@ -893,21 +842,18 @@ let torture_cmd =
       & info [ "out" ] ~docv:"FILE" ~doc:"failure report written here (CI artifact)")
   in
   let run tasks ops slots seed seeds rounds points plant schedule out =
+    check_counts "torture"
+      [ "ops", ops, 0; "seeds", seeds, 1; "rounds", rounds, 1; "points", points, 0 ]
+    @@ fun () ->
     match Mpk_check.Torture.plant_of_string plant with
     | None ->
-        Printf.eprintf
-          "mpkctl: torture: unknown plant %S (recycle, lock-order, release-held, \
-           none)\n"
-          plant;
-        2
+        fail 2 "torture" "unknown plant %S (recycle, lock-order, release-held, none)" plant
     | Some plant -> (
         let cfg = { Mpk_check.Torture.tasks; ops; slots; seed; plant } in
         match schedule with
         | Some sched_str -> (
             match Mpk_check.Torture.schedule_of_string sched_str with
-            | Error e ->
-                Printf.eprintf "mpkctl: torture: %s\n" e;
-                2
+            | Error e -> fail 2 "torture" "%s" e
             | Ok sched ->
                 let o = Mpk_check.Torture.run_once cfg ~schedule:sched () in
                 Printf.printf
@@ -945,10 +891,8 @@ let torture_cmd =
             | Some rep ->
                 let report = Mpk_check.Torture.render_report rep in
                 print_string report;
-                if write_text ~cmd:"torture" out report then
-                  Printf.printf "wrote %s\n" out;
-                Printf.eprintf "mpkctl: torture: failure found\n";
-                1))
+                ignore (write_text ~cmd:"torture" out report : bool);
+                fail 1 "torture" "failure found"))
   in
   Cmd.v (Cmd.info "torture" ~doc)
     Term.(
@@ -1001,70 +945,26 @@ let lint_report ~tag ~confirm (p : Mpk_analysis.Ir.program) findings =
     findings;
   Mpk_analysis.Lint.has_errors findings
 
-(* The concurrency-mode cross-check (ISSUE 9 acceptance): run the
-   torture harness once with the matching plant so dynamic lockdep
-   observes the same protocol, then require every dynamic inversion
-   (both directions of a class pair present in the observed order
-   graph) to lie inside some static lock-order cycle. *)
-let lint_crosscheck plant program =
-  let torture_plant =
-    match plant with
-    | Some `Lock_order -> Mpk_check.Torture.Plant_lock_order
-    | Some `Recycle | Some `Window -> Mpk_check.Torture.Plant_recycle
-    | None -> Mpk_check.Torture.No_plant
-  in
-  let cfg =
-    {
-      Mpk_check.Torture.tasks = 2;
-      ops = 16;
-      slots = 2;
-      seed = 1L;
-      plant = torture_plant;
-    }
-  in
-  let (_ : Mpk_check.Torture.outcome) =
-    Mpk_check.Torture.run_once cfg ~schedule:[] ()
-  in
-  let dyn_edges = Mpk_check.Lockdep.order_edges () in
-  let known = Mpk_kernel.Lock.known_classes () in
-  let unknown_classes =
-    List.filter (fun c -> not (List.mem c known)) Mpk_check.Mm_model.lock_classes
-  in
-  let inversions =
-    List.filter
-      (fun (a, b) -> a < b && List.mem (b, a) dyn_edges)
-      dyn_edges
-  in
-  let cycles = Mpk_analysis.Lint.static_lock_cycles program in
-  let uncovered =
-    List.filter
-      (fun (a, b) ->
-        not (List.exists (fun c -> List.mem a c && List.mem b c) cycles))
-      inversions
-  in
+(* Print the lockdep cross-check of --concurrency; true when it holds. *)
+let print_crosscheck (x : Mpk_check.Witness.crosscheck) =
   Printf.printf "cross-check: dynamic order edges: %s\n"
-    (match dyn_edges with
+    (match x.edges with
     | [] -> "(none)"
     | es -> String.concat ", " (List.map (fun (a, b) -> a ^ " -> " ^ b) es));
   Printf.printf "cross-check: dynamic inversions: %d, static cycles: %d\n"
-    (List.length inversions) (List.length cycles);
+    (List.length x.inversions) (List.length x.cycles);
   List.iter
-    (fun c ->
-      Printf.printf
-        "cross-check: model lock class %S unknown to the kernel lock layer\n" c)
-    unknown_classes;
+    (Printf.printf "cross-check: model lock class %S unknown to the kernel lock layer\n")
+    x.unknown_classes;
   List.iter
     (fun (a, b) ->
       Printf.printf
         "cross-check: FAIL: dynamic inversion {%s, %s} not covered by any \
          static lock-order cycle\n"
         a b)
-    uncovered;
-  if uncovered = [] && unknown_classes = [] then begin
-    Printf.printf "cross-check: static cycle set covers dynamic inversions: ok\n";
-    true
-  end
-  else false
+    x.uncovered;
+  if x.ok then Printf.printf "cross-check: static cycle set covers dynamic inversions: ok\n";
+  x.ok
 
 let lint_cmd =
   let doc =
@@ -1118,146 +1018,66 @@ let lint_cmd =
           ~doc:"run only the named pass (see $(b,--pass help) for the list)")
   in
   let run app plant confirm concurrency pass =
-    let passes_or_err =
-      match pass with
-      | None -> Ok None
-      | Some "help" | Some "list" ->
-          Printf.printf "passes: %s\n"
-            (String.concat ", " Mpk_analysis.Lint.pass_names);
-          Error 0
-      | Some name when List.mem name Mpk_analysis.Lint.pass_names -> Ok (Some [ name ])
-      | Some name ->
-          Printf.eprintf "mpkctl: lint: unknown pass %S (valid: %s)\n" name
-            (String.concat ", " Mpk_analysis.Lint.pass_names);
-          Error 2
+    let analyze ~default_passes p =
+      let passes = match pass with Some name -> [ name ] | None -> default_passes in
+      Mpk_analysis.Lint.analyze_with ~passes p
     in
-    match passes_or_err with
-    | Error code -> code
-    | Ok passes_filter -> (
-        let analyze ~default_passes p =
-          let passes = Option.value passes_filter ~default:default_passes in
-          Mpk_analysis.Lint.analyze_with ~passes p
+    match pass with
+    | Some ("help" | "list") ->
+        Printf.printf "passes: %s\n" (String.concat ", " Mpk_analysis.Lint.pass_names);
+        0
+    | Some name when not (List.mem name Mpk_analysis.Lint.pass_names) ->
+        fail 2 "lint" "unknown pass %S (valid: %s)" name
+          (String.concat ", " Mpk_analysis.Lint.pass_names)
+    | _ when concurrency && app <> None -> fail 2 "lint" "--concurrency does not take --app"
+    | _ when concurrency -> (
+        match Option.map Mpk_check.Mm_model.plant_of_string plant with
+        | Some None ->
+            fail 2 "lint" "unknown concurrency plant %S (valid: recycle, lock-order, window)"
+              (Option.get plant)
+        | (None | Some (Some _)) as outer ->
+            let mplant = Option.join outer in
+            let p = Mpk_check.Mm_model.program ?plant:mplant () in
+            let findings = analyze ~default_passes:Mpk_analysis.Lint.pass_names p in
+            let tag =
+              "concurrency"
+              ^ match mplant with
+                | None -> ""
+                | Some pl -> "+" ^ Mpk_check.Mm_model.plant_to_string pl
+            in
+            let any_error = lint_report ~tag ~confirm p findings in
+            let covered = print_crosscheck (Mpk_check.Witness.crosscheck ?plant:mplant p) in
+            if any_error then fail 1 "lint" "ERROR finding(s) present"
+            else if not covered then fail 1 "lint" "lockdep cross-check failed"
+            else 0)
+    | _ when plant <> None && app = None ->
+        fail 2 "lint" "--plant requires --app or --concurrency"
+    | _ -> (
+        let apps = match app with Some a -> [ a ] | None -> [ Jit; Secstore; Kvstore ] in
+        let programs =
+          List.map (fun a -> Result.map (fun p -> (a, p)) (program_for a plant)) apps
         in
-        if concurrency then begin
-          if app <> None then begin
-            Printf.eprintf "mpkctl: lint: --concurrency does not take --app\n";
-            2
-          end
-          else
-            match Option.map Mpk_check.Mm_model.plant_of_string plant with
-            | Some None ->
-                Printf.eprintf
-                  "mpkctl: lint: unknown concurrency plant %S (valid: recycle, \
-                   lock-order, window)\n"
-                  (Option.get plant);
-                2
-            | (None | Some (Some _)) as outer ->
-                let mplant = Option.join outer in
-                let p = Mpk_check.Mm_model.program ?plant:mplant () in
-                let findings = analyze ~default_passes:Mpk_analysis.Lint.pass_names p in
-                let tag =
-                  "concurrency"
-                  ^ match mplant with
-                    | None -> ""
-                    | Some pl -> "+" ^ Mpk_check.Mm_model.plant_to_string pl
-                in
-                let any_error = lint_report ~tag ~confirm p findings in
-                let covered = lint_crosscheck mplant p in
-                if any_error then begin
-                  Printf.eprintf "mpkctl: lint: ERROR finding(s) present\n";
-                  1
-                end
-                else if not covered then begin
-                  Printf.eprintf "mpkctl: lint: lockdep cross-check failed\n";
-                  1
-                end
-                else 0
-        end
-        else if plant <> None && app = None then begin
-          Printf.eprintf "mpkctl: lint: --plant requires --app or --concurrency\n";
-          2
-        end
-        else begin
-          let apps = match app with Some a -> [ a ] | None -> [ Jit; Secstore; Kvstore ] in
-          let programs =
-            List.map (fun a -> Result.map (fun p -> (a, p)) (program_for a plant)) apps
-          in
-          match List.filter_map (function Error e -> Some e | Ok _ -> None) programs with
-          | e :: _ ->
-              Printf.eprintf "mpkctl: lint: %s\n" e;
-              2
-          | [] ->
-              let any_error = ref false in
-              List.iter
-                (fun (a, p) ->
+        match List.find_map (function Error e -> Some e | Ok _ -> None) programs with
+        | Some e -> fail 2 "lint" "%s" e
+        | None ->
+            let any_error =
+              List.fold_left
+                (fun any (a, p) ->
                   let findings =
-                    analyze
-                      ~default_passes:(List.map fst Mpk_analysis.Lint.classic_passes)
-                      p
+                    analyze ~default_passes:(List.map fst Mpk_analysis.Lint.classic_passes) p
                   in
-                  if lint_report ~tag:(app_name a) ~confirm p findings then
-                    any_error := true)
-                (List.map Result.get_ok programs);
-              if !any_error then begin
-                Printf.eprintf "mpkctl: lint: ERROR finding(s) present\n";
-                1
-              end
-              else 0
-        end)
+                  lint_report ~tag:(app_name a) ~confirm p findings || any)
+                false
+                (List.map Result.get_ok programs)
+            in
+            if any_error then fail 1 "lint" "ERROR finding(s) present" else 0)
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(const run $ app_arg $ plant $ confirm $ concurrency $ pass_arg)
 
 (* -------- coredump: crash forensics for protected memory -------- *)
 
-let default_sentinel = "SENTINEL-TLS-PRIVATE-KEY-0xDEADBEEF"
-
-type crash_kind = Crash_none | Crash_pkey | Crash_oom
-
-(* The demo crash scenario every coredump subcommand shares: a Protected
-   keystore holding a known sentinel secret in a pkey-tagged page, one
-   ordinary page with a clear marker, and an optional injected fault
-   that kills the task through the default-disposition path. *)
-let coredump_scenario ~crash ~sentinel =
-  let machine = Mpk_hw.Machine.create ~cores:2 ~mem_mib:64 () in
-  let proc = Mpk_kernel.Proc.create machine in
-  let task = Mpk_kernel.Proc.spawn proc ~core_id:0 () in
-  Mpk_trace.Tracer.enable ();
-  let mpk = Libmpk.init ~evict_rate:1.0 proc task in
-  let ks =
-    Mpk_secstore.Keystore.create ~mode:Mpk_secstore.Keystore.Protected proc task ~mpk ()
-  in
-  let secret_addr = Mpk_secstore.Keystore.store_opaque ks task (Bytes.of_string sentinel) in
-  let clear_addr = Mpk_kernel.Syscall.mmap proc task ~len:4096 ~prot:Mpk_hw.Perm.rw () in
-  Mpk_hw.Mmu.write_bytes (Mpk_kernel.Proc.mmu proc) (Mpk_kernel.Task.core task)
-    ~addr:clear_addr (Bytes.of_string "mpkctl-coredump-clear-page");
-  Mpk_kernel.Signal.clear_last_crash ();
-  (match crash with
-  | Crash_none -> ()
-  | Crash_pkey -> (
-      (* The keystore's write window is closed, so PKRU denies the
-         domain: an unwrapped read faults SEGV_PKUERR and the task dies. *)
-      try
-        ignore
-          (Mpk_hw.Mmu.read_byte (Mpk_kernel.Proc.mmu proc) (Mpk_kernel.Task.core task)
-             ~addr:secret_addr)
-      with Mpk_kernel.Signal.Killed _ -> ())
-  | Crash_oom ->
-      Mpk_faultinj.arm "physmem.alloc_frame" (Mpk_faultinj.Once 0);
-      let a = Mpk_kernel.Syscall.mmap proc task ~len:4096 ~prot:Mpk_hw.Perm.rw () in
-      (try
-         Mpk_hw.Mmu.write_byte (Mpk_kernel.Proc.mmu proc) (Mpk_kernel.Task.core task)
-           ~addr:a 'x'
-       with Mpk_kernel.Signal.Killed _ -> ());
-      Mpk_faultinj.disarm "physmem.alloc_frame");
-  (proc, task, mpk)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let key_arg =
   Cmdliner.Arg.(
@@ -1297,7 +1117,10 @@ let coredump_capture_cmd =
   let crash_arg =
     Arg.(
       value
-      & opt (enum [ "pkey", Crash_pkey; "oom", Crash_oom; "none", Crash_none ]) Crash_pkey
+      & opt
+          (enum
+             Mpk_coredump.Capture.[ "pkey", Crash_pkey; "oom", Crash_oom; "none", Crash_none ])
+          Mpk_coredump.Capture.Crash_pkey
       & info [ "crash" ] ~docv:"KIND"
           ~doc:"how the task dies: pkey (PKRU-denied read), oom (frame exhaustion), none")
   in
@@ -1310,45 +1133,35 @@ let coredump_capture_cmd =
   let sentinel_arg =
     Arg.(
       value
-      & opt string default_sentinel
+      & opt string Mpk_coredump.Capture.default_sentinel
       & info [ "sentinel" ] ~docv:"STR" ~doc:"the secret planted in the protected page")
   in
   let run policy_s seed crash key_hex out sentinel =
-    match Mpk_coredump.Dump.policy_of_string policy_s with
-    | Error e ->
-        Printf.eprintf "mpkctl: coredump: %s\n" e;
-        2
-    | Ok policy -> (
-        match decode_key key_hex with
-        | Error e ->
-            Printf.eprintf "mpkctl: coredump: %s\n" e;
-            2
-        | Ok key_opt -> (
-            let key =
-              match key_opt with
-              | Some k -> k
-              | None -> Mpk_coredump.Capture.default_key ~seed
+    match Mpk_coredump.Dump.policy_of_string policy_s, decode_key key_hex with
+    | Error e, _ | _, Error e -> fail 2 "coredump" "%s" e
+    | Ok policy, Ok key_opt -> (
+        let key =
+          match key_opt with
+          | Some k -> k
+          | None -> Mpk_coredump.Capture.default_key ~seed
+        in
+        let proc, task, mpk, _, _ = Mpk_coredump.Capture.scenario ~crash ~sentinel in
+        match Mpk_coredump.Capture.capture ~proc ~task ~mpk ~key ~seed ~policy () with
+        | Error e -> fail 1 "coredump" "%s" e
+        | Ok dump ->
+            let path = match out with Some p -> p | None -> Mpk_coredump.Dump.filename dump in
+            let note =
+              Printf.sprintf " (%d sections, policy %s)"
+                (List.length dump.Mpk_coredump.Dump.sections)
+                (Mpk_coredump.Dump.policy_to_string policy)
             in
-            let proc, task, mpk = coredump_scenario ~crash ~sentinel in
-            match Mpk_coredump.Capture.capture ~proc ~task ~mpk ~key ~seed ~policy () with
-            | Error e ->
-                Printf.eprintf "mpkctl: coredump: %s\n" e;
-                1
-            | Ok dump ->
-                let path =
-                  match out with Some p -> p | None -> Mpk_coredump.Dump.filename dump
-                in
-                let dumped = Mpk_coredump.Dump.to_string dump in
-                if write_text ~cmd:"coredump" path dumped then begin
-                  Printf.printf "wrote %s (%d sections, policy %s)\n" path
-                    (List.length dump.Mpk_coredump.Dump.sections)
-                    (Mpk_coredump.Dump.policy_to_string policy);
-                  if key_opt = None then
-                    Printf.printf "key: %s (derived from seed %Ld)\n"
-                      (Mpk_util.Hex.encode key) seed;
-                  0
-                end
-                else 1))
+            let dumped = Mpk_coredump.Dump.to_string dump in
+            if write_text ~cmd:"coredump" path ~note dumped then begin
+              if key_opt = None then
+                Printf.printf "key: %s (derived from seed %Ld)\n" (Mpk_util.Hex.encode key) seed;
+              0
+            end
+            else 1)
   in
   Cmd.v (Cmd.info "capture" ~doc)
     Term.(const run $ policy_arg $ seed_arg $ crash_arg $ key_arg $ out_arg $ sentinel_arg)
@@ -1365,28 +1178,17 @@ let coredump_inspect_cmd =
   in
   let run file key_hex =
     match decode_key key_hex with
-    | Error e ->
-        Printf.eprintf "mpkctl: coredump: %s\n" e;
-        2
+    | Error e -> fail 2 "coredump" "%s" e
     | Ok key -> (
         match read_file file with
-        | exception Sys_error e ->
-            Printf.eprintf "mpkctl: coredump: %s\n" e;
-            2
+        | exception Sys_error e -> fail 2 "coredump" "%s" e
         | raw -> (
             match Mpk_coredump.Inspect.run ?key raw with
-            | Error e ->
-                Printf.eprintf "mpkctl: coredump: %s: %s\n" file e;
-                2
+            | Error e -> fail 2 "coredump" "%s: %s" file e
             | Ok o ->
                 print_string o.Mpk_coredump.Inspect.report;
-                if o.Mpk_coredump.Inspect.failures = [] then 0
-                else begin
-                  List.iter
-                    (fun f -> Printf.eprintf "mpkctl: coredump: %s\n" f)
-                    o.Mpk_coredump.Inspect.failures;
-                  1
-                end))
+                List.iter (error "coredump" "%s") o.Mpk_coredump.Inspect.failures;
+                if o.Mpk_coredump.Inspect.failures = [] then 0 else 1))
   in
   Cmd.v (Cmd.info "inspect" ~doc) Term.(const run $ file_arg $ key_arg)
 
@@ -1401,14 +1203,12 @@ let coredump_scan_cmd =
   let sentinel_arg =
     Arg.(
       value
-      & opt string default_sentinel
+      & opt string Mpk_coredump.Capture.default_sentinel
       & info [ "sentinel" ] ~docv:"STR" ~doc:"the secret to look for")
   in
   let run file sentinel =
     match read_file file with
-    | exception Sys_error e ->
-        Printf.eprintf "mpkctl: coredump: %s\n" e;
-        2
+    | exception Sys_error e -> fail 2 "coredump" "%s" e
     | raw -> (
         match Mpk_coredump.Dump.scan ~sentinel raw with
         | [] ->

@@ -462,3 +462,38 @@ let confirm (f : Lint.finding) : outcome =
   | _ ->
       let verdict, note = confirm_sequential f in
       { verdict; schedule = None; runs = 1; note }
+
+type crosscheck = {
+  edges : (string * string) list;
+  inversions : (string * string) list;
+  cycles : string list list;
+  unknown_classes : string list;
+  uncovered : (string * string) list;
+  ok : bool;
+}
+
+(* One torture run with the plant matching the model's, so dynamic
+   lockdep observes the same protocol; then every dynamic inversion (both
+   directions of a class pair in the observed order graph) must lie
+   inside some static lock-order cycle. *)
+let crosscheck ?plant program =
+  let plant =
+    match plant with
+    | Some `Lock_order -> Torture.Plant_lock_order
+    | Some (`Recycle | `Window) -> Torture.Plant_recycle
+    | None -> Torture.No_plant
+  in
+  let cfg = { Torture.tasks = 2; ops = 16; slots = 2; seed = 1L; plant } in
+  let (_ : Torture.outcome) = Torture.run_once cfg ~schedule:[] () in
+  let edges = Lockdep.order_edges () in
+  let known = Lock.known_classes () in
+  let unknown_classes = List.filter (fun c -> not (List.mem c known)) Mm_model.lock_classes in
+  let inversions = List.filter (fun (a, b) -> a < b && List.mem (b, a) edges) edges in
+  let cycles = Lint.static_lock_cycles program in
+  let uncovered =
+    List.filter
+      (fun (a, b) -> not (List.exists (fun c -> List.mem a c && List.mem b c) cycles))
+      inversions
+  in
+  let ok = uncovered = [] && unknown_classes = [] in
+  { edges; inversions; cycles; unknown_classes; uncovered; ok }

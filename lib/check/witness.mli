@@ -43,3 +43,22 @@ type outcome = {
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val confirm : Mpk_analysis.Lint.finding -> outcome
+
+(** The lockdep cross-check of [mpkctl lint --concurrency]: the static
+    lock-order cycles of a program against what dynamic lockdep observes. *)
+type crosscheck = {
+  edges : (string * string) list;  (** dynamic lock-order edges, sorted *)
+  inversions : (string * string) list;
+      (** class pairs [(a, b)], [a < b], observed in both orders *)
+  cycles : string list list;  (** the program's static lock-order cycles *)
+  unknown_classes : string list;
+      (** {!Mm_model.lock_classes} that {!Mpk_kernel.Lock} does not know *)
+  uncovered : (string * string) list;  (** inversions inside no static cycle *)
+  ok : bool;  (** no uncovered inversion and no unknown class *)
+}
+
+(** [crosscheck ?plant program] runs the torture harness once (2 tasks,
+    16 ops, 2 slots, seed 1, empty schedule) with the harness plant
+    matching the model [plant], then checks [program]'s static cycles
+    against the lock-order edges lockdep recorded. *)
+val crosscheck : ?plant:Mm_model.plant -> Mpk_analysis.Ir.program -> crosscheck

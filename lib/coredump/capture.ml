@@ -147,3 +147,34 @@ let capture ~proc ~task ?mpk ?siginfo ~key ~seed ~policy () =
            ~task_pkru:(Pkru.to_int (Task.pkru task)) ~vmas:(vma_entries proc) ~blackbox
            ?profile raws)
     with e -> Error (Printf.sprintf "capture failed: %s" (Printexc.to_string e))
+
+let default_sentinel = "SENTINEL-TLS-PRIVATE-KEY-0xDEADBEEF"
+
+type crash = Crash_none | Crash_pkey | Crash_oom
+
+let scenario ~crash ~sentinel =
+  Mpk_faultinj.reset ();
+  Tracer.clear ();
+  Signal.clear_last_crash ();
+  let machine = Machine.create ~cores:2 ~mem_mib:64 () in
+  let proc = Proc.create machine in
+  let task = Proc.spawn proc ~core_id:0 () in
+  Tracer.enable ();
+  let mpk = Libmpk.init ~evict_rate:1.0 proc task in
+  let ks = Mpk_secstore.Keystore.create ~mode:Mpk_secstore.Keystore.Protected proc task ~mpk () in
+  let secret_addr = Mpk_secstore.Keystore.store_opaque ks task (Bytes.of_string sentinel) in
+  let clear_addr = Syscall.mmap proc task ~len:Physmem.page_size ~prot:Perm.rw () in
+  let mmu = Proc.mmu proc and core = Task.core task in
+  Mmu.write_bytes mmu core ~addr:clear_addr (Bytes.of_string "mpkctl-coredump-clear-page");
+  (match crash with
+  | Crash_none -> ()
+  | Crash_pkey -> (
+      (* The keystore's write window is closed, so PKRU denies the
+         domain: an unwrapped read faults SEGV_PKUERR and the task dies. *)
+      try ignore (Mmu.read_byte mmu core ~addr:secret_addr) with Signal.Killed _ -> ())
+  | Crash_oom ->
+      Mpk_faultinj.arm "physmem.alloc_frame" (Mpk_faultinj.Once 0);
+      let a = Syscall.mmap proc task ~len:Physmem.page_size ~prot:Perm.rw () in
+      (try Mmu.write_byte mmu core ~addr:a 'x' with Signal.Killed _ -> ());
+      Mpk_faultinj.disarm "physmem.alloc_frame");
+  (proc, task, mpk, secret_addr, clear_addr)

@@ -46,3 +46,20 @@ val capture :
   policy:Dump.policy ->
   unit ->
   (Dump.t, string) result
+
+(** The secret {!scenario} plants unless told otherwise. *)
+val default_sentinel : string
+
+(** How the {!scenario}'s task dies: [Crash_pkey] is a PKRU-denied read
+    (SEGV_PKUERR), [Crash_oom] a demand fault under injected frame
+    exhaustion, [Crash_none] leaves the task alive. *)
+type crash = Crash_none | Crash_pkey | Crash_oom
+
+(** [scenario ~crash ~sentinel] — the demo crash behind [mpkctl coredump]:
+    a Protected keystore holding [sentinel] in a pkey-tagged page, one
+    ordinary page with a clear marker, then [crash]. It first resets
+    fault injection, the tracer ring and the pending crash record, and
+    leaves the tracer enabled. Returns the process, its task, the libmpk
+    handle, the secret's address and the clear page's address. *)
+val scenario :
+  crash:crash -> sentinel:string -> Proc.t * Task.t * Libmpk.t * int * int

@@ -77,20 +77,20 @@ let config ~smoke =
       c_conns = 1_500;
     }
 
-(* One measured run: fresh server, prefill, then the zipfian closed-loop
-   workload. [batch] picks the server's batched mprotect pairs and its
+(* One measured run: fresh server, prefill, then the zipfian workload
+   under [loop]. [batch] picks the server's batched mprotect pairs and its
    process's batched IPIs. The result's [ipis] is the measured run's
    [Sched.ipis_sent] delta, prefill excluded: each IPI [Sched] sends is
    one [Ipi] trace event, so no tracer is needed. *)
-let run_closed ~mode ~workers ~batch ~seed cfg =
+let measure ~mode ~workers ?(batch = true) ~loop ?duration_s ?max_delay_s ~seed cfg =
   let server =
     Server.create ~mode ~workers ~shards:workers ~sync_batch:batch
       ~slab_mib:cfg.c_slab_mib ~buckets:cfg.c_buckets ()
   in
   Server.prefill server ~items:cfg.c_items ~value_size:cfg.c_value_size;
   let result =
-    Loadgen.run server ~loop:(Loadgen.Closed_loop cfg.c_conns)
-      ~value_size:cfg.c_value_size ~working_set:cfg.c_working_set ~seed ()
+    Loadgen.run server ~loop ?duration_s ?max_delay_s ~value_size:cfg.c_value_size
+      ~working_set:cfg.c_working_set ~seed ()
   in
   (* The concurrent run must leave a consistent cross-layer state:
      the full six-invariant audit for the libmpk modes, plus every
@@ -105,36 +105,17 @@ let run_closed ~mode ~workers ~batch ~seed cfg =
   let per_core_ipis = Sched.ipis_per_core (Proc.sched (Server.proc server)) in
   (result, per_core_ipis, audit, Server.slab_invariants server)
 
-(* One open-loop rate point: fresh server, prefill, timed arrival
-   process. Connections that would wait longer than the accept deadline
-   are dropped, which is what makes the post-knee region visible instead
-   of just stretching the makespan as the closed loop does. *)
+(* One open-loop rate point. Connections that would wait longer than the
+   accept deadline are dropped, which is what makes the post-knee region
+   visible instead of just stretching the makespan as the closed loop
+   does. The deadline is scaled to the window: a saturated server must
+   be able to shed load within the run, or drops never register. *)
 let run_open_one ~mode ~workers ~rate ~duration_s ~seed cfg =
-  let server =
-    Server.create ~mode ~workers ~shards:workers ~slab_mib:cfg.c_slab_mib
-      ~buckets:cfg.c_buckets ()
+  let result, _, audit, slabs_ok =
+    measure ~mode ~workers ~loop:(Loadgen.Open_loop rate) ~duration_s
+      ~max_delay_s:(duration_s /. 10.0) ~seed cfg
   in
-  Server.prefill server ~items:cfg.c_items ~value_size:cfg.c_value_size;
-  (* Accept deadline scaled to the window: a saturated server must be
-     able to shed load within the run, or drops never register. *)
-  let result =
-    Loadgen.run server ~loop:(Loadgen.Open_loop rate) ~duration_s
-      ~max_delay_s:(duration_s /. 10.0) ~value_size:cfg.c_value_size
-      ~working_set:cfg.c_working_set ~seed ()
-  in
-  let audit =
-    match Server.mpk server with
-    | None -> []
-    | Some mpk ->
-        Mpk_check.Audit.run mpk
-        |> List.map (fun v -> Format.asprintf "%a" Mpk_check.Audit.pp_violation v)
-  in
-  {
-    op_rate = rate;
-    op_result = result;
-    op_audit_violations = audit;
-    op_slabs_ok = Server.slab_invariants server;
-  }
+  { op_rate = rate; op_result = result; op_audit_violations = audit; op_slabs_ok = slabs_ok }
 
 let find_knee points =
   match points with
@@ -190,11 +171,10 @@ let run ~mode ~cores ?(open_rates = []) ?(smoke = false) ?(seed = 0xC0FEL) () =
     List.map
       (fun workers ->
         if workers < 1 then invalid_arg "Scale.run: core counts must be >= 1";
-        let batched, per_core_ipis, audit_b, slabs_b =
-          run_closed ~mode ~workers ~batch:true ~seed cfg
-        in
+        let loop = Loadgen.Closed_loop cfg.c_conns in
+        let batched, per_core_ipis, audit_b, slabs_b = measure ~mode ~workers ~loop ~seed cfg in
         let per_update, _, audit_u, slabs_u =
-          run_closed ~mode ~workers ~batch:false ~seed cfg
+          measure ~mode ~workers ~batch:false ~loop ~seed cfg
         in
         publish_metrics ~cores:workers batched per_core_ipis;
         {
@@ -220,6 +200,54 @@ let run ~mode ~cores ?(open_rates = []) ?(smoke = false) ?(seed = 0xC0FEL) () =
         Some (run_open ~mode ~workers ~rates ~smoke ~seed ())
   in
   { mode; closed_conns = cfg.c_conns; seed; smoke; points; open_loop }
+
+(* Validation shared by `mpkctl scale` and the scale-out experiment: the
+   measured curve must have every audited invariant hold, every slab
+   consistent, p99 >= p50 everywhere, the batched runs must send strictly
+   fewer IPIs than the per-update reference wherever the reference sent
+   any, and no open-loop rate may serve more than it offered. [check]
+   judges one point of either kind: a closed-loop point passes its
+   (batched, per-update) [ipis], an open-loop one its [offered] req/s. *)
+let check ~at ~audit ~slabs_ok ?ipis ?offered results =
+  let first = List.hd results in
+  let ordered (x : Loadgen.result) = x.Loadgen.p99_cycles >= x.Loadgen.p50_cycles in
+  let issues = ref [] in
+  let add fmt = Printf.ksprintf (fun m -> issues := (at ^ ": " ^ m) :: !issues) fmt in
+  if audit <> [] then
+    add "%d auditor invariant violation(s): %s" (List.length audit) (String.concat "; " audit);
+  if not slabs_ok then add "shard slab invariant failed";
+  (match ipis with
+  | Some (batched, per_update) when per_update > 0 && batched >= per_update ->
+      add "batched sync emitted %d Ipi events, per-update %d (expected fewer)" batched
+        per_update
+  | _ -> ());
+  if first.Loadgen.requests = 0 then add "no requests completed";
+  if not (List.for_all ordered results) then add "p99 below p50";
+  (match offered with
+  | Some cap when first.Loadgen.throughput_rps > cap ->
+      add "%.0f req/s exceeds the offered %.0f req/s" first.Loadgen.throughput_rps cap
+  | _ -> ());
+  List.rev !issues
+
+let problems r =
+  List.concat_map
+    (fun p ->
+      check ~at:(Printf.sprintf "cores=%d" p.cores) ~audit:p.audit_violations
+        ~slabs_ok:p.slabs_ok ~ipis:(p.ipi_events_batched, p.ipi_events_per_update)
+        [ p.batched; p.per_update ])
+    r.points
+  @
+  match r.open_loop with
+  | None -> []
+  | Some s ->
+      List.concat_map
+        (fun p ->
+          check
+            ~at:(Printf.sprintf "open-loop rate=%d" p.op_rate)
+            ~audit:p.op_audit_violations ~slabs_ok:p.op_slabs_ok
+            ~offered:(float_of_int (p.op_rate * Loadgen.reqs_per_conn))
+            [ p.op_result ])
+        s.os_points
 
 let result_json (r : Loadgen.result) =
   Json.Obj
@@ -295,9 +323,10 @@ let to_json r =
        ("smoke", Json.Bool r.smoke);
        ("points", Json.List (List.map point_json r.points));
      ]
-    @ match r.open_loop with
+    @ (match r.open_loop with
       | None -> []
       | Some s -> [ ("open_loop", open_sweep_json s) ])
+    @ [ ("valid", Json.Bool (problems r = [])); ("metrics", Metrics.export_json ()) ])
 
 let render r =
   let b = Buffer.create 512 in
@@ -330,52 +359,3 @@ let render r =
           Printf.bprintf b "open-loop latency knee: beyond swept range (%d cores)\n"
             s.os_cores);
   Buffer.contents b
-
-(* Validation shared by `mpkctl scale` and the scale-out experiment: the
-   measured curve must have every audited invariant hold, every slab
-   consistent, p99 >= p50 everywhere, the batched runs must send strictly
-   fewer IPIs than the per-update reference wherever the reference sent
-   any, and no open-loop rate may serve more than it offered. *)
-let problems r =
-  let ordered (x : Loadgen.result) = x.Loadgen.p99_cycles >= x.Loadgen.p50_cycles in
-  List.concat_map
-    (fun p ->
-      let issues = ref [] in
-      let add fmt = Printf.ksprintf (fun m -> issues := m :: !issues) fmt in
-      if p.audit_violations <> [] then
-        add "cores=%d: %d auditor invariant violation(s): %s" p.cores
-          (List.length p.audit_violations)
-          (String.concat "; " p.audit_violations);
-      if not p.slabs_ok then add "cores=%d: shard slab invariant failed" p.cores;
-      if p.ipi_events_per_update > 0 && p.ipi_events_batched >= p.ipi_events_per_update
-      then
-        add "cores=%d: batched sync emitted %d Ipi events, per-update %d (expected fewer)"
-          p.cores p.ipi_events_batched p.ipi_events_per_update;
-      if p.batched.Loadgen.requests = 0 then add "cores=%d: no requests completed" p.cores;
-      if not (ordered p.batched && ordered p.per_update) then
-        add "cores=%d: p99 below p50" p.cores;
-      List.rev !issues)
-    r.points
-  @
-  match r.open_loop with
-  | None -> []
-  | Some s ->
-      List.concat_map
-        (fun p ->
-          let issues = ref [] in
-          let add fmt = Printf.ksprintf (fun m -> issues := m :: !issues) fmt in
-          if p.op_audit_violations <> [] then
-            add "open-loop rate=%d: %d auditor invariant violation(s): %s" p.op_rate
-              (List.length p.op_audit_violations)
-              (String.concat "; " p.op_audit_violations);
-          if not p.op_slabs_ok then
-            add "open-loop rate=%d: shard slab invariant failed" p.op_rate;
-          if p.op_result.Loadgen.requests = 0 then
-            add "open-loop rate=%d: no requests completed" p.op_rate;
-          if not (ordered p.op_result) then add "open-loop rate=%d: p99 below p50" p.op_rate;
-          let offered = float_of_int (p.op_rate * Loadgen.reqs_per_conn) in
-          if p.op_result.Loadgen.throughput_rps > offered then
-            add "open-loop rate=%d: %.0f req/s exceeds the offered %.0f req/s" p.op_rate
-              p.op_result.Loadgen.throughput_rps offered;
-          List.rev !issues)
-        s.os_points

@@ -79,6 +79,8 @@ val run_open :
   unit ->
   open_sweep
 
+(** The report as [mpkctl scale] writes it: every point, then [valid]
+    (no {!problems}) and the metrics registry's export. *)
 val to_json : report -> Mpk_trace.Json.t
 
 (** One line per core count (batched and per-update throughput, p50/p99

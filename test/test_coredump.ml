@@ -8,7 +8,7 @@ module Dump = Mpk_coredump.Dump
 module Capture = Mpk_coredump.Capture
 module Inspect = Mpk_coredump.Inspect
 
-let sentinel = "SENTINEL-TLS-PRIVATE-KEY-0xDEADBEEF"
+let sentinel = Capture.default_sentinel
 let page = Mpk_hw.Physmem.page_size
 
 let contains ~needle hay =
@@ -16,27 +16,7 @@ let contains ~needle hay =
   let rec at i = i <= h - n && (String.sub hay i n = needle || at (i + 1)) in
   n = 0 || at 0
 
-(* The canonical crash scenario: a Protected keystore holding the
-   sentinel in a pkey-tagged page, one ordinary page with a clear
-   marker, then a PKRU-denied read that kills the task. *)
-let scenario ?(crash = true) () =
-  Mpk_faultinj.reset ();
-  Mpk_trace.Tracer.clear ();
-  Mpk_trace.Tracer.enable ();
-  Signal.clear_last_crash ();
-  let machine = Mpk_hw.Machine.create ~cores:2 ~mem_mib:64 () in
-  let proc = Proc.create machine in
-  let task = Proc.spawn proc ~core_id:0 () in
-  let mpk = Libmpk.init ~evict_rate:1.0 proc task in
-  let ks = Mpk_secstore.Keystore.create ~mode:Mpk_secstore.Keystore.Protected proc task ~mpk () in
-  let secret_addr = Mpk_secstore.Keystore.store_opaque ks task (Bytes.of_string sentinel) in
-  let clear_addr = Syscall.mmap proc task ~len:page ~prot:Mpk_hw.Perm.rw () in
-  Mpk_hw.Mmu.write_bytes (Proc.mmu proc) (Task.core task) ~addr:clear_addr
-    (Bytes.of_string "coredump-clear-page-marker");
-  if crash then (
-    try ignore (Mpk_hw.Mmu.read_byte (Proc.mmu proc) (Task.core task) ~addr:secret_addr)
-    with Signal.Killed _ -> ());
-  (proc, task, mpk, secret_addr, clear_addr)
+let scenario () = Capture.scenario ~crash:Capture.Crash_pkey ~sentinel
 
 let capture ?(policy = Dump.Redact) ?(seed = 1L) (proc, task, mpk, _, _) =
   let key = Capture.default_key ~seed in

@@ -261,24 +261,24 @@ let test_witness_confirms_window () = expect_confirmed `Window
 let test_static_covers_dynamic_inversions () =
   (* ISSUE 9 acceptance: on the planted lock-order program, the static
      cycle set must cover every inversion dynamic lockdep observes. *)
-  let c =
-    { cfg with Torture.tasks = 2; ops = 16; slots = 2; plant = Torture.Plant_lock_order }
-  in
-  let (_ : Torture.outcome) = Torture.run_once c ~schedule:[] () in
-  let edges = Lockdep.order_edges () in
-  let inversions =
-    List.filter (fun (a, b) -> a < b && List.mem (b, a) edges) edges
+  let x =
+    Witness.crosscheck ~plant:`Lock_order (Mm_model.program ~plant:`Lock_order ())
   in
   Alcotest.(check bool) "the plant produced a dynamic inversion" true
-    (inversions <> []);
-  let cycles = Lint.static_lock_cycles (Mm_model.program ~plant:`Lock_order ()) in
-  List.iter
-    (fun (a, b) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "static cycle covers {%s, %s}" a b)
-        true
-        (List.exists (fun c -> List.mem a c && List.mem b c) cycles))
-    inversions
+    (x.Witness.inversions <> []);
+  Alcotest.(check (list (pair string string)))
+    "every inversion covered" [] x.Witness.uncovered;
+  Alcotest.(check bool) "cross-check holds" true x.Witness.ok
+
+let test_crosscheck_fails_uncovered_inversion () =
+  (* The lock-order plant's dynamic run against the clean static model:
+     its inversion lies inside no static cycle, so the check fails. *)
+  let x = Witness.crosscheck ~plant:`Lock_order (Mm_model.program ()) in
+  Alcotest.(check int) "one dynamic inversion" 1 (List.length x.Witness.inversions);
+  Alcotest.(check int) "no static cycle" 0 (List.length x.Witness.cycles);
+  Alcotest.(check (list (pair string string)))
+    "the inversion is uncovered" x.Witness.inversions x.Witness.uncovered;
+  Alcotest.(check bool) "cross-check fails" false x.Witness.ok
 
 let () =
   Alcotest.run "torture"
@@ -324,6 +324,8 @@ let () =
             test_witness_confirms_window;
           Alcotest.test_case "static cycles cover dynamic inversions" `Quick
             test_static_covers_dynamic_inversions;
+          Alcotest.test_case "uncovered inversion fails the cross-check" `Quick
+            test_crosscheck_fails_uncovered_inversion;
         ] );
       ( "lockdep",
         [
