@@ -75,9 +75,7 @@ let run_cmd =
         List.iter run_experiment (if ids = [] then all else List.filter_map find ids);
         0
     | unknown ->
-        List.iter
-          (fun id -> Printf.eprintf "unknown experiment %S (try `mpkctl list`)\n" id)
-          unknown;
+        List.iter (error "run" "unknown experiment %S (try `mpkctl list`)") unknown;
         2
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ ids)
@@ -175,7 +173,7 @@ let audit_cmd =
      the replayable seed and a minimized failing op trace and exits nonzero."
   in
   let run (ops, (cfg : Mpk_check.Stress.config)) =
-    check_counts "audit" [ "ops", ops, 0 ] @@ fun () ->
+    check_counts "audit" [ "ops", ops, 0; "tasks", cfg.tasks, 1 ] @@ fun () ->
     match Mpk_check.Stress.check cfg ~ops with
     | Ok { applied; benign_errors; _ } ->
         Printf.printf
@@ -203,8 +201,8 @@ let faults_cmd =
       & opt (some string) None
       & info [ "spec" ] ~docv:"SPEC" ~doc:("failure schedule: " ^ Mpk_faultinj.spec_grammar))
   in
-  let run (ops, cfg) spec =
-    check_counts "faults" [ "ops", ops, 0 ] @@ fun () ->
+  let run (ops, (cfg : Mpk_check.Stress.config)) spec =
+    check_counts "faults" [ "ops", ops, 0; "tasks", cfg.tasks, 1 ] @@ fun () ->
     let schedules =
       match spec with
       | Some s -> Result.map (fun fs -> [ fs ]) (Mpk_faultinj.parse_spec s)
@@ -278,11 +276,10 @@ let wrote ~cmd ?(note = "") path = function
    trace and bench paths. *)
 let write_json ~cmd path kind json = wrote ~cmd path (Mpk_bench.Io.write ~path kind json)
 
-(* A Perfetto export's failure is reported under its path, not a command. *)
-let write_validated_perfetto path events =
+let write_validated_perfetto ~cmd path events =
   Mpk_bench.Io.write_string ~path Mpk_bench.Io.Perfetto
     (Mpk_trace.Export.perfetto_string ~indent:1 events)
-  |> wrote ~cmd:path ~note:(Printf.sprintf " (%d trace events)" (List.length events)) path
+  |> wrote ~cmd ~note:(Printf.sprintf " (%d trace events)" (List.length events)) path
 
 (* Every plain-text artifact: an unwritable path is reported as
    "mpkctl: CMD: PATH: reason" and fails the command like a failed JSON
@@ -318,41 +315,31 @@ let trace_cmd =
     check_counts "trace" [ "last", last, 0 ] @@ fun () ->
     let name = match scenario with `Demo -> "demo" | `Stress -> "stress" in
     let path = match out with Some p -> p | None -> Printf.sprintf "TRACE_%s.json" name in
-    Mpk_trace.Metrics.reset ();
-    Mpk_trace.Tracer.clear ();
-    Mpk_trace.Tracer.enable ();
-    (match scenario with `Demo -> trace_demo_scenario () | `Stress -> trace_stress_scenario ());
-    let events = Mpk_trace.Tracer.events () in
-    let ok =
-      if events = [] then begin
-        error "trace" "scenario %s emitted no events" name;
-        false
-      end
-      else begin
-        Printf.printf "trace %s: %d events emitted, %d retained, cores %s\n" name
-          (Mpk_trace.Tracer.emitted ())
-          (Mpk_trace.Tracer.retained ())
-          (String.concat ","
-             (List.map string_of_int (Mpk_trace.Tracer.cores ())));
-        let by_kind = Hashtbl.create 16 in
-        List.iter
-          (fun (e : Mpk_trace.Event.t) ->
-            let k = Mpk_trace.Event.kind e.Mpk_trace.Event.ev in
-            Hashtbl.replace by_kind k (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind k)))
-          events;
-        Hashtbl.fold (fun k n acc -> (k, n) :: acc) by_kind []
-        |> List.sort (fun (_, a) (_, b) -> compare (b : int) a)
-        |> List.iter (fun (k, n) -> Printf.printf "  %-22s %d\n" k n);
-        Printf.printf "last %d events:\n" (min last (List.length events));
-        List.iter
-          (fun e -> print_endline ("  " ^ Mpk_trace.Event.to_line e))
-          (Mpk_trace.Tracer.recent last);
-        write_validated_perfetto path events
-      end
+    let (), trace =
+      Mpk_trace.Tracer.record
+        (match scenario with `Demo -> trace_demo_scenario | `Stress -> trace_stress_scenario)
     in
-    Mpk_trace.Tracer.disable ();
-    Mpk_trace.Tracer.clear ();
-    if ok then 0 else 1
+    let events = Mpk_trace.Tracer.events trace in
+    if events = [] then fail 1 "trace" "scenario %s emitted no events" name
+    else begin
+      Printf.printf "trace %s: %d events emitted, %d retained, cores %s\n" name
+        (Mpk_trace.Tracer.emitted trace) (List.length events)
+        (String.concat "," (List.map string_of_int (Mpk_trace.Tracer.cores trace)));
+      let by_kind = Hashtbl.create 16 in
+      List.iter
+        (fun (e : Mpk_trace.Event.t) ->
+          let k = Mpk_trace.Event.kind e.Mpk_trace.Event.ev in
+          Hashtbl.replace by_kind k (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind k)))
+        events;
+      Hashtbl.fold (fun k n acc -> (k, n) :: acc) by_kind []
+      |> List.sort (fun (_, a) (_, b) -> compare (b : int) a)
+      |> List.iter (fun (k, n) -> Printf.printf "  %-22s %d\n" k n);
+      Printf.printf "last %d events:\n" (min last (List.length events));
+      List.iter
+        (fun e -> print_endline ("  " ^ Mpk_trace.Event.to_line e))
+        (Mpk_trace.Tracer.recent trace last);
+      if write_validated_perfetto ~cmd:"trace" path events then 0 else 1
+    end
   in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ scenario $ out $ last)
 
@@ -399,19 +386,22 @@ let profile_run_cmd =
         let json_path =
           match json_out with Some p -> p | None -> Printf.sprintf "PROFILE_%s.json" id
         in
-        let rendered, exact =
-          Mpk_bench.Runner.observe ~trace:(perfetto_out <> None)
-            e.Mpk_experiments.Report.render
+        let observe () = Mpk_bench.Runner.observe e.Mpk_experiments.Report.render in
+        let (rendered, profile, exact), perfetto =
+          match perfetto_out with
+          | None -> (observe (), None)
+          | Some path ->
+              let observed, trace = Mpk_trace.Tracer.record observe in
+              (observed, Some (path, trace))
         in
-        let attributed = Mpk_trace.Prof.total_recorded () in
+        let attributed = Mpk_trace.Prof.total profile in
         let charged = Mpk_hw.Cpu.total_charged () in
         print_string rendered;
         print_newline ();
-        print_string (Mpk_trace.Prof.render ());
+        print_string (Mpk_trace.Prof.render profile);
         Printf.printf "attributed %.1f cycles, machine charged %.1f cycles: %s\n"
           attributed charged
           (if exact then "exact match" else "MISMATCH");
-        let snap = Mpk_trace.Prof.snapshot () in
         let json =
           Mpk_trace.Json.Obj
             [
@@ -419,7 +409,7 @@ let profile_run_cmd =
               "cycles_charged", Mpk_trace.Json.Float charged;
               "cycles_attributed", Mpk_trace.Json.Float attributed;
               "attribution_exact", Mpk_trace.Json.Bool exact;
-              "profile", Mpk_trace.Prof.json_of_snapshot snap;
+              "profile", Mpk_trace.Prof.json_of_snapshot (Mpk_trace.Prof.tree profile);
               "metrics", Mpk_trace.Metrics.export_json ();
             ]
         in
@@ -427,23 +417,17 @@ let profile_run_cmd =
         let folded_ok =
           match folded_out with
           | None -> true
-          | Some p -> write_text ~cmd:"profile" p (Mpk_trace.Prof.folded ())
+          | Some p -> write_text ~cmd:"profile" p (Mpk_trace.Prof.folded profile)
         in
         let perfetto_ok =
-          match perfetto_out with
+          match perfetto with
           | None -> true
-          | Some p ->
-              let events = Mpk_trace.Tracer.events () in
-              let ok =
-                if events = [] then begin
+          | Some (path, trace) -> (
+              match Mpk_trace.Tracer.events trace with
+              | [] ->
                   error "profile" "experiment %s emitted no events" id;
                   false
-                end
-                else write_validated_perfetto p events
-              in
-              Mpk_trace.Tracer.disable ();
-              Mpk_trace.Tracer.clear ();
-              ok
+              | events -> write_validated_perfetto ~cmd:"profile" path events)
         in
         if exact && json_ok && folded_ok && perfetto_ok then 0 else 1
   in
@@ -843,7 +827,14 @@ let torture_cmd =
   in
   let run tasks ops slots seed seeds rounds points plant schedule out =
     check_counts "torture"
-      [ "ops", ops, 0; "seeds", seeds, 1; "rounds", rounds, 1; "points", points, 0 ]
+      [
+        "tasks", tasks, 1;
+        "ops", ops, 1;
+        "slots", slots, 1;
+        "seeds", seeds, 1;
+        "rounds", rounds, 1;
+        "points", points, 0;
+      ]
     @@ fun () ->
     match Mpk_check.Torture.plant_of_string plant with
     | None ->
@@ -1145,8 +1136,10 @@ let coredump_capture_cmd =
           | Some k -> k
           | None -> Mpk_coredump.Capture.default_key ~seed
         in
-        let proc, task, mpk, _, _ = Mpk_coredump.Capture.scenario ~crash ~sentinel in
-        match Mpk_coredump.Capture.capture ~proc ~task ~mpk ~key ~seed ~policy () with
+        let capture (proc, task, mpk, _, _) =
+          Mpk_coredump.Capture.capture ~proc ~task ~mpk ~key ~seed ~policy ()
+        in
+        match Mpk_coredump.Capture.scenario ~crash ~sentinel capture with
         | Error e -> fail 1 "coredump" "%s" e
         | Ok dump ->
             let path = match out with Some p -> p | None -> Mpk_coredump.Dump.filename dump in

@@ -18,22 +18,17 @@ type report = {
   r_registry : J.t;
 }
 
-(* A clean observability slate: metrics registry, tracer, profiler and
-   the global cycle accumulator all reset together, so the attribution
-   exactness contract (Prof.total_recorded = Cpu.total_charged,
-   bit-for-bit) holds for [f] alone. [charge] feeds both totals with
-   the same additions from the same reset point, so any difference at
-   all means a charge escaped attribution. *)
-let observe ?(trace = false) f =
+(* A clean slate for the attribution exactness contract
+   (Prof.total = Cpu.total_charged, bit-for-bit): the metrics registry
+   and the global cycle accumulator reset together with a fresh profile,
+   so the contract holds for [f] alone. [charge] feeds both totals with
+   the same additions from the same starting point, so any difference
+   at all means a charge escaped attribution. *)
+let observe f =
   Mpk_trace.Metrics.reset ();
-  Mpk_trace.Tracer.disable ();
-  Mpk_trace.Tracer.clear ();
-  if trace then Mpk_trace.Tracer.enable ();
-  Mpk_trace.Prof.reset ();
-  Mpk_trace.Prof.enable ();
   Mpk_hw.Cpu.reset_total_charged ();
-  let result = Fun.protect ~finally:Mpk_trace.Prof.disable f in
-  result, Float.equal (Mpk_trace.Prof.total_recorded ()) (Mpk_hw.Cpu.total_charged ())
+  let result, profile = Mpk_trace.Prof.record f in
+  (result, profile, Float.equal (Mpk_trace.Prof.total profile) (Mpk_hw.Cpu.total_charged ()))
 
 let run ~id ~trials ~seed ~smoke =
   match List.assoc_opt id Mpk_experiments.Report.gated with
@@ -42,7 +37,7 @@ let run ~id ~trials ~seed ~smoke =
   | Some metrics -> (
       match
         List.init trials (fun t ->
-            let ms, exact = observe (fun () -> metrics ~seed:(seed + t) ~smoke) in
+            let ms, profile, exact = observe (fun () -> metrics ~seed:(seed + t) ~smoke) in
             List.iter
               (fun (m : Env.metric) ->
                 if not (Float.is_finite m.value) then
@@ -51,7 +46,7 @@ let run ~id ~trials ~seed ~smoke =
             (* trial 0 keeps its attribution tree and registry export *)
             let kept =
               if t = 0 then
-                Some (Mpk_trace.Prof.snapshot (), Mpk_trace.Metrics.export_json ())
+                Some (Mpk_trace.Prof.tree profile, Mpk_trace.Metrics.export_json ())
               else None
             in
             ms, exact, kept)

@@ -23,12 +23,12 @@ type report = {
   r_registry : Mpk_trace.Json.t;  (** trial-0 {!Mpk_trace.Metrics} export *)
 }
 
-val observe : ?trace:bool -> (unit -> 'a) -> 'a * bool
-(** [observe f] runs [f] with the profiler on, after resetting the
-    metrics registry, tracer, profiler and {!Mpk_hw.Cpu.total_charged};
-    the profiler is off again even when [f] raises. Returns [f]'s result
-    and whether the recorded attribution equals the charged cycles bit
-    for bit. [trace] also records an event trace. *)
+val observe : (unit -> 'a) -> 'a * Mpk_trace.Prof.capture * bool
+(** [observe f] resets the metrics registry and
+    {!Mpk_hw.Cpu.total_charged}, then runs [f] in a fresh profile
+    ({!Mpk_trace.Prof.record}) — the outermost one, as the cycle
+    accumulator starts with it. Returns [f]'s result, the profile, and
+    whether its attribution equals the charged cycles bit for bit. *)
 
 val run :
   id:string -> trials:int -> seed:int -> smoke:bool -> (report, string) result

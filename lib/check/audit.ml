@@ -272,11 +272,10 @@ let run mpk =
       end)
     groups;
 
-  (* I7 — lock discipline. When the lockdep recorder is enabled, any
-     finding it has accumulated (ordering inversion, self-deadlock,
-     release-not-held, leaked hold/refcount) is an audit violation: a
-     run that survived despite one only got lucky with its schedule. *)
-  if Lockdep.enabled () then
-    List.iter (fun f -> fail 7 "%s" (Lockdep.to_string f)) (Lockdep.findings ());
+  (* I7 — lock discipline. Any finding the open lockdep recording has
+     accumulated (ordering inversion, self-deadlock, release-not-held,
+     leaked hold/refcount) is an audit violation: a run that survived
+     despite one only got lucky with its schedule. *)
+  List.iter (fun f -> fail 7 "%s" (Lockdep.to_string f)) (Lockdep.findings_so_far ());
 
   List.rev !viols

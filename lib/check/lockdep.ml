@@ -42,32 +42,31 @@ let to_string = function
 
 type hold = { lock_id : int; hcls : string; hmode : Lock.mode }
 
-let enabled_flag = ref false
-let held : (int, hold list ref) Hashtbl.t = Hashtbl.create 16
-let edges : (string * string, unit) Hashtbl.t = Hashtbl.create 16
-let findings_rev : finding list ref = ref []
-let finding_keys : (string, unit) Hashtbl.t = Hashtbl.create 16
+(* A recording, open or closed. *)
+type capture = {
+  held : (int, hold list ref) Hashtbl.t;
+  edges : (string * string, unit) Hashtbl.t;
+  mutable findings_rev : finding list;
+}
 
-let held_of actor =
-  match Hashtbl.find_opt held actor with
+let opened : capture option ref = ref None
+
+let held_of r actor =
+  match Hashtbl.find_opt r.held actor with
   | Some l -> l
   | None ->
       let l = ref [] in
-      Hashtbl.replace held actor l;
+      Hashtbl.replace r.held actor l;
       l
 
-(* Findings are deduplicated by rendering: a buggy loop shouldn't bury
-   the report under thousands of copies of the same inversion. *)
-let add_finding f =
-  let key = to_string f in
-  if not (Hashtbl.mem finding_keys key) then begin
-    Hashtbl.replace finding_keys key ();
-    findings_rev := f :: !findings_rev
-  end
+(* Findings are deduplicated: a buggy loop shouldn't bury the report
+   under thousands of copies of the same inversion. *)
+let add_finding r f =
+  if not (List.mem f r.findings_rev) then r.findings_rev <- f :: r.findings_rev
 
-let on_event = function
+let on_event r = function
   | Lock.Attempt { lock; mode; actor } ->
-      let h = !(held_of actor) in
+      let h = !(held_of r actor) in
       let lid = Lock.id lock in
       let cls = Lock.cls lock in
       (* A shared→exclusive upgrade waits for the refcount it holds
@@ -81,7 +80,7 @@ let on_event = function
                  (List.exists
                     (fun hd -> hd.lock_id = lid && hd.hmode = Lock.Exclusive)
                     h)
-          then add_finding (Self_deadlock { cls; actor })
+          then add_finding r (Self_deadlock { cls; actor })
       | Lock.Shared -> ());
       List.iter
         (fun hd ->
@@ -89,72 +88,66 @@ let on_event = function
             if hd.hcls = cls then
               (* Same-class nesting needs an ordering annotation real
                  lockdep would demand; we simply forbid it. *)
-              add_finding (Same_class_nesting { cls; actor })
+              add_finding r (Same_class_nesting { cls; actor })
             else begin
-              Hashtbl.replace edges (hd.hcls, cls) ();
-              if Hashtbl.mem edges (cls, hd.hcls) then
-                add_finding
+              Hashtbl.replace r.edges (hd.hcls, cls) ();
+              if Hashtbl.mem r.edges (cls, hd.hcls) then
+                add_finding r
                   (Inversion
                      { first = (cls, hd.hcls); second = (hd.hcls, cls); actor })
             end)
         h
   | Lock.Acquired { lock; mode; actor } ->
-      let h = held_of actor in
+      let h = held_of r actor in
       h := { lock_id = Lock.id lock; hcls = Lock.cls lock; hmode = mode } :: !h
   | Lock.Contended _ -> ()
   | Lock.Released { lock; mode; actor } ->
-      let h = held_of actor in
+      let h = held_of r actor in
       let lid = Lock.id lock in
       let rec drop = function
         | [] -> None
         | hd :: rest when hd.lock_id = lid && hd.hmode = mode -> Some rest
-        | hd :: rest -> Option.map (fun r -> hd :: r) (drop rest)
+        | hd :: rest -> Option.map (fun tl -> hd :: tl) (drop rest)
       in
       (match drop !h with
       | Some rest -> h := rest
-      | None -> add_finding (Release_not_held { cls = Lock.cls lock; actor }))
+      | None -> add_finding r (Release_not_held { cls = Lock.cls lock; actor }))
 
-(* --- lifecycle --- *)
+(* --- recording --- *)
 
-let reset () =
-  Hashtbl.reset held;
-  Hashtbl.reset edges;
-  Hashtbl.reset finding_keys;
-  findings_rev := []
+(* A fresh recording is the open one for [f]'s nested [record]. *)
+let rec record f =
+  match !opened with
+  | Some r -> (f (), r)
+  | None ->
+      let r = { held = Hashtbl.create 16; edges = Hashtbl.create 16; findings_rev = [] } in
+      opened := Some r;
+      Lock.set_hook (on_event r);
+      Fun.protect
+        ~finally:(fun () ->
+          Lock.clear_hook ();
+          opened := None)
+        (fun () -> record f)
 
-let enable () =
-  reset ();
-  Lock.set_hook on_event;
-  enabled_flag := true
+let findings c = List.rev c.findings_rev
 
-let disable () =
-  Lock.clear_hook ();
-  enabled_flag := false
+let order_edges c = Hashtbl.fold (fun e () acc -> e :: acc) c.edges [] |> List.sort compare
 
-let enabled () = !enabled_flag
-
-let findings () = List.rev !findings_rev
-
-(* The class-level order graph as observed dynamically: "while holding
-   A, attempted B". Exported so the static lock-order pass can check
-   that its all-paths graph covers what a run actually witnessed,
-   instead of re-deriving the edges from raw lock events. *)
-let order_edges () =
-  Hashtbl.fold (fun e () acc -> e :: acc) edges [] |> List.sort compare
+let findings_so_far () = match !opened with None -> [] | Some r -> findings r
 
 (* --- quiescent checks --- *)
 
 (* Full-graph cycle sweep: pairwise detection above only catches
    2-cycles as they form; longer cycles surface here. *)
-let cycle_sweep () =
+let cycle_sweep r =
   let nodes = Hashtbl.create 8 in
   Hashtbl.iter
     (fun (a, b) () ->
       Hashtbl.replace nodes a ();
       Hashtbl.replace nodes b ())
-    edges;
+    r.edges;
   let succs a =
-    Hashtbl.fold (fun (x, y) () acc -> if x = a then y :: acc else acc) edges []
+    Hashtbl.fold (fun (x, y) () acc -> if x = a then y :: acc else acc) r.edges []
   in
   let color = Hashtbl.create 8 in
   (* 0 = unvisited (absent), 1 = on stack, 2 = done *)
@@ -169,7 +162,7 @@ let cycle_sweep () =
           | x :: _ when x = a -> [ x ]
           | x :: rest -> x :: suffix rest
         in
-        add_finding (Cycle { classes = List.rev (suffix path) @ [ a ] })
+        add_finding r (Cycle { classes = List.rev (suffix path) @ [ a ] })
     | _ ->
         Hashtbl.replace color a 1;
         List.iter (visit (a :: path)) (List.sort compare (succs a));
@@ -178,22 +171,25 @@ let cycle_sweep () =
   Hashtbl.iter (fun a () -> visit [] a) nodes
 
 let check_quiescent () =
-  Hashtbl.iter
-    (fun actor holds ->
-      let by_cls = Hashtbl.create 4 in
-      List.iter
-        (fun hd ->
-          let prev = Option.value (Hashtbl.find_opt by_cls hd.hcls) ~default:0 in
-          Hashtbl.replace by_cls hd.hcls (prev + 1))
-        !holds;
+  match !opened with
+  | None -> ()
+  | Some r ->
       Hashtbl.iter
-        (fun cls count -> add_finding (Leak { cls; actor; count }))
-        by_cls)
-    held;
-  (* vm_refcnt puts against a recycled vma must have pinned (and then
-     dropped) the foreign owner; a nonzero net grab count means a drop
-     went missing. *)
-  let grabs = Vma.grabs_outstanding () in
-  if grabs <> 0 then add_finding (Leak { cls = "mm_grab"; actor = -1; count = grabs });
-  cycle_sweep ();
-  findings ()
+        (fun actor holds ->
+          let by_cls = Hashtbl.create 4 in
+          List.iter
+            (fun hd ->
+              let prev = Option.value (Hashtbl.find_opt by_cls hd.hcls) ~default:0 in
+              Hashtbl.replace by_cls hd.hcls (prev + 1))
+            !holds;
+          Hashtbl.iter
+            (fun cls count -> add_finding r (Leak { cls; actor; count }))
+            by_cls)
+        r.held;
+      (* vm_refcnt puts against a recycled vma must have pinned (and then
+         dropped) the foreign owner; a nonzero net grab count means a drop
+         went missing. *)
+      let grabs = Vma.grabs_outstanding () in
+      if grabs <> 0 then
+        add_finding r (Leak { cls = "mm_grab"; actor = -1; count = grabs });
+      cycle_sweep r

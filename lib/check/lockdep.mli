@@ -1,9 +1,9 @@
 (** Lockdep-style lock-discipline validator (DESIGN.md §13, invariant
     I7).
 
-    When enabled, installs itself as the kernel {!Mpk_kernel.Lock}
-    event hook and tracks per-actor held-sets. From them it builds the
-    class-level lock-order graph and reports:
+    While a recording is open ({!record}), it is the kernel
+    {!Mpk_kernel.Lock} event hook and tracks per-actor held-sets. From
+    them it builds the class-level lock-order graph and reports:
     - {b ordering inversions} — an acquire whose held-set implies an
       A→B edge when B→A is already established (plus a full-graph
       cycle sweep at quiescence for longer cycles);
@@ -15,8 +15,8 @@
     - {b leaks} — holds (vm_refcnt references) outliving quiescence,
       including unbalanced mmgrab pins.
 
-    Findings are deduplicated and preserved until {!reset}/{!enable};
-    the auditor folds them in as I7 whenever the recorder is enabled. *)
+    Findings are deduplicated within a recording; the auditor folds the
+    open recording's findings in as I7. *)
 
 type finding =
   | Inversion of { first : string * string; second : string * string; actor : int }
@@ -28,26 +28,29 @@ type finding =
 
 val to_string : finding -> string
 
-val enable : unit -> unit
-(** Reset state and install the recorder as the Lock event hook. *)
+type capture
+(** The findings and lock-order edges one {!record} caught. *)
 
-val disable : unit -> unit
-(** Uninstall the hook. Findings survive until the next [enable]. *)
+val record : (unit -> 'a) -> 'a * capture
+(** [record f] runs [f] in a fresh recording, open exactly while [f]
+    runs (it closes when [f] raises, too), and returns [f]'s result with
+    the recording. Inside an open recording, [f] runs in that one, which
+    is then the capture: it judges [f]'s lock traffic against what it
+    saw before. *)
 
-val enabled : unit -> bool
-val reset : unit -> unit
+val findings : capture -> finding list
+(** Oldest first. *)
 
-val findings : unit -> finding list
-(** Findings recorded so far, oldest first. *)
-
-val order_edges : unit -> (string * string) list
-(** The class-level lock-order graph observed so far — [(a, b)] means
-    "while holding class [a], some actor attempted class [b]" — sorted.
-    Survives {!disable}, like findings, until the next {!enable}. The
+val order_edges : capture -> (string * string) list
+(** The class-level lock-order graph observed — [(a, b)] means "while
+    holding class [a], some actor attempted class [b]" — sorted. The
     static lock-order pass ({!Mpk_analysis.Lint}) cross-checks its
     all-paths graph against these dynamic observations. *)
 
-val check_quiescent : unit -> finding list
-(** Run the end-of-run checks (held-lock/refcount leaks, mmgrab
-    balance, full cycle sweep) and return all findings. Call only when
-    every task has finished its critical sections. *)
+val findings_so_far : unit -> finding list
+(** The open recording's findings, oldest first; [[]] when none is open. *)
+
+val check_quiescent : unit -> unit
+(** Add the end-of-run findings to the open recording: held-lock and
+    refcount leaks, mmgrab balance, and a full cycle sweep. Call only
+    when every task has finished its critical sections. *)

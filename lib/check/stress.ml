@@ -150,16 +150,6 @@ type outcome = Passed of passed | Failed of failure
 
 exception Stop of failure
 
-(* How many trailing trace events a failure report carries — the same
-   depth the kernel's default-kill crash record uses, so a stress report
-   and a core dump show identically-sized black boxes. *)
-let blackbox_depth = Signal.blackbox_depth
-
-(* The flight recorder's last words, rendered before [minimize] re-runs
-   clobber the ring. *)
-let blackbox () =
-  List.map Mpk_trace.Event.to_line (Mpk_trace.Tracer.recent blackbox_depth)
-
 let run (cfg : config) steps =
   (* Injection must not perturb setup, so arming happens after init; and
      every run re-seeds and re-arms from the config, so a given
@@ -169,27 +159,24 @@ let run (cfg : config) steps =
   (* Fresh vma slab: replayability from (cfg, steps) must not depend on
      what earlier runs left on the process-global free-list. *)
   Vma.slab_reset ();
-  (* Flight recorder: every run traces into a fresh ring so a failure can
-     dump the events leading up to it. Event emission charges no cycles,
-     so enabling it here cannot perturb the (deterministic) run itself. *)
-  let trace_was_on = Mpk_trace.Tracer.on () in
-  Mpk_trace.Tracer.clear ();
-  Mpk_trace.Tracer.enable ();
-  (* Lock-discipline watchdog: the post-op audit folds lockdep findings
+  (* Flight recorder: a failure dumps the events leading up to it (the
+     black box reads the open recording). Event emission charges no
+     cycles, so tracing cannot perturb the (deterministic) run itself.
+     Lock-discipline watchdog: the post-op audit folds lockdep findings
      in as I7, so a stress run also vets lock ordering on every path it
-     exercises. Callers that already run their own recorder (torture)
-     keep it. *)
-  let lockdep_was_on = Lockdep.enabled () in
-  if not lockdep_was_on then Lockdep.enable ();
+     exercises. Inside a caller's own recording, the run records there. *)
+  fst @@ Lockdep.record @@ fun () ->
+  fst @@ Mpk_trace.Tracer.record @@ fun () ->
   let env = make_env cfg ~cores:(max 1 cfg.tasks) in
   Mpk_faultinj.set_seed cfg.seed;
   List.iter (fun (name, plan) -> Mpk_faultinj.arm name plan) cfg.faults;
   let benign = ref 0 in
+  (* The black box is rendered while the failing run's recording is open. *)
+  let stop index step kind = Stop { index; step; kind; blackbox = Signal.blackbox () } in
   let audit index step =
     match Audit.run env.mpk with
     | [] -> ()
-    | violations ->
-        raise (Stop { index; step; kind = Violations violations; blackbox = blackbox () })
+    | violations -> raise (stop index step (Violations violations))
   in
   (* A read is a benign touch: with no group there is nothing to read,
      and a denial is a legal outcome, not an API error. *)
@@ -199,15 +186,7 @@ let run (cfg : config) steps =
     | Ir.Read _ -> ( try exec_step env s with Mmu.Fault _ | Signal.Killed _ -> ())
     | _ -> exec_step env s
   in
-  let finish () =
-    Mpk_faultinj.reset ();
-    if not lockdep_was_on then Lockdep.disable ();
-    if not trace_was_on then begin
-      Mpk_trace.Tracer.disable ();
-      Mpk_trace.Tracer.clear ()
-    end
-  in
-  Fun.protect ~finally:finish @@ fun () ->
+  Fun.protect ~finally:Mpk_faultinj.reset @@ fun () ->
   try
     (* initial state must be clean *)
     audit (-1) { Lint.stid = 0; sop = Ir.Read { vkey = 0 } };
@@ -224,10 +203,7 @@ let run (cfg : config) steps =
            themselves are expected. *)
         | exception Signal.Killed _ -> incr benign
         | exception Out_of_memory -> incr benign
-        | exception exn ->
-            raise
-              (Stop
-                 { index; step; kind = Crash (Printexc.to_string exn); blackbox = blackbox () }));
+        | exception exn -> raise (stop index step (Crash (Printexc.to_string exn))));
         audit index step)
       steps;
     Passed

@@ -84,9 +84,8 @@ type failure = {
   kind : kind;
   blackbox : string list;
       (** the last trace events before the failing step — every [run]
-          records into the {!Mpk_trace.Tracer} ring (a flight recorder),
-          and a failure dumps its tail, captured before any minimizing
-          re-runs clobber the ring *)
+          records a trace (a flight recorder), and a failure dumps its
+          tail ({!Mpk_kernel.Signal.blackbox}) while it is still open *)
 }
 
 type passed = {
@@ -101,7 +100,9 @@ type outcome = Passed of passed | Failed of failure
 
 (** [run cfg steps] applies the trace, auditing the initial state and
     then after every step. A read of a vkey with no group is skipped,
-    and a denied read is a legal outcome, not a benign error. *)
+    and a denied read is a legal outcome, not a benign error. It runs
+    inside [Mpk_trace.Tracer.record] and {!Lockdep.record}, so inside a
+    caller's recording it records there. *)
 val run : config -> Mpk_analysis.Lint.step list -> outcome
 
 (** [check cfg ~ops] — generate [ops] steps, run them, and on failure

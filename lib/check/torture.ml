@@ -150,11 +150,14 @@ type outcome = {
   points : int;
   cycles : float;
   log : string list;
+  order_edges : (string * string) list;
 }
 
 exception Torture_failure of string
 
-let run_once ?(trace = false) ?fiber_ops cfg ~schedule () =
+(* The run itself, with the harness's own verdict; [run_once] adds
+   lockdep's. *)
+let run_fibers ?fiber_ops cfg ~schedule () =
   let tasks =
     match fiber_ops with
     | Some a -> max 1 (Array.length a)
@@ -167,15 +170,6 @@ let run_once ?(trace = false) ?fiber_ops cfg ~schedule () =
      which record gets recycled must not depend on what earlier runs —
      possibly in another process — left on the free-list. *)
   Vma.slab_reset ();
-  let trace_was_on = Mpk_trace.Tracer.on () in
-  if trace then begin
-    Mpk_trace.Tracer.clear ();
-    Mpk_trace.Tracer.enable ()
-  end;
-  (* Fresh lockdep state per run: findings must belong to this
-     (seed, schedule), not to whatever ran before. *)
-  let lockdep_was_on = Lockdep.enabled () in
-  Lockdep.enable ();
   let machine = Machine.create ~cores:tasks ~mem_mib:64 () in
   let proc = Proc.create machine in
   let mm = Proc.mm proc in
@@ -404,44 +398,46 @@ let run_once ?(trace = false) ?fiber_ops cfg ~schedule () =
             | exception Torture_failure msg -> Some msg
             | exception e -> Some ("crash: " ^ Printexc.to_string e)))
   in
-  let findings =
+  (* Abandoned fibers still hold locks: after a failure, quiescent leak
+     checks would only echo the abort, so lockdep reports what it saw up
+     to it. *)
+  let quiescence =
     match failure with
-    | Some _ ->
-        (* Abandoned fibers still hold locks; quiescent leak checks would
-           only echo the abort. Report what lockdep saw up to it. *)
-        List.map Lockdep.to_string (Lockdep.findings ())
+    | Some _ -> []
     | None ->
-        let fs = List.map Lockdep.to_string (Lockdep.check_quiescent ()) in
+        Lockdep.check_quiescent ();
         let fs =
-          if Vma.invariant vmas then fs
-          else fs @ [ "vma tree invariant violated at quiescence" ]
+          if Vma.invariant vmas then [] else [ "vma tree invariant violated at quiescence" ]
         in
         let unbalanced = Lock.unbalanced () - unbalanced0 in
         if unbalanced > 0 then
           fs @ [ Printf.sprintf "%d unbalanced lock release(s)" unbalanced ]
         else fs
   in
-  if not lockdep_was_on then Lockdep.disable ();
-  if trace && not trace_was_on then begin
-    Mpk_trace.Tracer.disable ();
-    Mpk_trace.Tracer.clear ()
-  end;
-  let reason =
-    match failure, findings with
-    | Some r, _ -> Some r
-    | None, f :: _ -> Some f
-    | None, [] -> None
-  in
   {
-    ok = reason = None;
-    reason;
-    findings;
+    ok = failure = None;
+    reason = failure;
+    findings = quiescence;
     ops_applied = !ops_applied;
     benign = !benign_count;
     points = !point;
     cycles = Cpu.total_charged () -. cycles0;
     log = List.rev !log_rev;
+    order_edges = [];
   }
+
+(* Lockdep records the run; inside a caller's recording the run records
+   there, and reports that recording's findings. *)
+let run_once ?fiber_ops cfg ~schedule () =
+  let run, locks = Lockdep.record (run_fibers ?fiber_ops cfg ~schedule) in
+  let findings = List.map Lockdep.to_string (Lockdep.findings locks) @ run.findings in
+  let reason =
+    match run.reason, findings with
+    | Some r, _ -> Some r
+    | None, f :: _ -> Some f
+    | None, [] -> None
+  in
+  { run with ok = reason = None; reason; findings; order_edges = Lockdep.order_edges locks }
 
 (* --- sweep: explore, shrink, replay --- *)
 

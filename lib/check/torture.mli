@@ -66,16 +66,17 @@ type outcome = {
   points : int;  (** preemption points fired *)
   cycles : float;  (** cycles charged by this run *)
   log : string list;  (** deterministic op log (replay witness) *)
+  order_edges : (string * string) list;  (** lockdep's observed lock order *)
 }
 
-(** One deterministic run. [trace] additionally records events into the
-    tracer ring (cycle totals are unaffected by tracing). [fiber_ops]
-    overrides the seed-generated traffic with one explicit op list per
-    fiber (fiber count then comes from the array, not [cfg.tasks], and
-    no plant op is inserted — though [Plant_recycle] still disables the
+(** One deterministic run, recorded by lockdep (inside a caller's
+    lockdep recording, the run records there and reports that
+    recording's findings). [fiber_ops] overrides
+    the seed-generated traffic with one explicit op list per fiber
+    (fiber count then comes from the array, not [cfg.tasks], and no
+    plant op is inserted — though [Plant_recycle] still disables the
     lookup re-validation); this is how compiled witnesses replay. *)
-val run_once :
-  ?trace:bool -> ?fiber_ops:op list array -> config -> schedule:schedule -> unit -> outcome
+val run_once : ?fiber_ops:op list array -> config -> schedule:schedule -> unit -> outcome
 
 type report = {
   cfg : config;

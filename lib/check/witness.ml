@@ -484,8 +484,7 @@ let crosscheck ?plant program =
     | None -> Torture.No_plant
   in
   let cfg = { Torture.tasks = 2; ops = 16; slots = 2; seed = 1L; plant } in
-  let (_ : Torture.outcome) = Torture.run_once cfg ~schedule:[] () in
-  let edges = Lockdep.order_edges () in
+  let edges = (Torture.run_once cfg ~schedule:[] ()).Torture.order_edges in
   let known = Lock.known_classes () in
   let unknown_classes = List.filter (fun c -> not (List.mem c known)) Mm_model.lock_classes in
   let inversions = List.filter (fun (a, b) -> a < b && List.mem (b, a) edges) edges in

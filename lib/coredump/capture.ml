@@ -138,9 +138,9 @@ let capture ~proc ~task ?mpk ?siginfo ~key ~seed ~policy () =
       let blackbox =
         match crash with
         | Some c -> c.Signal.blackbox
-        | None -> List.map Event.to_line (Tracer.recent Signal.blackbox_depth)
+        | None -> Signal.blackbox ()
       in
-      let profile = if Prof.on () then Some (Prof.json_of_snapshot (Prof.snapshot ())) else None in
+      let profile = Option.map (fun p -> Prof.json_of_snapshot (Prof.tree p)) (Prof.current ()) in
       let raws = sections proc mpk in
       Ok
         (Dump.seal ~key ~seed ~policy ~task:(Task.id task) ?siginfo ~regs:(regs proc)
@@ -152,14 +152,13 @@ let default_sentinel = "SENTINEL-TLS-PRIVATE-KEY-0xDEADBEEF"
 
 type crash = Crash_none | Crash_pkey | Crash_oom
 
-let scenario ~crash ~sentinel =
+let scenario ~crash ~sentinel k =
   Mpk_faultinj.reset ();
-  Tracer.clear ();
   Signal.clear_last_crash ();
   let machine = Machine.create ~cores:2 ~mem_mib:64 () in
   let proc = Proc.create machine in
   let task = Proc.spawn proc ~core_id:0 () in
-  Tracer.enable ();
+  fst @@ Tracer.record @@ fun () ->
   let mpk = Libmpk.init ~evict_rate:1.0 proc task in
   let ks = Mpk_secstore.Keystore.create ~mode:Mpk_secstore.Keystore.Protected proc task ~mpk () in
   let secret_addr = Mpk_secstore.Keystore.store_opaque ks task (Bytes.of_string sentinel) in
@@ -177,4 +176,4 @@ let scenario ~crash ~sentinel =
       let a = Syscall.mmap proc task ~len:Physmem.page_size ~prot:Perm.rw () in
       (try Mmu.write_byte mmu core ~addr:a 'x' with Signal.Killed _ -> ());
       Mpk_faultinj.disarm "physmem.alloc_frame");
-  (proc, task, mpk, secret_addr, clear_addr)
+  k (proc, task, mpk, secret_addr, clear_addr)

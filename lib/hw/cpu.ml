@@ -27,8 +27,8 @@ let fp_preempt = "sched.preempt"
 let () = Mpk_faultinj.declare fp_preempt
 
 (* Cycles ever charged on any core, for the attribution exactness check:
-   this accumulator and [Prof.total_recorded] perform the same float
-   additions in the same order when both are reset together, so `mpkctl
+   this accumulator and a profile's [Prof.total] perform the same float
+   additions in the same order when both start together, so `mpkctl
    profile` can require bit-identical totals. *)
 let total_ever = { now = 0.0 }
 
@@ -58,7 +58,7 @@ let charge ?label t c =
   in
   t.cycles.now <- t.cycles.now +. c;
   total_ever.now <- total_ever.now +. c;
-  if Mpk_trace.Prof.on () then Mpk_trace.Prof.record ?label c;
+  if Mpk_trace.Prof.on () then Mpk_trace.Prof.charge ?label c;
   if Mpk_faultinj.fire fp_preempt then Mpk_faultinj.preempt t.id
 
 let measure t f =

@@ -13,14 +13,14 @@ val tlb : t -> Tlb.t
 val cycles : t -> float
 
 (** [charge ?label t c] advances the core's clock by [c] cycles. When
-    profiling is enabled ({!Mpk_trace.Prof}), the charge is attributed
+    a profile is recording ({!Mpk_trace.Prof}), the charge is attributed
     to [label] under the currently-open spans; unlabelled charges show
     up as [(unattributed)] rather than vanishing. *)
 val charge : ?label:string -> t -> float -> unit
 
 (** Cycles ever charged across {e all} cores since the last
     {!reset_total_charged}. Advanced by the identical float-addition
-    sequence as [Prof.total_recorded] when both are reset together,
+    sequence as a profile's [Prof.total] when both start together,
     making the attribution exactness check bit-exact. *)
 val total_charged : unit -> float
 

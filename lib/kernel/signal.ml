@@ -48,18 +48,20 @@ type handler = siginfo -> unit
 
 let blackbox_depth = 64
 
+let blackbox () =
+  match Mpk_trace.Tracer.current () with
+  | None -> []
+  | Some t -> List.map Mpk_trace.Event.to_line (Mpk_trace.Tracer.recent t blackbox_depth)
+
 type crash = { task : int; si : siginfo; blackbox : string list }
 
 let last_crash_ref : crash option ref = ref None
 
 let record_kill ~task si =
-  (* Snapshot the flight recorder *now*: by the time anyone asks, a
-     handler or test harness may have cleared or clobbered the ring. An
-     empty list just means tracing was off. *)
-  let blackbox =
-    List.map Mpk_trace.Event.to_line (Mpk_trace.Tracer.recent blackbox_depth)
-  in
-  last_crash_ref := Some { task; si; blackbox }
+  (* Snapshot the flight recorder *now*: by the time anyone asks, the
+     recording may have closed or moved on. An empty list just means no
+     recording was open. *)
+  last_crash_ref := Some { task; si; blackbox = blackbox () }
 
 let last_crash () = !last_crash_ref
 let clear_last_crash () = last_crash_ref := None

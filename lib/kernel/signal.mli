@@ -54,14 +54,17 @@ type handler = siginfo -> unit
     the default disposition fires, because the dying thread's state is
     gone afterwards. The simulated analogue: just before {!Killed} is
     raised, [Task.deliver_signal] records the siginfo together with the
-    tail of the {!Mpk_trace.Tracer} ring — the stress harness's flight
-    recorder — so any default-kill carries its last-N-events black box.
+    tail of the open {!Mpk_trace.Tracer} recording ({!blackbox}) — the
+    stress harness's flight recorder — so any default-kill carries it.
     The core-dump capturer ([Mpk_coredump.Capture]) reuses this record
     rather than re-reading a ring the unwinding may have disturbed. *)
 
-(** Events the black box retains (the flight-recorder depth the stress
-    harness also uses for its failure reports). *)
+(** Events the black box retains. *)
 val blackbox_depth : int
+
+val blackbox : unit -> string list
+(** The open trace recording's newest {!blackbox_depth} events, one line
+    each; [[]] when no recording is open. *)
 
 type crash = {
   task : int;

@@ -68,8 +68,6 @@ let reset () =
   order := [];
   incr generation_counter
 
-let is_empty () = Hashtbl.length registry = 0
-
 let registered () = List.rev !order
 
 let export_json () =

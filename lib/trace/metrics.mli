@@ -31,8 +31,6 @@ val generation : unit -> int
 (** Bumped on every {!reset} — callers caching metric handles compare
     generations to notice theirs went stale and re-register. *)
 
-val is_empty : unit -> bool
-
 val registered : unit -> string list
 (** Registered names in registration order (export order). *)
 

@@ -1,15 +1,15 @@
 (* Hierarchical cycle attribution.
 
-   Every [Cpu.charge] carries an optional label; while profiling is
-   enabled, each charge is recorded as "self" cycles on a node whose
+   Every [Cpu.charge] carries an optional label; while a profile is
+   recording, each charge is recorded as "self" cycles on a node whose
    path is (open span names ++ label). The tree answers "where did this
    run's cycles go" — e.g. mpk_begin/wrpkru vs mprotect/tlb_flush — and
    exports as an indented table or folded stacks for flamegraph tools.
 
-   Exactness contract (checked by `mpkctl profile`): [total] is advanced
-   by the same float additions, in the same order, as [Cpu.total_charged],
-   both starting from 0.0 at [reset] — so their final values are
-   bit-identical, with no FP-reassociation slack. *)
+   Exactness contract (checked by `mpkctl profile`): a recording's
+   [total] is advanced by the same float additions, in the same order,
+   as [Cpu.total_charged], both starting from 0.0 — so their final
+   values are bit-identical, with no FP-reassociation slack. *)
 
 type node = {
   mutable self : float;  (* cycles charged directly at this path *)
@@ -20,24 +20,20 @@ type node = {
 
 let fresh () = { self = 0.0; calls = 0; children = Hashtbl.create 8; order = ref [] }
 
-let root = ref (fresh ())
-let cursor : node list ref = ref []  (* innermost first; [] = root *)
-let enabled = ref false
-let grand_total = ref 0.0
+(* A recording, open or closed. *)
+type capture = {
+  mutable root : node;
+  mutable cursor : node list;  (* innermost first; [] = root *)
+  mutable total : float;
+}
+
+let blank () = { root = fresh (); cursor = []; total = 0.0 }
+
+let opened : capture option ref = ref None
 
 let unattributed = "(unattributed)"
 
-let on () = !enabled
-
-let reset () =
-  root := fresh ();
-  cursor := [];
-  grand_total := 0.0
-
-let enable () = enabled := true
-let disable () = enabled := false
-
-let current () = match !cursor with n :: _ -> n | [] -> !root
+let on () = match !opened with Some _ -> true | None -> false
 
 let child n label =
   match Hashtbl.find_opt n.children label with
@@ -48,27 +44,41 @@ let child n label =
       n.order := label :: !(n.order);
       c
 
+let innermost r = match r.cursor with n :: _ -> n | [] -> r.root
+
 let enter label =
-  if !enabled then begin
-    let c = child (current ()) label in
-    c.calls <- c.calls + 1;
-    cursor := c :: !cursor
-  end
+  match !opened with
+  | None -> ()
+  | Some r ->
+      let c = child (innermost r) label in
+      c.calls <- c.calls + 1;
+      r.cursor <- c :: r.cursor
 
 let exit_ () =
-  if !enabled then
-    match !cursor with _ :: tl -> cursor := tl | [] -> ()
+  match !opened with
+  | Some ({ cursor = _ :: tl; _ } as r) -> r.cursor <- tl
+  | Some _ | None -> ()
 
-let record ?label cycles =
-  if !enabled then begin
-    grand_total := !grand_total +. cycles;
-    let label = match label with Some l -> l | None -> unattributed in
-    let n = child (current ()) label in
-    n.self <- n.self +. cycles;
-    n.calls <- n.calls + 1
-  end
+let charge ?label cycles =
+  match !opened with
+  | None -> ()
+  | Some r ->
+      r.total <- r.total +. cycles;
+      let label = match label with Some l -> l | None -> unattributed in
+      let n = child (innermost r) label in
+      n.self <- n.self +. cycles;
+      n.calls <- n.calls + 1
 
-let total_recorded () = !grand_total
+(* A fresh profile is the open one for [f]'s nested [record]. *)
+let rec record f =
+  match !opened with
+  | Some r -> (f (), r)
+  | None ->
+      opened := Some (blank ());
+      Fun.protect ~finally:(fun () -> opened := None) (fun () -> record f)
+
+let current () = !opened
+let total c = c.total
 
 (* ---------- queries / export ---------- *)
 
@@ -91,13 +101,9 @@ let rec snap label (n : node) =
   let total = List.fold_left (fun acc c -> acc +. c.total) n.self children in
   { label; self = n.self; calls = n.calls; total; children }
 
-let snapshot () = snap "root" !root
+let tree (c : capture) = snap "root" c.root
 
-let rec sum_self s = List.fold_left (fun acc c -> acc +. sum_self c) s.self s.children
-
-let leaf_sum () = sum_self (snapshot ())
-
-let folded () =
+let folded c =
   let buf = Buffer.create 1024 in
   let rec walk path s =
     let path = if s.label = "root" then path else path @ [ s.label ] in
@@ -106,12 +112,12 @@ let folded () =
         (Printf.sprintf "%s %.1f\n" (String.concat ";" path) s.self);
     List.iter (walk path) s.children
   in
-  walk [] (snapshot ());
+  walk [] (tree c);
   Buffer.contents buf
 
-let render () =
+let render c =
   let buf = Buffer.create 1024 in
-  let s = snapshot () in
+  let s = tree c in
   let rec walk depth s =
     Buffer.add_string buf
       (Printf.sprintf "%-44s %14.1f %14.1f %10d\n"
@@ -171,3 +177,17 @@ let snapshot_of_json j =
     Ok { label; self; calls = int_of_float calls; total; children }
   in
   node j
+
+(* The profile the controls steer. *)
+let controlled = blank ()
+
+let enable () = opened := Some controlled
+let disable () = opened := None
+
+let reset () =
+  controlled.root <- fresh ();
+  controlled.cursor <- [];
+  controlled.total <- 0.0
+
+let total_recorded () = controlled.total
+let snapshot () = tree controlled

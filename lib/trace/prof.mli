@@ -1,37 +1,46 @@
 (** Hierarchical cycle attribution.
 
-    While enabled, every labelled [Cpu.charge] accrues "self" cycles on
-    the tree node addressed by the currently-open span names plus the
-    charge label (e.g. [mpk_begin/wrpkru]); unlabelled charges land on
-    an [(unattributed)] child so nothing is silently dropped.
+    While a profile is recording, every labelled [Cpu.charge] accrues
+    "self" cycles on the tree node addressed by the currently-open span
+    names plus the charge label (e.g. [mpk_begin/wrpkru]); unlabelled
+    charges land on an [(unattributed)] child so nothing is silently
+    dropped.
 
-    Exactness contract: {!total_recorded} performs the same float
-    additions in the same order as [Cpu.total_charged] (both reset to
-    0.0 together), so after any run with profiling enabled throughout,
-    the two are bit-identical — `mpkctl profile` checks this with exact
-    float equality, not a tolerance. *)
+    Exactness contract: a recording's {!total} performs the same float
+    additions in the same order as [Cpu.total_charged], so when both
+    start from 0.0 together the two are bit-identical at the end —
+    `mpkctl profile` checks this with exact float equality, not a
+    tolerance. *)
 
 val unattributed : string
 (** The label unlabelled charges land on: ["(unattributed)"]. *)
 
 val on : unit -> bool
-val enable : unit -> unit
-val disable : unit -> unit
-
-val reset : unit -> unit
-(** Clear the tree, the span cursor, and the running total. *)
+(** A profile is recording. Allocates nothing. *)
 
 val enter : string -> unit
-(** Open a span (pushes a tree node). No-op when disabled — callers
-    should keep enable state fixed for the duration of a span, or the
-    cursor can unbalance. {!Tracer.with_span} guarantees this. *)
+(** Open a span (pushes a tree node). No-op when no profile is
+    recording. {!Tracer.with_span} pairs it with {!exit_}. *)
 
 val exit_ : unit -> unit
 
-val record : ?label:string -> float -> unit
+val charge : ?label:string -> float -> unit
 (** Attribute cycles at the current position. Called by [Cpu.charge]. *)
 
-val total_recorded : unit -> float
+type capture
+(** The attribution tree and cycle total of one recording. *)
+
+val record : (unit -> 'a) -> 'a * capture
+(** [record f] runs [f] in a fresh profile, open exactly while [f] runs
+    (it closes when [f] raises, too), and returns [f]'s result with the
+    profile. Inside an open profile, [f] runs in that one, which is then
+    the capture: [f]'s cycles join the ones before, under the open spans. *)
+
+val current : unit -> capture option
+(** The open profile, for a reader that embeds it mid-run (a core dump). *)
+
+val total : capture -> float
+(** Cycles the profile attributed. *)
 
 (** Immutable view of the tree; children sorted by descending total. *)
 type snapshot = {
@@ -42,18 +51,14 @@ type snapshot = {
   children : snapshot list;
 }
 
-val snapshot : unit -> snapshot
+val tree : capture -> snapshot
 (** Root snapshot (label ["root"], self 0). *)
 
-val leaf_sum : unit -> float
-(** Sum of every node's self cycles — equals {!total_recorded} up to FP
-    reassociation (the fold order differs). *)
-
-val folded : unit -> string
+val folded : capture -> string
 (** Folded-stack export, one ["a;b;c 123.4"] line per node with
     positive self cycles — feed to [flamegraph.pl] or speedscope. *)
 
-val render : unit -> string
+val render : capture -> string
 (** Indented text table: total / self / calls per node. *)
 
 val json_of_snapshot : snapshot -> Json.t
@@ -61,3 +66,15 @@ val json_of_snapshot : snapshot -> Json.t
 val snapshot_of_json : Json.t -> (snapshot, string) result
 (** Inverse of {!json_of_snapshot} — reload a committed profile tree for
     differential comparison. Strict: errors name the offending node. *)
+
+(** {2 Controls}
+
+    Open, close and clear one long-lived profile, and read its {!total}
+    and {!tree}, for the host-cost benchmark's traced phase; do not mix
+    them with {!record}. *)
+
+val enable : unit -> unit
+val disable : unit -> unit
+val reset : unit -> unit
+val total_recorded : unit -> float
+val snapshot : unit -> snapshot

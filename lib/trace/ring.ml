@@ -23,10 +23,6 @@ let push t x =
   t.slots.(t.pushed mod capacity t) <- Some x;
   t.pushed <- t.pushed + 1
 
-let clear t =
-  Array.fill t.slots 0 (capacity t) None;
-  t.pushed <- 0
-
 (* Oldest retained element first. *)
 let to_list t =
   let cap = capacity t in
@@ -36,13 +32,3 @@ let to_list t =
       match t.slots.((start + i) mod cap) with
       | Some x -> x
       | None -> assert false)
-
-let iter t f = List.iter f (to_list t)
-
-(* Newest [n] elements, oldest of those first. *)
-let recent t n =
-  let len = length t in
-  let n = Stdlib.min (Stdlib.max n 0) len in
-  let all = to_list t in
-  let rec drop k l = if k <= 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl in
-  drop (len - n) all

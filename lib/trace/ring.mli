@@ -1,8 +1,7 @@
 (** Bounded ring buffer keeping the newest [capacity] elements.
 
-    The tracer's per-core event buffers and the stress harness's
-    "black box" are built on this: pushes past capacity silently drop
-    the {e oldest} element, never the newest. *)
+    The tracer's per-core event buffers are built on this: pushes past
+    capacity silently drop the {e oldest} element, never the newest. *)
 
 type 'a t
 
@@ -18,13 +17,6 @@ val pushed : 'a t -> int
 (** Total elements ever pushed, including dropped ones. *)
 
 val push : 'a t -> 'a -> unit
-val clear : 'a t -> unit
 
 val to_list : 'a t -> 'a list
 (** Retained elements, oldest first. *)
-
-val iter : 'a t -> ('a -> unit) -> unit
-
-val recent : 'a t -> int -> 'a list
-(** [recent t n]: the newest [min n (length t)] elements, in
-    chronological (oldest-of-those-first) order. *)

@@ -1,67 +1,55 @@
 (* Per-core ring-buffer event tracer.
 
-   Runtime-off by default: [emit] checks one mutable bool and returns
-   immediately when tracing is off, and [Cpu.span] skips [with_span]
-   when tracing and profiling are both off, so instrumented hot paths
-   (TLB lookups, WRPKRU) cost a branch. When on,
-   events go to a bounded ring per core (newest events win), to the
-   metrics registry (one counter per event kind), and to any registered
-   sinks. *)
+   Events are kept only while a recording is open: [emit] matches the
+   open recording and returns at once when there is none, and
+   [Cpu.span] skips [with_span] when tracing and profiling are both off,
+   so instrumented hot paths (TLB lookups, WRPKRU) cost a branch. An
+   open recording stamps each event and pushes it to a bounded ring per
+   core (newest events win), to the metrics registry (one counter per
+   event kind), and to the recording's sinks. *)
 
-let enabled = ref false
-let default_capacity = ref 8192
-
-let rings : (int, Event.t Ring.t) Hashtbl.t = Hashtbl.create 8
-let ring_order : int list ref = ref []
-
-let seq = ref 0
-let last = ref 0.0  (* max cycle timestamp seen on any core *)
-
-(* Which task is resident on each core; maintained by the scheduler via
-   [set_task_on_core] regardless of enable state, so enabling tracing
-   mid-run still stamps correct task ids. *)
-let task_on_core : (int, int) Hashtbl.t = Hashtbl.create 8
+let capacity = 8192
 
 type sink = Event.t -> unit
 
-let sinks : sink list ref = ref []
+(* A recording, open or closed. *)
+type capture = {
+  rings : (int, Event.t Ring.t) Hashtbl.t;
+  mutable seq : int;  (* events emitted so far *)
+  mutable last : float;  (* max cycle timestamp seen on any core *)
+  mutable spans : int;  (* span ids handed out *)
+  mutable span_stack : int list;
+  mutable sinks : sink list;
+}
 
-let span_counter = ref 0
-let span_stack : int list ref = ref []
+let fresh () =
+  {
+    rings = Hashtbl.create 8;
+    seq = 0;
+    last = 0.0;
+    spans = 0;
+    span_stack = [];
+    sinks = [];
+  }
 
-let on () = !enabled
+let opened : capture option ref = ref None
 
-let enable ?capacity () =
-  (match capacity with
-  | Some c ->
-      if c < 1 then invalid_arg "Tracer.enable: capacity must be positive";
-      default_capacity := c
-  | None -> ());
-  enabled := true
+(* Which task is resident on each core; maintained by the scheduler via
+   [set_task_on_core] whether or not a recording is open, so a recording
+   opened mid-run still stamps correct task ids. *)
+let task_on_core : (int, int) Hashtbl.t = Hashtbl.create 8
 
-let disable () = enabled := false
-
-let clear () =
-  Hashtbl.reset rings;
-  ring_order := [];
-  seq := 0;
-  last := 0.0;
-  span_counter := 0;
-  span_stack := []
-
-let add_sink s = sinks := s :: !sinks
-let clear_sinks () = sinks := []
+let on () = match !opened with Some _ -> true | None -> false
 
 let set_task_on_core ~core ~task = Hashtbl.replace task_on_core core task
 
-let ring_for core =
-  match Hashtbl.find_opt rings core with
-  | Some r -> r
+let ring_for r core =
+  match Hashtbl.find_opt r.rings core with
+  | Some ring -> ring
   | None ->
-      let r = Ring.create !default_capacity in
-      Hashtbl.replace rings core r;
-      ring_order := core :: !ring_order;
-      r
+      let ring = Ring.create capacity in
+      Hashtbl.replace r.rings core ring;
+      ring
 
 (* One counter per event kind, e.g. trace_events_total{kind="wrpkru"};
    memoized so the enabled-path cost is one hash lookup. The memo is
@@ -87,62 +75,80 @@ let counter_for kind =
       Hashtbl.replace kind_counters kind c;
       c
 
-let emit ~core ~ts ev =
-  if !enabled then begin
-    let task =
-      match Hashtbl.find_opt task_on_core core with Some t -> t | None -> -1
-    in
-    let span = match !span_stack with s :: _ -> s | [] -> 0 in
-    let e = { Event.seq = !seq; ts; core; task; span; ev } in
-    incr seq;
-    if ts > !last then last := ts;
-    Ring.push (ring_for core) e;
-    Metrics.inc (counter_for (Event.kind ev));
-    List.iter (fun s -> s e) !sinks
-  end
+let push r ~core ~ts ev =
+  let task =
+    match Hashtbl.find_opt task_on_core core with Some t -> t | None -> -1
+  in
+  let span = match r.span_stack with s :: _ -> s | [] -> 0 in
+  let e = { Event.seq = r.seq; ts; core; task; span; ev } in
+  r.seq <- r.seq + 1;
+  if ts > r.last then r.last <- ts;
+  Ring.push (ring_for r core) e;
+  Metrics.inc (counter_for (Event.kind ev));
+  List.iter (fun s -> s e) r.sinks
+
+let emit ~core ~ts ev = match !opened with None -> () | Some r -> push r ~core ~ts ev
 
 (* For emitters with no core context (fault injection): stamp with the
    latest cycle time observed anywhere. *)
-let emit_floating ev = emit ~core:(-1) ~ts:!last ev
+let emit_floating ev =
+  match !opened with None -> () | Some r -> push r ~core:(-1) ~ts:r.last ev
 
 (* Callers check [on () || Prof.on ()] first and run [f] bare when both
-   are off, so that an unobserved span builds nothing. *)
+   are off, so that an unobserved span builds nothing. A span cannot
+   outlive the recordings open at its start, as both are scoped. *)
 let with_span ~core ~clock name f =
-  let tracing = !enabled in
   let profiling = Prof.on () in
-  incr span_counter;
-  span_stack := !span_counter :: !span_stack;
-  if tracing then emit ~core ~ts:(clock ()) (Event.Span_begin { name });
   if profiling then Prof.enter name;
-  Fun.protect
-    ~finally:(fun () ->
-      if profiling then Prof.exit_ ();
-      if tracing then emit ~core ~ts:(clock ()) (Event.Span_end { name });
-      match !span_stack with _ :: tl -> span_stack := tl | [] -> ())
-    f
+  let exit_prof () = if profiling then Prof.exit_ () in
+  match !opened with
+  | None -> Fun.protect ~finally:exit_prof f
+  | Some r ->
+      r.spans <- r.spans + 1;
+      r.span_stack <- r.spans :: r.span_stack;
+      push r ~core ~ts:(clock ()) (Event.Span_begin { name });
+      Fun.protect
+        ~finally:(fun () ->
+          exit_prof ();
+          push r ~core ~ts:(clock ()) (Event.Span_end { name });
+          match r.span_stack with _ :: tl -> r.span_stack <- tl | [] -> ())
+        f
 
-(* ---------- queries ---------- *)
+(* A fresh recording is the open one for [f]'s nested [record]. *)
+let rec record f =
+  match !opened with
+  | Some r -> (f (), r)
+  | None ->
+      opened := Some (fresh ());
+      Fun.protect ~finally:(fun () -> opened := None) (fun () -> record f)
 
-let emitted () = !seq
-let last_ts () = !last
+let emitted c = c.seq
 
-let events () =
-  List.concat_map
-    (fun core ->
-      match Hashtbl.find_opt rings core with
-      | Some r -> Ring.to_list r
-      | None -> [])
-    !ring_order
-  |> List.sort (fun (a : Event.t) b -> compare a.seq b.seq)
+let events c =
+  Hashtbl.fold (fun _ ring acc -> List.rev_append (Ring.to_list ring) acc) c.rings []
+  |> List.sort (fun (a : Event.t) b -> Int.compare a.seq b.seq)
 
-let recent n =
-  let all = events () in
+let cores c = List.sort Int.compare (Hashtbl.fold (fun core _ acc -> core :: acc) c.rings [])
+
+let recent c n =
+  let all = events c in
   let len = List.length all in
-  let rec drop k l =
-    if k <= 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
-  in
-  drop (len - n) all
+  List.filteri (fun i _ -> i >= len - n) all
 
-let retained () = List.length (events ())
+let current () = !opened
 
-let cores () = List.sort compare !ring_order
+(* The recording the controls steer. *)
+let controlled = fresh ()
+
+let enable () = opened := Some controlled
+let disable () = opened := None
+
+let clear () =
+  Hashtbl.reset controlled.rings;
+  controlled.seq <- 0;
+  controlled.last <- 0.0;
+  controlled.spans <- 0;
+  controlled.span_stack <- []
+
+let add_sink s = controlled.sinks <- s :: controlled.sinks
+let clear_sinks () = controlled.sinks <- []

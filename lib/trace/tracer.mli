@@ -1,67 +1,75 @@
 (** Per-core ring-buffer event tracer.
 
-    Compile-in, runtime-off: {!emit} bails on one mutable-bool check
-    when tracing is disabled, and spans are opened only when tracing or
-    profiling is on — the disabled cost on hot paths is a branch,
-    verified by the overhead-freedom test. When
-    enabled, each event is stamped (seq, cycle ts, core, resident task,
-    innermost span id), pushed to that core's bounded ring (oldest
-    events are dropped first), counted in the metrics registry per
-    event kind, and fanned out to registered sinks. *)
+    Compile-in, runtime-off: events are kept only inside {!record}.
+    With no recording open, {!emit} returns after one match, and spans
+    are opened only when tracing or profiling is on — the off cost on
+    hot paths is a branch, verified by the overhead-freedom test. An
+    open recording stamps each event (seq, cycle ts, core, resident
+    task, innermost span id), pushes it to that core's bounded ring of
+    {!capacity} events (oldest events are dropped first), and counts it
+    in the metrics registry per event kind. *)
+
+val capacity : int
+(** Events each core's ring keeps: 8192. *)
 
 val on : unit -> bool
+(** A recording is open. Allocates nothing. *)
 
-val enable : ?capacity:int -> unit -> unit
-(** Turn tracing on. [capacity] (default 8192) sets the per-core ring
-    size used for rings created from now on; raises [Invalid_argument]
-    when not positive. *)
+type capture
+(** The events one {!record} caught. *)
 
-val disable : unit -> unit
+val record : (unit -> 'a) -> 'a * capture
+(** [record f] runs [f] in a fresh recording, open exactly while [f]
+    runs (it closes when [f] raises, too), and returns [f]'s result with
+    the recording. Inside an open recording, [f] runs in that one, which
+    is then the capture: [f]'s events join the ones before. *)
 
-val clear : unit -> unit
-(** Drop all buffered events and reset seq/span state. Does not touch
-    enable state, sinks, or the core→task registry. *)
+val emitted : capture -> int
+(** Events emitted, including ones already dropped from the rings. *)
 
-type sink = Event.t -> unit
+val events : capture -> Event.t list
+(** The events still in the rings, in emission (seq) order. *)
 
-val add_sink : sink -> unit
-(** Sinks run synchronously on every emitted event while tracing is
-    enabled (after ring insertion). *)
+val cores : capture -> int list
+(** Core ids (including -1 for floating emitters) that emitted, sorted. *)
 
-val clear_sinks : unit -> unit
+val recent : capture -> int -> Event.t list
+(** The newest [n] of {!events}, oldest first. *)
+
+val current : unit -> capture option
+(** The open recording, for a reader that looks at it mid-run. *)
 
 val set_task_on_core : core:int -> task:int -> unit
 (** Scheduler hook: records which task is resident on [core] so events
-    can be task-stamped. Maintained even while tracing is disabled, so
-    enabling mid-run yields correct attribution. *)
+    can be task-stamped. Maintained while no recording is open too, so
+    a recording opened mid-run yields correct attribution. *)
 
 val emit : core:int -> ts:float -> Event.ev -> unit
 
 val emit_floating : Event.ev -> unit
 (** Emit without core context (fault-injection firings): [core = -1],
-    timestamped with {!last_ts}. *)
+    timestamped with the latest cycle time the recording has seen. *)
 
 val with_span : core:int -> clock:(unit -> float) -> string -> (unit -> 'a) -> 'a
 (** [with_span ~core ~clock name f] wraps [f] in a span: allocates a
     span id, emits [Span_begin]/[Span_end] stamped via [clock] (the
     core's cycle counter, read at entry and exit), and opens a
-    {!Prof} attribution scope when profiling is enabled. Exception-safe.
-    Keep enable states fixed for the duration of a span. Callers run [f]
-    bare instead when neither {!on} nor {!Prof.on} holds: the span is
-    then unobserved, and skipping it builds nothing. *)
+    {!Prof} attribution scope when profiling is on. Exception-safe.
+    Callers run [f] bare instead when neither {!on} nor {!Prof.on}
+    holds: the span is then unobserved, and skipping it builds nothing. *)
 
-val emitted : unit -> int
-(** Total events emitted since {!clear}, including ones already
-    dropped from rings. *)
+(** {2 Controls}
 
-val retained : unit -> int
-val last_ts : unit -> float
+    Open, close and reset one long-lived recording, for the host-cost
+    benchmark's traced phase; do not mix them with {!record}. [clear]
+    drops its events but keeps its sinks, which run on every event it
+    keeps. *)
 
-val events : unit -> Event.t list
-(** All retained events across cores, in emission (seq) order. *)
+val enable : unit -> unit
+val disable : unit -> unit
+val clear : unit -> unit
 
-val recent : int -> Event.t list
-(** Newest [n] retained events, oldest-first — the "black box". *)
+type sink = Event.t -> unit
 
-val cores : unit -> int list
-(** Core ids (including -1 for floating emitters) that have emitted. *)
+val add_sink : sink -> unit
+val clear_sinks : unit -> unit

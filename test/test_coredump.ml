@@ -16,7 +16,9 @@ let contains ~needle hay =
   let rec at i = i <= h - n && (String.sub hay i n = needle || at (i + 1)) in
   n = 0 || at 0
 
-let scenario () = Capture.scenario ~crash:Capture.Crash_pkey ~sentinel
+(* The pkey crash snapshots its black box at kill time, so a capture
+   taken after the scenario's trace recording closed still carries it. *)
+let scenario () = Capture.scenario ~crash:Capture.Crash_pkey ~sentinel Fun.id
 
 let capture ?(policy = Dump.Redact) ?(seed = 1L) (proc, task, mpk, _, _) =
   let key = Capture.default_key ~seed in
@@ -73,7 +75,7 @@ let test_siginfo_recorded () =
 
 let test_killed_carries_blackbox () =
   let sc = scenario () in
-  (match Signal.last_crash () with
+  match Signal.last_crash () with
   | None -> Alcotest.fail "default kill did not record a crash"
   | Some c ->
       Alcotest.(check bool) "black box nonempty" true (c.Signal.blackbox <> []);
@@ -81,8 +83,7 @@ let test_killed_carries_blackbox () =
         (List.length c.Signal.blackbox <= Signal.blackbox_depth);
       let d, _ = capture sc in
       Alcotest.(check (list string)) "dump embeds the kill-time black box"
-        c.Signal.blackbox d.Dump.blackbox);
-  Mpk_trace.Tracer.disable ()
+        c.Signal.blackbox d.Dump.blackbox
 
 (* --- the no-leak guarantee --- *)
 
@@ -218,10 +219,7 @@ let test_capture_faultpoint () =
 
 let test_filename_and_profile () =
   let sc = scenario () in
-  Mpk_trace.Prof.reset ();
-  Mpk_trace.Prof.enable ();
-  let d, _ = capture ~seed:7L sc in
-  Mpk_trace.Prof.disable ();
+  let (d, _), _ = Mpk_trace.Prof.record (fun () -> capture ~seed:7L sc) in
   Alcotest.(check string) "filename" "CORE_t0_s7.json" (Dump.filename d);
   Alcotest.(check bool) "profile embedded while profiling" true (d.Dump.profile <> None);
   let d2, _ = capture ~seed:7L sc in

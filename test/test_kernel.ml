@@ -634,8 +634,8 @@ type populate_outcome = {
   faults : (int * int64 * int * string) list;  (* Page_fault: core, ts, addr, cause *)
 }
 
-(* Build [c]'s layout on a fresh machine, run [populate] on it with the
-   tracer on, and report everything the range could have changed. *)
+(* Build [c]'s layout on a fresh machine, run [populate] on it inside a
+   trace recording, and report everything the range could have changed. *)
 let populate_outcome c populate =
   let page = Physmem.page_size in
   let mem = Physmem.create ~frames:c.frames in
@@ -657,34 +657,29 @@ let populate_outcome c populate =
                ~prot:(if ro then Perm.r else Perm.rw) ~pkey:(Pkey.of_int k))))
     c.splits;
   List.iter (fun off -> ignore_errno (fun () -> Mm.populate mm cpu ~addr:(addr off) ~len:page)) c.touched;
-  Mpk_trace.Tracer.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Mpk_trace.Tracer.disable ();
-      Mpk_trace.Tracer.clear ())
-    (fun () ->
-      let result =
+  let result, trace =
+    Mpk_trace.Tracer.record (fun () ->
         match populate mm cpu ~addr:(addr c.first) with
         | () -> "ok"
-        | exception Errno.Error (e, msg) -> Errno.to_string e ^ " " ^ msg
-      in
-      let faults =
-        List.filter_map
-          (fun e ->
-            match e.Mpk_trace.Event.ev with
-            | Mpk_trace.Event.Page_fault { addr; cause } ->
-                Some (e.Mpk_trace.Event.core, Int64.bits_of_float e.Mpk_trace.Event.ts, addr, cause)
-            | _ -> None)
-          (Mpk_trace.Tracer.events ())
-      in
-      let span = List.fold_left (fun acc (_, n) -> acc + n) 0 c.segs in
-      {
-        result;
-        ptes = List.init span (fun i -> (Page_table.get (Mm.page_table mm) ~vpn:(c.base + i) :> int));
-        in_use = Physmem.frames_in_use mem;
-        cycles = Int64.bits_of_float (Cpu.cycles cpu);
-        faults;
-      })
+        | exception Errno.Error (e, msg) -> Errno.to_string e ^ " " ^ msg)
+  in
+  let faults =
+    List.filter_map
+      (fun e ->
+        match e.Mpk_trace.Event.ev with
+        | Mpk_trace.Event.Page_fault { addr; cause } ->
+            Some (e.Mpk_trace.Event.core, Int64.bits_of_float e.Mpk_trace.Event.ts, addr, cause)
+        | _ -> None)
+      (Mpk_trace.Tracer.events trace)
+  in
+  let span = List.fold_left (fun acc (_, n) -> acc + n) 0 c.segs in
+  {
+    result;
+    ptes = List.init span (fun i -> (Page_table.get (Mm.page_table mm) ~vpn:(c.base + i) :> int));
+    in_use = Physmem.frames_in_use mem;
+    cycles = Int64.bits_of_float (Cpu.cycles cpu);
+    faults;
+  }
 
 let populate_range_matches_pages =
   QCheck.Test.make ~name:"range populate = page-at-a-time populate" ~count:300
@@ -1131,30 +1126,23 @@ let test_pkey_sync_many_one_ipi_per_core () =
 
 (* --- trace-based sync-batch accounting --- *)
 
-let with_tracer f =
-  Mpk_trace.Tracer.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Mpk_trace.Tracer.disable ();
-      Mpk_trace.Tracer.clear ())
-    f
+(* The events [f] emits, in order. *)
+let traced f = Mpk_trace.Tracer.events (snd (Mpk_trace.Tracer.record f))
 
-let ipi_targets () =
+let ipi_targets evs =
   List.filter_map
     (fun e ->
       match e.Mpk_trace.Event.ev with
       | Mpk_trace.Event.Ipi { target_core; _ } -> Some target_core
       | _ -> None)
-    (Mpk_trace.Tracer.events ())
+    evs
 
-let count_ev pred =
-  List.length
-    (List.filter (fun e -> pred e.Mpk_trace.Event.ev) (Mpk_trace.Tracer.events ()))
+let count_ev pred evs = List.length (List.filter (fun e -> pred e.Mpk_trace.Event.ev) evs)
 
-let deferred_count () =
+let deferred_count =
   count_ev (function Mpk_trace.Event.Pkey_sync_deferred _ -> true | _ -> false)
 
-let executed_count () =
+let executed_count =
   count_ev (function Mpk_trace.Event.Pkey_sync_executed _ -> true | _ -> false)
 
 let test_trace_one_ipi_per_core_per_batch () =
@@ -1166,29 +1154,33 @@ let test_trace_one_ipi_per_core_per_batch () =
   let _t1 = Proc.spawn proc ~core_id:1 () in
   let _t2 = Proc.spawn proc ~core_id:1 () in
   let _t3 = Proc.spawn proc ~core_id:2 () in
-  with_tracer (fun () ->
-      let updates =
-        updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.Read_write) ]
-      in
-      Syscall.pkey_sync_many proc t0 ~updates;
-      Alcotest.(check (list int)) "one Ipi event per target core"
-        [ 1; 2 ]
-        (List.sort compare (ipi_targets ()));
-      Alcotest.(check int) "deferred = 3 targets x 2 updates" 6 (deferred_count ());
-      Alcotest.(check int) "every deferred update executed" 6 (executed_count ()))
+  let evs =
+    traced (fun () ->
+        let updates =
+          updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.Read_write) ]
+        in
+        Syscall.pkey_sync_many proc t0 ~updates)
+  in
+  Alcotest.(check (list int)) "one Ipi event per target core"
+    [ 1; 2 ]
+    (List.sort compare (ipi_targets evs));
+  Alcotest.(check int) "deferred = 3 targets x 2 updates" 6 (deferred_count evs);
+  Alcotest.(check int) "every deferred update executed" 6 (executed_count evs)
 
 let test_trace_batching_conserves_sync_counts () =
   (* The same sync executed batched and per-update: identical
      deferred/executed conservation, strictly fewer Ipi events batched. *)
   let run ~batch =
     let proc, t0, _t1, t2 = sync_env ~ipi_batching:batch () in
-    with_tracer (fun () ->
-        let updates =
-          updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.No_access) ]
-        in
-        Syscall.pkey_sync_many proc t0 ~updates;
-        Sched.schedule_in (Proc.sched proc) t2;
-        (List.length (ipi_targets ()), deferred_count (), executed_count ()))
+    let evs =
+      traced (fun () ->
+          let updates =
+            updates_of [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.No_access) ]
+          in
+          Syscall.pkey_sync_many proc t0 ~updates;
+          Sched.schedule_in (Proc.sched proc) t2)
+    in
+    (List.length (ipi_targets evs), deferred_count evs, executed_count evs)
   in
   let ib, db, eb = run ~batch:true in
   let iu, du, eu = run ~batch:false in
@@ -1300,32 +1292,19 @@ let test_kick_batch_order () =
   let on2 = Proc.spawn proc ~core_id:2 () in
   List.iter queue_rw [ on1; also_on1; on2 ];
   let targets = [ on2; also_on1; on1 ] (* descending core order *) in
-  with_tracer (fun () ->
-      Sched.kick_batch (Proc.sched proc) ~from:t0 targets;
-      let evs =
-        List.sort (fun a b -> compare a.Mpk_trace.Event.seq b.Mpk_trace.Event.seq)
-          (Mpk_trace.Tracer.events ())
-      in
-      let ipis =
-        List.filter_map
-          (fun e ->
-            match e.Mpk_trace.Event.ev with
-            | Mpk_trace.Event.Ipi { target_core; _ } -> Some target_core
-            | _ -> None)
-          evs
-      in
-      let drained =
-        List.filter_map
-          (fun e ->
-            match e.Mpk_trace.Event.ev with
-            | Mpk_trace.Event.Pkey_sync_executed { target; _ } -> Some target
-            | _ -> None)
-          evs
-      in
-      Alcotest.(check (list int)) "IPIs in ascending core order" [ 1; 2 ] ipis;
-      Alcotest.(check (list int)) "a core's tasks drain in list order"
-        (List.map Task.id [ also_on1; on1; on2 ])
-        drained);
+  let evs = traced (fun () -> Sched.kick_batch (Proc.sched proc) ~from:t0 targets) in
+  let drained =
+    List.filter_map
+      (fun e ->
+        match e.Mpk_trace.Event.ev with
+        | Mpk_trace.Event.Pkey_sync_executed { target; _ } -> Some target
+        | _ -> None)
+      evs
+  in
+  Alcotest.(check (list int)) "IPIs in ascending core order" [ 1; 2 ] (ipi_targets evs);
+  Alcotest.(check (list int)) "a core's tasks drain in list order"
+    (List.map Task.id [ also_on1; on1; on2 ])
+    drained;
   Alcotest.check ipi_counters "one IPI per core"
     [ (0, 2, 0); (1, 0, 1); (2, 0, 1) ]
     (Sched.ipis_per_core (Proc.sched proc))

@@ -621,21 +621,19 @@ let test_mprotect_many_one_sync () =
 
 let test_mprotect_many_full_path () =
   let mpk, _, main, _ = many_env ~hw_keys:2 () in
+  let (), trace =
+    Mpk_trace.Tracer.record (fun () ->
+        Libmpk.mpk_mprotect_many mpk main
+          ~updates:[ (1, Perm.r); (1, Perm.rx); (2, Perm.x_only); (3, Perm.rw); (3, Perm.r) ])
+  in
   let full_calls =
-    Fun.protect ~finally:(fun () ->
-        Mpk_trace.Tracer.disable ();
-        Mpk_trace.Tracer.clear ())
-    @@ fun () ->
-    Mpk_trace.Tracer.enable ();
-    Libmpk.mpk_mprotect_many mpk main
-      ~updates:[ (1, Perm.r); (1, Perm.rx); (2, Perm.x_only); (3, Perm.rw); (3, Perm.r) ];
     List.length
       (List.filter
          (fun e ->
            match e.Mpk_trace.Event.ev with
            | Mpk_trace.Event.Span_begin { name = "mpk_mprotect" } -> true
            | _ -> false)
-         (Mpk_trace.Tracer.events ()))
+         (Mpk_trace.Tracer.events trace))
   in
   Alcotest.(check int) "exec flip, execute-only and unmapped take mpk_mprotect" 3 full_calls
 

@@ -59,8 +59,8 @@ let test_sweep_deterministic () =
    with the tracer on and off. *)
 let test_trace_does_not_perturb_cycles () =
   let schedule = [ (15, 2); (60, 1) ] in
-  let quiet = Torture.run_once ~trace:false cfg ~schedule () in
-  let traced = Torture.run_once ~trace:true cfg ~schedule () in
+  let quiet = Torture.run_once cfg ~schedule () in
+  let traced, _ = Mpk_trace.Tracer.record (Torture.run_once cfg ~schedule) in
   Alcotest.(check bool)
     "bit-identical cycle totals under tracing" true
     (quiet.Torture.cycles = traced.Torture.cycles);
@@ -156,54 +156,79 @@ let test_clean_sweep_zero_findings () =
 
 (* --- lockdep unit checks, driven directly through Lock --- *)
 
-let with_lockdep f =
-  Lockdep.enable ();
-  Fun.protect ~finally:Lockdep.disable f
+let findings f = Lockdep.findings (snd (Lockdep.record f))
 
 let test_lockdep_inversion_direct () =
-  with_lockdep (fun () ->
-      let a = Lock.make ~cls:"cls_a" and b = Lock.make ~cls:"cls_b" in
-      Lock.acquire a Lock.Exclusive ~actor:0;
-      Lock.acquire b Lock.Exclusive ~actor:0;
-      Lock.release b Lock.Exclusive ~actor:0;
-      Lock.release a Lock.Exclusive ~actor:0;
-      Alcotest.(check (list string)) "a→b alone is clean" []
-        (List.map Lockdep.to_string (Lockdep.findings ()));
-      (* The reverse order on the same classes is the AB/BA inversion.
-         try_acquire suffices: lockdep judges the Attempt. *)
-      Lock.acquire b Lock.Exclusive ~actor:1;
-      ignore (Lock.try_acquire a Lock.Exclusive ~actor:1);
-      Lock.release a Lock.Exclusive ~actor:1;
-      Lock.release b Lock.Exclusive ~actor:1;
-      let inversions =
-        List.filter
-          (function Lockdep.Inversion _ -> true | _ -> false)
-          (Lockdep.findings ())
-      in
-      Alcotest.(check int) "exactly one inversion" 1 (List.length inversions))
+  let a = Lock.make ~cls:"cls_a" and b = Lock.make ~cls:"cls_b" in
+  let fs =
+    findings (fun () ->
+        Lock.acquire a Lock.Exclusive ~actor:0;
+        Lock.acquire b Lock.Exclusive ~actor:0;
+        Lock.release b Lock.Exclusive ~actor:0;
+        Lock.release a Lock.Exclusive ~actor:0;
+        Alcotest.(check (list string)) "a→b alone is clean" []
+          (List.map Lockdep.to_string (Lockdep.findings_so_far ()));
+        (* The reverse order on the same classes is the AB/BA inversion.
+           try_acquire suffices: lockdep judges the Attempt. *)
+        Lock.acquire b Lock.Exclusive ~actor:1;
+        ignore (Lock.try_acquire a Lock.Exclusive ~actor:1);
+        Lock.release a Lock.Exclusive ~actor:1;
+        Lock.release b Lock.Exclusive ~actor:1)
+  in
+  let inversions = List.filter (function Lockdep.Inversion _ -> true | _ -> false) fs in
+  Alcotest.(check int) "exactly one inversion" 1 (List.length inversions)
+
+let release_unheld () = Lock.release (Lock.make ~cls:"cls_solo") Lock.Exclusive ~actor:3
+
+let is_release_unheld = function
+  | [ Lockdep.Release_not_held { cls = "cls_solo"; actor = 3 } ] -> true
+  | _ -> false
 
 let test_lockdep_release_not_held_direct () =
-  with_lockdep (fun () ->
-      let l = Lock.make ~cls:"cls_solo" in
-      Lock.release l Lock.Exclusive ~actor:3;
-      match Lockdep.findings () with
-      | [ Lockdep.Release_not_held { cls = "cls_solo"; actor = 3 } ] -> ()
-      | fs ->
-          Alcotest.fail
-            (Printf.sprintf "expected one release-not-held, got [%s]"
-               (String.concat "; " (List.map Lockdep.to_string fs))))
+  match findings release_unheld with
+  | fs when is_release_unheld fs -> ()
+  | fs ->
+      Alcotest.fail
+        (Printf.sprintf "expected one release-not-held, got [%s]"
+           (String.concat "; " (List.map Lockdep.to_string fs)))
 
 let test_lockdep_leak_at_quiescence () =
-  with_lockdep (fun () ->
-      let l = Lock.make ~cls:"cls_leaky" in
-      Lock.acquire l Lock.Shared ~actor:2;
-      let leaks =
-        List.filter
-          (function Lockdep.Leak _ -> true | _ -> false)
-          (Lockdep.check_quiescent ())
-      in
-      Alcotest.(check bool) "held lock at quiescence is a leak" true (leaks <> []);
-      Lock.release l Lock.Shared ~actor:2)
+  let l = Lock.make ~cls:"cls_leaky" in
+  let fs =
+    findings (fun () ->
+        Lock.acquire l Lock.Shared ~actor:2;
+        Lockdep.check_quiescent ();
+        Lock.release l Lock.Shared ~actor:2)
+  in
+  let leaks = List.filter (function Lockdep.Leak _ -> true | _ -> false) fs in
+  Alcotest.(check bool) "held lock at quiescence is a leak" true (leaks <> [])
+
+(* A torture run inside an enclosing recording records there, and the
+   enclosing finding stays. *)
+let test_run_once_keeps_enclosing_findings () =
+  let (_ : Torture.outcome), locks =
+    Lockdep.record (fun () ->
+        release_unheld ();
+        Torture.run_once cfg ~schedule:[] ())
+  in
+  Alcotest.(check bool) "the enclosing finding stays" true
+    (is_release_unheld (Lockdep.findings locks))
+
+let test_lockdep_raise_closes () =
+  (match
+     Lockdep.record (fun () ->
+         release_unheld ();
+         failwith "boom")
+   with
+  | _ -> Alcotest.fail "no raise"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "closed by the raise" 0 (List.length (Lockdep.findings_so_far ()));
+  let fs =
+    findings (fun () ->
+        (try ignore (Lockdep.record (fun () -> failwith "boom")) with Failure _ -> ());
+        release_unheld ())
+  in
+  Alcotest.(check bool) "the enclosing recording stays open" true (is_release_unheld fs)
 
 (* --- explicit fiber ops (witness replay's entry point) --- *)
 
@@ -225,8 +250,7 @@ let test_fiber_ops_deterministic () =
 
 let test_order_edges_observed () =
   let c = { cfg with Torture.tasks = 2; ops = 16; slots = 2 } in
-  let (_ : Torture.outcome) = Torture.run_once c ~schedule:[] () in
-  let edges = Lockdep.order_edges () in
+  let edges = (Torture.run_once c ~schedule:[] ()).Torture.order_edges in
   Alcotest.(check bool) "mm_lock -> vma_lock observed" true
     (List.mem ("mm_lock", "vma_lock") edges);
   Alcotest.(check bool) "no inversion on the clean protocol" false
@@ -335,5 +359,8 @@ let () =
             test_lockdep_release_not_held_direct;
           Alcotest.test_case "leak at quiescence (direct)" `Quick
             test_lockdep_leak_at_quiescence;
+          Alcotest.test_case "run_once keeps enclosing findings" `Quick
+            test_run_once_keeps_enclosing_findings;
+          Alcotest.test_case "recording closes on a raise" `Quick test_lockdep_raise_closes;
         ] );
     ]

@@ -6,14 +6,6 @@ open Mpk_trace
 open Mpk_hw
 open Mpk_kernel
 
-let reset_observability () =
-  Tracer.disable ();
-  Tracer.clear ();
-  Tracer.clear_sinks ();
-  Prof.disable ();
-  Prof.reset ();
-  Metrics.reset ()
-
 (* --- ring buffer --- *)
 
 let test_ring_basic () =
@@ -29,9 +21,7 @@ let test_ring_wraparound_keeps_newest () =
   List.iter (Ring.push r) [ 1; 2; 3; 4; 5; 6; 7 ];
   Alcotest.(check int) "length saturates" 3 (Ring.length r);
   Alcotest.(check int) "pushed counts all" 7 (Ring.pushed r);
-  Alcotest.(check (list int)) "newest survive, oldest first" [ 5; 6; 7 ] (Ring.to_list r);
-  Alcotest.(check (list int)) "recent 2" [ 6; 7 ] (Ring.recent r 2);
-  Alcotest.(check (list int)) "recent beyond length" [ 5; 6; 7 ] (Ring.recent r 10)
+  Alcotest.(check (list int)) "newest survive, oldest first" [ 5; 6; 7 ] (Ring.to_list r)
 
 (* --- strict JSON --- *)
 
@@ -188,11 +178,9 @@ let demo_workload () =
   Cpu.cycles (Task.core task)
 
 let test_tracer_captures_cross_layer_events () =
-  reset_observability ();
-  Tracer.enable ();
-  ignore (demo_workload ());
+  let _, trace = Tracer.record demo_workload in
   let kinds =
-    List.sort_uniq compare (List.map (fun (e : Event.t) -> Event.kind e.Event.ev) (Tracer.events ()))
+    List.sort_uniq compare (List.map (fun (e : Event.t) -> Event.kind e.Event.ev) (Tracer.events trace))
   in
   List.iter
     (fun k ->
@@ -210,81 +198,68 @@ let test_tracer_captures_cross_layer_events () =
       "span_begin";
       "span_end";
       "group_op";
-    ];
-  reset_observability ()
+    ]
 
 let test_tracer_disabled_is_cycle_identical () =
-  (* The whole point of runtime-off: enabling tracing must not move the
+  (* The whole point of runtime-off: recording a trace must not move the
      simulated clock by even one bit. *)
-  reset_observability ();
   let off = demo_workload () in
-  Tracer.enable ();
-  let on_ = demo_workload () in
-  Alcotest.(check bool) "events were recorded" true (Tracer.emitted () > 0);
-  reset_observability ();
+  let on_, trace = Tracer.record demo_workload in
+  Alcotest.(check bool) "events were recorded" true (Tracer.emitted trace > 0);
   Alcotest.(check bool) "bit-identical cycles" true (Float.equal off on_)
 
 let test_tracer_profiling_is_cycle_identical () =
-  reset_observability ();
   let off = demo_workload () in
-  Prof.enable ();
-  let on_ = demo_workload () in
-  Alcotest.(check bool) "profile non-empty" true (Prof.total_recorded () > 0.0);
-  reset_observability ();
+  let on_, profile = Prof.record demo_workload in
+  Alcotest.(check bool) "profile non-empty" true (Prof.total profile > 0.0);
   Alcotest.(check bool) "bit-identical cycles" true (Float.equal off on_)
 
 let test_tracer_ring_bounded () =
-  reset_observability ();
-  Tracer.enable ~capacity:16 ();
-  ignore (demo_workload ());
-  Alcotest.(check bool) "many events emitted" true (Tracer.emitted () > 16);
-  Alcotest.(check bool) "retention bounded by capacity per core" true
-    (Tracer.retained () <= 16 * List.length (Tracer.cores ()));
-  (* the black box keeps the newest events *)
-  let tail = Tracer.recent 4 in
-  let all = Tracer.events () in
-  let last4 =
-    List.filteri (fun i _ -> i >= List.length all - 4) all
+  let (), trace =
+    Tracer.record (fun () ->
+        for i = 1 to Tracer.capacity + 100 do
+          Tracer.emit ~core:0 ~ts:(float_of_int i) (Event.Wrpkru { pkru = i })
+        done;
+        ignore (demo_workload ()))
   in
-  Alcotest.(check bool) "recent = tail of retained" true (tail = last4);
-  (* [~capacity] is sticky: restore the default for later tests *)
-  Tracer.enable ~capacity:8192 ();
-  reset_observability ()
+  let all = Tracer.events trace in
+  Alcotest.(check bool) "more events emitted than a ring keeps" true
+    (Tracer.emitted trace > Tracer.capacity);
+  Alcotest.(check bool) "retention bounded by capacity per core" true
+    (List.length all <= Tracer.capacity * List.length (Tracer.cores trace));
+  (* the black box keeps the newest events *)
+  let last4 = List.filteri (fun i _ -> i >= List.length all - 4) all in
+  Alcotest.(check bool) "recent = tail of retained" true (Tracer.recent trace 4 = last4)
 
 let test_tracer_task_stamping () =
-  reset_observability ();
-  Tracer.enable ();
-  ignore (demo_workload ());
+  let _, trace = Tracer.record demo_workload in
   let stamped =
-    List.exists (fun (e : Event.t) -> e.Event.task >= 0) (Tracer.events ())
+    List.exists (fun (e : Event.t) -> e.Event.task >= 0) (Tracer.events trace)
   in
-  Alcotest.(check bool) "events carry task ids" true stamped;
-  reset_observability ()
+  Alcotest.(check bool) "events carry task ids" true stamped
 
 (* --- cycle attribution --- *)
 
 let test_attribution_exact () =
-  reset_observability ();
-  Prof.enable ();
   Cpu.reset_total_charged ();
-  ignore (demo_workload ());
-  let attributed = Prof.total_recorded () in
+  let _, profile = Prof.record demo_workload in
+  let attributed = Prof.total profile in
   let charged = Cpu.total_charged () in
   Alcotest.(check bool) "something was charged" true (charged > 0.0);
   Alcotest.(check bool) "attribution is exact (bit-for-bit)" true
     (Float.equal attributed charged);
   (* the tree's leaves sum back to the total (same additions, reordered:
      allow one ulp of slack per node) *)
-  let leaf = Prof.leaf_sum () in
+  let rec leaf_sum (s : Prof.snapshot) =
+    List.fold_left (fun acc c -> acc +. leaf_sum c) s.Prof.self s.Prof.children
+  in
+  let leaf = leaf_sum (Prof.tree profile) in
   Alcotest.(check bool) "leaves cover the total" true
-    (Float.abs (leaf -. attributed) <= 1e-6 *. Float.max 1.0 attributed);
-  reset_observability ()
+    (Float.abs (leaf -. attributed) <= 1e-6 *. Float.max 1.0 attributed)
 
 let test_attribution_tree_nests_spans () =
-  reset_observability ();
-  Prof.enable ();
-  ignore (demo_workload ());
-  let folded = Prof.folded () in
+  let _, profile = Prof.record demo_workload in
+  let folded = Prof.folded profile in
   Alcotest.(check bool) "folded output non-empty" true (String.length folded > 0);
   (* kernel work attributed under the API span that caused it *)
   let has_nested =
@@ -298,32 +273,28 @@ let test_attribution_tree_nests_spans () =
             && String.sub path 0 9 = "mpk_mmap;")
       (String.split_on_char '\n' folded)
   in
-  Alcotest.(check bool) "mpk_mmap;sys_... path present" true has_nested;
-  reset_observability ()
+  Alcotest.(check bool) "mpk_mmap;sys_... path present" true has_nested
 
 let test_unattributed_label () =
-  reset_observability ();
-  Prof.enable ();
   let machine = Machine.create ~cores:1 ~mem_mib:16 () in
   let core = Machine.core machine 0 in
-  Cpu.charge core 10.0;  (* no label, no span *)
-  let snap = Prof.snapshot () in
+  let (), profile = Prof.record (fun () -> Cpu.charge core 10.0 (* no label, no span *)) in
+  let snap = Prof.tree profile in
   let has_unattributed =
     List.exists (fun (c : Prof.snapshot) -> c.Prof.label = Prof.unattributed) snap.Prof.children
   in
-  Alcotest.(check bool) "unlabeled charge lands in (unattributed)" true has_unattributed;
-  reset_observability ()
+  Alcotest.(check bool) "unlabeled charge lands in (unattributed)" true has_unattributed
 
 (* --- Perfetto export --- *)
 
 let test_perfetto_roundtrip_and_monotone () =
-  reset_observability ();
-  Tracer.enable ();
-  ignore (demo_workload ());
-  ignore (demo_workload ());  (* second machine restarts its clock at 0 *)
-  let events = Tracer.events () in
+  let (), trace =
+    Tracer.record (fun () ->
+        ignore (demo_workload ());
+        ignore (demo_workload ()) (* second machine restarts its clock at 0 *))
+  in
+  let events = Tracer.events trace in
   let s = Export.perfetto_string events in
-  reset_observability ();
   let j = Json.parse_exn s in
   let tes =
     match Option.bind (Json.member "traceEvents" j) Json.to_list with
@@ -355,12 +326,8 @@ let test_perfetto_roundtrip_and_monotone () =
   Alcotest.(check bool) "at least one track seen" true (Hashtbl.length last_ts > 0)
 
 let test_perfetto_span_phases_balance () =
-  reset_observability ();
-  Tracer.enable ();
-  ignore (demo_workload ());
-  let events = Tracer.events () in
-  let s = Export.perfetto_string events in
-  reset_observability ();
+  let _, trace = Tracer.record demo_workload in
+  let s = Export.perfetto_string (Tracer.events trace) in
   let j = Json.parse_exn s in
   let tes = Option.get (Option.bind (Json.member "traceEvents" j) Json.to_list) in
   let count ph =
@@ -390,7 +357,7 @@ let exported_metric name =
 let number_field m field = Option.bind (Json.member field m) Json.to_number
 
 let test_metrics_counter_gauge () =
-  reset_observability ();
+  Metrics.reset ();
   let c = Metrics.counter ~help:"test counter" "test_total" in
   Metrics.inc c;
   Metrics.inc ~by:4.0 c;
@@ -402,11 +369,10 @@ let test_metrics_counter_gauge () =
   Alcotest.(check (option string)) "help text" (Some "test counter")
     (Option.bind (Json.member "help" total) Json.to_string_opt);
   Alcotest.(check (option string)) "type" (Some "counter")
-    (Option.bind (Json.member "type" total) Json.to_string_opt);
-  reset_observability ()
+    (Option.bind (Json.member "type" total) Json.to_string_opt)
 
 let test_metrics_histogram_export () =
-  reset_observability ();
+  Metrics.reset ();
   let h = Metrics.histogram ~lo:1.0 ~growth:2.0 ~buckets:4 "lat_cycles" in
   List.iter (Metrics.observe h) [ 0.5; 1.5; 3.0; 100.0 ];
   let m = exported_metric "lat_cycles" in
@@ -418,18 +384,14 @@ let test_metrics_histogram_export () =
   (* per-bucket counts: le=1, 2, 4, 8, +Inf *)
   Alcotest.(check (list (option (float 0.)))) "per-bucket counts"
     [ Some 1.0; Some 1.0; Some 1.0; Some 0.0; Some 1.0 ]
-    buckets;
-  reset_observability ()
+    buckets
 
 let test_metrics_event_counters () =
-  reset_observability ();
-  Tracer.enable ();
-  ignore (demo_workload ());
-  Tracer.disable ();
-  (match number_field (exported_metric "trace_events_total{kind=\"wrpkru\"}") "value" with
+  Metrics.reset ();
+  ignore (Tracer.record demo_workload);
+  match number_field (exported_metric "trace_events_total{kind=\"wrpkru\"}") "value" with
   | Some n -> Alcotest.(check bool) "wrpkru counter positive" true (n > 0.0)
-  | None -> Alcotest.fail "the wrpkru counter has no value");
-  reset_observability ()
+  | None -> Alcotest.fail "the wrpkru counter has no value"
 
 (* --- the stress harness's black box --- *)
 
@@ -457,15 +419,102 @@ let test_stress_failure_carries_blackbox () =
   Alcotest.(check bool) "report names the black box" true (has "black box (last 2");
   Alcotest.(check bool) "report carries the events" true (has "#2 fake event")
 
-let test_stress_run_leaves_tracer_off () =
-  reset_observability ();
+let stress_passes () =
   let cfg = Mpk_check.Stress.default_config in
-  (match Mpk_check.Stress.run cfg (Mpk_check.Stress.gen_ops cfg 50) with
+  match Mpk_check.Stress.run cfg (Mpk_check.Stress.gen_ops cfg 50) with
   | Mpk_check.Stress.Passed _ -> ()
-  | Mpk_check.Stress.Failed _ -> Alcotest.fail "stress run unexpectedly failed");
-  Alcotest.(check bool) "tracer restored to off" false (Tracer.on ());
-  Alcotest.(check int) "ring cleared" 0 (Tracer.retained ());
-  reset_observability ()
+  | Mpk_check.Stress.Failed _ -> Alcotest.fail "stress run unexpectedly failed"
+
+let test_stress_run_leaves_tracer_off () =
+  stress_passes ();
+  Alcotest.(check bool) "tracer restored to off" false (Tracer.on ())
+
+(* --- recordings: scoped, nested, closed on a raise --- *)
+
+let marker = Event.Wrpkru { pkru = 0x5eed }
+
+(* The enclosing trace opened with [marker] as its first event, and
+   kept it. *)
+let check_marker_first trace =
+  match Tracer.events trace with
+  | e :: _ :: _ ->
+      Alcotest.(check int) "numbering continues from #0" 0 e.Event.seq;
+      Alcotest.(check bool) "the earlier event survives" true (e.Event.ev = marker)
+  | _ -> Alcotest.fail "the enclosing trace lost its events"
+
+let test_stress_keeps_enclosing_trace () =
+  let (), trace =
+    Tracer.record (fun () ->
+        Tracer.emit ~core:0 ~ts:0.0 marker;
+        stress_passes ())
+  in
+  check_marker_first trace
+
+let test_observe_keeps_enclosing_trace () =
+  let still_on, trace =
+    Tracer.record (fun () ->
+        Tracer.emit ~core:0 ~ts:0.0 marker;
+        let _, _, exact = Mpk_bench.Runner.observe demo_workload in
+        Alcotest.(check bool) "attribution exact" true exact;
+        Tracer.on ())
+  in
+  Alcotest.(check bool) "the enclosing trace stays on" true still_on;
+  check_marker_first trace
+
+(* [raises record body] runs [body] inside [record], then raises out of it. *)
+let raises record body =
+  match
+    record (fun () ->
+        body ();
+        failwith "boom")
+  with
+  | _ -> Alcotest.fail "no raise"
+  | exception Failure _ -> ()
+
+let test_trace_raise_closes () =
+  let emit ts () = Tracer.emit ~core:0 ~ts marker in
+  raises Tracer.record (emit 0.0);
+  Alcotest.(check bool) "closed by the raise" false (Tracer.on ());
+  let (), trace =
+    Tracer.record (fun () ->
+        emit 0.0 ();
+        raises Tracer.record (emit 1.0);
+        Alcotest.(check bool) "the enclosing trace stays open" true (Tracer.on ());
+        emit 2.0 ())
+  in
+  Alcotest.(check int) "before, inside and after the raise" 3 (Tracer.emitted trace)
+
+let test_prof_raise_closes () =
+  let charge cycles () = Prof.charge cycles in
+  raises Prof.record (charge 1.0);
+  Alcotest.(check bool) "closed by the raise" false (Prof.on ());
+  let (), profile =
+    Prof.record (fun () ->
+        charge 1.0 ();
+        raises Prof.record (charge 2.0);
+        Alcotest.(check bool) "the enclosing profile stays open" true (Prof.on ());
+        charge 4.0 ())
+  in
+  Alcotest.(check (float 0.)) "before, inside and after the raise" 7.0 (Prof.total profile)
+
+(* perfbench's traced phase steers the controls in exactly this order. *)
+let test_controls_perfbench_sequence () =
+  let seen = ref 0 in
+  Tracer.clear ();
+  Tracer.add_sink (fun _ -> incr seen);
+  Prof.reset ();
+  Cpu.reset_total_charged ();
+  Prof.enable ();
+  Tracer.enable ();
+  ignore (demo_workload ());
+  Tracer.disable ();
+  Prof.disable ();
+  Tracer.clear_sinks ();
+  Alcotest.(check bool) "both off again" false (Tracer.on () || Prof.on ());
+  Alcotest.(check bool) "the sink saw the events" true (!seen > 0);
+  Alcotest.(check bool) "attribution exact" true
+    (Float.equal (Prof.total_recorded ()) (Cpu.total_charged ()));
+  Alcotest.(check bool) "the tree survives disable" true ((Prof.snapshot ()).Prof.children <> [])
 
 let () =
   Alcotest.run "trace"
@@ -518,5 +567,16 @@ let () =
           Alcotest.test_case "failure carries blackbox" `Quick
             test_stress_failure_carries_blackbox;
           Alcotest.test_case "stress restores tracer" `Quick test_stress_run_leaves_tracer_off;
+        ] );
+      ( "record",
+        [
+          Alcotest.test_case "stress keeps an enclosing trace" `Quick
+            test_stress_keeps_enclosing_trace;
+          Alcotest.test_case "observe keeps an enclosing trace" `Quick
+            test_observe_keeps_enclosing_trace;
+          Alcotest.test_case "trace closes on a raise" `Quick test_trace_raise_closes;
+          Alcotest.test_case "profile closes on a raise" `Quick test_prof_raise_closes;
+          Alcotest.test_case "perfbench control sequence" `Quick
+            test_controls_perfbench_sequence;
         ] );
     ]
