@@ -166,6 +166,12 @@ let stress_term ~ops_default =
         ops, { Mpk_check.Stress.default_config with seed; hw_keys; tasks; evict_rate })
     $ ops $ seed $ hw_keys $ tasks $ evict_rate)
 
+(* The usage checks `audit` and `faults` share: the count flags, and an
+   --evict-rate that is a number (Libmpk.init rejects NaN). *)
+let check_stress cmd ops (cfg : Mpk_check.Stress.config) k =
+  if Float.is_nan cfg.evict_rate then fail 2 cmd "--evict-rate must be a number"
+  else check_counts cmd [ "ops", ops, 0; "tasks", cfg.tasks, 1 ] k
+
 let audit_cmd =
   let doc =
     "Run the randomized stress driver with the cross-layer invariant auditor enabled \
@@ -173,7 +179,7 @@ let audit_cmd =
      the replayable seed and a minimized failing op trace and exits nonzero."
   in
   let run (ops, (cfg : Mpk_check.Stress.config)) =
-    check_counts "audit" [ "ops", ops, 0; "tasks", cfg.tasks, 1 ] @@ fun () ->
+    check_stress "audit" ops cfg @@ fun () ->
     match Mpk_check.Stress.check cfg ~ops with
     | Ok { applied; benign_errors; _ } ->
         Printf.printf
@@ -202,7 +208,7 @@ let faults_cmd =
       & info [ "spec" ] ~docv:"SPEC" ~doc:("failure schedule: " ^ Mpk_faultinj.spec_grammar))
   in
   let run (ops, (cfg : Mpk_check.Stress.config)) spec =
-    check_counts "faults" [ "ops", ops, 0; "tasks", cfg.tasks, 1 ] @@ fun () ->
+    check_stress "faults" ops cfg @@ fun () ->
     let schedules =
       match spec with
       | Some s -> Result.map (fun fs -> [ fs ]) (Mpk_faultinj.parse_spec s)

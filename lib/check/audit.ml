@@ -152,13 +152,12 @@ let run mpk =
   List.iter
     (fun (vkey, g, _) ->
       let depth = g.Libmpk.Group.begin_depth in
-      let holders =
-        Hashtbl.fold (fun _ d acc -> acc + d) g.Libmpk.Group.begin_holders 0
-      in
-      Hashtbl.iter
-        (fun tid d ->
+      let holders = Libmpk.Group.begin_holders g in
+      List.iter
+        (fun (tid, d) ->
           if d <= 0 then fail 3 "group vkey:%d holder task %d at depth %d" vkey tid d)
-        g.Libmpk.Group.begin_holders;
+        holders;
+      let holders = List.fold_left (fun acc (_, d) -> acc + d) 0 holders in
       if depth < 0 then fail 3 "group vkey:%d has negative begin_depth %d" vkey depth;
       if depth <> holders then
         fail 3 "group vkey:%d begin_depth %d but holders sum to %d" vkey depth holders;

@@ -16,8 +16,9 @@
       group's pages are tagged [pkey] in both the VMA tree and every
       present PTE, no page outside the group carries it, and the key
       cache maps exactly the non-execute-only mapped groups.
-    - I3 {e pin accounting}: per group, [begin_depth] equals the sum
-      over [begin_holders] and equals the cache pin count.
+    - I3 {e pin accounting}: per group, [begin_depth] is non-negative,
+      equals the sum over [Group.begin_holders] (none of them at depth
+      0 or below) and equals the cache pin count.
     - I4 {e TLB coherence}: every cached TLB entry on every core matches
       the page table's current PTE for that page.
     - I5 {e key conservation}: free + mapped + reserved keys always sum

@@ -279,7 +279,7 @@ let run_fibers ?fiber_ops cfg ~schedule () =
         | Some (addr, p) -> (
             let prot = if ro then Perm.r else Perm.rw in
             match Mm.change_protection mm core ~addr ~len:(p * page) ~prot with
-            | (_ : Mm.protect_result) ->
+            | () ->
                 logf fi "protect slot%d %s" slot (Perm.to_string prot)
             | exception Errno.Error (e, _) -> benign fi "protect" e))
     | Op_plant_lock_order -> (

@@ -9,6 +9,10 @@ let log_src = Logs.Src.create "libmpk" ~doc:"libmpk key-management events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Guards a [Log.debug] on a request path, whose message closure would
+   otherwise be built on every call. *)
+let debugging () = match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+
 type t = {
   proc : Proc.t;
   hw_keys : int;  (* keys handed to the cache at init — the conserved total *)
@@ -72,9 +76,11 @@ let two_lookups = user_cycles 2
 
 let charge_user task cycles = Cpu.charge ~label:"libmpk_user" (Task.core task) cycles
 
-(* Tracing shims: every public API call runs inside a span named after
-   it, and key-cache traffic / heap ops emit typed events. All of it is
-   behind the tracer's one-branch disabled check. *)
+(* Tracing shims: while [Cpu.observed], every public API call runs
+   inside a span named after it; otherwise it runs its body directly,
+   building neither the span nor a closure for the body. Key-cache
+   traffic and heap ops emit typed events behind the tracer's one-branch
+   disabled check. *)
 let span task name f = Cpu.span (Task.core task) name f
 
 let temit task ev = Cpu.emit (Task.core task) ev
@@ -96,6 +102,7 @@ let emit_group_op task op vkey =
 
 let init ?vkeys ?(default_heap_bytes = 1 lsl 20) ?(seed = 0xC0FFEEL)
     ?(policy = Key_cache.Lru) ?(hw_keys = 15) ~evict_rate proc task =
+  if Float.is_nan evict_rate then invalid_arg "Libmpk.init: evict_rate is NaN";
   let evict_rate = if evict_rate < 0.0 then 1.0 else Float.min evict_rate 1.0 in
   let hw_keys = max 1 (min 15 hw_keys) in
   (* Take every hardware key away from the kernel so nothing else in the
@@ -209,7 +216,7 @@ let sync_slot t task vkey =
 (* Page-level permission used while a group is Mapped: data rights are
    carried by PKRU, so pages stay readable/writable; the execute bit
    cannot be expressed in PKRU and stays at page level. *)
-let mapped_page_perm (prot : Perm.t) : Perm.t = { read = true; write = true; exec = prot.exec }
+let mapped_page_perm (prot : Perm.t) = if prot.exec then Perm.rwx else Perm.rw
 
 let set_own_rights task pkey rights =
   let core = Task.core task in
@@ -224,11 +231,13 @@ let multi_threaded t = match Proc.tasks t.proc with [] | [ _ ] -> false | _ -> t
 let evict_group t task ~victim ~pkey =
   let group, _ = group_slot t victim in
   let prot =
-    if group.Group.isolated then Perm.make ~exec:group.Group.prot.Perm.exec ()
-    else group.Group.prot
+    if not group.Group.isolated then group.Group.prot
+    else if group.Group.prot.Perm.exec then Perm.x_only
+    else Perm.none
   in
-  Log.debug (fun m ->
-      m "evict vkey:%d from %a (isolated:%b)" victim Pkey.pp pkey group.Group.isolated);
+  if debugging () then
+    Log.debug (fun m ->
+        m "evict vkey:%d from %a (isolated:%b)" victim Pkey.pp pkey group.Group.isolated);
   Syscall.pkey_unmap_group t.proc task ~addr:group.Group.base ~len:(Group.len group)
     ~prot ~old_pkey:pkey;
   group.Group.state <- Group.Unmapped;
@@ -237,15 +246,15 @@ let evict_group t task ~victim ~pkey =
 (* Map [group] onto hardware key [pkey]: tag its pages and set page-level
    permission for the target protection. *)
 let attach_group t task group ~pkey ~page_prot =
-  Log.debug (fun m ->
-      m "attach vkey:%d -> %a (pages:%d prot:%a)" group.Group.vkey Pkey.pp pkey
-        group.Group.pages Perm.pp page_prot);
+  if debugging () then
+    Log.debug (fun m ->
+        m "attach vkey:%d -> %a (pages:%d prot:%a)" group.Group.vkey Pkey.pp pkey
+          group.Group.pages Perm.pp page_prot);
   Syscall.pkey_mprotect t.proc task ~addr:group.Group.base ~len:(Group.len group)
     ~prot:page_prot ~pkey;
-  group.Group.state <- Group.Mapped pkey
+  group.Group.state <- Group.mapped pkey
 
-let mpk_mmap t task ~vkey ~len ~prot =
-  span task "mpk_mmap" @@ fun () ->
+let create_group t task ~vkey ~len ~prot =
   check_vkey t vkey;
   charge_user task three_lookups;
   count t c_mmap;
@@ -284,6 +293,10 @@ let mpk_mmap t task ~vkey ~len ~prot =
     (try Syscall.munmap t.proc task ~addr ~len with _ -> ());
     Printexc.raise_with_backtrace e bt
 
+let mpk_mmap t task ~vkey ~len ~prot =
+  if Cpu.observed () then span task "mpk_mmap" (fun () -> create_group t task ~vkey ~len ~prot)
+  else create_group t task ~vkey ~len ~prot
+
 let reclaim_xonly_reserve t =
   if t.xonly_groups = 0 then (
     match t.xonly_reserved with
@@ -305,8 +318,7 @@ let scrub_rights t task pkey =
   set_own_rights task pkey Pkru.No_access;
   if multi_threaded t then Syscall.pkey_sync t.proc task ~pkey Pkru.No_access
 
-let mpk_munmap t task ~vkey =
-  span task "mpk_munmap" @@ fun () ->
+let destroy_group t task ~vkey =
   check_vkey t vkey;
   charge_user task three_lookups;
   count t c_munmap;
@@ -327,39 +339,43 @@ let mpk_munmap t task ~vkey =
   Hashtbl.remove t.groups vkey;
   Hashtbl.remove t.heaps vkey
 
+let mpk_munmap t task ~vkey =
+  if Cpu.observed () then span task "mpk_munmap" (fun () -> destroy_group t task ~vkey)
+  else destroy_group t task ~vkey
+
+(* A globally-unlocked group re-attached to a (possibly recycled) key
+   must re-synchronize everyone's rights, or other threads would lose the
+   global permission the moment a domain is opened on the group. *)
+let restore_global_rights t task group pkey =
+  if not group.Group.isolated then sync_rights t task pkey (Pkru.rights_of_perm group.Group.prot)
+
 (* One attempt to guarantee [group] holds a hardware key, evicting if
-   necessary; [None] when every key is pinned. A globally-unlocked group
-   re-attached to a (possibly recycled) key must re-synchronize
-   everyone's rights, or other threads would lose the global permission
-   the moment a domain is opened on the group. *)
+   necessary; returns the key. When every key is pinned it fails fast,
+   the paper's answer: "mpk_begin raises an exception and lets the
+   calling thread handle it". *)
 let try_map_for_begin t task group =
-  let restore_global_rights pkey =
-    if not group.Group.isolated then
-      sync_rights t task pkey (Pkru.rights_of_perm group.Group.prot)
-  in
   match group.Group.state with
-  | Group.Mapped pkey -> Some pkey
+  | Group.Mapped pkey -> pkey
   | Group.Unmapped -> (
       let result = Key_cache.acquire t.cache ~may_evict:true group.Group.vkey in
       emit_acquire task group.Group.vkey result;
       match result with
       | Key_cache.Hit pkey | Key_cache.Fresh pkey ->
           attach_group t task group ~pkey ~page_prot:(mapped_page_perm group.Group.prot);
-          restore_global_rights pkey;
-          Some pkey
+          restore_global_rights t task group pkey;
+          pkey
       | Key_cache.Evicted (pkey, victim) ->
           evict_group t task ~victim ~pkey;
           attach_group t task group ~pkey ~page_prot:(mapped_page_perm group.Group.prot);
-          restore_global_rights pkey;
-          Some pkey
-      | Key_cache.Full -> None)
+          restore_global_rights t task group pkey;
+          pkey
+      | Key_cache.Full ->
+          Log.warn (fun m ->
+              m "mpk_begin vkey:%d: every hardware key pinned — Key_exhausted"
+                group.Group.vkey);
+          raise Key_exhausted)
 
-(* How many mpk_begin calls task [id] holds open on [group]. *)
-let begin_holds group id =
-  match Hashtbl.find group.Group.begin_holders id with n -> n | exception Not_found -> 0
-
-let mpk_begin t task ~vkey ~prot =
-  span task "mpk_begin" @@ fun () ->
+let begin_domain t task ~vkey ~prot =
   check_vkey t vkey;
   charge_user task two_lookups;
   count t c_begin;
@@ -370,39 +386,33 @@ let mpk_begin t task ~vkey ~prot =
     Errno.fail EACCES "mpk_begin: requested %s exceeds group permission %s"
       (Perm.to_string prot)
       (Perm.to_string group.Group.max_prot);
-  (* Key exhaustion fails fast, the paper's answer: "mpk_begin raises an
-     exception and lets the calling thread handle it". *)
-  let pkey =
-    match try_map_for_begin t task group with
-    | Some pkey -> pkey
-    | None ->
-        Log.warn (fun m ->
-            m "mpk_begin vkey:%d: every hardware key pinned — Key_exhausted" vkey);
-        raise Key_exhausted
-  in
+  let pkey = try_map_for_begin t task group in
   Key_cache.pin t.cache vkey;
   if Mpk_trace.Tracer.on () then temit task (Mpk_trace.Event.Cache_pin { vkey });
   group.Group.begin_depth <- group.Group.begin_depth + 1;
   let id = Task.id task in
-  Hashtbl.replace group.Group.begin_holders id (1 + begin_holds group id);
+  Group.set_begin_holds group id (1 + Group.begin_holds group id);
   (* note: [isolated] is not touched — a begin on a globally-unlocked
      group is a temporary elevation, not a switch of usage model *)
   set_own_rights task pkey (Pkru.rights_of_perm prot);
   Metadata.update_slot t.metadata task ~slot group
 
-let mpk_end t task ~vkey =
-  span task "mpk_end" @@ fun () ->
+let mpk_begin t task ~vkey ~prot =
+  if Cpu.observed () then span task "mpk_begin" (fun () -> begin_domain t task ~vkey ~prot)
+  else begin_domain t task ~vkey ~prot
+
+let end_domain t task ~vkey =
   check_vkey t vkey;
   charge_user task two_lookups;
   count t c_end;
   let group, slot = group_slot t vkey in
   let id = Task.id task in
-  let own_depth = begin_holds group id in
+  let own_depth = Group.begin_holds group id in
   (match group.Group.state with
   | Group.Mapped pkey when own_depth > 0 ->
       group.Group.begin_depth <- group.Group.begin_depth - 1;
       if own_depth = 1 then begin
-        Hashtbl.remove group.Group.begin_holders id;
+        Group.drop_begin_holder group id;
         (* this thread's outermost end: fall back to the group's global
            permission — no access for a domain group, the last
            mpk_mprotect grant otherwise *)
@@ -412,12 +422,16 @@ let mpk_end t task ~vkey =
         in
         set_own_rights task pkey base_rights
       end
-      else Hashtbl.replace group.Group.begin_holders id (own_depth - 1);
+      else Group.set_begin_holds group id (own_depth - 1);
       Key_cache.unpin t.cache vkey;
       if Mpk_trace.Tracer.on () then temit task (Mpk_trace.Event.Cache_unpin { vkey })
   | Group.Mapped _ | Group.Unmapped ->
       Errno.fail EINVAL "mpk_end: calling thread is not inside mpk_begin for vkey %d" vkey);
   Metadata.update_slot t.metadata task ~slot group
+
+let mpk_end t task ~vkey =
+  if Cpu.observed () then span task "mpk_end" (fun () -> end_domain t task ~vkey)
+  else end_domain t task ~vkey
 
 (* Reserve (lazily) the execute-only key; every execute-only group shares
    it and it is never evicted while such groups exist. *)
@@ -465,14 +479,13 @@ let mprotect_xonly t task group =
     group.Group.xonly <- true;
     t.xonly_groups <- t.xonly_groups + 1
   end;
-  group.Group.state <- Group.Mapped pkey;
+  group.Group.state <- Group.mapped pkey;
   group.Group.prot <- Perm.x_only;
   group.Group.isolated <- false;
   (* No thread may read an execute-only group: synchronize everyone. *)
   sync_rights t task pkey Pkru.No_access
 
-let mpk_mprotect t task ~vkey ~prot =
-  span task "mpk_mprotect" @@ fun () ->
+let protect t task ~vkey ~prot =
   check_vkey t vkey;
   charge_user task three_lookups;
   count t c_mprotect;
@@ -496,8 +509,13 @@ let mpk_mprotect t task ~vkey ~prot =
          group.Group.isolated <- false;
          sync_rights t task pkey rights
      | Group.Unmapped -> (
-         let may_evict = Mpk_util.Prng.bool t.prng ~p:t.evict_rate in
-         let result = Key_cache.acquire t.cache ~may_evict vkey in
+         (* [~may_evict] as a constant: a variable would be boxed into
+            the optional argument's [Some] *)
+         let result =
+           if Mpk_util.Prng.bool t.prng ~p:t.evict_rate then
+             Key_cache.acquire t.cache ~may_evict:true vkey
+           else Key_cache.acquire t.cache ~may_evict:false vkey
+         in
          emit_acquire task vkey result;
          match result with
          | Key_cache.Hit pkey | Key_cache.Fresh pkey ->
@@ -520,6 +538,10 @@ let mpk_mprotect t task ~vkey ~prot =
              group.Group.isolated <- false)
    end);
   sync_slot t task vkey
+
+let mpk_mprotect t task ~vkey ~prot =
+  if Cpu.observed () then span task "mpk_mprotect" (fun () -> protect t task ~vkey ~prot)
+  else protect t task ~vkey ~prot
 
 (* Batched protection change: apply every (vkey, prot) update, then
    propagate all the PKRU changes to other threads with one batched
@@ -576,13 +598,15 @@ let rec protect_each t task = function
       end;
       protect_each t task rest
 
-let mpk_mprotect_many t task ~updates =
-  span task "mpk_mprotect_many" @@ fun () ->
+let protect_many t task ~updates =
   protect_each t task updates;
   sync_deferred t task
 
-let mpk_malloc t task ~vkey ~size =
-  span task "mpk_malloc" @@ fun () ->
+let mpk_mprotect_many t task ~updates =
+  if Cpu.observed () then span task "mpk_mprotect_many" (fun () -> protect_many t task ~updates)
+  else protect_many t task ~updates
+
+let malloc t task ~vkey ~size =
   check_vkey t vkey;
   charge_user task three_lookups;
   count t c_malloc;
@@ -609,8 +633,11 @@ let mpk_malloc t task ~vkey ~size =
       addr
   | None -> Errno.fail ENOMEM "mpk_malloc: group %d heap exhausted" vkey
 
-let mpk_free t task ~vkey ~addr =
-  span task "mpk_free" @@ fun () ->
+let mpk_malloc t task ~vkey ~size =
+  if Cpu.observed () then span task "mpk_malloc" (fun () -> malloc t task ~vkey ~size)
+  else malloc t task ~vkey ~size
+
+let free t task ~vkey ~addr =
   check_vkey t vkey;
   charge_user task three_lookups;
   count t c_free;
@@ -619,3 +646,7 @@ let mpk_free t task ~vkey ~addr =
       Mpk_heap.free heap ~addr;
       if Mpk_trace.Tracer.on () then temit task (Mpk_trace.Event.Heap_free { vkey; addr })
   | None -> Errno.fail EINVAL "mpk_free: vkey %d has no heap" vkey
+
+let mpk_free t task ~vkey ~addr =
+  if Cpu.observed () then span task "mpk_free" (fun () -> free t task ~vkey ~addr)
+  else free t task ~vkey ~addr

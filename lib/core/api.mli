@@ -31,7 +31,8 @@ exception Unregistered_vkey of Vkey.t
 (** [init proc task ~evict_rate ()] — pre-allocate all 15 hardware keys
     and initialize metadata. [evict_rate] is the probability that an
     [mpk_mprotect] cache miss evicts a key rather than falling back to
-    [mprotect]; a negative value means 1.0 (the paper's default). *)
+    [mprotect]; a negative value means 1.0 (the paper's default), a
+    value above 1 is clamped to 1, and NaN raises [Invalid_argument]. *)
 val init :
   ?vkeys:Vkey.t list ->
   ?default_heap_bytes:int ->

@@ -2,6 +2,15 @@ open Mpk_hw
 
 type state = Unmapped | Mapped of Pkey.t
 
+(* One [Mapped k] per key, built once. *)
+let mapped_states = Array.init Pkey.count (fun k -> Mapped (Pkey.of_int k))
+let mapped k = mapped_states.(Pkey.to_int k)
+
+(* The begin holders are the first [count] slots of the two arrays:
+   adding one fills the next slot and dropping one moves the last into
+   its place, so neither allocates once the arrays have grown. *)
+type holders = { mutable tasks : int array; mutable depths : int array; mutable count : int }
+
 type t = {
   vkey : Vkey.t;
   base : int;
@@ -10,7 +19,7 @@ type t = {
   max_prot : Perm.t;
   mutable state : state;
   mutable begin_depth : int;
-  begin_holders : (int, int) Hashtbl.t;
+  holders : holders;
   mutable isolated : bool;
   mutable xonly : bool;
 }
@@ -24,12 +33,46 @@ let make ~vkey ~base ~pages ~prot =
     max_prot = prot;
     state = Unmapped;
     begin_depth = 0;
-    begin_holders = Hashtbl.create 4;
+    holders = { tasks = Array.make 4 0; depths = Array.make 4 0; count = 0 };
     isolated = true;
     xonly = false;
   }
 
 let len t = t.pages * Physmem.page_size
+
+let rec holder_slot h task i =
+  if i = h.count then -1 else if h.tasks.(i) = task then i else holder_slot h task (i + 1)
+
+let begin_holds t task =
+  match holder_slot t.holders task 0 with -1 -> 0 | i -> t.holders.depths.(i)
+
+let set_begin_holds t task depth =
+  let h = t.holders in
+  match holder_slot h task 0 with
+  | -1 ->
+      let n = h.count in
+      if n = Array.length h.tasks then begin
+        h.tasks <- Array.append h.tasks (Array.make n 0);
+        h.depths <- Array.append h.depths (Array.make n 0)
+      end;
+      h.tasks.(n) <- task;
+      h.depths.(n) <- depth;
+      h.count <- n + 1
+  | i -> h.depths.(i) <- depth
+
+let drop_begin_holder t task =
+  let h = t.holders in
+  match holder_slot h task 0 with
+  | -1 -> ()
+  | i ->
+      let last = h.count - 1 in
+      h.tasks.(i) <- h.tasks.(last);
+      h.depths.(i) <- h.depths.(last);
+      h.count <- last
+
+let begin_holders t =
+  let h = t.holders in
+  List.init h.count (fun i -> h.tasks.(i), h.depths.(i))
 
 let pkey t = match t.state with Unmapped -> None | Mapped k -> Some k
 

@@ -8,6 +8,13 @@ open Mpk_hw
 
 type state = Unmapped | Mapped of Pkey.t
 
+(** [mapped k] is [Mapped k], built once per key so that mapping a group
+    allocates nothing. *)
+val mapped : Pkey.t -> state
+
+(** Each task's open [mpk_begin] count on a group; see {!begin_holds}. *)
+type holders
+
 type t = {
   vkey : Vkey.t;
   base : int;  (** base address *)
@@ -19,9 +26,7 @@ type t = {
           [mpk_mprotect] *)
   mutable state : state;
   mutable begin_depth : int;  (** total open mpk_begin calls, all threads *)
-  begin_holders : (int, int) Hashtbl.t;
-      (** task id -> that task's open begin count: a thread's PKRU rights
-          drop at *its* outermost mpk_end, independent of other threads *)
+  holders : holders;
   mutable isolated : bool;
       (** true for domain-style groups: when evicted their pages drop to
           PROT_NONE; false for mprotect-style groups whose page
@@ -34,6 +39,20 @@ type t = {
 val make : vkey:Vkey.t -> base:int -> pages:int -> prot:Perm.t -> t
 
 val len : t -> int
+
+(** The begin holders map a task id to that task's open [mpk_begin]
+    count on the group: a thread's PKRU rights drop at {e its} outermost
+    [mpk_end], independent of other threads. [begin_holds t task] is the
+    count, 0 for a task that holds none. [set_begin_holds t task n]
+    records [n] for [task], and [drop_begin_holder t task] removes it;
+    once the holder storage has grown, neither allocates. *)
+val begin_holds : t -> int -> int
+
+val set_begin_holds : t -> int -> int -> unit
+val drop_begin_holder : t -> int -> unit
+
+(** Every holder as [(task id, count)], for auditing. *)
+val begin_holders : t -> (int * int) list
 
 val pkey : t -> Pkey.t option
 

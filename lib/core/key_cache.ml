@@ -6,11 +6,15 @@ type acquire_result =
   | Evicted of Pkey.t * Vkey.t
   | Full
 
+(* A mapping. An eviction hands the victim's entry — its key and its
+   prebuilt [Hit] — to the new vkey, so that the miss builds only its
+   [Evicted] result and the new vkey's table cell. *)
 type entry = {
+  mutable vkey : Vkey.t;
   pkey : Pkey.t;
   hit : acquire_result;  (* [Hit pkey], built once so that a hit allocates nothing *)
   mutable stamp : int;  (* last access (LRU) *)
-  inserted : int;  (* insertion order (FIFO) *)
+  mutable inserted : int;  (* insertion order (FIFO) *)
   mutable pins : int;
 }
 
@@ -22,6 +26,7 @@ type t = {
   mutable free : Pkey.t list;
   mutable reserved : Pkey.t list;  (* withdrawn from circulation, still owned *)
   map : (Vkey.t, entry) Hashtbl.t;
+  slots : entry array;  (* the mapped entries by key, [vacant] elsewhere: the LRU/FIFO scan *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -41,6 +46,10 @@ let () =
   Mpk_faultinj.declare fp_full;
   Mpk_faultinj.declare fp_reserve
 
+(* No mapping: what an empty slot holds and a failed victim search
+   returns. Never mutated. *)
+let vacant = { vkey = -1; pkey = Pkey.default; hit = Full; stamp = 0; inserted = 0; pins = 0 }
+
 let create ?(policy = Lru) ?(seed = 0x5EEDL) ~keys () =
   {
     policy;
@@ -48,6 +57,7 @@ let create ?(policy = Lru) ?(seed = 0x5EEDL) ~keys () =
     free = keys;
     reserved = [];
     map = Hashtbl.create 16;
+    slots = Array.make Pkey.count vacant;
     clock = 0;
     hits = 0;
     misses = 0;
@@ -62,29 +72,34 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let min_by metric t =
-  Hashtbl.fold
-    (fun vkey e best ->
-      if e.pins > 0 then best
-      else
-        match best with
-        | Some (_, b) when metric b <= metric e -> best
-        | _ -> Some (vkey, e))
-    t.map None
+let age t e = match t.policy with Fifo -> e.inserted | Lru | Random -> e.stamp
 
-let lru_victim t =
+(* The unpinned mapping of least [age], [best] when none is older. Ages
+   are distinct ticks, so the scan order cannot change the pick. *)
+let rec oldest t i best =
+  if i = Array.length t.slots then best
+  else
+    let e = t.slots.(i) in
+    oldest t (i + 1)
+      (if e == vacant || e.pins > 0 || (best != vacant && age t best <= age t e) then best
+       else e)
+
+(* The entry to evict, or [vacant] when every mapping is pinned. Random
+   draws over the unpinned mappings in the table's fold order. *)
+let victim t =
   match t.policy with
-  | Lru -> min_by (fun e -> e.stamp) t
-  | Fifo -> min_by (fun e -> e.inserted) t
+  | Lru | Fifo -> oldest t 0 vacant
   | Random -> (
       let unpinned =
-        Hashtbl.fold (fun vkey e acc -> if e.pins = 0 then (vkey, e) :: acc else acc) t.map []
+        Hashtbl.fold (fun _ e acc -> if e.pins = 0 then e :: acc else acc) t.map []
       in
       match unpinned with
-      | [] -> None
-      | _ -> Some (List.nth unpinned (Mpk_util.Prng.int t.prng (List.length unpinned))))
+      | [] -> vacant
+      | _ -> List.nth unpinned (Mpk_util.Prng.int t.prng (List.length unpinned)))
 
-let entry pkey ~now = { pkey; hit = Hit pkey; stamp = now; inserted = now; pins = 0 }
+let full t =
+  t.full <- t.full + 1;
+  Full
 
 let acquire t ?(may_evict = true) vkey =
   match Hashtbl.find t.map vkey with
@@ -94,66 +109,68 @@ let acquire t ?(may_evict = true) vkey =
       e.hit
   | exception Not_found -> (
       t.misses <- t.misses + 1;
-      let full () =
-        t.full <- t.full + 1;
-        Full
-      in
-      if Mpk_faultinj.fire fp_full then full ()
+      if Mpk_faultinj.fire fp_full then full t
       else
-      match t.free with
-      | pkey :: rest ->
-          t.free <- rest;
-          Hashtbl.replace t.map vkey (entry pkey ~now:(tick t));
-          Fresh pkey
-      | [] ->
-          if not may_evict then full ()
-          else (
-            match lru_victim t with
-            | None -> full ()
-            | Some (victim, e) ->
-                Hashtbl.remove t.map victim;
-                Hashtbl.replace t.map vkey (entry e.pkey ~now:(tick t));
-                t.evictions <- t.evictions + 1;
-                Evicted (e.pkey, victim)))
+        match t.free with
+        | pkey :: rest ->
+            t.free <- rest;
+            let now = tick t in
+            let e = { vkey; pkey; hit = Hit pkey; stamp = now; inserted = now; pins = 0 } in
+            t.slots.(Pkey.to_int pkey) <- e;
+            Hashtbl.replace t.map vkey e;
+            Fresh pkey
+        | [] ->
+            let e = if may_evict then victim t else vacant in
+            if e == vacant then full t
+            else begin
+              let evicted = e.vkey in
+              Hashtbl.remove t.map evicted;
+              let now = tick t in
+              e.vkey <- vkey;
+              e.stamp <- now;
+              e.inserted <- now;
+              Hashtbl.replace t.map vkey e;
+              t.evictions <- t.evictions + 1;
+              Evicted (e.pkey, evicted)
+            end)
 
 let add_key t pkey =
   t.reserved <- List.filter (fun k -> not (Pkey.equal k pkey)) t.reserved;
   t.free <- pkey :: t.free
 
-let lookup t vkey =
-  match Hashtbl.find_opt t.map vkey with
-  | Some e ->
-      e.stamp <- tick t;
-      Some e.pkey
-  | None -> None
+(* Drop [e]'s mapping: its key leaves the table and the scan. *)
+let unmap t e =
+  Hashtbl.remove t.map e.vkey;
+  t.slots.(Pkey.to_int e.pkey) <- vacant
 
 let reserve t =
   if Mpk_faultinj.fire fp_reserve then None
   else
-  match t.free with
-  | pkey :: rest ->
-      t.free <- rest;
-      t.reserved <- pkey :: t.reserved;
-      Some (pkey, None)
-  | [] -> (
-      match lru_victim t with
-      | None -> None
-      | Some (victim, e) ->
-          Hashtbl.remove t.map victim;
+    match t.free with
+    | pkey :: rest ->
+        t.free <- rest;
+        t.reserved <- pkey :: t.reserved;
+        Some (pkey, None)
+    | [] ->
+        let e = victim t in
+        if e == vacant then None
+        else begin
+          unmap t e;
           t.evictions <- t.evictions + 1;
           t.reserved <- e.pkey :: t.reserved;
-          Some (e.pkey, Some victim))
+          Some (e.pkey, Some e.vkey)
+        end
 
 let pin t vkey =
-  match Hashtbl.find_opt t.map vkey with
-  | Some e -> e.pins <- e.pins + 1
-  | None -> invalid_arg "Key_cache.pin: vkey not mapped"
+  match Hashtbl.find t.map vkey with
+  | e -> e.pins <- e.pins + 1
+  | exception Not_found -> invalid_arg "Key_cache.pin: vkey not mapped"
 
 let unpin t vkey =
-  match Hashtbl.find_opt t.map vkey with
-  | Some e when e.pins > 0 -> e.pins <- e.pins - 1
-  | Some _ -> invalid_arg "Key_cache.unpin: not pinned"
-  | None -> invalid_arg "Key_cache.unpin: vkey not mapped"
+  match Hashtbl.find t.map vkey with
+  | e when e.pins > 0 -> e.pins <- e.pins - 1
+  | _ -> invalid_arg "Key_cache.unpin: not pinned"
+  | exception Not_found -> invalid_arg "Key_cache.unpin: vkey not mapped"
 
 let pinned t vkey =
   match Hashtbl.find_opt t.map vkey with Some e -> e.pins > 0 | None -> false
@@ -165,7 +182,7 @@ let release t vkey =
          the next group mapped onto it — refuse loudly instead. *)
       invalid_arg (Printf.sprintf "Key_cache.release: vkey %d is pinned" vkey)
   | Some e ->
-      Hashtbl.remove t.map vkey;
+      unmap t e;
       t.invalidations <- t.invalidations + 1;
       t.free <- e.pkey :: t.free
   | None -> ()

@@ -36,16 +36,16 @@ type acquire_result =
     updating LRU order and hit/miss/eviction statistics. With
     [may_evict:false] a miss with no free key reports [Full] instead of
     evicting (the eviction-rate fallback of [mpk_mprotect]). On [Evicted]
-    the caller must do the memory-side work of the eviction. *)
+    the caller must do the memory-side work of the eviction. A hit
+    allocates nothing; under LRU and FIFO an evicting miss allocates only
+    its [Evicted] result and the new mapping's table cell. *)
 val acquire : t -> ?may_evict:bool -> Vkey.t -> acquire_result
 
 (** Return a previously reserved key to the free pool. *)
 val add_key : t -> Pkey.t -> unit
 
-(** [lookup t vkey] — non-mutating except for the LRU bump; no stats. *)
-val lookup : t -> Vkey.t -> Pkey.t option
-
-(** Pin/unpin a mapping against eviction (nested: counted). *)
+(** Pin/unpin a mapping against eviction (nested: counted). Neither
+    allocates. *)
 val pin : t -> Vkey.t -> unit
 
 val unpin : t -> Vkey.t -> unit

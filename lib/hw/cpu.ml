@@ -50,16 +50,37 @@ let set_plant_slowdown p =
   | Some _ | None -> ());
   planted := p
 
+let[@inline] advance t c =
+  t.cycles.now <- t.cycles.now +. c;
+  total_ever.now <- total_ever.now +. c
+
+let[@inline] preemption_point t = if Mpk_faultinj.fire fp_preempt then Mpk_faultinj.preempt t.id
+
 let charge ?label t c =
   let c =
     match !planted, label with
     | Some (pl, extra), Some l when String.equal l pl -> c +. extra
     | _ -> c
   in
-  t.cycles.now <- t.cycles.now +. c;
-  total_ever.now <- total_ever.now +. c;
+  advance t c;
   if Mpk_trace.Prof.on () then Mpk_trace.Prof.charge ?label c;
-  if Mpk_faultinj.fire fp_preempt then Mpk_faultinj.preempt t.id
+  preemption_point t
+
+(* [charge ~label t c] for a [c] computed by the caller below: inlined
+   there, the computed float is never boxed. *)
+let[@inline] charge_computed t label c =
+  let c =
+    match !planted with Some (pl, extra) when String.equal label pl -> c +. extra | _ -> c
+  in
+  advance t c;
+  if Mpk_trace.Prof.on () then Mpk_trace.Prof.charge ~label c;
+  preemption_point t
+
+let charge_sum t ~label a b = charge_computed t label (a +. b)
+let charge_per t ~label n c = charge_computed t label (float_of_int n *. c)
+
+let charge_per2 t ~label n a m b =
+  charge_computed t label ((float_of_int n *. a) +. (float_of_int m *. b))
 
 let measure t f =
   let before = cycles t in
@@ -69,12 +90,13 @@ let measure t f =
 (* Tracer shims: the core's cycle counter is the event clock. *)
 let emit t ev = Mpk_trace.Tracer.emit ~core:t.id ~ts:(cycles t) ev
 
+let observed () = Mpk_trace.Tracer.on () || Mpk_trace.Prof.on ()
+
 (* With tracing and profiling both off a span is just [f ()]: the check
    comes first so that the clock closure is only built when a span will
    read it. *)
 let span t name f =
-  if Mpk_trace.Tracer.on () || Mpk_trace.Prof.on () then
-    Mpk_trace.Tracer.with_span ~core:t.id ~clock:(fun () -> cycles t) name f
+  if observed () then Mpk_trace.Tracer.with_span ~core:t.id ~clock:(fun () -> cycles t) name f
   else f ()
 
 let pkru t = t.pkru

@@ -18,6 +18,19 @@ val cycles : t -> float
     up as [(unattributed)] rather than vanishing. *)
 val charge : ?label:string -> t -> float -> unit
 
+(** [charge_sum t ~label a b] is [charge ~label t (a +. b)],
+    [charge_per t ~label n c] is [charge ~label t (float_of_int n *. c)],
+    and [charge_per2 t ~label n a m b] is
+    [charge ~label t ((float_of_int n *. a) +. (float_of_int m *. b))]:
+    the same float operations in the same order, computed inside [Cpu]
+    so that the charged value is never boxed. Allocation-free request
+    paths charge computed costs through these. *)
+val charge_sum : t -> label:string -> float -> float -> unit
+
+val charge_per : t -> label:string -> int -> float -> unit
+
+val charge_per2 : t -> label:string -> int -> float -> int -> float -> unit
+
 (** Cycles ever charged across {e all} cores since the last
     {!reset_total_charged}. Advanced by the identical float-addition
     sequence as a profile's [Prof.total] when both start together,
@@ -45,8 +58,16 @@ val measure : t -> (unit -> 'a) -> 'a * float
     to avoid constructing the event payload. *)
 val emit : t -> Mpk_trace.Event.ev -> unit
 
+(** A trace or a profile is recording: [Mpk_trace.Tracer.on () ||
+    Mpk_trace.Prof.on ()], the one predicate that decides whether a
+    span is built. Allocates nothing. Request-path entry points (libmpk
+    calls, syscalls) test it and, when it is false, run their body
+    directly instead of building a span and a body closure. *)
+val observed : unit -> bool
+
 (** [span t name f] runs [f] inside a named tracing/attribution span
-    clocked by this core (see {!Mpk_trace.Tracer.with_span}). *)
+    clocked by this core (see {!Mpk_trace.Tracer.with_span}); when not
+    {!observed}, it is just [f ()]. *)
 val span : t -> string -> (unit -> 'a) -> 'a
 
 (* PKRU access. *)

@@ -6,6 +6,11 @@ type t = {
   mem : Physmem.t;
   mmu : Mmu.t;
   mutable bump : int;  (* next free vpn for address allocation *)
+  (* what the last protection change did, for [last_change] *)
+  mutable last_vmas : int;
+  mutable last_splits : int;
+  mutable last_merges : int;
+  mutable last_ptes : int;
 }
 
 let bump_base_vpn = 0x10000  (* user mappings start at 256 MiB *)
@@ -100,7 +105,17 @@ let fault_handler t cpu (fault : Mmu.fault) =
 let create mem =
   let table = Page_table.create () in
   let t =
-    { table; vmas = Vma.create (); mem; mmu = Mmu.create table mem; bump = bump_base_vpn }
+    {
+      table;
+      vmas = Vma.create ();
+      mem;
+      mmu = Mmu.create table mem;
+      bump = bump_base_vpn;
+      last_vmas = 0;
+      last_splits = 0;
+      last_merges = 0;
+      last_ptes = 0;
+    }
   in
   Mmu.set_fault_handler t.mmu (fault_handler t);
   t
@@ -190,10 +205,21 @@ type protect_result = {
   ptes_touched : int;
 }
 
+let last_change t =
+  {
+    vmas_touched = t.last_vmas;
+    splits = t.last_splits;
+    merges = t.last_merges;
+    ptes_touched = t.last_ptes;
+  }
+
+(* Charges [Costs.tlb_invalidate costs ~pages] for the [pages] >= 1 of a
+   protection change, one branch per case so that the per-page sum is
+   computed unboxed by [Cpu.charge_per]. *)
 let flush_local cpu ~start ~pages =
   let costs = Cpu.costs cpu in
-  Cpu.charge ~label:"tlb_flush" cpu (Costs.tlb_invalidate costs ~pages);
   if pages <= costs.tlb_flush_ceiling then begin
+    Cpu.charge_per cpu ~label:"tlb_flush" pages costs.tlb_flush_page;
     for vpn = start to start + pages - 1 do
       Tlb.flush_page (Cpu.tlb cpu) ~vpn
     done;
@@ -201,6 +227,7 @@ let flush_local cpu ~start ~pages =
       Cpu.emit cpu (Mpk_trace.Event.Tlb_flush { pages; all = false })
   end
   else begin
+    Cpu.charge ~label:"tlb_flush" cpu costs.tlb_flush_all;
     Tlb.flush_all (Cpu.tlb cpu);
     if Mpk_trace.Tracer.on () then
       Cpu.emit cpu (Mpk_trace.Event.Tlb_flush { pages; all = true })
@@ -217,19 +244,19 @@ let change_locked t cpu ~addr ~len ~start ~pages rw =
   let splits = Vma.split_edges ~actor t.vmas ~start ~pages in
   let vmas_touched = Vma.rewrite_range ~actor t.vmas ~start ~pages rw in
   let merges = Vma.merge_range ~actor t.vmas ~start ~pages in
-  Cpu.charge ~label:"vma_split_merge" cpu
-    ((float_of_int (splits + merges) *. costs.vma_split_merge)
-    +. (float_of_int vmas_touched *. costs.vma_update));
+  Cpu.charge_per2 cpu ~label:"vma_split_merge" (splits + merges) costs.vma_split_merge
+    vmas_touched costs.vma_update;
   (* Rewrite present PTEs; absent slots cost only the scan and will
      materialize later from the updated VMA attributes. *)
   let ptes_touched = Page_table.update_range t.table ~vpn:start ~pages rw in
-  Cpu.charge ~label:"pte_update" cpu
-    ((float_of_int pages *. costs.pte_scan)
-    +. (float_of_int ptes_touched *. costs.pte_update));
+  Cpu.charge_per2 cpu ~label:"pte_update" pages costs.pte_scan ptes_touched costs.pte_update;
   if Mpk_trace.Tracer.on () then
     Cpu.emit cpu (Mpk_trace.Event.Pte_update { pages; present = ptes_touched });
   flush_local cpu ~start ~pages;
-  { vmas_touched; splits; merges; ptes_touched }
+  t.last_vmas <- vmas_touched;
+  t.last_splits <- splits;
+  t.last_merges <- merges;
+  t.last_ptes <- ptes_touched
 
 (* [with_write_lock], written out so that a protection change builds no
    closure: the same zero-cycle [mm_lock] preemption point, then the
@@ -242,9 +269,7 @@ let change_range t cpu ~addr ~len rw =
   let lock = Vma.mm_lock t.vmas in
   Lock.acquire lock Lock.Exclusive ~actor;
   match change_locked t cpu ~addr ~len ~start ~pages rw with
-  | result ->
-      Lock.release lock Lock.Exclusive ~actor;
-      result
+  | () -> Lock.release lock Lock.Exclusive ~actor
   | exception e ->
       Lock.release lock Lock.Exclusive ~actor;
       raise e

@@ -83,16 +83,22 @@ type protect_result = {
 (** Kernel-side [change_protection]: rewrite page permissions over a
     range, charging VMA work, a scan per page slot, an update per
     *present* PTE, and local TLB invalidation. The range must be
-    page-aligned and fully covered by VMAs. *)
-val change_protection : t -> Cpu.t -> addr:int -> len:int -> prot:Perm.t -> protect_result
+    page-aligned and fully covered by VMAs. A change that neither splits
+    nor merges allocates nothing; what it did is read back with
+    {!last_change}. *)
+val change_protection : t -> Cpu.t -> addr:int -> len:int -> prot:Perm.t -> unit
 
 (** Same walk, but assigning a protection key as well ([pkey_mprotect]). *)
 val change_protection_pkey :
-  t -> Cpu.t -> addr:int -> len:int -> prot:Perm.t -> pkey:Pkey.t -> protect_result
+  t -> Cpu.t -> addr:int -> len:int -> prot:Perm.t -> pkey:Pkey.t -> unit
 
 (** [assign_pkey t cpu ~addr ~len ~pkey] retags PTEs/VMAs with a key
     without touching page permissions (used by libmpk's key recycling). *)
-val assign_pkey : t -> Cpu.t -> addr:int -> len:int -> pkey:Pkey.t -> protect_result
+val assign_pkey : t -> Cpu.t -> addr:int -> len:int -> pkey:Pkey.t -> unit
+
+(** The VMAs touched, splits, merges and present PTEs rewritten by the
+    last completed protection change of [t] (all zero before the first). *)
+val last_change : t -> protect_result
 
 (** Total mapped pages (present PTEs). *)
 val mapped_pages : t -> int

@@ -221,7 +221,7 @@ let shootdown t ~from target =
       let sender = Task.core from in
       let costs = Cpu.costs sender in
       (* The initiator spin-waits for the acknowledgement. *)
-      Cpu.charge ~label:"ipi_send" sender (costs.ipi_send +. costs.ipi_receive);
+      Cpu.charge_sum sender ~label:"ipi_send" costs.ipi_send costs.ipi_receive;
       let core = Task.core target in
       note_ipi t ~sender_id:(Cpu.id sender) ~target_id:(Cpu.id core);
       if Mpk_trace.Tracer.on () then

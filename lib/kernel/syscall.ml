@@ -24,16 +24,17 @@ let sys_pkey_mprotect = named "pkey_mprotect"
 let sys_pkey_unmap_group = named "pkey_unmap_group"
 let sys_pkey_sync = named "pkey_sync"
 
-(* Every syscall body runs inside [sys]: a per-syscall tracing span plus
+(* Each syscall below is a [do_] body, which starts with [enter], and a
+   wrapper that runs it directly unless [Cpu.observed], so that an
+   unobserved syscall builds neither a span nor a body closure. Observed,
+   the body runs inside [sys]: a per-syscall tracing span plus
    Syscall_enter/Syscall_exit events, the exit carrying the errno when
-   the body failed. The charge sequence is unchanged from the untraced
-   code — [sys] itself charges nothing. *)
+   the body failed. [sys] itself charges nothing. *)
 let sys task { name; span } f =
   let core = Task.core task in
   Cpu.span core span (fun () ->
       if Mpk_trace.Tracer.on () then
         Cpu.emit core (Mpk_trace.Event.Syscall_enter { name });
-      enter task;
       match f () with
       | v ->
           if Mpk_trace.Tracer.on () then
@@ -61,14 +62,22 @@ let rec shootdown_each sched task = function
 
 let shootdown_others proc task = shootdown_each (Proc.sched proc) task (Proc.tasks proc)
 
+let do_mmap proc task ?at ~len ~prot () =
+  enter task;
+  Mm.mmap (Proc.mm proc) (Task.core task) ?at ~len ~prot ()
+
 let mmap proc task ?at ~len ~prot () =
-  sys task sys_mmap (fun () ->
-      Mm.mmap (Proc.mm proc) (Task.core task) ?at ~len ~prot ())
+  if Cpu.observed () then sys task sys_mmap (fun () -> do_mmap proc task ?at ~len ~prot ())
+  else do_mmap proc task ?at ~len ~prot ()
+
+let do_munmap proc task ~addr ~len =
+  enter task;
+  Mm.munmap (Proc.mm proc) (Task.core task) ~addr ~len;
+  shootdown_others proc task
 
 let munmap proc task ~addr ~len =
-  sys task sys_munmap (fun () ->
-      Mm.munmap (Proc.mm proc) (Task.core task) ~addr ~len;
-      shootdown_others proc task)
+  if Cpu.observed () then sys task sys_munmap (fun () -> do_munmap proc task ~addr ~len)
+  else do_munmap proc task ~addr ~len
 
 (* Fault injection: a pkey_alloc that fails with ENOSPC even though the
    bitmap has free keys (e.g. another process raced us to them). *)
@@ -99,45 +108,61 @@ let mprotect_exec_only proc task ~addr ~len =
         Proc.set_xonly_key proc k;
         k
   in
-  ignore
-    (Mm.change_protection_pkey (Proc.mm proc) core ~addr ~len ~prot:Perm.rx ~pkey:key);
+  Mm.change_protection_pkey (Proc.mm proc) core ~addr ~len ~prot:Perm.rx ~pkey:key;
   Task.set_pkru task (Pkru.set_rights (Task.pkru task) key Pkru.No_access);
   shootdown_others proc task
 
+let do_mprotect proc task ~addr ~len ~prot =
+  enter task;
+  if is_exec_only prot then mprotect_exec_only proc task ~addr ~len
+  else begin
+    Mm.change_protection (Proc.mm proc) (Task.core task) ~addr ~len ~prot;
+    shootdown_others proc task
+  end
+
 let mprotect proc task ~addr ~len ~prot =
-  sys task sys_mprotect (fun () ->
-      if is_exec_only prot then mprotect_exec_only proc task ~addr ~len
-      else begin
-        ignore (Mm.change_protection (Proc.mm proc) (Task.core task) ~addr ~len ~prot);
-        shootdown_others proc task
-      end)
+  if Cpu.observed () then sys task sys_mprotect (fun () -> do_mprotect proc task ~addr ~len ~prot)
+  else do_mprotect proc task ~addr ~len ~prot
+
+let do_pkey_alloc proc task ~init_rights =
+  enter task;
+  let core = Task.core task in
+  Cpu.charge ~label:"pkey_alloc_work" core (Cpu.costs core).pkey_alloc_work;
+  let key = alloc_key proc in
+  Task.set_pkru task (Pkru.set_rights (Task.pkru task) key init_rights);
+  key
 
 let pkey_alloc proc task ~init_rights =
-  sys task sys_pkey_alloc (fun () ->
-      let core = Task.core task in
-      Cpu.charge ~label:"pkey_alloc_work" core (Cpu.costs core).pkey_alloc_work;
-      let key = alloc_key proc in
-      Task.set_pkru task (Pkru.set_rights (Task.pkru task) key init_rights);
-      key)
+  if Cpu.observed () then sys task sys_pkey_alloc (fun () -> do_pkey_alloc proc task ~init_rights)
+  else do_pkey_alloc proc task ~init_rights
+
+let do_pkey_free proc task key =
+  enter task;
+  let core = Task.core task in
+  Cpu.charge ~label:"pkey_free_work" core (Cpu.costs core).pkey_free_work;
+  (* Only the bitmap is updated: PTEs keep the stale key and every
+     thread's PKRU keeps its stale rights — the paper's §3.1 hazard. *)
+  Pkey_bitmap.free (Proc.pkey_bitmap proc) key
 
 let pkey_free proc task key =
-  sys task sys_pkey_free (fun () ->
-      let core = Task.core task in
-      Cpu.charge ~label:"pkey_free_work" core (Cpu.costs core).pkey_free_work;
-      (* Only the bitmap is updated: PTEs keep the stale key and every
-         thread's PKRU keeps its stale rights — the paper's §3.1 hazard. *)
-      Pkey_bitmap.free (Proc.pkey_bitmap proc) key)
+  if Cpu.observed () then sys task sys_pkey_free (fun () -> do_pkey_free proc task key)
+  else do_pkey_free proc task key
+
+let do_pkey_mprotect proc task ~addr ~len ~prot ~pkey =
+  enter task;
+  let core = Task.core task in
+  Cpu.charge ~label:"pkey_bitmap_check" core pkey_check_cost;
+  if Pkey.to_int pkey = 0 then
+    Errno.fail EINVAL "pkey_mprotect: userspace may not assign the default key";
+  if not (Pkey_bitmap.is_allocated (Proc.pkey_bitmap proc) pkey) then
+    Errno.fail EINVAL "pkey_mprotect: key %d not allocated" (Pkey.to_int pkey);
+  Mm.change_protection_pkey (Proc.mm proc) core ~addr ~len ~prot ~pkey;
+  shootdown_others proc task
 
 let pkey_mprotect proc task ~addr ~len ~prot ~pkey =
-  sys task sys_pkey_mprotect (fun () ->
-      let core = Task.core task in
-      Cpu.charge ~label:"pkey_bitmap_check" core pkey_check_cost;
-      if Pkey.to_int pkey = 0 then
-        Errno.fail EINVAL "pkey_mprotect: userspace may not assign the default key";
-      if not (Pkey_bitmap.is_allocated (Proc.pkey_bitmap proc) pkey) then
-        Errno.fail EINVAL "pkey_mprotect: key %d not allocated" (Pkey.to_int pkey);
-      ignore (Mm.change_protection_pkey (Proc.mm proc) core ~addr ~len ~prot ~pkey);
-      shootdown_others proc task)
+  if Cpu.observed () then
+    sys task sys_pkey_mprotect (fun () -> do_pkey_mprotect proc task ~addr ~len ~prot ~pkey)
+  else do_pkey_mprotect proc task ~addr ~len ~prot ~pkey
 
 (* Deferred PKRU scrub/update, the paper's lazy do_pkey_sync: queueing the
    task_work is the "deferred" trace event; the update being applied on
@@ -208,32 +233,45 @@ let notify_others proc task ~eager ~count =
           done)
       tasks
 
+let do_pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey =
+  enter task;
+  let core = Task.core task in
+  Mm.change_protection_pkey (Proc.mm proc) core ~addr ~len ~prot ~pkey:Pkey.default;
+  (* Scrub stale rights for the recycled key everywhere, caller included. *)
+  Task.set_pkru task (Pkru.set_rights (Task.pkru task) old_pkey Pkru.No_access);
+  let tasks = Proc.tasks proc in
+  queue_on_others ~core task old_pkey Pkru.No_access tasks;
+  if Proc.ipi_batching proc then
+    (* One synchronous IPI per target core both drains the PKRU scrub
+       and flushes the TLB — the per-update path below sends two. *)
+    Sched.kick_batch (Proc.sched proc) ~from:task ~kind:"pkey_sync_shootdown" ~flush_tlb:true
+      ~sync:true tasks
+  else begin
+    List.iter (fun t -> if other task t then Sched.kick (Proc.sched proc) ~from:task t) tasks;
+    shootdown_others proc task
+  end
+
 let pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey =
-  sys task sys_pkey_unmap_group (fun () ->
-      let core = Task.core task in
-      ignore
-        (Mm.change_protection_pkey (Proc.mm proc) core ~addr ~len ~prot
-           ~pkey:Pkey.default);
-      (* Scrub stale rights for the recycled key everywhere, caller included. *)
-      Task.set_pkru task (Pkru.set_rights (Task.pkru task) old_pkey Pkru.No_access);
-      let tasks = Proc.tasks proc in
-      queue_on_others ~core task old_pkey Pkru.No_access tasks;
-      if Proc.ipi_batching proc then
-        (* One synchronous IPI per target core both drains the PKRU scrub
-           and flushes the TLB — the per-update path below sends two. *)
-        Sched.kick_batch (Proc.sched proc) ~from:task ~kind:"pkey_sync_shootdown"
-          ~flush_tlb:true ~sync:true tasks
-      else begin
-        List.iter (fun t -> if other task t then Sched.kick (Proc.sched proc) ~from:task t) tasks;
-        shootdown_others proc task
-      end)
+  if Cpu.observed () then
+    sys task sys_pkey_unmap_group (fun () ->
+        do_pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey)
+  else do_pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey
+
+let do_pkey_sync proc task ~eager ~pkey rights =
+  enter task;
+  queue_on_others ~core:(Task.core task) task pkey rights (Proc.tasks proc);
+  notify_others proc task ~eager ~count:1
 
 let pkey_sync proc task ?(eager = false) ~pkey rights =
-  sys task sys_pkey_sync (fun () ->
-      queue_on_others ~core:(Task.core task) task pkey rights (Proc.tasks proc);
-      notify_others proc task ~eager ~count:1)
+  if Cpu.observed () then
+    sys task sys_pkey_sync (fun () -> do_pkey_sync proc task ~eager ~pkey rights)
+  else do_pkey_sync proc task ~eager ~pkey rights
+
+let do_pkey_sync_many proc task ~updates =
+  enter task;
+  queue_all_on_others ~core:(Task.core task) task updates (Proc.tasks proc);
+  notify_others proc task ~eager:false ~count:(Task.Updates.length updates)
 
 let pkey_sync_many proc task ~updates =
-  sys task sys_pkey_sync (fun () ->
-      queue_all_on_others ~core:(Task.core task) task updates (Proc.tasks proc);
-      notify_others proc task ~eager:false ~count:(Task.Updates.length updates))
+  if Cpu.observed () then sys task sys_pkey_sync (fun () -> do_pkey_sync_many proc task ~updates)
+  else do_pkey_sync_many proc task ~updates

@@ -94,9 +94,10 @@ let emit ~core ~ts ev = match !opened with None -> () | Some r -> push r ~core ~
 let emit_floating ev =
   match !opened with None -> () | Some r -> push r ~core:(-1) ~ts:r.last ev
 
-(* Callers check [on () || Prof.on ()] first and run [f] bare when both
-   are off, so that an unobserved span builds nothing. A span cannot
-   outlive the recordings open at its start, as both are scoped. *)
+(* Callers check [on () || Prof.on ()] first ([Cpu.observed]) and, when
+   both are off, run the body bare without building [f] or [clock], so
+   that an unobserved span allocates nothing. A span cannot outlive the
+   recordings open at its start, as both are scoped. *)
 let with_span ~core ~clock name f =
   let profiling = Prof.on () in
   if profiling then Prof.enter name;

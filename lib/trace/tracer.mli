@@ -55,8 +55,10 @@ val with_span : core:int -> clock:(unit -> float) -> string -> (unit -> 'a) -> '
     span id, emits [Span_begin]/[Span_end] stamped via [clock] (the
     core's cycle counter, read at entry and exit), and opens a
     {!Prof} attribution scope when profiling is on. Exception-safe.
-    Callers run [f] bare instead when neither {!on} nor {!Prof.on}
-    holds: the span is then unobserved, and skipping it builds nothing. *)
+    Callers ([Cpu.span], and the libmpk and syscall entry points
+    through [Cpu.observed]) run the body bare instead when neither
+    {!on} nor {!Prof.on} holds: the span is then unobserved, and
+    skipping it builds nothing, neither [f] nor [clock]. *)
 
 (** {2 Controls}
 

@@ -1,7 +1,9 @@
 (** Deterministic pseudo-random number generator (splitmix64).
 
     Every stochastic choice in the simulator draws from an explicit [t] so
-    that experiments and tests are reproducible from a seed. *)
+    that experiments and tests are reproducible from a seed. The state is
+    held unboxed: [int], [bool] and [shuffle] allocate nothing, [float]
+    only its result and [next] only its [int64]. *)
 
 type t
 
@@ -19,7 +21,8 @@ val int : t -> int -> int
 (** [float t] is uniform in [\[0, 1)]. *)
 val float : t -> float
 
-(** [bool t ~p] is true with probability [p] (clamped to [\[0, 1\]]). *)
+(** [bool t ~p] is true with probability [p] (clamped to [\[0, 1\]]).
+    Raises [Invalid_argument] when [p] is NaN. *)
 val bool : t -> p:float -> bool
 
 (** [shuffle t a] permutes [a] in place (Fisher-Yates). *)

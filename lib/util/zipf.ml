@@ -9,6 +9,7 @@ type t = Uniform of int | Skewed of float array  (* normalized CDF *)
 
 let create ?(theta = 0.99) ~n () =
   if n < 1 then invalid_arg "Zipf.create: n must be >= 1";
+  if Float.is_nan theta then invalid_arg "Zipf.create: theta is NaN";
   if theta < 0.0 then invalid_arg "Zipf.create: theta must be >= 0";
   if theta = 0.0 then Uniform n
   else begin

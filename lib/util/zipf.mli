@@ -6,11 +6,13 @@ type t
 
 (** [create ?theta ~n ()] — precomputes the CDF in O(n). [theta]
     defaults to 0.99 (YCSB's skew); [theta = 0.] is uniform and builds
-    no CDF. Raises [Invalid_argument] when [n < 1] or [theta < 0]. *)
+    no CDF; [theta = infinity] puts all mass on rank 0. Raises
+    [Invalid_argument] when [n < 1], [theta < 0] or [theta] is NaN. *)
 val create : ?theta:float -> n:int -> unit -> t
 
 val n : t -> int
 
-(** O(log n) binary search over the precomputed CDF; with [theta = 0.],
-    exactly one [Prng.int prng n] draw. *)
+(** O(log n) binary search over the precomputed CDF, allocating only
+    the one [Prng.float] it draws; with [theta = 0.], exactly one
+    [Prng.int prng n] draw, allocating nothing. *)
 val sample : t -> Prng.t -> int

@@ -238,6 +238,27 @@ let test_detects_stale_tlb_entry () =
   ignore (Page_table.update_range pt ~vpn ~pages:1 (Pte.rewrite ~perm:Perm.r ()));
   check_flags "stale TLB entry" 4 mpk
 
+(* The begin accounting (I3) of one group opened by task 0, tampered
+   with in three ways, each of which I3 must name. *)
+let test_detects_begin_accounting () =
+  let tampered what message tamper =
+    let mpk, _proc, tasks = make_env ~threads:2 ~hw_keys:4 () in
+    ignore (Libmpk.mpk_mmap mpk tasks.(0) ~vkey:1 ~len:page ~prot:Perm.rw);
+    Libmpk.mpk_begin mpk tasks.(0) ~vkey:1 ~prot:Perm.rw;
+    check_clean "begin" mpk;
+    tamper (Option.get (Libmpk.find_group mpk 1)) (Task.id tasks.(1));
+    let messages = List.map (fun v -> v.Mpk_check.Audit.message) (Mpk_check.Audit.run mpk) in
+    if not (List.mem message messages) then
+      Alcotest.failf "%s: expected %S among [%s]" what message (String.concat "; " messages)
+  in
+  tampered "negative depth" "group vkey:1 has negative begin_depth -1" (fun g _ ->
+      g.Libmpk.Group.begin_depth <- -1);
+  tampered "holder sum" "group vkey:1 begin_depth 1 but holders sum to 2" (fun g other ->
+      Libmpk.Group.set_begin_holds g other 1);
+  (* the sum and the pin count still agree: only the holder check fires *)
+  tampered "holder left at depth 0" "group vkey:1 holder task 1 at depth 0" (fun g other ->
+      Libmpk.Group.set_begin_holds g other 0)
+
 (* --- key-cache regression fixes --- *)
 
 let keys n = List.filteri (fun i _ -> i < n) Pkey.allocatable
@@ -419,6 +440,7 @@ let () =
             test_detects_residual_pkru_rights;
           Alcotest.test_case "stale PTE tag (I2)" `Quick test_detects_stale_pte_tag;
           Alcotest.test_case "stale TLB entry (I4)" `Quick test_detects_stale_tlb_entry;
+          Alcotest.test_case "begin accounting (I3)" `Quick test_detects_begin_accounting;
         ] );
       ( "fixes",
         [

@@ -112,6 +112,116 @@ let cache_lru_property =
           | _ -> false)
         vkeys)
 
+(* The cache against a reference model kept here: mappings in a list,
+   each with the tick of its last access and of its insertion, and the
+   victim found by a plain min-by-tick scan over the unpinned ones (LRU
+   by last access, FIFO by insertion). Over random sequences of acquire,
+   pin, unpin and release, every result — hit, fresh key, victim and
+   key, full, or a refusal — and the resulting mappings must agree. *)
+module Model = struct
+  type m = { vkey : int; pkey : Pkey.t; mutable stamp : int; inserted : int; mutable pins : int }
+
+  type t = { fifo : bool; mutable clock : int; mutable free : Pkey.t list; mutable live : m list }
+
+  let create ~fifo ~keys = { fifo; clock = 0; free = keys; live = [] }
+
+  let tick t =
+    t.clock <- t.clock + 1;
+    t.clock
+
+  let find t v = List.find_opt (fun m -> m.vkey = v) t.live
+
+  let insert t v pkey =
+    let now = tick t in
+    t.live <- { vkey = v; pkey; stamp = now; inserted = now; pins = 0 } :: t.live
+
+  let remove t v = t.live <- List.filter (fun m -> m.vkey <> v) t.live
+
+  let victim t =
+    let age m = if t.fifo then m.inserted else m.stamp in
+    List.fold_left
+      (fun best m ->
+        if m.pins > 0 then best
+        else match best with Some b when age b <= age m -> best | _ -> Some m)
+      None t.live
+
+  let acquire t ~may_evict v =
+    match find t v with
+    | Some m ->
+        m.stamp <- tick t;
+        Printf.sprintf "hit %d" (Pkey.to_int m.pkey)
+    | None -> (
+        match t.free with
+        | k :: rest ->
+            t.free <- rest;
+            insert t v k;
+            Printf.sprintf "fresh %d" (Pkey.to_int k)
+        | [] -> (
+            match if may_evict then victim t else None with
+            | None -> "full"
+            | Some m ->
+                remove t m.vkey;
+                insert t v m.pkey;
+                Printf.sprintf "evicted %d from %d" (Pkey.to_int m.pkey) m.vkey))
+
+  let pin t v =
+    match find t v with
+    | Some m ->
+        m.pins <- m.pins + 1;
+        "ok"
+    | None -> "refused"
+
+  let unpin t v =
+    match find t v with
+    | Some m when m.pins > 0 ->
+        m.pins <- m.pins - 1;
+        "ok"
+    | Some _ | None -> "refused"
+
+  let release t v =
+    match find t v with
+    | Some m when m.pins > 0 -> "refused"
+    | Some m ->
+        remove t v;
+        t.free <- m.pkey :: t.free;
+        "ok"
+    | None -> "ok"
+
+  let mappings t =
+    List.sort compare (List.map (fun m -> (m.vkey, Pkey.to_int m.pkey, m.pins)) t.live)
+end
+
+let cache_matches_model =
+  let op = QCheck.(triple (int_bound 3) (int_bound 9) bool) in
+  QCheck.Test.make ~name:"LRU and FIFO pick the reference scan's victims" ~count:300
+    QCheck.(pair bool (list_of_size Gen.(int_range 1 80) op))
+    (fun (fifo, ops) ->
+      let module K = Libmpk.Key_cache in
+      let keys = keys 4 in
+      let c = K.create ~policy:(if fifo then K.Fifo else K.Lru) ~keys () in
+      let m = Model.create ~fifo ~keys in
+      let refused f = match f () with () -> "ok" | exception Invalid_argument _ -> "refused" in
+      List.for_all
+        (fun (kind, v, may_evict) ->
+          let got, want =
+            match kind with
+            | 0 ->
+                ( (match K.acquire c ~may_evict v with
+                  | K.Hit k -> Printf.sprintf "hit %d" (Pkey.to_int k)
+                  | K.Fresh k -> Printf.sprintf "fresh %d" (Pkey.to_int k)
+                  | K.Evicted (k, victim) ->
+                      Printf.sprintf "evicted %d from %d" (Pkey.to_int k) victim
+                  | K.Full -> "full"),
+                  Model.acquire m ~may_evict v )
+            | 1 -> refused (fun () -> K.pin c v), Model.pin m v
+            | 2 -> refused (fun () -> K.unpin c v), Model.unpin m v
+            | _ -> refused (fun () -> K.release c v), Model.release m v
+          in
+          got = want
+          && List.map (fun (v, k, pins) -> (v, Pkey.to_int k, pins)) (K.mappings c)
+             = Model.mappings m)
+        ops)
+
 (* --- Mpk_heap --- *)
 
 let test_heap_alloc_free () =
@@ -192,11 +302,19 @@ let test_init_takes_all_keys () =
   Alcotest.(check int) "cache capacity 15" 15 (Libmpk.Key_cache.capacity (Libmpk.cache mpk))
 
 let test_init_evict_rate_default () =
-  let machine = Machine.create ~cores:2 ~mem_mib:64 () in
-  let proc = Proc.create machine in
-  let main = Proc.spawn proc ~core_id:0 () in
-  let mpk = Libmpk.init ~evict_rate:(-1.0) proc main in
-  Alcotest.(check (float 1e-9)) "negative means 1.0" 1.0 (Libmpk.evict_rate mpk)
+  let rate r =
+    let machine = Machine.create ~cores:2 ~mem_mib:64 () in
+    let proc = Proc.create machine in
+    let main = Proc.spawn proc ~core_id:0 () in
+    Libmpk.evict_rate (Libmpk.init ~evict_rate:r proc main)
+  in
+  Alcotest.(check (float 0.)) "negative means 1.0" 1.0 (rate (-1.0));
+  Alcotest.(check (float 0.)) "above 1 is clamped" 1.0 (rate 2.5);
+  Alcotest.(check (float 0.)) "infinity is clamped" 1.0 (rate Float.infinity);
+  Alcotest.(check (float 0.)) "in range is kept" 0.3 (rate 0.3);
+  (* a NaN rate once survived the clamp and made every miss fall back *)
+  Alcotest.check_raises "NaN is rejected" (Invalid_argument "Libmpk.init: evict_rate is NaN")
+    (fun () -> ignore (rate Float.nan))
 
 (* --- mpk_mmap / mpk_munmap --- *)
 
@@ -679,9 +797,137 @@ let test_mprotect_many_allocation () =
     Libmpk.mpk_mprotect_many mpk main ~updates;  (* grow the task_work rings *)
     Alloc_budget.allocated (fun () -> Libmpk.mpk_mprotect_many mpk main ~updates)
   in
-  Alcotest.(check (float 0.)) "1 and 2 cache hits allocate alike"
-    (words [ (1, Perm.r) ])
+  Alcotest.(check (float 0.)) "1 cache hit allocates nothing" 0. (words [ (1, Perm.r) ]);
+  Alcotest.(check (float 0.)) "2 cache hits allocate nothing" 0.
     (words [ (1, Perm.r); (2, Perm.r) ])
+
+(* --- allocation budget of key virtualization: with nothing recording,
+   the request paths allocate only what they return --- *)
+
+(* [groups] domain groups of [pages] populated pages each over all 15
+   keys, in a process of two threads: [main] created them, [other] is
+   its sibling on a second core. *)
+let churn_env ~groups ~pages =
+  let machine = Machine.create ~cores:2 ~mem_mib:64 () in
+  let proc = Proc.create machine in
+  let main = Proc.spawn proc ~core_id:0 () in
+  let other = Proc.spawn proc ~core_id:1 () in
+  let mpk = Libmpk.init ~evict_rate:1.0 proc main in
+  for vkey = 0 to groups - 1 do
+    let addr = Libmpk.mpk_mmap mpk main ~vkey ~len:(pages * page) ~prot:Perm.rw in
+    Mm.populate (Proc.mm proc) (Task.core main) ~addr ~len:(pages * page)
+  done;
+  mpk, main, other
+
+(* A key-cache hit allocates nothing in [mpk_begin], [mpk_end] (nested
+   or not) or [mpk_mprotect], with the other thread's PKRU synced. *)
+let test_hit_allocation () =
+  let mpk, main, other = churn_env ~groups:4 ~pages:8 in
+  let none name f =
+    f ();  (* the first calls grow the task_work rings and holder slots *)
+    Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0.
+      (Alloc_budget.allocated (fun () -> for _ = 1 to 50 do f () done))
+  in
+  let hit = Libmpk.Key_cache.hits (Libmpk.cache mpk) in
+  none "mpk_begin" (fun () -> Libmpk.mpk_begin mpk other ~vkey:1 ~prot:Perm.r);
+  none "mpk_end" (fun () -> Libmpk.mpk_end mpk other ~vkey:1);
+  none "begin and end" (fun () ->
+      Libmpk.mpk_begin mpk main ~vkey:2 ~prot:Perm.rw;
+      Libmpk.mpk_end mpk main ~vkey:2);
+  none "mpk_mprotect" (fun () ->
+      Libmpk.mpk_mprotect mpk main ~vkey:3 ~prot:Perm.r;
+      Libmpk.mpk_mprotect mpk other ~vkey:3 ~prot:Perm.rw);
+  let cache = Libmpk.cache mpk in
+  Alcotest.(check int) "every mprotect a hit" (hit + 102) (Libmpk.Key_cache.hits cache);
+  Alcotest.(check int) "no miss since the four mmaps" 4 (Libmpk.Key_cache.misses cache)
+
+(* What an evicting miss allocates: its [Key_cache.Evicted] result (3
+   words) and the table cell mapping the new vkey (4 words). The
+   retagging syscalls, the PKRU scrub of the other thread and the LRU
+   scan add nothing, so the count holds for any group size and any
+   number of groups. *)
+let evicting_miss_words = 7.
+
+let test_evicting_miss_allocation () =
+  let words ~groups ~pages =
+    let mpk, main, other = churn_env ~groups ~pages in
+    let evictions () = Libmpk.Key_cache.evictions (Libmpk.cache mpk) in
+    (* Two rounds of round robin over more groups than keys, returning
+       the mean words per call: under LRU every call misses and evicts.
+       The first rounds grow every group's holder slots and the rings. *)
+    let next = ref 0 in
+    let rounds f =
+      let before = evictions () and w = ref 0. in
+      for _ = 1 to 2 * groups do
+        let vkey = !next in
+        next := (vkey + 1) mod groups;
+        w := !w +. f vkey
+      done;
+      Alcotest.(check int) "every call evicts" (2 * groups) (evictions () - before);
+      !w /. float_of_int (2 * groups)
+    in
+    let begin_ vkey =
+      let w = Alloc_budget.allocated (fun () -> Libmpk.mpk_begin mpk other ~vkey ~prot:Perm.r) in
+      Libmpk.mpk_end mpk other ~vkey;
+      w
+    in
+    let mprotect vkey =
+      let prot = if vkey land 1 = 0 then Perm.r else Perm.rw in
+      Alloc_budget.allocated (fun () -> Libmpk.mpk_mprotect mpk main ~vkey ~prot)
+    in
+    (* groups 0..14 were mapped at creation: start past them *)
+    next := 15;
+    ignore (rounds begin_);
+    let b = rounds begin_ in
+    ignore (rounds mprotect);
+    (b, rounds mprotect)
+  in
+  List.iter
+    (fun (groups, pages) ->
+      let b, m = words ~groups ~pages in
+      let check what w =
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%d groups of %d pages: an evicting %s" groups pages what)
+          evicting_miss_words w
+      in
+      check "mpk_begin" b;
+      check "mpk_mprotect" m)
+    [ (16, 8); (16, 512); (256, 8) ]
+
+(* The whole key-virtualization path through Libmpk alone: 64 groups over
+   15 keys on two threads, zipf-drawn, four begin/end pairs to every
+   mpk_mprotect. Per operation it may allocate the [Zipf.sample] float
+   (2 words), and per evicting miss [evicting_miss_words]. *)
+let test_churn_loop_allocation () =
+  let groups = 64 in
+  let mpk, main, other = churn_env ~groups ~pages:8 in
+  let prng = Mpk_util.Prng.create ~seed:1L in
+  let zipf = Mpk_util.Zipf.create ~theta:0.99 ~n:groups () in
+  let writable = Array.make groups true in
+  let op () =
+    let vkey = Mpk_util.Zipf.sample zipf prng in
+    let task = if Mpk_util.Prng.int prng 2 = 0 then main else other in
+    if Mpk_util.Prng.int prng 5 < 4 then begin
+      Libmpk.mpk_begin mpk task ~vkey ~prot:Perm.r;
+      Libmpk.mpk_end mpk task ~vkey
+    end
+    else begin
+      Libmpk.mpk_mprotect mpk task ~vkey ~prot:(if writable.(vkey) then Perm.r else Perm.rw);
+      writable.(vkey) <- not writable.(vkey)
+    end
+  in
+  for _ = 1 to 1000 do op () done;
+  let ops = 4000 in
+  let evictions () = Libmpk.Key_cache.evictions (Libmpk.cache mpk) in
+  let before = evictions () in
+  let w = Alloc_budget.allocated (fun () -> for _ = 1 to ops do op () done) /. float_of_int ops in
+  let misses = float_of_int (evictions () - before) /. float_of_int ops in
+  let bound = 2. +. (evicting_miss_words *. misses) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per op, at most %.2f (%.2f evicting misses per op)" w bound misses)
+    true (w <= bound);
+  Alcotest.(check (list string)) "audit clean" []
+    (List.map (fun v -> v.Mpk_check.Audit.message) (Mpk_check.Audit.run mpk))
 
 (* --- mpk_malloc / mpk_free --- *)
 
@@ -777,6 +1023,7 @@ let () =
           tc "nested pins" `Quick test_cache_nested_pins;
           tc "reserve" `Quick test_cache_reserve;
           qtest cache_lru_property;
+          qtest cache_matches_model;
         ] );
       ( "heap",
         [
@@ -842,7 +1089,13 @@ let () =
           tc "full path" `Quick test_mprotect_many_full_path;
           tc "failure syncs what was applied" `Quick test_mprotect_many_failure_syncs_applied;
         ] );
-      ("alloc_budget", [ tc "mpk_mprotect_many hit path" `Quick test_mprotect_many_allocation ]);
+      ( "alloc_budget",
+        [
+          tc "mpk_mprotect_many hit path" `Quick test_mprotect_many_allocation;
+          tc "key-cache hits" `Quick test_hit_allocation;
+          tc "evicting misses" `Quick test_evicting_miss_allocation;
+          tc "churn loop" `Quick test_churn_loop_allocation;
+        ] );
       ( "heap_api",
         [
           tc "malloc/free" `Quick test_malloc_free_basic;

@@ -87,6 +87,58 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 100 (fun i -> i)) sorted
 
+(* The first outputs of every draw at two seeds, taken from the
+   generator when its state was a boxed [int64]: holding the state
+   unboxed must not change a single draw. *)
+let test_prng_stream_pinned () =
+  let pinned seed ~next ~ints ~floats ~split ~after_split ~copied =
+    let p = Prng.create ~seed in
+    let name what = Printf.sprintf "seed %Ld: %s" seed what in
+    Alcotest.(check (list int64)) (name "next") next (List.init 3 (fun _ -> Prng.next p));
+    Alcotest.(check (list int)) (name "int") ints (List.init 4 (fun _ -> Prng.int p 1000));
+    Alcotest.(check (list (float 0.)))
+      (name "float") floats
+      (List.init 3 (fun _ -> Prng.float p));
+    let s = Prng.split p in
+    Alcotest.(check (list int64)) (name "split") split (List.init 2 (fun _ -> Prng.next s));
+    Alcotest.(check int64) (name "after split") after_split (Prng.next p);
+    let c = Prng.copy p in
+    Alcotest.(check int64) (name "copy") copied (Prng.next c);
+    Alcotest.(check int64) (name "copied from") copied (Prng.next p)
+  in
+  pinned 1L
+    ~next:[ 0x910a2dec89025cc1L; 0xbeeb8da1658eec67L; 0xf893a2eefb32555eL ]
+    ~ints:[ 58; 190; 512; 761 ]
+    ~floats:[ 0x1.0bcf761e244fp-1; 0x1.245c6378d5f8ep-2; 0x1.9686b91ce8c2cp-1 ]
+    ~split:[ 0x50d033fb0bc32775L; 0x6e32662fb9df41d4L ]
+    ~after_split:0x9afcd44d14cf8bfeL ~copied:0x7476cf8a4baa5dc0L;
+  pinned 0xC0FFEEL
+    ~next:[ 0xca8216fa9058d0faL; 0xece45babce870479L; 0x87be93a4a16a73cbL ]
+    ~ints:[ 385; 6; 876; 109 ]
+    ~floats:[ 0x1.bf48a52845532p-1; 0x1.a4c7945ef3e28p-4; 0x1.46291a15a15a5p-1 ]
+    ~split:[ 0x9c457a6d53d81f7dL; 0x322c6f5ef9585c67L ]
+    ~after_split:0x507065d804077edcL ~copied:0x75a5a799430a358cL
+
+let test_prng_bool_rejects_nan () =
+  Alcotest.check_raises "NaN p" (Invalid_argument "Prng.bool: p is NaN") (fun () ->
+      ignore (Prng.bool (Prng.create ~seed:1L) ~p:Float.nan))
+
+(* --- allocation budget: the generator's state is held unboxed, so a
+   draw allocates at most the float it returns --- *)
+
+let test_draw_allocation () =
+  let p = Prng.create ~seed:3L in
+  let per_call f = Alloc_budget.allocated (fun () -> for _ = 1 to 100 do f () done) /. 100. in
+  let none name f = Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. (per_call f) in
+  none "Prng.int" (fun () -> ignore (Prng.int p 7));
+  none "Prng.bool" (fun () -> ignore (Prng.bool p ~p:0.5));
+  let uniform = Zipf.create ~theta:0. ~n:256 () and zipf = Zipf.create ~theta:0.99 ~n:256 () in
+  none "uniform Zipf.sample" (fun () -> ignore (Zipf.sample uniform p));
+  let w = per_call (fun () -> ignore (Zipf.sample zipf p)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Zipf.sample: %.1f words, at most 2 (its Prng.float)" w)
+    true (w <= 2.)
+
 (* --- Stats --- *)
 
 let test_percentile () =
@@ -248,7 +300,17 @@ let test_zipf_rejects_bad_args () =
     (fun () -> ignore (Zipf.create ~n:0 ()));
   Alcotest.check_raises "negative theta"
     (Invalid_argument "Zipf.create: theta must be >= 0") (fun () ->
-      ignore (Zipf.create ~theta:(-0.5) ~n:10 ()))
+      ignore (Zipf.create ~theta:(-0.5) ~n:10 ()));
+  (* a NaN theta once built a sampler that only ever drew the coldest rank *)
+  Alcotest.check_raises "NaN theta" (Invalid_argument "Zipf.create: theta is NaN") (fun () ->
+      ignore (Zipf.create ~theta:Float.nan ~n:100 ()))
+
+let test_zipf_theta_infinity_is_rank_zero () =
+  let z = Zipf.create ~theta:Float.infinity ~n:100 () in
+  let p = Prng.create ~seed:6L in
+  for _ = 1 to 1000 do
+    Alcotest.(check int) "all mass on rank 0" 0 (Zipf.sample z p)
+  done
 
 let () =
   let tc = Alcotest.test_case in
@@ -266,7 +328,10 @@ let () =
           tc "copy" `Quick test_prng_copy_independent;
           tc "split" `Quick test_prng_split_diverges;
           tc "shuffle" `Quick test_prng_shuffle_permutation;
+          tc "stream pinned" `Quick test_prng_stream_pinned;
+          tc "bool rejects NaN" `Quick test_prng_bool_rejects_nan;
         ] );
+      ("alloc_budget", [ tc "draws" `Quick test_draw_allocation ]);
       ( "stats",
         [
           tc "percentile" `Quick test_percentile;
@@ -294,5 +359,6 @@ let () =
           tc "skews to low ranks" `Quick test_zipf_skews_to_low_ranks;
           tc "theta 0 is uniform" `Quick test_zipf_theta_zero_is_uniform;
           tc "rejects bad args" `Quick test_zipf_rejects_bad_args;
+          tc "theta infinity is rank 0" `Quick test_zipf_theta_infinity_is_rank_zero;
         ] );
     ]
