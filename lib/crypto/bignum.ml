@@ -36,14 +36,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let rec digit_width v acc = if v = 0 then acc else digit_width (v lsr 1) (acc + 1)
+
 let bits t =
   let n = Array.length t in
-  if n = 0 then 0
-  else begin
-    let top = t.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * base_bits) + width top 0
-  end
+  if n = 0 then 0 else ((n - 1) * base_bits) + digit_width t.(n - 1) 0
 
 let to_int t =
   if bits t > 62 then None
@@ -145,23 +142,96 @@ let shift_right t k =
     end
   end
 
-(* Shift-and-subtract long division: O(bits(a) * digits(b)); plenty for
-   the <=1024-bit operands the RSA substrate uses. *)
+(* [x * 2^s] as exactly [len] digits, for [s < base_bits]. *)
+let shifted_digits x s len =
+  let out = Array.make len 0 in
+  let carry = ref 0 in
+  for i = 0 to Array.length x - 1 do
+    let v = (x.(i) lsl s) lor !carry in
+    out.(i) <- v land base_mask;
+    carry := v lsr base_bits
+  done;
+  if Array.length x < len then out.(Array.length x) <- !carry;
+  out
+
+(* Knuth's algorithm D (TAOCP vol. 2, §4.3.1), one quotient digit per
+   step. Both operands are shifted so that the divisor's top digit has
+   its high bit set; then the two-digit estimate of each quotient digit
+   is at most one too large after the D3 test, and one add-back fixes
+   it. Every product fits: digits are below 2^26, estimates below 2^27. *)
 let divmod a b =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then zero, a
   else begin
-    let shift = bits a - bits b in
-    let q = Array.make (shift / base_bits + 1) 0 in
-    let r = ref a in
-    for i = shift downto 0 do
-      let d = shift_left b i in
-      if compare !r d >= 0 then begin
-        r := sub !r d;
-        q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
-      end
-    done;
-    normalize q, !r
+    let n = Array.length b and la = Array.length a in
+    if n = 1 then begin
+      let d = b.(0) in
+      let q = Array.make la 0 in
+      let r = ref 0 in
+      for i = la - 1 downto 0 do
+        let cur = (!r lsl base_bits) lor a.(i) in
+        q.(i) <- cur / d;
+        r := cur mod d
+      done;
+      normalize q, of_int !r
+    end
+    else begin
+      let s = base_bits - digit_width b.(n - 1) 0 in
+      let v = shifted_digits b s n in
+      let u = shifted_digits a s (la + 1) in
+      let m = la - n in
+      let q = Array.make (m + 1) 0 in
+      let v1 = v.(n - 1) and v2 = v.(n - 2) in
+      for j = m downto 0 do
+        let num = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
+        let rec estimate qhat rhat =
+          if qhat >= base || qhat * v2 > (rhat lsl base_bits) lor u.(j + n - 2) then
+            let rhat = rhat + v1 in
+            if rhat < base then estimate (qhat - 1) rhat else qhat - 1
+          else qhat
+        in
+        let qhat = estimate (num / v1) (num mod v1) in
+        (* u[j..j+n] -= qhat * v, digit by digit *)
+        let carry = ref 0 and borrow = ref 0 in
+        for i = 0 to n - 1 do
+          let p = (qhat * v.(i)) + !carry in
+          carry := p lsr base_bits;
+          let d = u.(i + j) - (p land base_mask) - !borrow in
+          if d < 0 then begin
+            u.(i + j) <- d + base;
+            borrow := 1
+          end
+          else begin
+            u.(i + j) <- d;
+            borrow := 0
+          end
+        done;
+        let top = u.(j + n) - !carry - !borrow in
+        if top < 0 then begin
+          (* qhat was one too large: add v back, and the top digit's
+             -1 absorbs the final carry *)
+          let c = ref 0 in
+          for i = 0 to n - 1 do
+            let t = u.(i + j) + v.(i) + !c in
+            u.(i + j) <- t land base_mask;
+            c := t lsr base_bits
+          done;
+          u.(j + n) <- top + !c;
+          q.(j) <- qhat - 1
+        end
+        else begin
+          u.(j + n) <- top;
+          q.(j) <- qhat
+        end
+      done;
+      (* the remainder is u[0..n-1] shifted back down *)
+      let r =
+        Array.init n (fun i ->
+            let hi = if i + 1 < n then (u.(i + 1) lsl (base_bits - s)) land base_mask else 0 in
+            (u.(i) lsr s) lor hi)
+      in
+      normalize q, normalize r
+    end
   end
 
 let rem a b = snd (divmod a b)

@@ -59,6 +59,65 @@ let arith_props =
         = Some (naive 1 e));
   ]
 
+(* Shift-and-subtract long division, one quotient bit at a time: the
+   reference [Bignum.divmod] must match exactly. *)
+let bit_serial_divmod a b =
+  if Bignum.compare a b < 0 then Bignum.zero, a
+  else begin
+    let q = ref Bignum.zero and r = ref a in
+    for i = Bignum.bits a - Bignum.bits b downto 0 do
+      let d = Bignum.shift_left b i in
+      if Bignum.compare !r d >= 0 then begin
+        r := Bignum.sub !r d;
+        q := Bignum.add !q (Bignum.shift_left Bignum.one i)
+      end
+    done;
+    !q, !r
+  end
+
+(* Operands of up to 700 and 400 bits drawn from the case's seed; every
+   third divisor is 2^k - 1, whose all-ones digits stress the quotient
+   estimate's correction and add-back steps. *)
+let divmod_reference_prop =
+  QCheck.Test.make ~name:"divmod matches bit-serial division" ~count:300
+    QCheck.(triple (int_range 1 700) (int_range 1 400) int)
+    (fun (abits, bbits, seed) ->
+      let p = Mpk_util.Prng.create ~seed:(Int64.of_int seed) in
+      let a = Bignum.random p ~bits:abits in
+      let b =
+        if seed mod 3 = 0 then Bignum.sub (Bignum.shift_left Bignum.one bbits) Bignum.one
+        else Bignum.random p ~bits:bbits
+      in
+      let q, r = Bignum.divmod a b in
+      let q', r' = bit_serial_divmod a b in
+      Bignum.equal q q' && Bignum.equal r r'
+      && Bignum.equal a (Bignum.add (Bignum.mul q b) r)
+      && Bignum.compare r b < 0)
+
+(* Random operands almost never make a quotient-digit estimate one too
+   large after its correction test (about 2 in 2^26 digits). These
+   pairs, written as big-endian 26-bit digits, each do. *)
+let test_bignum_divmod_add_back () =
+  let of_digits =
+    List.fold_left
+      (fun acc d -> Bignum.add (Bignum.shift_left acc 26) (Bignum.of_int d))
+      Bignum.zero
+  in
+  let half = 1 lsl 25 and top = (1 lsl 26) - 1 in
+  List.iter
+    (fun (da, db) ->
+      let a = of_digits da and b = of_digits db in
+      let q, r = Bignum.divmod a b in
+      let q', r' = bit_serial_divmod a b in
+      Alcotest.check big "quotient" q' q;
+      Alcotest.check big "remainder" r' r)
+    [
+      [ half; 1; half - 1; half ], [ half; 1; top ];
+      [ half; top; half; 0 ], [ 1; half - 1; top ];
+      [ half; half - 1; 1; 1 ], [ 1; 0; top; 1 ];
+      [ half - 1; half; half; half; 1 ], [ half; half - 1; top ];
+    ]
+
 let test_bignum_large_mul_div () =
   let p = prng () in
   let a = Bignum.random p ~bits:300 in
@@ -346,7 +405,11 @@ let () =
           tc "padded bytes" `Quick test_bignum_padded;
           qtest invmod_property;
         ]
-        @ List.map qtest arith_props );
+        @ List.map qtest arith_props
+        @ [
+            tc "divmod add-back" `Quick test_bignum_divmod_add_back;
+            qtest divmod_reference_prop;
+          ] );
       ( "sha256",
         [ tc "vectors" `Quick test_sha256_vectors; tc "million a" `Slow test_sha256_long ] );
       ( "chacha20",
