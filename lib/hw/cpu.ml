@@ -19,6 +19,7 @@ let id t = t.id
 let costs t = t.costs
 let tlb t = t.tlb
 let cycles t = t.cycles.now
+let clock t = t.cycles
 
 (* Fault injection: a charged event is the finest-grained point at which
    the scheduler may preempt the running task (the kernel installs the

@@ -109,12 +109,11 @@ let check t cpu ~addr ~access =
 
 let page_off addr = addr land (Physmem.page_size - 1)
 
-(* Copy between [buf] and the [Bytes.length buf] bytes at [addr], one
-   [check] per page touched, in address order. The loop builds no
-   closure, so an access allocates nothing whether it stays in one page
-   or crosses several. *)
-let user_copy t cpu ~access ~addr buf =
-  let len = Bytes.length buf in
+(* Copy between [buf] and the [len] bytes at [addr], one [check] per
+   page touched, in address order. The loop builds no closure, so an
+   access allocates nothing whether it stays in one page or crosses
+   several. *)
+let user_copy t cpu ~access ~addr buf len =
   let off = ref 0 in
   while !off < len do
     let a = addr + !off in
@@ -137,37 +136,41 @@ let write_byte t cpu ~addr c =
 let read_bytes t cpu ~addr ~len =
   if len < 0 then invalid_arg "Mmu.read_bytes: negative length";
   let out = Bytes.create len in
-  user_copy t cpu ~access:Read ~addr out;
+  user_copy t cpu ~access:Read ~addr out len;
   out
 
-let write_bytes t cpu ~addr src = user_copy t cpu ~access:Write ~addr src
+let read_into t cpu ~addr buf ~len =
+  if len < 0 || len > Bytes.length buf then invalid_arg "Mmu.read_into: bad length";
+  user_copy t cpu ~access:Read ~addr buf len
+
+let write_bytes t cpu ~addr src = user_copy t cpu ~access:Write ~addr src (Bytes.length src)
 
 (* A word inside one page is read or written in place, without the
    8-byte buffer a page-crossing word goes through. *)
 let word_in_page addr = page_off addr <= Physmem.page_size - 8
 
-let read_int64 t cpu ~addr =
+let read_word t cpu ~addr =
   if word_in_page addr then begin
     let pte = check t cpu ~addr ~access:Read in
-    Physmem.read_int64 t.mem (Pte.frame pte) (page_off addr)
+    Physmem.read_word t.mem (Pte.frame pte) (page_off addr)
   end
-  else Bytes.get_int64_le (read_bytes t cpu ~addr ~len:8) 0
+  else Int64.to_int (Bytes.get_int64_le (read_bytes t cpu ~addr ~len:8) 0)
 
-let write_int64 t cpu ~addr v =
+let write_word t cpu ~addr v =
   if word_in_page addr then begin
     let pte = check t cpu ~addr ~access:Write in
-    Physmem.write_int64 t.mem (Pte.frame pte) (page_off addr) v
+    Physmem.write_word t.mem (Pte.frame pte) (page_off addr) v
   end
   else begin
     let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 v;
+    Bytes.set_int64_le b 0 (Int64.of_int v);
     write_bytes t cpu ~addr b
   end
 
 let fetch t cpu ~addr ~len =
   if len < 0 then invalid_arg "Mmu.fetch: negative length";
   let out = Bytes.create len in
-  user_copy t cpu ~access:Fetch ~addr out;
+  user_copy t cpu ~access:Fetch ~addr out len;
   out
 
 let kernel_pte t ~addr ~access =

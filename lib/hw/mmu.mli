@@ -55,12 +55,21 @@ val write_byte : t -> Cpu.t -> addr:int -> char -> unit
 (** Checked multi-byte access; may cross page boundaries. *)
 val read_bytes : t -> Cpu.t -> addr:int -> len:int -> bytes
 
+(** [read_into t cpu ~addr buf ~len] is [read_bytes] into the first
+    [len] bytes of the caller's [buf], with the same checks and charges;
+    it allocates nothing. Raises [Invalid_argument] unless
+    [0 <= len <= Bytes.length buf]. *)
+val read_into : t -> Cpu.t -> addr:int -> bytes -> len:int -> unit
+
 val write_bytes : t -> Cpu.t -> addr:int -> bytes -> unit
 
-(** Checked 64-bit little-endian data access. *)
-val read_int64 : t -> Cpu.t -> addr:int -> int64
+(** Checked 64-bit little-endian access to an OCaml [int]: [write_word]
+    stores it sign-extended to 64 bits, [read_word] drops the word's top
+    bit. A word inside one page is one checked access and allocates
+    nothing; a page-crossing word takes [read_bytes]/[write_bytes]. *)
+val read_word : t -> Cpu.t -> addr:int -> int
 
-val write_int64 : t -> Cpu.t -> addr:int -> int64 -> unit
+val write_word : t -> Cpu.t -> addr:int -> int -> unit
 
 (** [fetch t cpu ~addr ~len] models instruction fetch of [len] bytes. *)
 val fetch : t -> Cpu.t -> addr:int -> len:int -> bytes

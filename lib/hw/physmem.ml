@@ -144,11 +144,11 @@ let write_bytes t f off src src_off len =
   check_off off len;
   Bytes.blit src src_off (storage t f) off len
 
-let read_int64 t f off =
+let read_word t f off =
   check_off off 8;
   let b = backing t f in
-  if b == unbacked then 0L else Bytes.get_int64_le b off
+  if b == unbacked then 0 else Int64.to_int (Bytes.get_int64_le b off)
 
-let write_int64 t f off v =
+let write_word t f off v =
   check_off off 8;
-  Bytes.set_int64_le (storage t f) off v
+  Bytes.set_int64_le (storage t f) off (Int64.of_int v)

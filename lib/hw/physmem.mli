@@ -48,6 +48,8 @@ val read_into : t -> frame -> int -> bytes -> int -> int -> unit
 
 val write_bytes : t -> frame -> int -> bytes -> int -> int -> unit
 
-(** 64-bit little-endian access (must not cross the frame boundary). *)
-val read_int64 : t -> frame -> int -> int64
-val write_int64 : t -> frame -> int -> int64 -> unit
+(** 64-bit little-endian access to an OCaml [int] (must not cross the
+    frame boundary): [write_word] stores the int sign-extended to 64
+    bits, [read_word] drops the word's top bit. Neither allocates. *)
+val read_word : t -> frame -> int -> int
+val write_word : t -> frame -> int -> int -> unit

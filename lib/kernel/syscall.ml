@@ -62,6 +62,16 @@ let rec shootdown_each sched task = function
 
 let shootdown_others proc task = shootdown_each (Proc.sched proc) task (Proc.tasks proc)
 
+(* Lazy per-update notification: [count] kicks for every sibling. *)
+let rec kick_each sched task ~count = function
+  | [] -> ()
+  | t :: rest ->
+      if other task t then
+        for _ = 1 to count do
+          Sched.kick sched ~from:task t
+        done;
+      kick_each sched task ~count rest
+
 let do_mmap proc task ?at ~len ~prot () =
   enter task;
   Mm.mmap (Proc.mm proc) (Task.core task) ?at ~len ~prot ()
@@ -224,14 +234,7 @@ let notify_others proc task ~eager ~count =
               Sched.schedule_in sched t)
       tasks
   else if Proc.ipi_batching proc then Sched.kick_batch sched ~from:task tasks
-  else
-    List.iter
-      (fun t ->
-        if other task t then
-          for _ = 1 to count do
-            Sched.kick sched ~from:task t
-          done)
-      tasks
+  else kick_each sched task ~count tasks
 
 let do_pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey =
   enter task;

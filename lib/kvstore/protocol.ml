@@ -26,6 +26,9 @@ let words line = String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
 
 let int_of w = match int_of_string_opt w with Some v -> Some v | None -> None
 
+(* Item flags are 32-bit unsigned, as in Memcached. *)
+let max_flags = 0xffff_ffff
+
 let valid_key k =
   String.length k > 0 && String.length k <= 250
   && String.for_all (fun c -> c > ' ' && c <> '\127') k
@@ -40,7 +43,7 @@ let parse_request s =
       | [ "stats" ] -> Ok Stats
       | [ "set"; key; flags; exptime; bytes ] when valid_key key -> (
           match int_of flags, int_of exptime, int_of bytes with
-          | Some flags, Some exptime, Some n when n >= 0 ->
+          | Some flags, Some exptime, Some n when n >= 0 && flags >= 0 && flags <= max_flags ->
               if String.length rest < n + 2 then Error "truncated data block"
               else if String.sub rest n 2 <> crlf then Error "bad data terminator"
               else Ok (Set { key; flags; exptime; data = Bytes.of_string (String.sub rest 0 n) })

@@ -19,7 +19,8 @@ type response =
   | Server_error of string
 
 (** [parse_request s] — one complete request (command line and, for
-    [set], the data block). *)
+    [set], the data block). A [set]'s flags are 32-bit unsigned, as in
+    Memcached: flags outside [0..4294967295] are [bad set arguments]. *)
 val parse_request : string -> (request, string) result
 
 val render_request : request -> string

@@ -41,6 +41,7 @@ type t = {
   shards : shard array;
   mutable protocol_requests : int;
   latency : Mpk_util.Stats.Histogram.h;  (* per-request cycles, all entry points *)
+  sample : Mpk_util.Stats.sample;  (* the latency being recorded *)
 }
 
 let create ~mode ?(workers = 4) ?(shards = 1) ?(sync_batch = true) ?(slab_mib = 1024)
@@ -106,6 +107,7 @@ let create ~mode ?(workers = 4) ?(shards = 1) ?(sync_batch = true) ?(slab_mib = 
     (* Requests span ~10k cycles (Baseline) to ~10M (Mprotect_sys over a
        populated gigabyte); log-spaced buckets cover the whole range. *)
     latency = Mpk_util.Stats.Histogram.create ~lo:1024.0 ~growth:2.0 ~buckets:20 ();
+    sample = { Mpk_util.Stats.value = 0.0 };
   }
 
 let mode t = t.mode
@@ -127,52 +129,78 @@ let mpk_exn t = match t.mpk with Some m -> m | None -> assert false
 let open_both = [ (slab_vkey, Perm.rw); (hash_vkey, Perm.rw) ]
 let seal_both = [ (hash_vkey, Perm.none); (slab_vkey, Perm.none) ]
 
-(* Open both regions for the calling worker (or globally), run the store
-   operation, seal again. Sealing happens even when [f] escapes with an
-   exception (a signal-handler escape mid-request, an injected fault):
-   a worker must never leave the store open, and a leaked mpk_begin pin
-   would block key recycling forever. *)
-let with_store t task f =
+(* Seal the regions [open_store] opened, in reverse order; [~slab_only]
+   undoes a Domain open whose second mpk_begin raised. *)
+let seal t task ~slab_only =
   match t.mode with
-  | Baseline -> f ()
+  | Baseline -> ()
   | Domain ->
       let mpk = mpk_exn t in
+      if not slab_only then Libmpk.mpk_end mpk task ~vkey:hash_vkey;
+      Libmpk.mpk_end mpk task ~vkey:slab_vkey
+  | Sync when t.sync_batch -> Libmpk.mpk_mprotect_many (mpk_exn t) task ~updates:seal_both
+  | Sync ->
+      let mpk = mpk_exn t in
+      Libmpk.mpk_mprotect mpk task ~vkey:hash_vkey ~prot:Perm.none;
+      Libmpk.mpk_mprotect mpk task ~vkey:slab_vkey ~prot:Perm.none
+  | Mprotect_sys ->
+      Syscall.mprotect t.proc task ~addr:t.hash_base ~len:t.hash_len ~prot:Perm.none;
+      Syscall.mprotect t.proc task ~addr:t.slab_base ~len:t.slab_len ~prot:Perm.none
+
+(* Sealing follows [Fun.protect]'s rules for its [finally], without its
+   closures: a seal that raises becomes [Fun.Finally_raised], and a
+   request that raised is sealed and then raised again with its own
+   backtrace. A worker must never leave the store open, and a leaked
+   mpk_begin pin would block key recycling forever. *)
+let seal_no_exn t task ~slab_only =
+  try seal t task ~slab_only
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Printexc.raise_with_backtrace (Fun.Finally_raised e) bt
+
+let seal_store t task = seal_no_exn t task ~slab_only:false
+
+let raise_sealed t task ~slab_only e =
+  let bt = Printexc.get_raw_backtrace () in
+  seal_no_exn t task ~slab_only;
+  Printexc.raise_with_backtrace e bt
+
+(* Open both regions for the calling worker (or globally). When the
+   second step raises, the first is sealed again before the exception
+   goes on. *)
+let open_store t task =
+  match t.mode with
+  | Baseline -> ()
+  | Domain -> (
+      let mpk = mpk_exn t in
       Libmpk.mpk_begin mpk task ~vkey:slab_vkey ~prot:Perm.rw;
-      let hash_open = ref false in
-      Fun.protect
-        ~finally:(fun () ->
-          if !hash_open then Libmpk.mpk_end mpk task ~vkey:hash_vkey;
-          Libmpk.mpk_end mpk task ~vkey:slab_vkey)
-        (fun () ->
-          Libmpk.mpk_begin mpk task ~vkey:hash_vkey ~prot:Perm.rw;
-          hash_open := true;
-          f ())
+      try Libmpk.mpk_begin mpk task ~vkey:hash_vkey ~prot:Perm.rw
+      with e -> raise_sealed t task ~slab_only:true e)
   | Sync when t.sync_batch ->
       (* Both open and both seal travel as one batched mprotect each: a
          single do_pkey_sync per pair, so one IPI per remote core instead
          of one per vkey update. *)
-      let mpk = mpk_exn t in
-      Libmpk.mpk_mprotect_many mpk task ~updates:open_both;
-      Fun.protect ~finally:(fun () -> Libmpk.mpk_mprotect_many mpk task ~updates:seal_both) f
-  | Sync ->
+      Libmpk.mpk_mprotect_many (mpk_exn t) task ~updates:open_both
+  | Sync -> (
       let mpk = mpk_exn t in
       Libmpk.mpk_mprotect mpk task ~vkey:slab_vkey ~prot:Perm.rw;
-      Fun.protect
-        ~finally:(fun () ->
-          Libmpk.mpk_mprotect mpk task ~vkey:hash_vkey ~prot:Perm.none;
-          Libmpk.mpk_mprotect mpk task ~vkey:slab_vkey ~prot:Perm.none)
-        (fun () ->
-          Libmpk.mpk_mprotect mpk task ~vkey:hash_vkey ~prot:Perm.rw;
-          f ())
-  | Mprotect_sys ->
+      try Libmpk.mpk_mprotect mpk task ~vkey:hash_vkey ~prot:Perm.rw
+      with e -> raise_sealed t task ~slab_only:false e)
+  | Mprotect_sys -> (
       Syscall.mprotect t.proc task ~addr:t.slab_base ~len:t.slab_len ~prot:Perm.rw;
-      Fun.protect
-        ~finally:(fun () ->
-          Syscall.mprotect t.proc task ~addr:t.hash_base ~len:t.hash_len ~prot:Perm.none;
-          Syscall.mprotect t.proc task ~addr:t.slab_base ~len:t.slab_len ~prot:Perm.none)
-        (fun () ->
-          Syscall.mprotect t.proc task ~addr:t.hash_base ~len:t.hash_len ~prot:Perm.rw;
-          f ())
+      try Syscall.mprotect t.proc task ~addr:t.hash_base ~len:t.hash_len ~prot:Perm.rw
+      with e -> raise_sealed t task ~slab_only:false e)
+
+(* Run [f] with the store open, sealing it afterwards even when [f]
+   escapes with an exception (a signal-handler escape mid-request, an
+   injected fault). *)
+let with_store t task f =
+  open_store t task;
+  match f () with
+  | r ->
+      seal_store t task;
+      r
+  | exception e -> raise_sealed t task ~slab_only:false e
 
 let worker_task t i =
   if i < 0 || i >= Array.length t.workers then invalid_arg "Server: bad worker";
@@ -184,32 +212,66 @@ let charge_request task =
 let latency t = t.latency
 
 (* Every request records its end-to-end cycle cost (protection discipline
-   included) into the latency histogram. Recorded even when the request
-   escapes with a signal: the cycles were spent either way. *)
+   included) into the latency histogram, also when it escapes with a
+   signal: the cycles were spent either way. Inlined, and read from the
+   core's clock in place, the cycle counts are never boxed. *)
+let[@inline] record_latency t task start =
+  t.sample.value <- (Cpu.clock (Task.core task)).now -. start;
+  Mpk_util.Stats.Histogram.add_sample t.latency t.sample
+
 let timed t task f =
-  let start = Cpu.cycles (Task.core task) in
-  Fun.protect
-    ~finally:(fun () ->
-      Mpk_util.Stats.Histogram.add t.latency (Cpu.cycles (Task.core task) -. start))
-    f
+  let start = (Cpu.clock (Task.core task)).now in
+  match f () with
+  | r ->
+      record_latency t task start;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      record_latency t task start;
+      Printexc.raise_with_backtrace e bt
 
-let set t ~worker ~key ~value =
-  let task = worker_task t worker in
-  timed t task @@ fun () ->
-  charge_request task;
-  with_store t task (fun () -> Shash.set (shard_for t key).table task ~key ~value)
+(* The store operations behind [get], [set] and [delete]. A constant
+   constructor selects one, so a request builds no closure; [value] is
+   read by [Set] alone. *)
+type _ store_op =
+  | Get : bytes option store_op
+  | Set : (unit, Errno.t) result store_op
+  | Delete : bool store_op
 
-let get t ~worker ~key =
-  let task = worker_task t worker in
-  timed t task @@ fun () ->
-  charge_request task;
-  with_store t task (fun () -> Shash.get (shard_for t key).table task ~key)
+let run_op : type a. a store_op -> Shash.t -> Task.t -> key:string -> value:bytes -> a =
+ fun op table task ~key ~value ->
+  match op with
+  | Get -> Shash.get table task ~key
+  | Set -> Shash.set table task ~key ~value
+  | Delete -> Shash.delete table task ~key
 
-let delete t ~worker ~key =
+(* [timed] around [with_store] around the operation, without a closure
+   or a boxed float: beyond what the operation returns, a request
+   allocates nothing. *)
+let request : type a. t -> worker:int -> a store_op -> key:string -> value:bytes -> a =
+ fun t ~worker op ~key ~value ->
   let task = worker_task t worker in
-  timed t task @@ fun () ->
-  charge_request task;
-  with_store t task (fun () -> Shash.delete (shard_for t key).table task ~key)
+  let start = (Cpu.clock (Task.core task)).now in
+  match
+    charge_request task;
+    open_store t task;
+    match run_op op (shard_for t key).table task ~key ~value with
+    | r ->
+        seal_store t task;
+        r
+    | exception e -> raise_sealed t task ~slab_only:false e
+  with
+  | r ->
+      record_latency t task start;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      record_latency t task start;
+      Printexc.raise_with_backtrace e bt
+
+let set t ~worker ~key ~value = request t ~worker Set ~key ~value
+let get t ~worker ~key = request t ~worker Get ~key ~value:Bytes.empty
+let delete t ~worker ~key = request t ~worker Delete ~key ~value:Bytes.empty
 
 let prefill t ~items ~value_size =
   let value = Bytes.make value_size 'v' in
@@ -230,6 +292,7 @@ let populate_slab t ~mib =
 
 let item_header = 12
 
+(* Flags are 32-bit unsigned, as in Memcached. *)
 let encode_item ~flags ~deadline payload =
   let b = Bytes.create (item_header + Bytes.length payload) in
   Bytes.set_int32_le b 0 (Int32.of_int flags);
@@ -238,7 +301,7 @@ let encode_item ~flags ~deadline payload =
   b
 
 let decode_item b =
-  let flags = Int32.to_int (Bytes.get_int32_le b 0) in
+  let flags = Int32.to_int (Bytes.get_int32_le b 0) land 0xffff_ffff in
   let deadline = Int64.to_float (Bytes.get_int64_le b 4) /. 1000.0 in
   flags, deadline, Bytes.sub b item_header (Bytes.length b - item_header)
 
@@ -262,6 +325,7 @@ let evict_one_in shard task =
   in
   pop ()
 
+(* An item that can never fit ([EINVAL]) evicts nothing. *)
 let set_item t task ~key ~flags ~deadline payload =
   let shard = shard_for t key in
   let value = encode_item ~flags ~deadline payload in
@@ -269,9 +333,9 @@ let set_item t task ~key ~flags ~deadline payload =
     match Shash.set shard.table task ~key ~value with
     | Ok () ->
         Queue.add key shard.lru;
-        true
-    | Error _ when tries > 0 -> if evict_one_in shard task then attempt (tries - 1) else false
-    | Error _ -> false
+        Ok ()
+    | Error Errno.ENOSPC when tries > 0 && evict_one_in shard task -> attempt (tries - 1)
+    | Error _ as e -> e
   in
   attempt 64
 
@@ -325,8 +389,10 @@ let dispatch t ~worker ~now wire =
     | Ok (Protocol.Set { key; flags; exptime; data }) ->
         let deadline = if exptime > 0 then now +. float_of_int exptime else 0.0 in
         with_store t task (fun () ->
-            if set_item t task ~key ~flags ~deadline data then Protocol.Stored
-            else Protocol.Server_error "out of memory")
+            match set_item t task ~key ~flags ~deadline data with
+            | Ok () -> Protocol.Stored
+            | Error Errno.EINVAL -> Protocol.Server_error "object too large for cache"
+            | Error _ -> Protocol.Server_error "out of memory")
     | Ok (Protocol.Get key) ->
         with_store t task (fun () ->
             match get_item t task ~now ~key with

@@ -76,8 +76,16 @@ val mpk : t -> Libmpk.t option
 
 (** [set t ~worker ~key ~value] / [get t ~worker ~key] — one client
     request handled by the given worker thread, with the mode's
-    protection discipline around the store access. [Error ENOSPC] when
-    the slab region is exhausted. *)
+    protection discipline around the store access. [Error EINVAL] when
+    the entry exceeds the largest slab class, [Error ENOSPC] when the
+    slab region is exhausted for its class.
+
+    In every mode, a request allocates nothing beyond what it returns (a
+    hit's value and its [Some]) once the entry's slab class has grown
+    and its pages are resident. A request that raises (a signal
+    escaping the store access) still seals the store and records its
+    latency; a seal that itself raises escapes as [Fun.Finally_raised],
+    as under [Fun.protect]. *)
 val set : t -> worker:int -> key:string -> value:bytes -> (unit, Errno.t) result
 
 val get : t -> worker:int -> key:string -> bytes option
@@ -102,7 +110,9 @@ val resident_pages : t -> int
     the response. [now] is the wall clock in seconds for TTL handling:
     a [set] with [exptime > 0] expires at [now + exptime]; expired items
     answer NOT_FOUND and are reclaimed. When the slab region fills, the
-    least-recently-used items are evicted, as Memcached does. *)
+    least-recently-used items are evicted, as Memcached does; an item
+    larger than the largest slab class evicts nothing and answers
+    [SERVER_ERROR object too large for cache]. *)
 val dispatch : t -> worker:int -> now:float -> string -> string
 
 (** Items evicted by the LRU reclaimer so far. *)

@@ -7,13 +7,30 @@ type t = {
   bucket_base : int;
   slab : Slab.t;
   mutable entries : int;
+  mutable key_buf : bytes;  (* a chain entry's key, read for comparison *)
+  (* The last chain hit ([find]): its predecessor link address (the
+     bucket slot for the head, otherwise the predecessor's next field,
+     at offset 0), its successor and its header word. *)
+  mutable prev_link : int;
+  mutable next : int;
+  mutable hdr : int;
 }
 
 let header_bytes = 16  (* next:8  keylen:2  vallen:4  pad:2 *)
 
 let create proc ~buckets ~bucket_base slab =
   if buckets <= 0 then invalid_arg "Shash.create: buckets must be positive";
-  { proc; nbuckets = buckets; bucket_base; slab; entries = 0 }
+  {
+    proc;
+    nbuckets = buckets;
+    bucket_base;
+    slab;
+    entries = 0;
+    key_buf = Bytes.create 256;
+    prev_link = 0;
+    next = 0;
+    hdr = 0;
+  }
 
 let buckets t = t.nbuckets
 
@@ -27,100 +44,98 @@ let hash key =
 
 let bucket_addr t key = t.bucket_base + (hash key mod t.nbuckets * 8)
 
-(* Bucket slots and entry next fields hold pointers; an entry's second
-   word is its header. *)
-let read_word t task addr = Int64.to_int (Mmu.read_int64 (Proc.mmu t.proc) (Task.core task) ~addr)
-
-let write_ptr t task addr v =
-  Mmu.write_int64 (Proc.mmu t.proc) (Task.core task) ~addr (Int64.of_int v)
-
 (* An entry header's second word packs keylen (bits 0-15) and vallen
    (bits 16-47); the pad bytes above are zero. *)
 let keylen_of hdr = hdr land 0xffff
-let vallen_of hdr = Int32.to_int (Int32.of_int (hdr lsr 16))
+let vallen_of hdr = (hdr lsr 16) land 0xffff_ffff
 
-let key_matches t task entry ~key =
-  String.equal
-    (Bytes.unsafe_to_string
-       (Mmu.read_bytes (Proc.mmu t.proc) (Task.core task) ~addr:(entry + header_bytes)
-          ~len:(String.length key)))
-    key
+(* [buf] starts with [key] from index [i] on. *)
+let rec same_prefix buf key i =
+  i = String.length key
+  || (Bytes.unsafe_get buf i = String.unsafe_get key i && same_prefix buf key (i + 1))
 
-(* A chain hit: the entry, its predecessor link address (the bucket slot
-   for the head, otherwise the predecessor's next field, at offset 0),
-   its successor and its header word. *)
-type found = { prev_link : int; entry : int; next : int; hdr : int }
+(* The entry's key is read into [key_buf] with one checked copy, as a
+   [read_bytes] of the key's length would be, and compared in place. *)
+let key_matches t mmu core entry ~key =
+  let len = String.length key in
+  if Bytes.length t.key_buf < len then t.key_buf <- Bytes.create len;
+  Mmu.read_into mmu core ~addr:(entry + header_bytes) t.key_buf ~len;
+  same_prefix t.key_buf key 0
 
 (* Walk [key]'s chain from [entry], reading each entry's next pointer,
-   then its header word, then (when the key length matches) its key. *)
-let rec walk t task ~key prev_link entry =
-  if entry = 0 then None
+   then its header word, then (when the key length matches) its key.
+   A hit returns the entry and records [prev_link], [next] and [hdr];
+   a miss returns 0. *)
+let rec walk t mmu core ~key prev_link entry =
+  if entry = 0 then 0
   else begin
-    let next = read_word t task entry in
-    let hdr = read_word t task (entry + 8) in
-    if keylen_of hdr = String.length key && key_matches t task entry ~key then
-      Some { prev_link; entry; next; hdr }
-    else walk t task ~key entry next
+    let next = Mmu.read_word mmu core ~addr:entry in
+    let hdr = Mmu.read_word mmu core ~addr:(entry + 8) in
+    if keylen_of hdr = String.length key && key_matches t mmu core entry ~key then begin
+      t.prev_link <- prev_link;
+      t.next <- next;
+      t.hdr <- hdr;
+      entry
+    end
+    else walk t mmu core ~key entry next
   end
 
-let find_with_prev t task ~key =
+let find t mmu core ~key =
   let slot = bucket_addr t key in
-  walk t task ~key slot (read_word t task slot)
-
-let unlink t task ~prev_link ~entry ~next =
-  (* prev_link is either a bucket slot or a predecessor entry address;
-     in both cases the next-pointer lives at offset 0. *)
-  ignore entry;
-  write_ptr t task prev_link next
+  walk t mmu core ~key slot (Mmu.read_word mmu core ~addr:slot)
 
 let set t task ~key ~value =
-  let mmu = Proc.mmu t.proc in
-  let core = Task.core task in
   let keylen = String.length key in
   let vallen = Bytes.length value in
   let size = header_bytes + keylen + vallen in
-  match Slab.alloc t.slab ~size with
-  | None -> Error Errno.ENOSPC
-  | Some entry ->
+  if size > Slab.max_chunk then Error Errno.EINVAL
+  else begin
+    let entry = Slab.alloc t.slab ~size in
+    if entry = Slab.exhausted then Error Errno.ENOSPC
+    else begin
+      let mmu = Proc.mmu t.proc and core = Task.core task in
       let slot = bucket_addr t key in
-      let old = find_with_prev t task ~key in
-      let head = read_word t task slot in
+      let old = find t mmu core ~key in
+      let old_prev = t.prev_link and old_next = t.next in
       (* head insert *)
-      write_ptr t task entry head;
-      let hdr = Bytes.create 8 in
-      Bytes.set_uint16_le hdr 0 keylen;
-      Bytes.set_int32_le hdr 2 (Int32.of_int vallen);
-      Bytes.set_uint16_le hdr 6 0;
-      Mmu.write_bytes mmu core ~addr:(entry + 8) hdr;
-      Mmu.write_bytes mmu core ~addr:(entry + header_bytes) (Bytes.of_string key);
+      Mmu.write_word mmu core ~addr:entry (Mmu.read_word mmu core ~addr:slot);
+      Mmu.write_word mmu core ~addr:(entry + 8) (keylen lor (vallen lsl 16));
+      Mmu.write_bytes mmu core ~addr:(entry + header_bytes) (Bytes.unsafe_of_string key);
       Mmu.write_bytes mmu core ~addr:(entry + header_bytes + keylen) value;
-      write_ptr t task slot entry;
+      Mmu.write_word mmu core ~addr:slot entry;
       t.entries <- t.entries + 1;
-      (* drop a shadowed older version *)
-      (match old with
-      | Some { prev_link; entry = old_entry; next; _ } ->
-          let prev_link = if prev_link = slot then entry else prev_link in
-          unlink t task ~prev_link ~entry:old_entry ~next;
-          Slab.free t.slab ~addr:old_entry;
-          t.entries <- t.entries - 1
-      | None -> ());
+      (* drop a shadowed older version; the bucket slot now points at
+         the new entry, whose next field is the old head *)
+      if old <> 0 then begin
+        Mmu.write_word mmu core ~addr:(if old_prev = slot then entry else old_prev) old_next;
+        Slab.free t.slab ~addr:old;
+        t.entries <- t.entries - 1
+      end;
       Ok ()
+    end
+  end
 
 let get t task ~key =
-  match find_with_prev t task ~key with
-  | None -> None
-  | Some { entry; hdr; _ } ->
-      Some
-        (Mmu.read_bytes (Proc.mmu t.proc) (Task.core task)
-           ~addr:(entry + header_bytes + keylen_of hdr) ~len:(vallen_of hdr))
+  let mmu = Proc.mmu t.proc and core = Task.core task in
+  let entry = find t mmu core ~key in
+  if entry = 0 then None
+  else begin
+    let hdr = t.hdr in
+    Some
+      (Mmu.read_bytes mmu core ~addr:(entry + header_bytes + keylen_of hdr) ~len:(vallen_of hdr))
+  end
 
 let delete t task ~key =
-  match find_with_prev t task ~key with
-  | None -> false
-  | Some { prev_link; entry; next; _ } ->
-      unlink t task ~prev_link ~entry ~next;
-      Slab.free t.slab ~addr:entry;
-      t.entries <- t.entries - 1;
-      true
+  let mmu = Proc.mmu t.proc and core = Task.core task in
+  let entry = find t mmu core ~key in
+  if entry = 0 then false
+  else begin
+    (* prev_link is either a bucket slot or a predecessor entry address;
+       in both cases the next-pointer lives at offset 0 *)
+    Mmu.write_word mmu core ~addr:t.prev_link t.next;
+    Slab.free t.slab ~addr:entry;
+    t.entries <- t.entries - 1;
+    true
+  end
 
 let entry_count t = t.entries

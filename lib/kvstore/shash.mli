@@ -22,11 +22,17 @@ val hash : string -> int
 
 val buckets : t -> int
 
-(** [set t task ~key ~value] — insert or overwrite. [Error ENOSPC] when
-    the slab region is exhausted (the caller decides whether to evict,
-    report, or fail — nothing is written in that case). *)
+(** [set t task ~key ~value] — insert or overwrite. [Error EINVAL] when
+    the entry (16-byte header, key, value) exceeds the largest slab
+    class, so it can never fit; [Error ENOSPC] when the slab region is
+    exhausted for its class (the caller decides whether to evict,
+    report, or fail). Nothing is written in either case. Once the
+    entry's slab class has grown, a [set] allocates nothing. *)
 val set : t -> Task.t -> key:string -> value:bytes -> (unit, Errno.t) result
 
+(** [get t task ~key] — the value, read into a fresh buffer. A chain
+    walk compares keys in place and allocates nothing, so a miss
+    allocates nothing and a hit only its value and its [Some]. *)
 val get : t -> Task.t -> key:string -> bytes option
 
 (** [delete t task ~key] — true when the key existed. *)

@@ -18,16 +18,21 @@ let percentile xs p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
+type sample = { mutable value : float }
+
 module Histogram = struct
+  (* The running sum and extrema live in an all-float record, whose
+     fields are stored unboxed: an [add] allocates nothing, where float
+     fields of the mixed record [h] would box every new value. *)
+  type totals = { mutable sum : float; mutable vmin : float; mutable vmax : float }
+
   type h = {
     lo : float;
     growth : float;
     bounds : float array;  (* bounds.(i) = lo * growth^i, ascending *)
     counts : int array;  (* length bounds + 1; last slot is the overflow bucket *)
     mutable n : int;
-    mutable sum : float;
-    mutable vmin : float;
-    mutable vmax : float;
+    totals : totals;
   }
 
   let create ?(lo = 1.0) ?(growth = 2.0) ?(buckets = 32) () =
@@ -40,15 +45,13 @@ module Histogram = struct
       bounds = Array.init buckets (fun i -> lo *. (growth ** float_of_int i));
       counts = Array.make (buckets + 1) 0;
       n = 0;
-      sum = 0.0;
-      vmin = infinity;
-      vmax = neg_infinity;
+      totals = { sum = 0.0; vmin = infinity; vmax = neg_infinity };
     }
 
   (* Smallest i with x <= bounds.(i); the overflow bucket past the last
      bound. Samples at or below [lo] all land in bucket 0 — the buckets
      are fixed at creation, underflow is not tracked separately. *)
-  let bucket_index t x =
+  let[@inline] bucket_index t x =
     let nb = Array.length t.bounds in
     if x <= t.bounds.(0) then 0
     else if x > t.bounds.(nb - 1) then nb
@@ -62,19 +65,25 @@ module Histogram = struct
       !hi
     end
 
-  let add t x =
+  (* Inlined into both entry points, so [x] is never passed boxed. *)
+  let[@inline] add_value t x =
     if Float.is_nan x then invalid_arg "Stats.Histogram.add: NaN sample";
-    t.counts.(bucket_index t x) <- t.counts.(bucket_index t x) + 1;
+    let i = bucket_index t x in
+    t.counts.(i) <- t.counts.(i) + 1;
     t.n <- t.n + 1;
-    t.sum <- t.sum +. x;
-    if x < t.vmin then t.vmin <- x;
-    if x > t.vmax then t.vmax <- x
+    let s = t.totals in
+    s.sum <- s.sum +. x;
+    if x < s.vmin then s.vmin <- x;
+    if x > s.vmax then s.vmax <- x
+
+  let add t x = add_value t x
+  let add_sample t s = add_value t s.value
 
   let count t = t.n
-  let total t = t.sum
-  let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-  let minimum t = t.vmin
-  let maximum t = t.vmax
+  let total t = t.totals.sum
+  let mean t = if t.n = 0 then 0.0 else t.totals.sum /. float_of_int t.n
+  let minimum t = t.totals.vmin
+  let maximum t = t.totals.vmax
 
   let same_shape a b =
     a.lo = b.lo && a.growth = b.growth
@@ -85,9 +94,10 @@ module Histogram = struct
       invalid_arg "Stats.Histogram.merge_into: bucket layouts differ";
     Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
     into.n <- into.n + src.n;
-    into.sum <- into.sum +. src.sum;
-    if src.vmin < into.vmin then into.vmin <- src.vmin;
-    if src.vmax > into.vmax then into.vmax <- src.vmax
+    let i = into.totals and s = src.totals in
+    i.sum <- i.sum +. s.sum;
+    if s.vmin < i.vmin then i.vmin <- s.vmin;
+    if s.vmax > i.vmax then i.vmax <- s.vmax
 
   (* Rank interpolation inside the bucket holding the target rank. The
      result is clamped to the observed extrema, so tiny histograms do not
@@ -105,13 +115,13 @@ module Histogram = struct
     in
     let b, cum_before = find 0 0 in
     let lb = if b = 0 then 0.0 else t.bounds.(b - 1) in
-    let ub = if b >= nb then t.vmax else t.bounds.(b) in
+    let ub = if b >= nb then t.totals.vmax else t.bounds.(b) in
     let frac =
       if t.counts.(b) = 0 then 1.0
       else (rank -. float_of_int cum_before) /. float_of_int t.counts.(b)
     in
     let v = lb +. ((ub -. lb) *. (if frac < 0.0 then 0.0 else Float.min frac 1.0)) in
-    Float.max t.vmin (Float.min t.vmax v)
+    Float.max t.totals.vmin (Float.min t.totals.vmax v)
 
   let p50 t = percentile t 50.0
   let p95 t = percentile t 95.0

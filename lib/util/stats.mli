@@ -9,6 +9,12 @@ val percentile : float array -> float -> float
     an empty array or any NaN sample (NaN has no rank; sorting it would
     silently skew the result). *)
 
+(** A float slot in an all-float record, whose field is stored unboxed.
+    The build compiles each library [-opaque], so a float passed to or
+    returned from another module is boxed; a sample written here and
+    read by {!Histogram.add_sample} is not. *)
+type sample = { mutable value : float }
+
 (** Fixed-bucket histogram with log-spaced bounds.
 
     Bucket [i] covers [(lo·growth^(i-1), lo·growth^i]] (bucket 0 also
@@ -27,6 +33,9 @@ module Histogram : sig
   val add : h -> float -> unit
   (** Raises [Invalid_argument] on NaN — a silently mis-bucketed NaN
       would corrupt every percentile read from the buckets. *)
+
+  val add_sample : h -> sample -> unit
+  (** [add_sample h s] is [add h s.value], and allocates nothing. *)
 
   val count : h -> int
   val total : h -> float

@@ -167,8 +167,12 @@ let test_physmem_bytes () =
   let f = Physmem.alloc_frame m in
   Physmem.write_bytes m f 10 (Bytes.of_string "hello") 0 5;
   Alcotest.(check string) "readback" "hello" (Bytes.to_string (Physmem.read_bytes m f 10 5));
-  Physmem.write_int64 m f 512 0x1122334455667788L;
-  Alcotest.(check int64) "int64 readback" 0x1122334455667788L (Physmem.read_int64 m f 512)
+  Physmem.write_word m f 512 0x1122334455667788;
+  Alcotest.(check int) "word readback" 0x1122334455667788 (Physmem.read_word m f 512);
+  Physmem.write_word m f 520 (-2);
+  Alcotest.(check string) "a word is 8 little-endian bytes, sign-extended"
+    "\xfe\xff\xff\xff\xff\xff\xff\xff" (Bytes.to_string (Physmem.read_bytes m f 520 8));
+  Alcotest.(check int) "negative word readback" (-2) (Physmem.read_word m f 520)
 
 let test_physmem_bounds () =
   let m = Physmem.create ~frames:1 in
@@ -189,11 +193,11 @@ let test_physmem_frame_range () =
       raises "write_bytes" (fun () -> Physmem.write_bytes m f 0 buf 0 8);
       raises "read_bytes" (fun () -> ignore (Physmem.read_bytes m f 0 8));
       raises "read_into" (fun () -> Physmem.read_into m f 0 buf 0 8);
-      raises "write_int64" (fun () -> Physmem.write_int64 m f 0 1L);
-      raises "read_int64" (fun () -> ignore (Physmem.read_int64 m f 0)))
+      raises "write_word" (fun () -> Physmem.write_word m f 0 1);
+      raises "read_word" (fun () -> ignore (Physmem.read_word m f 0)))
     [ 100; 4; -1; -3 ];
   Alcotest.(check char) "in-range frame never written reads zero" '\000' (Physmem.read_byte m 3 0);
-  Alcotest.(check int64) "as int64 too" 0L (Physmem.read_int64 m 3 8);
+  Alcotest.(check int) "as a word too" 0 (Physmem.read_word m 3 8);
   Physmem.write_byte m 3 5 'y';
   Alcotest.(check char) "in-range frame holds its write" 'y' (Physmem.read_byte m 3 5)
 
@@ -664,8 +668,8 @@ let test_update_range_allocation () =
   Alcotest.(check (float 0.)) "8 and 16384 pages allocate alike" (words 8) (words 16384)
 
 (* Once the arrays have grown, the allocator and the accessors of a
-   backed frame allocate nothing ([read_bytes] and [read_int64] return
-   fresh values, so they are left out). *)
+   backed frame allocate nothing ([read_bytes] returns a fresh buffer,
+   so it is left out). *)
 let test_physmem_allocation () =
   let n = 3000 in
   let m = Physmem.create ~frames:n in
@@ -704,7 +708,11 @@ let test_physmem_allocation () =
       done);
   none "write_bytes" (fun () -> Physmem.write_bytes m f 100 buf 0 64);
   none "read_into" (fun () -> Physmem.read_into m f 100 buf 0 64);
-  none "write_int64" (fun () -> Physmem.write_int64 m f 512 42L)
+  none "write_word" (fun () -> Physmem.write_word m f 512 42);
+  none "read_word" (fun () ->
+      for off = 0 to 511 do
+        ignore (Physmem.read_word m f (off * 8))
+      done)
 
 let test_mmu_single_page_allocation () =
   let mmu, cpu, map = make_mmu () in
@@ -721,8 +729,13 @@ let test_mmu_single_page_allocation () =
       (w <= float_of_int at_most)
   in
   Mmu.write_bytes mmu cpu ~addr record;  (* the frame's storage now exists *)
-  each "read_int64 (its boxed result)" ~at_most:3 (fun () -> ignore (Mmu.read_int64 mmu cpu ~addr));
-  each "write_int64" ~at_most:0 (fun () -> Mmu.write_int64 mmu cpu ~addr 42L);
+  each "read_word" ~at_most:0 (fun () -> ignore (Mmu.read_word mmu cpu ~addr));
+  each "write_word" ~at_most:0 (fun () -> Mmu.write_word mmu cpu ~addr 42);
+  let key = Bytes.create 32 in
+  each "read_into" ~at_most:0 (fun () -> Mmu.read_into mmu cpu ~addr key ~len:16);
+  Alcotest.(check string) "read_into reads what read_bytes does"
+    (Bytes.to_string (Mmu.read_bytes mmu cpu ~addr ~len:16))
+    (Bytes.sub_string key 0 16);
   each "write_bytes" ~at_most:0 (fun () -> Mmu.write_bytes mmu cpu ~addr record);
   each "kernel_write_bytes" ~at_most:0 (fun () -> Mmu.kernel_write_bytes mmu ~addr record);
   Alcotest.(check string) "last write landed" (Bytes.to_string record)
@@ -738,9 +751,8 @@ let test_mmu_single_page_allocation () =
     (Bytes.to_string (Mmu.read_bytes mmu cpu ~addr:crossing ~len:32));
   (* a word straddling the page boundary still takes both pages' path *)
   let straddle = addr_of 2 - 4 in
-  Mmu.write_int64 mmu cpu ~addr:straddle 0x1122334455667788L;
-  Alcotest.(check int64) "straddling word" 0x1122334455667788L
-    (Mmu.read_int64 mmu cpu ~addr:straddle)
+  Mmu.write_word mmu cpu ~addr:straddle 0x1122334455667788;
+  Alcotest.(check int) "straddling word" 0x1122334455667788 (Mmu.read_word mmu cpu ~addr:straddle)
 
 let test_tlb_stats_reset () =
   let tlb = Tlb.create () in

@@ -17,37 +17,39 @@ let test_slab_classes () =
   Alcotest.(check int) "1000 -> 1024" 1024 (Slab.class_of_size 1000);
   Alcotest.(check int) "max" Slab.max_chunk (Slab.class_of_size Slab.max_chunk)
 
+let chunk s ~size =
+  let a = Slab.alloc s ~size in
+  if a = Slab.exhausted then Alcotest.fail "slab exhausted" else a
+
 let test_slab_alloc_free () =
   let s = Slab.create ~base:0x100000 ~len:(4 * Slab.slab_bytes) in
-  let a = Option.get (Slab.alloc s ~size:100) in
-  let b = Option.get (Slab.alloc s ~size:100) in
+  let a = chunk s ~size:100 in
+  let b = chunk s ~size:100 in
   Alcotest.(check bool) "distinct" true (a <> b);
   Alcotest.(check int) "two chunks" 2 (Slab.allocated_chunks s);
   Slab.free s ~addr:a;
   Alcotest.(check int) "one chunk" 1 (Slab.allocated_chunks s);
-  let c = Option.get (Slab.alloc s ~size:100) in
+  let c = chunk s ~size:100 in
   Alcotest.(check int) "chunk reused" a c;
   Alcotest.(check bool) "invariant" true (Slab.invariant s)
 
 let test_slab_classes_separate_slabs () =
   let s = Slab.create ~base:0 ~len:(4 * Slab.slab_bytes) in
-  ignore (Option.get (Slab.alloc s ~size:64));
-  ignore (Option.get (Slab.alloc s ~size:8192));
+  ignore (chunk s ~size:64);
+  ignore (chunk s ~size:8192);
   Alcotest.(check int) "two slabs" 2 (Slab.slabs_in_use s)
 
 let test_slab_exhaustion () =
   let s = Slab.create ~base:0 ~len:Slab.slab_bytes in
   (* one slab of 64 KiB chunks: 16 fit *)
   for _ = 1 to Slab.slab_bytes / Slab.max_chunk do
-    match Slab.alloc s ~size:Slab.max_chunk with
-    | Some _ -> ()
-    | None -> Alcotest.fail "premature exhaustion"
+    if Slab.alloc s ~size:Slab.max_chunk = Slab.exhausted then Alcotest.fail "premature exhaustion"
   done;
-  Alcotest.(check bool) "exhausted" true (Slab.alloc s ~size:Slab.max_chunk = None)
+  Alcotest.(check int) "exhausted" Slab.exhausted (Slab.alloc s ~size:Slab.max_chunk)
 
 let test_slab_double_free () =
   let s = Slab.create ~base:0 ~len:Slab.slab_bytes in
-  let a = Option.get (Slab.alloc s ~size:64) in
+  let a = chunk s ~size:64 in
   Slab.free s ~addr:a;
   Alcotest.check_raises "double free" (Invalid_argument "Slab.free: not an allocated chunk")
     (fun () -> Slab.free s ~addr:a)
@@ -60,8 +62,10 @@ let slab_invariant_random =
       let live = ref [] in
       List.iter
         (fun (size, do_alloc) ->
-          if do_alloc || !live = [] then (
-            match Slab.alloc s ~size with Some a -> live := a :: !live | None -> ())
+          if do_alloc || !live = [] then begin
+            let a = Slab.alloc s ~size in
+            if a <> Slab.exhausted then live := a :: !live
+          end
           else
             match !live with
             | a :: rest ->
@@ -69,6 +73,152 @@ let slab_invariant_random =
                 live := rest
             | [] -> ())
         ops;
+      Slab.invariant s)
+
+(* The list-and-Hashtbl slab allocator [Slab] replaced, kept as the
+   reference for the order in which chunks are handed out: a class's
+   free chunks are a stack, a fresh slab pushes its chunks so that the
+   lowest address is taken first, and a freed chunk is taken next. *)
+module Ref_slab = struct
+  type cls = { chunk : int; mutable free : int list; mutable slabs : int }
+
+  type t = {
+    base : int;
+    len : int;
+    mutable next_slab : int;
+    classes : cls array;
+    live : (int, int) Hashtbl.t;
+  }
+
+  let min_chunk = 64
+
+  let class_count =
+    let rec count c n = if c >= Slab.max_chunk then n + 1 else count (c * 2) (n + 1) in
+    count min_chunk 0
+
+  let class_index_of_size size =
+    if size > Slab.max_chunk then invalid_arg "Slab: size exceeds the largest class";
+    let rec scan i = if min_chunk lsl i >= size || i = class_count - 1 then i else scan (i + 1) in
+    scan 0
+
+  let create ~base ~len =
+    {
+      base;
+      len;
+      next_slab = 0;
+      classes =
+        Array.init class_count (fun i -> { chunk = min_chunk lsl i; free = []; slabs = 0 });
+      live = Hashtbl.create 64;
+    }
+
+  let grow t idx =
+    if t.next_slab + Slab.slab_bytes > t.len then false
+    else begin
+      let cls = t.classes.(idx) in
+      let slab_base = t.base + t.next_slab in
+      t.next_slab <- t.next_slab + Slab.slab_bytes;
+      cls.slabs <- cls.slabs + 1;
+      for i = (Slab.slab_bytes / cls.chunk) - 1 downto 0 do
+        cls.free <- (slab_base + (i * cls.chunk)) :: cls.free
+      done;
+      true
+    end
+
+  let alloc t ~size =
+    if size <= 0 then invalid_arg "Slab.alloc: size must be positive";
+    let idx = class_index_of_size size in
+    let cls = t.classes.(idx) in
+    if cls.free = [] then ignore (grow t idx);
+    match cls.free with
+    | addr :: rest ->
+        cls.free <- rest;
+        Hashtbl.replace t.live addr idx;
+        Some addr
+    | [] -> None
+
+  let free t ~addr =
+    match Hashtbl.find_opt t.live addr with
+    | None -> invalid_arg "Slab.free: not an allocated chunk"
+    | Some idx ->
+        Hashtbl.remove t.live addr;
+        let cls = t.classes.(idx) in
+        cls.free <- addr :: cls.free
+
+  let allocated_chunks t = Hashtbl.length t.live
+  let allocated_bytes t = Hashtbl.fold (fun _ idx acc -> acc + (min_chunk lsl idx)) t.live 0
+  let slabs_in_use t = Array.fold_left (fun acc c -> acc + c.slabs) 0 t.classes
+end
+
+type slab_op = Alloc of int | Free_live of int | Free_again of int | Free_addr of int
+
+let slab_op_gen =
+  let open QCheck.Gen in
+  (* one size per class from 64 B to 64 KiB, and sizes just past a class *)
+  let size =
+    oneof
+      [
+        map (fun k -> 64 lsl k) (int_bound 10);
+        map (fun k -> (64 lsl k) + 1) (int_bound 9);
+        int_range 1 Slab.max_chunk;
+      ]
+  in
+  frequency
+    [
+      5, map (fun s -> Alloc s) size;
+      3, map (fun i -> Free_live i) nat;
+      1, map (fun i -> Free_again i) nat;
+      1, map (fun o -> Free_addr o) (int_range (-64) ((3 * Slab.slab_bytes) + 4096));
+    ]
+
+let slab_op_print = function
+  | Alloc s -> Printf.sprintf "alloc %d" s
+  | Free_live i -> Printf.sprintf "free live #%d" i
+  | Free_again i -> Printf.sprintf "free freed #%d" i
+  | Free_addr o -> Printf.sprintf "free base+%d" o
+
+let slab_matches_reference =
+  QCheck.Test.make ~name:"same chunks as the reference allocator" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list slab_op_print)
+       QCheck.Gen.(list_size (int_range 1 400) slab_op_gen))
+    (fun ops ->
+      let base = 0x40000 and len = 3 * Slab.slab_bytes in
+      let s = Slab.create ~base ~len and r = Ref_slab.create ~base ~len in
+      let live = ref [] and freed = ref [] in
+      let outcome f = match f () with () -> "ok" | exception Invalid_argument m -> m in
+      let same_free addr =
+        let got = outcome (fun () -> Slab.free s ~addr) in
+        let want = outcome (fun () -> Ref_slab.free r ~addr) in
+        if got <> want then QCheck.Test.fail_reportf "free 0x%x: %S, reference %S" addr got want;
+        if got = "ok" then begin
+          live := List.filter (( <> ) addr) !live;
+          freed := addr :: !freed
+        end
+      in
+      let nth l i = List.nth l (i mod List.length l) in
+      List.iter
+        (fun op ->
+          (match op with
+          | Alloc size ->
+              let got = Slab.alloc s ~size in
+              let want = Option.value (Ref_slab.alloc r ~size) ~default:Slab.exhausted in
+              if got <> want then
+                QCheck.Test.fail_reportf "alloc %d: %d, reference %d" size got want;
+              if got <> Slab.exhausted then live := got :: !live
+          | Free_live i -> if !live <> [] then same_free (nth !live i)
+          | Free_again i -> if !freed <> [] then same_free (nth !freed i)
+          | Free_addr o -> same_free (base + o));
+          if
+            Slab.allocated_chunks s <> Ref_slab.allocated_chunks r
+            || Slab.allocated_bytes s <> Ref_slab.allocated_bytes r
+            || Slab.slabs_in_use s <> Ref_slab.slabs_in_use r
+          then
+            QCheck.Test.fail_reportf "after %s: chunks %d/%d, bytes %d/%d, slabs %d/%d"
+              (slab_op_print op) (Slab.allocated_chunks s) (Ref_slab.allocated_chunks r)
+              (Slab.allocated_bytes s) (Ref_slab.allocated_bytes r) (Slab.slabs_in_use s)
+              (Ref_slab.slabs_in_use r))
+        ops;
+      (* the invariant walks every free chunk: once per case *)
       Slab.invariant s)
 
 (* --- Shash (through a plain server) --- *)
@@ -203,6 +353,70 @@ let test_baseline_attacker_succeeds () =
     (Mmu.read_bytes (Proc.mmu (Server.proc srv)) (Task.core attacker)
        ~addr:(Server.slab_base srv) ~len:64)
 
+(* The five protection disciplines: [Sync] seals with one batched pair
+   per request or with four single updates. *)
+let five_modes =
+  [
+    "original", Server.Baseline, true;
+    "mpk_begin", Server.Domain, true;
+    "mpk_mprotect batched", Server.Sync, true;
+    "mpk_mprotect per-update", Server.Sync, false;
+    "mprotect", Server.Mprotect_sys, true;
+  ]
+
+let attacker_reads_slab srv =
+  let attacker = Server.attacker_task srv in
+  match
+    Mmu.read_bytes (Proc.mmu (Server.proc srv)) (Task.core attacker) ~addr:(Server.slab_base srv)
+      ~len:64
+  with
+  | exception Signal.Killed _ -> false
+  | _ -> true
+
+let audit_clean what mpk =
+  match Mpk_check.Audit.run mpk with
+  | [] -> ()
+  | vs ->
+      Alcotest.failf "%s: auditor flagged %s" what
+        (String.concat "; " (List.map (Format.asprintf "%a" Mpk_check.Audit.pp_violation) vs))
+
+(* A request that dies inside the store still seals it. The value of the
+   second set takes the first chunk of a fresh slab, so its first write
+   faults in a page; with frame allocation failing, that write raises
+   SIGBUS and the default disposition kills the request. *)
+let test_raise_mid_store_seals () =
+  List.iter
+    (fun (name, mode, sync_batch) ->
+      let srv = Server.create ~mode ~sync_batch ~workers:2 ~slab_mib:8 ~buckets:64 () in
+      let set key c = Server.set srv ~worker:0 ~key ~value:(Bytes.make 2000 c) in
+      let requests () = Mpk_util.Stats.Histogram.count (Server.latency srv) in
+      Alcotest.(check bool) (name ^ ": a small set") true
+        (Server.set srv ~worker:0 ~key:"small" ~value:(Bytes.of_string "v") = Ok ());
+      let before = requests () in
+      Mpk_faultinj.arm "physmem.alloc_frame" (Mpk_faultinj.Once 0);
+      (match Fun.protect ~finally:Mpk_faultinj.reset (fun () -> set "big" 'b') with
+      | exception Signal.Killed si ->
+          Alcotest.(check int) (name ^ ": killed by SIGBUS") Signal.sigbus si.Signal.signo
+      | _ -> Alcotest.failf "%s: the set survived frame exhaustion" name);
+      Alcotest.(check int) (name ^ ": the request was timed") (before + 1) (requests ());
+      if mode <> Server.Baseline then
+        Alcotest.(check bool) (name ^ ": the slab is sealed") false (attacker_reads_slab srv);
+      (match Server.mpk srv with
+      | Some mpk when mode = Server.Domain ->
+          audit_clean name mpk;
+          List.iter
+            (fun vkey ->
+              match Libmpk.find_group mpk vkey with
+              | Some g ->
+                  Alcotest.(check int) (name ^ ": no begin pin left") 0 g.Libmpk.Group.begin_depth
+              | None -> Alcotest.failf "%s: group %d missing" name vkey)
+            [ Server.slab_vkey; Server.hash_vkey ]
+      | _ -> ());
+      Alcotest.(check bool) (name ^ ": the next set succeeds") true (set "big" 'c' = Ok ());
+      Alcotest.(check (option string)) (name ^ ": and is read back") (Some (String.make 2000 'c'))
+        (Option.map Bytes.to_string (Server.get srv ~worker:1 ~key:"big")))
+    five_modes
+
 let test_populate_slab () =
   let srv = Server.create ~mode:Server.Baseline ~workers:1 ~slab_mib:16 ~buckets:64 () in
   let before = Server.resident_pages srv in
@@ -235,11 +449,16 @@ let test_protocol_parse_errors () =
   bad "set user x 0 5\r\nhello\r\n";
   bad "no crlf"
 
+(* Flags span Memcached's 32-bit unsigned range, both ends included. *)
+let flags_arb =
+  let max_flags = 0xffff_ffff in
+  QCheck.(oneof [ int_bound 100; int_range 0 max_flags; oneofl [ 0; max_flags ] ])
+
 let protocol_roundtrip =
   QCheck.Test.make ~name:"protocol request render/parse roundtrip" ~count:300
     QCheck.(
       triple (string_of_size (QCheck.Gen.int_range 1 20))
-        (pair (int_bound 100) (int_bound 1000))
+        (pair flags_arb (int_bound 1000))
         (string_of_size (QCheck.Gen.int_bound 64)))
     (fun (rawkey, (flags, exptime), data) ->
       (* keys must be printable, no spaces/control chars *)
@@ -263,6 +482,39 @@ let test_dispatch_set_get_delete () =
   Alcotest.(check string) "delete missing" "NOT_FOUND\r\n" (d "delete k\r\n");
   Alcotest.(check bool) "bad command -> SERVER_ERROR" true
     (String.length (d "bogus\r\n") > 12)
+
+let test_dispatch_flags_unsigned () =
+  let srv = Server.create ~mode:Server.Baseline ~workers:1 ~slab_mib:8 ~buckets:64 () in
+  let d = Server.dispatch srv ~worker:0 ~now:0.0 in
+  Alcotest.(check string) "set at the top of the range" "STORED\r\n"
+    (d "set k 4294967295 0 2\r\nhi\r\n");
+  Alcotest.(check string) "read back unsigned" "VALUE k 4294967295 2\r\nhi\r\nEND\r\n"
+    (d "get k\r\n");
+  List.iter
+    (fun flags ->
+      Alcotest.(check string) ("flags " ^ flags) "SERVER_ERROR bad set arguments\r\n"
+        (d (Printf.sprintf "set k %s 0 2\r\nhi\r\n" flags)))
+    [ "-1"; "4294967296"; "99999999999" ];
+  Alcotest.(check string) "the rejected sets stored nothing"
+    "VALUE k 4294967295 2\r\nhi\r\nEND\r\n" (d "get k\r\n")
+
+(* An entry larger than the largest slab class can never be stored:
+   Memcached's error, no eviction, and the next request is served. *)
+let test_oversized_item () =
+  let srv = Server.create ~mode:Server.Domain ~workers:1 ~slab_mib:8 ~buckets:64 () in
+  let d = Server.dispatch srv ~worker:0 ~now:0.0 in
+  Alcotest.(check string) "set" "STORED\r\n" (d "set k 0 0 5\r\nhello\r\n");
+  let big = String.make 70_000 'x' in
+  Alcotest.(check string) "protocol set" "SERVER_ERROR object too large for cache\r\n"
+    (d (Printf.sprintf "set big 0 0 %d\r\n%s\r\n" (String.length big) big));
+  Alcotest.(check int) "nothing evicted" 0 (Server.items_evicted srv);
+  Alcotest.(check string) "next request served" "VALUE k 0 5\r\nhello\r\nEND\r\n"
+    (d "get k\r\n");
+  Alcotest.(check bool) "Server.set: EINVAL" true
+    (Server.set srv ~worker:0 ~key:"big" ~value:(Bytes.of_string big) = Error Errno.EINVAL);
+  Alcotest.(check int) "one item" 1 (Server.entry_count srv);
+  Alcotest.(check bool) "nothing stored" true (Server.get srv ~worker:0 ~key:"big" = None);
+  Alcotest.(check bool) "slab untouched" true (Server.slab_invariants srv)
 
 let test_dispatch_ttl () =
   let srv = Server.create ~mode:Server.Baseline ~workers:1 ~slab_mib:8 ~buckets:64 () in
@@ -351,6 +603,42 @@ let test_set_enospc_is_server_error () =
   Alcotest.(check bool) "exhaustion reported as ENOSPC" true (!enospc > 0);
   Alcotest.(check bool) "earlier items still served" true
     (Server.get srv ~worker:0 ~key:"k0" <> None)
+
+(* --- Allocation: a request allocates only what it returns --- *)
+
+(* Per call, averaged over 20 calls after warm-up calls have grown the
+   slab class, faulted in the chunks' pages and filled the TLB. *)
+let words_per_call f =
+  for _ = 1 to 3 do
+    f ()
+  done;
+  Alloc_budget.allocated (fun () ->
+      for _ = 1 to 20 do
+        f ()
+      done)
+  /. 20.
+
+(* In every mode, with 512-byte values: a get hit allocates its value
+   (66 words) and its [Some] (2); a miss, an overwriting set and a
+   delete allocate nothing. *)
+let test_request_allocation () =
+  List.iter
+    (fun (name, mode, sync_batch) ->
+      let srv = Server.create ~mode ~sync_batch ~workers:2 ~slab_mib:8 ~buckets:64 () in
+      let value = Bytes.make 512 'v' in
+      let check what expected f =
+        Alcotest.(check (float 0.)) (Printf.sprintf "%s: %s" name what) expected (words_per_call f)
+      in
+      let set key = ignore (Server.set srv ~worker:0 ~key ~value : (unit, _) result) in
+      List.iter set [ "k0"; "k1"; "k2" ];
+      check "get hit" 68. (fun () -> ignore (Server.get srv ~worker:1 ~key:"k1" : bytes option));
+      check "get miss" 0. (fun () -> ignore (Server.get srv ~worker:1 ~key:"nope" : bytes option));
+      check "overwriting set" 0. (fun () -> set "k2");
+      check "set then delete" 0. (fun () ->
+          set "gone";
+          ignore (Server.delete srv ~worker:0 ~key:"gone" : bool));
+      check "delete miss" 0. (fun () -> ignore (Server.delete srv ~worker:0 ~key:"nope" : bool)))
+    five_modes
 
 (* --- Loadgen: Fig 14's twemperf load is the open loop with uniform keys
    and no connection churn cost --- *)
@@ -593,6 +881,7 @@ let () =
           tc "exhaustion" `Quick test_slab_exhaustion;
           tc "double free" `Quick test_slab_double_free;
           qtest slab_invariant_random;
+          qtest slab_matches_reference;
         ] );
       ( "shash",
         [
@@ -610,6 +899,7 @@ let () =
           tc "mprotect blocks attacker" `Quick test_mprotect_blocks_attacker_between_requests;
           tc "baseline attacker succeeds" `Quick test_baseline_attacker_succeeds;
           tc "populate slab" `Quick test_populate_slab;
+          tc "raise mid-store seals" `Quick test_raise_mid_store_seals;
         ] );
       ( "protocol",
         [
@@ -623,7 +913,10 @@ let () =
           tc "isolation intact" `Quick test_dispatch_protected_isolation_intact;
           tc "survives buggy request" `Quick test_dispatch_survives_buggy_request;
           tc "ENOSPC -> SERVER_ERROR" `Quick test_set_enospc_is_server_error;
+          tc "flags are 32-bit unsigned" `Quick test_dispatch_flags_unsigned;
+          tc "oversized item" `Quick test_oversized_item;
         ] );
+      ( "allocation", [ tc "requests" `Quick test_request_allocation ] );
       ( "loadgen",
         [
           tc "baseline keeps up" `Quick test_loadgen_baseline_keeps_up;

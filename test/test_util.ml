@@ -139,6 +139,31 @@ let test_draw_allocation () =
     (Printf.sprintf "Zipf.sample: %.1f words, at most 2 (its Prng.float)" w)
     true (w <= 2.)
 
+(* A sample handed over in an all-float cell is never boxed, and the
+   histogram's running sum and extrema are stored unboxed. *)
+let test_histogram_allocation () =
+  let h = Stats.Histogram.create ~lo:1024.0 ~growth:2.0 ~buckets:20 () in
+  let s = { Stats.value = 0.0 } in
+  let i = ref 0 in
+  let words =
+    Alloc_budget.allocated (fun () ->
+        for _ = 1 to 100 do
+          incr i;
+          s.Stats.value <- float_of_int (!i * 997 mod 5_000_000);
+          Stats.Histogram.add_sample h s
+        done)
+  in
+  Alcotest.(check (float 0.)) "add_sample allocates nothing" 0. words;
+  Alcotest.(check int) "every sample counted" 100 (Stats.Histogram.count h);
+  let h' = Stats.Histogram.create ~lo:1024.0 ~growth:2.0 ~buckets:20 () in
+  for i = 1 to 100 do
+    Stats.Histogram.add h' (float_of_int (i * 997 mod 5_000_000))
+  done;
+  Alcotest.(check (array (pair (float 0.) int))) "same buckets as add" (Stats.Histogram.buckets h')
+    (Stats.Histogram.buckets h);
+  check_float "same total as add" (Stats.Histogram.total h') (Stats.Histogram.total h);
+  check_float "same maximum as add" (Stats.Histogram.maximum h') (Stats.Histogram.maximum h)
+
 (* --- Stats --- *)
 
 let test_percentile () =
@@ -331,7 +356,11 @@ let () =
           tc "stream pinned" `Quick test_prng_stream_pinned;
           tc "bool rejects NaN" `Quick test_prng_bool_rejects_nan;
         ] );
-      ("alloc_budget", [ tc "draws" `Quick test_draw_allocation ]);
+      ( "alloc_budget",
+        [
+          tc "draws" `Quick test_draw_allocation;
+          tc "histogram add_sample" `Quick test_histogram_allocation;
+        ] );
       ( "stats",
         [
           tc "percentile" `Quick test_percentile;
