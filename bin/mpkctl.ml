@@ -468,14 +468,8 @@ let plant_arg =
 (* Re-run a committed baseline's scenario at its seed and smoke mode, for
    [trials] trials, under the --plant slowdown when one is given. *)
 let rerun ~plant ~trials (base : Mpk_bench.Runner.report) =
-  let run () =
-    Mpk_bench.Runner.run ~id:base.r_id ~trials ~seed:base.r_seed ~smoke:base.r_smoke
-  in
-  match plant with
-  | None -> run ()
-  | Some p ->
-      Mpk_hw.Cpu.set_plant_slowdown (Some p);
-      Fun.protect ~finally:(fun () -> Mpk_hw.Cpu.set_plant_slowdown None) run
+  Mpk_hw.Cpu.with_plant_slowdown plant @@ fun () ->
+  Mpk_bench.Runner.run ~id:base.r_id ~trials ~seed:base.r_seed ~smoke:base.r_smoke
 
 let profile_diff_cmd =
   let doc =

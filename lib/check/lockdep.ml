@@ -122,12 +122,8 @@ let rec record f =
   | None ->
       let r = { held = Hashtbl.create 16; edges = Hashtbl.create 16; findings_rev = [] } in
       opened := Some r;
-      Lock.set_hook (on_event r);
-      Fun.protect
-        ~finally:(fun () ->
-          Lock.clear_hook ();
-          opened := None)
-        (fun () -> record f)
+      Fun.protect ~finally:(fun () -> opened := None) @@ fun () ->
+      Lock.with_hook (on_event r) (fun () -> record f)
 
 let findings c = List.rev c.findings_rev
 

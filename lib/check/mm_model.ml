@@ -83,8 +83,8 @@ let reader_clean =
   ]
 
 (* Planted recycle: the lock is dropped after validation and the record
-   is used bare — exactly what Vma.set_recycle_check false does to the
-   live protocol. *)
+   is used bare — exactly what Vma.skip_recycle_check does to the live
+   protocol. *)
 let reader_recycle =
   [
     Ir.Loop

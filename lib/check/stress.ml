@@ -151,11 +151,6 @@ type outcome = Passed of passed | Failed of failure
 exception Stop of failure
 
 let run (cfg : config) steps =
-  (* Injection must not perturb setup, so arming happens after init; and
-     every run re-seeds and re-arms from the config, so a given
-     (cfg, steps) pair is fully deterministic — which is what lets
-     [minimize] replay candidate traces meaningfully. *)
-  Mpk_faultinj.reset ();
   (* Fresh vma slab: replayability from (cfg, steps) must not depend on
      what earlier runs left on the process-global free-list. *)
   Vma.slab_reset ();
@@ -168,8 +163,6 @@ let run (cfg : config) steps =
   fst @@ Lockdep.record @@ fun () ->
   fst @@ Mpk_trace.Tracer.record @@ fun () ->
   let env = make_env cfg ~cores:(max 1 cfg.tasks) in
-  Mpk_faultinj.set_seed cfg.seed;
-  List.iter (fun (name, plan) -> Mpk_faultinj.arm name plan) cfg.faults;
   let benign = ref 0 in
   (* The black box is rendered while the failing run's recording is open. *)
   let stop index step kind = Stop { index; step; kind; blackbox = Signal.blackbox () } in
@@ -186,8 +179,12 @@ let run (cfg : config) steps =
     | Ir.Read _ -> ( try exec_step env s with Mmu.Fault _ | Signal.Killed _ -> ())
     | _ -> exec_step env s
   in
-  Fun.protect ~finally:Mpk_faultinj.reset @@ fun () ->
-  try
+  (* Injection must not perturb setup, so the plans are armed after
+     init; every run arms them afresh from the config, so a given
+     (cfg, steps) pair is fully deterministic — which is what lets
+     [minimize] replay candidate traces meaningfully. *)
+  match
+    Mpk_faultinj.inject ~seed:cfg.seed cfg.faults @@ fun () ->
     (* initial state must be clean *)
     audit (-1) { Lint.stid = 0; sop = Ir.Read { vkey = 0 } };
     List.iteri
@@ -205,14 +202,10 @@ let run (cfg : config) steps =
         | exception Out_of_memory -> incr benign
         | exception exn -> raise (stop index step (Crash (Printexc.to_string exn))));
         audit index step)
-      steps;
-    Passed
-      {
-        applied = List.length steps;
-        benign_errors = !benign;
-        fired = List.filter (fun s -> s.Mpk_faultinj.armed) (Mpk_faultinj.stats ());
-      }
-  with Stop f -> Failed f
+      steps
+  with
+  | (), fired -> Passed { applied = List.length steps; benign_errors = !benign; fired }
+  | exception Stop f -> Failed f
 
 (* Everything after the failing step is irrelevant; ddmin does the rest. *)
 let minimize cfg steps failure =

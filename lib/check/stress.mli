@@ -92,8 +92,8 @@ type passed = {
   applied : int;
   benign_errors : int;
   fired : Mpk_faultinj.stats list;
-      (** hit and fired counts of every armed fault point, taken before
-          the run resets the injection registry *)
+      (** hit and fired counts of every armed fault point, as
+          {!Mpk_faultinj.inject} returns them *)
 }
 
 type outcome = Passed of passed | Failed of failure

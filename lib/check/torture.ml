@@ -8,13 +8,14 @@ open Mpk_kernel
    decisions. The harness borrows the simulator's single preemption
    mechanism: it arms the existing ["sched.preempt"] fault-injection
    point (evaluated by [Cpu.charge], i.e. between any two charged
-   events) with [Every 1] and installs its own action via
-   [Mpk_faultinj.with_preempt_action] — exactly where [Sched.preempt]
-   would bounce a task, the torture scheduler may switch fibers instead.
-   Fibers are OCaml effect handlers: a switch performs [Yield], the
-   trampoline parks the continuation and resumes the schedule's target.
-   A fiber that blocks on a contended kernel lock parks the same way,
-   through [Lock.set_wait_hook], and retries when next resumed.
+   events) with [Every 1] and installs its own action on the cores of
+   the machine it builds ([Cpu.set_preempt]) — exactly where
+   [Sched.preempt] would bounce a task, the torture scheduler may switch
+   fibers instead. Fibers are OCaml effect handlers: a switch performs
+   [Yield], the trampoline parks the continuation and resumes the
+   schedule's target. A fiber that blocks on a contended kernel lock
+   parks the same way, through [Lock.with_wait_hook], and retries when
+   next resumed.
 
    A schedule is a sparse list of [(at, target)] pairs — "at the [at]-th
    preemption point of the run, switch to fiber [target]" — so a run is
@@ -165,7 +166,6 @@ let run_fibers ?fiber_ops cfg ~schedule () =
   in
   let op_count = max 1 cfg.ops in
   let slot_count = max 1 cfg.slots in
-  Mpk_faultinj.reset ();
   (* A fresh slab makes the run a pure function of (seed, schedule):
      which record gets recycled must not depend on what earlier runs —
      possibly in another process — left on the free-list. *)
@@ -200,7 +200,7 @@ let run_fibers ?fiber_ops cfg ~schedule () =
         a
   in
   (* The planted protocol bug: lookups skip the recycle re-validation. *)
-  Vma.set_recycle_check (cfg.plant <> Plant_recycle);
+  if cfg.plant = Plant_recycle then Vma.skip_recycle_check vmas;
   let switches : (int, int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (at, target) ->
@@ -382,21 +382,15 @@ let run_fibers ?fiber_ops cfg ~schedule () =
       in
       drive next
   in
-  Mpk_faultinj.set_seed cfg.seed;
-  Mpk_faultinj.arm "sched.preempt" (Mpk_faultinj.Every 1);
+  Array.iter (fun cpu -> Cpu.set_preempt cpu on_preempt) cores;
   let failure =
-    Fun.protect
-      ~finally:(fun () ->
-        Lock.clear_wait_hook ();
-        Mpk_faultinj.reset ();
-        Vma.set_recycle_check true)
-      (fun () ->
-        Lock.set_wait_hook (fun _lock ~actor:_ -> Effect.perform Yield);
-        Mpk_faultinj.with_preempt_action on_preempt (fun () ->
-            match drive 0 with
-            | () -> None
-            | exception Torture_failure msg -> Some msg
-            | exception e -> Some ("crash: " ^ Printexc.to_string e)))
+    fst @@ Mpk_faultinj.inject ~seed:cfg.seed [ ("sched.preempt", Mpk_faultinj.Every 1) ]
+    @@ fun () ->
+    Lock.with_wait_hook (fun _lock ~actor:_ -> Effect.perform Yield) @@ fun () ->
+    match drive 0 with
+    | () -> None
+    | exception Torture_failure msg -> Some msg
+    | exception e -> Some ("crash: " ^ Printexc.to_string e)
   in
   (* Abandoned fibers still hold locks: after a failure, quiescent leak
      checks would only echo the abort, so lockdep reports what it saw up

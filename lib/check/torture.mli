@@ -4,10 +4,13 @@
     shared address space, interleaved at preemption points by an
     explicit schedule. The harness reuses the simulator's single
     preemption mechanism — the ["sched.preempt"] fault-injection point
-    fired by [Cpu.charge] — arming it with [Every 1] and installing a
-    fiber-switching action via [Mpk_faultinj.with_preempt_action];
-    fibers blocked on contended kernel locks park through
-    [Lock.set_wait_hook]. A run is a pure function of
+    fired by [Cpu.charge] — arming it with [Every 1] for the run
+    ([Mpk_faultinj.inject]) and installing a fiber-switching action on
+    the cores of the machine it builds ([Cpu.set_preempt]); fibers
+    blocked on contended kernel locks park through
+    [Lock.with_wait_hook]. The recycle plant is a property of the
+    address space the run builds ([Vma.skip_recycle_check]), so nothing
+    of a run outlives it. A run is a pure function of
     [(seed, schedule)], which is what makes failing schedules
     ddmin-shrinkable and byte-identically replayable.
 

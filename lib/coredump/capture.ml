@@ -125,11 +125,7 @@ let capture ~proc ~task ?mpk ?siginfo ~key ~seed ~policy () =
     try
       (* Prefer the crash record snapshotted at kill time: the ring may
          have moved on (or been disturbed by unwinding) since. *)
-      let crash =
-        match Signal.last_crash () with
-        | Some c when c.Signal.task = Task.id task -> Some c
-        | _ -> None
-      in
+      let crash = Task.last_kill task in
       let siginfo =
         match siginfo, crash with
         | Some si, _ | None, Some { Signal.si; _ } -> Some (report_of_siginfo si)
@@ -153,8 +149,6 @@ let default_sentinel = "SENTINEL-TLS-PRIVATE-KEY-0xDEADBEEF"
 type crash = Crash_none | Crash_pkey | Crash_oom
 
 let scenario ~crash ~sentinel k =
-  Mpk_faultinj.reset ();
-  Signal.clear_last_crash ();
   let machine = Machine.create ~cores:2 ~mem_mib:64 () in
   let proc = Proc.create machine in
   let task = Proc.spawn proc ~core_id:0 () in
@@ -172,8 +166,9 @@ let scenario ~crash ~sentinel k =
          domain: an unwrapped read faults SEGV_PKUERR and the task dies. *)
       try ignore (Mmu.read_byte mmu core ~addr:secret_addr) with Signal.Killed _ -> ())
   | Crash_oom ->
-      Mpk_faultinj.arm "physmem.alloc_frame" (Mpk_faultinj.Once 0);
+      ignore
+      @@ Mpk_faultinj.inject ~seed:0L [ ("physmem.alloc_frame", Mpk_faultinj.Once 0) ]
+      @@ fun () ->
       let a = Syscall.mmap proc task ~len:Physmem.page_size ~prot:Perm.rw () in
-      (try Mmu.write_byte mmu core ~addr:a 'x' with Signal.Killed _ -> ());
-      Mpk_faultinj.disarm "physmem.alloc_frame");
+      try Mmu.write_byte mmu core ~addr:a 'x' with Signal.Killed _ -> ());
   k (proc, task, mpk, secret_addr, clear_addr)

@@ -27,12 +27,13 @@ val default_key : seed:int64 -> bytes
 
 (** [capture ~proc ~task ?mpk ?siginfo ~key ~seed ~policy ()].
 
-    [siginfo] defaults to the pending {!Signal.last_crash} record when
-    its task id matches [task] — in that case the crash record's black
-    box (snapshotted at kill time) is used; otherwise the open trace
-    recording's tail. [mpk] enables group-aware classification and
-    should be passed whenever the process runs libmpk. The open profile
-    ({!Mpk_trace.Prof.current}), if any, is embedded.
+    [siginfo] defaults to the signal that killed [task]
+    ({!Task.last_kill}), whose black box (snapshotted at kill time) the
+    dump carries; a live task has no siginfo, and its dump carries the
+    open trace recording's tail. [mpk] enables group-aware
+    classification and should be passed whenever the process runs
+    libmpk. The open profile ({!Mpk_trace.Prof.current}), if any, is
+    embedded.
 
     Errors (never raises): the ["coredump.capture"] failure point fired,
     or the memory walk failed. *)
@@ -58,10 +59,9 @@ type crash = Crash_none | Crash_pkey | Crash_oom
 (** [scenario ~crash ~sentinel k] — the demo crash behind
     [mpkctl coredump]: a Protected keystore holding [sentinel] in a
     pkey-tagged page, one ordinary page with a clear marker, then
-    [crash]. It first resets fault injection and the pending crash
-    record, and returns [k] applied to the process, its task, the libmpk
-    handle, the secret's address and the clear page's address. A trace
-    records from just after the spawn until [k] returns: the black box
-    of a {!capture} in [k]. *)
+    [crash] on a fresh machine, and returns [k] applied to the process,
+    its task, the libmpk handle, the secret's address and the clear
+    page's address. A trace records from just after the spawn until [k]
+    returns: the black box of a {!capture} in [k]. *)
 val scenario :
   crash:crash -> sentinel:string -> (Proc.t * Task.t * Libmpk.t * int * int -> 'a) -> 'a

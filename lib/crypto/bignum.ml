@@ -250,10 +250,6 @@ let mod_pow ~base:b ~exp ~modulus =
     !result
   end
 
-let gcd a b =
-  let rec go a b = if is_zero b then a else go b (rem a b) in
-  if compare a b >= 0 then go a b else go b a
-
 (* Extended Euclid with (sign, magnitude) coefficient tracking. *)
 let invmod a m =
   if is_zero m || equal m one then None

@@ -47,8 +47,6 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** [invmod a m] — modular inverse of [a] mod [m], when gcd(a,m)=1. *)
 val invmod : t -> t -> t option
 
-val gcd : t -> t -> t
-
 (** Big-endian byte conversion. *)
 val of_bytes : bytes -> t
 

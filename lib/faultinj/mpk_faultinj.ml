@@ -3,94 +3,72 @@ type plan =
   | Every of int
   | Prob of float
 
-type stats = { name : string; armed : bool; hits : int; fired : int }
+type stats = { name : string; hits : int; fired : int }
 
-type point = {
-  name : string;
-  mutable plan : plan option;
-  mutable hits : int;
-  mutable fired : int;
-}
+type point = { plan : plan; mutable hits : int; mutable fired : int }
 
-let table : (string, point) Hashtbl.t = Hashtbl.create 16
-let order : string list ref = ref []  (* registration order, reversed *)
-let armed_count = ref 0
-let prng = ref (Mpk_util.Prng.create ~seed:0xFA177L)
+(* An injection: the points it armed, with their counters, and the PRNG
+   behind its [Prob] plans. *)
+type injection = { armed : (string, point) Hashtbl.t; prng : Mpk_util.Prng.t }
 
-let find_or_add name =
-  match Hashtbl.find_opt table name with
-  | Some p -> p
-  | None ->
-      let p = { name; plan = None; hits = 0; fired = 0 } in
-      Hashtbl.replace table name p;
-      order := name :: !order;
-      p
+let declared : string list ref = ref []  (* registration order, reversed *)
 
-let declare name = ignore (find_or_add name)
+(* The open injection, [None] while nothing is armed: [fire]'s fast path
+   is one compare. *)
+let current : injection option ref = ref None
 
-let arm name plan =
-  (match plan with
-  | Every n when n < 1 -> invalid_arg "Faultinj.arm: Every requires n >= 1"
-  | Once n when n < 0 -> invalid_arg "Faultinj.arm: Once requires n >= 0"
+let declare name = if not (List.mem name !declared) then declared := name :: !declared
+let points () = List.rev !declared
+
+let check_plan = function
+  | Every n when n < 1 -> invalid_arg "Mpk_faultinj.inject: Every requires n >= 1"
+  | Once n when n < 0 -> invalid_arg "Mpk_faultinj.inject: Once requires n >= 0"
   | Prob p when not (p >= 0.0 && p <= 1.0) ->
-      invalid_arg "Faultinj.arm: Prob requires p in [0, 1]"
-  | Once _ | Every _ | Prob _ -> ());
-  let p = find_or_add name in
-  if p.plan = None then incr armed_count;
-  p.plan <- Some plan;
-  p.hits <- 0;
-  p.fired <- 0
+      invalid_arg "Mpk_faultinj.inject: Prob requires p in [0, 1]"
+  | Once _ | Every _ | Prob _ -> ()
 
-let disarm name =
-  match Hashtbl.find_opt table name with
-  | Some p when p.plan <> None ->
-      p.plan <- None;
-      decr armed_count
-  | Some _ | None -> ()
-
-let reset () =
-  Hashtbl.iter
-    (fun _ p ->
-      p.plan <- None;
-      p.hits <- 0;
-      p.fired <- 0)
-    table;
-  armed_count := 0
-
-let set_seed seed = prng := Mpk_util.Prng.create ~seed
+let inject ~seed plans f =
+  let armed = Hashtbl.create 8 in
+  List.iter
+    (fun (name, plan) ->
+      check_plan plan;
+      declare name;
+      Hashtbl.replace armed name { plan; hits = 0; fired = 0 })
+    plans;
+  let outer = !current in
+  current :=
+    if Hashtbl.length armed = 0 then None
+    else Some { armed; prng = Mpk_util.Prng.create ~seed };
+  let result = Fun.protect ~finally:(fun () -> current := outer) f in
+  let stats_of name =
+    Option.map (fun p -> { name; hits = p.hits; fired = p.fired }) (Hashtbl.find_opt armed name)
+  in
+  (result, List.filter_map stats_of (points ()))
 
 let fire name =
-  if !armed_count = 0 then false
-  else
-    match Hashtbl.find_opt table name with
-    | None | Some { plan = None; _ } -> false
-    | Some ({ plan = Some plan; _ } as p) ->
-        let n = p.hits in
-        p.hits <- n + 1;
-        let hit =
-          match plan with
-          | Once k -> n = k
-          | Every k -> (n + 1) mod k = 0
-          | Prob pr -> Mpk_util.Prng.bool !prng ~p:pr
-        in
-        if hit then begin
-          p.fired <- p.fired + 1;
-          (* Fault firings have no core context of their own; the tracer
-             stamps them with the newest cycle time seen anywhere. *)
-          if Mpk_trace.Tracer.on () then
-            Mpk_trace.Tracer.emit_floating
-              (Mpk_trace.Event.Fault_point_fired { point = name })
-        end;
-        hit
-
-let points () = List.rev !order
-
-let stats_of name =
-  Option.map
-    (fun p -> { name = p.name; armed = p.plan <> None; hits = p.hits; fired = p.fired })
-    (Hashtbl.find_opt table name)
-
-let stats () = List.filter_map stats_of (points ())
+  match !current with
+  | None -> false
+  | Some inj -> (
+      match Hashtbl.find inj.armed name with
+      | exception Not_found -> false
+      | p ->
+          let n = p.hits in
+          p.hits <- n + 1;
+          let hit =
+            match p.plan with
+            | Once k -> n = k
+            | Every k -> (n + 1) mod k = 0
+            | Prob pr -> Mpk_util.Prng.bool inj.prng ~p:pr
+          in
+          if hit then begin
+            p.fired <- p.fired + 1;
+            (* Fault firings have no core context of their own; the tracer
+               stamps them with the newest cycle time seen anywhere. *)
+            if Mpk_trace.Tracer.on () then
+              Mpk_trace.Tracer.emit_floating
+                (Mpk_trace.Event.Fault_point_fired { point = name })
+          end;
+          hit)
 
 let plan_to_string = function
   | Once n -> Printf.sprintf "@%d" n
@@ -148,18 +126,3 @@ let parse_spec spec =
         | Ok l, Ok kv -> Ok (kv :: l))
       (Ok []) items
     |> Result.map List.rev
-
-(* --- preemption hook --- *)
-
-let preempt_action : (int -> unit) ref = ref (fun _ -> ())
-let set_preempt_action f = preempt_action := f
-let preempt core_id = !preempt_action core_id
-
-(* Scoped override: the torture scheduler routes the one preemption
-   mechanism (this point, fired from Cpu.charge) into its own fiber
-   switch, then must hand the previous action back — [set_preempt_action]
-   alone would leave the hook aimed at a dead scheduler. *)
-let with_preempt_action f k =
-  let saved = !preempt_action in
-  preempt_action := f;
-  Fun.protect ~finally:(fun () -> preempt_action := saved) k

@@ -2,14 +2,17 @@
     framework, CONFIG_FAULT_INJECTION).
 
     Layers register named {e failure points} ([declare]) and consult them
-    on their fallible paths ([fire]). A point does nothing until a test or
-    the stress driver arms it with a {!plan}; every plan is evaluated
-    against a per-point hit counter or the module's seeded PRNG, so a
+    on their fallible paths ([fire]). A point does nothing until a run
+    arms it with a {!plan} through {!inject}; every plan is evaluated
+    against a per-point hit counter or the injection's seeded PRNG, so a
     failure schedule is replayable from [(seed, spec)] alone.
 
-    The registry is process-global, mirroring the simulator's single
-    simulated machine per test. [reset] returns to the all-disarmed state
-    and zeroes counters; drivers must call it around every armed run. *)
+    Plans, counters and the PRNG belong to one injection, armed for the
+    extent of a function and disarmed when it returns or raises: no
+    caller resets, reseeds or disarms anything. What an injected failure
+    does is the failing layer's own business ([sched.preempt], for one,
+    runs the preemption hook of the core that charged; see
+    [Mpk_hw.Cpu.set_preempt]). *)
 
 type plan =
   | Once of int  (** fire on the [n]-th evaluation (0-based), then never again *)
@@ -18,7 +21,6 @@ type plan =
 
 type stats = {
   name : string;
-  armed : bool;
   hits : int;  (** evaluations while armed *)
   fired : int;  (** evaluations that injected the failure *)
 }
@@ -28,29 +30,25 @@ type stats = {
     before any path is exercised. *)
 val declare : string -> unit
 
-(** [arm name plan] — activate a point (declaring it if needed) and reset
-    its counters. *)
-val arm : string -> plan -> unit
-
-val disarm : string -> unit
-
-(** Disarm every point and zero all counters. *)
-val reset : unit -> unit
-
-(** Reseed the PRNG behind [Prob] plans. *)
-val set_seed : int64 -> unit
+(** [inject ~seed plans f] runs [f] with [plans] armed, each with fresh
+    counters, and [Prob] plans drawing from a PRNG seeded with [seed]
+    (a point named twice keeps its last plan; an unknown name is
+    declared). The plans are disarmed when [f] returns or raises. The
+    result comes with the armed points' stats, in registration order.
+    A nested [inject] is a fresh injection for its own extent (the
+    enclosing plans do not fire inside it), and the enclosing one
+    resumes unchanged. Raises [Invalid_argument] on an out-of-range
+    plan. *)
+val inject : seed:int64 -> (string * plan) list -> (unit -> 'a) -> 'a * stats list
 
 (** [fire name] — evaluate the point: true means the caller must inject
-    its failure now. Unarmed (or unknown) points never fire; the disarmed
-    fast path is a single integer compare, so hot paths may call this
+    its failure now. Unarmed (or unknown) points never fire; with
+    nothing armed this is a single compare, so hot paths may call it
     unconditionally. *)
 val fire : string -> bool
 
 (** Every declared point, in registration order. *)
 val points : unit -> string list
-
-val stats : unit -> stats list
-val stats_of : string -> stats option
 
 (** Parse a failure spec: comma-separated [NAME@N] (once, on the N-th
     hit), [NAME%N] (every N-th hit), [NAME~P] (probability P), or bare
@@ -62,21 +60,3 @@ val plan_to_string : plan -> string
 
 (** Documentation string for the spec grammar (CLI help). *)
 val spec_grammar : string
-
-(** {2 Preemption hook}
-
-    The ["sched.preempt"] point is evaluated by [Cpu.charge] — i.e.
-    between any two charged events. The hardware layer cannot reach the
-    scheduler, so the kernel installs the actual preemption action here;
-    it receives the core id that charged. *)
-
-val set_preempt_action : (int -> unit) -> unit
-
-(** [with_preempt_action f k] — run [k] with [f] installed, restoring
-    the previous action afterwards (exception-safe). The torture
-    scheduler uses this to borrow the single preemption mechanism
-    without leaving the hook aimed at a dead scheduler. *)
-val with_preempt_action : (int -> unit) -> (unit -> 'a) -> 'a
-
-(** Run the installed preemption action (no-op when none installed). *)
-val preempt : int -> unit

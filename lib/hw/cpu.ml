@@ -10,10 +10,19 @@ type t = {
   mutable pkru : Pkru.t;
   cycles : clock;
   mutable refill_left : int;  (* instructions still paying the drain *)
+  mutable preempt : int -> unit;  (* what an injected preemption does here *)
 }
 
 let create ?(costs = Costs.default) ~id () =
-  { id; costs; tlb = Tlb.create (); pkru = Pkru.init; cycles = { now = 0.0 }; refill_left = 0 }
+  {
+    id;
+    costs;
+    tlb = Tlb.create ();
+    pkru = Pkru.init;
+    cycles = { now = 0.0 };
+    refill_left = 0;
+    preempt = ignore;
+  }
 
 let id t = t.id
 let costs t = t.costs
@@ -22,10 +31,12 @@ let cycles t = t.cycles.now
 let clock t = t.cycles
 
 (* Fault injection: a charged event is the finest-grained point at which
-   the scheduler may preempt the running task (the kernel installs the
-   actual action via [Mpk_faultinj.set_preempt_action]). *)
+   the scheduler may preempt the running task; whoever runs the core (the
+   kernel, or a torture scheduler) installs the action with
+   [set_preempt]. *)
 let fp_preempt = "sched.preempt"
 let () = Mpk_faultinj.declare fp_preempt
+let set_preempt t f = t.preempt <- f
 
 (* Cycles ever charged on any core, for the attribution exactness check:
    this accumulator and a profile's [Prof.total] perform the same float
@@ -44,18 +55,20 @@ let reset_total_charged () = total_ever.now <- 0.0
    holds under a plant. *)
 let planted : (string * float) option ref = ref None
 
-let set_plant_slowdown p =
+let with_plant_slowdown p f =
   (match p with
   | Some (_, extra) when not (Float.is_finite extra) || extra < 0.0 ->
-      invalid_arg "set_plant_slowdown: extra cycles must be finite and >= 0"
+      invalid_arg "with_plant_slowdown: extra cycles must be finite and >= 0"
   | Some _ | None -> ());
-  planted := p
+  let outer = !planted in
+  planted := p;
+  Fun.protect ~finally:(fun () -> planted := outer) f
 
 let[@inline] advance t c =
   t.cycles.now <- t.cycles.now +. c;
   total_ever.now <- total_ever.now +. c
 
-let[@inline] preemption_point t = if Mpk_faultinj.fire fp_preempt then Mpk_faultinj.preempt t.id
+let[@inline] preemption_point t = if Mpk_faultinj.fire fp_preempt then t.preempt t.id
 
 let charge ?label t c =
   let c =

@@ -49,15 +49,23 @@ val total_charged : unit -> float
 
 val reset_total_charged : unit -> unit
 
-(** [set_plant_slowdown (Some (label, extra))] arms an artificial
-    slowdown: every subsequent charge carrying exactly [label] costs
+(** [with_plant_slowdown (Some (label, extra)) f] runs [f] under an
+    artificial slowdown: every charge carrying exactly [label] costs
     [extra] additional cycles, on any core. The surcharge travels the
     normal accounting path (core clock, {!total_charged}, profiler), so
     cycle attribution stays exact — which is the point: the bench gate's
     planted-regression self-test must look like a genuine hot-path
-    slowdown, not a bookkeeping anomaly. [None] disarms. Raises
+    slowdown, not a bookkeeping anomaly. [None] runs [f] with no plant.
+    The enclosing plant is back when [f] returns or raises. Raises
     [Invalid_argument] on a negative or non-finite surcharge. *)
-val set_plant_slowdown : (string * float) option -> unit
+val with_plant_slowdown : (string * float) option -> (unit -> 'a) -> 'a
+
+(** [set_preempt t f] makes [f] what an injected ["sched.preempt"]
+    (see {!Mpk_faultinj}) does on this core: every charge evaluates the
+    point, and when it fires, [f] gets the core's id. A new core does
+    nothing; the kernel's process installs its scheduler on the cores
+    of its machine, as it installs the MMU's fault sink. *)
+val set_preempt : t -> (int -> unit) -> unit
 
 (** [measure t f] is [f ()] together with the cycles it consumed. *)
 val measure : t -> (unit -> 'a) -> 'a * float

@@ -53,8 +53,14 @@ let cls t = t.cls
 (* --- observation hooks --- *)
 
 let hook : (event -> unit) option ref = ref None
-let set_hook f = hook := Some f
-let clear_hook () = hook := None
+
+(* Install [v] in [r] for [f]'s extent. *)
+let scoped r v f =
+  let outer = !r in
+  r := v;
+  Fun.protect ~finally:(fun () -> r := outer) f
+
+let with_hook h f = scoped hook (Some h) f
 
 (* An event is built only while a hook is installed: with none, a
    transition allocates nothing for it. *)
@@ -73,8 +79,7 @@ let default_wait t ~actor =
           t.id actor))
 
 let wait_hook : (t -> actor:int -> unit) ref = ref default_wait
-let set_wait_hook f = wait_hook := f
-let clear_wait_hook () = wait_hook := default_wait
+let with_wait_hook w f = scoped wait_hook w f
 
 (* Releases of locks not held: counted rather than fatal (real lockdep
    WARNs); the validator turns the event into a finding. *)

@@ -36,18 +36,17 @@ val known_classes : unit -> string list
 (** Every class a lock was ever constructed with, sorted. The static
     concurrency analyzer validates its protocol models against this. *)
 
-val set_hook : (event -> unit) -> unit
-(** Install the lockdep recorder. Exactly one hook; [clear_hook]
-    removes it. Events are constructed only while a hook is installed,
-    so an unobserved transition allocates none. *)
+val with_hook : (event -> unit) -> (unit -> 'a) -> 'a
+(** [with_hook h f] runs [f] with the lockdep recorder [h] seeing every
+    transition, and puts the enclosing hook back when [f] returns or
+    raises. Exactly one hook is installed at a time. Events are
+    constructed only while a hook is installed, so an unobserved
+    transition allocates none. *)
 
-val clear_hook : unit -> unit
-
-val set_wait_hook : (t -> actor:int -> unit) -> unit
-(** Install the scheduler's contention action (torture parks the fiber
-    and retries after the next resume). *)
-
-val clear_wait_hook : unit -> unit
+val with_wait_hook : (t -> actor:int -> unit) -> (unit -> 'a) -> 'a
+(** [with_wait_hook w f] runs [f] with the scheduler's contention action
+    [w] (torture parks the fiber and retries after the next resume), and
+    puts the enclosing one back when [f] returns or raises. *)
 
 val acquire : t -> mode -> actor:int -> unit
 (** Blocking acquire. Reentrant for [Exclusive] by the same actor;

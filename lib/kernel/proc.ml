@@ -29,9 +29,10 @@ let create ?(ipi_batching = true) machine =
             | _ -> 0
           in
           Task.deliver_signal task (Signal.of_fault fault ~pkey));
-  (* Injected preemption ("sched.preempt") bounces the current task
-     through a real schedule_out/in pair. *)
-  Mpk_faultinj.set_preempt_action (fun core_id -> Sched.preempt sched ~core_id);
+  (* Injected preemption ("sched.preempt") on this machine's cores
+     bounces the current task through a real schedule_out/in pair. *)
+  let preempt core_id = Sched.preempt sched ~core_id in
+  Array.iter (fun cpu -> Cpu.set_preempt cpu preempt) (Machine.cores machine);
   { machine; mm; sched; pkeys = Pkey_bitmap.create (); ipi_batching; xonly = None }
 
 let machine t = t.machine

@@ -11,7 +11,9 @@ type t
     other threads: one IPI per target core, or off, the per-update
     broadcast (one kick per target per update, plus a separate shootdown
     IPI on eviction) kept as the reference point for scaling
-    comparisons. *)
+    comparisons. The process installs its fault sink on its MMU and its
+    scheduler's preemption ({!Sched.preempt}) on the machine's cores, so
+    an injected ["sched.preempt"] preempts its own machine's tasks. *)
 val create : ?ipi_batching:bool -> Machine.t -> t
 
 val machine : t -> Machine.t

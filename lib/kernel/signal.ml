@@ -53,18 +53,7 @@ let blackbox () =
   | None -> []
   | Some t -> List.map Mpk_trace.Event.to_line (Mpk_trace.Tracer.recent t blackbox_depth)
 
-type crash = { task : int; si : siginfo; blackbox : string list }
-
-let last_crash_ref : crash option ref = ref None
-
-let record_kill ~task si =
-  (* Snapshot the flight recorder *now*: by the time anyone asks, the
-     recording may have closed or moved on. An empty list just means no
-     recording was open. *)
-  last_crash_ref := Some { task; si; blackbox = blackbox () }
-
-let last_crash () = !last_crash_ref
-let clear_last_crash () = last_crash_ref := None
+type crash = { si : siginfo; blackbox : string list }
 
 let () =
   Printexc.register_printer (function

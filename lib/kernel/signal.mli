@@ -53,11 +53,12 @@ type handler = siginfo -> unit
     A real kernel snapshots crash context (registers, maps) the moment
     the default disposition fires, because the dying thread's state is
     gone afterwards. The simulated analogue: just before {!Killed} is
-    raised, [Task.deliver_signal] records the siginfo together with the
-    tail of the open {!Mpk_trace.Tracer} recording ({!blackbox}) — the
-    stress harness's flight recorder — so any default-kill carries it.
-    The core-dump capturer ([Mpk_coredump.Capture]) reuses this record
-    rather than re-reading a ring the unwinding may have disturbed. *)
+    raised, [Task.deliver_signal] records on the dying task the siginfo
+    together with the tail of the open {!Mpk_trace.Tracer} recording
+    ({!blackbox}) — the stress harness's flight recorder — so any
+    default-kill carries it ([Task.last_kill]). The core-dump capturer
+    ([Mpk_coredump.Capture]) reuses this record rather than re-reading a
+    ring the unwinding may have disturbed. *)
 
 (** Events the black box retains. *)
 val blackbox_depth : int
@@ -67,16 +68,6 @@ val blackbox : unit -> string list
     each; [[]] when no recording is open. *)
 
 type crash = {
-  task : int;
   si : siginfo;
   blackbox : string list;  (** rendered trace events, oldest first *)
 }
-
-(** Called by [Task.deliver_signal] on the default-kill path only — a
-    handler that escapes by raising is a survival, not a crash. *)
-val record_kill : task:int -> siginfo -> unit
-
-(** The most recent default-kill, if any since [clear_last_crash]. *)
-val last_crash : unit -> crash option
-
-val clear_last_crash : unit -> unit

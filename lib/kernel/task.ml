@@ -57,6 +57,7 @@ type t = {
   mutable tlb_flush_pending : bool;
   mutable sig_handler : Signal.handler option;
   mutable sig_delivered : int;
+  mutable last_kill : Signal.crash option;
 }
 
 let create ~id ~core () =
@@ -69,6 +70,7 @@ let create ~id ~core () =
     tlb_flush_pending = false;
     sig_handler = None;
     sig_delivered = 0;
+    last_kill = None;
   }
 
 let id t = t.id
@@ -96,6 +98,7 @@ let tlb_flush_pending t = t.tlb_flush_pending
 let set_signal_handler t h = t.sig_handler <- Some h
 let clear_signal_handler t = t.sig_handler <- None
 let signals_delivered t = t.sig_delivered
+let last_kill t = t.last_kill
 
 let with_signal_handler t h f =
   let prev = t.sig_handler in
@@ -113,9 +116,10 @@ let deliver_signal t (si : Signal.siginfo) =
   | None -> ());
   (* No handler, or the handler returned: the access would refault
      forever, so the default disposition kills the task. Record the
-     crash (siginfo + flight-recorder black box) first — the core-dump
-     capturer reads it after the unwind. *)
-  Signal.record_kill ~task:t.id si;
+     crash first, snapshotting the flight recorder now: the core-dump
+     capturer reads it after the unwind, when the recording may have
+     closed or moved on. *)
+  t.last_kill <- Some { Signal.si; blackbox = Signal.blackbox () };
   raise (Signal.Killed si)
 
 let work_add t pkey rights = Updates.add t.work pkey rights

@@ -78,9 +78,14 @@ val with_signal_handler : t -> Signal.handler -> (unit -> 'a) -> 'a
 (** Signals delivered to this task so far (handled or fatal). *)
 val signals_delivered : t -> int
 
+(** The signal that killed this task, with the black box snapshotted at
+    kill time ({!Signal.crash}); [None] while it has not been killed. *)
+val last_kill : t -> Signal.crash option
+
 (** Deliver a signal: run the handler if installed; if none is installed
-    or the handler returns normally, raises [Signal.Killed]. Called by
-    the kernel's fault sink — never returns normally. *)
+    or the handler returns normally, records {!last_kill} and raises
+    [Signal.Killed]. Called by the kernel's fault sink — never returns
+    normally. *)
 val deliver_signal : t -> Signal.siginfo -> 'a
 
 (** [work_add t pkey rights] queues a PKRU update on the task's

@@ -28,6 +28,7 @@ type t = {
   mutable areas : vma array;
   mutable len : int;
   mm_lock : Lock.t;
+  mutable recycle_check : bool;  (* off only under torture's recycle plant *)
 }
 
 let attrs_equal a b = Perm.equal a.prot b.prot && Pkey.equal a.pkey b.pkey
@@ -73,7 +74,13 @@ let grabs_outstanding () =
 let create () =
   incr next_mm_id;
   ignore (grab_cell !next_mm_id);
-  { mm_id = !next_mm_id; areas = [||]; len = 0; mm_lock = Lock.make ~cls:"mm_lock" }
+  {
+    mm_id = !next_mm_id;
+    areas = [||];
+    len = 0;
+    mm_lock = Lock.make ~cls:"mm_lock";
+    recycle_check = true;
+  }
 
 let mm_lock t = t.mm_lock
 
@@ -193,15 +200,14 @@ let covered t ~start ~pages =
 
 (* --- recycling-safe lookup protocol (SNIPPETS.md §2) --- *)
 
-let recycle_check = ref true
-let set_recycle_check b = recycle_check := b
+let skip_recycle_check t = t.recycle_check <- false
 
 let start_read v ~actor = Lock.try_acquire v.vlock Lock.Shared ~actor
 
 let read_valid t v vpn =
   v.vm_mm = t.mm_id && (not v.detached) && v.start <= vpn && vpn < vend v
 
-let validate_read t v vpn = if !recycle_check then read_valid t v vpn else true
+let validate_read t v vpn = if t.recycle_check then read_valid t v vpn else true
 
 let end_read t v ~actor =
   let owner = v.vm_mm in

@@ -112,13 +112,13 @@ val merge_range : actor:int -> t -> start:int -> pages:int -> int
 val start_read : vma -> actor:int -> bool
 
 (** After a successful {!start_read}: true iff the vma still belongs to
-    [t], is still attached, and still covers [vpn]. With the recycle
-    check disabled (torture's [--plant recycle]) this is always true —
-    which is the planted bug. *)
+    [t], is still attached, and still covers [vpn]. In an address space
+    that skips the recycle check ({!skip_recycle_check}) this is always
+    true — which is the planted bug. *)
 val validate_read : t -> vma -> int -> bool
 
 (** The underlying predicate of {!validate_read}, unaffected by
-    {!set_recycle_check} — the torture oracle uses it to detect what the
+    {!skip_recycle_check} — the torture oracle uses it to detect what the
     planted protocol misses. *)
 val read_valid : t -> vma -> int -> bool
 
@@ -127,7 +127,10 @@ val read_valid : t -> vma -> int -> bool
     refcount put, never dereferencing a recycled owner unpinned. *)
 val end_read : t -> vma -> actor:int -> unit
 
-val set_recycle_check : bool -> unit
+(** Plant the use-after-recycle bug in this address space: from now on
+    its lookups skip the recycle re-validation (torture's
+    [--plant recycle]). *)
+val skip_recycle_check : t -> unit
 
 (** {2 Slab and identity diagnostics} *)
 

@@ -339,21 +339,19 @@ let set_item t task ~key ~flags ~deadline payload =
   in
   attempt 64
 
-let get_item t task ~now ~key =
+(* The live item under [key]; an expired one is reclaimed on access, like
+   Memcached. *)
+let find_live t task ~now ~key =
   let shard = shard_for t key in
   match Shash.get shard.table task ~key with
   | None -> None
   | Some raw ->
       let flags, deadline, payload = decode_item raw in
-      if deadline > 0.0 && now >= deadline then begin
-        (* expired: reclaim on access, like Memcached *)
+      if deadline <> 0.0 && now >= deadline then begin
         ignore (Shash.delete shard.table task ~key);
         None
       end
-      else begin
-        Queue.add key shard.lru;
-        Some (flags, payload)
-      end
+      else Some (shard, flags, payload)
 
 (* Escape hatch for the per-request signal guard: the handler raises this
    out of the faulting request; the dispatch loop catches it and answers
@@ -387,7 +385,12 @@ let dispatch t ~worker ~now wire =
     match Protocol.parse_request wire with
     | Error msg -> Protocol.Server_error msg
     | Ok (Protocol.Set { key; flags; exptime; data }) ->
-        let deadline = if exptime > 0 then now +. float_of_int exptime else 0.0 in
+        (* Memcached's exptime: 0 never expires, and a negative one
+           stores an item already expired (its deadline precedes any
+           wall clock). *)
+        let deadline =
+          if exptime > 0 then now +. float_of_int exptime else if exptime < 0 then -1.0 else 0.0
+        in
         with_store t task (fun () ->
             match set_item t task ~key ~flags ~deadline data with
             | Ok () -> Protocol.Stored
@@ -395,13 +398,18 @@ let dispatch t ~worker ~now wire =
             | Error _ -> Protocol.Server_error "out of memory")
     | Ok (Protocol.Get key) ->
         with_store t task (fun () ->
-            match get_item t task ~now ~key with
-            | Some (flags, data) -> Protocol.Value { key; flags; data }
+            match find_live t task ~now ~key with
+            | Some (shard, flags, data) ->
+                Queue.add key shard.lru;
+                Protocol.Value { key; flags; data }
             | None -> Protocol.End_)
     | Ok (Protocol.Delete key) ->
         with_store t task (fun () ->
-            if Shash.delete (shard_for t key).table task ~key then Protocol.Deleted
-            else Protocol.Not_found)
+            match find_live t task ~now ~key with
+            | Some (shard, _, _) ->
+                ignore (Shash.delete shard.table task ~key);
+                Protocol.Deleted
+            | None -> Protocol.Not_found)
     | Ok Protocol.Stats ->
         Protocol.Stats_reply
           ([

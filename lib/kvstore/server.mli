@@ -108,11 +108,14 @@ val resident_pages : t -> int
 (** [dispatch t ~worker ~now wire] — parse one Memcached text-protocol
     request, execute it (with the mode's protection discipline), render
     the response. [now] is the wall clock in seconds for TTL handling:
-    a [set] with [exptime > 0] expires at [now + exptime]; expired items
-    answer NOT_FOUND and are reclaimed. When the slab region fills, the
-    least-recently-used items are evicted, as Memcached does; an item
-    larger than the largest slab class evicts nothing and answers
-    [SERVER_ERROR object too large for cache]. *)
+    a [set] with [exptime > 0] expires at [now + exptime], one with
+    [exptime = 0] never, and one with a negative [exptime] stores an
+    item already expired. A request that touches an expired item
+    reclaims it, so [stats] stops counting it: a [get] answers [END]
+    and a [delete] [NOT_FOUND], as in Memcached. When the slab region
+    fills, the least-recently-used items are evicted, as Memcached does;
+    an item larger than the largest slab class evicts nothing and
+    answers [SERVER_ERROR object too large for cache]. *)
 val dispatch : t -> worker:int -> now:float -> string -> string
 
 (** Items evicted by the LRU reclaimer so far. *)

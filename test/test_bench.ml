@@ -333,10 +333,6 @@ let test_gate_unchanged_on_identical_runs () =
         d.Gate.d_verdicts;
       Alcotest.(check (list string)) "no drift" [] d.Gate.d_missing
 
-let with_plant plant f =
-  Mpk_hw.Cpu.set_plant_slowdown (Some plant);
-  Fun.protect ~finally:(fun () -> Mpk_hw.Cpu.set_plant_slowdown None) f
-
 let test_gate_catches_planted_slowdown () =
   let baseline =
     match Runner.run ~id:"table1" ~trials:2 ~seed:5 ~smoke:true with
@@ -344,7 +340,7 @@ let test_gate_catches_planted_slowdown () =
     | Error e -> Alcotest.failf "baseline: %s" e
   in
   let fresh =
-    with_plant ("wrpkru", 40.0) (fun () ->
+    Mpk_hw.Cpu.with_plant_slowdown (Some ("wrpkru", 40.0)) (fun () ->
         match Runner.run ~id:"table1" ~trials:2 ~seed:5 ~smoke:true with
         | Ok r -> r
         | Error e -> Alcotest.failf "planted run: %s" e)

@@ -75,7 +75,8 @@ let test_siginfo_recorded () =
 
 let test_killed_carries_blackbox () =
   let sc = scenario () in
-  match Signal.last_crash () with
+  let _, task, _, _, _ = sc in
+  match Task.last_kill task with
   | None -> Alcotest.fail "default kill did not record a crash"
   | Some c ->
       Alcotest.(check bool) "black box nonempty" true (c.Signal.blackbox <> []);
@@ -205,17 +206,27 @@ let test_inspect_flags_leak_and_garbage () =
   | Ok _ -> Alcotest.fail "garbage parsed as a dump"
 
 let test_capture_faultpoint () =
-  let sc = scenario () in
-  Mpk_faultinj.arm Capture.fault_point (Mpk_faultinj.Once 0);
-  let proc, task, mpk, _, _ = sc in
+  let proc, task, mpk, _, _ = scenario () in
   let key = Capture.default_key ~seed:1L in
-  (match Capture.capture ~proc ~task ~mpk ~key ~seed:1L ~policy:Dump.Redact () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "armed coredump.capture did not fail");
-  Mpk_faultinj.disarm Capture.fault_point;
-  match Capture.capture ~proc ~task ~mpk ~key ~seed:1L ~policy:Dump.Redact () with
+  let capture () = Capture.capture ~proc ~task ~mpk ~key ~seed:1L ~policy:Dump.Redact () in
+  (match Mpk_faultinj.inject ~seed:0L [ (Capture.fault_point, Mpk_faultinj.Once 0) ] capture with
+  | Error _, _ -> ()
+  | Ok _, _ -> Alcotest.fail "armed coredump.capture did not fail");
+  match capture () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "disarmed capture still failing: %s" e
+
+(* Task ids restart at 0 on every machine: another machine's task 0
+   dying says nothing about this one's. *)
+let test_live_capture_ignores_other_kills () =
+  let live = Capture.scenario ~crash:Capture.Crash_none ~sentinel Fun.id in
+  let proc = Proc.create (Mpk_hw.Machine.create ~cores:1 ~mem_mib:16 ()) in
+  let other = Proc.spawn proc ~core_id:0 () in
+  (try ignore (Mpk_hw.Mmu.read_byte (Proc.mmu proc) (Task.core other) ~addr:0x7fff_0000)
+   with Signal.Killed _ -> ());
+  Alcotest.(check bool) "the other task 0 was killed" true (Task.last_kill other <> None);
+  let d, _ = capture live in
+  Alcotest.(check bool) "the live task's dump carries no siginfo" true (d.Dump.siginfo = None)
 
 let test_filename_and_profile () =
   let sc = scenario () in
@@ -237,6 +248,7 @@ let () =
           tc "kill carries black box" `Quick test_killed_carries_blackbox;
           tc "capture faultpoint degrades gracefully" `Quick test_capture_faultpoint;
           tc "filename + profile embedding" `Quick test_filename_and_profile;
+          tc "live task ignores other kills" `Quick test_live_capture_ignores_other_kills;
         ] );
       ( "no-leak",
         [

@@ -1273,7 +1273,8 @@ let test_lock_unobserved_allocation () =
   let w = Alloc_budget.allocated (fun () -> for _ = 1 to 100 do round () done) /. 100.0 in
   Alcotest.(check (float 0.)) "words per acquire/release" 0.0 w;
   let seen = ref [] in
-  Lock.set_hook (fun ev ->
+  Lock.with_hook
+    (fun ev ->
       let name =
         match ev with
         | Lock.Attempt _ -> "attempt"
@@ -1281,8 +1282,8 @@ let test_lock_unobserved_allocation () =
         | Lock.Contended _ -> "contended"
         | Lock.Released _ -> "released"
       in
-      seen := name :: !seen);
-  Fun.protect ~finally:Lock.clear_hook round;
+      seen := name :: !seen)
+    round;
   Alcotest.(check (list string)) "a hook still sees every transition"
     [ "attempt"; "acquired"; "released" ] (List.rev !seen)
 

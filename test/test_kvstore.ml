@@ -393,8 +393,10 @@ let test_raise_mid_store_seals () =
       Alcotest.(check bool) (name ^ ": a small set") true
         (Server.set srv ~worker:0 ~key:"small" ~value:(Bytes.of_string "v") = Ok ());
       let before = requests () in
-      Mpk_faultinj.arm "physmem.alloc_frame" (Mpk_faultinj.Once 0);
-      (match Fun.protect ~finally:Mpk_faultinj.reset (fun () -> set "big" 'b') with
+      (match
+         Mpk_faultinj.inject ~seed:0L [ ("physmem.alloc_frame", Mpk_faultinj.Once 0) ]
+           (fun () -> set "big" 'b')
+       with
       | exception Signal.Killed si ->
           Alcotest.(check int) (name ^ ": killed by SIGBUS") Signal.sigbus si.Signal.signo
       | _ -> Alcotest.failf "%s: the set survived frame exhaustion" name);
@@ -527,6 +529,25 @@ let test_dispatch_ttl () =
   ignore (Server.dispatch srv ~worker:0 ~now:0.0 "set e 0 0 1\r\nx\r\n");
   Alcotest.(check string) "no expiry" "VALUE e 0 1\r\nx\r\nEND\r\n"
     (Server.dispatch srv ~worker:0 ~now:1e9 "get e\r\n")
+
+(* A negative exptime stores an item already expired, and a delete of an
+   expired item reclaims it without counting it as deleted: Memcached's
+   answers, and [stats] stops counting the item. *)
+let test_dispatch_expired_set_and_delete () =
+  let srv = Server.create ~mode:Server.Baseline ~workers:1 ~slab_mib:8 ~buckets:64 () in
+  let at now = Server.dispatch srv ~worker:0 ~now in
+  let curr_items now =
+    match Protocol.parse_response (at now "stats\r\n") with
+    | Ok (Protocol.Stats_reply kvs) -> List.assoc_opt "curr_items" kvs
+    | Ok _ | Error _ -> Alcotest.fail "bad stats reply"
+  in
+  Alcotest.(check string) "negative exptime is stored" "STORED\r\n"
+    (at 1000.0 "set k 0 -1 1\r\nv\r\n");
+  Alcotest.(check string) "and already expired" "END\r\n" (at 1000.0 "get k\r\n");
+  Alcotest.(check string) "set a" "STORED\r\n" (at 1000.0 "set a 0 5 1\r\nx\r\n");
+  Alcotest.(check string) "delete after the deadline" "NOT_FOUND\r\n"
+    (at 1006.0 "delete a\r\n");
+  Alcotest.(check (option string)) "the expired item is reclaimed" (Some "0") (curr_items 1006.0)
 
 let test_dispatch_lru_eviction () =
   (* a slab region of one 1 MiB slab: 64 KiB-class values fill it after
@@ -915,6 +936,7 @@ let () =
           tc "ENOSPC -> SERVER_ERROR" `Quick test_set_enospc_is_server_error;
           tc "flags are 32-bit unsigned" `Quick test_dispatch_flags_unsigned;
           tc "oversized item" `Quick test_oversized_item;
+          tc "expired set and delete" `Quick test_dispatch_expired_set_and_delete;
         ] );
       ( "allocation", [ tc "requests" `Quick test_request_allocation ] );
       ( "loadgen",

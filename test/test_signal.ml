@@ -9,7 +9,8 @@
    Part 2 arms each registered failure point individually and checks that
    the library degrades gracefully: typed errors out, invariants intact
    (the PR-2 auditor is the oracle), and the same call succeeds once the
-   fault is disarmed. *)
+   fault is disarmed; then that an injection is scoped to its run and a
+   preemption to its machine. *)
 
 open Mpk_hw
 open Mpk_kernel
@@ -17,7 +18,6 @@ open Mpk_kernel
 let page = Physmem.page_size
 
 let make_env ?(cores = 2) ?hw_keys () =
-  Mpk_faultinj.reset ();
   let machine = Machine.create ~cores ~mem_mib:64 () in
   let proc = Proc.create machine in
   let main = Proc.spawn proc ~core_id:0 () in
@@ -26,6 +26,9 @@ let make_env ?(cores = 2) ?hw_keys () =
 
 let read proc task ~addr = Mmu.read_byte (Proc.mmu proc) (Task.core task) ~addr
 let write proc task ~addr c = Mmu.write_byte (Proc.mmu proc) (Task.core task) ~addr c
+
+(* [f ()] with one failure point armed. *)
+let armed point plan f = fst (Mpk_faultinj.inject ~seed:0L [ (point, plan) ] f)
 
 (* The siglongjmp idiom: the handler escapes by raising, the caller
    resumes at the "sigsetjmp point" with the siginfo in hand. *)
@@ -94,15 +97,16 @@ let test_maperr_classification () =
 let test_sigbus_on_frame_exhaustion () =
   let _mpk, proc, main = make_env () in
   let addr = Syscall.mmap proc main ~len:page ~prot:Perm.rw () in
-  Mpk_faultinj.arm "physmem.alloc_frame" (Mpk_faultinj.Once 0);
-  (match catch_signal main (fun () -> ignore (read proc main ~addr)) with
+  (match
+     armed "physmem.alloc_frame" (Mpk_faultinj.Once 0) (fun () ->
+         catch_signal main (fun () -> ignore (read proc main ~addr)))
+   with
   | None -> Alcotest.fail "demand paging under frame exhaustion should fault"
   | Some si ->
       Alcotest.(check int) "signo is SIGBUS" Signal.sigbus si.Signal.signo;
       (match si.Signal.code with
       | Signal.Bus_adrerr -> ()
       | c -> Alcotest.failf "expected BUS_ADRERR, got %s" (Signal.code_to_string c)));
-  Mpk_faultinj.reset ();
   (* the fault left nothing behind: the same touch now succeeds *)
   ignore (read proc main ~addr)
 
@@ -164,47 +168,43 @@ let test_fault_inside_domain () =
 
 let test_oom_during_mpk_mmap_rolls_back () =
   let mpk, _proc, main = make_env () in
-  Mpk_faultinj.arm "physmem.alloc_frame" (Mpk_faultinj.Once 0);
-  (match Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw with
-  | _ -> Alcotest.fail "mpk_mmap should fail under frame exhaustion"
-  | exception Errno.Error (Errno.ENOMEM, _) -> ());
+  armed "physmem.alloc_frame" (Mpk_faultinj.Once 0) (fun () ->
+      match Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw with
+      | _ -> Alcotest.fail "mpk_mmap should fail under frame exhaustion"
+      | exception Errno.Error (Errno.ENOMEM, _) -> ());
   Alcotest.(check bool) "no half-created group" true (Libmpk.find_group mpk 1 = None);
   Alcotest.(check int) "group count unchanged" 0 (Libmpk.group_count mpk);
   audit_clean "after injected OOM in mpk_mmap" mpk;
-  Mpk_faultinj.reset ();
   let addr = Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw in
   Alcotest.(check bool) "retry succeeds" true (addr > 0);
   audit_clean "after retry" mpk
 
 let test_pkey_alloc_enospc () =
-  Mpk_faultinj.reset ();
   let machine = Machine.create ~cores:1 ~mem_mib:16 () in
   let proc = Proc.create machine in
   let main = Proc.spawn proc ~core_id:0 () in
-  Mpk_faultinj.arm "syscall.pkey_alloc" (Mpk_faultinj.Once 0);
-  (match Syscall.pkey_alloc proc main ~init_rights:Pkru.Read_write with
-  | _ -> Alcotest.fail "pkey_alloc should report ENOSPC"
-  | exception Errno.Error (Errno.ENOSPC, _) -> ());
-  Mpk_faultinj.reset ();
+  armed "syscall.pkey_alloc" (Mpk_faultinj.Once 0) (fun () ->
+      match Syscall.pkey_alloc proc main ~init_rights:Pkru.Read_write with
+      | _ -> Alcotest.fail "pkey_alloc should report ENOSPC"
+      | exception Errno.Error (Errno.ENOSPC, _) -> ());
   let k = Syscall.pkey_alloc proc main ~init_rights:Pkru.Read_write in
   Syscall.pkey_free proc main k
 
 let test_key_cache_full_fails_fast () =
   let mpk, _proc, main = make_env () in
   (* injected Full at mmap: the group starts Unmapped (PROT_NONE) *)
-  Mpk_faultinj.arm "key_cache.full" (Mpk_faultinj.Once 0);
-  let _addr = Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw in
+  armed "key_cache.full" (Mpk_faultinj.Once 0) (fun () ->
+      ignore (Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw));
   (match Libmpk.find_group mpk 1 with
   | Some { Libmpk.Group.state = Libmpk.Group.Unmapped; _ } -> ()
   | _ -> Alcotest.fail "group should start keyless under injected Full");
   audit_clean "after keyless mmap" mpk;
   (* an injected Full at begin raises immediately *)
-  Mpk_faultinj.arm "key_cache.full" (Mpk_faultinj.Every 1);
-  (match Libmpk.mpk_begin mpk main ~vkey:1 ~prot:Perm.rw with
-  | () -> Alcotest.fail "mpk_begin should raise on exhaustion"
-  | exception Libmpk.Key_exhausted -> ());
-  audit_clean "after exhaustion" mpk;
-  Mpk_faultinj.reset ()
+  armed "key_cache.full" (Mpk_faultinj.Every 1) (fun () ->
+      match Libmpk.mpk_begin mpk main ~vkey:1 ~prot:Perm.rw with
+      | () -> Alcotest.fail "mpk_begin should raise on exhaustion"
+      | exception Libmpk.Key_exhausted -> ());
+  audit_clean "after exhaustion" mpk
 
 let test_pinned_key_exhaustion () =
   let mpk, proc, main = make_env ~hw_keys:1 () in
@@ -225,13 +225,12 @@ let test_pinned_key_exhaustion () =
 let test_xonly_reserve_refusal () =
   let mpk, _proc, main = make_env () in
   ignore (Libmpk.mpk_mmap mpk main ~vkey:3 ~len:page ~prot:Perm.rw);
-  Mpk_faultinj.arm "key_cache.reserve" (Mpk_faultinj.Once 0);
-  (match Libmpk.mpk_mprotect mpk main ~vkey:3 ~prot:Perm.x_only with
-  | () -> Alcotest.fail "reserve refusal should surface"
-  | exception Libmpk.Key_exhausted -> ());
+  armed "key_cache.reserve" (Mpk_faultinj.Once 0) (fun () ->
+      match Libmpk.mpk_mprotect mpk main ~vkey:3 ~prot:Perm.x_only with
+      | () -> Alcotest.fail "reserve refusal should surface"
+      | exception Libmpk.Key_exhausted -> ());
   audit_clean "after refused execute-only reserve" mpk;
   Alcotest.(check int) "no reserve leaked" 0 (Libmpk.xonly_group_count mpk);
-  Mpk_faultinj.reset ();
   Libmpk.mpk_mprotect mpk main ~vkey:3 ~prot:Perm.x_only;
   Alcotest.(check int) "retry reserves" 1 (Libmpk.xonly_group_count mpk);
   audit_clean "after successful execute-only transition" mpk
@@ -239,18 +238,90 @@ let test_xonly_reserve_refusal () =
 let test_forced_preemption_consistency () =
   let mpk, proc, main = make_env () in
   let addr = Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw in
-  Mpk_faultinj.arm "sched.preempt" (Mpk_faultinj.Every 5);
-  for i = 0 to 19 do
-    Libmpk.mpk_begin mpk main ~vkey:1 ~prot:Perm.rw;
-    write proc main ~addr (Char.chr (Char.code 'a' + (i mod 26)));
-    Libmpk.mpk_end mpk main ~vkey:1;
-    Libmpk.mpk_mprotect mpk main ~vkey:1 ~prot:(if i mod 2 = 0 then Perm.r else Perm.rw);
-    audit_clean (Printf.sprintf "forced preemption, iteration %d" i) mpk
-  done;
-  (match Mpk_faultinj.stats_of "sched.preempt" with
-  | Some s -> Alcotest.(check bool) "preemptions actually fired" true (s.Mpk_faultinj.fired > 0)
-  | None -> Alcotest.fail "sched.preempt not registered");
-  Mpk_faultinj.reset ()
+  let (), stats =
+    Mpk_faultinj.inject ~seed:0L [ ("sched.preempt", Mpk_faultinj.Every 5) ] @@ fun () ->
+    for i = 0 to 19 do
+      Libmpk.mpk_begin mpk main ~vkey:1 ~prot:Perm.rw;
+      write proc main ~addr (Char.chr (Char.code 'a' + (i mod 26)));
+      Libmpk.mpk_end mpk main ~vkey:1;
+      Libmpk.mpk_mprotect mpk main ~vkey:1 ~prot:(if i mod 2 = 0 then Perm.r else Perm.rw);
+      audit_clean (Printf.sprintf "forced preemption, iteration %d" i) mpk
+    done
+  in
+  match stats with
+  | [ s ] -> Alcotest.(check bool) "preemptions actually fired" true (s.Mpk_faultinj.fired > 0)
+  | l -> Alcotest.failf "expected the stats of one point, got %d" (List.length l)
+
+(* --- part 3: scoped injection, per-machine preemption ------------------ *)
+
+exception Boom
+
+let test_inject_disarms_on_raise () =
+  let plan = [ ("key_cache.full", Mpk_faultinj.Every 1) ] in
+  (match Mpk_faultinj.inject ~seed:0L plan (fun () -> raise Boom) with
+  | _ -> Alcotest.fail "inject swallowed the raise"
+  | exception Boom -> ());
+  Alcotest.(check bool) "the plan no longer fires" false (Mpk_faultinj.fire "key_cache.full");
+  let mpk, _proc, main = make_env () in
+  ignore (Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw);
+  match Libmpk.find_group mpk 1 with
+  | Some { Libmpk.Group.state = Libmpk.Group.Mapped _; _ } -> ()
+  | _ -> Alcotest.fail "an mmap after the raise still got a refused key"
+
+(* A nested injection arms only its own plans, on its own counters and
+   PRNG; the enclosing one resumes where it was. *)
+let test_nested_inject () =
+  let fire () = Mpk_faultinj.fire "physmem.alloc_frame" in
+  let draws nested =
+    Mpk_faultinj.inject ~seed:9L [ ("physmem.alloc_frame", Mpk_faultinj.Prob 0.5) ]
+    @@ fun () ->
+    let before = List.init 8 (fun _ -> fire ()) in
+    let inner =
+      if nested then
+        snd
+        @@ Mpk_faultinj.inject ~seed:1L [ ("syscall.pkey_alloc", Mpk_faultinj.Prob 0.5) ]
+        @@ fun () ->
+        for _ = 1 to 3 do
+          Alcotest.(check bool) "the enclosing plan is not armed inside" false (fire ());
+          ignore (Mpk_faultinj.fire "syscall.pkey_alloc")
+        done
+      else []
+    in
+    (before @ List.init 8 (fun _ -> fire ()), inner)
+  in
+  let (alone, _), alone_stats = draws false in
+  let (resumed, inner), outer_stats = draws true in
+  Alcotest.(check (list bool)) "the enclosing draws resume unchanged" alone resumed;
+  let show = List.map (fun s -> Mpk_faultinj.(s.name, s.hits, s.fired)) in
+  Alcotest.(check (list (triple string int int)))
+    "the enclosing counters resume unchanged" (show alone_stats) (show outer_stats);
+  Alcotest.(check (list (pair string int)))
+    "the nested counters are its own" [ ("syscall.pkey_alloc", 3) ]
+    (List.map (fun (name, hits, _) -> (name, hits)) (show inner))
+
+(* Every machine's kernel installs its scheduler on its own cores, so an
+   injected preemption on machine A bounces A's task, however many
+   machines (a second process, a torture run) were built after it. *)
+let test_preemption_stays_on_its_machine () =
+  let _mpk, _proc, main = make_env () in
+  let core_a = Task.core main in
+  let b = Machine.create ~cores:1 ~mem_mib:16 () in
+  ignore (Proc.spawn (Proc.create b) ~core_id:0 ());
+  let core_b = Machine.core b 0 in
+  let switch = (Cpu.costs core_a).Costs.context_switch in
+  let preempted_charge what =
+    let a0 = Cpu.cycles core_a and b0 = Cpu.cycles core_b in
+    armed "sched.preempt" (Mpk_faultinj.Every 1) (fun () -> Cpu.charge core_a 1.0);
+    Alcotest.(check (float 0.))
+      (what ^ ": A pays a switch out and back in") (1.0 +. (2.0 *. switch))
+      (Cpu.cycles core_a -. a0);
+    Alcotest.(check (float 0.)) (what ^ ": B's core is charged nothing") b0 (Cpu.cycles core_b)
+  in
+  preempted_charge "after B is created";
+  let cfg = { Mpk_check.Torture.default_config with ops = 4 } in
+  Alcotest.(check bool) "the torture run passes" true
+    (Mpk_check.Torture.run_once cfg ~schedule:[] ()).Mpk_check.Torture.ok;
+  preempted_charge "after a torture run"
 
 let () =
   Alcotest.run "signal"
@@ -278,5 +349,9 @@ let () =
           Alcotest.test_case "execute-only reserve refusal" `Quick test_xonly_reserve_refusal;
           Alcotest.test_case "forced preemption keeps invariants" `Quick
             test_forced_preemption_consistency;
+          Alcotest.test_case "inject disarms on a raise" `Quick test_inject_disarms_on_raise;
+          Alcotest.test_case "nested inject resumes the outer" `Quick test_nested_inject;
+          Alcotest.test_case "preemption stays on its machine" `Quick
+            test_preemption_stays_on_its_machine;
         ] );
     ]
