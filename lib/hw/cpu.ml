@@ -11,6 +11,7 @@ type t = {
   cycles : clock;
   mutable refill_left : int;  (* instructions still paying the drain *)
   mutable preempt : int -> unit;  (* what an injected preemption does here *)
+  mutable task : int;  (* resident task's id, -1 when idle: trace events' stamp *)
 }
 
 let create ?(costs = Costs.default) ~id () =
@@ -22,6 +23,7 @@ let create ?(costs = Costs.default) ~id () =
     cycles = { now = 0.0 };
     refill_left = 0;
     preempt = ignore;
+    task = -1;
   }
 
 let id t = t.id
@@ -37,6 +39,7 @@ let clock t = t.cycles
 let fp_preempt = "sched.preempt"
 let () = Mpk_faultinj.declare fp_preempt
 let set_preempt t f = t.preempt <- f
+let preempt_hook t = t.preempt
 
 (* Cycles ever charged on any core, for the attribution exactness check:
    this accumulator and a profile's [Prof.total] perform the same float
@@ -101,8 +104,11 @@ let measure t f =
   let result = f () in
   result, cycles t -. before
 
-(* Tracer shims: the core's cycle counter is the event clock. *)
-let emit t ev = Mpk_trace.Tracer.emit ~core:t.id ~ts:(cycles t) ev
+let set_task t id = t.task <- id
+
+(* Tracer shims: the core's cycle counter is the event clock, and its
+   resident task the events' task. *)
+let emit t ev = Mpk_trace.Tracer.emit ~core:t.id ~task:t.task ~ts:(cycles t) ev
 
 let observed () = Mpk_trace.Tracer.on () || Mpk_trace.Prof.on ()
 
@@ -110,7 +116,8 @@ let observed () = Mpk_trace.Tracer.on () || Mpk_trace.Prof.on ()
    comes first so that the clock closure is only built when a span will
    read it. *)
 let span t name f =
-  if observed () then Mpk_trace.Tracer.with_span ~core:t.id ~clock:(fun () -> cycles t) name f
+  if observed () then
+    Mpk_trace.Tracer.with_span ~core:t.id ~task:t.task ~clock:(fun () -> cycles t) name f
   else f ()
 
 let pkru t = t.pkru

@@ -67,13 +67,21 @@ val with_plant_slowdown : (string * float) option -> (unit -> 'a) -> 'a
     of its machine, as it installs the MMU's fault sink. *)
 val set_preempt : t -> (int -> unit) -> unit
 
+(** The hook {!set_preempt} installed last ([ignore] on a new core). *)
+val preempt_hook : t -> int -> unit
+
+(** [set_task t id] records the task resident on this core, [-1] for
+    none: the scheduler sets it as it switches tasks in and out, and
+    {!emit} and {!span} stamp trace events with it. *)
+val set_task : t -> int -> unit
+
 (** [measure t f] is [f ()] together with the cycles it consumed. *)
 val measure : t -> (unit -> 'a) -> 'a * float
 
-(** [emit t ev] emits a trace event stamped with this core's id and
-    cycle clock. No-op (one branch) when tracing is disabled, but
-    callers on hot paths should still guard with [Mpk_trace.Tracer.on]
-    to avoid constructing the event payload. *)
+(** [emit t ev] emits a trace event stamped with this core's id,
+    resident task and cycle clock. No-op (one branch) when tracing is
+    disabled, but callers on hot paths should still guard with
+    [Mpk_trace.Tracer.on] to avoid constructing the event payload. *)
 val emit : t -> Mpk_trace.Event.ev -> unit
 
 (** A trace or a profile is recording: [Mpk_trace.Tracer.on () ||

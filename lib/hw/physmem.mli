@@ -1,11 +1,13 @@
 (** Simulated physical memory: a frame allocator plus byte storage.
 
-    Frames are 4 KiB and lazily backed by [Bytes]; a multi-gigabyte
-    "physical" memory only costs host RAM for frames actually written.
-    Per-frame state (reference counts, storage) lives in frame-indexed
-    arrays that grow by doubling with the highest frame handed out, so
-    allocation, reference counting and access to a backed frame
-    allocate nothing once the arrays have grown. *)
+    Frames are 4 KiB, stored as 128-byte lines that each take host RAM
+    on their first write; a multi-gigabyte "physical" memory only costs
+    host RAM for the lines actually written, and a line never written
+    reads as zeroes. Per-frame state (reference counts, the slots of a
+    written frame's lines) lives in frame-indexed arrays that grow by
+    doubling with the highest frame handed out, so allocation, reference
+    counting and access to a written line allocate nothing once the
+    arrays have grown. *)
 
 val page_size : int
 val page_shift : int

@@ -30,9 +30,18 @@ let create ?(ipi_batching = true) machine =
           in
           Task.deliver_signal task (Signal.of_fault fault ~pkey));
   (* Injected preemption ("sched.preempt") on this machine's cores
-     bounces the current task through a real schedule_out/in pair. *)
-  let preempt core_id = Sched.preempt sched ~core_id in
-  Array.iter (fun cpu -> Cpu.set_preempt cpu preempt) (Machine.cores machine);
+     bounces the current task through a real schedule_out/in pair. On a
+     core where this process has no task the replaced hook runs, so an
+     earlier process on the machine (the JIT beside SDCG's emitter)
+     still preempts its own. *)
+  Array.iter
+    (fun cpu ->
+      let outer = Cpu.preempt_hook cpu in
+      Cpu.set_preempt cpu (fun core_id ->
+          match Sched.task_on sched ~core_id with
+          | Some _ -> Sched.preempt sched ~core_id
+          | None -> outer core_id))
+    (Machine.cores machine);
   { machine; mm; sched; pkeys = Pkey_bitmap.create (); ipi_batching; xonly = None }
 
 let machine t = t.machine

@@ -13,7 +13,9 @@ type t
     IPI on eviction) kept as the reference point for scaling
     comparisons. The process installs its fault sink on its MMU and its
     scheduler's preemption ({!Sched.preempt}) on the machine's cores, so
-    an injected ["sched.preempt"] preempts its own machine's tasks. *)
+    an injected ["sched.preempt"] preempts its own machine's tasks. On a
+    core where it has no task, the hook it replaced runs instead, so
+    every process on one machine preempts its own tasks. *)
 val create : ?ipi_batching:bool -> Machine.t -> t
 
 val machine : t -> Machine.t

@@ -56,9 +56,7 @@ let schedule_in _t task =
         if Mpk_trace.Tracer.on () then
           Cpu.emit core (Mpk_trace.Event.Tlb_flush { pages = 0; all = true })
       end;
-      (* Keep the tracer's core→task registry current even while tracing
-         is off, so enabling mid-run stamps events correctly. *)
-      Mpk_trace.Tracer.set_task_on_core ~core:(Cpu.id core) ~task:(Task.id task);
+      Cpu.set_task core (Task.id task);
       if Mpk_trace.Tracer.on () then
         Cpu.emit core (Mpk_trace.Event.Context_switch { task = Task.id task; onto = true });
       return_to_user task
@@ -73,7 +71,7 @@ let schedule_out _t task =
       Task.set_state task Off_cpu;
       if Mpk_trace.Tracer.on () then
         Cpu.emit core (Mpk_trace.Event.Context_switch { task = Task.id task; onto = false });
-      Mpk_trace.Tracer.set_task_on_core ~core:(Cpu.id core) ~task:(-1)
+      Cpu.set_task core (-1)
 
 let spawn t ~core_id =
   let core = Machine.core t.machine core_id in

@@ -34,14 +34,7 @@ let fresh () =
 
 let opened : capture option ref = ref None
 
-(* Which task is resident on each core; maintained by the scheduler via
-   [set_task_on_core] whether or not a recording is open, so a recording
-   opened mid-run still stamps correct task ids. *)
-let task_on_core : (int, int) Hashtbl.t = Hashtbl.create 8
-
 let on () = match !opened with Some _ -> true | None -> false
-
-let set_task_on_core ~core ~task = Hashtbl.replace task_on_core core task
 
 let ring_for r core =
   match Hashtbl.find_opt r.rings core with
@@ -75,10 +68,7 @@ let counter_for kind =
       Hashtbl.replace kind_counters kind c;
       c
 
-let push r ~core ~ts ev =
-  let task =
-    match Hashtbl.find_opt task_on_core core with Some t -> t | None -> -1
-  in
+let push r ~core ~task ~ts ev =
   let span = match r.span_stack with s :: _ -> s | [] -> 0 in
   let e = { Event.seq = r.seq; ts; core; task; span; ev } in
   r.seq <- r.seq + 1;
@@ -87,18 +77,18 @@ let push r ~core ~ts ev =
   Metrics.inc (counter_for (Event.kind ev));
   List.iter (fun s -> s e) r.sinks
 
-let emit ~core ~ts ev = match !opened with None -> () | Some r -> push r ~core ~ts ev
+let emit ~core ~task ~ts ev = match !opened with None -> () | Some r -> push r ~core ~task ~ts ev
 
 (* For emitters with no core context (fault injection): stamp with the
    latest cycle time observed anywhere. *)
 let emit_floating ev =
-  match !opened with None -> () | Some r -> push r ~core:(-1) ~ts:r.last ev
+  match !opened with None -> () | Some r -> push r ~core:(-1) ~task:(-1) ~ts:r.last ev
 
 (* Callers check [on () || Prof.on ()] first ([Cpu.observed]) and, when
    both are off, run the body bare without building [f] or [clock], so
    that an unobserved span allocates nothing. A span cannot outlive the
    recordings open at its start, as both are scoped. *)
-let with_span ~core ~clock name f =
+let with_span ~core ~task ~clock name f =
   let profiling = Prof.on () in
   if profiling then Prof.enter name;
   let exit_prof () = if profiling then Prof.exit_ () in
@@ -107,11 +97,11 @@ let with_span ~core ~clock name f =
   | Some r ->
       r.spans <- r.spans + 1;
       r.span_stack <- r.spans :: r.span_stack;
-      push r ~core ~ts:(clock ()) (Event.Span_begin { name });
+      push r ~core ~task ~ts:(clock ()) (Event.Span_begin { name });
       Fun.protect
         ~finally:(fun () ->
           exit_prof ();
-          push r ~core ~ts:(clock ()) (Event.Span_end { name });
+          push r ~core ~task ~ts:(clock ()) (Event.Span_end { name });
           match r.span_stack with _ :: tl -> r.span_stack <- tl | [] -> ())
         f
 

@@ -39,21 +39,20 @@ val recent : capture -> int -> Event.t list
 val current : unit -> capture option
 (** The open recording, for a reader that looks at it mid-run. *)
 
-val set_task_on_core : core:int -> task:int -> unit
-(** Scheduler hook: records which task is resident on [core] so events
-    can be task-stamped. Maintained while no recording is open too, so
-    a recording opened mid-run yields correct attribution. *)
-
-val emit : core:int -> ts:float -> Event.ev -> unit
+val emit : core:int -> task:int -> ts:float -> Event.ev -> unit
+(** [emit ~core ~task ~ts ev] records [ev] as emitted on [core] while
+    [task] is resident there ([-1] for none); the emitting core's own
+    record of its task supplies it ([Cpu.emit]), since core ids repeat
+    across simulated machines. *)
 
 val emit_floating : Event.ev -> unit
 (** Emit without core context (fault-injection firings): [core = -1],
     timestamped with the latest cycle time the recording has seen. *)
 
-val with_span : core:int -> clock:(unit -> float) -> string -> (unit -> 'a) -> 'a
-(** [with_span ~core ~clock name f] wraps [f] in a span: allocates a
-    span id, emits [Span_begin]/[Span_end] stamped via [clock] (the
-    core's cycle counter, read at entry and exit), and opens a
+val with_span : core:int -> task:int -> clock:(unit -> float) -> string -> (unit -> 'a) -> 'a
+(** [with_span ~core ~task ~clock name f] wraps [f] in a span: allocates
+    a span id, emits [Span_begin]/[Span_end] stamped with [task] and via
+    [clock] (the core's cycle counter, read at entry and exit), and opens a
     {!Prof} attribution scope when profiling is on. Exception-safe.
     Callers ([Cpu.span], and the libmpk and syscall entry points
     through [Cpu.observed]) run the body bare instead when neither

@@ -264,6 +264,142 @@ let test_physmem_growth () =
   Alcotest.check_raises "exhausted at total" Out_of_memory (fun () ->
       ignore (Physmem.alloc_frame m))
 
+(* Random allocator calls and accesses against a reference that keeps
+   one flat 4 KiB page per frame. Offsets cluster around the 128-byte
+   line boundaries and lengths include whole pages, so words and ranges
+   straddle lines; six frames recycle often, so reads see recycled
+   frames and their storage. *)
+type physmem_op =
+  | Alloc
+  | Ref of int
+  | Free of int
+  | Write_byte of int * int * char
+  | Write_word of int * int * int
+  | Write_bytes of int * int * int  (* frame, offset, length *)
+  | Read of int * int * int
+
+let physmem_model_frames = 6
+
+let physmem_op_gen =
+  let open QCheck.Gen in
+  let frame = int_bound (physmem_model_frames - 1) in
+  let off = oneof [ int_bound 4095; map2 (fun l d -> (l * 128) + d) (int_bound 32) (int_range (-9) 9) ] in
+  let clip width o = max 0 (min (Physmem.page_size - width) o) in
+  let range =
+    map2
+      (fun o len -> (clip len o, len))
+      off
+      (frequency [ (3, int_bound 20); (2, int_range 100 300); (1, return Physmem.page_size) ])
+  in
+  frequency
+    [
+      (3, return Alloc);
+      (1, map (fun f -> Ref f) frame);
+      (3, map (fun f -> Free f) frame);
+      (2, map3 (fun f o c -> Write_byte (f, clip 1 o, c)) frame off char);
+      (2, map3 (fun f o v -> Write_word (f, clip 8 o, v)) frame off int);
+      (3, map2 (fun f (o, len) -> Write_bytes (f, o, len)) frame range);
+      (5, map2 (fun f (o, len) -> Read (f, o, len)) frame range);
+    ]
+
+let show_physmem_op = function
+  | Alloc -> "alloc"
+  | Ref f -> Printf.sprintf "ref %d" f
+  | Free f -> Printf.sprintf "free %d" f
+  | Write_byte (f, o, c) -> Printf.sprintf "write_byte %d %d %C" f o c
+  | Write_word (f, o, v) -> Printf.sprintf "write_word %d %d %d" f o v
+  | Write_bytes (f, o, len) -> Printf.sprintf "write_bytes %d %d %d" f o len
+  | Read (f, o, len) -> Printf.sprintf "read %d %d %d" f o len
+
+let physmem_model =
+  QCheck.Test.make ~name:"physmem matches a flat-page model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list show_physmem_op) ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 10 80) physmem_op_gen))
+    (fun ops ->
+      let n = physmem_model_frames in
+      let m = Physmem.create ~frames:n in
+      (* the reference: a page and a reference count per frame *)
+      let pages = Array.init n (fun _ -> Bytes.make Physmem.page_size '\000') in
+      let refs = Array.make n 0 in
+      let zero f = Bytes.fill pages.(f) 0 Physmem.page_size '\000' in
+      let rejected f = match f () with () -> false | exception Invalid_argument _ -> true in
+      let counted op f =
+        if Physmem.refcount m f <> refs.(f) then
+          QCheck.Test.fail_reportf "%s: refcount %d, want %d" (show_physmem_op op)
+            (Physmem.refcount m f) refs.(f)
+      in
+      let same what got want =
+        if not (Bytes.equal got want) then
+          QCheck.Test.fail_reportf "%s read %S, want %S" what (Bytes.to_string got)
+            (Bytes.to_string want)
+      in
+      let step i op =
+        (match op with
+        | Alloc -> (
+            match Physmem.alloc_frame m with
+            | f ->
+                if refs.(f) <> 0 then QCheck.Test.fail_reportf "frame %d handed out twice" f;
+                refs.(f) <- 1;
+                zero f
+            | exception Out_of_memory ->
+                if Array.exists (( = ) 0) refs then
+                  QCheck.Test.fail_report "out of memory with a frame free")
+        | Ref f when refs.(f) = 0 ->
+            if not (rejected (fun () -> Physmem.ref_frame m f)) then
+              QCheck.Test.fail_reportf "ref of free frame %d accepted" f
+        | Ref f ->
+            Physmem.ref_frame m f;
+            refs.(f) <- refs.(f) + 1;
+            counted op f
+        | Free f when refs.(f) = 0 ->
+            if not (rejected (fun () -> Physmem.free_frame m f)) then
+              QCheck.Test.fail_reportf "free of free frame %d accepted" f
+        | Free f ->
+            Physmem.free_frame m f;
+            refs.(f) <- refs.(f) - 1;
+            if refs.(f) = 0 then zero f;
+            counted op f
+        | Write_byte (f, o, c) ->
+            Physmem.write_byte m f o c;
+            Bytes.set pages.(f) o c
+        | Write_word (f, o, v) ->
+            Physmem.write_word m f o v;
+            Bytes.set_int64_le pages.(f) o (Int64.of_int v)
+        | Write_bytes (f, o, len) ->
+            let src = Bytes.init (len + 3) (fun j -> Char.chr (((i * 31) + j) land 0xff)) in
+            Physmem.write_bytes m f o src 3 len;
+            Bytes.blit src 3 pages.(f) o len
+        | Read (f, o, len) ->
+            let what = show_physmem_op op in
+            let want = Bytes.sub pages.(f) o len in
+            same (what ^ ": read_bytes") (Physmem.read_bytes m f o len) want;
+            let into = Bytes.make (len + 5) '?' in
+            Physmem.read_into m f o into 5 len;
+            same (what ^ ": read_into") (Bytes.sub into 5 len) want;
+            if len > 0 then begin
+              let last = o + len - 1 in
+              same (what ^ ": read_byte")
+                (Bytes.make 1 (Physmem.read_byte m f last))
+                (Bytes.make 1 (Bytes.get pages.(f) last))
+            end;
+            let w = min o (Physmem.page_size - 8) in
+            let want_word = Int64.to_int (Bytes.get_int64_le pages.(f) w) in
+            if Physmem.read_word m f w <> want_word then
+              QCheck.Test.fail_reportf "%s: read_word %d = %d, want %d" (show_physmem_op op) w
+                (Physmem.read_word m f w) want_word);
+        let in_use = Array.fold_left (fun acc r -> if r > 0 then acc + 1 else acc) 0 refs in
+        if Physmem.frames_in_use m <> in_use then
+          QCheck.Test.fail_reportf "%s: %d frames in use, want %d" (show_physmem_op op)
+            (Physmem.frames_in_use m) in_use
+      in
+      List.iteri step ops;
+      Array.iteri
+        (fun f page ->
+          same (Printf.sprintf "frame %d's whole page" f)
+            (Physmem.read_bytes m f 0 Physmem.page_size) page)
+        pages;
+      true)
+
 (* --- Page_table --- *)
 
 let test_page_table_set_get () =
@@ -714,6 +850,25 @@ let test_physmem_allocation () =
         ignore (Physmem.read_word m f (off * 8))
       done)
 
+(* A frame costs host memory for the lines written to it: 2,048 frames
+   stamped with one 64-byte line each, like the key-churn benchmark's
+   group pages, cost a fraction of a page apiece, and a frame written
+   end to end little more than its page. *)
+let test_physmem_storage () =
+  let n = 2048 in
+  let m = Physmem.create ~frames:n in
+  let frames = Array.init n (fun _ -> Physmem.alloc_frame m) in
+  let words_per_frame what ~at_most src =
+    Array.iter (fun f -> Physmem.write_bytes m f 0 src 0 (Bytes.length src)) frames;
+    let w = float_of_int (Obj.reachable_words (Obj.repr m)) /. float_of_int n in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1f words per frame, at most %d" what w at_most)
+      true
+      (w <= float_of_int at_most)
+  in
+  words_per_frame "one 64-byte line" ~at_most:64 (Bytes.make 64 's');
+  words_per_frame "the whole page" ~at_most:560 (Bytes.make Physmem.page_size 'p')
+
 let test_mmu_single_page_allocation () =
   let mmu, cpu, map = make_mmu () in
   map ~vpn:1 ~perm:Perm.rw ~pkey:Pkey.default;
@@ -824,6 +979,7 @@ let () =
           tc "bounds" `Quick test_physmem_bounds;
           tc "frame out of range" `Quick test_physmem_frame_range;
           tc "growth keeps order and refcounts" `Quick test_physmem_growth;
+          qtest physmem_model;
         ] );
       ( "page_table",
         [
@@ -883,6 +1039,7 @@ let () =
           tc "update_range" `Quick test_update_range_allocation;
           tc "mmu single page" `Quick test_mmu_single_page_allocation;
           tc "physmem" `Quick test_physmem_allocation;
+          tc "physmem storage" `Quick test_physmem_storage;
         ] );
       ("physmem_refs", [ tc "refcount" `Quick test_physmem_refcount ]);
       ( "machine",

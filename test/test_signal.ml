@@ -323,6 +323,20 @@ let test_preemption_stays_on_its_machine () =
     (Mpk_check.Torture.run_once cfg ~schedule:[] ()).Mpk_check.Torture.ok;
   preempted_charge "after a torture run"
 
+(* Two processes share one machine, as SDCG's emitter shares the JIT's:
+   the second one's hook hands a core where it has no task to the
+   first's, so A's task on core 0 is still preempted. *)
+let test_preemption_reaches_every_process () =
+  let machine = Machine.create ~cores:2 ~mem_mib:16 () in
+  let a = Proc.create machine in
+  let core0 = Task.core (Proc.spawn a ~core_id:0 ()) in
+  let b = Proc.create machine in
+  ignore (Proc.spawn b ~core_id:1 ());
+  let before = Cpu.cycles core0 in
+  armed "sched.preempt" (Mpk_faultinj.Every 1) (fun () -> Cpu.charge core0 1.0);
+  Alcotest.(check (float 0.)) "A's task pays a switch out and back in" 2001.0
+    (Cpu.cycles core0 -. before)
+
 let () =
   Alcotest.run "signal"
     [
@@ -353,5 +367,7 @@ let () =
           Alcotest.test_case "nested inject resumes the outer" `Quick test_nested_inject;
           Alcotest.test_case "preemption stays on its machine" `Quick
             test_preemption_stays_on_its_machine;
+          Alcotest.test_case "preemption reaches every process" `Quick
+            test_preemption_reaches_every_process;
         ] );
     ]

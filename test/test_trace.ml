@@ -218,7 +218,7 @@ let test_tracer_ring_bounded () =
   let (), trace =
     Tracer.record (fun () ->
         for i = 1 to Tracer.capacity + 100 do
-          Tracer.emit ~core:0 ~ts:(float_of_int i) (Event.Wrpkru { pkru = i })
+          Tracer.emit ~core:0 ~task:(-1) ~ts:(float_of_int i) (Event.Wrpkru { pkru = i })
         done;
         ignore (demo_workload ()))
   in
@@ -237,6 +237,21 @@ let test_tracer_task_stamping () =
     List.exists (fun (e : Event.t) -> e.Event.task >= 0) (Tracer.events trace)
   in
   Alcotest.(check bool) "events carry task ids" true stamped
+
+(* Core ids repeat across machines: an event carries the task resident
+   on its own machine's core, not the one a later machine spawned on the
+   core with the same id. *)
+let test_tracer_task_stamp_per_machine () =
+  let a = Proc.create (Machine.create ~cores:2 ~mem_mib:16 ()) in
+  ignore (Proc.spawn a ~core_id:0 ());
+  let task1 = Proc.spawn a ~core_id:1 () in
+  let b = Proc.create (Machine.create ~cores:2 ~mem_mib:16 ()) in
+  ignore (Proc.spawn b ~core_id:1 ());
+  let (), trace = Tracer.record (fun () -> Cpu.wrpkru (Task.core task1) Pkru.init) in
+  match Tracer.events trace with
+  | [ { Event.ev = Event.Wrpkru _; task; _ } ] ->
+      Alcotest.(check int) "A's task 1 executed the wrpkru" 1 task
+  | es -> Alcotest.failf "want one wrpkru event, got %d events" (List.length es)
 
 (* --- cycle attribution --- *)
 
@@ -445,7 +460,7 @@ let check_marker_first trace =
 let test_stress_keeps_enclosing_trace () =
   let (), trace =
     Tracer.record (fun () ->
-        Tracer.emit ~core:0 ~ts:0.0 marker;
+        Tracer.emit ~core:0 ~task:(-1) ~ts:0.0 marker;
         stress_passes ())
   in
   check_marker_first trace
@@ -453,7 +468,7 @@ let test_stress_keeps_enclosing_trace () =
 let test_observe_keeps_enclosing_trace () =
   let still_on, trace =
     Tracer.record (fun () ->
-        Tracer.emit ~core:0 ~ts:0.0 marker;
+        Tracer.emit ~core:0 ~task:(-1) ~ts:0.0 marker;
         let _, _, exact = Mpk_bench.Runner.observe demo_workload in
         Alcotest.(check bool) "attribution exact" true exact;
         Tracer.on ())
@@ -472,7 +487,7 @@ let raises record body =
   | exception Failure _ -> ()
 
 let test_trace_raise_closes () =
-  let emit ts () = Tracer.emit ~core:0 ~ts marker in
+  let emit ts () = Tracer.emit ~core:0 ~task:(-1) ~ts marker in
   raises Tracer.record (emit 0.0);
   Alcotest.(check bool) "closed by the raise" false (Tracer.on ());
   let (), trace =
@@ -543,6 +558,8 @@ let () =
             test_tracer_profiling_is_cycle_identical;
           Alcotest.test_case "ring bounded" `Quick test_tracer_ring_bounded;
           Alcotest.test_case "task stamping" `Quick test_tracer_task_stamping;
+          Alcotest.test_case "task stamps stay on their machine" `Quick
+            test_tracer_task_stamp_per_machine;
         ] );
       ( "attribution",
         [
