@@ -19,7 +19,13 @@ val get : t -> vpn:int -> Pte.t
 (** [update_range t ~vpn ~pages rw] applies [rw] to every *present* entry
     in the range, visiting only the subtrees that overlap it and skipping
     absent ones wholesale (this is what keeps GB-scale [mprotect]
-    simulation fast). Returns the number of present entries rewritten. *)
+    simulation fast). Returns the number of present entries rewritten.
+
+    A 512-entry leaf that the range covers whole takes the rewrite in
+    O(1): [rw] is composed into the leaf's pending rewrite, which [get]
+    and [fold] apply to what they return, and the count comes from the
+    leaf's present count. A leaf covered in part is rewritten entry by
+    entry, after its pending rewrite is applied. Neither allocates. *)
 val update_range : t -> vpn:int -> pages:int -> Pte.rewrite -> int
 
 (** [fold t f init] over all present (vpn, pte) pairs, ascending vpn. *)

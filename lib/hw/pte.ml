@@ -69,6 +69,13 @@ let set_bits rw = rw land (perm_field lor pkey_field)
 
 let apply rw t = if is_present t then t land kept rw lor set_bits rw else t
 
+let identity = 0
+
+(* [r2]'s fields and flags over [r1]'s: a field either replaces is set to
+   the last value given it. The flags sit outside every entry field, so
+   [kept r2] keeps [r1]'s. *)
+let compose r1 r2 = r1 land kept r2 lor r2
+
 (* The per-entry loop lives here, beside the representation: dune's dev
    profile compiles with -opaque, so a call to [is_present] or [apply]
    from another module would stay out of line for every entry. *)

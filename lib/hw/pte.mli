@@ -45,6 +45,15 @@ val rewrite_perm_pkey : Perm.t -> Pkey.t -> rewrite
 (** [apply rw t] is [t] rewritten by [rw]; an absent entry stays absent. *)
 val apply : rewrite -> t -> t
 
+(** The rewrite that replaces nothing: [apply identity] is the identity
+    ([rewrite ()] builds the same value). *)
+val identity : rewrite
+
+(** [compose r1 r2] is [r1] then [r2], as one rewrite:
+    [apply (compose r1 r2) t = apply r2 (apply r1 t)]. A field that both
+    replace takes [r2]'s value. An immediate, like its arguments. *)
+val compose : rewrite -> rewrite -> rewrite
+
 (** [apply_present rw entries ~lo ~hi] rewrites every present entry of
     [entries.(lo) .. entries.(hi - 1)] in place and returns how many
     there were. Allocates nothing. *)

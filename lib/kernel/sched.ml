@@ -1,39 +1,36 @@
 open Mpk_hw
 
-type ipi_stats = { mutable sent : int; mutable received : int }
-
 type t = {
   machine : Machine.t;
   mutable tasks : Task.t list;
   mutable next_id : int;
-  ipi : (int, ipi_stats) Hashtbl.t;  (* core id -> IPIs sent/received *)
+  sent : int array;  (* IPIs sent, by core id *)
+  received : int array;  (* IPIs received, by core id *)
   mutable preempting : bool;  (* reentrancy guard for [preempt] *)
 }
 
 let create machine =
-  { machine; tasks = []; next_id = 0; ipi = Hashtbl.create 8; preempting = false }
+  let cores = Machine.core_count machine in
+  {
+    machine;
+    tasks = [];
+    next_id = 0;
+    sent = Array.make cores 0;
+    received = Array.make cores 0;
+    preempting = false;
+  }
 
 let machine t = t.machine
 
-let ipi_stats_for t core_id =
-  match Hashtbl.find t.ipi core_id with
-  | s -> s
-  | exception Not_found ->
-      let s = { sent = 0; received = 0 } in
-      Hashtbl.add t.ipi core_id s;
-      s
-
 let note_ipi t ~sender_id ~target_id =
-  let s = ipi_stats_for t sender_id in
-  s.sent <- s.sent + 1;
-  let r = ipi_stats_for t target_id in
-  r.received <- r.received + 1
+  t.sent.(sender_id) <- t.sent.(sender_id) + 1;
+  t.received.(target_id) <- t.received.(target_id) + 1
 
-let ipis_sent t = Hashtbl.fold (fun _ s acc -> acc + s.sent) t.ipi 0
+let ipis_sent t = Array.fold_left ( + ) 0 t.sent
 
 let ipis_per_core t =
-  Hashtbl.fold (fun id s acc -> (id, s.sent, s.received) :: acc) t.ipi []
-  |> List.sort compare
+  List.init (Array.length t.sent) (fun id -> (id, t.sent.(id), t.received.(id)))
+  |> List.filter (fun (_, sent, received) -> sent > 0 || received > 0)
 
 let return_to_user task = Task.work_run task
 

@@ -95,8 +95,8 @@ let max_frame = 0xFFFFFFFFF (* 36 bits *)
 let pte_roundtrip =
   QCheck.Test.make ~name:"pte encode/decode roundtrip" ~count:1000
     QCheck.(quad (int_bound max_frame) (pair (int_bound 7) (int_bound 7))
-              (int_bound 15) (int_bound 15))
-    (fun (frame, (p, p'), k, k') ->
+              (pair (int_bound 15) (int_bound 15)) (pair (int_bound 3) (int_bound 3)))
+    (fun (frame, (p, p'), (k, k'), (s, s')) ->
       let perm_of p =
         Perm.make ~read:(p land 1 <> 0) ~write:(p land 2 <> 0) ~exec:(p land 4 <> 0) ()
       in
@@ -109,11 +109,23 @@ let pte_roundtrip =
       let perm = perm_of p and pkey = Pkey.of_int k in
       let perm' = perm_of p' and pkey' = Pkey.of_int k' in
       let pte = Pte.make ~frame ~perm ~pkey in
+      (* bit 0 of a selector replaces the permission, bit 1 the key *)
+      let rewrite sel perm pkey =
+        Pte.rewrite
+          ?perm:(if sel land 1 <> 0 then Some perm else None)
+          ?pkey:(if sel land 2 <> 0 then Some pkey else None)
+          ()
+      in
+      let a = rewrite s perm' pkey' and b = rewrite s' perm pkey' in
       decodes pte perm pkey
       && decodes (Pte.apply (Pte.rewrite ~perm:perm' ()) pte) perm' pkey
       && decodes (Pte.apply (Pte.rewrite ~pkey:pkey' ()) pte) perm pkey'
       && decodes (Pte.apply (Pte.rewrite ~perm:perm' ~pkey:pkey' ()) pte) perm' pkey'
-      && Pte.apply (Pte.rewrite ()) pte = pte)
+      && Pte.apply (Pte.rewrite ()) pte = pte
+      && Pte.apply Pte.identity pte = pte
+      && Pte.apply (Pte.compose a b) pte = Pte.apply b (Pte.apply a pte)
+      && Pte.apply (Pte.compose Pte.identity a) pte = Pte.apply a pte
+      && Pte.apply (Pte.compose a Pte.identity) pte = Pte.apply a pte)
 
 let test_pte_absent () =
   Alcotest.(check bool) "absent not present" false (Pte.is_present Pte.absent);
@@ -470,28 +482,129 @@ let test_page_table_top_bits () =
   Alcotest.(check int) "count_with_pkey" 1 (Page_table.count_with_pkey pt k);
   Alcotest.(check int) "still mapped" 1 (Page_table.mapped_pages pt)
 
+(* Random sets, clears and rewrites against a flat table of every vpn
+   touched, which a rewrite changes entry by entry. The vpns span four
+   leaves, two on each side of a level-1 boundary. Range ends cluster on
+   leaf boundaries, so ranges cover one or several whole leaves, part of
+   one, or both, and several rewrites land on one leaf; entries and
+   rewrites draw from two permissions and two keys, so a present set
+   into a rewritten leaf often holds what the pending rewrite would
+   write, and often does not. *)
+type pt_op =
+  | Set of int * Pte.t
+  | Clear of int
+  | Rewrite of { vpn : int; pages : int; perm : Perm.t option; pkey : Pkey.t option }
+
+let pt_model_leaves = 4
+let pt_model_base = (1 lsl 18) - (2 * 512)
+let pt_model_span = pt_model_leaves * 512
+let pt_model_keys = [ Pkey.default; Pkey.of_int 15 ]
+
+let pt_op_gen =
+  let open QCheck.Gen in
+  let leaf = int_bound (pt_model_leaves - 1) in
+  let vpn =
+    map (( + ) pt_model_base)
+      (oneof
+         [
+           map2 (fun l j -> (l * 512) + j) leaf (oneofl [ 0; 1; 2; 255; 510; 511 ]);
+           int_bound (pt_model_span - 1);
+         ])
+  in
+  let point =
+    frequency
+      [
+        (3, map (( * ) 512) (int_bound pt_model_leaves));
+        ( 2,
+          map2
+            (fun l d -> max 0 (min pt_model_span ((l * 512) + d)))
+            (int_bound pt_model_leaves) (int_range (-2) 2) );
+        (1, int_bound pt_model_span);
+      ]
+  in
+  let perm = oneofl [ Perm.r; Perm.rw ] and pkey = oneofl pt_model_keys in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun vpn frame (perm, pkey) -> Set (vpn, Pte.make ~frame ~perm ~pkey))
+          vpn (int_bound 0xFFFF) (pair perm pkey) );
+      (1, map (fun vpn -> Clear vpn) vpn);
+      ( 4,
+        map3
+          (fun a b (perm, pkey) ->
+            Rewrite { vpn = pt_model_base + min a b; pages = abs (a - b); perm; pkey })
+          point point (pair (opt perm) (opt pkey)) );
+    ]
+
+let show_pt_op = function
+  | Set (vpn, pte) -> Format.asprintf "set %#x (%a)" vpn Pte.pp pte
+  | Clear vpn -> Printf.sprintf "clear %#x" vpn
+  | Rewrite { vpn; pages; perm; pkey } ->
+      Printf.sprintf "rewrite %#x+%d%s%s" vpn pages
+        (match perm with None -> "" | Some p -> " perm:" ^ Perm.to_string p)
+        (match pkey with None -> "" | Some k -> Printf.sprintf " pkey:%d" (Pkey.to_int k))
+
 let page_table_model =
-  QCheck.Test.make ~name:"page table matches model map" ~count:200
-    QCheck.(small_list (pair (int_bound 100000) (int_bound 1)))
+  QCheck.Test.make ~name:"page table matches model map" ~count:100
+    (QCheck.make ~print:QCheck.Print.(list show_pt_op) ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) pt_op_gen))
     (fun ops ->
       let pt = Page_table.create () in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (fun (vpn, op) ->
-          if op = 0 then begin
-            let pte = Pte.make ~frame:(vpn land 0xFFFF) ~perm:Perm.rw ~pkey:Pkey.default in
+      (* the reference: every vpn ever set, absent once cleared *)
+      let model = Hashtbl.create 64 in
+      let present () =
+        Hashtbl.fold
+          (fun vpn pte acc -> if Pte.is_present pte then (vpn, pte) :: acc else acc)
+          model []
+        |> List.sort compare
+      in
+      let step op =
+        let what = show_pt_op op in
+        (match op with
+        | Set (vpn, pte) ->
             Page_table.set pt ~vpn pte;
-            Hashtbl.replace model vpn ()
-          end
-          else begin
+            Hashtbl.replace model vpn pte
+        | Clear vpn ->
             Page_table.set pt ~vpn Pte.absent;
-            Hashtbl.remove model vpn
-          end)
-        ops;
-      Page_table.mapped_pages pt = Hashtbl.length model
-      && Hashtbl.fold
-           (fun vpn () acc -> acc && Pte.is_present (Page_table.get pt ~vpn))
-           model true)
+            Hashtbl.replace model vpn Pte.absent
+        | Rewrite { vpn; pages; perm; pkey } ->
+            let rw = Pte.rewrite ?perm ?pkey () in
+            let n = Page_table.update_range pt ~vpn ~pages rw in
+            let want = ref 0 in
+            Hashtbl.filter_map_inplace
+              (fun v pte ->
+                if v >= vpn && v < vpn + pages && Pte.is_present pte then begin
+                  incr want;
+                  Some (Pte.apply rw pte)
+                end
+                else Some pte)
+              model;
+            if n <> !want then QCheck.Test.fail_reportf "%s: rewrote %d, want %d" what n !want);
+        Hashtbl.iter
+          (fun vpn want ->
+            let got = Page_table.get pt ~vpn in
+            if got <> want then
+              QCheck.Test.fail_reportf "%s: get %#x = %a, want %a" what vpn Pte.pp got Pte.pp want)
+          model;
+        let present = present () in
+        if List.rev (Page_table.fold pt (fun vpn pte acc -> (vpn, pte) :: acc) []) <> present then
+          QCheck.Test.fail_reportf "%s: fold differs from the model" what;
+        List.iter
+          (fun k ->
+            let want =
+              List.length (List.filter (fun (_, pte) -> Pkey.equal (Pte.pkey pte) k) present)
+            in
+            if Page_table.count_with_pkey pt k <> want then
+              QCheck.Test.fail_reportf "%s: count_with_pkey %d = %d, want %d" what (Pkey.to_int k)
+                (Page_table.count_with_pkey pt k) want)
+          pt_model_keys;
+        if Page_table.mapped_pages pt <> List.length present then
+          QCheck.Test.fail_reportf "%s: %d mapped, want %d" what (Page_table.mapped_pages pt)
+            (List.length present)
+      in
+      List.iter step ops;
+      true)
 
 (* --- Tlb --- *)
 
