@@ -12,16 +12,6 @@ val tlb : t -> Tlb.t
 (** Elapsed simulated cycles on this core. *)
 val cycles : t -> float
 
-(** A cycle counter: an all-float record, whose field is stored
-    unboxed. The build compiles each library [-opaque], so a float
-    returned from another module (as [cycles] returns one) is boxed;
-    [(clock t).now] is a field load, and arithmetic on it allocates
-    nothing. Read-only outside [Cpu]. *)
-type clock = private { mutable now : float }
-
-(** This core's counter, read in place: [(clock t).now = cycles t]. *)
-val clock : t -> clock
-
 (** [charge ?label t c] advances the core's clock by [c] cycles. When
     a profile is recording ({!Mpk_trace.Prof}), the charge is attributed
     to [label] under the currently-open spans; unlabelled charges show

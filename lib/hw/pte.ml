@@ -76,9 +76,10 @@ let identity = 0
    [kept r2] keeps [r1]'s. *)
 let compose r1 r2 = r1 land kept r2 lor r2
 
-(* The per-entry loop lives here, beside the representation: dune's dev
-   profile compiles with -opaque, so a call to [is_present] or [apply]
-   from another module would stay out of line for every entry. *)
+(* The per-entry loop lives here, beside the representation, so that it
+   makes no call per entry whatever the compiler inlines: a build with
+   -opaque (dune's dev profile) keeps a call to [is_present] or [apply]
+   from another module out of line. *)
 let apply_present rw (entries : t array) ~lo ~hi =
   let keep = kept rw and set = set_bits rw in
   let n = ref 0 in

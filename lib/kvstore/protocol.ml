@@ -44,7 +44,7 @@ let parse_request s =
       | [ "set"; key; flags; exptime; bytes ] when valid_key key -> (
           match int_of flags, int_of exptime, int_of bytes with
           | Some flags, Some exptime, Some n when n >= 0 && flags >= 0 && flags <= max_flags ->
-              if String.length rest < n + 2 then Error "truncated data block"
+              if n > String.length rest - 2 then Error "truncated data block"
               else if String.sub rest n 2 <> crlf then Error "bad data terminator"
               else Ok (Set { key; flags; exptime; data = Bytes.of_string (String.sub rest 0 n) })
           | _ -> Error "bad set arguments")

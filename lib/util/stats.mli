@@ -10,9 +10,9 @@ val percentile : float array -> float -> float
     silently skew the result). *)
 
 (** A float slot in an all-float record, whose field is stored unboxed.
-    The build compiles each library [-opaque], so a float passed to or
-    returned from another module is boxed; a sample written here and
-    read by {!Histogram.add_sample} is not. *)
+    A float passed to or returned from a function that is not inlined
+    (such as {!Histogram.add}) is boxed; a sample written here and read
+    by {!Histogram.add_sample} is not. *)
 type sample = { mutable value : float }
 
 (** Fixed-bucket histogram with log-spaced bounds.

@@ -1022,6 +1022,31 @@ let test_mmu_single_page_allocation () =
   Mmu.write_word mmu cpu ~addr:straddle 0x1122334455667788;
   Alcotest.(check int) "straddling word" 0x1122334455667788 (Mmu.read_word mmu cpu ~addr:straddle)
 
+(* The build inlines small functions across libraries: [Cpu.cycles],
+   read from this executable, is a field load, and its float is summed
+   unboxed. A build that compiles [-opaque] (dune's dev profile) calls
+   it, and every read allocates the boxed float it returns. *)
+let test_cross_library_inlining () =
+  let cpu = Cpu.create ~id:0 () in
+  Cpu.charge cpu 3.0;
+  let n = 1_000 in
+  let total = Array.make 1 0.0 in
+  let w =
+    Alloc_budget.allocated (fun () ->
+        let sum = ref 0.0 in
+        for _ = 1 to n do
+          sum := !sum +. Cpu.cycles cpu
+        done;
+        total.(0) <- !sum)
+    /. float_of_int n
+  in
+  Alcotest.(check (float 0.)) "every read summed" (3.0 *. float_of_int n) total.(0);
+  if w > 0.0 then
+    Alcotest.failf
+      "Cpu.cycles allocates %.3f words per read: the build lost cross-module inlining (dune-workspace's \
+       release profile)"
+      w
+
 let test_tlb_stats_reset () =
   let tlb = Tlb.create () in
   ignore (Tlb.lookup tlb ~vpn:1);
@@ -1153,6 +1178,7 @@ let () =
           tc "mmu single page" `Quick test_mmu_single_page_allocation;
           tc "physmem" `Quick test_physmem_allocation;
           tc "physmem storage" `Quick test_physmem_storage;
+          tc "cross-library inlining" `Quick test_cross_library_inlining;
         ] );
       ("physmem_refs", [ tc "refcount" `Quick test_physmem_refcount ]);
       ( "machine",

@@ -449,7 +449,14 @@ let test_protocol_parse_errors () =
   bad "get\r\n";
   bad "frobnicate x\r\n";
   bad "set user x 0 5\r\nhello\r\n";
-  bad "no crlf"
+  bad "no crlf";
+  (* lengths whose [n + 2] overflows: still a truncated block *)
+  bad (Printf.sprintf "set user 7 0 %d\r\nhello\r\n" (max_int - 1));
+  bad (Printf.sprintf "set user 7 0 %d\r\nhello\r\n" max_int);
+  let srv = Server.create ~mode:Server.Baseline ~workers:1 ~slab_mib:8 ~buckets:64 () in
+  Alcotest.(check string) "dispatch answers, the worker survives"
+    "SERVER_ERROR truncated data block\r\n"
+    (Server.dispatch srv ~worker:0 ~now:0.0 (Printf.sprintf "set k 0 0 %d\r\nhi\r\n" max_int))
 
 (* Flags span Memcached's 32-bit unsigned range, both ends included. *)
 let flags_arb =
