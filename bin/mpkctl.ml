@@ -1011,7 +1011,7 @@ let lint_cmd =
   let run app plant confirm concurrency pass =
     let analyze ~default_passes p =
       let passes = match pass with Some name -> [ name ] | None -> default_passes in
-      Mpk_analysis.Lint.analyze_with ~passes p
+      Mpk_analysis.Lint.analyze ~passes p
     in
     match pass with
     | Some ("help" | "list") ->
@@ -1055,7 +1055,7 @@ let lint_cmd =
               List.fold_left
                 (fun any (a, p) ->
                   let findings =
-                    analyze ~default_passes:(List.map fst Mpk_analysis.Lint.classic_passes) p
+                    analyze ~default_passes:Mpk_analysis.Lint.classic_pass_names p
                   in
                   lint_report ~tag:(app_name a) ~confirm p findings || any)
                 false

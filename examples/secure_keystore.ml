@@ -33,7 +33,7 @@ let demo mode =
   let session = Tls_server.accept server task blob in
   Printf.printf "TLS handshake: session keys agree = %b\n"
     (Bytes.equal client_key (Tls_server.session_key session));
-  ignore (Tls_server.serve server task session ~size:1024);
+  ignore (Tls_server.serve task session ~size:1024);
   print_endline "served a 1 KB response over the session";
 
   (* The attack: a heartbeat echo claiming far more bytes than it sent. *)

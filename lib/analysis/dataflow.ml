@@ -1,23 +1,3 @@
-(* Forward abstract interpretation over one thread's CFG.
-
-   Classic worklist fixpoint: state flows along edges, joins at merge
-   points (loop heads included), iterates until stable. Domains must
-   have finite height — counters saturate (see [Interval]).
-
-   Two things are non-standard but load-bearing:
-
-   - Escape edges propagate the *incoming* state of their source node,
-     not the transferred one: a signal escape leaves the op before it
-     completes, so e.g. an interrupted mpk_begin has not yet taken its
-     pin on that path.
-
-   - Every node carries a representative *path witness*: one concrete
-     entry-to-node path realizing (a contributor to) its abstract state.
-     When a join changes a node's state, the witness is replaced by the
-     path that caused the change, so the witness for "depth may be 1 at
-     exit" is a path that actually leaks the begin. Witnesses are what
-     the --confirm replay executes on the simulator. *)
-
 type 'a result = {
   in_state : (int, 'a) Hashtbl.t;  (* node id -> state on entry *)
   witness : (int, int list) Hashtbl.t;  (* node id -> path of node ids (excl. node) *)
@@ -26,8 +6,6 @@ type 'a result = {
 let state r n = Hashtbl.find_opt r.in_state n
 let path_to r n = Option.value ~default:[] (Hashtbl.find_opt r.witness n) @ [ n ]
 
-(* [transfer node st] is the post-state of executing [node.op] in [st].
-   It must be monotone and pure. *)
 let forward (p : Ir.program) ~(entry : int) ~init ~equal ~join ~transfer =
   let in_state = Hashtbl.create 64 in
   let witness = Hashtbl.create 64 in
@@ -65,15 +43,12 @@ let forward (p : Ir.program) ~(entry : int) ~init ~equal ~join ~transfer =
   done;
   { in_state; witness }
 
-(* Nodes of the thread that were reached, in id order. *)
 let reached (p : Ir.program) r tid =
   Ir.thread_nodes p tid |> List.filter (fun n -> Hashtbl.mem r.in_state n.Ir.id)
 
 (* --- saturating interval counter, the workhorse lattice --- *)
 
 module Interval = struct
-  (* [lo, hi] with hi saturating at [cap]: join is the hull, so loops
-     converge in at most cap steps. *)
   let cap = 8
 
   type t = int * int
@@ -91,9 +66,6 @@ end
 module MustMay (Ord : Set.OrderedType) = struct
   module S = Set.Make (Ord)
 
-  (* [must] = members on every path to here, [may] = on some path. Entry
-     states are exact (must = may); joins intersect [must] and union
-     [may], so over a finite universe the lattice has finite height. *)
   type t = { must : S.t; may : S.t }
 
   let exact s = { must = s; may = s }

@@ -1,28 +1,3 @@
-(* Static domain-safety lints over libmpk client IR programs.
-
-   Five passes, each a forward abstract interpretation (Dataflow.forward)
-   over every thread CFG:
-
-   - typestate   key lifecycle: use-after-free, double-free, mmap of a
-                 live vkey, leak-on-exit (libmpk §4.1 lifecycle)
-   - balance     mpk_begin/mpk_end pairing on *all* paths, including
-                 early returns and signal-escape edges (§4.2; a leaked
-                 begin pins its hardware key forever)
-   - wx          W^X: no abstract state in which a page group is both
-                 writable and executable, and no instruction fetch while
-                 the group is writable (§6.1 JIT case study)
-   - gadget      ERIM-style unsafe-WRPKRU scan over the instruction
-                 streams the JIT emits (ERIM §3.1: every WRPKRU must be
-                 followed by a check of the loaded value)
-   - toctou      lazy do_pkey_sync hazard: a global revocation
-                 (mpk_mprotect) races a concurrently live thread whose
-                 access is not covered by its own mpk_begin — until the
-                 victim's deferred task_work runs, its PKRU still grants
-                 the revoked right (§4.2, Fig 7)
-
-   Findings carry a severity and a concrete path witness; Mpk_check.Witness
-   executes witnesses on the simulator with the invariant auditor as oracle. *)
-
 open Mpk_hw
 
 type severity = Error | Warning | Info
@@ -31,6 +6,8 @@ let severity_to_string = function
   | Error -> "ERROR"
   | Warning -> "WARNING"
   | Info -> "INFO"
+
+let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 type access = A_read | A_write
 
@@ -51,23 +28,19 @@ type detail =
   | Unsafe_wrpkru of { vkey : int; offset : int }
   | Toctou of { vkey : int; victim : int; access : access }
   | Race of { loc : Ir.loc; t1 : int; t2 : int; write : bool }
-  | Deadlock of { cycle : string list }  (* lock classes, cyclically ordered *)
+  | Deadlock of { cycle : string list }
   | Atomicity of { loc : Ir.loc; dropped : Ir.lockref }
   | Unlock_unheld of { lk : Ir.lockref }
-  | Maybe of string  (* imprecision-only findings (joined states) *)
-
-type step = { stid : int; sop : Ir.op }
-
-let step_to_string s = Printf.sprintf "%s @t%d" (Ir.op_to_string s.sop) s.stid
+  | Maybe of string
 
 type finding = {
   pass : string;
   severity : severity;
   detail : detail;
-  tid : int;  (* thread of the violating node *)
+  tid : int;
   node : int;
   message : string;
-  witness : step list;  (* program-start-to-violation path *)
+  witness : Ir.step list;
 }
 
 let pp_finding fmt f =
@@ -77,14 +50,17 @@ let pp_finding fmt f =
 let pp_witness fmt f =
   List.iter
     (fun s ->
-      match s.sop with
+      match s.Ir.sop with
       | Ir.Label _ -> ()
-      | o -> Format.fprintf fmt "    t%d: %s@." s.stid (Ir.op_to_string o))
+      | o -> Format.fprintf fmt "    t%d: %s@." s.Ir.stid (Ir.op_to_string o))
     f.witness
 
 let has_errors findings = List.exists (fun f -> f.severity = Error) findings
 
 (* --- shared per-thread analysis driver --- *)
+
+(* Node [id]'s op as a witness step of thread [tid]. *)
+let step_of p tid id = { Ir.stid = tid; sop = (Ir.node p id).Ir.op }
 
 (* Run one pass over every thread. The main thread starts from
    [init_main]; a spawned thread starts from [derive_init] applied to the
@@ -95,9 +71,6 @@ let thread_runs (p : Ir.program) ~init_main ~derive_init ~equal ~join ~transfer 
   let main = Ir.main_thread p in
   let rmain =
     Dataflow.forward p ~entry:main.Ir.entry ~init:init_main ~equal ~join ~transfer
-  in
-  let steps_of tid ids =
-    List.map (fun id -> { stid = tid; sop = (Ir.node p id).Ir.op }) ids
   in
   let spawn_node tid =
     Dataflow.reached p rmain 0
@@ -119,7 +92,8 @@ let thread_runs (p : Ir.program) ~init_main ~derive_init ~equal ~join ~transfer 
                     Dataflow.forward p ~entry:t.Ir.entry ~init:(derive_init st)
                       ~equal ~join ~transfer
                   in
-                  Some (t.Ir.tid, r, steps_of 0 (Dataflow.path_to rmain sn.Ir.id))))
+                  let prefix = List.map (step_of p 0) (Dataflow.path_to rmain sn.Ir.id) in
+                  Some (t.Ir.tid, r, prefix)))
       p.Ir.threads
   in
   (0, rmain, []) :: others
@@ -135,9 +109,7 @@ let collect p runs ~check =
              | Some st ->
                  let witness path_tid =
                    prefix
-                   @ List.map
-                       (fun id -> { stid = path_tid; sop = (Ir.node p id).Ir.op })
-                       (Dataflow.path_to r n.Ir.id)
+                   @ List.map (step_of p path_tid) (Dataflow.path_to r n.Ir.id)
                  in
                  check ~tid ~node:n ~state:st ~witness:(fun () -> witness tid)))
     runs
@@ -673,9 +645,7 @@ module Toctou = struct
                       | A_write -> b.wr_def, b.wr_may
                     in
                     let witness () =
-                      List.map
-                        (fun id -> { stid = 0; sop = (Ir.node p id).Ir.op })
-                        (Dataflow.path_to r n.Ir.id)
+                      List.map (step_of p 0) (Dataflow.path_to r n.Ir.id)
                     in
                     if ISet.mem victim st.live_must && def then
                       Some
@@ -871,13 +841,13 @@ module Concurrency = struct
     a_kind : access;
     a_must : LSet.t;
     a_may : LSet.t;
-    a_witness : step list;  (* prefix + path, ready for a finding *)
-    a_path : step list;  (* this thread's path only (for 2nd witness half) *)
+    a_witness : Ir.step list;  (* prefix + path, ready for a finding *)
+    a_path : Ir.step list;  (* this thread's path only (for 2nd witness half) *)
   }
 
   type sweep = {
     accesses : acc list;
-    edges : ((string * string) * (int * int * step list)) list;
+    edges : ((string * string) * (int * int * Ir.step list)) list;
         (* class edge -> representative (tid, node, witness) *)
     findings : finding list;  (* same-class nesting, atomicity, unlock-unheld *)
   }
@@ -897,11 +867,7 @@ module Concurrency = struct
                match Dataflow.state r n.Ir.id with
                | None -> ()
                | Some st ->
-                   let path =
-                     List.map
-                       (fun id -> { stid = tid; sop = (Ir.node p id).Ir.op })
-                       (Dataflow.path_to r n.Ir.id)
-                   in
+                   let path = List.map (step_of p tid) (Dataflow.path_to r n.Ir.id) in
                    let witness () = prefix @ path in
                    let access kind loc =
                      accesses :=
@@ -984,8 +950,6 @@ module Concurrency = struct
     { accesses = List.rev !accesses; edges = List.rev !edges; findings = List.rev !findings }
 
   (* -- lockset races -- *)
-
-  let severity_rank' = function Error -> 0 | Warning -> 1 | Info -> 2
 
   let races p sw =
     let conc = concurrency p in
@@ -1070,7 +1034,7 @@ module Concurrency = struct
               true
             end)
       (List.stable_sort
-         (fun a b -> compare (severity_rank' a.severity) (severity_rank' b.severity))
+         (fun a b -> compare (severity_rank a.severity) (severity_rank b.severity))
          all)
 
   (* -- static lock-order cycles -- *)
@@ -1149,15 +1113,10 @@ module Concurrency = struct
     let sw = sweep p in
     races p sw @ deadlocks sw @ sw.findings
 
-  (* The class-level order graph and its cycles, for cross-checking
-     against dynamic lockdep observations (Mpk_check.Lockdep). *)
-  let order_edges p = List.map fst (sweep p).edges |> List.sort compare
   let cycles p = find_cycles (sweep p).edges
 end
 
 (* --- driver --- *)
-
-let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 let classic_passes =
   [
@@ -1168,8 +1127,9 @@ let classic_passes =
     "toctou", Toctou.run;
   ]
 
+let classic_pass_names = List.map fst classic_passes
 let concurrency_passes = [ "lockset"; "lockorder"; "atomicity" ]
-let pass_names = List.map fst classic_passes @ concurrency_passes
+let pass_names = classic_pass_names @ concurrency_passes
 
 (* Stable order — severity, then tid, then node (then pass/message as
    final tie-breaks) — so CI diffs of lint output are deterministic. *)
@@ -1181,7 +1141,7 @@ let sort_findings fs =
         (severity_rank b.severity, b.tid, b.node, b.pass, b.message))
     fs
 
-let analyze_with ~passes p =
+let analyze ?(passes = pass_names) p =
   let wanted n = List.mem n passes in
   let classic =
     List.concat_map (fun (n, f) -> if wanted n then f p else []) classic_passes
@@ -1193,7 +1153,4 @@ let analyze_with ~passes p =
   in
   sort_findings (classic @ conc)
 
-let analyze p = analyze_with ~passes:pass_names p
-let analyze_concurrency p = analyze_with ~passes:concurrency_passes p
-let static_lock_edges = Concurrency.order_edges
 let static_lock_cycles = Concurrency.cycles

@@ -105,8 +105,8 @@ let diff ~(baseline : Runner.report) ~(fresh : Runner.report) =
       || List.exists (fun v -> v.v_verdict = Regressed) verdicts;
   }
 
-(* Attribution shown for a regression: frames whose self cycles grew by
-   more than rounding-sized dust. *)
+(* The frames blamed for a regression: those whose self cycles grew by
+   more than rounding-sized dust, largest first. *)
 let hot_frames d = Tree.self_regressions ~min_cycles:0.5 d.d_tree
 
 let render d =

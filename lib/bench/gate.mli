@@ -49,10 +49,6 @@ val diff : baseline:Runner.report -> fresh:Runner.report -> diff
 (** Raises [Invalid_argument] unless [fresh] ran the baseline's seed and
     trial count. *)
 
-val hot_frames : diff -> Tree.delta list
-(** The frames blamed for a regression: self-cycle increases above a
-    small dust floor, largest first. *)
-
 val render : diff -> string
 (** Human output: verdict table ({!Mpk_util.Table}) showing each
     metric's worst pair plus, when anything regressed, the top

@@ -50,10 +50,10 @@ let live_allocs env vkey = Option.value ~default:[] (Hashtbl.find_opt env.allocs
 (* Labels and joins are structural no-ops; spawned threads inherit the
    spawner's PKRU like a real clone(2) does, which is what makes the
    TOCTOU witness replayable. *)
-let exec_step env (s : Lint.step) =
-  let t = task env s.Lint.stid in
+let exec_step env (s : Ir.step) =
+  let t = task env s.Ir.stid in
   let mmu = Proc.mmu env.proc in
-  match s.Lint.sop with
+  match s.Ir.sop with
   | Ir.Mmap { vkey; pages; prot } ->
       ignore (Libmpk.mpk_mmap env.mpk t ~vkey ~len:(pages * Physmem.page_size) ~prot)
   | Ir.Free { vkey } ->
@@ -111,7 +111,7 @@ let gen_ops (cfg : config) n =
   let step sop =
     let stid = int (max 1 cfg.tasks) in
     let vkey = 1 + int vkeys in
-    { Lint.stid; sop = sop vkey }
+    { Ir.stid; sop = sop vkey }
   in
   List.init n (fun _ ->
       let r = int 100 in
@@ -135,14 +135,11 @@ let gen_ops (cfg : config) n =
         step (fun vkey -> Ir.Mfree { vkey; nth }))
       else step (fun vkey -> Ir.Read { vkey }))
 
-let ir_of_trace ~name steps =
-  Ir.of_trace ~name (List.map (fun (s : Lint.step) -> (s.Lint.stid, s.Lint.sop)) steps)
-
 (* --- the audited run --- *)
 
 type kind = Violations of Audit.violation list | Crash of string
 
-type failure = { index : int; step : Lint.step; kind : kind; blackbox : string list }
+type failure = { index : int; step : Ir.step; kind : kind; blackbox : string list }
 
 type passed = { applied : int; benign_errors : int; fired : Mpk_faultinj.stats list }
 
@@ -173,8 +170,8 @@ let run (cfg : config) steps =
   in
   (* A read is a benign touch: with no group there is nothing to read,
      and a denial is a legal outcome, not an API error. *)
-  let apply (s : Lint.step) =
-    match s.Lint.sop with
+  let apply (s : Ir.step) =
+    match s.Ir.sop with
     | Ir.Read { vkey } when Libmpk.find_group env.mpk vkey = None -> ()
     | Ir.Read _ -> ( try exec_step env s with Mmu.Fault _ | Signal.Killed _ -> ())
     | _ -> exec_step env s
@@ -186,7 +183,7 @@ let run (cfg : config) steps =
   match
     Mpk_faultinj.inject ~seed:cfg.seed cfg.faults @@ fun () ->
     (* initial state must be clean *)
-    audit (-1) { Lint.stid = 0; sop = Ir.Read { vkey = 0 } };
+    audit (-1) { Ir.stid = 0; sop = Ir.Read { vkey = 0 } };
     List.iteri
       (fun index step ->
         (match apply step with
@@ -215,7 +212,7 @@ let minimize cfg steps failure =
 let report cfg ~ops_total failure minimized =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "audit FAILED at op %d: %s\n" failure.index (Lint.step_to_string failure.step));
+    (Printf.sprintf "audit FAILED at op %d: %s\n" failure.index (Ir.step_to_string failure.step));
   (match failure.kind with
   | Violations vs ->
       List.iter
@@ -238,11 +235,12 @@ let report cfg ~ops_total failure minimized =
   Buffer.add_string buf
     (Printf.sprintf "minimized trace (%d ops):\n" (List.length minimized));
   List.iteri
-    (fun i s -> Buffer.add_string buf (Printf.sprintf "  %3d: %s\n" i (Lint.step_to_string s)))
+    (fun i s -> Buffer.add_string buf (Printf.sprintf "  %3d: %s\n" i (Ir.step_to_string s)))
     minimized;
   Buffer.add_string buf "as analyzer IR (mpkctl lint vocabulary):\n";
   Buffer.add_string buf
-    (Format.asprintf "%a" Ir.pp_program (ir_of_trace ~name:"minimized-stress-trace" minimized));
+    (Format.asprintf "%a" Ir.pp_program
+       (Ir.of_trace ~name:"minimized-stress-trace" minimized));
   (match failure.blackbox with
   | [] -> ()
   | lines ->

@@ -1,8 +1,8 @@
 (** Randomized stress driver for the invariant auditor, and the one
     executor of libmpk traffic.
 
-    Traffic is a list of analyzer IR steps ({!Mpk_analysis.Lint.step}: a
-    thread id plus an {!Mpk_analysis.Ir.op}). {!exec_step} runs one step
+    Traffic is a list of IR steps ({!Mpk_analysis.Ir.step}: a thread id
+    plus an {!Mpk_analysis.Ir.op}). {!exec_step} runs one step
     on a machine built by {!make_env}; the stress driver, the witness
     replay in {!Witness} and the model-based fuzzer all go through it.
 
@@ -63,16 +63,11 @@ val task : env -> int -> Mpk_kernel.Task.t
     steps are no-ops.
     @raise Invalid_argument for an unspawned thread, or an access to a
     vkey with no group. *)
-val exec_step : env -> Mpk_analysis.Lint.step -> unit
+val exec_step : env -> Mpk_analysis.Ir.step -> unit
 
 (** [gen_ops cfg n] — the deterministic [n]-step trace for [cfg.seed]:
     vkeys 1..8, groups of 1..4 pages, threads [0 .. cfg.tasks - 1]. *)
-val gen_ops : config -> int -> Mpk_analysis.Lint.step list
-
-(** [ir_of_trace ~name steps] — the straight-line IR program of a
-    (usually minimized) trace, via [Mpk_analysis.Ir.of_trace]:
-    per-thread chains, main spawning/joining the others. *)
-val ir_of_trace : name:string -> Mpk_analysis.Lint.step list -> Mpk_analysis.Ir.program
+val gen_ops : config -> int -> Mpk_analysis.Ir.step list
 
 type kind =
   | Violations of Audit.violation list  (** the auditor flagged the state *)
@@ -80,7 +75,7 @@ type kind =
 
 type failure = {
   index : int;
-  step : Mpk_analysis.Lint.step;
+  step : Mpk_analysis.Ir.step;
   kind : kind;
   blackbox : string list;
       (** the last trace events before the failing step — every [run]
@@ -103,7 +98,7 @@ type outcome = Passed of passed | Failed of failure
     and a denied read is a legal outcome, not a benign error. It runs
     inside [Mpk_trace.Tracer.record] and {!Lockdep.record}, so inside a
     caller's recording it records there. *)
-val run : config -> Mpk_analysis.Lint.step list -> outcome
+val run : config -> Mpk_analysis.Ir.step list -> outcome
 
 (** [check cfg ~ops] — generate [ops] steps, run them, and on failure
     ddmin-minimize the trace and render the {!report}. *)
@@ -112,4 +107,4 @@ val check : config -> ops:int -> (passed, string) result
 (** [report cfg ~ops_total failure minimized] — human-readable failure
     report: the violated invariants, the replay seed/config, and the
     minimized trace. *)
-val report : config -> ops_total:int -> failure -> Mpk_analysis.Lint.step list -> string
+val report : config -> ops_total:int -> failure -> Mpk_analysis.Ir.step list -> string

@@ -78,27 +78,27 @@ let pp_outcome fmt (o : outcome) =
 
 (* The one witness machine: main on core 0, one core per thread the
    witness names, and the stress driver's default libmpk setup. *)
-let make_env (witness : Lint.step list) =
+let make_env (witness : Ir.step list) =
   let max_tid =
     List.fold_left
-      (fun acc (s : Lint.step) ->
-        match s.Lint.sop with
-        | Ir.Spawn { tid } | Ir.Join { tid } -> max acc (max s.Lint.stid tid)
-        | _ -> max acc s.Lint.stid)
+      (fun acc (s : Ir.step) ->
+        match s.Ir.sop with
+        | Ir.Spawn { tid } | Ir.Join { tid } -> max acc (max s.Ir.stid tid)
+        | _ -> max acc s.Ir.stid)
       0 witness
   in
   Stress.make_env { Stress.default_config with tasks = 1 } ~cores:(max_tid + 1)
 
-exception Diverged of int * Lint.step * exn
+exception Diverged of int * Ir.step * exn
 
 let replay_prefix env steps =
   List.iteri
     (fun i s -> try Stress.exec_step env s with exn -> raise (Diverged (i, s, exn)))
     steps
 
-let diverged_note (i, (s : Lint.step), exn) =
+let diverged_note (i, (s : Ir.step), exn) =
   Printf.sprintf "witness diverged at step %d: %s raised %s" i
-    (Ir.op_to_string s.Lint.sop) (Printexc.to_string exn)
+    (Ir.op_to_string s.Ir.sop) (Printexc.to_string exn)
 
 (* The violating op itself must be rejected by the live system: the API
    errors out or the MMU faults. *)
@@ -107,7 +107,7 @@ let expect_rejection env final =
   | () ->
       ( Unreproduced,
         Printf.sprintf "final op '%s' succeeded on the simulator"
-          (Ir.op_to_string final.Lint.sop) )
+          (Ir.op_to_string final.Ir.sop) )
   | exception Errno.Error (e, m) ->
       (Confirmed, Printf.sprintf "API rejected it: %s (%s)" (Errno.to_string e) m)
   | exception Libmpk.Unregistered_vkey v ->
@@ -126,7 +126,7 @@ let group (env : Stress.env) vkey = Libmpk.find_group env.Stress.mpk vkey
    last *operational* step is the one the oracle cares about. *)
 let split_last_op steps =
   let rec strip = function
-    | { Lint.sop = Ir.Label _; _ } :: rest -> strip rest
+    | { Ir.sop = Ir.Label _; _ } :: rest -> strip rest
     | steps -> steps
   in
   match strip (List.rev steps) with
@@ -155,7 +155,7 @@ let confirm_sequential (f : Lint.finding) =
               "an earlier violation on this witness was already rejected (step %d: \
                %s raised %s)"
               i
-              (Ir.op_to_string s.Lint.sop)
+              (Ir.op_to_string s.Ir.sop)
               (Printexc.to_string exn) ))
     (* -- leak: the group outlives the program -- *)
     | Lint.Leak_on_exit { vkey } ->
@@ -192,7 +192,7 @@ let confirm_sequential (f : Lint.finding) =
     | Lint.Wx_exec_writable { vkey; _ } ->
         let prefix, final = split_last_op f.Lint.witness in
         replay_prefix env prefix;
-        let t = Stress.task env final.Lint.stid in
+        let t = Stress.task env final.Ir.stid in
         let writable =
           match group env vkey with
           | None -> false
@@ -286,14 +286,14 @@ let confirm_sequential (f : Lint.finding) =
 
 let slot_of_loc = function Ir.L_vma s -> Some s | _ -> None
 
-let op_of_step ~victim (s : Lint.step) =
-  match s.Lint.sop with
+let op_of_step ~victim (s : Ir.step) =
+  match s.Ir.sop with
   | Ir.Load { loc } ->
       Option.map (fun slot -> Torture.Op_lookup { slot; off = 0 }) (slot_of_loc loc)
   | Ir.Store { loc } ->
       Option.map
         (fun slot ->
-          if s.Lint.stid = victim then Torture.Op_protect { slot; ro = true }
+          if s.Ir.stid = victim then Torture.Op_protect { slot; ro = true }
           else Torture.Op_mmap { slot; pages = 1; ro = false })
         (slot_of_loc loc)
   | _ -> None
@@ -301,23 +301,23 @@ let op_of_step ~victim (s : Lint.step) =
 (* Group the witness by thread into per-fiber op lists. Fiber 0 is
    always main (tid 0): it runs first under the empty schedule, so its
    Op_mmap installs the mapping before anyone looks it up. *)
-let fibers_of_witness ~victim (witness : Lint.step list) =
+let fibers_of_witness ~victim (witness : Ir.step list) =
   let tids =
-    List.sort_uniq compare (0 :: List.map (fun s -> s.Lint.stid) witness)
+    List.sort_uniq compare (0 :: List.map (fun s -> s.Ir.stid) witness)
   in
   let ops_of tid =
     List.filter_map
-      (fun s -> if s.Lint.stid = tid then op_of_step ~victim s else None)
+      (fun s -> if s.Ir.stid = tid then op_of_step ~victim s else None)
       witness
   in
   Array.of_list (List.map ops_of tids)
 
-let has_adversary_store ~victim (witness : Lint.step list) =
+let has_adversary_store ~victim (witness : Ir.step list) =
   List.exists
-    (fun (s : Lint.step) ->
-      s.Lint.stid <> victim
-      && s.Lint.stid <> 0
-      && match s.Lint.sop with Ir.Store _ -> true | _ -> false)
+    (fun (s : Ir.step) ->
+      s.Ir.stid <> victim
+      && s.Ir.stid <> 0
+      && match s.Ir.sop with Ir.Store _ -> true | _ -> false)
     witness
 
 (* --- schedule search --- *)

@@ -4,7 +4,8 @@ open Mpk_kernel
 exception Key_exhausted
 exception Unregistered_vkey of Vkey.t
 
-(* Debug tracing: enable with Logs.Src.set_level Api.log_src (Some Debug). *)
+(* Debug tracing of key-management events (attach/evict/exhaustion):
+   set the "libmpk" source's level to Debug. *)
 let log_src = Logs.Src.create "libmpk" ~doc:"libmpk key-management events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)

@@ -126,15 +126,6 @@ val vkey_of_pkey : t -> Pkey.t -> Vkey.t option
     protection domain and must never appear in a dump in the clear. *)
 val group_of_addr : t -> int -> (Vkey.t * Group.t) option
 
-(** Userspace bookkeeping cost model: each API call charges
-    [user_base_cycles] plus [user_lookup_cycles] per vkey-keyed hashmap
-    probe it performs. Most entry points probe three times;
-    [mpk_begin]/[mpk_end] reuse their first (group, slot) probe and
-    charge two. *)
-val user_base_cycles : float
-
-val user_lookup_cycles : float
-
 (** Cumulative API-call counters (observability / experiments). *)
 type stats = {
   mmap_calls : int;
@@ -155,7 +146,3 @@ type stats = {
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
-
-(** Debug tracing of key-management events (attach/evict/exhaustion):
-    [Logs.Src.set_level log_src (Some Logs.Debug)]. *)
-val log_src : Logs.src

@@ -1,9 +1,3 @@
-(** libmpk: a secure, scalable, semantic-gap-mitigated software
-    abstraction for (simulated) Intel Memory Protection Keys.
-
-    The main API lives here (see {!Api}); the building blocks are exposed
-    as submodules for tests, experiments and advanced users. *)
-
 module Vkey = Vkey
 module Group = Group
 module Key_cache = Key_cache

@@ -89,11 +89,3 @@ let free_slot t _task ~slot =
     invalid_arg "Metadata.free_slot: bad slot";
   t.used.(slot) <- false;
   kernel_write t ~slot (Bytes.make Group.metadata_bytes '\000')
-
-let read_slot t task ~slot =
-  if slot < 0 || slot >= Array.length t.used then invalid_arg "Metadata.read_slot: bad slot";
-  let data =
-    Mmu.read_bytes (Proc.mmu t.proc) (Task.core task) ~addr:(slot_addr t ~slot)
-      ~len:Group.metadata_bytes
-  in
-  if not t.used.(slot) then None else Group.deserialize data

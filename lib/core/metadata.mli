@@ -11,7 +11,6 @@
     arbitrary-write primitive cannot corrupt group records or the
     vkey→pkey mappings. *)
 
-open Mpk_hw
 open Mpk_kernel
 
 type t
@@ -32,11 +31,6 @@ val alloc_slot : t -> Task.t -> Group.t -> int
 val update_slot : t -> Task.t -> slot:int -> Group.t -> unit
 
 val free_slot : t -> Task.t -> slot:int -> unit
-
-(** [read_slot t task ~slot] — plain user-mode read (the fast path an
-    application uses); raises [Mmu.Fault] only if the region was somehow
-    corrupted. *)
-val read_slot : t -> Task.t -> slot:int -> (Vkey.t * int * int * Perm.t * int) option
 
 (** Address of a slot, for fault-injection tests. *)
 val slot_addr : t -> slot:int -> int

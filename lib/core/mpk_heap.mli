@@ -23,7 +23,6 @@ val free : t -> addr:int -> unit
 val block_size : t -> addr:int -> int option
 
 val allocated_bytes : t -> int
-val free_bytes : t -> int
 
 (** Allocator soundness: free list sorted/ disjoint/coalesced, blocks
     disjoint, free + allocated = total. *)

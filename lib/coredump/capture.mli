@@ -15,8 +15,9 @@
 open Mpk_kernel
 
 (** The failure point ("coredump.capture") consulted at the start of a
-    capture, so graceful degradation under mid-crash failure is testable
-    with {!Mpk_faultinj}. *)
+    capture. Exported, though only tests name it: it is the name
+    {!Mpk_faultinj.inject} arms to test degradation under mid-crash
+    failure. *)
 val fault_point : string
 
 (** [default_key ~seed] — the dump key used when the operator supplies

@@ -32,12 +32,16 @@ val sub : t -> t -> t
 
 val mul : t -> t -> t
 
-(** [divmod a b] is [(a / b, a mod b)]; raises [Division_by_zero]. *)
+(** [divmod a b] is [(a / b, a mod b)]; raises [Division_by_zero].
+    Exported for the crypto tests, which check it against [int] and
+    bit-serial division; the library reaches it through [rem]. *)
 val divmod : t -> t -> t * t
 
 val rem : t -> t -> t
 
+(** Exported for the crypto tests' reference (bit-serial) arithmetic. *)
 val shift_left : t -> int -> t
+
 val shift_right : t -> int -> t
 
 (** [mod_pow ~base ~exp ~modulus] — modular exponentiation

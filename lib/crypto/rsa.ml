@@ -89,24 +89,5 @@ let encrypt_bytes (pub : public) msg =
   if Bytes.length msg >= nbytes then invalid_arg "Rsa.encrypt_bytes: message too long";
   Bignum.to_bytes_padded (encrypt pub m) ~len:nbytes
 
-let decrypt_bytes sec ct = Bignum.to_bytes (decrypt sec (Bignum.of_bytes ct))
-
 let decrypt_bytes_padded sec ct ~len =
   Bignum.to_bytes_padded (decrypt sec (Bignum.of_bytes ct)) ~len
-
-(* The digest is reduced mod n before signing so small test moduli work;
-   verification recomputes the same reduction. *)
-let digest_mod n msg = Bignum.rem (Bignum.of_bytes (Sha256.digest msg)) n
-
-let sign (sec : secret) msg =
-  let nbytes = (Bignum.bits sec.n + 7) / 8 in
-  Bignum.to_bytes_padded
-    (Bignum.mod_pow ~base:(digest_mod sec.n msg) ~exp:sec.d ~modulus:sec.n)
-    ~len:nbytes
-
-let verify (pub : public) ~msg ~signature =
-  let s = Bignum.of_bytes signature in
-  Bignum.compare s pub.n < 0
-  && Bignum.equal
-       (Bignum.mod_pow ~base:s ~exp:pub.e ~modulus:pub.n)
-       (digest_mod pub.n msg)

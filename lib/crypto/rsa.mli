@@ -23,19 +23,11 @@ val decrypt : secret -> Bignum.t -> Bignum.t
 (** Byte-level convenience: message length must be < modulus bytes. *)
 val encrypt_bytes : public -> bytes -> bytes
 
-val decrypt_bytes : secret -> bytes -> bytes
-
-(** [decrypt_bytes_padded sec ct ~len] — like [decrypt_bytes] but
-    left-padded to exactly [len] bytes (plain [Bignum.to_bytes] strips
-    leading zero bytes, which would corrupt fixed-length plaintexts). *)
+(** [decrypt_bytes_padded sec ct ~len] — the plaintext, left-padded to
+    exactly [len] bytes (plain [Bignum.to_bytes] strips leading zero
+    bytes, which would corrupt fixed-length plaintexts). *)
 val decrypt_bytes_padded : secret -> bytes -> len:int -> bytes
 
-(** [sign sec msg] — hash-then-sign: SHA-256 of [msg], interpreted as a
-    number mod n, raised to the private exponent. *)
-val sign : secret -> bytes -> bytes
-
-(** [verify pub ~msg ~signature] — recompute and compare. *)
-val verify : public -> msg:bytes -> signature:bytes -> bool
-
-(** Miller-Rabin with [rounds] bases (exposed for tests). *)
+(** Miller-Rabin with [rounds] bases. Kept for the crypto tests, which
+    check [generate]'s primality test against known primes. *)
 val probably_prime : Mpk_util.Prng.t -> ?rounds:int -> Bignum.t -> bool

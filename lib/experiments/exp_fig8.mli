@@ -9,9 +9,12 @@ type cell = {
   cycles : float;
 }
 
+(** The full figure. Exported, though only tests read it, for the claim
+    records that will read each cell. *)
 val grid : unit -> cell list
 
-(** mprotect latency on the same page with the given thread count. *)
+(** mprotect latency on the same page with the given thread count.
+    Exported, though only tests read it, for the same claim records. *)
 val mprotect_reference : threads:int -> float
 
 val render : unit -> string

@@ -21,4 +21,3 @@ let cores t = t.cores
 
 let now t = Array.fold_left (fun acc c -> Float.max acc (Cpu.cycles c)) 0.0 t.cores
 
-let flush_all_tlbs t = Array.iter (fun c -> Tlb.flush_all (Cpu.tlb c)) t.cores

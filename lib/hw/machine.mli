@@ -15,5 +15,3 @@ val cores : t -> Cpu.t array
 (** Maximum cycle count across cores — the machine's wall clock. *)
 val now : t -> float
 
-(** Flush every core's TLB (e.g. after wholesale table swaps in tests). *)
-val flush_all_tlbs : t -> unit

@@ -18,7 +18,6 @@ type fault = { addr : int; access : access; cause : cause }
 exception Fault of fault
 
 val access_to_string : access -> string
-val cause_to_string : cause -> string
 val fault_to_string : fault -> string
 
 type t

@@ -3,7 +3,6 @@ type t = int
 type rights = No_access | Read_only | Read_write
 
 let init = 0x55555554
-let all_access = 0x0
 
 let of_int v = v land 0xFFFFFFFF
 let to_int t = t

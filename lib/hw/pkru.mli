@@ -12,9 +12,6 @@ type rights = No_access | Read_only | Read_write
     (0x55555554). *)
 val init : t
 
-(** All keys read/write (0x0). *)
-val all_access : t
-
 val of_int : int -> t
 val to_int : t -> int
 val equal : t -> t -> bool

@@ -34,12 +34,10 @@ type rewrite
 val rewrite : ?perm:Perm.t -> ?pkey:Pkey.t -> unit -> rewrite
 
 (** The same rewrites without the options, so building one allocates
-    nothing: [rewrite_perm p] is [rewrite ~perm:p ()], [rewrite_pkey k]
-    is [rewrite ~pkey:k ()] and [rewrite_perm_pkey p k] is
-    [rewrite ~perm:p ~pkey:k ()]. *)
+    nothing: [rewrite_perm p] is [rewrite ~perm:p ()] and
+    [rewrite_perm_pkey p k] is [rewrite ~perm:p ~pkey:k ()]. *)
 val rewrite_perm : Perm.t -> rewrite
 
-val rewrite_pkey : Pkey.t -> rewrite
 val rewrite_perm_pkey : Perm.t -> Pkey.t -> rewrite
 
 (** [apply rw t] is [t] rewritten by [rw]; an absent entry stays absent. *)

@@ -109,7 +109,3 @@ let hits t = t.hits
 let misses t = t.misses
 let flushes t = t.flushes
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0

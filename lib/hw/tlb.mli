@@ -27,4 +27,3 @@ val fold : t -> (int -> Pte.t -> 'a -> 'a) -> 'a -> 'a
 val hits : t -> int
 val misses : t -> int
 val flushes : t -> int
-val reset_stats : t -> unit

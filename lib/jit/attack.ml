@@ -3,6 +3,7 @@ open Mpk_kernel
 
 type outcome = Injected of int | Blocked of string
 
+(* The value the attacker's shellcode returns when it wins. *)
 let shellcode_marker = 0x5EED
 
 (* push shellcode_marker; ret *)

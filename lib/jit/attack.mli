@@ -14,6 +14,3 @@ type outcome =
     launch the racing write during a patch, then execute the function and
     report whether the attacker's payload took effect. *)
 val run : strategy:Wx.t -> unit -> outcome
-
-(** The value the attacker's shellcode returns when it wins. *)
-val shellcode_marker : int

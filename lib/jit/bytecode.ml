@@ -17,12 +17,6 @@ type func = { name : string; body : instr list }
 
 let locals = 16
 
-let instr_size = function
-  | Push _ -> 5
-  | Load _ | Store _ -> 2
-  | Jmp _ | Jz _ -> 3
-  | Add | Sub | Mul | Dup | Swap | Ret -> 1
-
 let compile f =
   let buf = Buffer.create 64 in
   let u16 v =
@@ -157,28 +151,3 @@ let synth ~seed ~ops =
     body := op :: Push (Mpk_util.Prng.int prng 1000) :: !body
   done;
   { name = Printf.sprintf "f%d" seed; body = List.rev (Ret :: !body) }
-
-(* layout:  Push iters; Store 0;
-   loop:    [body_ops arithmetic on an accumulator in local 1]
-            Load 0; Push 1; Sub; Dup; Store 0; Jz done; Jmp loop;
-   done:    Load 1; Ret *)
-let synth_loop ~seed ~iters ~body_ops =
-  let prng = Mpk_util.Prng.create ~seed:(Int64.of_int (seed * 40503 + 7)) in
-  let body_arith =
-    List.concat
-      (List.init (max 1 (body_ops / 3)) (fun _ ->
-           let v = 1 + Mpk_util.Prng.int prng 7 in
-           let op = if Mpk_util.Prng.bool prng ~p:0.5 then Add else Mul in
-           [ Load 1; Push v; op; Store 1 ]))
-  in
-  let prelude = [ Push iters; Store 0; Push 0; Store 1 ] in
-  let latch = [ Load 0; Push 1; Sub; Dup; Store 0 ] in
-  let tail = [ Load 1; Ret ] in
-  (* compute byte offsets for the two jump targets *)
-  let size is = List.fold_left (fun acc i -> acc + instr_size i) 0 is in
-  let loop_off = size prelude in
-  let done_off = loop_off + size body_arith + size latch + instr_size (Jz 0) + instr_size (Jmp 0) in
-  {
-    name = Printf.sprintf "loop%d" seed;
-    body = prelude @ body_arith @ latch @ [ Jz done_off; Jmp loop_off ] @ tail;
-  }

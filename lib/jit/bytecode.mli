@@ -24,8 +24,6 @@ type instr =
 
 type func = { name : string; body : instr list }
 
-val locals : int
-
 val compile : func -> bytes
 
 (** [eval_host code] — interpret encoded code host-side (no simulated
@@ -42,7 +40,3 @@ val execute : ?fuel:int -> Mmu.t -> Cpu.t -> addr:int -> len:int -> int
     function with roughly [ops] instructions. *)
 val synth : seed:int -> ops:int -> func
 
-(** [synth_loop ~seed ~iters ~body_ops] — a function whose hot loop runs
-    [iters] times over [body_ops] arithmetic instructions: execution cost
-    scales with [iters] while the code stays small, like real JIT code. *)
-val synth_loop : seed:int -> iters:int -> body_ops:int -> func

@@ -7,6 +7,8 @@ let profile_name = function
   | Chakracore -> "ChakraCore"
   | V8 -> "v8"
 
+(* Fraction of update events that actually flip permissions under this
+   profile (1.0 = every update). *)
 let switch_ratio = function Spidermonkey -> 0.3 | Chakracore -> 1.0 | V8 -> 1.0
 
 type func_state = {

@@ -14,10 +14,6 @@ type profile = Spidermonkey | Chakracore | V8
 
 val profile_name : profile -> string
 
-(** Fraction of update events that actually flip permissions under this
-    profile (1.0 = every update). *)
-val switch_ratio : profile -> float
-
 type t
 
 val create :

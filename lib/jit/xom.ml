@@ -27,8 +27,6 @@ let load t task ~name code =
 
 let seal t task m = Libmpk.mpk_mprotect t.mpk task ~vkey:m.vkey ~prot:Perm.x_only
 
-let unseal t task m = Libmpk.mpk_mprotect t.mpk task ~vkey:m.vkey ~prot:Perm.rx
-
 let execute t task m =
   Bytecode.execute (Proc.mmu (Libmpk.proc t.mpk)) (Task.core task) ~addr:m.base ~len:m.len
 

@@ -24,9 +24,6 @@ val load : t -> Task.t -> name:string -> bytes -> module_info
     it, no thread can read or write it. *)
 val seal : t -> Task.t -> module_info -> unit
 
-(** [unseal t task m] — back to rx (e.g. for re-instrumentation). *)
-val unseal : t -> Task.t -> module_info -> unit
-
 (** [execute t task m] — run the module's code through the MMU's
     instruction-fetch path. *)
 val execute : t -> Task.t -> module_info -> int

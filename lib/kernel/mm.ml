@@ -6,11 +6,6 @@ type t = {
   mem : Physmem.t;
   mmu : Mmu.t;
   mutable bump : int;  (* next free vpn for address allocation *)
-  (* what the last protection change did, for [last_change] *)
-  mutable last_vmas : int;
-  mutable last_splits : int;
-  mutable last_merges : int;
-  mutable last_ptes : int;
 }
 
 let bump_base_vpn = 0x10000  (* user mappings start at 256 MiB *)
@@ -111,10 +106,6 @@ let create mem =
       mem;
       mmu = Mmu.create table mem;
       bump = bump_base_vpn;
-      last_vmas = 0;
-      last_splits = 0;
-      last_merges = 0;
-      last_ptes = 0;
     }
   in
   Mmu.set_fault_handler t.mmu (fault_handler t);
@@ -198,21 +189,6 @@ let munmap t cpu ~addr ~len =
   if Mpk_trace.Tracer.on () then
     Cpu.emit cpu (Mpk_trace.Event.Tlb_flush { pages; all = true })
 
-type protect_result = {
-  vmas_touched : int;
-  splits : int;
-  merges : int;
-  ptes_touched : int;
-}
-
-let last_change t =
-  {
-    vmas_touched = t.last_vmas;
-    splits = t.last_splits;
-    merges = t.last_merges;
-    ptes_touched = t.last_ptes;
-  }
-
 (* Charges [Costs.tlb_invalidate costs ~pages] for the [pages] >= 1 of a
    protection change, one branch per case so that the per-page sum is
    computed unboxed by [Cpu.charge_per]. *)
@@ -252,11 +228,7 @@ let change_locked t cpu ~addr ~len ~start ~pages rw =
   Cpu.charge_per2 cpu ~label:"pte_update" pages costs.pte_scan ptes_touched costs.pte_update;
   if Mpk_trace.Tracer.on () then
     Cpu.emit cpu (Mpk_trace.Event.Pte_update { pages; present = ptes_touched });
-  flush_local cpu ~start ~pages;
-  t.last_vmas <- vmas_touched;
-  t.last_splits <- splits;
-  t.last_merges <- merges;
-  t.last_ptes <- ptes_touched
+  flush_local cpu ~start ~pages
 
 (* [with_write_lock], written out so that a protection change builds no
    closure: the same zero-cycle [mm_lock] preemption point, then the
@@ -279,8 +251,6 @@ let change_protection t cpu ~addr ~len ~prot =
 
 let change_protection_pkey t cpu ~addr ~len ~prot ~pkey =
   change_range t cpu ~addr ~len (Pte.rewrite_perm_pkey prot pkey)
-
-let assign_pkey t cpu ~addr ~len ~pkey = change_range t cpu ~addr ~len (Pte.rewrite_pkey pkey)
 
 let mapped_pages t = Page_table.mapped_pages t.table
 

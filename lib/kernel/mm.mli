@@ -73,13 +73,6 @@ val mmap_frames :
 (** [munmap t cpu ~addr ~len] unmaps; frees frames; flushes. *)
 val munmap : t -> Cpu.t -> addr:int -> len:int -> unit
 
-type protect_result = {
-  vmas_touched : int;
-  splits : int;
-  merges : int;
-  ptes_touched : int;
-}
-
 (** Kernel-side [change_protection]: rewrite page permissions over a
     range, charging VMA work, a scan per page slot, an update per
     *present* PTE, and local TLB invalidation. The range must be
@@ -91,14 +84,6 @@ val change_protection : t -> Cpu.t -> addr:int -> len:int -> prot:Perm.t -> unit
 (** Same walk, but assigning a protection key as well ([pkey_mprotect]). *)
 val change_protection_pkey :
   t -> Cpu.t -> addr:int -> len:int -> prot:Perm.t -> pkey:Pkey.t -> unit
-
-(** [assign_pkey t cpu ~addr ~len ~pkey] retags PTEs/VMAs with a key
-    without touching page permissions (used by libmpk's key recycling). *)
-val assign_pkey : t -> Cpu.t -> addr:int -> len:int -> pkey:Pkey.t -> unit
-
-(** The VMAs touched, splits, merges and present PTEs rewritten by the
-    last completed protection change of [t] (all zero before the first). *)
-val last_change : t -> protect_result
 
 (** Total mapped pages (present PTEs). *)
 val mapped_pages : t -> int

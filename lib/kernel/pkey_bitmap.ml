@@ -26,6 +26,3 @@ let is_allocated t key = t.bits land (1 lsl Pkey.to_int key) <> 0
 let allocated t =
   List.filter (fun k -> is_allocated t k) Pkey.allocatable
 
-let allocated_count t =
-  let rec pop bits acc = if bits = 0 then acc else pop (bits lsr 1) (acc + (bits land 1)) in
-  pop t.bits 0 - 1  (* exclude key 0 *)

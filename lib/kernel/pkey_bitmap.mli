@@ -19,7 +19,6 @@ val alloc : t -> Pkey.t option
 val free : t -> Pkey.t -> unit
 
 val is_allocated : t -> Pkey.t -> bool
-val allocated_count : t -> int
 
 (** Currently allocated keys, ascending (key 0 excluded). *)
 val allocated : t -> Pkey.t list

@@ -46,6 +46,7 @@ type handler = siginfo -> unit
 
 (* --- default-kill crash record --- *)
 
+(* Events the black box retains. *)
 let blackbox_depth = 64
 
 let blackbox () =

@@ -34,9 +34,6 @@ type siginfo = {
 (** Default disposition: the task was killed by the signal. *)
 exception Killed of siginfo
 
-val sigsegv : int
-val sigbus : int
-
 val code_to_string : code -> string
 val to_string : siginfo -> string
 
@@ -45,7 +42,7 @@ val to_string : siginfo -> string
     [Pkey_denied]; pass 0 when unknown). *)
 val of_fault : Mpk_hw.Mmu.fault -> pkey:int -> siginfo
 
-(** A per-task handler, as installed with [Task.set_signal_handler]. *)
+(** A per-task handler, as installed with [Task.with_signal_handler]. *)
 type handler = siginfo -> unit
 
 (** {2 Default-kill crash record}
@@ -59,9 +56,6 @@ type handler = siginfo -> unit
     default-kill carries it ([Task.last_kill]). The core-dump capturer
     ([Mpk_coredump.Capture]) reuses this record rather than re-reading a
     ring the unwinding may have disturbed. *)
-
-(** Events the black box retains. *)
-val blackbox_depth : int
 
 val blackbox : unit -> string list
 (** The open trace recording's newest {!blackbox_depth} events, one line

@@ -3,7 +3,6 @@ open Mpk_hw
 let syscalls = ref 0
 
 let count () = !syscalls
-let reset_count () = syscalls := 0
 
 let enter task =
   incr syscalls;

@@ -78,5 +78,3 @@ val pkey_unmap_group :
 
 (** Number of simulated syscalls performed so far (all kinds). *)
 val count : unit -> int
-
-val reset_count : unit -> unit

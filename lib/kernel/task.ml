@@ -56,7 +56,6 @@ type t = {
   work : Updates.t;  (* task_work: the PKRU updates pending for this task *)
   mutable tlb_flush_pending : bool;
   mutable sig_handler : Signal.handler option;
-  mutable sig_delivered : int;
   mutable last_kill : Signal.crash option;
 }
 
@@ -69,7 +68,6 @@ let create ~id ~core () =
     work = Updates.create ();
     tlb_flush_pending = false;
     sig_handler = None;
-    sig_delivered = 0;
     last_kill = None;
   }
 
@@ -95,9 +93,6 @@ let mark_tlb_flush t = t.tlb_flush_pending <- true
 let clear_tlb_flush t = t.tlb_flush_pending <- false
 let tlb_flush_pending t = t.tlb_flush_pending
 
-let set_signal_handler t h = t.sig_handler <- Some h
-let clear_signal_handler t = t.sig_handler <- None
-let signals_delivered t = t.sig_delivered
 let last_kill t = t.last_kill
 
 let with_signal_handler t h f =
@@ -106,7 +101,6 @@ let with_signal_handler t h f =
   Fun.protect ~finally:(fun () -> t.sig_handler <- prev) f
 
 let deliver_signal t (si : Signal.siginfo) =
-  t.sig_delivered <- t.sig_delivered + 1;
   if Mpk_trace.Tracer.on () then
     Cpu.emit t.core
       (Mpk_trace.Event.Signal_delivered

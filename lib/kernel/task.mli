@@ -63,20 +63,13 @@ val mark_tlb_flush : t -> unit
 val clear_tlb_flush : t -> unit
 val tlb_flush_pending : t -> bool
 
-(** Install the task's handler for memory-fault signals. A handler that
-    wants to survive the fault must escape by raising (the [siglongjmp]
-    idiom); returning normally still kills the task — the faulting
-    access would just refault. *)
-val set_signal_handler : t -> Signal.handler -> unit
-
-val clear_signal_handler : t -> unit
-
-(** [with_signal_handler t h f] runs [f] with [h] installed, restoring
-    the previous handler (if any) on exit — including exceptional exit. *)
+(** [with_signal_handler t h f] runs [f] with [h] installed as the
+    task's handler for memory-fault signals, restoring the previous
+    handler (if any) on exit — including exceptional exit. A handler
+    that wants to survive the fault must escape by raising (the
+    [siglongjmp] idiom); returning normally still kills the task — the
+    faulting access would just refault. *)
 val with_signal_handler : t -> Signal.handler -> (unit -> 'a) -> 'a
-
-(** Signals delivered to this task so far (handled or fatal). *)
-val signals_delivered : t -> int
 
 (** The signal that killed this task, with the black box snapshotted at
     kill time ({!Signal.crash}); [None] while it has not been killed. *)

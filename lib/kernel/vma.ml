@@ -371,15 +371,6 @@ let merge_range ~actor t ~start ~pages =
   if merge_at ~actor t stop then incr merges;
   !merges
 
-let set_attrs ?(actor = -1) t ~start ~pages rw =
-  if pages <= 0 then invalid_arg "Vma.set_attrs: pages must be positive";
-  if not (covered t ~start ~pages) then
-    invalid_arg "Vma.set_attrs: range not fully covered";
-  let splits = split_edges ~actor t ~start ~pages in
-  let touched = rewrite_range ~actor t ~start ~pages rw in
-  let merges = merge_range ~actor t ~start ~pages in
-  touched, splits, merges
-
 let invariant t =
   let ok = ref true in
   for i = 0 to t.len - 1 do

@@ -75,18 +75,12 @@ val remove_range : ?actor:int -> t -> start:int -> pages:int -> vma list
     storage may be recycled by any later allocation. *)
 val free_detached : vma list -> unit
 
-(** [set_attrs t ~start ~pages rw] rewrites attributes over the range as
-    [rw] rewrites the PTEs made from them, splitting boundary areas as
-    needed and merging equal neighbours afterwards. Returns
-    [(vmas_touched, splits, merges)] for cost accounting. Raises
-    [Invalid_argument] unless the range is fully covered.
-
-    It is {!split_edges}, then {!rewrite_range}, then {!merge_range};
-    [Mm]'s protection changes run the three themselves so that they
-    build no tuple. None of the three allocates unless an area splits
-    or merges. *)
-val set_attrs :
-  ?actor:int -> t -> start:int -> pages:int -> Pte.rewrite -> int * int * int
+(** A protection change over a fully covered range ({!covered}) is
+    {!split_edges}, then {!rewrite_range}, then {!merge_range}: the
+    attributes over the range are rewritten as the [Pte.rewrite]
+    rewrites the PTEs made from them, boundary areas split as needed and
+    equal neighbours merge afterwards. None of the three allocates
+    unless an area splits or merges. *)
 
 (** Split the areas straddling either edge of a fully covered range;
     returns the number of splits. *)

@@ -24,7 +24,17 @@ let split_line s =
 
 let words line = String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
 
-let int_of w = match int_of_string_opt w with Some v -> Some v | None -> None
+(* A header number as Memcached reads it: decimal digits only, with a
+   leading '-' where [signed] (an exptime), never OCaml's 0x/0o/0b
+   prefixes, '+' or '_' separators. *)
+let decimal ?(signed = false) w =
+  let digits =
+    if signed && String.length w > 1 && w.[0] = '-' then String.sub w 1 (String.length w - 1)
+    else w
+  in
+  if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits then
+    int_of_string_opt w
+  else None
 
 (* Item flags are 32-bit unsigned, as in Memcached. *)
 let max_flags = 0xffff_ffff
@@ -42,7 +52,7 @@ let parse_request s =
       | [ "delete"; key ] when valid_key key -> Ok (Delete key)
       | [ "stats" ] -> Ok Stats
       | [ "set"; key; flags; exptime; bytes ] when valid_key key -> (
-          match int_of flags, int_of exptime, int_of bytes with
+          match decimal flags, decimal ~signed:true exptime, decimal bytes with
           | Some flags, Some exptime, Some n when n >= 0 && flags >= 0 && flags <= max_flags ->
               if n > String.length rest - 2 then Error "truncated data block"
               else if String.sub rest n 2 <> crlf then Error "bad data terminator"
@@ -50,14 +60,6 @@ let parse_request s =
           | _ -> Error "bad set arguments")
       | cmd :: _ -> Error (Printf.sprintf "unknown or malformed command %S" cmd)
       | [] -> Error "empty command")
-
-let render_request = function
-  | Get key -> Printf.sprintf "get %s%s" key crlf
-  | Delete key -> Printf.sprintf "delete %s%s" key crlf
-  | Stats -> "stats" ^ crlf
-  | Set { key; flags; exptime; data } ->
-      Printf.sprintf "set %s %d %d %d%s%s%s" key flags exptime (Bytes.length data) crlf
-        (Bytes.to_string data) crlf
 
 let render_response = function
   | Stored -> "STORED" ^ crlf
@@ -72,33 +74,3 @@ let render_response = function
       String.concat ""
         (List.map (fun (k, v) -> Printf.sprintf "STAT %s %s%s" k v crlf) kvs)
       ^ "END" ^ crlf
-
-let parse_response s =
-  match split_line s with
-  | Error e -> Error e
-  | Ok (line, rest) -> (
-      match words line with
-      | [ "STORED" ] -> Ok Stored
-      | [ "NOT_FOUND" ] -> Ok Not_found
-      | [ "DELETED" ] -> Ok Deleted
-      | [ "END" ] -> Ok End_
-      | "SERVER_ERROR" :: msg -> Ok (Server_error (String.concat " " msg))
-      | [ "VALUE"; key; flags; bytes ] -> (
-          match int_of flags, int_of bytes with
-          | Some flags, Some n when n >= 0 && String.length rest >= n ->
-              Ok (Value { key; flags; data = Bytes.of_string (String.sub rest 0 n) })
-          | _ -> Error "bad VALUE header")
-      | "STAT" :: _ ->
-          (* collect STAT lines up to END *)
-          let rec collect acc s =
-            match split_line s with
-            | Error e -> Error e
-            | Ok (line, rest) -> (
-                match words line with
-                | [ "END" ] -> Ok (Stats_reply (List.rev acc))
-                | [ "STAT"; k; v ] -> collect ((k, v) :: acc) rest
-                | _ -> Error "bad stats line")
-          in
-          collect [] s
-      | w :: _ -> Error ("unknown response " ^ w)
-      | [] -> Error "empty response")

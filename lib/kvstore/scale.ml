@@ -130,11 +130,9 @@ let find_knee points =
       in
       List.find_opt saturated points |> Option.map (fun p -> p.op_rate)
 
-let run_open ~mode ~workers ~rates ?(smoke = false) ?(seed = 0xC0FEL) () =
-  if workers < 1 then invalid_arg "Scale.run_open: workers must be >= 1";
-  if rates = [] || List.exists (fun r -> r < 1) rates then
-    invalid_arg "Scale.run_open: rates must be a non-empty list of rates >= 1";
-  let cfg = config ~smoke in
+let run_open ~mode ~workers ~rates ~smoke ~seed cfg =
+  if List.exists (fun r -> r < 1) rates then
+    invalid_arg "Scale.run: open-loop rates must be >= 1";
   (* A short measured window keeps the sweep cheap: offered load is
      [rate * duration], and the knee is a property of the rate, not of
      how long we hold it. *)
@@ -197,7 +195,7 @@ let run ~mode ~cores ?(open_rates = []) ?(smoke = false) ?(seed = 0xC0FEL) () =
            run: the knee of interest is the one batching is supposed to
            push right at max parallelism. *)
         let workers = List.fold_left max 1 cores in
-        Some (run_open ~mode ~workers ~rates ~smoke ~seed ())
+        Some (run_open ~mode ~workers ~rates ~smoke ~seed cfg)
   in
   { mode; closed_conns = cfg.c_conns; seed; smoke; points; open_loop }
 

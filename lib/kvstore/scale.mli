@@ -57,7 +57,9 @@ type report = {
     a worker/shard count). [smoke] shrinks the store and the connection
     count to CI size. Deterministic for a given [seed]. When
     [open_rates] is non-empty, an open-loop sweep over those arrival
-    rates runs at the largest core count and lands in [report.open_loop]. *)
+    rates (sorted and deduplicated) runs at the largest core count and
+    lands in [report.open_loop]. Raises [Invalid_argument] on a core
+    count or rate below 1. *)
 val run :
   mode:Server.mode ->
   cores:int list ->
@@ -66,18 +68,6 @@ val run :
   ?seed:int64 ->
   unit ->
   report
-
-(** Standalone open-loop sweep at [workers] cores over [rates]
-    (sorted and deduplicated). Raises [Invalid_argument] on an empty or
-    non-positive rate list. *)
-val run_open :
-  mode:Server.mode ->
-  workers:int ->
-  rates:int list ->
-  ?smoke:bool ->
-  ?seed:int64 ->
-  unit ->
-  open_sweep
 
 (** The report as [mpkctl scale] writes it: every point, then [valid]
     (no {!problems}) and the metrics registry's export. *)

@@ -438,13 +438,3 @@ let buggy_peek t ~worker ~addr =
     Protocol.Value { key = "peek"; flags = 0; data = Bytes.make 1 byte }
   in
   Protocol.render_response response
-
-let resident_pages t =
-  let start = Page_table.vpn_of_addr t.slab_base in
-  let pages = t.slab_len / Physmem.page_size in
-  let table = Mm.page_table (Proc.mm t.proc) in
-  let count = ref 0 in
-  for vpn = start to start + pages - 1 do
-    if Pte.is_present (Page_table.get table ~vpn) then incr count
-  done;
-  !count

@@ -100,9 +100,6 @@ val prefill : t -> items:int -> value_size:int -> unit
 
 val populate_slab : t -> mib:int -> unit
 
-(** Residency of the slab region, in pages. *)
-val resident_pages : t -> int
-
 (* --- protocol front end --- *)
 
 (** [dispatch t ~worker ~now wire] — parse one Memcached text-protocol
@@ -115,7 +112,8 @@ val resident_pages : t -> int
     and a [delete] [NOT_FOUND], as in Memcached. When the slab region
     fills, the least-recently-used items are evicted, as Memcached does;
     an item larger than the largest slab class evicts nothing and
-    answers [SERVER_ERROR object too large for cache]. *)
+    answers [SERVER_ERROR object too large for cache]. Only tests call
+    it; every workload uses [set]/[get] (see {!Protocol}). *)
 val dispatch : t -> worker:int -> now:float -> string -> string
 
 (** Items evicted by the LRU reclaimer so far. *)
@@ -131,7 +129,9 @@ val latency : t -> Mpk_util.Stats.Histogram.h
     reads [addr] without opening the store. In the protected modes the
     per-request signal guard turns the resulting pkey fault into a
     [SERVER_ERROR] response and the worker keeps serving; in [Baseline]
-    the read succeeds and the response leaks the byte. *)
+    the read succeeds and the response leaks the byte. Kept as the
+    planted Heartbleed-style path the isolation tests probe; no workload
+    calls it. *)
 val buggy_peek : t -> worker:int -> addr:int -> string
 
 (** Direct (attacker) access to the slab region from a non-worker task:

@@ -23,7 +23,6 @@ type t = {
   live : Bytes.t array;
       (* per assigned slab, one bit per [min_chunk] of it, set on an
          allocated chunk's first; empty while the slab is virgin *)
-  mutable chunks : int;
   mutable bytes : int;
 }
 
@@ -40,8 +39,6 @@ let class_index_of_size size =
   if size > max_chunk then invalid_arg "Slab: size exceeds the largest class";
   scan size 0
 
-let class_of_size size = class_of_index (class_index_of_size size)
-
 let create ~base ~len =
   if len < slab_bytes then invalid_arg "Slab.create: region smaller than one slab";
   let slabs = len / slab_bytes in
@@ -54,7 +51,6 @@ let create ~base ~len =
           { chunk = class_of_index i; free = [||]; top = 0; slabs = 0 });
     class_of_slab = Array.make slabs (-1);
     live = Array.make slabs Bytes.empty;
-    chunks = 0;
     bytes = 0;
   }
 
@@ -99,7 +95,6 @@ let alloc t ~size =
     cls.top <- cls.top - 1;
     let addr = cls.free.(cls.top) in
     flip_live t (addr - t.base);
-    t.chunks <- t.chunks + 1;
     t.bytes <- t.bytes + cls.chunk;
     addr
   end
@@ -114,16 +109,14 @@ let free t ~addr =
   let cls = t.classes.(t.class_of_slab.(off / slab_bytes)) in
   cls.free.(cls.top) <- addr;
   cls.top <- cls.top + 1;
-  t.chunks <- t.chunks - 1;
   t.bytes <- t.bytes - cls.chunk
 
-let allocated_chunks t = t.chunks
 let allocated_bytes t = t.bytes
-let slabs_in_use t = t.next_slab / slab_bytes
 
 (* Chunks never overlap and lie inside the region: a free chunk sits on
-   a chunk boundary of a slab of its class and is not live, and a live
-   bit marks a chunk boundary of its slab's class. *)
+   a chunk boundary of a slab of its class and is not live, a live bit
+   marks a chunk boundary of its slab's class, and the live chunks add
+   up to [allocated_bytes]. *)
 let invariant t =
   let on_boundary off idx =
     off < t.next_slab
@@ -138,12 +131,13 @@ let invariant t =
         ok := !ok && off >= 0 && on_boundary off idx && not (is_live t off)
       done)
     t.classes;
-  let live = ref 0 in
+  let live_bytes = ref 0 in
   for unit = 0 to (t.next_slab / min_chunk) - 1 do
     let off = unit * min_chunk in
     if is_live t off then begin
-      incr live;
-      ok := !ok && on_boundary off t.class_of_slab.(off / slab_bytes)
+      let idx = t.class_of_slab.(off / slab_bytes) in
+      live_bytes := !live_bytes + class_of_index idx;
+      ok := !ok && on_boundary off idx
     end
   done;
-  !ok && !live = t.chunks
+  !ok && !live_bytes = t.bytes

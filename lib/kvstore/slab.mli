@@ -31,12 +31,9 @@ val alloc : t -> size:int -> int
     or double free. *)
 val free : t -> addr:int -> unit
 
-(** The size class (chunk size) serving [size]. *)
-val class_of_size : int -> int
-
-val allocated_chunks : t -> int
+(** The chunk bytes of every allocated chunk: each counts its whole
+    size class. *)
 val allocated_bytes : t -> int
-val slabs_in_use : t -> int
 
 (** Chunks never overlap and lie inside the region. *)
 val invariant : t -> bool

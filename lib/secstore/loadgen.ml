@@ -26,7 +26,7 @@ let run server workers ~requests ~size =
     let task = workers.(!w) in
     let blob, _ckey = Tls_server.client_hello server prng in
     let session = Tls_server.accept server task blob in
-    ignore (Tls_server.serve server task session ~size)
+    ignore (Tls_server.serve task session ~size)
   done;
   let makespan =
     Array.to_list workers

@@ -2,15 +2,7 @@ open Mpk_hw
 open Mpk_kernel
 open Mpk_crypto
 
-type t = {
-  ks : Keystore.t;
-  proc : Proc.t;
-  latency : Mpk_util.Stats.Histogram.h;  (* per-request cycles, all entry points *)
-  mutable handshakes : int;
-  mutable requests : int;
-  mutable heartbeats : int;
-  mutable heartbeats_rejected : int;
-}
+type t = { ks : Keystore.t }
 
 type session = { key : bytes; nonce : bytes }
 
@@ -25,30 +17,9 @@ let create ~mode proc task ?mpk ~seed () =
   let kp = Rsa.generate prng ~bits:128 in
   let ks = Keystore.create ~mode proc task ?mpk () in
   ignore (Keystore.store ks task kp);
-  {
-    ks;
-    proc;
-    (* lo 256 cycles: serve requests sit in the thousands, handshakes
-       near rsa_decrypt_cycles — the same log-bucket layout the kvstore
-       uses, shifted down for the cheap record path *)
-    latency = Mpk_util.Stats.Histogram.create ~lo:256.0 ~growth:2.0 ~buckets:24 ();
-    handshakes = 0;
-    requests = 0;
-    heartbeats = 0;
-    heartbeats_rejected = 0;
-  }
+  { ks }
 
 let keystore t = t.ks
-
-(* End-to-end core cycles per request, kvstore-style: Fun.protect so a
-   faulting heartbeat still lands a sample. *)
-let timed t task f =
-  let core = Task.core task in
-  let start = Cpu.cycles core in
-  Fun.protect
-    ~finally:(fun () ->
-      Mpk_util.Stats.Histogram.add t.latency (Cpu.cycles core -. start))
-    f
 
 let premaster_len = 8
 
@@ -60,7 +31,7 @@ let client_hello t prng =
 
 (* The private-key operation: key bytes are fetched from (protected)
    simulated memory, and the heavy modexp is charged to the core. *)
-let accept_session t task blob =
+let accept t task blob =
   let premaster =
     Keystore.with_secret t.ks task (fun secret ->
         Cpu.charge ~label:"rsa_decrypt" (Task.core task) rsa_decrypt_cycles;
@@ -71,60 +42,9 @@ let accept_session t task blob =
     nonce = Bytes.make 12 '\000';
   }
 
-let accept t task blob =
-  timed t task @@ fun () ->
-  t.handshakes <- t.handshakes + 1;
-  accept_session t task blob
-
-let transcript ~client_random ~blob = Bytes.cat client_random blob
-
-let accept_authenticated t task ~client_random blob =
-  timed t task @@ fun () ->
-  t.handshakes <- t.handshakes + 1;
-  let session = accept_session t task blob in
-  let signature =
-    Keystore.with_secret t.ks task (fun secret ->
-        Cpu.charge ~label:"rsa_decrypt" (Task.core task) rsa_decrypt_cycles;
-        Rsa.sign secret (transcript ~client_random ~blob))
-  in
-  session, signature
-
-let verify_server t ~client_random ~blob ~signature =
-  Rsa.verify (Keystore.public t.ks) ~msg:(transcript ~client_random ~blob) ~signature
-
 let session_key s = s.key
 
-type heartbeat_outcome = Served of bytes | Rejected of Signal.siginfo
-
-exception Heartbeat_fault of Signal.siginfo
-
-(* The Heartbleed-shaped request: echo [claimed_len] bytes from a buffer
-   that only holds [payload]. An honest length echoes; an over-long one
-   walks into protected memory, and instead of leaking (Baseline) or
-   dying, the worker catches its own SIGSEGV, drops the request, and the
-   session stays usable. *)
-let handle_heartbeat t task ~payload ~claimed_len =
-  timed t task @@ fun () ->
-  t.heartbeats <- t.heartbeats + 1;
-  let core = Task.core task in
-  let mmu = Proc.mmu t.proc in
-  let buf = Keystore.alloc_request_buffer t.ks task ~len:(Bytes.length payload) in
-  Mmu.write_bytes mmu core ~addr:buf payload;
-  Cpu.charge ~label:"record_copy" core (float_of_int (max 1 claimed_len) *. per_byte_cycles);
-  match
-    Task.with_signal_handler task
-      (fun si -> raise (Heartbeat_fault si))
-      (fun () -> Served (Mmu.read_bytes mmu core ~addr:buf ~len:claimed_len))
-  with
-  | outcome -> outcome
-  | exception Heartbeat_fault si ->
-      t.heartbeats_rejected <- t.heartbeats_rejected + 1;
-      Rejected si
-
-let serve t task session ~size =
-  timed t task @@ fun () ->
-  t.requests <- t.requests + 1;
-  ignore t.proc;
+let serve task session ~size =
   let core = Task.core task in
   (* Request decrypt (small) + response build/encrypt (size-dependent). *)
   Cpu.charge ~label:"record_copy" core (64.0 *. per_byte_cycles);
@@ -134,28 +54,3 @@ let serve t task session ~size =
   let sample = min size 4096 in
   let body = Bytes.make sample 'd' in
   Chacha20.crypt ~key:session.key ~nonce:session.nonce body
-
-(* Stats reply in the kvstore server's key/value shape, histogram
-   percentiles included — the hook the secstore scale-out will read. *)
-let latency t = t.latency
-
-let stats_reply t =
-  let h = t.latency in
-  let counters =
-    [
-      "handshakes", string_of_int t.handshakes;
-      "requests", string_of_int t.requests;
-      "heartbeats", string_of_int t.heartbeats;
-      "heartbeats_rejected", string_of_int t.heartbeats_rejected;
-      "latency_samples", string_of_int (Mpk_util.Stats.Histogram.count h);
-    ]
-  in
-  if Mpk_util.Stats.Histogram.count h = 0 then counters
-  else
-    let cy p = Printf.sprintf "%.0f" (Mpk_util.Stats.Histogram.percentile h p) in
-    counters
-    @ [
-        "latency_p50_cycles", cy 50.0;
-        "latency_p95_cycles", cy 95.0;
-        "latency_p99_cycles", cy 99.0;
-      ]

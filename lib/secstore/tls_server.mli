@@ -33,49 +33,9 @@ val client_hello : t -> Mpk_util.Prng.t -> bytes * bytes
     derive the session. *)
 val accept : t -> Task.t -> bytes -> session
 
-(** [accept_authenticated t task ~client_random blob] — like [accept],
-    but the server also signs the handshake transcript with its private
-    key (a second protected-key operation, as real TLS server auth
-    does). Returns the session and the signature. *)
-val accept_authenticated :
-  t -> Task.t -> client_random:bytes -> bytes -> session * bytes
-
-(** Client-side check of the server's transcript signature. *)
-val verify_server : t -> client_random:bytes -> blob:bytes -> signature:bytes -> bool
-
 val session_key : session -> bytes
 
-(** [serve t task session ~size] — handle one request with a [size]-byte
-    response: decrypt-request + build + encrypt-response, all charged to
-    the task's core. Returns the (encrypted) response. *)
-val serve : t -> Task.t -> session -> size:int -> bytes
-
-(** Outcome of a heartbeat request (the Heartbleed probe). *)
-type heartbeat_outcome =
-  | Served of bytes  (** echoed bytes — over-long reads leak memory *)
-  | Rejected of Signal.siginfo
-      (** the read faulted on protected memory; the worker caught the
-          signal, dropped the request and keeps serving *)
-
-(** [handle_heartbeat t task ~payload ~claimed_len] — echo [claimed_len]
-    bytes back from a request buffer holding [payload]. The worker
-    installs a signal handler for the duration of the copy, so a pkey
-    fault on the keystore's pages rejects the one request instead of
-    killing the server. *)
-val handle_heartbeat :
-  t -> Task.t -> payload:bytes -> claimed_len:int -> heartbeat_outcome
-
-(** {2 Observability}
-
-    Every entry point ([accept], [accept_authenticated], [serve],
-    [handle_heartbeat]) records its end-to-end core cycles into a
-    log-bucket latency histogram — the same instrument the kvstore
-    server carries — so the secstore scale-out can be measured from day
-    one. Rejected heartbeats still record a sample. *)
-
-val latency : t -> Mpk_util.Stats.Histogram.h
-
-(** Key/value stats in the kvstore server's reply shape: request
-    counters plus [latency_samples] and, once any sample exists,
-    [latency_p50_cycles] / [latency_p95_cycles] / [latency_p99_cycles]. *)
-val stats_reply : t -> (string * string) list
+(** [serve task session ~size] — handle one request of [session] with a
+    [size]-byte response: decrypt-request + build + encrypt-response,
+    all charged to the task's core. Returns the (encrypted) response. *)
+val serve : Task.t -> session -> size:int -> bytes

@@ -21,17 +21,12 @@ val to_string : ?indent:int -> t -> string
     infinite floats — JSON has no spelling for them, and emitting [null]
     silently would corrupt metric exports. *)
 
-exception Parse_error of int * string
-(** Byte offset and description. *)
-
-val parse_exn : string -> t
+val parse : string -> (t, string) result
 (** Strict RFC 8259 parsing: rejects trailing garbage, raw control
     characters in strings, lone surrogates, leading zeros, and bare
     values like [nan]. Numbers without fraction/exponent parse as [Int]
-    (falling back to [Float] on overflow); all others as [Float].
-    Raises {!Parse_error}. *)
-
-val parse : string -> (t, string) result
+    (falling back to [Float] on overflow); all others as [Float]. An
+    error names the byte offset and what was wrong there. *)
 
 (** {2 Base64 byte blobs}
 
@@ -39,14 +34,11 @@ val parse : string -> (t, string) result
     sections, ciphertexts) travel as base64 strings — RFC 4648, standard
     alphabet, padded. Decoding is strict: length must be a multiple of
     4, ['='] only as final padding, and non-canonical trailing bits are
-    rejected, so [decode (encode b) = Ok b] and nothing else decodes. *)
-
-val base64_encode : bytes -> string
-
-val base64_decode : string -> (bytes, string) result
+    rejected, so [bytes_of_json (bytes_to_json b) = Ok b] and nothing
+    else decodes. *)
 
 val bytes_to_json : bytes -> t
-(** [String (base64_encode b)]. *)
+(** A [String] node holding [b] in base64. *)
 
 val bytes_of_json : t -> (bytes, string) result
 (** Decodes a [String] node; errors on other nodes or malformed base64. *)

@@ -12,9 +12,6 @@
     `mpkctl profile` checks this with exact float equality, not a
     tolerance. *)
 
-val unattributed : string
-(** The label unlabelled charges land on: ["(unattributed)"]. *)
-
 val on : unit -> bool
 (** A profile is recording. Allocates nothing. *)
 

@@ -48,12 +48,4 @@ let bool t ~p =
   else if p <= 0.0 then false
   else unit_float t < p
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let split t = create ~seed:(mix (advance t))

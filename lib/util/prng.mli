@@ -2,7 +2,7 @@
 
     Every stochastic choice in the simulator draws from an explicit [t] so
     that experiments and tests are reproducible from a seed. The state is
-    held unboxed: [int], [bool] and [shuffle] allocate nothing, [float]
+    held unboxed: [int] and [bool] allocate nothing, [float]
     only its result and [next] only its [int64]. *)
 
 type t
@@ -24,9 +24,6 @@ val float : t -> float
 (** [bool t ~p] is true with probability [p] (clamped to [\[0, 1\]]).
     Raises [Invalid_argument] when [p] is NaN. *)
 val bool : t -> p:float -> bool
-
-(** [shuffle t a] permutes [a] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit
 
 (** [split t] derives a fresh, statistically independent generator. *)
 val split : t -> t

@@ -27,8 +27,6 @@ module Histogram = struct
   type totals = { mutable sum : float; mutable vmin : float; mutable vmax : float }
 
   type h = {
-    lo : float;
-    growth : float;
     bounds : float array;  (* bounds.(i) = lo * growth^i, ascending *)
     counts : int array;  (* length bounds + 1; last slot is the overflow bucket *)
     mutable n : int;
@@ -40,8 +38,6 @@ module Histogram = struct
     if not (growth > 1.0) then invalid_arg "Stats.Histogram.create: growth must exceed 1";
     if buckets < 1 then invalid_arg "Stats.Histogram.create: need at least one bucket";
     {
-      lo;
-      growth;
       bounds = Array.init buckets (fun i -> lo *. (growth ** float_of_int i));
       counts = Array.make (buckets + 1) 0;
       n = 0;
@@ -84,20 +80,6 @@ module Histogram = struct
   let mean t = if t.n = 0 then 0.0 else t.totals.sum /. float_of_int t.n
   let minimum t = t.totals.vmin
   let maximum t = t.totals.vmax
-
-  let same_shape a b =
-    a.lo = b.lo && a.growth = b.growth
-    && Array.length a.bounds = Array.length b.bounds
-
-  let merge_into ~into src =
-    if not (same_shape into src) then
-      invalid_arg "Stats.Histogram.merge_into: bucket layouts differ";
-    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-    into.n <- into.n + src.n;
-    let i = into.totals and s = src.totals in
-    i.sum <- i.sum +. s.sum;
-    if s.vmin < i.vmin then i.vmin <- s.vmin;
-    if s.vmax > i.vmax then i.vmax <- s.vmax
 
   (* Rank interpolation inside the bucket holding the target rank. The
      result is clamped to the observed extrema, so tiny histograms do not

@@ -20,8 +20,8 @@ type sample = { mutable value : float }
     Bucket [i] covers [(lo·growth^(i-1), lo·growth^i]] (bucket 0 also
     absorbs everything [<= lo]); one extra overflow bucket catches
     samples above the last bound. The layout is fixed at [create] time,
-    which is what makes {!Histogram.merge_into} and the per-bucket JSON
-    export of the metrics registry well-defined. *)
+    which is what makes the per-bucket JSON export of the metrics
+    registry well-defined. *)
 module Histogram : sig
   type h
 
@@ -47,9 +47,6 @@ module Histogram : sig
   val maximum : h -> float
   (** Exact observed maximum; [neg_infinity] when empty. *)
 
-  val merge_into : into:h -> h -> unit
-  (** Add [src]'s buckets into [into]. Raises [Invalid_argument] if the
-      two histograms were created with different [lo]/[growth]/[buckets]. *)
 
   val percentile : h -> float -> float
   (** Percentile estimated from bucket counts with linear interpolation

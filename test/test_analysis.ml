@@ -65,10 +65,10 @@ let test_of_trace_shape () =
   let p =
     of_trace ~name:"trace"
       [
-        (0, Mmap { vkey = 1; pages = 1; prot = Perm.rw });
-        (1, Begin { vkey = 1; prot = Perm.r });
-        (0, Read { vkey = 1 });
-        (1, End { vkey = 1 });
+        { stid = 0; sop = Mmap { vkey = 1; pages = 1; prot = Perm.rw } };
+        { stid = 1; sop = Begin { vkey = 1; prot = Perm.r } };
+        { stid = 0; sop = Read { vkey = 1 } };
+        { stid = 1; sop = End { vkey = 1 } };
       ]
   in
   Alcotest.(check int) "two threads" 2 (List.length p.threads);
@@ -227,15 +227,30 @@ let test_wx_micro () =
 
 let test_gadget_scan () =
   let open Ir in
+  (* the offsets the gadget pass reports for one emitted stream *)
+  let unsafe_offsets code =
+    Lint.analyze ~passes:[ "gadget" ]
+      (micro "gadget"
+         [
+           op (Mmap { vkey = 1; pages = 1; prot = Perm.rwx });
+           op (Begin { vkey = 1; prot = Perm.rw });
+           op (Emit { vkey = 1; code });
+           op (End { vkey = 1 });
+           op (Free { vkey = 1 });
+         ])
+    |> List.filter_map (fun f ->
+           match f.Lint.detail with
+           | Lint.Unsafe_wrpkru { offset; _ } -> Some offset
+           | _ -> None)
+  in
   let checked = [ I_op "mov"; I_wrpkru; I_cmp_pkru; I_br_trusted; I_ret ] in
-  Alcotest.(check (list int)) "checked WRPKRU is safe" []
-    (Lint.Gadget.unsafe_offsets checked);
+  Alcotest.(check (list int)) "checked WRPKRU is safe" [] (unsafe_offsets checked);
   Alcotest.(check (list int)) "bare WRPKRU flagged" [ 1 ]
-    (Lint.Gadget.unsafe_offsets [ I_op "mov"; I_wrpkru; I_op "jmp"; I_ret ]);
+    (unsafe_offsets [ I_op "mov"; I_wrpkru; I_op "jmp"; I_ret ]);
   Alcotest.(check (list int)) "cmp without branch is not a full check" [ 0 ]
-    (Lint.Gadget.unsafe_offsets [ I_wrpkru; I_cmp_pkru; I_ret ]);
+    (unsafe_offsets [ I_wrpkru; I_cmp_pkru; I_ret ]);
   Alcotest.(check (list int)) "WRPKRU at stream end flagged" [ 2 ]
-    (Lint.Gadget.unsafe_offsets [ I_op "a"; I_op "b"; I_wrpkru ])
+    (unsafe_offsets [ I_op "a"; I_op "b"; I_wrpkru ])
 
 let test_toctou_micro () =
   let open Ir in
@@ -357,20 +372,20 @@ let test_replay_confirms_plants () =
 
 let test_stress_trace_ir () =
   let steps = Mpk_check.Stress.gen_ops Mpk_check.Stress.default_config 400 in
-  let p = Mpk_check.Stress.ir_of_trace ~name:"stress" steps in
+  let p = Ir.of_trace ~name:"stress" steps in
   Alcotest.(check string) "program name" "stress" p.Ir.pname;
   (* heap steps are inert to the analyzer: labelling them away changes
      no finding *)
   let unheaped =
     List.map
-      (fun (s : Lint.step) ->
-        match s.Lint.sop with
-        | Ir.Malloc _ | Ir.Mfree _ -> { s with Lint.sop = Ir.Label (Ir.op_to_string s.Lint.sop) }
+      (fun (s : Ir.step) ->
+        match s.Ir.sop with
+        | Ir.Malloc _ | Ir.Mfree _ -> { s with Ir.sop = Ir.Label (Ir.op_to_string s.Ir.sop) }
         | _ -> s)
       steps
   in
   let findings steps =
-    Lint.analyze (Mpk_check.Stress.ir_of_trace ~name:"stress" steps)
+    Lint.analyze (Ir.of_trace ~name:"stress" steps)
     |> List.map (fun (f : Lint.finding) ->
            (f.Lint.pass, f.Lint.severity, f.Lint.detail, f.Lint.tid, f.Lint.node, f.Lint.message))
   in
@@ -551,10 +566,10 @@ let test_pass_filter () =
         ]
   in
   expect_clean "lockset-only run hides the cycle"
-    (Lint.analyze_with ~passes:[ "lockset" ] p);
+    (Lint.analyze ~passes:[ "lockset" ] p);
   expect_detail "lockorder-only run finds it"
     (function Lint.Deadlock _ -> true | _ -> false)
-    (Lint.analyze_with ~passes:[ "lockorder" ] p);
+    (Lint.analyze ~passes:[ "lockorder" ] p);
   Alcotest.(check bool) "pass registry lists all eight" true
     (List.length Lint.pass_names = 8)
 
@@ -591,62 +606,18 @@ let test_mm_model_plants () =
   expect_plant `Window "atomicity" (function Lint.Atomicity _ -> true | _ -> false)
 
 let test_mm_model_static_order () =
-  (* The clean protocol's may-held graph is exactly mm_lock -> vma_lock,
-     acyclic; the lock-order plant adds the reverse edge and one cycle. *)
+  (* The clean protocol's may-held graph is acyclic; the lock-order plant
+     adds only the reverse vma_lock -> mm_lock edge, so its one cycle
+     over exactly the two classes shows the clean mm_lock -> vma_lock
+     edge too. *)
   let clean = Mpk_check.Mm_model.program () in
-  Alcotest.(check (list (pair string string)))
-    "clean edges"
-    [ ("mm_lock", "vma_lock") ]
-    (Lint.static_lock_edges clean);
   Alcotest.(check int) "clean is acyclic" 0
     (List.length (Lint.static_lock_cycles clean));
   let planted = Mpk_check.Mm_model.program ~plant:`Lock_order () in
-  Alcotest.(check bool) "planted has the reverse edge" true
-    (List.mem ("vma_lock", "mm_lock") (Lint.static_lock_edges planted));
-  Alcotest.(check int) "planted has one cycle" 1
-    (List.length (Lint.static_lock_cycles planted))
-
-(* --- lifting kernel lock trace events --- *)
-
-let test_lift_lock_events () =
-  let open Mpk_trace in
-  let mk seq ev = { Event.seq; ts = 0.0; core = 0; task = 0; span = 0; ev } in
-  let evs =
-    [
-      mk 0 (Event.Lock_acquire { cls = "mm_lock"; excl = true; actor = 0 });
-      mk 1 (Event.Lock_acquire { cls = "vma_lock"; excl = false; actor = 1 });
-      mk 2 (Event.Lock_release { cls = "vma_lock"; excl = false; actor = 1 });
-      mk 3 (Event.Lock_release { cls = "mm_lock"; excl = true; actor = 0 });
-      mk 4 (Event.Marker { name = "not a lock event" });
-    ]
-  in
-  let p = Ir.of_trace_events ~name:"lifted" evs in
-  Alcotest.(check int) "two threads" 2 (List.length p.Ir.threads);
-  (* node ids are not program order (the builder lowers back-to-front):
-     walk the Seq chain from the thread entry. *)
-  let ops tid =
-    let t = Option.get (Ir.find_thread p tid) in
-    let rec go id acc =
-      let n = Ir.node p id in
-      let acc =
-        match n.Ir.op with
-        | (Ir.Lock _ | Ir.Unlock _) as o -> Ir.op_to_string o :: acc
-        | _ -> acc
-      in
-      match n.Ir.succs with (Ir.Seq, next) :: _ -> go next acc | _ -> List.rev acc
-    in
-    go t.Ir.entry []
-  in
-  Alcotest.(check (list string))
-    "main got the mm_lock pair"
-    [ "lock mm_lock excl"; "unlock mm_lock excl" ]
-    (ops 0);
-  Alcotest.(check (list string))
-    "thread 1 got the vma_lock pair"
-    [ "lock vma_lock shared"; "unlock vma_lock shared" ]
-    (ops 1);
-  (* the lifted program is analyzable and clean *)
-  expect_clean "lifted trace" (Lint.analyze p)
+  Alcotest.(check (list (list string)))
+    "planted has the one two-class cycle"
+    [ [ "mm_lock"; "vma_lock" ] ]
+    (Lint.static_lock_cycles planted)
 
 let () =
   Alcotest.run "analysis"
@@ -675,8 +646,6 @@ let () =
           Alcotest.test_case "mm protocol model is clean" `Quick test_mm_model_clean;
           Alcotest.test_case "mm protocol plants found" `Quick test_mm_model_plants;
           Alcotest.test_case "static lock-order graph" `Quick test_mm_model_static_order;
-          Alcotest.test_case "kernel lock events lift to IR" `Quick
-            test_lift_lock_events;
         ] );
       ( "passes",
         [

@@ -355,14 +355,20 @@ let test_gate_catches_planted_slowdown () =
     (wrpkru_verdict.Gate.v_verdict = Gate.Regressed);
   let worst = wrpkru_verdict.Gate.v_worst in
   Alcotest.(check (float 1e-6)) "delta is the plant" 40.0 (worst.Gate.fresh -. worst.Gate.base);
-  (* attribution names a frame ending in wrpkru *)
-  let frames = Gate.hot_frames d in
-  Alcotest.(check bool) "has attribution" true (frames <> []);
-  Alcotest.(check bool)
-    "top frame is wrpkru" true
-    (match frames with
-    | f :: _ -> List.exists (fun l -> l = "wrpkru") f.Tree.path
-    | [] -> false)
+  (* the rendered attribution's top frame has a wrpkru label *)
+  let rec attribution = function
+    | "attribution (self-cycle increases, largest first):" :: top :: _ -> Some top
+    | _ :: rest -> attribution rest
+    | [] -> None
+  in
+  match attribution (String.split_on_char '\n' (Gate.render d)) with
+  | None -> Alcotest.fail "no attribution rendered"
+  | Some top ->
+      let path = List.hd (String.split_on_char ' ' (String.trim top)) in
+      Alcotest.(check bool)
+        ("top frame is wrpkru: " ^ top)
+        true
+        (List.mem "wrpkru" (String.split_on_char '/' path))
 
 let test_gate_metric_set_drift_regresses () =
   match Runner.run ~id:"table1" ~trials:1 ~seed:5 ~smoke:true with

@@ -383,7 +383,7 @@ let test_heap_unit_churn () =
     (Libmpk.Mpk_heap.alloc h ~size:192);
   Libmpk.Mpk_heap.free h ~addr:a;
   Libmpk.Mpk_heap.free h ~addr:b;
-  Alcotest.(check int) "all bytes back" 256 (Libmpk.Mpk_heap.free_bytes h);
+  Alcotest.(check int) "all bytes back" 0 (Libmpk.Mpk_heap.allocated_bytes h);
   Alcotest.(check bool) "final invariant" true (Libmpk.Mpk_heap.invariant h)
 
 (* --- randomized stress: short deterministic runs across key regimes --- *)

@@ -80,8 +80,8 @@ let test_killed_carries_blackbox () =
   | None -> Alcotest.fail "default kill did not record a crash"
   | Some c ->
       Alcotest.(check bool) "black box nonempty" true (c.Signal.blackbox <> []);
-      Alcotest.(check bool) "bounded by depth" true
-        (List.length c.Signal.blackbox <= Signal.blackbox_depth);
+      Alcotest.(check bool) "bounded by its 64-event depth" true
+        (List.length c.Signal.blackbox <= 64);
       let d, _ = capture sc in
       Alcotest.(check (list string)) "dump embeds the kill-time black box"
         c.Signal.blackbox d.Dump.blackbox

@@ -274,29 +274,7 @@ let test_rsa_bytes_roundtrip () =
   let msg = Bytes.of_string "premaster" in
   let ct = Rsa.encrypt_bytes kp.Rsa.public msg in
   Alcotest.(check string) "roundtrip" "premaster"
-    (Bytes.to_string (Rsa.decrypt_bytes kp.Rsa.secret ct))
-
-let test_rsa_sign_verify () =
-  let p = prng () in
-  let kp = Rsa.generate p ~bits:128 in
-  let msg = Bytes.of_string "handshake transcript" in
-  let signature = Rsa.sign kp.Rsa.secret msg in
-  Alcotest.(check bool) "verifies" true (Rsa.verify kp.Rsa.public ~msg ~signature);
-  Alcotest.(check bool) "tampered message fails" false
-    (Rsa.verify kp.Rsa.public ~msg:(Bytes.of_string "handshake transcripT") ~signature);
-  let bad = Bytes.copy signature in
-  Bytes.set bad (Bytes.length bad - 1)
-    (Char.chr (Char.code (Bytes.get bad (Bytes.length bad - 1)) lxor 1));
-  Alcotest.(check bool) "tampered signature fails" false
-    (Rsa.verify kp.Rsa.public ~msg ~signature:bad)
-
-let test_rsa_sign_wrong_key () =
-  let p = prng () in
-  let k1 = Rsa.generate p ~bits:128 in
-  let k2 = Rsa.generate p ~bits:128 in
-  let msg = Bytes.of_string "m" in
-  let signature = Rsa.sign k1.Rsa.secret msg in
-  Alcotest.(check bool) "other key rejects" false (Rsa.verify k2.Rsa.public ~msg ~signature)
+    (Bytes.to_string (Rsa.decrypt_bytes_padded kp.Rsa.secret ct ~len:(Bytes.length msg)))
 
 let test_rsa_distinct_keys () =
   let p = prng () in
@@ -438,8 +416,6 @@ let () =
           tc "miller-rabin" `Quick test_miller_rabin_known;
           tc "roundtrip" `Quick test_rsa_roundtrip;
           tc "bytes roundtrip" `Quick test_rsa_bytes_roundtrip;
-          tc "sign/verify" `Quick test_rsa_sign_verify;
-          tc "sign wrong key" `Quick test_rsa_sign_wrong_key;
           tc "distinct keys" `Quick test_rsa_distinct_keys;
         ] );
     ]

@@ -73,7 +73,7 @@ let pkru_roundtrip =
       let rights =
         match r with 0 -> Pkru.No_access | 1 -> Pkru.Read_only | _ -> Pkru.Read_write
       in
-      let v = Pkru.set_rights Pkru.all_access key rights in
+      let v = Pkru.set_rights (Pkru.of_int 0) key rights in
       Pkru.rights v key = rights)
 
 let pkru_independence =
@@ -654,7 +654,7 @@ let test_tlb_update_in_place () =
 
 let test_cpu_wrpkru_cost () =
   let cpu = Cpu.create ~id:0 () in
-  let (), cycles = Cpu.measure cpu (fun () -> Cpu.wrpkru cpu Pkru.all_access) in
+  let (), cycles = Cpu.measure cpu (fun () -> Cpu.wrpkru cpu (Pkru.of_int 0)) in
   Alcotest.(check (float 1e-9)) "wrpkru = 23.3" 23.3 cycles
 
 let test_cpu_rdpkru_cost () =
@@ -675,13 +675,13 @@ let test_fig2_adds_after_slower () =
     snd
       (Cpu.measure cpu (fun () ->
            Cpu.exec_adds cpu n;
-           Cpu.wrpkru cpu Pkru.all_access))
+           Cpu.wrpkru cpu (Pkru.of_int 0)))
   in
   let run_w2 n =
     let cpu = Cpu.create ~id:0 () in
     snd
       (Cpu.measure cpu (fun () ->
-           Cpu.wrpkru cpu Pkru.all_access;
+           Cpu.wrpkru cpu (Pkru.of_int 0);
            Cpu.exec_adds cpu n))
   in
   List.iter
@@ -724,8 +724,7 @@ let test_mmu_read_write () =
 let expect_fault name cause f =
   match f () with
   | exception Mmu.Fault fault ->
-      Alcotest.(check string) name (Mmu.cause_to_string cause)
-        (Mmu.cause_to_string fault.Mmu.cause)
+      Alcotest.(check bool) name true (fault.Mmu.cause = cause)
   | _ -> Alcotest.fail (name ^ ": expected fault")
 
 let test_mmu_not_present () =
@@ -1047,18 +1046,6 @@ let test_cross_library_inlining () =
        release profile)"
       w
 
-let test_tlb_stats_reset () =
-  let tlb = Tlb.create () in
-  ignore (Tlb.lookup tlb ~vpn:1);
-  Tlb.insert tlb ~vpn:1 (mk_pte 1);
-  ignore (Tlb.lookup tlb ~vpn:1);
-  Tlb.reset_stats tlb;
-  Alcotest.(check int) "hits" 0 (Tlb.hits tlb);
-  Alcotest.(check int) "misses" 0 (Tlb.misses tlb);
-  Alcotest.(check int) "flushes" 0 (Tlb.flushes tlb);
-  (* entries survive a stats reset *)
-  Alcotest.(check bool) "entry intact" true (Tlb.lookup tlb ~vpn:1 <> Pte.absent)
-
 (* --- physmem refcounting (shared memory substrate) --- *)
 
 let test_physmem_refcount () =
@@ -1074,14 +1061,6 @@ let test_physmem_refcount () =
   Physmem.free_frame m f;
   Alcotest.(check int) "gone" 0 (Physmem.refcount m f);
   Alcotest.(check int) "not in use" 0 (Physmem.frames_in_use m)
-
-let test_machine_flush_all_tlbs () =
-  let m = Machine.create ~cores:2 ~mem_mib:16 () in
-  Tlb.insert (Cpu.tlb (Machine.core m 0)) ~vpn:5 (mk_pte 5);
-  Tlb.insert (Cpu.tlb (Machine.core m 1)) ~vpn:6 (mk_pte 6);
-  Machine.flush_all_tlbs m;
-  Alcotest.(check bool) "core0 flushed" true (Tlb.lookup (Cpu.tlb (Machine.core m 0)) ~vpn:5 = Pte.absent);
-  Alcotest.(check bool) "core1 flushed" true (Tlb.lookup (Cpu.tlb (Machine.core m 1)) ~vpn:6 = Pte.absent)
 
 let test_machine_basics () =
   let m = Machine.create ~cores:4 ~mem_mib:16 () in
@@ -1169,7 +1148,6 @@ let () =
       ( "tlb_more",
         [
           tc "set isolation" `Quick test_tlb_set_isolation;
-          tc "stats reset" `Quick test_tlb_stats_reset;
         ] );
       ( "alloc_budget",
         [
@@ -1184,6 +1162,5 @@ let () =
       ( "machine",
         [
           tc "basics" `Quick test_machine_basics;
-          tc "flush all tlbs" `Quick test_machine_flush_all_tlbs;
         ] );
     ]

@@ -64,7 +64,7 @@ let test_three_apps_one_libmpk () =
   | _ -> Alcotest.fail "attacker read the XOM module");
   (* ...while everything keeps working for legitimate threads *)
   ignore (Mpk_jit.Engine.run engine jit_thread fname);
-  ignore (Mpk_secstore.Tls_server.serve tls server_thread session ~size:1024);
+  ignore (Mpk_secstore.Tls_server.serve server_thread session ~size:1024);
   (* keys are genuinely shared: total groups exceeds 3, all backed by <=15 keys *)
   Alcotest.(check bool) "several groups coexist" true (Libmpk.group_count mpk >= 3);
   Alcotest.(check bool) "within hardware keys" true

@@ -51,10 +51,38 @@ let test_bytecode_locals () =
     (run [ Bytecode.Push 11; Bytecode.Store 3; Bytecode.Load 3; Bytecode.Ret ]);
   Alcotest.(check int) "locals start zero" 0 (run [ Bytecode.Load 9; Bytecode.Ret ])
 
+(* A function whose hot loop runs [iters] times over [body_ops]
+   arithmetic instructions, so execution cost scales with [iters] while
+   the code stays small:
+     Push iters; Store 0; Push 0; Store 1;
+   loop:  [arithmetic on an accumulator in local 1]
+          Load 0; Push 1; Sub; Dup; Store 0; Jz done; Jmp loop;
+   done:  Load 1; Ret
+   Jump targets are byte offsets: the compiled length of what precedes. *)
+let synth_loop ~seed ~iters ~body_ops =
+  let open Bytecode in
+  let prng = Mpk_util.Prng.create ~seed:(Int64.of_int ((seed * 40503) + 7)) in
+  let body_arith =
+    List.concat
+      (List.init (max 1 (body_ops / 3)) (fun _ ->
+           let v = 1 + Mpk_util.Prng.int prng 7 in
+           let op = if Mpk_util.Prng.bool prng ~p:0.5 then Add else Mul in
+           [ Load 1; Push v; op; Store 1 ]))
+  in
+  let prelude = [ Push iters; Store 0; Push 0; Store 1 ] in
+  let latch = [ Load 0; Push 1; Sub; Dup; Store 0 ] in
+  let size body = Bytes.length (compile { name = ""; body }) in
+  let loop_off = size prelude in
+  let done_off = size (prelude @ body_arith @ latch @ [ Jz 0; Jmp 0 ]) in
+  {
+    name = Printf.sprintf "loop%d" seed;
+    body = prelude @ body_arith @ latch @ [ Jz done_off; Jmp loop_off; Load 1; Ret ];
+  }
+
 let test_bytecode_loop () =
   let proc, task = make_env () in
   (* sum = 5 iterations adding 2 each -> accumulate with Add only *)
-  let f = Bytecode.synth_loop ~seed:1 ~iters:5 ~body_ops:3 in
+  let f = synth_loop ~seed:1 ~iters:5 ~body_ops:3 in
   let code = Bytecode.compile f in
   let addr = Syscall.mmap proc task ~len:4096 ~prot:Perm.rwx () in
   Mmu.write_bytes (Proc.mmu proc) (Task.core task) ~addr code;
@@ -66,7 +94,7 @@ let test_bytecode_loop () =
 let test_bytecode_loop_cost_scales () =
   let proc, task = make_env () in
   let cost iters =
-    let f = Bytecode.synth_loop ~seed:2 ~iters ~body_ops:6 in
+    let f = synth_loop ~seed:2 ~iters ~body_ops:6 in
     let code = Bytecode.compile f in
     let addr = Syscall.mmap proc task ~len:4096 ~prot:Perm.rwx () in
     Mmu.write_bytes (Proc.mmu proc) (Task.core task) ~addr code;
@@ -92,7 +120,7 @@ let loop_matches_host =
     QCheck.(pair (int_bound 100) (pair (int_range 1 30) (int_range 1 12)))
     (fun (seed, (iters, body_ops)) ->
       let proc, task = make_env () in
-      let code = Bytecode.compile (Bytecode.synth_loop ~seed ~iters ~body_ops) in
+      let code = Bytecode.compile (synth_loop ~seed ~iters ~body_ops) in
       let addr = Syscall.mmap proc task ~len:4096 ~prot:Perm.rwx () in
       Mmu.write_bytes (Proc.mmu proc) (Task.core task) ~addr code;
       Bytecode.execute (Proc.mmu proc) (Task.core task) ~addr ~len:(Bytes.length code)
@@ -227,7 +255,7 @@ let test_attack_matrix () =
   let expect_injected strategy =
     match Attack.run ~strategy () with
     | Attack.Injected v ->
-        Alcotest.(check int) (Wx.to_string strategy ^ " marker") Attack.shellcode_marker v
+        Alcotest.(check int) (Wx.to_string strategy ^ " shellcode's marker") 0x5EED v
     | Attack.Blocked reason ->
         Alcotest.failf "%s should be vulnerable, got: %s" (Wx.to_string strategy) reason
   in
@@ -256,8 +284,25 @@ let test_engine_patch_preserves_semantics () =
   Alcotest.(check int) "same result after patch" before (Engine.run engine task name)
 
 let test_engine_profiles_switch_ratio () =
-  Alcotest.(check bool) "SM batches" true (Engine.switch_ratio Engine.Spidermonkey < 1.0);
-  Alcotest.(check (float 1e-9)) "CC every time" 1.0 (Engine.switch_ratio Engine.Chakracore)
+  (* permission-switch cycles of [n] patches of one function *)
+  let switch_cycles profile n =
+    let proc, task = make_env () in
+    let mpk = Libmpk.init ~evict_rate:1.0 proc task in
+    let engine = Engine.create profile Wx.Key_per_process proc task ~mpk () in
+    let name = Engine.compile engine task ~ops:20 ~seed:5 () in
+    let cache = Engine.cache engine in
+    Codecache.reset_perm_switch_cycles cache;
+    for _ = 1 to n do
+      Engine.patch engine task name
+    done;
+    Codecache.perm_switch_cycles cache
+  in
+  let one = switch_cycles Engine.Chakracore 1 in
+  Alcotest.(check bool) "a patch switches" true (one > 0.0);
+  Alcotest.(check (float 1e-6)) "CC every time" (100.0 *. one)
+    (switch_cycles Engine.Chakracore 100);
+  Alcotest.(check bool) "SM batches" true
+    (switch_cycles Engine.Spidermonkey 100 < 100.0 *. one)
 
 let test_octane_program_table () =
   Alcotest.(check int) "17 programs" 17 (List.length Octane.programs);
@@ -316,14 +361,6 @@ let test_xom_sealed_unreadable_all_threads () =
       | _ -> Alcotest.fail "sealed module readable (code disclosure!)")
     [ task; other ]
 
-let test_xom_unseal_restores_read () =
-  let proc, task, _, xom = xom_env () in
-  let m = Xom.load xom task ~name:"mod1" (sample_code 2) in
-  Xom.seal xom task m;
-  Xom.unseal xom task m;
-  ignore (Mmu.read_byte (Proc.mmu proc) (Task.core task) ~addr:m.Xom.base);
-  Alcotest.(check int) "still runs" 2 (Xom.execute xom task m)
-
 let test_xom_many_modules_one_key () =
   (* any number of sealed modules share the single reserved key *)
   let _, task, _, xom = xom_env () in
@@ -373,7 +410,6 @@ let () =
         [
           tc "load+execute" `Quick test_xom_load_and_execute;
           tc "sealed unreadable" `Quick test_xom_sealed_unreadable_all_threads;
-          tc "unseal restores" `Quick test_xom_unseal_restores_read;
           tc "many modules one key" `Quick test_xom_many_modules_one_key;
         ] );
     ]

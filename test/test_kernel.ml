@@ -9,6 +9,14 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let attrs prot = { Vma.prot; pkey = Pkey.default }
 
+(* A protection change over a covered range, as [Mm] runs it: returns
+   [(vmas_touched, splits, merges)]. *)
+let set_attrs t ~start ~pages rw =
+  let splits = Vma.split_edges ~actor:(-1) t ~start ~pages in
+  let touched = Vma.rewrite_range ~actor:(-1) t ~start ~pages rw in
+  let merges = Vma.merge_range ~actor:(-1) t ~start ~pages in
+  touched, splits, merges
+
 (* --- Vma --- *)
 
 let test_vma_add_find () =
@@ -44,7 +52,7 @@ let test_vma_set_attrs_splits () =
   let t = Vma.create () in
   Vma.add t ~start:0 ~pages:10 (attrs Perm.rw);
   let touched, splits, _merges =
-    Vma.set_attrs t ~start:3 ~pages:4 (Pte.rewrite_perm Perm.r)
+    set_attrs t ~start:3 ~pages:4 (Pte.rewrite_perm Perm.r)
   in
   Alcotest.(check int) "one vma touched" 1 touched;
   Alcotest.(check int) "two splits" 2 splits;
@@ -57,17 +65,29 @@ let test_vma_set_attrs_splits () =
 let test_vma_set_attrs_merges_back () =
   let t = Vma.create () in
   Vma.add t ~start:0 ~pages:10 (attrs Perm.rw);
-  ignore (Vma.set_attrs t ~start:3 ~pages:4 (Pte.rewrite_perm Perm.r));
-  ignore (Vma.set_attrs t ~start:3 ~pages:4 (Pte.rewrite_perm Perm.rw));
+  ignore (set_attrs t ~start:3 ~pages:4 (Pte.rewrite_perm Perm.r));
+  ignore (set_attrs t ~start:3 ~pages:4 (Pte.rewrite_perm Perm.rw));
   Alcotest.(check int) "merged back to one" 1 (Vma.count t);
   Alcotest.(check bool) "invariant" true (Vma.invariant t)
 
 let test_vma_set_attrs_uncovered () =
-  let t = Vma.create () in
-  Vma.add t ~start:0 ~pages:5 (attrs Perm.rw);
-  Alcotest.check_raises "hole rejected"
-    (Invalid_argument "Vma.set_attrs: range not fully covered") (fun () ->
-      ignore (Vma.set_attrs t ~start:3 ~pages:5 (Pte.rewrite ())))
+  (* a protection change over a range that runs past the mapping is
+     rejected whole: no area splits or changes *)
+  let mm = Mm.create (Physmem.create ~frames:16) in
+  let cpu = Cpu.create ~id:0 () in
+  let addr = Mm.mmap mm cpu ~len:(5 * 4096) ~prot:Perm.rw () in
+  let start = Page_table.vpn_of_addr addr in
+  Alcotest.(check bool) "not covered" false
+    (Vma.covered (Mm.vmas mm) ~start:(start + 3) ~pages:5);
+  (match
+     Mm.change_protection mm cpu ~addr:(addr + (3 * 4096)) ~len:(5 * 4096) ~prot:Perm.r
+   with
+  | exception Errno.Error (Errno.ENOMEM, _) -> ()
+  | () -> Alcotest.fail "hole accepted");
+  Alcotest.(check (list (pair int string)))
+    "the mapping is unchanged" [ (5, "rw-") ]
+    (List.map (fun (v : Vma.vma) -> v.Vma.pages, Perm.to_string v.Vma.attrs.Vma.prot)
+       (Vma.to_list (Mm.vmas mm)))
 
 let test_vma_remove_range_splits () =
   let t = Vma.create () in
@@ -95,8 +115,8 @@ let test_vma_overlapping () =
 
 let vma_ops = QCheck.(small_list (triple (int_bound 50) (int_range 1 8) (int_bound 3)))
 
-(* Random add / remove_range / set_attrs calls; set_attrs picks one of two
-   protections so that areas both split and merge back. *)
+(* Random add / remove_range / protection-change calls; a change picks
+   one of two protections so that areas both split and merge back. *)
 let run_vma_ops ops =
   let t = Vma.create () in
   List.iter
@@ -107,7 +127,7 @@ let run_vma_ops ops =
       | _ ->
           let prot = if op = 2 then Perm.r else Perm.rx in
           if Vma.covered t ~start ~pages then
-            ignore (Vma.set_attrs t ~start ~pages (Pte.rewrite_perm prot)))
+            ignore (set_attrs t ~start ~pages (Pte.rewrite_perm prot)))
     ops;
   t
 
@@ -230,7 +250,7 @@ let vma_page_model =
                 (not (model_covered m ~start ~pages))
                 ||
                 let m', counts = model_protect m ~start ~pages prot in
-                let got = Vma.set_attrs t ~start ~pages (Pte.rewrite_perm prot) in
+                let got = set_attrs t ~start ~pages (Pte.rewrite_perm prot) in
                 Array.blit m' 0 m 0 model_size;
                 got = counts
           in
@@ -256,7 +276,7 @@ let test_bitmap_exhaustion () =
     | None -> Alcotest.fail "premature exhaustion"
   done;
   Alcotest.(check bool) "16th fails" true (Pkey_bitmap.alloc b = None);
-  Alcotest.(check int) "count" 15 (Pkey_bitmap.allocated_count b)
+  Alcotest.(check int) "count" 15 (List.length (Pkey_bitmap.allocated b))
 
 let test_bitmap_free_reuse () =
   let b = Pkey_bitmap.create () in
@@ -533,11 +553,16 @@ let test_mm_change_protection () =
   let mm = Proc.mm proc in
   let addr = Mm.mmap mm core ~len:(4 * 4096) ~prot:Perm.rw () in
   Mm.populate mm core ~addr ~len:(4 * 4096);
+  let vmas = Vma.count (Mm.vmas mm) in
   Mm.change_protection mm core ~addr ~len:(4 * 4096) ~prot:Perm.r;
-  let r = Mm.last_change mm in
-  Alcotest.(check int) "4 ptes" 4 r.Mm.ptes_touched;
-  Alcotest.(check int) "1 vma" 1 r.Mm.vmas_touched;
-  Alcotest.(check int) "no splits" 0 r.Mm.splits;
+  let vpn = Page_table.vpn_of_addr addr in
+  for i = 0 to 3 do
+    Alcotest.(check string)
+      (Printf.sprintf "pte %d rewritten" i)
+      "r--"
+      (Perm.to_string (Pte.perm (Page_table.get (Mm.page_table mm) ~vpn:(vpn + i))))
+  done;
+  Alcotest.(check int) "one vma, no splits" vmas (Vma.count (Mm.vmas mm));
   match Mmu.write_byte (Proc.mmu proc) core ~addr 'x' with
   | exception Signal.Killed { Signal.code = Signal.Segv_accerr; _ } -> ()
   | _ -> Alcotest.fail "write should fault after mprotect(r)"
@@ -548,9 +573,9 @@ let test_mm_change_protection_partial () =
   let core = Task.core task in
   let mm = Proc.mm proc in
   let addr = Mm.mmap mm core ~len:(8 * 4096) ~prot:Perm.rw () in
+  let vmas = Vma.count (Mm.vmas mm) in
   Mm.change_protection mm core ~addr:(addr + 8192) ~len:8192 ~prot:Perm.r;
-  let r = Mm.last_change mm in
-  Alcotest.(check int) "splits at both edges" 2 r.Mm.splits;
+  Alcotest.(check int) "splits at both edges" (vmas + 2) (Vma.count (Mm.vmas mm));
   Alcotest.(check bool) "vma invariant" true (Vma.invariant (Mm.vmas mm))
 
 let test_mm_change_protection_flushes_tlb () =
@@ -573,19 +598,6 @@ let test_mm_unmapped_mprotect_fails () =
   match Mm.change_protection (Proc.mm proc) core ~addr:0x999000 ~len:4096 ~prot:Perm.r with
   | exception Errno.Error (Errno.ENOMEM, _) -> ()
   | _ -> Alcotest.fail "expected ENOMEM"
-
-let test_mm_assign_pkey () =
-  let proc = make_proc () in
-  let task = Proc.spawn proc ~core_id:0 () in
-  let core = Task.core task in
-  let mm = Proc.mm proc in
-  let addr = Mm.mmap mm core ~len:8192 ~prot:Perm.rw () in
-  Mm.populate mm core ~addr ~len:8192;
-  let k = Pkey.of_int 6 in
-  Mm.assign_pkey mm core ~addr ~len:8192 ~pkey:k;
-  let pte = Page_table.get (Mm.page_table mm) ~vpn:(Page_table.vpn_of_addr addr) in
-  Alcotest.(check int) "pte tagged" 6 (Pkey.to_int (Pte.pkey pte));
-  Alcotest.(check string) "perm kept" "rw-" (Perm.to_string (Pte.perm pte))
 
 (* --- range populate: one VMA lookup per VMA, the same pages, cycles and
    faults as populating page by page --- *)
@@ -732,10 +744,9 @@ let test_populate_allocation () =
 
 (* A protection change that neither splits nor merges allocates nothing,
    whatever the range's size and however many VMAs the address space
-   holds: its counts are kept for [Mm.last_change] rather than returned,
-   and its computed charges are summed unboxed inside [Cpu]. [change]
-   flips one fully populated VMA between two settings, in both the
-   per-page and the full TLB-flush regime. *)
+   holds: it returns no counts, and its computed charges are summed
+   unboxed inside [Cpu]. [change] flips one fully populated VMA between
+   two settings, in both the per-page and the full TLB-flush regime. *)
 let test_change_range_allocation () =
   let page = Physmem.page_size in
   let words ~vmas ~pages change =
@@ -1035,12 +1046,12 @@ let test_demand_paging_fault_cost () =
   Alcotest.(check bool) "second touch does not" true (second < 10.0)
 
 let test_syscall_counter () =
-  Syscall.reset_count ();
   let proc = make_proc () in
   let task = Proc.spawn proc ~core_id:0 () in
+  let before = Syscall.count () in
   ignore (Syscall.mmap proc task ~len:4096 ~prot:Perm.rw ());
   ignore (Syscall.pkey_alloc proc task ~init_rights:Pkru.No_access);
-  Alcotest.(check int) "two syscalls" 2 (Syscall.count ())
+  Alcotest.(check int) "two syscalls" 2 (Syscall.count () - before)
 
 (* --- pkey_sync cycle conservation (the double-charge regressions) ---
 
@@ -1363,7 +1374,6 @@ let () =
           tc "partial split" `Quick test_mm_change_protection_partial;
           tc "tlb flushed" `Quick test_mm_change_protection_flushes_tlb;
           tc "unmapped fails" `Quick test_mm_unmapped_mprotect_fails;
-          tc "assign pkey" `Quick test_mm_assign_pkey;
           qtest populate_range_matches_pages;
         ] );
       ( "shared_memory",

@@ -10,34 +10,44 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* --- Slab --- *)
 
-let test_slab_classes () =
-  Alcotest.(check int) "1 -> 64" 64 (Slab.class_of_size 1);
-  Alcotest.(check int) "64 -> 64" 64 (Slab.class_of_size 64);
-  Alcotest.(check int) "65 -> 128" 128 (Slab.class_of_size 65);
-  Alcotest.(check int) "1000 -> 1024" 1024 (Slab.class_of_size 1000);
-  Alcotest.(check int) "max" Slab.max_chunk (Slab.class_of_size Slab.max_chunk)
-
 let chunk s ~size =
   let a = Slab.alloc s ~size in
   if a = Slab.exhausted then Alcotest.fail "slab exhausted" else a
+
+let test_slab_classes () =
+  (* the size class serving [size]: the bytes one chunk of it takes *)
+  let class_of_size size =
+    let s = Slab.create ~base:0 ~len:Slab.slab_bytes in
+    ignore (chunk s ~size);
+    Slab.allocated_bytes s
+  in
+  Alcotest.(check int) "1 -> 64" 64 (class_of_size 1);
+  Alcotest.(check int) "64 -> 64" 64 (class_of_size 64);
+  Alcotest.(check int) "65 -> 128" 128 (class_of_size 65);
+  Alcotest.(check int) "1000 -> 1024" 1024 (class_of_size 1000);
+  Alcotest.(check int) "max" Slab.max_chunk (class_of_size Slab.max_chunk)
 
 let test_slab_alloc_free () =
   let s = Slab.create ~base:0x100000 ~len:(4 * Slab.slab_bytes) in
   let a = chunk s ~size:100 in
   let b = chunk s ~size:100 in
   Alcotest.(check bool) "distinct" true (a <> b);
-  Alcotest.(check int) "two chunks" 2 (Slab.allocated_chunks s);
+  Alcotest.(check int) "two chunks" 256 (Slab.allocated_bytes s);
   Slab.free s ~addr:a;
-  Alcotest.(check int) "one chunk" 1 (Slab.allocated_chunks s);
+  Alcotest.(check int) "one chunk" 128 (Slab.allocated_bytes s);
   let c = chunk s ~size:100 in
   Alcotest.(check int) "chunk reused" a c;
   Alcotest.(check bool) "invariant" true (Slab.invariant s)
 
 let test_slab_classes_separate_slabs () =
-  let s = Slab.create ~base:0 ~len:(4 * Slab.slab_bytes) in
+  (* a two-slab region holds two classes, each in a slab of its own *)
+  let s = Slab.create ~base:0 ~len:(2 * Slab.slab_bytes) in
   ignore (chunk s ~size:64);
   ignore (chunk s ~size:8192);
-  Alcotest.(check int) "two slabs" 2 (Slab.slabs_in_use s)
+  Alcotest.(check bool) "two slabs: a third class finds none" true
+    (Slab.alloc s ~size:1024 = Slab.exhausted);
+  Alcotest.(check bool) "the two classes still allocate" true
+    (Slab.alloc s ~size:64 <> Slab.exhausted && Slab.alloc s ~size:8192 <> Slab.exhausted)
 
 let test_slab_exhaustion () =
   let s = Slab.create ~base:0 ~len:Slab.slab_bytes in
@@ -80,7 +90,7 @@ let slab_invariant_random =
    free chunks are a stack, a fresh slab pushes its chunks so that the
    lowest address is taken first, and a freed chunk is taken next. *)
 module Ref_slab = struct
-  type cls = { chunk : int; mutable free : int list; mutable slabs : int }
+  type cls = { chunk : int; mutable free : int list }
 
   type t = {
     base : int;
@@ -107,7 +117,7 @@ module Ref_slab = struct
       len;
       next_slab = 0;
       classes =
-        Array.init class_count (fun i -> { chunk = min_chunk lsl i; free = []; slabs = 0 });
+        Array.init class_count (fun i -> { chunk = min_chunk lsl i; free = [] });
       live = Hashtbl.create 64;
     }
 
@@ -117,7 +127,6 @@ module Ref_slab = struct
       let cls = t.classes.(idx) in
       let slab_base = t.base + t.next_slab in
       t.next_slab <- t.next_slab + Slab.slab_bytes;
-      cls.slabs <- cls.slabs + 1;
       for i = (Slab.slab_bytes / cls.chunk) - 1 downto 0 do
         cls.free <- (slab_base + (i * cls.chunk)) :: cls.free
       done;
@@ -146,7 +155,6 @@ module Ref_slab = struct
 
   let allocated_chunks t = Hashtbl.length t.live
   let allocated_bytes t = Hashtbl.fold (fun _ idx acc -> acc + (min_chunk lsl idx)) t.live 0
-  let slabs_in_use t = Array.fold_left (fun acc c -> acc + c.slabs) 0 t.classes
 end
 
 type slab_op = Alloc of int | Free_live of int | Free_again of int | Free_addr of int
@@ -209,14 +217,12 @@ let slab_matches_reference =
           | Free_again i -> if !freed <> [] then same_free (nth !freed i)
           | Free_addr o -> same_free (base + o));
           if
-            Slab.allocated_chunks s <> Ref_slab.allocated_chunks r
+            List.length !live <> Ref_slab.allocated_chunks r
             || Slab.allocated_bytes s <> Ref_slab.allocated_bytes r
-            || Slab.slabs_in_use s <> Ref_slab.slabs_in_use r
           then
-            QCheck.Test.fail_reportf "after %s: chunks %d/%d, bytes %d/%d, slabs %d/%d"
-              (slab_op_print op) (Slab.allocated_chunks s) (Ref_slab.allocated_chunks r)
-              (Slab.allocated_bytes s) (Ref_slab.allocated_bytes r) (Slab.slabs_in_use s)
-              (Ref_slab.slabs_in_use r))
+            QCheck.Test.fail_reportf "after %s: chunks %d/%d, bytes %d/%d" (slab_op_print op)
+              (List.length !live) (Ref_slab.allocated_chunks r) (Slab.allocated_bytes s)
+              (Ref_slab.allocated_bytes r))
         ops;
       (* the invariant walks every free chunk: once per case *)
       Slab.invariant s)
@@ -398,7 +404,8 @@ let test_raise_mid_store_seals () =
            (fun () -> set "big" 'b')
        with
       | exception Signal.Killed si ->
-          Alcotest.(check int) (name ^ ": killed by SIGBUS") Signal.sigbus si.Signal.signo
+          Alcotest.(check string) (name ^ ": killed by SIGBUS") "SIGBUS"
+            (List.hd (String.split_on_char ' ' (Signal.to_string si)))
       | _ -> Alcotest.failf "%s: the set survived frame exhaustion" name);
       Alcotest.(check int) (name ^ ": the request was timed") (before + 1) (requests ());
       if mode <> Server.Baseline then
@@ -421,9 +428,19 @@ let test_raise_mid_store_seals () =
 
 let test_populate_slab () =
   let srv = Server.create ~mode:Server.Baseline ~workers:1 ~slab_mib:16 ~buckets:64 () in
-  let before = Server.resident_pages srv in
+  (* present PTEs across the 16 MiB slab region *)
+  let resident_pages () =
+    let table = Mm.page_table (Proc.mm (Server.proc srv)) in
+    let start = Page_table.vpn_of_addr (Server.slab_base srv) in
+    let count = ref 0 in
+    for vpn = start to start + (16 * 256) - 1 do
+      if Pte.is_present (Page_table.get table ~vpn) then incr count
+    done;
+    !count
+  in
+  let before = resident_pages () in
   Server.populate_slab srv ~mib:8;
-  let after = Server.resident_pages srv in
+  let after = resident_pages () in
   Alcotest.(check int) "8 MiB resident" (8 * 256) (after - before)
 
 (* --- Protocol --- *)
@@ -453,6 +470,19 @@ let test_protocol_parse_errors () =
   (* lengths whose [n + 2] overflows: still a truncated block *)
   bad (Printf.sprintf "set user 7 0 %d\r\nhello\r\n" (max_int - 1));
   bad (Printf.sprintf "set user 7 0 %d\r\nhello\r\n" max_int);
+  (* header numbers are decimal digits, as Memcached reads them: no
+     OCaml literal prefixes, underscores or '+' *)
+  bad "set k 0x10 0 1_0\r\n0123456789\r\n";
+  bad "set k 0 0 0x2\r\nhi\r\n";
+  bad "set k 0 0 0b10\r\nhi\r\n";
+  bad "set k 0o7 0 2\r\nhi\r\n";
+  bad "set k 0 0x1 2\r\nhi\r\n";
+  bad "set k 0 0 +2\r\nhi\r\n";
+  bad "set k 0 0 -2\r\nhi\r\n";
+  bad "set k -0 0 2\r\nhi\r\n";
+  (match Protocol.parse_request "set k 0 -1 2\r\nhi\r\n" with
+  | Ok (Protocol.Set { exptime = -1; _ }) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "a negative exptime must still parse");
   let srv = Server.create ~mode:Server.Baseline ~workers:1 ~slab_mib:8 ~buckets:64 () in
   Alcotest.(check string) "dispatch answers, the worker survives"
     "SERVER_ERROR truncated data block\r\n"
@@ -474,12 +504,28 @@ let protocol_roundtrip =
       let key =
         String.map (fun c -> if c <= ' ' || c = '\127' then 'k' else c) rawkey
       in
-      let req = Protocol.Set { key; flags; exptime; data = Bytes.of_string data } in
-      match Protocol.parse_request (Protocol.render_request req) with
+      let wire =
+        Printf.sprintf "set %s %d %d %d\r\n%s\r\n" key flags exptime (String.length data)
+          data
+      in
+      match Protocol.parse_request wire with
       | Ok (Protocol.Set s) ->
           s.key = key && s.flags = flags && s.exptime = exptime
           && Bytes.to_string s.data = data
       | Ok _ | Error _ -> false)
+
+(* [STAT name value] of a [stats] reply, which must end in [END]. *)
+let stat reply name =
+  match List.rev (String.split_on_char '\n' reply) with
+  | "" :: "END\r" :: lines ->
+      List.find_map
+        (fun line ->
+          match String.split_on_char ' ' line with
+          | [ "STAT"; k; v ] when k = name && String.ends_with ~suffix:"\r" v ->
+              Some (String.sub v 0 (String.length v - 1))
+          | _ -> None)
+        lines
+  | _ -> Alcotest.failf "bad stats reply %S" reply
 
 let test_dispatch_set_get_delete () =
   let srv = Server.create ~mode:Server.Domain ~workers:1 ~slab_mib:8 ~buckets:64 () in
@@ -543,11 +589,7 @@ let test_dispatch_ttl () =
 let test_dispatch_expired_set_and_delete () =
   let srv = Server.create ~mode:Server.Baseline ~workers:1 ~slab_mib:8 ~buckets:64 () in
   let at now = Server.dispatch srv ~worker:0 ~now in
-  let curr_items now =
-    match Protocol.parse_response (at now "stats\r\n") with
-    | Ok (Protocol.Stats_reply kvs) -> List.assoc_opt "curr_items" kvs
-    | Ok _ | Error _ -> Alcotest.fail "bad stats reply"
-  in
+  let curr_items now = stat (at now "stats\r\n") "curr_items" in
   Alcotest.(check string) "negative exptime is stored" "STORED\r\n"
     (at 1000.0 "set k 0 -1 1\r\nv\r\n");
   Alcotest.(check string) "and already expired" "END\r\n" (at 1000.0 "get k\r\n");
@@ -579,11 +621,8 @@ let test_dispatch_stats () =
   let srv = Server.create ~mode:Server.Domain ~workers:1 ~slab_mib:8 ~buckets:64 () in
   ignore (Server.dispatch srv ~worker:0 ~now:0.0 "set k 0 0 1\r\nv\r\n");
   let reply = Server.dispatch srv ~worker:0 ~now:0.0 "stats\r\n" in
-  match Protocol.parse_response reply with
-  | Ok (Protocol.Stats_reply kvs) ->
-      Alcotest.(check (option string)) "curr_items" (Some "1") (List.assoc_opt "curr_items" kvs);
-      Alcotest.(check (option string)) "mode" (Some "mpk_begin") (List.assoc_opt "mode" kvs)
-  | Ok _ | Error _ -> Alcotest.fail "bad stats reply"
+  Alcotest.(check (option string)) "curr_items" (Some "1") (stat reply "curr_items");
+  Alcotest.(check (option string)) "mode" (Some "mpk_begin") (stat reply "mode")
 
 let test_dispatch_protected_isolation_intact () =
   (* the protocol front end must not leave the store unlocked *)
@@ -827,7 +866,10 @@ let test_open_loop_within_offered_load () =
   (* An open loop is measured over at least its arrival window, so no
      rate reports more requests per second than it offered. *)
   let sweep =
-    Scale.run_open ~mode:Server.Sync ~workers:4 ~rates:[ 2000; 10000; 100000 ] ~smoke:true ()
+    Option.get
+      (Scale.run ~mode:Server.Sync ~cores:[ 4 ] ~open_rates:[ 2000; 10000; 100000 ]
+         ~smoke:true ())
+        .Scale.open_loop
   in
   List.iter
     (fun (p : Scale.open_point) ->

@@ -231,7 +231,7 @@ let test_heap_alloc_free () =
   Alcotest.(check bool) "disjoint" true (abs (a - b) >= 100);
   Libmpk.Mpk_heap.free h ~addr:a;
   Libmpk.Mpk_heap.free h ~addr:b;
-  Alcotest.(check int) "all free" 4096 (Libmpk.Mpk_heap.free_bytes h);
+  Alcotest.(check int) "all free" 0 (Libmpk.Mpk_heap.allocated_bytes h);
   Alcotest.(check bool) "invariant" true (Libmpk.Mpk_heap.invariant h)
 
 let test_heap_exhaustion () =
@@ -298,7 +298,7 @@ let group_serialize_roundtrip =
 let test_init_takes_all_keys () =
   let mpk, proc, _, _ = make_env () in
   Alcotest.(check int) "kernel bitmap full" 15
-    (Pkey_bitmap.allocated_count (Proc.pkey_bitmap proc));
+    (List.length (Pkey_bitmap.allocated (Proc.pkey_bitmap proc)));
   Alcotest.(check int) "cache capacity 15" 15 (Libmpk.Key_cache.capacity (Libmpk.cache mpk))
 
 let test_init_evict_rate_default () =
@@ -476,11 +476,19 @@ let test_metadata_user_write_faults () =
   | exception Signal.Killed { Signal.code = Signal.Segv_accerr; _ } -> ()
   | _ -> Alcotest.fail "metadata writable from userspace"
 
+(* A plain user-mode read of slot 0 through the region's read-only view,
+   decoded as the auditor decodes it. *)
+let read_slot0 proc main md =
+  Mmu.read_bytes (Proc.mmu proc) (Task.core main)
+    ~addr:(Libmpk.Metadata.slot_addr md ~slot:0)
+    ~len:Libmpk.Group.metadata_bytes
+  |> Libmpk.Group.deserialize
+
 let test_metadata_user_read_ok () =
-  let mpk, _, main, _ = make_env () in
+  let mpk, proc, main, _ = make_env () in
   ignore (Libmpk.mpk_mmap mpk main ~vkey:7 ~len:(2 * page) ~prot:Perm.rw);
   let md = Libmpk.metadata mpk in
-  match Libmpk.Metadata.read_slot md main ~slot:0 with
+  match read_slot0 proc main md with
   | Some (vkey, _, pages, prot, _) ->
       Alcotest.(check int) "vkey" 7 vkey;
       Alcotest.(check int) "pages" 2 pages;
@@ -488,11 +496,11 @@ let test_metadata_user_read_ok () =
   | None -> Alcotest.fail "slot empty"
 
 let test_metadata_tracks_updates () =
-  let mpk, _, main, _ = make_env () in
+  let mpk, proc, main, _ = make_env () in
   ignore (Libmpk.mpk_mmap mpk main ~vkey:7 ~len:page ~prot:Perm.rw);
   Libmpk.mpk_mprotect mpk main ~vkey:7 ~prot:Perm.r;
   let md = Libmpk.metadata mpk in
-  match Libmpk.Metadata.read_slot md main ~slot:0 with
+  match read_slot0 proc main md with
   | Some (_, _, _, prot, _) -> Alcotest.(check string) "prot updated" "r--" (Perm.to_string prot)
   | None -> Alcotest.fail "slot empty"
 

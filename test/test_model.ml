@@ -24,7 +24,7 @@ let gen_step =
   QCheck.Gen.(
     let vkey = int_range 1 6 in
     let thread = int_range 0 1 in
-    let step stid sop = { Lint.stid; sop } in
+    let step stid sop = { Ir.stid; sop } in
     oneof
       [
         map (fun vkey -> step 0 (Ir.Mmap { vkey; pages = 1; prot = Perm.rw })) vkey;
@@ -39,7 +39,7 @@ let gen_step =
       ])
 
 let arb_steps =
-  QCheck.make ~print:(fun l -> String.concat "; " (List.map Lint.step_to_string l))
+  QCheck.make ~print:(fun l -> String.concat "; " (List.map Ir.step_to_string l))
     QCheck.Gen.(list_size (int_range 1 60) gen_step)
 
 (* The model: what we believe each group's state is. *)
@@ -57,7 +57,7 @@ let run_sequence ?(hw_keys = 15) steps =
   let t0 = threads.(0) in
   let mmu = Proc.mmu proc in
   let model : (int, mgroup) Hashtbl.t = Hashtbl.create 8 in
-  let fail s msg = failwith (Printf.sprintf "[%s] %s" (Lint.step_to_string s) msg) in
+  let fail s msg = failwith (Printf.sprintf "[%s] %s" (Ir.step_to_string s) msg) in
 
   let readable_by g thread =
     (* what the model says this thread may read *)
@@ -104,9 +104,9 @@ let run_sequence ?(hw_keys = 15) steps =
   in
 
   List.iter
-    (fun (s : Lint.step) ->
+    (fun (s : Ir.step) ->
       let exec () = Stress.exec_step env s in
-      (match s.Lint.sop with
+      (match s.Ir.sop with
       | Ir.Mmap { vkey; _ } ->
           if not (Hashtbl.mem model vkey) then begin
             exec ();
@@ -137,7 +137,7 @@ let run_sequence ?(hw_keys = 15) steps =
           | Some g -> (
               match exec () with
               | () ->
-                  let tid = Task.id threads.(s.Lint.stid) in
+                  let tid = Task.id threads.(s.Ir.stid) in
                   Hashtbl.replace g.open_by tid
                     (1 + Option.value ~default:0 (Hashtbl.find_opt g.open_by tid))
               | exception Libmpk.Key_exhausted -> ())
@@ -145,7 +145,7 @@ let run_sequence ?(hw_keys = 15) steps =
       | Ir.End { vkey } -> (
           match Hashtbl.find_opt model vkey with
           | Some g -> (
-              let tid = Task.id threads.(s.Lint.stid) in
+              let tid = Task.id threads.(s.Ir.stid) in
               let depth = Option.value ~default:0 (Hashtbl.find_opt g.open_by tid) in
               match exec () with
               | () ->

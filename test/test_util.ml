@@ -79,14 +79,6 @@ let test_prng_split_diverges () =
   done;
   Alcotest.(check bool) "split stream diverges" true (!same < 4)
 
-let test_prng_shuffle_permutation () =
-  let p = Prng.create ~seed:12L in
-  let a = Array.init 100 (fun i -> i) in
-  Prng.shuffle p a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "still a permutation" (Array.init 100 (fun i -> i)) sorted
-
 (* The first outputs of every draw at two seeds, taken from the
    generator when its state was a boxed [int64]: holding the state
    unboxed must not change a single draw. *)
@@ -229,21 +221,6 @@ let test_hist_percentile_empty () =
     (Invalid_argument "Stats.Histogram.percentile: empty histogram")
     (fun () -> ignore (Stats.Histogram.p50 h))
 
-let test_hist_merge () =
-  let a = Stats.Histogram.create ~lo:1.0 ~growth:2.0 ~buckets:8 () in
-  let b = Stats.Histogram.create ~lo:1.0 ~growth:2.0 ~buckets:8 () in
-  List.iter (Stats.Histogram.add a) [ 1.0; 4.0 ];
-  List.iter (Stats.Histogram.add b) [ 2.0; 300.0 ];
-  Stats.Histogram.merge_into ~into:a b;
-  Alcotest.(check int) "merged count" 4 (Stats.Histogram.count a);
-  check_float "merged total" 307.0 (Stats.Histogram.total a);
-  check_float "merged min" 1.0 (Stats.Histogram.minimum a);
-  check_float "merged max" 300.0 (Stats.Histogram.maximum a);
-  let c = Stats.Histogram.create ~lo:1.0 ~growth:4.0 ~buckets:8 () in
-  Alcotest.check_raises "shape mismatch raises"
-    (Invalid_argument "Stats.Histogram.merge_into: bucket layouts differ")
-    (fun () -> Stats.Histogram.merge_into ~into:a c)
-
 (* --- Table --- *)
 
 let contains ~needle hay =
@@ -352,7 +329,6 @@ let () =
           tc "bool rate" `Quick test_prng_bool_rate;
           tc "copy" `Quick test_prng_copy_independent;
           tc "split" `Quick test_prng_split_diverges;
-          tc "shuffle" `Quick test_prng_shuffle_permutation;
           tc "stream pinned" `Quick test_prng_stream_pinned;
           tc "bool rejects NaN" `Quick test_prng_bool_rejects_nan;
         ] );
@@ -373,7 +349,6 @@ let () =
           tc "nan rejected" `Quick test_hist_nan_rejected;
           tc "percentiles" `Quick test_hist_percentiles;
           tc "percentile empty" `Quick test_hist_percentile_empty;
-          tc "merge" `Quick test_hist_merge;
         ] );
       ( "table",
         [
