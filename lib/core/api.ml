@@ -92,7 +92,7 @@ let emit_acquire task vkey result =
     | Key_cache.Hit pkey ->
         temit task (Mpk_trace.Event.Cache_hit { vkey; pkey = Pkey.to_int pkey })
     | Key_cache.Fresh _ -> temit task (Mpk_trace.Event.Cache_miss { vkey })
-    | Key_cache.Evicted (pkey, victim) ->
+    | Key_cache.Evicted { pkey; victim } ->
         temit task (Mpk_trace.Event.Cache_miss { vkey });
         temit task
           (Mpk_trace.Event.Cache_evict { vkey; victim; pkey = Pkey.to_int pkey })
@@ -365,7 +365,7 @@ let try_map_for_begin t task group =
           attach_group t task group ~pkey ~page_prot:(mapped_page_perm group.Group.prot);
           restore_global_rights t task group pkey;
           pkey
-      | Key_cache.Evicted (pkey, victim) ->
+      | Key_cache.Evicted { pkey; victim } ->
           evict_group t task ~victim ~pkey;
           attach_group t task group ~pkey ~page_prot:(mapped_page_perm group.Group.prot);
           restore_global_rights t task group pkey;
@@ -524,7 +524,7 @@ let protect t task ~vkey ~prot =
              group.Group.prot <- prot;
              group.Group.isolated <- false;
              sync_rights t task pkey rights
-         | Key_cache.Evicted (pkey, victim) ->
+         | Key_cache.Evicted { pkey; victim } ->
              evict_group t task ~victim ~pkey;
              attach_group t task group ~pkey ~page_prot:(mapped_page_perm prot);
              group.Group.prot <- prot;

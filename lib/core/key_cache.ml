@@ -3,18 +3,23 @@ open Mpk_hw
 type acquire_result =
   | Hit of Pkey.t
   | Fresh of Pkey.t
-  | Evicted of Pkey.t * Vkey.t
+  | Evicted of { pkey : Pkey.t; mutable victim : Vkey.t }
   | Full
 
-(* A mapping. An eviction hands the victim's entry — its key and its
-   prebuilt [Hit] — to the new vkey, so that the miss builds only its
-   [Evicted] result and the new vkey's table cell. *)
+(* A hardware key's entry, built with the cache together with every
+   result the key's [acquire] can return, so that neither a lookup nor a
+   miss allocates. Each mapping of the key relabels the entry in place.
+   Only an unpinned mapping is dropped or evicted, so an unmapped entry
+   has no pins. *)
 type entry = {
-  mutable vkey : Vkey.t;
   pkey : Pkey.t;
-  hit : acquire_result;  (* [Hit pkey], built once so that a hit allocates nothing *)
+  mutable mapped : bool;
+  mutable vkey : Vkey.t;  (* the mapped vkey; stale once unmapped *)
+  hit : acquire_result;  (* [Hit pkey] *)
+  fresh : acquire_result;  (* [Fresh pkey] *)
+  evicted : acquire_result;  (* [Evicted], its [victim] set by each eviction *)
   mutable stamp : int;  (* last access (LRU) *)
-  mutable inserted : int;  (* insertion order (FIFO) *)
+  mutable inserted : int;  (* when mapped (FIFO, and Random's order) *)
   mutable pins : int;
 }
 
@@ -25,8 +30,7 @@ type t = {
   prng : Mpk_util.Prng.t;
   mutable free : Pkey.t list;
   mutable reserved : Pkey.t list;  (* withdrawn from circulation, still owned *)
-  map : (Vkey.t, entry) Hashtbl.t;
-  slots : entry array;  (* the mapped entries by key, [vacant] elsewhere: the LRU/FIFO scan *)
+  slots : entry array;  (* every key's entry, by key: the lookup and victim scans *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -46,9 +50,22 @@ let () =
   Mpk_faultinj.declare fp_full;
   Mpk_faultinj.declare fp_reserve
 
-(* No mapping: what an empty slot holds and a failed victim search
-   returns. Never mutated. *)
-let vacant = { vkey = -1; pkey = Pkey.default; hit = Full; stamp = 0; inserted = 0; pins = 0 }
+let entry pkey =
+  {
+    pkey;
+    mapped = false;
+    vkey = -1;
+    hit = Hit pkey;
+    fresh = Fresh pkey;
+    evicted = Evicted { pkey; victim = -1 };
+    stamp = 0;
+    inserted = 0;
+    pins = 0;
+  }
+
+(* No entry: what a failed lookup or victim search returns. Never
+   mutated. *)
+let vacant = entry Pkey.default
 
 let create ?(policy = Lru) ?(seed = 0x5EEDL) ~keys () =
   {
@@ -56,8 +73,7 @@ let create ?(policy = Lru) ?(seed = 0x5EEDL) ~keys () =
     prng = Mpk_util.Prng.create ~seed;
     free = keys;
     reserved = [];
-    map = Hashtbl.create 16;
-    slots = Array.make Pkey.count vacant;
+    slots = Array.init Pkey.count (fun k -> entry (Pkey.of_int k));
     clock = 0;
     hits = 0;
     misses = 0;
@@ -72,6 +88,14 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* The entry mapping [vkey] among [t.slots.(i..)], or [vacant]. *)
+let rec find t vkey i =
+  if i = Array.length t.slots then vacant
+  else
+    let e = t.slots.(i) in
+    if e.mapped && e.vkey = vkey then e else find t vkey (i + 1)
+
+let candidate e = e.mapped && e.pins = 0
 let age t e = match t.policy with Fifo -> e.inserted | Lru | Random -> e.stamp
 
 (* The unpinned mapping of least [age], [best] when none is older. Ages
@@ -81,67 +105,68 @@ let rec oldest t i best =
   else
     let e = t.slots.(i) in
     oldest t (i + 1)
-      (if e == vacant || e.pins > 0 || (best != vacant && age t best <= age t e) then best
-       else e)
+      (if (not (candidate e)) || (best != vacant && age t best <= age t e) then best else e)
 
 (* The entry to evict, or [vacant] when every mapping is pinned. Random
-   draws over the unpinned mappings in the table's fold order. *)
+   draws over the unpinned mappings in descending [Vkey.hash vkey land
+   15], then oldest mapping first: each seed's victims, and with them
+   the policy ablation's numbers, follow from that order. *)
 let victim t =
   match t.policy with
   | Lru | Fifo -> oldest t 0 vacant
   | Random -> (
+      let order e = (-(Vkey.hash e.vkey land 15), e.inserted) in
       let unpinned =
-        Hashtbl.fold (fun _ e acc -> if e.pins = 0 then e :: acc else acc) t.map []
+        List.filter candidate (Array.to_list t.slots)
+        |> List.sort (fun a b -> compare (order a) (order b))
       in
       match unpinned with
       | [] -> vacant
       | _ -> List.nth unpinned (Mpk_util.Prng.int t.prng (List.length unpinned)))
+
+(* Map [vkey] onto [e]'s key, as its newest and most recent mapping. *)
+let relabel t e vkey =
+  let now = tick t in
+  e.mapped <- true;
+  e.vkey <- vkey;
+  e.stamp <- now;
+  e.inserted <- now
 
 let full t =
   t.full <- t.full + 1;
   Full
 
 let acquire t ?(may_evict = true) vkey =
-  match Hashtbl.find t.map vkey with
-  | e ->
-      e.stamp <- tick t;
-      t.hits <- t.hits + 1;
-      e.hit
-  | exception Not_found -> (
-      t.misses <- t.misses + 1;
-      if Mpk_faultinj.fire fp_full then full t
-      else
-        match t.free with
-        | pkey :: rest ->
-            t.free <- rest;
-            let now = tick t in
-            let e = { vkey; pkey; hit = Hit pkey; stamp = now; inserted = now; pins = 0 } in
-            t.slots.(Pkey.to_int pkey) <- e;
-            Hashtbl.replace t.map vkey e;
-            Fresh pkey
-        | [] ->
-            let e = if may_evict then victim t else vacant in
-            if e == vacant then full t
-            else begin
-              let evicted = e.vkey in
-              Hashtbl.remove t.map evicted;
-              let now = tick t in
-              e.vkey <- vkey;
-              e.stamp <- now;
-              e.inserted <- now;
-              Hashtbl.replace t.map vkey e;
-              t.evictions <- t.evictions + 1;
-              Evicted (e.pkey, evicted)
-            end)
+  let e = find t vkey 0 in
+  if e != vacant then begin
+    e.stamp <- tick t;
+    t.hits <- t.hits + 1;
+    e.hit
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    if Mpk_faultinj.fire fp_full then full t
+    else
+      match t.free with
+      | pkey :: rest ->
+          t.free <- rest;
+          let e = t.slots.(Pkey.to_int pkey) in
+          relabel t e vkey;
+          e.fresh
+      | [] ->
+          let e = if may_evict then victim t else vacant in
+          if e == vacant then full t
+          else begin
+            (match e.evicted with Evicted r -> r.victim <- e.vkey | _ -> assert false);
+            relabel t e vkey;
+            t.evictions <- t.evictions + 1;
+            e.evicted
+          end
+  end
 
 let add_key t pkey =
   t.reserved <- List.filter (fun k -> not (Pkey.equal k pkey)) t.reserved;
   t.free <- pkey :: t.free
-
-(* Drop [e]'s mapping: its key leaves the table and the scan. *)
-let unmap t e =
-  Hashtbl.remove t.map e.vkey;
-  t.slots.(Pkey.to_int e.pkey) <- vacant
 
 let reserve t =
   if Mpk_faultinj.fire fp_reserve then None
@@ -155,49 +180,47 @@ let reserve t =
         let e = victim t in
         if e == vacant then None
         else begin
-          unmap t e;
+          e.mapped <- false;
           t.evictions <- t.evictions + 1;
           t.reserved <- e.pkey :: t.reserved;
           Some (e.pkey, Some e.vkey)
         end
 
 let pin t vkey =
-  match Hashtbl.find t.map vkey with
-  | e -> e.pins <- e.pins + 1
-  | exception Not_found -> invalid_arg "Key_cache.pin: vkey not mapped"
+  let e = find t vkey 0 in
+  if e == vacant then invalid_arg "Key_cache.pin: vkey not mapped";
+  e.pins <- e.pins + 1
 
 let unpin t vkey =
-  match Hashtbl.find t.map vkey with
-  | e when e.pins > 0 -> e.pins <- e.pins - 1
-  | _ -> invalid_arg "Key_cache.unpin: not pinned"
-  | exception Not_found -> invalid_arg "Key_cache.unpin: vkey not mapped"
+  let e = find t vkey 0 in
+  if e == vacant then invalid_arg "Key_cache.unpin: vkey not mapped";
+  if e.pins = 0 then invalid_arg "Key_cache.unpin: not pinned";
+  e.pins <- e.pins - 1
 
-let pinned t vkey =
-  match Hashtbl.find_opt t.map vkey with Some e -> e.pins > 0 | None -> false
+let pins t vkey = (find t vkey 0).pins
+let pinned t vkey = pins t vkey > 0
 
 let release t vkey =
-  match Hashtbl.find_opt t.map vkey with
-  | Some e when e.pins > 0 ->
-      (* Recycling a pinned key would hand an mpk_begin holder's rights to
-         the next group mapped onto it — refuse loudly instead. *)
-      invalid_arg (Printf.sprintf "Key_cache.release: vkey %d is pinned" vkey)
-  | Some e ->
-      unmap t e;
-      t.invalidations <- t.invalidations + 1;
-      t.free <- e.pkey :: t.free
-  | None -> ()
+  let e = find t vkey 0 in
+  if e.pins > 0 then
+    (* Recycling a pinned key would hand an mpk_begin holder's rights to
+       the next group mapped onto it — refuse loudly instead. *)
+    invalid_arg (Printf.sprintf "Key_cache.release: vkey %d is pinned" vkey);
+  if e != vacant then begin
+    e.mapped <- false;
+    t.invalidations <- t.invalidations + 1;
+    t.free <- e.pkey :: t.free
+  end
 
-let capacity t = List.length t.free + List.length t.reserved + Hashtbl.length t.map
-let in_use t = Hashtbl.length t.map
+let live t = List.filter (fun e -> e.mapped) (Array.to_list t.slots)
+let in_use t = Array.fold_left (fun n e -> if e.mapped then n + 1 else n) 0 t.slots
+let capacity t = List.length t.free + List.length t.reserved + in_use t
 let free_keys t = t.free
 let reserved_keys t = t.reserved
 let reserved_count t = List.length t.reserved
 
-let pins t vkey =
-  match Hashtbl.find_opt t.map vkey with Some e -> e.pins | None -> 0
-
 let mappings t =
-  Hashtbl.fold (fun vkey e acc -> (vkey, e.pkey, e.pins) :: acc) t.map []
+  List.map (fun e -> (e.vkey, e.pkey, e.pins)) (live t)
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 let hits t = t.hits
 let misses t = t.misses
@@ -210,6 +233,5 @@ let hit_rate t =
   if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
 let dump t =
-  Hashtbl.fold (fun vkey e acc -> (vkey, e.pkey, e.pins > 0, e.stamp) :: acc) t.map []
-  |> List.sort (fun (_, _, _, a) (_, _, _, b) -> compare a b)
-  |> List.map (fun (v, p, pinned, _) -> v, p, pinned)
+  List.sort (fun a b -> compare a.stamp b.stamp) (live t)
+  |> List.map (fun e -> (e.vkey, e.pkey, e.pins > 0))

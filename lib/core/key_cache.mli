@@ -26,19 +26,23 @@ val policy : t -> policy
     accounting ([capacity] is conserved) — until [add_key] returns it. *)
 val reserve : t -> (Pkey.t * Vkey.t option) option
 
-type acquire_result =
+(** Each hardware key's results are built once and returned by every
+    [acquire] that yields them, so the key's next eviction overwrites an
+    [Evicted]'s [victim]: read it before acquiring again. *)
+type acquire_result = private
   | Hit of Pkey.t  (** vkey already mapped *)
   | Fresh of Pkey.t  (** mapped to a previously free key *)
-  | Evicted of Pkey.t * Vkey.t  (** mapped after evicting the LRU victim *)
+  | Evicted of { pkey : Pkey.t; mutable victim : Vkey.t }
+      (** mapped to [pkey] after evicting [victim]'s mapping *)
   | Full  (** no free key and eviction unavailable *)
 
 (** [acquire t vkey ~may_evict] maps (or finds) a hardware key for [vkey],
     updating LRU order and hit/miss/eviction statistics. With
     [may_evict:false] a miss with no free key reports [Full] instead of
     evicting (the eviction-rate fallback of [mpk_mprotect]). On [Evicted]
-    the caller must do the memory-side work of the eviction. A hit
-    allocates nothing; under LRU and FIFO an evicting miss allocates only
-    its [Evicted] result and the new mapping's table cell. *)
+    the caller must do the memory-side work of the eviction. A hit and
+    a fresh miss allocate nothing, and under LRU and FIFO nor does an
+    evicting miss. *)
 val acquire : t -> ?may_evict:bool -> Vkey.t -> acquire_result
 
 (** Return a previously reserved key to the free pool. *)

@@ -23,12 +23,9 @@ let leaks_secret ks task outcome =
   match outcome with
   | Crashed _ -> false
   | Leaked data ->
-      let addr, len = Keystore.secret_region ks in
-      ignore addr;
       let secret =
         Keystore.with_secret ks task (fun s ->
             let b = Mpk_crypto.Bignum.to_bytes s.Mpk_crypto.Rsa.d in
             b)
       in
-      ignore len;
       contains ~needle:secret data

@@ -41,8 +41,8 @@ val with_secret : t -> Task.t -> (Mpk_crypto.Rsa.secret -> 'a) -> 'a
 (** Public half, kept in ordinary memory (it is not sensitive). *)
 val public : t -> Mpk_crypto.Rsa.public
 
-(** Address/length of the serialized secret — used by the Heartbleed PoC
-    to aim its out-of-bounds read. *)
+(** Address/length of the serialized secret. Exported, though only tests
+    call it: they aim an attacker read at the key's page. *)
 val secret_region : t -> int * int
 
 (** [alloc_request_buffer t task ~len] — a buffer placed *below* the key

@@ -36,16 +36,16 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (advance t) 2) in
   r mod bound
 
-let[@inline] unit_float t =
+(* Inlined, so that a caller that computes or compares with the result
+   keeps it unboxed. *)
+let[@inline] float t =
   let r = Int64.shift_right_logical (advance t) 11 in
   Int64.to_float r /. 9007199254740992.0
-
-let float t = unit_float t
 
 let bool t ~p =
   if Float.is_nan p then invalid_arg "Prng.bool: p is NaN";
   if p >= 1.0 then true
   else if p <= 0.0 then false
-  else unit_float t < p
+  else float t < p
 
 let split t = create ~seed:(mix (advance t))

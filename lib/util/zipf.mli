@@ -12,7 +12,8 @@ val create : ?theta:float -> n:int -> unit -> t
 
 val n : t -> int
 
-(** O(log n) binary search over the precomputed CDF, allocating only
-    the one [Prng.float] it draws; with [theta = 0.], exactly one
-    [Prng.int prng n] draw, allocating nothing. *)
+(** O(log n) binary search over the precomputed CDF, driven by one
+    [Prng.float] draw; with [theta = 0.], exactly one [Prng.int prng n]
+    draw. Neither allocates in the release profile, where [Prng.float]
+    inlines. *)
 val sample : t -> Prng.t -> int

@@ -28,7 +28,7 @@ let test_fifo_evicts_oldest () =
   ignore (Libmpk.Key_cache.acquire c 2);
   ignore (Libmpk.Key_cache.acquire c 1);  (* LRU would now pick 2; FIFO still picks 1 *)
   match Libmpk.Key_cache.acquire c 3 with
-  | Libmpk.Key_cache.Evicted (_, victim) -> Alcotest.(check int) "fifo victim" 1 victim
+  | Libmpk.Key_cache.Evicted { victim; _ } -> Alcotest.(check int) "fifo victim" 1 victim
   | _ -> Alcotest.fail "expected eviction"
 
 let test_random_policy_deterministic_per_seed () =
@@ -39,7 +39,7 @@ let test_random_policy_deterministic_per_seed () =
     done;
     List.init 10 (fun i ->
         match Libmpk.Key_cache.acquire c (100 + i) with
-        | Libmpk.Key_cache.Evicted (_, victim) -> victim
+        | Libmpk.Key_cache.Evicted { victim; _ } -> victim
         | _ -> -1)
   in
   Alcotest.(check (list int)) "same seed, same victims" (run 7L) (run 7L);
@@ -52,11 +52,31 @@ let test_random_policy_respects_pins () =
   Libmpk.Key_cache.pin c 1;
   for i = 0 to 9 do
     match Libmpk.Key_cache.acquire c (100 + i) with
-    | Libmpk.Key_cache.Evicted (_, victim) ->
+    | Libmpk.Key_cache.Evicted { victim; _ } ->
         if victim = 1 then Alcotest.fail "random policy evicted a pinned mapping"
     | Libmpk.Key_cache.Full -> Alcotest.fail "an unpinned mapping existed"
     | _ -> ()
   done
+
+(* Random draws over its candidates in one order: descending
+   [Hashtbl.hash vkey land 15], then oldest mapping first, whatever the
+   hits. One seed's victims are pinned over vkeys 1-8 and 20-35, several
+   of which share a bucket (2, 6 and 20; 3, 7, 30 and 34; 4 and 5). *)
+let test_random_policy_victim_order () =
+  let module K = Libmpk.Key_cache in
+  let c = K.create ~policy:K.Random ~seed:7L ~keys:(keys 8) () in
+  for v = 1 to 8 do
+    ignore (K.acquire c v)
+  done;
+  let victims =
+    List.init 16 (fun i ->
+        (* a hit on the LRU mapping first: recency is no part of the order *)
+        (match K.dump c with (lru, _, _) :: _ -> ignore (K.acquire c lru) | [] -> ());
+        match K.acquire c (20 + i) with K.Evicted { victim; _ } -> victim | _ -> -1)
+  in
+  Alcotest.(check (list int)) "seed 7's victims"
+    [ 8; 20; 1; 5; 2; 7; 24; 6; 22; 28; 23; 4; 31; 3; 32; 33 ]
+    victims
 
 let test_policy_plumbed_through_init () =
   let mpk, _, _, _ = make_env ~policy:Libmpk.Key_cache.Fifo () in
@@ -430,6 +450,7 @@ let () =
           tc "random deterministic per seed" `Quick test_random_policy_deterministic_per_seed;
           tc "random respects pins" `Quick test_random_policy_respects_pins;
           tc "policy via init" `Quick test_policy_plumbed_through_init;
+          tc "random victim order" `Quick test_random_policy_victim_order;
         ] );
       ( "hw_keys",
         [

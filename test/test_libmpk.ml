@@ -40,7 +40,7 @@ let test_cache_lru_eviction () =
   ignore (Libmpk.Key_cache.acquire c 2);
   ignore (Libmpk.Key_cache.acquire c 1);  (* 2 becomes LRU *)
   (match Libmpk.Key_cache.acquire c 3 with
-  | Libmpk.Key_cache.Evicted (_, victim) -> Alcotest.(check int) "victim is 2" 2 victim
+  | Libmpk.Key_cache.Evicted { victim; _ } -> Alcotest.(check int) "victim is 2" 2 victim
   | _ -> Alcotest.fail "expected eviction");
   Alcotest.(check int) "evictions" 1 (Libmpk.Key_cache.evictions c)
 
@@ -53,7 +53,7 @@ let test_cache_pin_blocks_eviction () =
   | _ -> Alcotest.fail "pinned mapping must not be evicted");
   Libmpk.Key_cache.unpin c 1;
   match Libmpk.Key_cache.acquire c 2 with
-  | Libmpk.Key_cache.Evicted (_, 1) -> ()
+  | Libmpk.Key_cache.Evicted { victim = 1; _ } -> ()
   | _ -> Alcotest.fail "unpinned mapping should be evictable"
 
 let test_cache_may_evict_false () =
@@ -192,7 +192,7 @@ module Model = struct
 end
 
 let cache_matches_model =
-  let op = QCheck.(triple (int_bound 3) (int_bound 9) bool) in
+  let op = QCheck.(triple (int_bound 3) (int_range (-2) 9) bool) in
   QCheck.Test.make ~name:"LRU and FIFO pick the reference scan's victims" ~count:300
     QCheck.(pair bool (list_of_size Gen.(int_range 1 80) op))
     (fun (fifo, ops) ->
@@ -209,7 +209,7 @@ let cache_matches_model =
                 ( (match K.acquire c ~may_evict v with
                   | K.Hit k -> Printf.sprintf "hit %d" (Pkey.to_int k)
                   | K.Fresh k -> Printf.sprintf "fresh %d" (Pkey.to_int k)
-                  | K.Evicted (k, victim) ->
+                  | K.Evicted { pkey = k; victim } ->
                       Printf.sprintf "evicted %d from %d" (Pkey.to_int k) victim
                   | K.Full -> "full"),
                   Model.acquire m ~may_evict v )
@@ -849,12 +849,11 @@ let test_hit_allocation () =
   Alcotest.(check int) "every mprotect a hit" (hit + 102) (Libmpk.Key_cache.hits cache);
   Alcotest.(check int) "no miss since the four mmaps" 4 (Libmpk.Key_cache.misses cache)
 
-(* What an evicting miss allocates: its [Key_cache.Evicted] result (3
-   words) and the table cell mapping the new vkey (4 words). The
-   retagging syscalls, the PKRU scrub of the other thread and the LRU
-   scan add nothing, so the count holds for any group size and any
-   number of groups. *)
-let evicting_miss_words = 7.
+(* What an evicting miss allocates: nothing. Its [Key_cache.Evicted]
+   result is the victim key's own, and the retagging syscalls, the PKRU
+   scrub of the other thread and the LRU scan build nothing, so the
+   count holds for any group size and any number of groups. *)
+let evicting_miss_words = 0.
 
 let test_evicting_miss_allocation () =
   let words ~groups ~pages =
@@ -904,8 +903,8 @@ let test_evicting_miss_allocation () =
 
 (* The whole key-virtualization path through Libmpk alone: 64 groups over
    15 keys on two threads, zipf-drawn, four begin/end pairs to every
-   mpk_mprotect. Per operation it may allocate the [Zipf.sample] float
-   (2 words), and per evicting miss [evicting_miss_words]. *)
+   mpk_mprotect. An operation allocates nothing: neither its draws nor
+   its evicting misses. *)
 let test_churn_loop_allocation () =
   let groups = 64 in
   let mpk, main, other = churn_env ~groups ~pages:8 in
@@ -930,10 +929,9 @@ let test_churn_loop_allocation () =
   let before = evictions () in
   let w = Alloc_budget.allocated (fun () -> for _ = 1 to ops do op () done) /. float_of_int ops in
   let misses = float_of_int (evictions () - before) /. float_of_int ops in
-  let bound = 2. +. (evicting_miss_words *. misses) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per op, at most %.2f (%.2f evicting misses per op)" w bound misses)
-    true (w <= bound);
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "words per op (%.2f evicting misses per op)" misses)
+    0. w;
   Alcotest.(check (list string)) "audit clean" []
     (List.map (fun v -> v.Mpk_check.Audit.message) (Mpk_check.Audit.run mpk))
 

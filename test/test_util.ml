@@ -115,8 +115,9 @@ let test_prng_bool_rejects_nan () =
   Alcotest.check_raises "NaN p" (Invalid_argument "Prng.bool: p is NaN") (fun () ->
       ignore (Prng.bool (Prng.create ~seed:1L) ~p:Float.nan))
 
-(* --- allocation budget: the generator's state is held unboxed, so a
-   draw allocates at most the float it returns --- *)
+(* --- allocation budget: the generator's state is held unboxed and
+   [Prng.float] inlines, so no draw allocates. Like test_hw's
+   [cross-library inlining], this holds in the release profile. --- *)
 
 let test_draw_allocation () =
   let p = Prng.create ~seed:3L in
@@ -124,12 +125,10 @@ let test_draw_allocation () =
   let none name f = Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. (per_call f) in
   none "Prng.int" (fun () -> ignore (Prng.int p 7));
   none "Prng.bool" (fun () -> ignore (Prng.bool p ~p:0.5));
+  none "Prng.float" (fun () -> ignore (Prng.float p < 0.5));
   let uniform = Zipf.create ~theta:0. ~n:256 () and zipf = Zipf.create ~theta:0.99 ~n:256 () in
   none "uniform Zipf.sample" (fun () -> ignore (Zipf.sample uniform p));
-  let w = per_call (fun () -> ignore (Zipf.sample zipf p)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "Zipf.sample: %.1f words, at most 2 (its Prng.float)" w)
-    true (w <= 2.)
+  none "skewed Zipf.sample" (fun () -> ignore (Zipf.sample zipf p))
 
 (* A sample handed over in an all-float cell is never boxed, and the
    histogram's running sum and extrema are stored unboxed. *)
