@@ -14,6 +14,20 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    otherwise be built on every call. *)
 let debugging () = match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
 
+(* Groups by vkey. Hashing with [Hashtbl.hash] keeps the generic table's
+   bucket order, so [vkey_of_pkey] and [group_of_addr], which answer with
+   the first match of a fold, keep their answers. *)
+module Groups = Hashtbl.Make (struct
+  type t = Vkey.t
+
+  let equal = Int.equal
+  let hash = Vkey.hash
+end)
+
+(* A live group, its metadata slot and, once [mpk_malloc] made one, its
+   heap: one lookup gives an entry point everything keyed by the vkey. *)
+type entry = { group : Group.t; slot : int; mutable heap : Mpk_heap.t option }
+
 type t = {
   proc : Proc.t;
   hw_keys : int;  (* keys handed to the cache at init — the conserved total *)
@@ -21,8 +35,7 @@ type t = {
   prng : Mpk_util.Prng.t;
   cache : Key_cache.t;
   metadata : Metadata.t;
-  groups : (Vkey.t, Group.t * int) Hashtbl.t;  (* vkey -> group, metadata slot *)
-  heaps : (Vkey.t, Mpk_heap.t) Hashtbl.t;
+  groups : entry Groups.t;
   registry : (Vkey.t, unit) Hashtbl.t option;
   deferred : Task.Updates.t;  (* mpk_mprotect_many's unsynced PKRU updates; empty between calls *)
   default_heap_bytes : int;
@@ -60,11 +73,13 @@ type stats = {
 }
 
 (* Userspace bookkeeping per API call: a fixed dispatch cost plus one
-   hashmap probe per vkey-keyed lookup the entry point performs. Most
-   entry points resolve the vkey three times (registry check, group map,
-   slot sync) for the historical 60 cycles; mpk_begin/mpk_end reuse the
-   (group, slot) pair from their first probe and charge two. With WRPKRU
-   (23.3) the three-probe cost keeps the Fig 8 hit path near the paper's
+   hashmap probe per vkey-keyed lookup that real libmpk performs. Most
+   of its entry points resolve the vkey three times (registry check,
+   group map, slot sync) for the historical 60 cycles; mpk_begin/mpk_end
+   reuse the (group, slot) pair from their first probe and charge two.
+   These are modelled probes: the simulator itself resolves a vkey once
+   per call ([lookup]) whatever it charges. With WRPKRU (23.3) the
+   three-probe cost keeps the Fig 8 hit path near the paper's
    12.2x-faster-than-mprotect point. *)
 let user_base_cycles = 15.0
 let user_lookup_cycles = 15.0
@@ -122,8 +137,7 @@ let init ?vkeys ?(default_heap_bytes = 1 lsl 20) ?(seed = 0xC0FFEEL)
     prng = Mpk_util.Prng.create ~seed;
     cache = Key_cache.create ~policy ~seed ~keys ();
     metadata = Metadata.create proc task;
-    groups = Hashtbl.create 64;
-    heaps = Hashtbl.create 16;
+    groups = Groups.create 64;
     registry =
       Option.map
         (fun vkeys ->
@@ -141,31 +155,31 @@ let init ?vkeys ?(default_heap_bytes = 1 lsl 20) ?(seed = 0xC0FFEEL)
 let proc t = t.proc
 let hw_keys t = t.hw_keys
 let evict_rate t = t.evict_rate
-let group_count t = Hashtbl.length t.groups
-let find_group t vkey = Option.map fst (Hashtbl.find_opt t.groups vkey)
+let group_count t = Groups.length t.groups
+let find_group t vkey = Option.map (fun e -> e.group) (Groups.find_opt t.groups vkey)
 let cache t = t.cache
 let metadata t = t.metadata
 let xonly_key t = t.xonly_reserved
 let xonly_group_count t = t.xonly_groups
 
 let groups t =
-  Hashtbl.fold (fun vkey (g, slot) acc -> (vkey, g, slot) :: acc) t.groups []
+  Groups.fold (fun vkey e acc -> (vkey, e.group, e.slot) :: acc) t.groups []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let vkey_of_pkey t pkey =
-  Hashtbl.fold
-    (fun vkey (g, _) acc ->
+  Groups.fold
+    (fun vkey e acc ->
       match acc with
       | Some _ -> acc
       | None -> (
-          match g.Group.state with
+          match e.group.Group.state with
           | Group.Mapped k when k = pkey -> Some vkey
           | Group.Mapped _ | Group.Unmapped -> None))
     t.groups None
 
 let group_of_addr t addr =
-  Hashtbl.fold
-    (fun vkey (g, _) acc ->
+  Groups.fold
+    (fun vkey { group = g; _ } acc ->
       match acc with
       | Some _ -> acc
       | None ->
@@ -205,14 +219,28 @@ let check_vkey t vkey =
   | Some reg when not (Hashtbl.mem reg vkey) -> raise (Unregistered_vkey vkey)
   | Some _ | None -> ()
 
-let group_slot t vkey =
-  match Hashtbl.find t.groups vkey with
-  | pair -> pair
-  | exception Not_found -> Errno.fail ENOENT "libmpk: no page group for vkey %d" vkey
+(* What [lookup] answers for a vkey without a group; never stored. *)
+let absent =
+  { group = Group.make ~vkey:(-1) ~base:0 ~pages:0 ~prot:Perm.none; slot = -1; heap = None }
 
-let sync_slot t task vkey =
-  let group, slot = group_slot t vkey in
-  Metadata.update_slot t.metadata task ~slot group
+(* [vkey]'s entry, or [absent]: every vkey-keyed entry point resolves its
+   vkey once, here, before it charges anything. Only a vkey without a
+   group meets the registry check: the registry is fixed at [init] and
+   [mpk_mmap] checks it before a group exists, so a vkey with a group
+   is registered. *)
+let lookup t vkey =
+  match Groups.find t.groups vkey with
+  | e -> e
+  | exception Not_found ->
+      check_vkey t vkey;
+      absent
+
+(* The entry [lookup] found, or ENOENT after the caller's charge. *)
+let found vkey e =
+  if e == absent then Errno.fail ENOENT "libmpk: no page group for vkey %d" vkey;
+  e
+
+let update_slot t task e = Metadata.update_slot t.metadata task ~slot:e.slot e.group
 
 (* Page-level permission used while a group is Mapped: data rights are
    carried by PKRU, so pages stay readable/writable; the execute bit
@@ -230,7 +258,8 @@ let multi_threaded t = match Proc.tasks t.proc with [] | [ _ ] -> false | _ -> t
    bit: PKRU never gated instruction fetch, so revoking it would break
    running code (the JIT case) without adding protection. *)
 let evict_group t task ~victim ~pkey =
-  let group, _ = group_slot t victim in
+  let e = Groups.find t.groups victim in  (* a key-cache mapping's group is live *)
+  let group = e.group in
   let prot =
     if not group.Group.isolated then group.Group.prot
     else if group.Group.prot.Perm.exec then Perm.x_only
@@ -242,7 +271,7 @@ let evict_group t task ~victim ~pkey =
   Syscall.pkey_unmap_group t.proc task ~addr:group.Group.base ~len:(Group.len group)
     ~prot ~old_pkey:pkey;
   group.Group.state <- Group.Unmapped;
-  sync_slot t task victim
+  update_slot t task e
 
 (* Map [group] onto hardware key [pkey]: tag its pages and set page-level
    permission for the target protection. *)
@@ -256,12 +285,11 @@ let attach_group t task group ~pkey ~page_prot =
   group.Group.state <- Group.mapped pkey
 
 let create_group t task ~vkey ~len ~prot =
-  check_vkey t vkey;
+  let e = lookup t vkey in
   charge_user task three_lookups;
   count t c_mmap;
   emit_group_op task "mmap" vkey;
-  if Hashtbl.mem t.groups vkey then
-    Errno.fail EINVAL "mpk_mmap: vkey %d already has a page group" vkey;
+  if e != absent then Errno.fail EINVAL "mpk_mmap: vkey %d already has a page group" vkey;
   let addr = Syscall.mmap t.proc task ~len ~prot () in
   let pages = Mm.pages_of_len len in
   let group = Group.make ~vkey ~base:addr ~pages ~prot in
@@ -280,7 +308,7 @@ let create_group t task ~vkey ~len ~prot =
         Syscall.mprotect t.proc task ~addr ~len ~prot:Perm.none;
         group.Group.state <- Group.Unmapped);
     let slot = Metadata.alloc_slot t.metadata task group in
-    Hashtbl.replace t.groups vkey (group, slot);
+    Groups.replace t.groups vkey { group; slot; heap = None };
     addr
   with e ->
     (* Roll back to the pre-call state: the mapping is destroyed (which
@@ -320,11 +348,11 @@ let scrub_rights t task pkey =
   if multi_threaded t then Syscall.pkey_sync t.proc task ~pkey Pkru.No_access
 
 let destroy_group t task ~vkey =
-  check_vkey t vkey;
+  let e = lookup t vkey in
   charge_user task three_lookups;
   count t c_munmap;
   emit_group_op task "munmap" vkey;
-  let group, slot = group_slot t vkey in
+  let { group; slot; _ } = found vkey e in
   if group.Group.begin_depth > 0 then
     Errno.fail EINVAL "mpk_munmap: vkey %d still inside mpk_begin" vkey;
   (match group.Group.state with
@@ -337,8 +365,7 @@ let destroy_group t task ~vkey =
   | Group.Unmapped -> ());
   Syscall.munmap t.proc task ~addr:group.Group.base ~len:(Group.len group);
   Metadata.free_slot t.metadata task ~slot;
-  Hashtbl.remove t.groups vkey;
-  Hashtbl.remove t.heaps vkey
+  Groups.remove t.groups vkey
 
 let mpk_munmap t task ~vkey =
   if Cpu.observed () then span task "mpk_munmap" (fun () -> destroy_group t task ~vkey)
@@ -377,10 +404,10 @@ let try_map_for_begin t task group =
           raise Key_exhausted)
 
 let begin_domain t task ~vkey ~prot =
-  check_vkey t vkey;
+  let e = lookup t vkey in
   charge_user task two_lookups;
   count t c_begin;
-  let group, slot = group_slot t vkey in
+  let group = (found vkey e).group in
   if group.Group.xonly then
     Errno.fail EACCES "mpk_begin: vkey %d is execute-only" vkey;
   if not (Perm.subsumes group.Group.max_prot prot) then
@@ -396,17 +423,17 @@ let begin_domain t task ~vkey ~prot =
   (* note: [isolated] is not touched — a begin on a globally-unlocked
      group is a temporary elevation, not a switch of usage model *)
   set_own_rights task pkey (Pkru.rights_of_perm prot);
-  Metadata.update_slot t.metadata task ~slot group
+  update_slot t task e
 
 let mpk_begin t task ~vkey ~prot =
   if Cpu.observed () then span task "mpk_begin" (fun () -> begin_domain t task ~vkey ~prot)
   else begin_domain t task ~vkey ~prot
 
 let end_domain t task ~vkey =
-  check_vkey t vkey;
+  let e = lookup t vkey in
   charge_user task two_lookups;
   count t c_end;
-  let group, slot = group_slot t vkey in
+  let group = (found vkey e).group in
   let id = Task.id task in
   let own_depth = Group.begin_holds group id in
   (match group.Group.state with
@@ -428,7 +455,7 @@ let end_domain t task ~vkey =
       if Mpk_trace.Tracer.on () then temit task (Mpk_trace.Event.Cache_unpin { vkey })
   | Group.Mapped _ | Group.Unmapped ->
       Errno.fail EINVAL "mpk_end: calling thread is not inside mpk_begin for vkey %d" vkey);
-  Metadata.update_slot t.metadata task ~slot group
+  update_slot t task e
 
 let mpk_end t task ~vkey =
   if Cpu.observed () then span task "mpk_end" (fun () -> end_domain t task ~vkey)
@@ -487,11 +514,11 @@ let mprotect_xonly t task group =
   sync_rights t task pkey Pkru.No_access
 
 let protect t task ~vkey ~prot =
-  check_vkey t vkey;
+  let e = lookup t vkey in
   charge_user task three_lookups;
   count t c_mprotect;
   emit_group_op task "mprotect" vkey;
-  let group, _ = group_slot t vkey in
+  let group = (found vkey e).group in
   if group.Group.begin_depth > 0 then
     Errno.fail EINVAL "mpk_mprotect: vkey %d is inside mpk_begin" vkey;
   (if Perm.equal prot Perm.x_only then mprotect_xonly t task group
@@ -538,7 +565,7 @@ let protect t task ~vkey ~prot =
              group.Group.prot <- prot;
              group.Group.isolated <- false)
    end);
-  sync_slot t task vkey
+  update_slot t task e
 
 let mpk_mprotect t task ~vkey ~prot =
   if Cpu.observed () then span task "mpk_mprotect" (fun () -> protect t task ~vkey ~prot)
@@ -551,16 +578,12 @@ let mpk_mprotect t task ~vkey ~prot =
    sync; anything else (unmapped groups, execute-only transitions,
    exec-bit flips, unknown vkeys) falls back to the full [mpk_mprotect],
    whose own synchronization is part of its semantics. *)
-let batchable t vkey (prot : Perm.t) =
+let batchable (group : Group.t) (prot : Perm.t) =
   (not (Perm.equal prot Perm.x_only))
-  &&
-  match Hashtbl.find t.groups vkey with
-  | group, _ ->
-      (not group.Group.xonly)
-      && group.Group.begin_depth = 0
-      && group.Group.prot.Perm.exec = prot.Perm.exec
-      && (match group.Group.state with Group.Mapped _ -> true | Group.Unmapped -> false)
-  | exception Not_found -> false
+  && (not group.xonly)
+  && group.begin_depth = 0
+  && group.prot.exec = prot.exec
+  && match group.state with Group.Mapped _ -> true | Group.Unmapped -> false
 
 (* Sync the deferred updates in one do_pkey_sync and empty the batch. *)
 let sync_deferred t task =
@@ -569,34 +592,36 @@ let sync_deferred t task =
     Task.Updates.clear t.deferred
   end
 
+(* The hot path of one update: [e]'s group holds a key, so the update is
+   the caller's WRPKRU plus a deferred sync. *)
+let protect_deferred t task ~vkey ~prot e =
+  charge_user task three_lookups;
+  count t c_mprotect;
+  emit_group_op task "mprotect" vkey;
+  let group = e.group in
+  (match group.Group.state with
+  | Group.Mapped pkey ->
+      emit_acquire task vkey (Key_cache.acquire t.cache vkey);  (* LRU bump + stats *)
+      group.Group.prot <- prot;
+      group.Group.isolated <- false;
+      let rights = Pkru.rights_of_perm prot in
+      set_own_rights task pkey rights;
+      Task.Updates.add t.deferred pkey rights
+  | Group.Unmapped -> assert false);
+  update_slot t task e
+
 let rec protect_each t task = function
   | [] -> ()
   | ((vkey, prot) : int * Perm.t) :: rest ->
-      if batchable t vkey prot then begin
-        check_vkey t vkey;
-        charge_user task three_lookups;
-        count t c_mprotect;
-        emit_group_op task "mprotect" vkey;
-        let group, slot = group_slot t vkey in
-        (match group.Group.state with
-        | Group.Mapped pkey ->
-            emit_acquire task vkey (Key_cache.acquire t.cache vkey);  (* LRU bump + stats *)
-            group.Group.prot <- prot;
-            group.Group.isolated <- false;
-            let rights = Pkru.rights_of_perm prot in
-            set_own_rights task pkey rights;
-            Task.Updates.add t.deferred pkey rights
-        | Group.Unmapped -> assert false);
-        Metadata.update_slot t.metadata task ~slot group
-      end
-      else begin
-        (* What was deferred reaches the other threads first, as it would
-           between sequential calls: the full path may release or recycle
-           a key a deferred update names, and it is the only path that
-           can fail, leaving the updates before it applied. *)
-        sync_deferred t task;
-        mpk_mprotect t task ~vkey ~prot
-      end;
+      (match Groups.find t.groups vkey with
+      | e when batchable e.group prot -> protect_deferred t task ~vkey ~prot e
+      | _ | (exception Not_found) ->
+          (* What was deferred reaches the other threads first, as it
+             would between sequential calls: the full path may release or
+             recycle a key a deferred update names, and it is the only
+             path that can fail, leaving the updates before it applied. *)
+          sync_deferred t task;
+          mpk_mprotect t task ~vkey ~prot);
       protect_each t task rest
 
 let protect_many t task ~updates =
@@ -608,23 +633,23 @@ let mpk_mprotect_many t task ~updates =
   else protect_many t task ~updates
 
 let malloc t task ~vkey ~size =
-  check_vkey t vkey;
+  let e = lookup t vkey in
   charge_user task three_lookups;
   count t c_malloc;
-  let group =
-    match Hashtbl.find_opt t.groups vkey with
-    | Some (g, _) -> g
-    | None ->
-        let len = max t.default_heap_bytes (Mm.pages_of_len size * Physmem.page_size) in
-        ignore (mpk_mmap t task ~vkey ~len ~prot:Perm.rw);
-        fst (group_slot t vkey)
+  let e =
+    if e != absent then e
+    else begin
+      let len = max t.default_heap_bytes (Mm.pages_of_len size * Physmem.page_size) in
+      ignore (mpk_mmap t task ~vkey ~len ~prot:Perm.rw);
+      Groups.find t.groups vkey
+    end
   in
   let heap =
-    match Hashtbl.find_opt t.heaps vkey with
+    match e.heap with
     | Some h -> h
     | None ->
-        let h = Mpk_heap.create ~base:group.Group.base ~len:(Group.len group) in
-        Hashtbl.replace t.heaps vkey h;
+        let h = Mpk_heap.create ~base:e.group.Group.base ~len:(Group.len e.group) in
+        e.heap <- Some h;
         h
   in
   match Mpk_heap.alloc heap ~size with
@@ -639,10 +664,10 @@ let mpk_malloc t task ~vkey ~size =
   else malloc t task ~vkey ~size
 
 let free t task ~vkey ~addr =
-  check_vkey t vkey;
+  let e = lookup t vkey in
   charge_user task three_lookups;
   count t c_free;
-  match Hashtbl.find_opt t.heaps vkey with
+  match e.heap with
   | Some heap ->
       Mpk_heap.free heap ~addr;
       if Mpk_trace.Tracer.on () then temit task (Mpk_trace.Event.Heap_free { vkey; addr })

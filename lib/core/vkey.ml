@@ -1,6 +1,3 @@
 type t = int
 
-let equal = Int.equal
-let compare = Int.compare
 let hash = Hashtbl.hash
-let pp fmt t = Format.fprintf fmt "vkey:%d" t

@@ -7,7 +7,6 @@
 
 type t = int
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
+(** [Hashtbl.hash]: the order of [Key_cache]'s [Random] policy and of
+    libmpk's group table. *)
 val hash : t -> int
-val pp : Format.formatter -> t -> unit

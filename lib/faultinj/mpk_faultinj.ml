@@ -13,8 +13,7 @@ type injection = { armed : (string, point) Hashtbl.t; prng : Mpk_util.Prng.t }
 
 let declared : string list ref = ref []  (* registration order, reversed *)
 
-(* The open injection, [None] while nothing is armed: [fire]'s fast path
-   is one compare. *)
+(* The open injection, [None] while nothing is armed. *)
 let current : injection option ref = ref None
 
 let declare name = if not (List.mem name !declared) then declared := name :: !declared
@@ -45,30 +44,30 @@ let inject ~seed plans f =
   in
   (result, List.filter_map stats_of (points ()))
 
-let fire name =
-  match !current with
-  | None -> false
-  | Some inj -> (
-      match Hashtbl.find inj.armed name with
-      | exception Not_found -> false
-      | p ->
-          let n = p.hits in
-          p.hits <- n + 1;
-          let hit =
-            match p.plan with
-            | Once k -> n = k
-            | Every k -> (n + 1) mod k = 0
-            | Prob pr -> Mpk_util.Prng.bool inj.prng ~p:pr
-          in
-          if hit then begin
-            p.fired <- p.fired + 1;
-            (* Fault firings have no core context of their own; the tracer
-               stamps them with the newest cycle time seen anywhere. *)
-            if Mpk_trace.Tracer.on () then
-              Mpk_trace.Tracer.emit_floating
-                (Mpk_trace.Event.Fault_point_fired { point = name })
-          end;
-          hit)
+(* The armed path, kept out of line so that [fire] inlines into every
+   caller as one load and one compare. *)
+let fire_armed inj name =
+  match Hashtbl.find inj.armed name with
+  | exception Not_found -> false
+  | p ->
+      let n = p.hits in
+      p.hits <- n + 1;
+      let hit =
+        match p.plan with
+        | Once k -> n = k
+        | Every k -> (n + 1) mod k = 0
+        | Prob pr -> Mpk_util.Prng.bool inj.prng ~p:pr
+      in
+      if hit then begin
+        p.fired <- p.fired + 1;
+        (* Fault firings have no core context of their own; the tracer
+           stamps them with the newest cycle time seen anywhere. *)
+        if Mpk_trace.Tracer.on () then
+          Mpk_trace.Tracer.emit_floating (Mpk_trace.Event.Fault_point_fired { point = name })
+      end;
+      hit
+
+let[@inline] fire name = match !current with None -> false | Some inj -> fire_armed inj name
 
 let plan_to_string = function
   | Once n -> Printf.sprintf "@%d" n

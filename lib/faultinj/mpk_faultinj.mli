@@ -42,9 +42,10 @@ val declare : string -> unit
 val inject : seed:int64 -> (string * plan) list -> (unit -> 'a) -> 'a * stats list
 
 (** [fire name] — evaluate the point: true means the caller must inject
-    its failure now. Unarmed (or unknown) points never fire; with
-    nothing armed this is a single compare, so hot paths may call it
-    unconditionally. *)
+    its failure now. Unarmed (or unknown) points never fire. The check
+    for "nothing armed" inlines into the caller as one load and one
+    compare, with the armed path out of line, so hot paths (every
+    [Mpk_hw.Cpu.charge]) may call it unconditionally. *)
 val fire : string -> bool
 
 (** Every declared point, in registration order. *)

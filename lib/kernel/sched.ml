@@ -3,6 +3,7 @@ open Mpk_hw
 type t = {
   machine : Machine.t;
   mutable tasks : Task.t list;
+  mutable by_core : Task.t array;  (* [tasks] by ascending core id, in task order within a core *)
   mutable next_id : int;
   sent : int array;  (* IPIs sent, by core id *)
   received : int array;  (* IPIs received, by core id *)
@@ -14,6 +15,7 @@ let create machine =
   {
     machine;
     tasks = [];
+    by_core = [||];
     next_id = 0;
     sent = Array.make cores 0;
     received = Array.make cores 0;
@@ -75,6 +77,8 @@ let spawn t ~core_id =
   let task = Task.create ~id:t.next_id ~core () in
   t.next_id <- t.next_id + 1;
   t.tasks <- t.tasks @ [ task ];
+  t.by_core <- Array.of_list t.tasks;
+  Array.stable_sort (fun a b -> Int.compare (Cpu.id (Task.core a)) (Cpu.id (Task.core b))) t.by_core;
   schedule_in t task;
   task
 
@@ -130,10 +134,7 @@ let kick t ~from target =
       Cpu.charge ~label:"ipi_receive" core (Cpu.costs core).ipi_receive;
       return_to_user target
 
-(* [kick_batch] visits [targets] once per kicked core rather than
-   grouping them in a table: a process has a handful of tasks, and the
-   plain walks below allocate nothing. The sender is never its own
-   target. *)
+(* [kick_batch] targets every task but the sender. *)
 let is_target ~from tk = Task.id tk <> Task.id from
 
 let rec mark_off_cpu t ~from = function
@@ -145,58 +146,49 @@ let rec mark_off_cpu t ~from = function
       end;
       mark_off_cpu t ~from rest
 
-(* The lowest id above [above] of a core holding an on-CPU target, or
-   [best] (-1 when called) if there is none. *)
-let rec next_core ~from ~above best = function
-  | [] -> best
-  | tk :: rest ->
-      let id = Cpu.id (Task.core tk) in
-      let best =
-        if
-          Task.state tk = Task.On_cpu && is_target ~from tk && id > above
-          && (best < 0 || id < best)
-        then id
-        else best
-      in
-      next_core ~from ~above best rest
-
-(* Every on-CPU target on core [core_id] drains, in list order. *)
-let rec drain_core ~from ~core_id = function
-  | [] -> ()
-  | tk :: rest ->
-      if on_cpu_at tk ~core_id && is_target ~from tk then return_to_user tk;
-      drain_core ~from ~core_id rest
-
-(* One IPI per core, in ascending core order; returns the cores kicked. *)
-let rec kick_cores t ~from ~kind ~flush_tlb ~above kicked targets =
-  let id = next_core ~from ~above (-1) targets in
-  if id < 0 then kicked
-  else begin
-    let sender = Task.core from in
-    let core = Machine.core t.machine id in
-    Cpu.charge ~label:"ipi_send" sender (Cpu.costs sender).ipi_send;
-    note_ipi t ~sender_id:(Cpu.id sender) ~target_id:id;
+(* The IPI that kicks [core]. *)
+let ipi t ~from ~kind ~flush_tlb core =
+  let sender = Task.core from in
+  let id = Cpu.id core in
+  Cpu.charge ~label:"ipi_send" sender (Cpu.costs sender).ipi_send;
+  note_ipi t ~sender_id:(Cpu.id sender) ~target_id:id;
+  if Mpk_trace.Tracer.on () then Cpu.emit sender (Mpk_trace.Event.Ipi { kind; target_core = id });
+  Cpu.charge ~label:"ipi_receive" core (Cpu.costs core).ipi_receive;
+  if flush_tlb then begin
+    Tlb.flush_all (Cpu.tlb core);
     if Mpk_trace.Tracer.on () then
-      Cpu.emit sender (Mpk_trace.Event.Ipi { kind; target_core = id });
-    Cpu.charge ~label:"ipi_receive" core (Cpu.costs core).ipi_receive;
-    if flush_tlb then begin
-      Tlb.flush_all (Cpu.tlb core);
-      if Mpk_trace.Tracer.on () then
-        Cpu.emit core (Mpk_trace.Event.Tlb_flush { pages = 0; all = true })
-    end;
-    drain_core ~from ~core_id:id targets;
-    kick_cores t ~from ~kind ~flush_tlb ~above:id (kicked + 1) targets
+      Cpu.emit core (Mpk_trace.Event.Tlb_flush { pages = 0; all = true })
   end
 
-let kick_batch t ~from ?(kind = "pkey_sync_batch") ?(flush_tlb = false) ?(sync = false) targets =
+(* One pass over [by_core] from index [i]: the first on-CPU target of
+   each core takes that core's IPI, and every on-CPU target drains under
+   it, so cores are kicked in ascending order and a core's targets drain
+   in task order. [last] is the core kicked last; returns the cores
+   kicked. *)
+let rec kick_cores t ~from ~kind ~flush_tlb ~last kicked i =
+  if i = Array.length t.by_core then kicked
+  else
+    let tk = t.by_core.(i) in
+    if Task.state tk = Task.On_cpu && is_target ~from tk then begin
+      let core = Task.core tk in
+      let fresh = Cpu.id core <> last in
+      if fresh then ipi t ~from ~kind ~flush_tlb core;
+      return_to_user tk;
+      kick_cores t ~from ~kind ~flush_tlb ~last:(Cpu.id core)
+        (if fresh then kicked + 1 else kicked)
+        (i + 1)
+    end
+    else kick_cores t ~from ~kind ~flush_tlb ~last kicked (i + 1)
+
+let kick_batch t ~from ?(kind = "pkey_sync_batch") ?(flush_tlb = false) ?(sync = false) () =
   (* Off-CPU targets never see an IPI: their queued work runs at the next
      [schedule_in], which (for shootdown batches) also performs the
      deferred flush. *)
-  if flush_tlb then mark_off_cpu t ~from targets;
+  if flush_tlb then mark_off_cpu t ~from t.tasks;
   (* One IPI per distinct core holding at least one on-CPU target: every
      pending update queued on every task of that core drains under a
      single interrupt. *)
-  let kicked = kick_cores t ~from ~kind ~flush_tlb ~above:(-1) 0 targets in
+  let kicked = kick_cores t ~from ~kind ~flush_tlb ~last:(-1) 0 0 in
   (* A synchronous batch spin-waits for the acks; the sends overlap, so
      the initiator pays a single receive-latency wait regardless of
      fan-out. *)

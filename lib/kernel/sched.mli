@@ -47,22 +47,21 @@ val schedule_in : t -> Task.t -> unit
     [schedule_in]. *)
 val kick : t -> from:Task.t -> Task.t -> unit
 
-(** [kick_batch t ~from targets] coalesces reschedule IPIs: one IPI per
-    distinct core holding at least one on-CPU target (sender pays
-    [ipi_send] per core, each target core pays [ipi_receive] once), and
-    every on-CPU target on that core drains its task_work under that
-    single interrupt. Cores are kicked in ascending id order whatever the
-    order of [targets]; a core's targets drain in list order. Off-CPU
-    targets are skipped as in [kick], and [from] is never a target, so a
-    caller may pass every task of the process. Allocates nothing.
+(** [kick_batch t ~from ()] coalesces reschedule IPIs to every task but
+    [from]: one IPI per distinct core holding at least one on-CPU target
+    (sender pays [ipi_send] per core, each target core pays
+    [ipi_receive] once), and every on-CPU target on that core drains its
+    task_work under that single interrupt. Cores are kicked in ascending
+    id order, in one pass over the tasks sorted by core; a core's targets
+    drain in task order ({!tasks}). Off-CPU targets are skipped as in
+    [kick]. Allocates nothing.
 
     [flush_tlb] additionally flushes each kicked core's TLB (emitting
     [Tlb_flush]) and marks off-CPU targets for a deferred flush at their
     next [schedule_in]. [sync] models the initiator spin-waiting for the
     acknowledgements: the sends overlap, so it costs a single
     [ipi_receive]-latency wait regardless of fan-out. *)
-val kick_batch :
-  t -> from:Task.t -> ?kind:string -> ?flush_tlb:bool -> ?sync:bool -> Task.t list -> unit
+val kick_batch : t -> from:Task.t -> ?kind:string -> ?flush_tlb:bool -> ?sync:bool -> unit -> unit
 
 (** [shootdown t ~from target] sends a synchronous TLB-shootdown IPI: the
     sender pays send + wait, the target core pays [ipi_receive] and

@@ -176,12 +176,13 @@ let pkey_mprotect proc task ~addr ~len ~prot ~pkey =
 (* Deferred PKRU scrub/update, the paper's lazy do_pkey_sync: queueing the
    task_work is the "deferred" trace event; the update being applied on
    the target (at its next return to user) is the "executed" one. *)
+let emit_deferred ~core target pkey =
+  Cpu.emit core
+    (Mpk_trace.Event.Pkey_sync_deferred { target = Task.id target; pkey = Pkey.to_int pkey })
+
 let queue_pkru_update ~core target pkey rights =
   Cpu.charge ~label:"task_work_add" core (Cpu.costs core).task_work_add;
-  if Mpk_trace.Tracer.on () then
-    Cpu.emit core
-      (Mpk_trace.Event.Pkey_sync_deferred
-         { target = Task.id target; pkey = Pkey.to_int pkey });
+  if Mpk_trace.Tracer.on () then emit_deferred ~core target pkey;
   Task.work_add target pkey rights
 
 (* Queue one update on every task but the caller. *)
@@ -191,14 +192,16 @@ let rec queue_on_others ~core task pkey rights = function
       if other task t then queue_pkru_update ~core t pkey rights;
       queue_on_others ~core task pkey rights rest
 
-(* Queue every update, in order, on every task but the caller. *)
+(* Queue every update, in order, on every task but the caller, each
+   copied in its packed form: it is decoded only for a trace event. *)
 let rec queue_all_on_others ~core task updates = function
   | [] -> ()
   | t :: rest ->
       if other task t then
         for i = 0 to Task.Updates.length updates - 1 do
-          queue_pkru_update ~core t (Task.Updates.pkey updates i)
-            (Task.Updates.rights updates i)
+          Cpu.charge ~label:"task_work_add" core (Cpu.costs core).task_work_add;
+          if Mpk_trace.Tracer.on () then emit_deferred ~core t (Task.Updates.pkey updates i);
+          Task.work_add_nth t updates i
         done;
       queue_all_on_others ~core task updates rest
 
@@ -232,7 +235,7 @@ let notify_others proc task ~eager ~count =
               Cpu.charge ~label:"ipi_spin" core costs.ipi_receive;
               Sched.schedule_in sched t)
       tasks
-  else if Proc.ipi_batching proc then Sched.kick_batch sched ~from:task tasks
+  else if Proc.ipi_batching proc then Sched.kick_batch sched ~from:task ()
   else kick_each sched task ~count tasks
 
 let do_pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey =
@@ -247,7 +250,7 @@ let do_pkey_unmap_group proc task ~addr ~len ~prot ~old_pkey =
     (* One synchronous IPI per target core both drains the PKRU scrub
        and flushes the TLB — the per-update path below sends two. *)
     Sched.kick_batch (Proc.sched proc) ~from:task ~kind:"pkey_sync_shootdown" ~flush_tlb:true
-      ~sync:true tasks
+      ~sync:true ()
   else begin
     List.iter (fun t -> if other task t then Sched.kick (Proc.sched proc) ~from:task t) tasks;
     shootdown_others proc task

@@ -16,9 +16,14 @@ module Updates = struct
     q.len <- 0
 
   let code = function Pkru.No_access -> 0 | Pkru.Read_only -> 1 | Pkru.Read_write -> 2
+  let pkey_of packed = Pkey.of_int (packed lsr 2)
+
+  let rights_of packed =
+    match packed land 3 with 0 -> Pkru.No_access | 1 -> Pkru.Read_only | _ -> Pkru.Read_write
+
   let slot q i = (q.head + i) land (Array.length q.ring - 1)
 
-  let add q pkey rights =
+  let push q packed =
     let cap = Array.length q.ring in
     if q.len = cap then begin
       let ring = Array.make (2 * cap) 0 in
@@ -28,17 +33,17 @@ module Updates = struct
       q.ring <- ring;
       q.head <- 0
     end;
-    q.ring.(slot q q.len) <- (Pkey.to_int pkey lsl 2) lor code rights;
+    q.ring.(slot q q.len) <- packed;
     q.len <- q.len + 1
+
+  let add q pkey rights = push q ((Pkey.to_int pkey lsl 2) lor code rights)
 
   let nth q i =
     if i < 0 || i >= q.len then invalid_arg "Task.Updates: index out of range";
     q.ring.(slot q i)
 
-  let pkey q i = Pkey.of_int (nth q i lsr 2)
-
-  let rights q i =
-    match nth q i land 3 with 0 -> Pkru.No_access | 1 -> Pkru.Read_only | _ -> Pkru.Read_write
+  let pkey q i = pkey_of (nth q i)
+  let rights q i = rights_of (nth q i)
 
   let drop_first q =
     if q.len = 0 then invalid_arg "Task.Updates.drop_first: empty";
@@ -117,6 +122,7 @@ let deliver_signal t (si : Signal.siginfo) =
   raise (Signal.Killed si)
 
 let work_add t pkey rights = Updates.add t.work pkey rights
+let work_add_nth t updates i = Updates.push t.work (Updates.nth updates i)
 
 let work_pending t = Updates.length t.work
 
@@ -126,7 +132,8 @@ let work_pending t = Updates.length t.work
 let work_run t =
   let costs = Cpu.costs t.core in
   while Updates.length t.work > 0 do
-    let pkey = Updates.pkey t.work 0 and rights = Updates.rights t.work 0 in
+    let packed = Updates.nth t.work 0 in
+    let pkey = Updates.pkey_of packed and rights = Updates.rights_of packed in
     Updates.drop_first t.work;
     Cpu.charge ~label:"task_work_run" t.core costs.task_work_run;
     set_pkru t (Pkru.set_rights (pkru t) pkey rights);

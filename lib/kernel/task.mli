@@ -86,6 +86,11 @@ val deliver_signal : t -> Signal.siginfo -> 'a
     for [pkey] become [rights]. *)
 val work_add : t -> Pkey.t -> Pkru.rights -> unit
 
+(** [work_add_nth t updates i] queues the [i]-th update of [updates] as
+    [work_add] would, copying it in its packed form. Raises
+    [Invalid_argument] outside [\[0, Updates.length updates)]. *)
+val work_add_nth : t -> Updates.t -> int -> unit
+
 (** Number of queued updates. *)
 val work_pending : t -> int
 

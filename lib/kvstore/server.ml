@@ -273,10 +273,25 @@ let set t ~worker ~key ~value = request t ~worker Set ~key ~value
 let get t ~worker ~key = request t ~worker Get ~key ~value:Bytes.empty
 let delete t ~worker ~key = request t ~worker Delete ~key ~value:Bytes.empty
 
+(* ["key-" ^ string_of_int i] for [i >= 0], written digit by digit: a
+   kvstore set-up names thousands of keys, and [Printf.sprintf] took
+   about six times as long. *)
+let key_name i =
+  let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+  let last = 3 + digits i in
+  let b = Bytes.create (last + 1) in
+  Bytes.blit_string "key-" 0 b 0 4;
+  let rec fill n pos =
+    Bytes.set b pos (Char.chr (48 + (n mod 10)));
+    if n >= 10 then fill (n / 10) (pos - 1)
+  in
+  fill i last;
+  Bytes.unsafe_to_string b
+
 let prefill t ~items ~value_size =
   let value = Bytes.make value_size 'v' in
   for i = 0 to items - 1 do
-    match set t ~worker:(i mod Array.length t.workers) ~key:(Printf.sprintf "key-%d" i) ~value with
+    match set t ~worker:(i mod Array.length t.workers) ~key:(key_name i) ~value with
     | Ok () -> ()
     | Error e -> Errno.fail e "prefill: slab exhausted after %d items" i
   done

@@ -435,7 +435,7 @@ let test_kick_batch_one_ipi_per_core () =
   let costs = Cpu.costs (Task.core t0) in
   let c0 = cycles_on proc 0 and c1 = cycles_on proc 1 in
   let c2 = cycles_on proc 2 and c3 = cycles_on proc 3 in
-  Sched.kick_batch (Proc.sched proc) ~from:t0 [ t1; t2; t3; t4 ];
+  Sched.kick_batch (Proc.sched proc) ~from:t0 ();
   Alcotest.(check int) "two cores kicked" 2 (Sched.ipis_sent (Proc.sched proc));
   Alcotest.(check (list bool)) "three tasks reached, PKRU updated"
     [ true; true; true; false ]
@@ -1262,11 +1262,9 @@ let test_kick_batch_allocation () =
              kick ()
            done))
   in
-  each "queue, kick and drain" (fun () -> Sched.kick_batch sched ~from:t0 targets);
-  let with_sleeper = sleeper :: targets in
+  each "queue, kick and drain" (fun () -> Sched.kick_batch sched ~from:t0 ());
   each "shootdown batch" (fun () ->
-      Sched.kick_batch sched ~from:t0 ~kind:"pkey_sync_shootdown" ~flush_tlb:true ~sync:true
-        with_sleeper);
+      Sched.kick_batch sched ~from:t0 ~kind:"pkey_sync_shootdown" ~flush_tlb:true ~sync:true ());
   Alcotest.(check (list bool)) "every on-CPU target drained" [ true; true ]
     (List.map holds_rw targets);
   Alcotest.(check int) "no work left behind" 0
@@ -1300,13 +1298,13 @@ let test_lock_unobserved_allocation () =
 
 let test_kick_batch_order () =
   let proc = make_proc () in
-  let t0 = Proc.spawn proc ~core_id:0 () in
-  let on1 = Proc.spawn proc ~core_id:1 () in
-  let also_on1 = Proc.spawn proc ~core_id:1 () in
+  (* tasks in descending core order *)
   let on2 = Proc.spawn proc ~core_id:2 () in
+  let on1 = Proc.spawn proc ~core_id:1 () in
+  let t0 = Proc.spawn proc ~core_id:0 () in
+  let also_on1 = Proc.spawn proc ~core_id:1 () in
   List.iter queue_rw [ on1; also_on1; on2 ];
-  let targets = [ on2; also_on1; on1 ] (* descending core order *) in
-  let evs = traced (fun () -> Sched.kick_batch (Proc.sched proc) ~from:t0 targets) in
+  let evs = traced (fun () -> Sched.kick_batch (Proc.sched proc) ~from:t0 ()) in
   let drained =
     List.filter_map
       (fun e ->
@@ -1316,8 +1314,8 @@ let test_kick_batch_order () =
       evs
   in
   Alcotest.(check (list int)) "IPIs in ascending core order" [ 1; 2 ] (ipi_targets evs);
-  Alcotest.(check (list int)) "a core's tasks drain in list order"
-    (List.map Task.id [ also_on1; on1; on2 ])
+  Alcotest.(check (list int)) "a core's tasks drain in task order"
+    (List.map Task.id [ on1; also_on1; on2 ])
     drained;
   Alcotest.check ipi_counters "one IPI per core"
     [ (0, 2, 0); (1, 0, 1); (2, 0, 1) ]

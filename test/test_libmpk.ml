@@ -536,6 +536,53 @@ let test_registry_blocks_corrupted_key_use () =
   | exception Libmpk.Unregistered_vkey _ -> ()
   | _ -> Alcotest.fail "corrupted vkey slipped through"
 
+(* Every vkey-keyed entry point checks the registry before it charges or
+   counts anything; a registered vkey without a group fails after the
+   call's user charge (15 cycles plus 15 per modelled probe) and its
+   counter. *)
+let test_registry_validation_order () =
+  let stats = Alcotest.testable Libmpk.pp_stats ( = ) in
+  let count_begin s = { s with Libmpk.begin_calls = s.Libmpk.begin_calls + 1 } in
+  let count_end s = { s with Libmpk.end_calls = s.Libmpk.end_calls + 1 } in
+  let count_mprotect s = { s with Libmpk.mprotect_calls = s.Libmpk.mprotect_calls + 1 } in
+  let count_munmap s = { s with Libmpk.munmap_calls = s.Libmpk.munmap_calls + 1 } in
+  let count_free s = { s with Libmpk.free_calls = s.Libmpk.free_calls + 1 } in
+  let cases =
+    [
+      ("mpk_begin", (fun mpk task vkey -> Libmpk.mpk_begin mpk task ~vkey ~prot:Perm.r), 45.0,
+       count_begin, Errno.ENOENT);
+      ("mpk_end", (fun mpk task vkey -> Libmpk.mpk_end mpk task ~vkey), 45.0, count_end,
+       Errno.ENOENT);
+      ("mpk_mprotect", (fun mpk task vkey -> Libmpk.mpk_mprotect mpk task ~vkey ~prot:Perm.r),
+       60.0, count_mprotect, Errno.ENOENT);
+      ("mpk_munmap", (fun mpk task vkey -> Libmpk.mpk_munmap mpk task ~vkey), 60.0, count_munmap,
+       Errno.ENOENT);
+      ("mpk_free", (fun mpk task vkey -> Libmpk.mpk_free mpk task ~vkey ~addr:0x1234), 60.0,
+       count_free, Errno.EINVAL);
+      ( "mpk_mprotect_many",
+        (fun mpk task vkey -> Libmpk.mpk_mprotect_many mpk task ~updates:[ (vkey, Perm.r) ]),
+        60.0, count_mprotect, Errno.ENOENT );
+    ]
+  in
+  List.iter
+    (fun (name, call, cycles, counted, errno) ->
+      let mpk, _, main, _ = make_env ~threads:2 ~vkeys:[ 1; 2 ] () in
+      ignore (Libmpk.mpk_mmap mpk main ~vkey:1 ~len:page ~prot:Perm.rw);
+      let core = Task.core main in
+      let c0 = Cpu.cycles core and s0 = Libmpk.stats mpk in
+      (match call mpk main 9 with
+      | exception Libmpk.Unregistered_vkey 9 -> ()
+      | _ -> Alcotest.fail (name ^ ": unregistered vkey accepted"));
+      Alcotest.(check (float 0.)) (name ^ ": unregistered, no cycle") c0 (Cpu.cycles core);
+      Alcotest.check stats (name ^ ": unregistered, no counter") s0 (Libmpk.stats mpk);
+      (match call mpk main 2 with
+      | exception Errno.Error (e, _) when e = errno -> ()
+      | _ -> Alcotest.fail (name ^ ": registered vkey without a group accepted"));
+      Alcotest.(check (float 0.)) (name ^ ": no group, the user charge") (c0 +. cycles)
+        (Cpu.cycles core);
+      Alcotest.check stats (name ^ ": no group, the call counted") (counted s0) (Libmpk.stats mpk))
+    cases
+
 (* --- mpk_mprotect --- *)
 
 let test_mprotect_global_semantics () =
@@ -798,6 +845,50 @@ let test_mprotect_many_failure_syncs_applied () =
     ~setup:(fun mpk main -> Libmpk.mpk_begin mpk main ~vkey:2 ~prot:Perm.r)
     [ (1, Perm.rw); (2, Perm.rw) ]
     (function Errno.Error (Errno.EINVAL, _) -> () | e -> raise e)
+
+(* One open/seal pair as a Sync kvstore worker makes it: the caller on
+   core 0, on-CPU siblings on cores 1 and 2, two mapped groups. Totals
+   and counts cannot see a reordered charge; the kind and core of every
+   event, in order, can. *)
+let test_mprotect_many_pair_trace () =
+  let machine = Machine.create ~cores:3 ~mem_mib:64 () in
+  let proc = Proc.create machine in
+  let tasks = List.init 3 (fun core_id -> Proc.spawn proc ~core_id ()) in
+  let main = List.hd tasks in
+  let mpk = Libmpk.init ~vkeys:[ 200; 201 ] ~evict_rate:1.0 proc main in
+  List.iter
+    (fun vkey -> ignore (Libmpk.mpk_mmap mpk main ~vkey ~len:(2 * page) ~prot:Perm.rw))
+    [ 200; 201 ];
+  let open_ () = Libmpk.mpk_mprotect_many mpk main ~updates:[ (200, Perm.rw); (201, Perm.rw) ] in
+  let seal () = Libmpk.mpk_mprotect_many mpk main ~updates:[ (201, Perm.none); (200, Perm.none) ] in
+  let clocks () = List.map Cpu.cycles (Array.to_list (Machine.cores machine)) in
+  let pkrus () = List.map (fun t -> Printf.sprintf "%08x" (Pkru.to_int (Task.pkru t))) tasks in
+  let before = clocks () and syscalls = Syscall.count () in
+  open_ ();
+  Alcotest.(check (list string)) "every task's PKRU, open"
+    [ "55555540"; "55555540"; "55555540" ] (pkrus ());
+  seal ();
+  Alcotest.(check (list (float 0.))) "each core's cycles" [ 1173.1999999999971; 900.; 900. ]
+    (List.map2 ( -. ) (clocks ()) before);
+  Alcotest.(check int) "one pkey_sync per call" 2 (Syscall.count () - syscalls);
+  Alcotest.(check (list (triple int int int))) "IPIs per core, set-up included"
+    [ (0, 8, 0); (1, 0, 4); (2, 0, 4) ]
+    (Sched.ipis_per_core (Proc.sched proc));
+  Alcotest.(check (list string)) "every task's PKRU, sealed"
+    [ "55555554"; "55555554"; "55555554" ] (pkrus ());
+  let (), trace = Mpk_trace.Tracer.record (fun () -> open_ (); seal ()) in
+  let call =
+    [ "span_begin@0"; "group_op@0"; "cache_hit@0"; "wrpkru@0"; "group_op@0"; "cache_hit@0";
+      "wrpkru@0"; "span_begin@0"; "syscall_enter@0"; "pkey_sync_deferred@0";
+      "pkey_sync_deferred@0"; "pkey_sync_deferred@0"; "pkey_sync_deferred@0"; "ipi@0";
+      "pkey_sync_executed@1"; "pkey_sync_executed@1"; "ipi@0"; "pkey_sync_executed@2";
+      "pkey_sync_executed@2"; "syscall_exit@0"; "span_end@0"; "span_end@0" ]
+  in
+  Alcotest.(check (list string)) "event kinds and cores" (call @ call)
+    (List.map
+       (fun e ->
+         Printf.sprintf "%s@%d" (Mpk_trace.Event.kind e.Mpk_trace.Event.ev) e.Mpk_trace.Event.core)
+       (Mpk_trace.Tracer.events trace))
 
 let test_mprotect_many_allocation () =
   let words updates =
@@ -1077,6 +1168,7 @@ let () =
         [
           tc "rejects unknown" `Quick test_registry_rejects_unknown;
           tc "blocks corrupted keys" `Quick test_registry_blocks_corrupted_key_use;
+          tc "validation order" `Quick test_registry_validation_order;
         ] );
       ( "mprotect",
         [
@@ -1094,6 +1186,7 @@ let () =
           tc "one sync per batch" `Quick test_mprotect_many_one_sync;
           tc "full path" `Quick test_mprotect_many_full_path;
           tc "failure syncs what was applied" `Quick test_mprotect_many_failure_syncs_applied;
+          tc "open/seal pair trace" `Quick test_mprotect_many_pair_trace;
         ] );
       ( "alloc_budget",
         [
