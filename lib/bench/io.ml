@@ -112,22 +112,14 @@ let write ~path kind j =
   | exception Invalid_argument e ->
       Error (Printf.sprintf "%s does not serialize: %s" (kind_name kind) e)
 
-let read ~path kind =
+let read_baseline ~id ~path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | content -> (
-      match J.parse content with
-      | Error e -> Error (Printf.sprintf "%s: %s: %s" path (kind_name kind) e)
-      | Ok j ->
-          let* () =
-            Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (validate kind j)
-          in
-          Ok j)
-
-let read_baseline ~id ~path =
-  let* j = read ~path Bench in
-  let* r = Result.map_error (fun e -> path ^ ": " ^ e) (Runner.of_json j) in
-  if r.Runner.r_id = id then Ok r
-  else
-    Error
-      (Printf.sprintf "%s: baseline of experiment %S, not %S" path r.Runner.r_id id)
+  | content ->
+      let in_file e = Printf.sprintf "%s: %s: %s" path (kind_name Bench) e in
+      let* j = Result.map_error in_file (J.parse content) in
+      let* r = Result.map_error in_file (Runner.of_json j) in
+      if r.Runner.r_id = id then Ok r
+      else
+        Error
+          (Printf.sprintf "%s: baseline of experiment %S, not %S" path r.Runner.r_id id)

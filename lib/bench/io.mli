@@ -11,22 +11,18 @@ type kind =
   | Scale_report  (** [SCALE_report.json] — `mpkctl scale` output *)
   | Perfetto  (** [TRACE_*.json] — Chrome trace_event stream *)
 
-val validate : kind -> Mpk_trace.Json.t -> (unit, string) result
-(** Schema check: required members present with the right shapes
-    (non-empty where emptiness would make the artifact useless). A
-    [Bench] report must decode through {!Runner.of_json}. *)
-
 val write : path:string -> kind -> Mpk_trace.Json.t -> (unit, string) result
-(** Serialize (indent 1), strict re-parse, {!validate}, then write. *)
+(** Serialize (indent 1), strict re-parse, schema-check, then write. The
+    schema check wants the kind's required members present with the
+    right shapes (non-empty where emptiness would make the artifact
+    useless); a [Bench] report must decode through {!Runner.of_json}. *)
 
 val write_string : path:string -> kind -> string -> (unit, string) result
 (** Same contract for content produced by another serializer (the
     Perfetto exporter renders its own string). *)
 
-val read : path:string -> kind -> (Mpk_trace.Json.t, string) result
-(** Read a file back through parse + {!validate}. *)
-
 val read_baseline : id:string -> path:string -> (Runner.report, string) result
 (** The committed baseline `bench diff` and `profile diff` compare [id]
-    with: {!read} as [Bench], decoded, and rejected unless it records
-    experiment [id]. Every error names [path]. *)
+    with: the file at [path], parsed, decoded once as a [Bench] report
+    and rejected unless it records experiment [id]. Every error names
+    [path]. *)

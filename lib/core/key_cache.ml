@@ -198,7 +198,6 @@ let unpin t vkey =
   e.pins <- e.pins - 1
 
 let pins t vkey = (find t vkey 0).pins
-let pinned t vkey = pins t vkey > 0
 
 let release t vkey =
   let e = find t vkey 0 in

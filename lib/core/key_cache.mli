@@ -53,7 +53,6 @@ val add_key : t -> Pkey.t -> unit
 val pin : t -> Vkey.t -> unit
 
 val unpin : t -> Vkey.t -> unit
-val pinned : t -> Vkey.t -> bool
 
 (** [release t vkey] drops the mapping, returning the key to the free
     list. No-op when unmapped. Raises [Invalid_argument] when the entry

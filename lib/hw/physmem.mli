@@ -34,6 +34,8 @@ val ref_frame : t -> frame -> unit
     list when the last reference dies. *)
 val free_frame : t -> frame -> unit
 
+(** A frame's reference count. Kept for the tests, which check frame
+    sharing and freeing against a model. *)
 val refcount : t -> frame -> int
 
 (** Byte access within a frame; [off] in [\[0, page_size)]. Every

@@ -27,5 +27,3 @@ val seal : t -> Task.t -> module_info -> unit
 (** [execute t task m] — run the module's code through the MMU's
     instruction-fetch path. *)
 val execute : t -> Task.t -> module_info -> int
-
-val modules : t -> module_info list

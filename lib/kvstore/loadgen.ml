@@ -52,7 +52,7 @@ let run server ~loop ?(value_size = 1024) ?(working_set = 10_000) ?(theta = 0.99
      invisible. *)
   let exec_request ~queue_delay conn_worker =
     incr requests;
-    let key = Printf.sprintf "key-%d" (Mpk_util.Zipf.sample zipf prng) in
+    let key = Server.key_name (Mpk_util.Zipf.sample zipf prng) in
     let w = if sharded then Server.shard_of_key server key mod n else conn_worker in
     let core = Task.core workers.(w) in
     let t0 = Cpu.cycles core in

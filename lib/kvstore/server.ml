@@ -15,17 +15,11 @@ let hash_vkey = 201
 (* parse the request line, build the response header, socket bookkeeping *)
 let request_overhead_cycles = 8_000.0
 
-(* One shard: its own slice of the slab arena and of the bucket region,
-   its own recency queue. Sharding partitions the store per core so
-   workers touch disjoint state; the protection discipline (the two
-   vkeys) still covers the whole region — libmpk keys protect address
-   ranges, not shards. *)
-type shard = {
-  table : Shash.t;
-  shard_slab : Slab.t;
-  lru : string Queue.t;  (* key recency for item eviction (lazy) *)
-  mutable evicted : int;
-}
+(* One shard: its own slice of the slab arena and of the bucket region.
+   Sharding partitions the store per core so workers touch disjoint
+   state; the protection discipline (the two vkeys) still covers the
+   whole region — libmpk keys protect address ranges, not shards. *)
+type shard = { table : Shash.t; shard_slab : Slab.t }
 
 type t = {
   mode : mode;
@@ -39,9 +33,6 @@ type t = {
   hash_base : int;
   hash_len : int;
   shards : shard array;
-  mutable protocol_requests : int;
-  latency : Mpk_util.Stats.Histogram.h;  (* per-request cycles, all entry points *)
-  sample : Mpk_util.Stats.sample;  (* the latency being recorded *)
 }
 
 let create ~mode ?(workers = 4) ?(shards = 1) ?(sync_batch = true) ?(slab_mib = 1024)
@@ -89,7 +80,7 @@ let create ~mode ?(workers = 4) ?(shards = 1) ?(sync_batch = true) ?(slab_mib = 
             ~bucket_base:(hash_base + (i * shard_buckets * 8))
             slab
         in
-        { table; shard_slab = slab; lru = Queue.create (); evicted = 0 })
+        { table; shard_slab = slab })
   in
   {
     mode;
@@ -103,11 +94,6 @@ let create ~mode ?(workers = 4) ?(shards = 1) ?(sync_batch = true) ?(slab_mib = 
     hash_base;
     hash_len;
     shards = shard_arr;
-    protocol_requests = 0;
-    (* Requests span ~10k cycles (Baseline) to ~10M (Mprotect_sys over a
-       populated gigabyte); log-spaced buckets cover the whole range. *)
-    latency = Mpk_util.Stats.Histogram.create ~lo:1024.0 ~growth:2.0 ~buckets:20 ();
-    sample = { Mpk_util.Stats.value = 0.0 };
   }
 
 let mode t = t.mode
@@ -119,7 +105,6 @@ let slab_base t = t.slab_base
 let shard_count t = Array.length t.shards
 let shard_of_key t key = Shash.hash key mod Array.length t.shards
 let shard_for t key = t.shards.(shard_of_key t key)
-let entry_count t = Array.fold_left (fun acc s -> acc + Shash.entry_count s.table) 0 t.shards
 let slab_invariants t = Array.for_all (fun s -> Slab.invariant s.shard_slab) t.shards
 
 let mpk t = t.mpk
@@ -191,44 +176,12 @@ let open_store t task =
       try Syscall.mprotect t.proc task ~addr:t.hash_base ~len:t.hash_len ~prot:Perm.rw
       with e -> raise_sealed t task ~slab_only:false e)
 
-(* Run [f] with the store open, sealing it afterwards even when [f]
-   escapes with an exception (a signal-handler escape mid-request, an
-   injected fault). *)
-let with_store t task f =
-  open_store t task;
-  match f () with
-  | r ->
-      seal_store t task;
-      r
-  | exception e -> raise_sealed t task ~slab_only:false e
-
 let worker_task t i =
   if i < 0 || i >= Array.length t.workers then invalid_arg "Server: bad worker";
   t.workers.(i)
 
 let charge_request task =
   Cpu.charge ~label:"request_overhead" (Task.core task) request_overhead_cycles
-
-let latency t = t.latency
-
-(* Every request records its end-to-end cycle cost (protection discipline
-   included) into the latency histogram, also when it escapes with a
-   signal: the cycles were spent either way. Inlined, with [Cpu.cycles]
-   inlined into it, the cycle counts are never boxed. *)
-let[@inline] record_latency t task start =
-  t.sample.value <- Cpu.cycles (Task.core task) -. start;
-  Mpk_util.Stats.Histogram.add_sample t.latency t.sample
-
-let timed t task f =
-  let start = Cpu.cycles (Task.core task) in
-  match f () with
-  | r ->
-      record_latency t task start;
-      r
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      record_latency t task start;
-      Printexc.raise_with_backtrace e bt
 
 (* The store operations behind [get], [set] and [delete]. A constant
    constructor selects one, so a request builds no closure; [value] is
@@ -245,29 +198,21 @@ let run_op : type a. a store_op -> Shash.t -> Task.t -> key:string -> value:byte
   | Set -> Shash.set table task ~key ~value
   | Delete -> Shash.delete table task ~key
 
-(* [timed] around [with_store] around the operation, without a closure
-   or a boxed float: beyond what the operation returns, a request
-   allocates nothing. *)
+(* The one request path: charge the request, open the store, run the
+   operation and seal the store again, also when the operation escapes
+   with an exception (a signal-handler escape mid-request, an injected
+   fault). It builds no closure: beyond what the operation returns, a
+   request allocates nothing. *)
 let request : type a. t -> worker:int -> a store_op -> key:string -> value:bytes -> a =
  fun t ~worker op ~key ~value ->
   let task = worker_task t worker in
-  let start = Cpu.cycles (Task.core task) in
-  match
-    charge_request task;
-    open_store t task;
-    match run_op op (shard_for t key).table task ~key ~value with
-    | r ->
-        seal_store t task;
-        r
-    | exception e -> raise_sealed t task ~slab_only:false e
-  with
+  charge_request task;
+  open_store t task;
+  match run_op op (shard_for t key).table task ~key ~value with
   | r ->
-      record_latency t task start;
+      seal_store t task;
       r
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      record_latency t task start;
-      Printexc.raise_with_backtrace e bt
+  | exception e -> raise_sealed t task ~slab_only:false e
 
 let set t ~worker ~key ~value = request t ~worker Set ~key ~value
 let get t ~worker ~key = request t ~worker Get ~key ~value:Bytes.empty
@@ -300,156 +245,27 @@ let populate_slab t ~mib =
   let len = min (mib * 1024 * 1024) t.slab_len in
   let main = t.workers.(0) in
   (* Mprotect_sys seals the region; populate through a write window. *)
-  with_store t main (fun () ->
-      Mm.populate (Proc.mm t.proc) (Task.core main) ~addr:t.slab_base ~len)
+  open_store t main;
+  match Mm.populate (Proc.mm t.proc) (Task.core main) ~addr:t.slab_base ~len with
+  | () -> seal_store t main
+  | exception e -> raise_sealed t main ~slab_only:false e
 
-(* --- protocol front end: items carry [flags:4][deadline:8][payload] --- *)
-
-let item_header = 12
-
-(* Flags are 32-bit unsigned, as in Memcached. *)
-let encode_item ~flags ~deadline payload =
-  let b = Bytes.create (item_header + Bytes.length payload) in
-  Bytes.set_int32_le b 0 (Int32.of_int flags);
-  Bytes.set_int64_le b 4 (Int64.of_float (deadline *. 1000.0));
-  Bytes.blit payload 0 b item_header (Bytes.length payload);
-  b
-
-let decode_item b =
-  let flags = Int32.to_int (Bytes.get_int32_le b 0) land 0xffff_ffff in
-  let deadline = Int64.to_float (Bytes.get_int64_le b 4) /. 1000.0 in
-  flags, deadline, Bytes.sub b item_header (Bytes.length b - item_header)
-
-let items_evicted t = Array.fold_left (fun acc s -> acc + s.evicted) 0 t.shards
-
-(* Reclaim the least-recently-used live item of one shard; false when
-   nothing left there. The recency queue is lazy: stale entries
-   (overwritten or deleted keys whose entry is no longer the newest) are
-   skipped. Eviction is shard-local — the shard that is full is the one
-   that must yield memory. *)
-let evict_one_in shard task =
-  let rec pop () =
-    match Queue.take_opt shard.lru with
-    | None -> false
-    | Some key ->
-        if Shash.delete shard.table task ~key then begin
-          shard.evicted <- shard.evicted + 1;
-          true
-        end
-        else pop ()
-  in
-  pop ()
-
-(* An item that can never fit ([EINVAL]) evicts nothing. *)
-let set_item t task ~key ~flags ~deadline payload =
-  let shard = shard_for t key in
-  let value = encode_item ~flags ~deadline payload in
-  let rec attempt tries =
-    match Shash.set shard.table task ~key ~value with
-    | Ok () ->
-        Queue.add key shard.lru;
-        Ok ()
-    | Error Errno.ENOSPC when tries > 0 && evict_one_in shard task -> attempt (tries - 1)
-    | Error _ as e -> e
-  in
-  attempt 64
-
-(* The live item under [key]; an expired one is reclaimed on access, like
-   Memcached. *)
-let find_live t task ~now ~key =
-  let shard = shard_for t key in
-  match Shash.get shard.table task ~key with
-  | None -> None
-  | Some raw ->
-      let flags, deadline, payload = decode_item raw in
-      if deadline <> 0.0 && now >= deadline then begin
-        ignore (Shash.delete shard.table task ~key);
-        None
-      end
-      else Some (shard, flags, payload)
+let items_evicted _ = 0
 
 (* Escape hatch for the per-request signal guard: the handler raises this
-   out of the faulting request; the dispatch loop catches it and answers
-   with a protocol error, so one bad request cannot take the worker down. *)
+   out of the faulting request, so one bad request cannot take the
+   worker down. *)
 exception Request_fault of Signal.siginfo
 
-let guard_request task f =
-  try Task.with_signal_handler task (fun si -> raise (Request_fault si)) f
-  with Request_fault si ->
-    Protocol.Server_error (Printf.sprintf "protection fault (%s)" (Signal.to_string si))
-
-let latency_stats t =
-  let h = t.latency in
-  if Mpk_util.Stats.Histogram.count h = 0 then []
-  else
-    let cy p = Printf.sprintf "%.0f" (Mpk_util.Stats.Histogram.percentile h p) in
-    [
-      "latency_samples", string_of_int (Mpk_util.Stats.Histogram.count h);
-      "latency_p50_cycles", cy 50.0;
-      "latency_p95_cycles", cy 95.0;
-      "latency_p99_cycles", cy 99.0;
-    ]
-
-let dispatch t ~worker ~now wire =
-  let task = worker_task t worker in
-  timed t task @@ fun () ->
-  charge_request task;
-  t.protocol_requests <- t.protocol_requests + 1;
-  let response =
-    guard_request task @@ fun () ->
-    match Protocol.parse_request wire with
-    | Error msg -> Protocol.Server_error msg
-    | Ok (Protocol.Set { key; flags; exptime; data }) ->
-        (* Memcached's exptime: 0 never expires, and a negative one
-           stores an item already expired (its deadline precedes any
-           wall clock). *)
-        let deadline =
-          if exptime > 0 then now +. float_of_int exptime else if exptime < 0 then -1.0 else 0.0
-        in
-        with_store t task (fun () ->
-            match set_item t task ~key ~flags ~deadline data with
-            | Ok () -> Protocol.Stored
-            | Error Errno.EINVAL -> Protocol.Server_error "object too large for cache"
-            | Error _ -> Protocol.Server_error "out of memory")
-    | Ok (Protocol.Get key) ->
-        with_store t task (fun () ->
-            match find_live t task ~now ~key with
-            | Some (shard, flags, data) ->
-                Queue.add key shard.lru;
-                Protocol.Value { key; flags; data }
-            | None -> Protocol.End_)
-    | Ok (Protocol.Delete key) ->
-        with_store t task (fun () ->
-            match find_live t task ~now ~key with
-            | Some (shard, _, _) ->
-                ignore (Shash.delete shard.table task ~key);
-                Protocol.Deleted
-            | None -> Protocol.Not_found)
-    | Ok Protocol.Stats ->
-        Protocol.Stats_reply
-          ([
-             "curr_items", string_of_int (entry_count t);
-             "evictions", string_of_int (items_evicted t);
-             "cmd_total", string_of_int t.protocol_requests;
-             "mode", mode_name t.mode;
-           ]
-          @ latency_stats t)
-  in
-  Protocol.render_response response
-
-(* A deliberately buggy request path: dereferences [addr] without opening
-   the store — the kind of wild read a parsing bug produces. Under the
-   protected modes the sealed regions trip a pkey fault, which the
-   per-request guard converts to a protocol error; the worker survives.
-   Under [Baseline] the read silently succeeds and leaks the byte. *)
+(* The wild read a parsing bug produces: [addr] without opening the
+   store. *)
 let buggy_peek t ~worker ~addr =
   let task = worker_task t worker in
-  timed t task @@ fun () ->
   charge_request task;
-  t.protocol_requests <- t.protocol_requests + 1;
-  let response =
-    guard_request task @@ fun () ->
-    let byte = Mmu.read_byte (Proc.mmu t.proc) (Task.core task) ~addr in
-    Protocol.Value { key = "peek"; flags = 0; data = Bytes.make 1 byte }
-  in
-  Protocol.render_response response
+  match
+    Task.with_signal_handler task
+      (fun si -> raise (Request_fault si))
+      (fun () -> Mmu.read_byte (Proc.mmu t.proc) (Task.core task) ~addr)
+  with
+  | byte -> Ok byte
+  | exception Request_fault si -> Error si

@@ -32,11 +32,10 @@ type t
     libmpk modes) the libmpk instance.
 
     [shards] (default 1) partitions the slab arena and the bucket region
-    into per-shard slices with shard-local LRU eviction; keys route to
-    shards by the table's own hash, so with [shards = workers] each
-    worker can serve its shard with no cross-core data sharing. The
-    protection keys still cover the whole regions — libmpk keys protect
-    address ranges, not shards.
+    into per-shard slices; keys route to shards by the table's own hash,
+    so with [shards = workers] each worker can serve its shard with no
+    cross-core data sharing. The protection keys still cover the whole
+    regions — libmpk keys protect address ranges, not shards.
 
     [sync_batch] (default true) makes [Sync] mode open and seal the two
     regions with one batched [mpk_mprotect_many] pair per request (one
@@ -63,9 +62,6 @@ val shard_count : t -> int
 (** The shard a key routes to (same hash as the table's buckets). *)
 val shard_of_key : t -> string -> int
 
-(** Live items across all shards. *)
-val entry_count : t -> int
-
 (** Every shard's slab allocator passes its internal invariant check. *)
 val slab_invariants : t -> bool
 
@@ -83,56 +79,41 @@ val mpk : t -> Libmpk.t option
     In every mode, a request allocates nothing beyond what it returns (a
     hit's value and its [Some]) once the entry's slab class has grown
     and its pages are resident. A request that raises (a signal
-    escaping the store access) still seals the store and records its
-    latency; a seal that itself raises escapes as [Fun.Finally_raised],
-    as under [Fun.protect]. *)
+    escaping the store access) still seals the store; a seal that
+    itself raises escapes as [Fun.Finally_raised], as under
+    [Fun.protect]. *)
 val set : t -> worker:int -> key:string -> value:bytes -> (unit, Errno.t) result
 
 val get : t -> worker:int -> key:string -> bytes option
 
 val delete : t -> worker:int -> key:string -> bool
 
-(** [prefill t ~items ~value_size] — load [items] entries (and fault in
-    their pages), then [populate_slab t ~mib] forces residency of that
-    many MiB of the slab region — the "Memcached holding a gigabyte"
-    state of Fig 14. *)
+(** [key_name i] is ["key-" ^ string_of_int i] for [i >= 0]: the key
+    [prefill] stores as its [i]th item, and the key a load generator
+    asks for when it draws [i]. *)
+val key_name : int -> string
+
+(** [prefill t ~items ~value_size] — load [items] entries, named
+    [key_name 0] to [key_name (items - 1)] (and fault in their pages),
+    then [populate_slab t ~mib] forces residency of that many MiB of the
+    slab region — the "Memcached holding a gigabyte" state of Fig 14. *)
 val prefill : t -> items:int -> value_size:int -> unit
 
 val populate_slab : t -> mib:int -> unit
 
-(* --- protocol front end --- *)
-
-(** [dispatch t ~worker ~now wire] — parse one Memcached text-protocol
-    request, execute it (with the mode's protection discipline), render
-    the response. [now] is the wall clock in seconds for TTL handling:
-    a [set] with [exptime > 0] expires at [now + exptime], one with
-    [exptime = 0] never, and one with a negative [exptime] stores an
-    item already expired. A request that touches an expired item
-    reclaims it, so [stats] stops counting it: a [get] answers [END]
-    and a [delete] [NOT_FOUND], as in Memcached. When the slab region
-    fills, the least-recently-used items are evicted, as Memcached does;
-    an item larger than the largest slab class evicts nothing and
-    answers [SERVER_ERROR object too large for cache]. Only tests call
-    it; every workload uses [set]/[get] (see {!Protocol}). *)
-val dispatch : t -> worker:int -> now:float -> string -> string
-
-(** Items evicted by the LRU reclaimer so far. *)
+(** Items evicted to make room: always 0, since no request evicts (a
+    set into a full slab class answers [Error ENOSPC]). Kept for
+    perfbench's [kvstore.items_evicted] metric. *)
 val items_evicted : t -> int
-
-(** End-to-end per-request latency in simulated cycles, across all entry
-    points ([set]/[get]/[delete]/[dispatch]/[buggy_peek]), protection
-    discipline included. [stats] requests report p50/p95/p99 from this
-    histogram once at least one request has completed. *)
-val latency : t -> Mpk_util.Stats.Histogram.h
 
 (** [buggy_peek t ~worker ~addr] — a request path with a planted bug: it
     reads [addr] without opening the store. In the protected modes the
-    per-request signal guard turns the resulting pkey fault into a
-    [SERVER_ERROR] response and the worker keeps serving; in [Baseline]
-    the read succeeds and the response leaks the byte. Kept as the
-    planted Heartbleed-style path the isolation tests probe; no workload
-    calls it. *)
-val buggy_peek : t -> worker:int -> addr:int -> string
+    per-request signal guard catches the resulting fault (a pkey fault,
+    or an access fault under [Mprotect_sys]) and answers [Error] with
+    its [siginfo], and the worker keeps serving; in [Baseline] the read
+    succeeds and leaks the byte. Kept as the planted Heartbleed-style
+    path the isolation tests probe; no workload calls it. *)
+val buggy_peek : t -> worker:int -> addr:int -> (char, Signal.siginfo) result
 
 (** Direct (attacker) access to the slab region from a non-worker task:
     used by security tests. *)

@@ -6,7 +6,6 @@ type t = {
   nbuckets : int;
   bucket_base : int;
   slab : Slab.t;
-  mutable entries : int;
   mutable key_buf : bytes;  (* a chain entry's key, read for comparison *)
   (* The last chain hit ([find]): its predecessor link address (the
      bucket slot for the head, otherwise the predecessor's next field,
@@ -25,7 +24,6 @@ let create proc ~buckets ~bucket_base slab =
     nbuckets = buckets;
     bucket_base;
     slab;
-    entries = 0;
     key_buf = Bytes.create 256;
     prev_link = 0;
     next = 0;
@@ -103,13 +101,11 @@ let set t task ~key ~value =
       Mmu.write_bytes mmu core ~addr:(entry + header_bytes) (Bytes.unsafe_of_string key);
       Mmu.write_bytes mmu core ~addr:(entry + header_bytes + keylen) value;
       Mmu.write_word mmu core ~addr:slot entry;
-      t.entries <- t.entries + 1;
       (* drop a shadowed older version; the bucket slot now points at
          the new entry, whose next field is the old head *)
       if old <> 0 then begin
         Mmu.write_word mmu core ~addr:(if old_prev = slot then entry else old_prev) old_next;
-        Slab.free t.slab ~addr:old;
-        t.entries <- t.entries - 1
+        Slab.free t.slab ~addr:old
       end;
       Ok ()
     end
@@ -134,8 +130,5 @@ let delete t task ~key =
        in both cases the next-pointer lives at offset 0 *)
     Mmu.write_word mmu core ~addr:t.prev_link t.next;
     Slab.free t.slab ~addr:entry;
-    t.entries <- t.entries - 1;
     true
   end
-
-let entry_count t = t.entries

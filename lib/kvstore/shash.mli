@@ -37,5 +37,3 @@ val get : t -> Task.t -> key:string -> bytes option
 
 (** [delete t task ~key] — true when the key existed. *)
 val delete : t -> Task.t -> key:string -> bool
-
-val entry_count : t -> int

@@ -17,7 +17,9 @@ val gauge : ?help:string -> string -> gauge
 val histogram :
   ?help:string -> ?lo:float -> ?growth:float -> ?buckets:int -> string ->
   Mpk_util.Stats.Histogram.h
-(** Bucket-layout options are only honoured on first registration. *)
+(** Bucket-layout options are only honoured on first registration. Only
+    tests register a histogram today; kept as the registry's third kind,
+    whose export {!export_json} documents. *)
 
 val inc : ?by:float -> counter -> unit
 val set : gauge -> float -> unit
@@ -30,9 +32,6 @@ val reset : unit -> unit
 val generation : unit -> int
 (** Bumped on every {!reset} — callers caching metric handles compare
     generations to notice theirs went stale and re-register. *)
-
-val registered : unit -> string list
-(** Registered names in registration order (export order). *)
 
 val export_json : unit -> Json.t
 (** Array of metric objects; histograms include bucket arrays and

@@ -17,8 +17,6 @@ let capacity t = Array.length t.slots
 
 let length t = Stdlib.min t.pushed (capacity t)
 
-let pushed t = t.pushed
-
 let push t x =
   t.slots.(t.pushed mod capacity t) <- Some x;
   t.pushed <- t.pushed + 1

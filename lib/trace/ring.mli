@@ -13,9 +13,6 @@ val capacity : 'a t -> int
 val length : 'a t -> int
 (** Elements currently retained ([<= capacity]). *)
 
-val pushed : 'a t -> int
-(** Total elements ever pushed, including dropped ones. *)
-
 val push : 'a t -> 'a -> unit
 
 val to_list : 'a t -> 'a list

@@ -18,12 +18,10 @@ let percentile xs p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
-type sample = { mutable value : float }
-
 module Histogram = struct
   (* The running sum and extrema live in an all-float record, whose
-     fields are stored unboxed: an [add] allocates nothing, where float
-     fields of the mixed record [h] would box every new value. *)
+     fields are stored unboxed: an [add] allocates nothing for them, where
+     float fields of the mixed record [h] would box every new value. *)
   type totals = { mutable sum : float; mutable vmin : float; mutable vmax : float }
 
   type h = {
@@ -61,8 +59,7 @@ module Histogram = struct
       !hi
     end
 
-  (* Inlined into both entry points, so [x] is never passed boxed. *)
-  let[@inline] add_value t x =
+  let add t x =
     if Float.is_nan x then invalid_arg "Stats.Histogram.add: NaN sample";
     let i = bucket_index t x in
     t.counts.(i) <- t.counts.(i) + 1;
@@ -72,14 +69,8 @@ module Histogram = struct
     if x < s.vmin then s.vmin <- x;
     if x > s.vmax then s.vmax <- x
 
-  let add t x = add_value t x
-  let add_sample t s = add_value t s.value
-
   let count t = t.n
   let total t = t.totals.sum
-  let mean t = if t.n = 0 then 0.0 else t.totals.sum /. float_of_int t.n
-  let minimum t = t.totals.vmin
-  let maximum t = t.totals.vmax
 
   (* Rank interpolation inside the bucket holding the target rank. The
      result is clamped to the observed extrema, so tiny histograms do not

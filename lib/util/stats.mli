@@ -1,19 +1,12 @@
 (** Summary statistics: percentiles of a sample array, and a
-    fixed-bucket log-spaced histogram cheap enough to live inside hot
-    simulator paths (kvstore and TLS request handling, the load
-    generator). *)
+    fixed-bucket log-spaced histogram (the load generator's latencies,
+    the metrics registry's histograms). *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [0..100] (clamped), with linear
     interpolation between order statistics. Raises [Invalid_argument] on
     an empty array or any NaN sample (NaN has no rank; sorting it would
     silently skew the result). *)
-
-(** A float slot in an all-float record, whose field is stored unboxed.
-    A float passed to or returned from a function that is not inlined
-    (such as {!Histogram.add}) is boxed; a sample written here and read
-    by {!Histogram.add_sample} is not. *)
-type sample = { mutable value : float }
 
 (** Fixed-bucket histogram with log-spaced bounds.
 
@@ -34,25 +27,15 @@ module Histogram : sig
   (** Raises [Invalid_argument] on NaN — a silently mis-bucketed NaN
       would corrupt every percentile read from the buckets. *)
 
-  val add_sample : h -> sample -> unit
-  (** [add_sample h s] is [add h s.value], and allocates nothing. *)
-
   val count : h -> int
   val total : h -> float
-  val mean : h -> float
-
-  val minimum : h -> float
-  (** Exact observed minimum (not bucket-quantized); [infinity] when empty. *)
-
-  val maximum : h -> float
-  (** Exact observed maximum; [neg_infinity] when empty. *)
-
 
   val percentile : h -> float -> float
   (** Percentile estimated from bucket counts with linear interpolation
-      inside the target bucket, clamped to the observed [minimum]/[maximum].
-      Quantization error is bounded by the bucket width (a factor of
-      [growth]). Raises [Invalid_argument] when empty. *)
+      inside the target bucket, clamped to the exact observed minimum and
+      maximum, so [percentile h 0.] and [percentile h 100.] are those
+      extrema. Quantization error is bounded by the bucket width (a
+      factor of [growth]). Raises [Invalid_argument] when empty. *)
 
   val p50 : h -> float
   val p95 : h -> float

@@ -183,9 +183,20 @@ let test_snapshot_of_json_rejects_garbage () =
 
 (* --- Io schema validation --- *)
 
+let with_temp_file f =
+  let path = Filename.temp_file "bench_io" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+(* A write validates before it touches the filesystem: an artifact that
+   fails its schema is an error, and no file is created. *)
 let test_io_validate_rejects () =
+  with_temp_file @@ fun path ->
+  Sys.remove path;
   let check_err kind j =
-    Alcotest.(check bool) "rejected" true (Result.is_error (Io.validate kind j))
+    Alcotest.(check bool) "rejected" true (Result.is_error (Io.write ~path kind j));
+    Alcotest.(check bool) "nothing written" false (Sys.file_exists path)
   in
   check_err Io.Perfetto (J.Obj [ "traceEvents", J.List [] ]);
   check_err Io.Bench (J.Obj [ "schema", J.String "bench/1" ]);
@@ -220,12 +231,6 @@ let test_io_validate_rejects () =
       ]
   in
   check_err Io.Bench_diff bad_diff
-
-let with_temp_file f =
-  let path = Filename.temp_file "bench_io" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
 
 (* Rejected, with an error that names the file read. *)
 let check_rejected_naming path what = function
@@ -280,7 +285,7 @@ let test_of_json_rejects_sample_count () =
               Out_channel.with_open_text path (fun oc ->
                   output_string oc (J.to_string (with_trials 3)));
               check_rejected_naming path "2 samples for 3 trials"
-                (Io.read ~path Io.Bench))
+                (Io.read_baseline ~id:"table1" ~path))
       | _ -> Alcotest.fail "bench report is not an object")
 
 (* --- Runner determinism + gate end-to-end --- *)

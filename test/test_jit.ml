@@ -368,8 +368,7 @@ let test_xom_many_modules_one_key () =
     List.init 20 (fun i -> Xom.load xom task ~name:(Printf.sprintf "m%d" i) (sample_code i))
   in
   List.iter (fun m -> Xom.seal xom task m) mods;
-  List.iteri (fun i m -> Alcotest.(check int) m.Xom.name i (Xom.execute xom task m)) mods;
-  Alcotest.(check int) "20 modules loaded" 20 (List.length (Xom.modules xom))
+  List.iteri (fun i m -> Alcotest.(check int) m.Xom.name i (Xom.execute xom task m)) mods
 
 let () =
   let tc = Alcotest.test_case in
