@@ -22,12 +22,11 @@ type lmode = Lk_shared | Lk_excl
 
 let lmode_to_string = function Lk_shared -> "shared" | Lk_excl -> "excl"
 
-type loc = L_vma of int | L_pkey_bitmap | L_key_cache of int
+type loc = L_vma of int | L_pkey_bitmap
 
 let loc_to_string = function
   | L_vma s -> Printf.sprintf "vma[%d]" s
   | L_pkey_bitmap -> "pkey_bitmap"
-  | L_key_cache i -> Printf.sprintf "key_cache[%d]" i
 
 (* --- operations --- *)
 

@@ -49,7 +49,7 @@ type lmode = Lk_shared | Lk_excl
     are {i kernel-internal} locations (protected by locks), as opposed
     to [Read]/[Write]'s client data accesses (protected by MPK
     domains). *)
-type loc = L_vma of int | L_pkey_bitmap | L_key_cache of int
+type loc = L_vma of int | L_pkey_bitmap
 
 val loc_to_string : loc -> string
 

@@ -17,16 +17,12 @@
 
 type verdict = Improved | Unchanged | Regressed
 
-val verdict_to_string : verdict -> string
-
 type pair = { seed : int; base : float; fresh : float }
 
-val classify : Mpk_experiments.Env.direction -> pair list -> verdict * pair
-(** The verdict and the worst pair: the one that moved furthest the
-    harmful way past its floor. A zero baseline sample has a zero floor,
-    so any harmful move from it regresses and nothing divides by it.
-    Raises [Invalid_argument] on an empty list. *)
-
+(** A metric's verdict and its worst pair: the one that moved furthest
+    the harmful way past its floor. A zero baseline sample has a zero
+    floor, so any harmful move from it regresses and nothing divides by
+    it. *)
 type metric_verdict = {
   v_name : string;
   v_direction : Mpk_experiments.Env.direction;

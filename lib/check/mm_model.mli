@@ -18,9 +18,6 @@ type plant =
 val plant_of_string : string -> plant option
 val plant_to_string : plant -> string
 
-val slot : int
-(** The one mapping slot all three tasks contend on (0). *)
-
 val lock_classes : string list
 (** Lock classes the model uses; mpkctl validates these against the
     kernel's {!Mpk_kernel.Lock.known_classes}. *)

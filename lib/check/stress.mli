@@ -106,5 +106,6 @@ val check : config -> ops:int -> (passed, string) result
 
 (** [report cfg ~ops_total failure minimized] — human-readable failure
     report: the violated invariants, the replay seed/config, and the
-    minimized trace. *)
+    minimized trace. Exported, though only tests call it: a real failure
+    needs a library bug, so they render a planted one. *)
 val report : config -> ops_total:int -> failure -> Mpk_analysis.Ir.step list -> string

@@ -337,33 +337,31 @@ let reason_mentions (o : Torture.outcome) needles =
 let max_horizon = 2048
 
 (* Dry run first, then every single-switch schedule [(p, t)] for p up to
-   the dry run's point count. Returns (outcome, runs). *)
-let search ~fiber_ops ~cfg ~matches =
+   the dry run's point count, until a run [matches]. The outcome's note
+   is [confirmed] or [unconfirmed]. *)
+let search ~fiber_ops ~cfg ~matches ~confirmed ~unconfirmed =
   let run schedule =
     Torture.run_once ~fiber_ops cfg ~schedule ()
   in
   let runs = ref 1 in
   let dry = run [] in
-  if matches dry then Confirmed, Some [], !runs
-  else begin
-    let horizon = min (dry.Torture.points + 8) max_horizon in
-    let tasks = Array.length fiber_ops in
-    let found = ref None in
-    let p = ref 0 in
-    while !found = None && !p < horizon do
-      let t = ref 1 in
-      while !found = None && !t < tasks do
-        let schedule = [ !p, !t ] in
-        incr runs;
-        if matches (run schedule) then found := Some schedule;
-        incr t
-      done;
-      incr p
+  let found = ref (if matches dry then Some [] else None) in
+  let horizon = min (dry.Torture.points + 8) max_horizon in
+  let tasks = Array.length fiber_ops in
+  let p = ref 0 in
+  while !found = None && !p < horizon do
+    let t = ref 1 in
+    while !found = None && !t < tasks do
+      let schedule = [ !p, !t ] in
+      incr runs;
+      if matches (run schedule) then found := Some schedule;
+      incr t
     done;
-    match !found with
-    | Some s -> Confirmed, Some s, !runs
-    | None -> Unreproduced, None, !runs
-  end
+    incr p
+  done;
+  match !found with
+  | Some _ as schedule -> { verdict = Confirmed; schedule; runs = !runs; note = confirmed }
+  | None -> { verdict = Unreproduced; schedule = None; runs = !runs; note = unconfirmed }
 
 let unreproduced note = { verdict = Unreproduced; schedule = None; runs = 0; note }
 
@@ -392,18 +390,10 @@ let confirm_recycle_race ~loc ~witness ~victim ~note_confirmed =
           plant = Torture.Plant_recycle;
         }
       in
-      let matches o = reason_mentions o [ "use-after-recycle" ] in
-      let verdict, schedule, runs = search ~fiber_ops ~cfg ~matches in
-      {
-        verdict;
-        schedule;
-        runs;
-        note =
-          (match verdict with
-          | Confirmed -> note_confirmed
-          | Unreproduced ->
-              "no single-switch schedule fired the lookup oracle");
-      }
+      search ~fiber_ops ~cfg
+        ~matches:(fun o -> reason_mentions o [ "use-after-recycle" ])
+        ~confirmed:note_confirmed
+        ~unconfirmed:"no single-switch schedule fired the lookup oracle"
 
 let confirm (f : Lint.finding) : outcome =
   match f.Lint.detail with
@@ -421,20 +411,10 @@ let confirm (f : Lint.finding) : outcome =
       if List.mem "mm_lock" cycle && List.mem "vma_lock" cycle then begin
         let fiber_ops = [| [ Torture.Op_plant_lock_order ] |] in
         let cfg = { Torture.default_config with Torture.plant = Torture.Plant_lock_order } in
-        let matches o =
-          reason_mentions o [ "inversion"; "lock-order cycle"; "deadlock" ]
-        in
-        let verdict, schedule, runs = search ~fiber_ops ~cfg ~matches in
-        {
-          verdict;
-          schedule;
-          runs;
-          note =
-            (match verdict with
-            | Confirmed ->
-                "dynamic lockdep flags the same inverted acquisition order"
-            | Unreproduced -> "lockdep did not flag the inversion");
-        }
+        search ~fiber_ops ~cfg
+          ~matches:(fun o -> reason_mentions o [ "inversion"; "lock-order cycle"; "deadlock" ])
+          ~confirmed:"dynamic lockdep flags the same inverted acquisition order"
+          ~unconfirmed:"lockdep did not flag the inversion"
       end
       else
         unreproduced
@@ -443,18 +423,10 @@ let confirm (f : Lint.finding) : outcome =
   | Lint.Unlock_unheld { lk } ->
       if lk.Ir.lcls = "mm_lock" then begin
         let fiber_ops = [| [ Torture.Op_plant_release_held ] |] in
-        let cfg = Torture.default_config in
-        let matches o = reason_mentions o [ "release" ] in
-        let verdict, schedule, runs = search ~fiber_ops ~cfg ~matches in
-        {
-          verdict;
-          schedule;
-          runs;
-          note =
-            (match verdict with
-            | Confirmed -> "the kernel lock layer rejects the release"
-            | Unreproduced -> "the release was not flagged");
-        }
+        search ~fiber_ops ~cfg:Torture.default_config
+          ~matches:(fun o -> reason_mentions o [ "release" ])
+          ~confirmed:"the kernel lock layer rejects the release"
+          ~unconfirmed:"the release was not flagged"
       end
       else
         unreproduced

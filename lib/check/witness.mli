@@ -27,8 +27,6 @@
 
 type verdict = Confirmed | Unreproduced
 
-val verdict_to_string : verdict -> string
-
 type outcome = {
   verdict : verdict;
   schedule : Torture.schedule option;

@@ -154,7 +154,6 @@ let init ?vkeys ?(default_heap_bytes = 1 lsl 20) ?(seed = 0xC0FFEEL)
 
 let proc t = t.proc
 let hw_keys t = t.hw_keys
-let evict_rate t = t.evict_rate
 let group_count t = Groups.length t.groups
 let find_group t vkey = Option.map (fun e -> e.group) (Groups.find_opt t.groups vkey)
 let cache t = t.cache

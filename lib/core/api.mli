@@ -48,7 +48,6 @@ val init :
     ablation of §3.2. Values above 15 are clamped. *)
 
 val proc : t -> Proc.t
-val evict_rate : t -> float
 
 (** [mpk_mmap t task ~vkey ~len ~prot] — allocate a page group. The group
     starts inaccessible to every thread (a free hardware key is attached

@@ -74,8 +74,6 @@ let begin_holders t =
   let h = t.holders in
   List.init h.count (fun i -> h.tasks.(i), h.depths.(i))
 
-let pkey t = match t.state with Unmapped -> None | Mapped k -> Some k
-
 let metadata_bytes = 32
 
 let prot_to_int (p : Perm.t) =

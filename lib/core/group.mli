@@ -54,8 +54,6 @@ val drop_begin_holder : t -> int -> unit
 (** Every holder as [(task id, count)], for auditing. *)
 val begin_holders : t -> (int * int) list
 
-val pkey : t -> Pkey.t option
-
 (** Serialized size of one group record in the protected metadata region —
     32 bytes, as reported in the paper's memory-overhead paragraph. *)
 val metadata_bytes : int

@@ -82,7 +82,6 @@ let create ?(policy = Lru) ?(seed = 0x5EEDL) ~keys () =
     full = 0;
   }
 
-let policy t = t.policy
 
 let tick t =
   t.clock <- t.clock + 1;

@@ -17,7 +17,6 @@ type policy = Lru | Fifo | Random
     [seed] only matters for [Random]. *)
 val create : ?policy:policy -> ?seed:int64 -> keys:Pkey.t list -> unit -> t
 
-val policy : t -> policy
 
 (** Withdraw one key from circulation (the execute-only reserve). Prefers
     a free key; evicts an unpinned LRU mapping if needed; [None] when

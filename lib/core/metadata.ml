@@ -23,7 +23,6 @@ let create proc task =
     record = Bytes.create Group.metadata_bytes;
   }
 
-let base t = t.base
 let capacity_slots t = slots_of_bytes t.bytes
 let used_slots t = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 t.used
 

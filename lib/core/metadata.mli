@@ -19,7 +19,6 @@ type t
     paper's pre-allocated hashmap) and returns the store. *)
 val create : Proc.t -> Task.t -> t
 
-val base : t -> int
 val capacity_slots : t -> int
 val used_slots : t -> int
 

@@ -12,9 +12,6 @@ let create ~base ~len =
   if len <= 0 then invalid_arg "Mpk_heap.create: empty heap";
   { base; len; free_list = [ base, len ]; blocks = Hashtbl.create 64; allocated = 0 }
 
-let base t = t.base
-let len t = t.len
-
 let round_up size = (size + granule - 1) / granule * granule
 
 let alloc t ~size =
@@ -51,10 +48,6 @@ let free t ~addr =
         | _ -> (a, s + size) :: rest
       in
       t.free_list <- insert t.free_list
-
-let block_size t ~addr = Hashtbl.find_opt t.blocks addr
-
-let allocated_bytes t = t.allocated
 
 let free_bytes t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.free_list
 

@@ -8,9 +8,6 @@ type t
 
 val create : base:int -> len:int -> t
 
-val base : t -> int
-val len : t -> int
-
 (** [alloc t ~size] — address of a fresh block, or [None] when no block
     fits. [size] is rounded up to the 16-byte granule. *)
 val alloc : t -> size:int -> int option
@@ -19,11 +16,7 @@ val alloc : t -> size:int -> int option
     Raises [Invalid_argument] on a bad or double free. *)
 val free : t -> addr:int -> unit
 
-(** Size actually reserved for the block at [addr]. *)
-val block_size : t -> addr:int -> int option
-
-val allocated_bytes : t -> int
-
 (** Allocator soundness: free list sorted/ disjoint/coalesced, blocks
-    disjoint, free + allocated = total. *)
+    disjoint, free + allocated = total. Exported, though only tests call
+    it: the allocator's tests check it after every step. *)
 val invariant : t -> bool

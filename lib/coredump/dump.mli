@@ -118,13 +118,10 @@ val seal :
 (** [CORE_<task>_<seed>.json] *)
 val filename : t -> string
 
-val to_json : t -> Json.t
-
-(** Deterministic compact serialization ({!Json.to_string} of
-    {!to_json} with [indent 1]). *)
+(** Deterministic compact serialization (its JSON object, printed with
+    [indent 1]). *)
 val to_string : t -> string
 
-val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 
 (** [verify t] recomputes the integrity HMACs (dump-level and one per

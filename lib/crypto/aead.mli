@@ -26,10 +26,6 @@ val seal : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes * bytes
     Raises [Invalid_argument] on wrong key/nonce sizes. Deterministic:
     the caller owns nonce uniqueness. *)
 
-val verify : key:bytes -> nonce:bytes -> aad:bytes -> tag:bytes -> bytes -> bool
-(** Tag check only (constant-time compare), no decryption — what an
-    offline inspector without any interest in the plaintext runs. *)
-
 val open_ :
   key:bytes -> nonce:bytes -> aad:bytes -> tag:bytes -> bytes -> (bytes, string) result
 (** [open_ ~key ~nonce ~aad ~tag ciphertext] verifies then decrypts.

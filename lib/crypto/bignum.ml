@@ -332,16 +332,3 @@ let random prng ~bits:nbits =
     out.(i) <- 0
   done;
   normalize out
-
-let to_hex t =
-  if is_zero t then "0"
-  else begin
-    let b = to_bytes t in
-    let buf = Buffer.create (Bytes.length b * 2) in
-    Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
-    (* strip a single leading zero nibble if present *)
-    let s = Buffer.contents buf in
-    if String.length s > 1 && s.[0] = '0' then String.sub s 1 (String.length s - 1) else s
-  end
-
-let pp fmt t = Format.fprintf fmt "0x%s" (to_hex t)

@@ -6,15 +6,11 @@
 
 type t
 
-val zero : t
 val one : t
 val two : t
 
 (** [of_int n] for [n >= 0]. *)
 val of_int : int -> t
-
-(** [to_int t] when it fits, else [None]. *)
-val to_int : t -> int option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
@@ -39,9 +35,6 @@ val divmod : t -> t -> t * t
 
 val rem : t -> t -> t
 
-(** Exported for the crypto tests' reference (bit-serial) arithmetic. *)
-val shift_left : t -> int -> t
-
 val shift_right : t -> int -> t
 
 (** [mod_pow ~base ~exp ~modulus] — modular exponentiation
@@ -62,5 +55,3 @@ val to_bytes_padded : t -> len:int -> bytes
 
 (** [random prng ~bits] — uniform with exactly [bits] bits (msb set). *)
 val random : Mpk_util.Prng.t -> bits:int -> t
-
-val pp : Format.formatter -> t -> unit

@@ -4,6 +4,3 @@
 (** [crypt ~key ~nonce ~counter data] — [key] is 32 bytes, [nonce] 12
     bytes. Raises [Invalid_argument] on bad sizes. *)
 val crypt : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> bytes
-
-(** Raw 64-byte keystream block (for tests against RFC vectors). *)
-val block : key:bytes -> nonce:bytes -> counter:int -> bytes

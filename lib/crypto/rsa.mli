@@ -15,15 +15,8 @@ type keypair = { public : public; secret : secret }
     [bits/2]-bit primes), e = 65537. *)
 val generate : Mpk_util.Prng.t -> bits:int -> keypair
 
-(** [encrypt pub m] — [m] must be < n. The number-level operations
-    under the byte-level pair below; kept for the crypto tests, which
-    check them on numbers. *)
-val encrypt : public -> Bignum.t -> Bignum.t
-
-(** [decrypt sec c] — the inverse of [encrypt]; kept with it. *)
-val decrypt : secret -> Bignum.t -> Bignum.t
-
-(** Byte-level convenience: message length must be < modulus bytes. *)
+(** [encrypt_bytes pub msg] — textbook RSA of [msg] read as a
+    big-endian number; its length must be < modulus bytes. *)
 val encrypt_bytes : public -> bytes -> bytes
 
 (** [decrypt_bytes_padded sec ct ~len] — the plaintext, left-padded to

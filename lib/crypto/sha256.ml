@@ -81,9 +81,3 @@ let digest msg =
     done
   done;
   out
-
-let hex msg =
-  let d = digest msg in
-  let buf = Buffer.create 64 in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf

@@ -4,5 +4,3 @@
 (** 32-byte digest. *)
 val digest : bytes -> bytes
 
-(** Lowercase hex of [digest]. *)
-val hex : bytes -> string

@@ -8,11 +8,5 @@
     - the per-PTE-update cost constant (the Fig 10 / Fig 14 calibration
       tension made explicit). *)
 
-(** The sync and eviction-policy studies alone. Exported, though only
-    tests call them, for the claim records that will read each study. *)
-val render_sync : unit -> string
-
-val render_policy : unit -> string
-
 (** All four, concatenated. *)
 val render : unit -> string

@@ -1,7 +1,6 @@
 open Mpk_hw
 open Mpk_kernel
 
-let ghz = 2.4
 
 type t = { proc : Proc.t; tasks : Task.t array }
 

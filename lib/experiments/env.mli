@@ -1,11 +1,7 @@
 (** Shared plumbing for the paper-reproduction experiments: fresh
-    simulated machines, cycle→time conversion (the paper's 2.4 GHz Xeon
-    Gold 5115), and repetition helpers. *)
+    simulated machines, named spans and repetition helpers. *)
 
 open Mpk_kernel
-
-(** Simulated clock frequency used for cycle→seconds conversions. *)
-val ghz : float
 
 type t = { proc : Proc.t; tasks : Task.t array }
 

@@ -5,5 +5,7 @@
 
 type point = { pages : int; threads : int; mpk : float; mprotect : float }
 
+(** Every point of the figure. Exported, though only tests read it, for
+    the claim records that will read each point. *)
 val points : unit -> point list
 val render : unit -> string

@@ -4,12 +4,4 @@
     400 requests over 4 worker threads (the paper sends 1000 requests
     from 4 concurrent clients; the rendered title keeps its setup). *)
 
-type point = {
-  size_kb : int;
-  original_rps : float;
-  libmpk_rps : float;
-  overhead_pct : float;
-}
-
-val points : unit -> point list
 val render : unit -> string

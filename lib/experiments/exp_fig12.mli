@@ -4,12 +4,4 @@
     program; the paper's claims are relative improvements of libmpk over
     mprotect. *)
 
-type engine_result = {
-  engine : Mpk_jit.Engine.profile;
-  per_program : (string * float * float * float) list;
-      (** program, mprotect, key/page, key/process *)
-  totals : float * float * float;
-}
-
-val results : unit -> engine_result list
 val render : unit -> string

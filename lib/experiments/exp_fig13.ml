@@ -18,9 +18,8 @@ let rows () =
 let geomean proj rows =
   exp (List.fold_left (fun acc r -> acc +. log (proj r)) 0.0 rows /. float_of_int (List.length rows))
 
-(* Overall (geomean) overhead percentages: (sdcg, libmpk). *)
-let overall_overhead () =
-  let rs = rows () in
+(* Overall (geomean) overhead percentages of [rs]: (sdcg, libmpk). *)
+let overall_overhead rs =
   let orig = geomean (fun r -> r.original) rs in
   let sdcg = geomean (fun r -> r.sdcg) rs in
   let mpk = geomean (fun r -> r.libmpk) rs in
@@ -28,7 +27,7 @@ let overall_overhead () =
 
 let render () =
   let rs = rows () in
-  let sdcg_oh, mpk_oh = overall_overhead () in
+  let sdcg_oh, mpk_oh = overall_overhead rs in
   let rows_txt =
     List.map
       (fun r ->

@@ -2,8 +2,4 @@
     (out-of-process code emission) and v8 + libmpk (key/process). The
     paper: SDCG costs 6.68% overall, libmpk 0.81%. *)
 
-type row = { program : string; original : float; sdcg : float; libmpk : float }
-
-val rows : unit -> row list
-
 val render : unit -> string

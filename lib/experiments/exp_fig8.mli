@@ -13,10 +13,6 @@ type cell = {
     records that will read each cell. *)
 val grid : unit -> cell list
 
-(** mprotect latency on the same page with the given thread count.
-    Exported, though only tests read it, for the same claim records. *)
-val mprotect_reference : threads:int -> float
-
 val render : unit -> string
 
 (** The gated numbers: the 100/0/50% hit-rate cells at a 100% eviction

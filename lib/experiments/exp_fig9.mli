@@ -6,5 +6,7 @@
 
 type point = { hot_functions : int; mprotect_cycles : float; libmpk_cycles : float }
 
+(** Every point of the figure. Exported, though only tests read it, for
+    the claim records that will read each point. *)
 val points : unit -> point list
 val render : unit -> string

@@ -4,5 +4,7 @@
 
 type row = { groups : int; metadata_bytes : int; bytes_per_group : float }
 
+(** Every row of the table. Exported, though only tests read it, for the
+    claim records that will read each row. *)
 val rows : unit -> row list
 val render : unit -> string

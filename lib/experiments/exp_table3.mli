@@ -10,5 +10,7 @@ type row = {
   vkeys : string;
 }
 
+(** Every row of the table. Exported, though only tests read it, for the
+    claim records that will read each row. *)
 val rows : unit -> row list
 val render : unit -> string

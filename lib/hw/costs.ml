@@ -67,12 +67,6 @@ let default =
     context_switch = 1000.0;
   }
 
-let change_protection t ~vmas ~pages ~present =
-  t.vma_find
-  +. (float_of_int vmas *. t.vma_update)
-  +. (float_of_int pages *. t.pte_scan)
-  +. (float_of_int present *. t.pte_update)
-
 let tlb_invalidate t ~pages =
   if pages <= 0 then 0.0
   else if pages <= t.tlb_flush_ceiling then float_of_int pages *. t.tlb_flush_page

@@ -53,7 +53,6 @@ val default : t
 (** mprotect/pkey_mprotect kernel-side cost on [vmas] VMAs covering
     [pages] slots of which [present] hold live PTEs, excluding entry/exit,
     TLB flush and shootdown. *)
-val change_protection : t -> vmas:int -> pages:int -> present:int -> float
 
 (** TLB invalidation cost for a range of [pages] pages (per-page INVLPG up
     to [tlb_flush_ceiling], full flush beyond). *)

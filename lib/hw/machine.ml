@@ -1,15 +1,13 @@
-type t = { costs : Costs.t; mem : Physmem.t; cores : Cpu.t array }
+type t = { mem : Physmem.t; cores : Cpu.t array }
 
 let create ?(costs = Costs.default) ?(cores = 8) ?(mem_mib = 4096) () =
   if cores <= 0 then invalid_arg "Machine.create: cores must be positive";
   let frames = mem_mib * 1024 * 1024 / Physmem.page_size in
   {
-    costs;
     mem = Physmem.create ~frames;
     cores = Array.init cores (fun id -> Cpu.create ~costs ~id ());
   }
 
-let costs t = t.costs
 let mem t = t.mem
 let core_count t = Array.length t.cores
 
@@ -18,6 +16,4 @@ let core t i =
   t.cores.(i)
 
 let cores t = t.cores
-
-let now t = Array.fold_left (fun acc c -> Float.max acc (Cpu.cycles c)) 0.0 t.cores
 

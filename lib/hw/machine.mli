@@ -6,12 +6,8 @@ type t
 (** [create ~cores ~mem_mib ()] — defaults: 8 cores, 4 GiB. *)
 val create : ?costs:Costs.t -> ?cores:int -> ?mem_mib:int -> unit -> t
 
-val costs : t -> Costs.t
 val mem : t -> Physmem.t
 val core_count : t -> int
 val core : t -> int -> Cpu.t
 val cores : t -> Cpu.t array
-
-(** Maximum cycle count across cores — the machine's wall clock. *)
-val now : t -> float
 

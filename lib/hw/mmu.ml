@@ -30,7 +30,6 @@ type t = {
 
 let create table mem = { table; mem; fault_handler = None; fault_sink = None }
 
-let page_table t = t.table
 
 let set_fault_handler t h = t.fault_handler <- Some h
 let set_fault_sink t s = t.fault_sink <- Some s

@@ -24,8 +24,6 @@ type t
 
 val create : Page_table.t -> Physmem.t -> t
 
-val page_table : t -> Page_table.t
-
 (** The kernel's page-fault handler: called on a not-present translation
     with the faulting CPU (when the access came from user code; [None]
     for privileged copies). Returning [true] means the fault was resolved
@@ -41,10 +39,6 @@ val set_fault_handler : t -> (Cpu.t option -> fault -> bool) -> unit
     the bare-hardware fallback. Privileged accesses (kernel copies)
     never reach the sink. At most one; installed by [Proc]. *)
 val set_fault_sink : t -> (Cpu.t -> fault -> unit) -> unit
-
-(** [check t cpu ~addr ~access] translates and permission-checks one
-    address, charging TLB/walk cycles; returns the PTE or raises [Fault]. *)
-val check : t -> Cpu.t -> addr:int -> access:access -> Pte.t
 
 (** Checked single-byte data access. *)
 val read_byte : t -> Cpu.t -> addr:int -> char

@@ -23,9 +23,9 @@ type node =
   | Inner of node option array
   | Leaf of leaf
 
-type t = { root : node option array; mutable mapped : int }
+type t = { root : node option array }
 
-let create () = { root = Array.make fanout None; mapped = 0 }
+let create () = { root = Array.make fanout None }
 
 let vpn_of_addr addr = addr lsr Physmem.page_shift
 let addr_of_vpn vpn = vpn lsl Physmem.page_shift
@@ -84,8 +84,7 @@ let set t ~vpn pte =
     let leaf = find_leaf ~create_missing:false t.root vpn 0 in
     if leaf != no_leaf && Pte.is_present leaf.entries.(i) then begin
       leaf.entries.(i) <- Pte.absent;
-      leaf.present <- leaf.present - 1;
-      t.mapped <- t.mapped - 1
+      leaf.present <- leaf.present - 1
     end
   end
   else begin
@@ -94,10 +93,7 @@ let set t ~vpn pte =
        demand fault's entry, built from the attributes the same rewrite
        gave its VMA, reads back unchanged. *)
     if Pte.apply leaf.pending pte != pte then settle leaf;
-    if not (Pte.is_present leaf.entries.(i)) then begin
-      leaf.present <- leaf.present + 1;
-      t.mapped <- t.mapped + 1
-    end;
+    if not (Pte.is_present leaf.entries.(i)) then leaf.present <- leaf.present + 1;
     leaf.entries.(i) <- pte
   end
 
@@ -165,5 +161,3 @@ let fold t f init =
 
 let count_with_pkey t pkey =
   fold t (fun _ pte acc -> if Pkey.equal (Pte.pkey pte) pkey then acc + 1 else acc) 0
-
-let mapped_pages t = t.mapped

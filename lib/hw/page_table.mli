@@ -33,6 +33,3 @@ val fold : t -> (int -> Pte.t -> 'a -> 'a) -> 'a -> 'a
 
 (** [count_with_pkey t pkey] counts present PTEs tagged with [pkey]. *)
 val count_with_pkey : t -> Pkey.t -> int
-
-(** Present-leaf count. *)
-val mapped_pages : t -> int

@@ -6,7 +6,6 @@ let rw = { read = true; write = true; exec = false }
 let rx = { read = true; write = false; exec = true }
 let rwx = { read = true; write = true; exec = true }
 let x_only = { read = false; write = false; exec = true }
-let w = { read = false; write = true; exec = false }
 
 let make ?(read = false) ?(write = false) ?(exec = false) () = { read; write; exec }
 

@@ -8,7 +8,6 @@ val rw : t
 val rx : t
 val rwx : t
 val x_only : t
-val w : t
 
 (** Build from flags, mirroring [mprotect]'s [PROT_*] arguments. *)
 val make : ?read:bool -> ?write:bool -> ?exec:bool -> unit -> t

@@ -11,7 +11,6 @@ let of_int k =
 
 let to_int t = t
 let equal = Int.equal
-let compare = Int.compare
 
 let allocatable = List.init (count - 1) (fun i -> i + 1)
 

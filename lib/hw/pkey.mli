@@ -16,7 +16,6 @@ val of_int : int -> t
 
 val to_int : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** All 15 allocatable keys, 1..15. *)
 val allocatable : t list

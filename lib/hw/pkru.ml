@@ -6,7 +6,6 @@ let init = 0x55555554
 
 let of_int v = v land 0xFFFFFFFF
 let to_int t = t
-let equal = Int.equal
 
 let ad_bit k = 2 * Pkey.to_int k
 let wd_bit k = (2 * Pkey.to_int k) + 1
@@ -43,4 +42,3 @@ let rights_to_string = function
   | Read_only -> "r-"
   | Read_write -> "rw"
 
-let pp fmt t = Format.fprintf fmt "PKRU:0x%08x" t

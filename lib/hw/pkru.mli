@@ -14,7 +14,6 @@ val init : t
 
 val of_int : int -> t
 val to_int : t -> int
-val equal : t -> t -> bool
 
 val rights : t -> Pkey.t -> rights
 val set_rights : t -> Pkey.t -> rights -> t
@@ -28,4 +27,3 @@ val rights_of_perm : Perm.t -> rights
 val allows : rights -> write:bool -> bool
 
 val rights_to_string : rights -> string
-val pp : Format.formatter -> t -> unit

@@ -55,10 +55,6 @@ let rewrite_perm perm = replaces_perm lor perm_bits perm
 let rewrite_pkey pkey = replaces_pkey lor pkey_bits pkey
 let rewrite_perm_pkey perm pkey = rewrite_perm perm lor rewrite_pkey pkey
 
-let rewrite ?perm ?pkey () =
-  (match perm with None -> 0 | Some p -> rewrite_perm p)
-  lor match pkey with None -> 0 | Some k -> rewrite_pkey k
-
 (* The entry bits a rewrite keeps, and the ones it sets. *)
 let kept rw =
   lnot
@@ -91,8 +87,3 @@ let apply_present rw (entries : t array) ~lo ~hi =
     end
   done;
   !n
-
-let pp fmt t =
-  if not (is_present t) then Format.pp_print_string fmt "<absent>"
-  else
-    Format.fprintf fmt "frame:%d perm:%a %a" (frame t) Perm.pp (perm t) Pkey.pp (pkey t)

@@ -29,13 +29,9 @@ val pkey : t -> Pkey.t
     an immediate value (no allocation), applied to many entries. *)
 type rewrite
 
-(** [rewrite ?perm ?pkey ()] replaces the fields given and keeps the rest
-    (the frame always). *)
-val rewrite : ?perm:Perm.t -> ?pkey:Pkey.t -> unit -> rewrite
-
-(** The same rewrites without the options, so building one allocates
-    nothing: [rewrite_perm p] is [rewrite ~perm:p ()] and
-    [rewrite_perm_pkey p k] is [rewrite ~perm:p ~pkey:k ()]. *)
+(** [rewrite_perm p] replaces the permission and [rewrite_perm_pkey p k]
+    the permission and the key; each keeps the rest (the frame always).
+    Building one allocates nothing. *)
 val rewrite_perm : Perm.t -> rewrite
 
 val rewrite_perm_pkey : Perm.t -> Pkey.t -> rewrite
@@ -43,8 +39,7 @@ val rewrite_perm_pkey : Perm.t -> Pkey.t -> rewrite
 (** [apply rw t] is [t] rewritten by [rw]; an absent entry stays absent. *)
 val apply : rewrite -> t -> t
 
-(** The rewrite that replaces nothing: [apply identity] is the identity
-    ([rewrite ()] builds the same value). *)
+(** The rewrite that replaces nothing: [apply identity] is the identity. *)
 val identity : rewrite
 
 (** [compose r1 r2] is [r1] then [r2], as one rewrite:
@@ -56,5 +51,3 @@ val compose : rewrite -> rewrite -> rewrite
     [entries.(lo) .. entries.(hi - 1)] in place and returns how many
     there were. Allocates nothing. *)
 val apply_present : rewrite -> t array -> lo:int -> hi:int -> int
-
-val pp : Format.formatter -> t -> unit

@@ -91,7 +91,6 @@ let create strategy proc task ?mpk ?(cache_pages = 64) () =
     emitter;
   }
 
-let strategy t = t.strategy
 
 let mpk_exn t = match t.mpk with Some m -> m | None -> assert false
 
@@ -205,7 +204,6 @@ let update t task entry code ?during () =
 
 let find t ~name = Hashtbl.find_opt t.entries name
 
-let pages t = List.length t.committed
 
 let perm_switch_cycles t = t.switch_cycles
 

@@ -22,8 +22,6 @@ type entry = { name : string; addr : int; len : int; page_vkey : Libmpk.Vkey.t o
 val create :
   Wx.t -> Proc.t -> Task.t -> ?mpk:Libmpk.t -> ?cache_pages:int -> unit -> t
 
-val strategy : t -> Wx.t
-
 (** [emit t task ~name code] — place [code] (≤ one page) in the cache,
     committing a fresh page when needed, and make it executable per the
     strategy. *)
@@ -36,9 +34,6 @@ val emit : t -> Task.t -> name:string -> bytes -> entry
 val update : t -> Task.t -> entry -> bytes -> ?during:(unit -> unit) -> unit -> unit
 
 val find : t -> name:string -> entry option
-
-(** Pages currently committed. *)
-val pages : t -> int
 
 (** Cycles spent switching permissions so far (caller's view). *)
 val perm_switch_cycles : t -> float

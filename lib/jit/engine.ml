@@ -39,7 +39,6 @@ let create profile strategy proc task ?mpk ?cache_pages () =
   }
 
 let cache t = t.cache
-let profile t = t.profile
 
 let pad_code code pad_to =
   match pad_to with

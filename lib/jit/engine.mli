@@ -20,7 +20,6 @@ val create :
   profile -> Wx.t -> Proc.t -> Task.t -> ?mpk:Libmpk.t -> ?cache_pages:int -> unit -> t
 
 val cache : t -> Codecache.t
-val profile : t -> profile
 
 (** [compile t task ~ops ~seed ?pad_to ()] — synthesize and JIT one hot
     function; returns its name. [pad_to] pads the emitted code to that

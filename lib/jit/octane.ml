@@ -35,10 +35,6 @@ let programs =
     { name = "Typescript"; hot_functions = 30; patches_per_function = 3; execs_per_function = 80; ops = 45; script_cycles = 10.0e6 };
   ]
 
-let find name =
-  match List.find_opt (fun p -> p.name = name) programs with
-  | Some p -> p
-  | None -> invalid_arg ("Octane.find: unknown program " ^ name)
 
 type run = { program : string; cycles : float; score : float }
 

@@ -21,8 +21,6 @@ type program = {
 (** The 17 Octane programs. *)
 val programs : program list
 
-val find : string -> program
-
 type run = { program : string; cycles : float; score : float }
 
 (** [run_program profile strategy ?reference prog] — execute one program

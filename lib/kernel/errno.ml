@@ -1,4 +1,4 @@
-type t = EINVAL | ENOMEM | ENOSPC | EACCES | ENOENT | EPERM
+type t = EINVAL | ENOMEM | ENOSPC | EACCES | ENOENT
 
 exception Error of t * string
 
@@ -8,6 +8,5 @@ let to_string = function
   | ENOSPC -> "ENOSPC"
   | EACCES -> "EACCES"
   | ENOENT -> "ENOENT"
-  | EPERM -> "EPERM"
 
 let fail errno fmt = Printf.ksprintf (fun msg -> raise (Error (errno, msg))) fmt

@@ -6,7 +6,6 @@ type t =
   | ENOSPC  (** no free protection key *)
   | EACCES  (** permission denied *)
   | ENOENT  (** no such mapping *)
-  | EPERM  (** operation not permitted *)
 
 exception Error of t * string
 

@@ -129,9 +129,12 @@ let vpn_range ~addr ~len =
   check_range ~addr ~len;
   Page_table.vpn_of_addr addr, pages_of_len len
 
-let mmap t cpu ?at ~len ~prot () =
-  let pages = pages_of_len len in
-  if pages <= 0 then Errno.fail EINVAL "mmap: empty mapping";
+(* What [mmap] and [mmap_frames] share: pick the first page, then under
+   the mm write lock refuse an overlap, charge the VMA work and add the
+   area, and run [install start] last. Errors name the call [what].
+   Returns the area's address. *)
+let map_area t cpu ~what ?at ~pages ~prot install =
+  if pages <= 0 then Errno.fail EINVAL "%s: empty mapping" what;
   let start =
     match at with
     | Some addr ->
@@ -145,12 +148,16 @@ let mmap t cpu ?at ~len ~prot () =
   in
   with_write_lock t cpu @@ fun () ->
   if Vma.overlaps t.vmas ~start ~pages then
-    Errno.fail ENOMEM "mmap: range overlaps an existing mapping";
+    Errno.fail ENOMEM "%s: range overlaps an existing mapping" what;
   let costs = Cpu.costs cpu in
   Cpu.charge ~label:"vma" cpu (costs.vma_find +. costs.vma_update);
-  (* Lazy: no frames or PTEs until first touch. *)
   Vma.add ~actor:(Cpu.id cpu) t.vmas ~start ~pages { prot; pkey = Pkey.default };
+  install start;
   Page_table.addr_of_vpn start
+
+(* Lazy: no frames or PTEs until first touch. *)
+let mmap t cpu ?at ~len ~prot () =
+  map_area t cpu ~what:"mmap" ?at ~pages:(pages_of_len len) ~prot ignore
 
 let free_present t cpu ~start ~pages =
   let costs = Cpu.costs cpu in
@@ -252,7 +259,6 @@ let change_protection t cpu ~addr ~len ~prot =
 let change_protection_pkey t cpu ~addr ~len ~prot ~pkey =
   change_range t cpu ~addr ~len (Pte.rewrite_perm_pkey prot pkey)
 
-let mapped_pages t = Page_table.mapped_pages t.table
 
 let show_maps t =
   let buf = Buffer.create 256 in
@@ -272,33 +278,16 @@ let show_maps t =
     (Vma.to_list t.vmas);
   Buffer.contents buf
 
+(* Shared mappings are installed eagerly: the frames already exist. *)
 let mmap_frames t cpu ?at ~frames ~prot () =
-  let pages = Array.length frames in
-  if pages = 0 then Errno.fail EINVAL "mmap_frames: empty mapping";
-  let start =
-    match at with
-    | Some addr ->
-        check_aligned addr;
-        Page_table.vpn_of_addr addr
-    | None ->
-        let s = t.bump in
-        t.bump <- t.bump + pages + 1;
-        s
-  in
-  with_write_lock t cpu @@ fun () ->
-  if Vma.overlaps t.vmas ~start ~pages then
-    Errno.fail ENOMEM "mmap_frames: range overlaps an existing mapping";
-  let costs = Cpu.costs cpu in
-  Cpu.charge ~label:"vma" cpu (costs.vma_find +. costs.vma_update);
-  Vma.add ~actor:(Cpu.id cpu) t.vmas ~start ~pages { prot; pkey = Pkey.default };
-  (* shared mappings are installed eagerly: the frames already exist *)
-  Array.iteri
-    (fun i frame ->
-      Physmem.ref_frame t.mem frame;
-      Page_table.set t.table ~vpn:(start + i) (Pte.make ~frame ~perm:prot ~pkey:Pkey.default);
-      Cpu.charge ~label:"pte_update" cpu costs.pte_update)
-    frames;
-  Page_table.addr_of_vpn start
+  map_area t cpu ~what:"mmap_frames" ?at ~pages:(Array.length frames) ~prot (fun start ->
+      let costs = Cpu.costs cpu in
+      Array.iteri
+        (fun i frame ->
+          Physmem.ref_frame t.mem frame;
+          Page_table.set t.table ~vpn:(start + i) (Pte.make ~frame ~perm:prot ~pkey:Pkey.default);
+          Cpu.charge ~label:"pte_update" cpu costs.pte_update)
+        frames)
 
 (* Pre-fault a range, as a store touching its memory would. Like Linux's
    __mm_populate it walks the range one VMA at a time: one recycling-safe

@@ -85,9 +85,6 @@ val change_protection : t -> Cpu.t -> addr:int -> len:int -> prot:Perm.t -> unit
 val change_protection_pkey :
   t -> Cpu.t -> addr:int -> len:int -> prot:Perm.t -> pkey:Pkey.t -> unit
 
-(** Total mapped pages (present PTEs). *)
-val mapped_pages : t -> int
-
 (** [show_maps t] — a /proc/pid/maps-style dump of the VMA tree with
     per-area protection key and residency, for debugging:
     {v 10000000-10004000 rw- pkey=3  4/4 pages resident v} *)

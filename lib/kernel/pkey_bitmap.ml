@@ -23,6 +23,4 @@ let free t key =
 
 let is_allocated t key = t.bits land (1 lsl Pkey.to_int key) <> 0
 
-let allocated t =
-  List.filter (fun k -> is_allocated t k) Pkey.allocatable
 

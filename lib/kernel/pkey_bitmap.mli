@@ -20,5 +20,3 @@ val free : t -> Pkey.t -> unit
 
 val is_allocated : t -> Pkey.t -> bool
 
-(** Currently allocated keys, ascending (key 0 excluded). *)
-val allocated : t -> Pkey.t list

@@ -22,7 +22,6 @@ let create machine =
     preempting = false;
   }
 
-let machine t = t.machine
 
 let note_ipi t ~sender_id ~target_id =
   t.sent.(sender_id) <- t.sent.(sender_id) + 1;

@@ -12,7 +12,6 @@ type t
 
 val create : Machine.t -> t
 
-val machine : t -> Machine.t
 
 (** [spawn t ~core_id] creates a task pinned to a core and schedules it in
     (restoring its PKRU into the core register). *)

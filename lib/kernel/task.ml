@@ -43,7 +43,6 @@ module Updates = struct
     q.ring.(slot q i)
 
   let pkey q i = pkey_of (nth q i)
-  let rights q i = rights_of (nth q i)
 
   let drop_first q =
     if q.len = 0 then invalid_arg "Task.Updates.drop_first: empty";

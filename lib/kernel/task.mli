@@ -20,11 +20,9 @@ module Updates : sig
   (** Append an update at the tail. *)
   val add : t -> Pkey.t -> Pkru.rights -> unit
 
-  (** The key and the rights of the [i]-th pending update, [0] being the
-      oldest. Raise [Invalid_argument] outside [\[0, length)]. *)
+  (** The key of the [i]-th pending update, [0] being the oldest. Raises
+      [Invalid_argument] outside [\[0, length)]. *)
   val pkey : t -> int -> Pkey.t
-
-  val rights : t -> int -> Pkru.rights
 
   val clear : t -> unit
 end

@@ -147,7 +147,6 @@ let free_detached vmas = List.iter free_vma vmas
 
 (* --- array queries (walk-only; see the locking notes in the mli) --- *)
 
-let count t = t.len
 
 let to_list t = List.init t.len (fun i -> t.areas.(i))
 

@@ -43,7 +43,6 @@ val create : unit -> t
 
 val mm_lock : t -> Lock.t
 
-val count : t -> int
 val to_list : t -> vma list
 val vend : vma -> int
 

@@ -96,7 +96,6 @@ let create ~mode ?(workers = 4) ?(shards = 1) ?(sync_batch = true) ?(slab_mib = 
     shards = shard_arr;
   }
 
-let mode t = t.mode
 let workers t = t.workers
 let proc t = t.proc
 let attacker_task t = t.attacker
@@ -183,20 +182,18 @@ let worker_task t i =
 let charge_request task =
   Cpu.charge ~label:"request_overhead" (Task.core task) request_overhead_cycles
 
-(* The store operations behind [get], [set] and [delete]. A constant
+(* The store operations behind [get] and [set]. A constant
    constructor selects one, so a request builds no closure; [value] is
    read by [Set] alone. *)
 type _ store_op =
   | Get : bytes option store_op
   | Set : (unit, Errno.t) result store_op
-  | Delete : bool store_op
 
 let run_op : type a. a store_op -> Shash.t -> Task.t -> key:string -> value:bytes -> a =
  fun op table task ~key ~value ->
   match op with
   | Get -> Shash.get table task ~key
   | Set -> Shash.set table task ~key ~value
-  | Delete -> Shash.delete table task ~key
 
 (* The one request path: charge the request, open the store, run the
    operation and seal the store again, also when the operation escapes
@@ -216,7 +213,6 @@ let request : type a. t -> worker:int -> a store_op -> key:string -> value:bytes
 
 let set t ~worker ~key ~value = request t ~worker Set ~key ~value
 let get t ~worker ~key = request t ~worker Get ~key ~value:Bytes.empty
-let delete t ~worker ~key = request t ~worker Delete ~key ~value:Bytes.empty
 
 (* ["key-" ^ string_of_int i] for [i >= 0], written digit by digit: a
    kvstore set-up names thousands of keys, and [Printf.sprintf] took

@@ -53,7 +53,6 @@ val create :
   unit ->
   t
 
-val mode : t -> mode
 val workers : t -> Task.t array
 val proc : t -> Proc.t
 
@@ -85,8 +84,6 @@ val mpk : t -> Libmpk.t option
 val set : t -> worker:int -> key:string -> value:bytes -> (unit, Errno.t) result
 
 val get : t -> worker:int -> key:string -> bytes option
-
-val delete : t -> worker:int -> key:string -> bool
 
 (** [key_name i] is ["key-" ^ string_of_int i] for [i >= 0]: the key
     [prefill] stores as its [i]th item, and the key a load generator

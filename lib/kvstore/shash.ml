@@ -30,7 +30,6 @@ let create proc ~buckets ~bucket_base slab =
     hdr = 0;
   }
 
-let buckets t = t.nbuckets
 
 (* FNV-1a, offset basis truncated to OCaml's 63-bit int *)
 let hash key =
@@ -119,16 +118,4 @@ let get t task ~key =
     let hdr = t.hdr in
     Some
       (Mmu.read_bytes mmu core ~addr:(entry + header_bytes + keylen_of hdr) ~len:(vallen_of hdr))
-  end
-
-let delete t task ~key =
-  let mmu = Proc.mmu t.proc and core = Task.core task in
-  let entry = find t mmu core ~key in
-  if entry = 0 then false
-  else begin
-    (* prev_link is either a bucket slot or a predecessor entry address;
-       in both cases the next-pointer lives at offset 0 *)
-    Mmu.write_word mmu core ~addr:t.prev_link t.next;
-    Slab.free t.slab ~addr:entry;
-    true
   end

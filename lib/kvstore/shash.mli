@@ -20,7 +20,6 @@ val create : Proc.t -> buckets:int -> bucket_base:int -> Slab.t -> t
     key to its owning shard with the same function the buckets use. *)
 val hash : string -> int
 
-val buckets : t -> int
 
 (** [set t task ~key ~value] — insert or overwrite. [Error EINVAL] when
     the entry (16-byte header, key, value) exceeds the largest slab
@@ -34,6 +33,3 @@ val set : t -> Task.t -> key:string -> value:bytes -> (unit, Errno.t) result
     walk compares keys in place and allocates nothing, so a miss
     allocates nothing and a hit only its value and its [Some]. *)
 val get : t -> Task.t -> key:string -> bytes option
-
-(** [delete t task ~key] — true when the key existed. *)
-val delete : t -> Task.t -> key:string -> bool

@@ -111,12 +111,10 @@ let free t ~addr =
   cls.top <- cls.top + 1;
   t.bytes <- t.bytes - cls.chunk
 
-let allocated_bytes t = t.bytes
-
 (* Chunks never overlap and lie inside the region: a free chunk sits on
    a chunk boundary of a slab of its class and is not live, a live bit
    marks a chunk boundary of its slab's class, and the live chunks add
-   up to [allocated_bytes]. *)
+   up to the allocated bytes, each chunk counting its whole class. *)
 let invariant t =
   let on_boundary off idx =
     off < t.next_slab

@@ -31,9 +31,5 @@ val alloc : t -> size:int -> int
     or double free. *)
 val free : t -> addr:int -> unit
 
-(** The chunk bytes of every allocated chunk: each counts its whole
-    size class. *)
-val allocated_bytes : t -> int
-
 (** Chunks never overlap and lie inside the region. *)
 val invariant : t -> bool

@@ -48,7 +48,6 @@ let create ~mode proc task ?mpk () =
     adjacent_free = true;
   }
 
-let mode t = t.mode
 let proc_of t = t.proc
 
 let serialize_secret (s : Rsa.secret) =

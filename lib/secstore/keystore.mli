@@ -20,7 +20,6 @@ val vkey : Libmpk.Vkey.t
     is a plain [mmap]. *)
 val create : mode:mode -> Proc.t -> Task.t -> ?mpk:Libmpk.t -> unit -> t
 
-val mode : t -> mode
 val proc_of : t -> Proc.t
 
 (** [store t task kp] serializes the private exponent and modulus into

@@ -41,7 +41,6 @@ type ev =
   (* tracer-internal *)
   | Span_begin of { name : string }
   | Span_end of { name : string }
-  | Marker of { name : string }
 
 type t = {
   seq : int;  (* global emission order, unique *)
@@ -82,7 +81,6 @@ let kind = function
   | Fault_point_fired _ -> "fault_point_fired"
   | Span_begin _ -> "span_begin"
   | Span_end _ -> "span_end"
-  | Marker _ -> "marker"
 
 let args = function
   | Wrpkru { pkru } | Rdpkru { pkru } -> [ "pkru", Printf.sprintf "0x%08x" pkru ]
@@ -134,7 +132,7 @@ let args = function
   | Heap_free { vkey; addr } ->
       [ "vkey", string_of_int vkey; "addr", Printf.sprintf "0x%x" addr ]
   | Fault_point_fired { point } -> [ "point", point ]
-  | Span_begin { name } | Span_end { name } | Marker { name } -> [ "name", name ]
+  | Span_begin { name } | Span_end { name } -> [ "name", name ]
 
 let to_line t =
   let payload =

@@ -46,7 +46,6 @@ type ev =
   | Fault_point_fired of { point : string }
   | Span_begin of { name : string }
   | Span_end of { name : string }
-  | Marker of { name : string }
 
 (** Envelope: every emitted event is stamped with emission order, the
     emitting core's simulated cycle clock, the task resident on that

@@ -9,6 +9,5 @@
     per track to be non-decreasing, since experiment drivers recreate
     machines whose cycle clocks restart at zero. *)
 
-val perfetto : Event.t list -> Json.t
 
 val perfetto_string : ?indent:int -> Event.t list -> string

@@ -8,11 +8,6 @@ type 'a t
 val create : int -> 'a t
 (** Raises [Invalid_argument] when capacity is not positive. *)
 
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-(** Elements currently retained ([<= capacity]). *)
-
 val push : 'a t -> 'a -> unit
 
 val to_list : 'a t -> 'a list

@@ -6,11 +6,8 @@
     hot paths is a branch, verified by the overhead-freedom test. An
     open recording stamps each event (seq, cycle ts, core, resident
     task, innermost span id), pushes it to that core's bounded ring of
-    {!capacity} events (oldest events are dropped first), and counts it
-    in the metrics registry per event kind. *)
-
-val capacity : int
-(** Events each core's ring keeps: 8192. *)
+    8,192 events (oldest events are dropped first), and counts it in the
+    metrics registry per event kind. *)
 
 val on : unit -> bool
 (** A recording is open. Allocates nothing. *)

@@ -13,8 +13,6 @@ let create ~seed =
   set_state t 0 seed;
   t
 
-let copy = Bytes.copy
-
 (* splitmix64 finalizer: Steele, Lea & Flood, "Fast splittable pseudorandom
    number generators" (OOPSLA 2014). *)
 let[@inline] mix z =
@@ -27,8 +25,6 @@ let[@inline] advance t =
   let state = Int64.add (get_state t 0) golden_gamma in
   set_state t 0 state;
   mix state
-
-let next t = advance t
 
 let int t bound =
   assert (bound > 0);

@@ -19,10 +19,10 @@ let percentile xs p =
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
 module Histogram = struct
-  (* The running sum and extrema live in an all-float record, whose
-     fields are stored unboxed: an [add] allocates nothing for them, where
-     float fields of the mixed record [h] would box every new value. *)
-  type totals = { mutable sum : float; mutable vmin : float; mutable vmax : float }
+  (* The extrema live in an all-float record, whose fields are stored
+     unboxed: an [add] allocates nothing for them, where float fields of
+     the mixed record [h] would box every new value. *)
+  type totals = { mutable vmin : float; mutable vmax : float }
 
   type h = {
     bounds : float array;  (* bounds.(i) = lo * growth^i, ascending *)
@@ -39,7 +39,7 @@ module Histogram = struct
       bounds = Array.init buckets (fun i -> lo *. (growth ** float_of_int i));
       counts = Array.make (buckets + 1) 0;
       n = 0;
-      totals = { sum = 0.0; vmin = infinity; vmax = neg_infinity };
+      totals = { vmin = infinity; vmax = neg_infinity };
     }
 
   (* Smallest i with x <= bounds.(i); the overflow bucket past the last
@@ -65,12 +65,8 @@ module Histogram = struct
     t.counts.(i) <- t.counts.(i) + 1;
     t.n <- t.n + 1;
     let s = t.totals in
-    s.sum <- s.sum +. x;
     if x < s.vmin then s.vmin <- x;
     if x > s.vmax then s.vmax <- x
-
-  let count t = t.n
-  let total t = t.totals.sum
 
   (* Rank interpolation inside the bucket holding the target rank. The
      result is clamped to the observed extrema, so tiny histograms do not
@@ -95,15 +91,4 @@ module Histogram = struct
     in
     let v = lb +. ((ub -. lb) *. (if frac < 0.0 then 0.0 else Float.min frac 1.0)) in
     Float.max t.totals.vmin (Float.min t.totals.vmax v)
-
-  let p50 t = percentile t 50.0
-  let p95 t = percentile t 95.0
-  let p99 t = percentile t 99.0
-
-  let buckets t =
-    Array.init
-      (Array.length t.counts)
-      (fun i ->
-        let ub = if i < Array.length t.bounds then t.bounds.(i) else infinity in
-        ub, t.counts.(i))
 end

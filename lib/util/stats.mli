@@ -1,6 +1,5 @@
 (** Summary statistics: percentiles of a sample array, and a
-    fixed-bucket log-spaced histogram (the load generator's latencies,
-    the metrics registry's histograms). *)
+    fixed-bucket log-spaced histogram (the load generator's latencies). *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [0..100] (clamped), with linear
@@ -12,9 +11,7 @@ val percentile : float array -> float -> float
 
     Bucket [i] covers [(lo·growth^(i-1), lo·growth^i]] (bucket 0 also
     absorbs everything [<= lo]); one extra overflow bucket catches
-    samples above the last bound. The layout is fixed at [create] time,
-    which is what makes the per-bucket JSON export of the metrics
-    registry well-defined. *)
+    samples above the last bound. The layout is fixed at [create] time. *)
 module Histogram : sig
   type h
 
@@ -27,22 +24,10 @@ module Histogram : sig
   (** Raises [Invalid_argument] on NaN — a silently mis-bucketed NaN
       would corrupt every percentile read from the buckets. *)
 
-  val count : h -> int
-  val total : h -> float
-
   val percentile : h -> float -> float
   (** Percentile estimated from bucket counts with linear interpolation
       inside the target bucket, clamped to the exact observed minimum and
       maximum, so [percentile h 0.] and [percentile h 100.] are those
       extrema. Quantization error is bounded by the bucket width (a
       factor of [growth]). Raises [Invalid_argument] when empty. *)
-
-  val p50 : h -> float
-  val p95 : h -> float
-  val p99 : h -> float
-
-  val buckets : h -> (float * int) array
-  (** [(upper_bound, count)] per bucket, ascending; the final overflow
-      bucket reports [infinity] as its bound. Counts are per-bucket, not
-      cumulative. *)
 end

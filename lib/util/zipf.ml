@@ -26,8 +26,6 @@ let create ?(theta = 0.99) ~n () =
     Skewed cdf
   end
 
-let n = function Uniform n -> n | Skewed cdf -> Array.length cdf
-
 let sample t prng =
   match t with
   | Uniform n -> Prng.int prng n

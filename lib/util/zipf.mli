@@ -10,8 +10,6 @@ type t
     [Invalid_argument] when [n < 1], [theta < 0] or [theta] is NaN. *)
 val create : ?theta:float -> n:int -> unit -> t
 
-val n : t -> int
-
 (** O(log n) binary search over the precomputed CDF, driven by one
     [Prng.float] draw; with [theta = 0.], exactly one [Prng.int prng n]
     draw. Neither allocates in the release profile, where [Prng.float]

@@ -108,12 +108,32 @@ let test_pct_change_zero_base () =
 (* --- The paired rule: each seed against its own baseline sample, with
    a 1% floor for arithmetic noise --- *)
 
+(* The verdict and worst pair [Gate.diff] gives one metric whose
+   baseline trials read [base] and whose fresh trials read [fresh]. *)
 let classify direction base fresh =
-  Gate.classify direction
-    (List.mapi (fun seed (base, fresh) -> { Gate.seed; base; fresh }) (List.combine base fresh))
+  let report samples =
+    {
+      Runner.r_id = "m";
+      r_trials = List.length samples;
+      r_seed = 0;
+      r_smoke = true;
+      r_metrics = [ { Runner.ms_name = "m"; ms_direction = direction; ms_samples = samples } ];
+      r_attribution_exact = true;
+      r_profile = { Prof.label = "root"; self = 0.; calls = 0; total = 0.; children = [] };
+      r_registry = J.List [];
+    }
+  in
+  match (Gate.diff ~baseline:(report base) ~fresh:(report fresh)).Gate.d_verdicts with
+  | [ v ] -> v.Gate.v_verdict, v.Gate.v_worst
+  | _ -> Alcotest.fail "one metric, one verdict"
+
+let show_verdict = function
+  | Gate.Improved -> "improved"
+  | Gate.Unchanged -> "unchanged"
+  | Gate.Regressed -> "regressed"
 
 let check_verdict what want (v, _) =
-  Alcotest.(check string) what (Gate.verdict_to_string want) (Gate.verdict_to_string v)
+  Alcotest.(check string) what (show_verdict want) (show_verdict v)
 
 let test_classify_deterministic_floor () =
   (* 0.5% drift on a lower-better metric stays unchanged; 2% is regressed. *)

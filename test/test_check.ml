@@ -219,9 +219,9 @@ let test_detects_stale_pte_tag () =
     | [] -> Alcotest.fail "no free key"
   in
   let pt = Mm.page_table (Proc.mm proc) in
-  ignore
-    (Page_table.update_range pt ~vpn:(Page_table.vpn_of_addr a) ~pages:1
-       (Pte.rewrite ~pkey:stranger ()));
+  let vpn = Page_table.vpn_of_addr a in
+  let perm = Pte.perm (Page_table.get pt ~vpn) in
+  ignore (Page_table.update_range pt ~vpn ~pages:1 (Pte.rewrite_perm_pkey perm stranger));
   check_flags "PTE tag tamper" 2 mpk
 
 let test_detects_stale_tlb_entry () =
@@ -235,7 +235,7 @@ let test_detects_stale_tlb_entry () =
      is now stale. *)
   let pt = Mm.page_table (Proc.mm proc) in
   let vpn = Page_table.vpn_of_addr a in
-  ignore (Page_table.update_range pt ~vpn ~pages:1 (Pte.rewrite ~perm:Perm.r ()));
+  ignore (Page_table.update_range pt ~vpn ~pages:1 (Pte.rewrite_perm Perm.r));
   check_flags "stale TLB entry" 4 mpk
 
 (* The begin accounting (I3) of one group opened by task 0, tampered
@@ -352,7 +352,7 @@ let test_heap_metadata_stays_protected () =
   let mpk, proc, tasks = make_env () in
   let t0 = tasks.(0) in
   let a = Libmpk.mpk_malloc mpk t0 ~vkey:3 ~size:512 in
-  let md_base = Libmpk.Metadata.base (Libmpk.metadata mpk) in
+  let md_base = Libmpk.Metadata.slot_addr (Libmpk.metadata mpk) ~slot:0 in
   (match Mmu.write_byte (Proc.mmu proc) (Task.core t0) ~addr:md_base 'X' with
   | () -> Alcotest.fail "application write to libmpk metadata must fault"
   | exception Mmu.Fault _ -> ()
@@ -383,7 +383,7 @@ let test_heap_unit_churn () =
     (Libmpk.Mpk_heap.alloc h ~size:192);
   Libmpk.Mpk_heap.free h ~addr:a;
   Libmpk.Mpk_heap.free h ~addr:b;
-  Alcotest.(check int) "all bytes back" 0 (Libmpk.Mpk_heap.allocated_bytes h);
+  Alcotest.(check (option int)) "all bytes back" (Some 0x1000) (Libmpk.Mpk_heap.alloc h ~size:256);
   Alcotest.(check bool) "final invariant" true (Libmpk.Mpk_heap.invariant h)
 
 (* --- randomized stress: short deterministic runs across key regimes --- *)

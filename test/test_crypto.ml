@@ -10,16 +10,36 @@ let prng () = Mpk_util.Prng.create ~seed:0xBEEFL
 
 (* --- Bignum --- *)
 
-let big = Alcotest.testable Bignum.pp Bignum.equal
+let big =
+  Alcotest.testable
+    (fun fmt x -> Format.fprintf fmt "0x%s" (Mpk_util.Hex.encode (Bignum.to_bytes x)))
+    Bignum.equal
 
+let zero = Bignum.of_int 0
+
+(* [x] is the natural [n]. *)
+let is_int x n = Bignum.equal x (Bignum.of_int n)
+
+(* 2^k, from its big-endian bytes. *)
+let pow2 k =
+  let b = Bytes.make ((k / 8) + 1) '\000' in
+  Bytes.set b 0 (Char.chr (1 lsl (k mod 8)));
+  Bignum.of_bytes b
+
+let shift_left x k = Bignum.mul x (pow2 k)
+
+(* [of_int n] read back bit by bit: every bit of [n], and none above. *)
 let test_bignum_of_to_int () =
   List.iter
     (fun n ->
-      Alcotest.(check (option int)) (string_of_int n) (Some n) (Bignum.to_int (Bignum.of_int n)))
+      let x = Bignum.of_int n in
+      Alcotest.(check (list bool)) (string_of_int n)
+        (List.init 64 (fun i -> i < 63 && (n lsr i) land 1 = 1))
+        (List.init 64 (Bignum.testbit x)))
     [ 0; 1; 2; 255; 256; 67108863; 67108864; 1 lsl 40; max_int / 2 ]
 
 let test_bignum_compare () =
-  Alcotest.(check bool) "0 < 1" true (Bignum.compare Bignum.zero Bignum.one < 0);
+  Alcotest.(check bool) "0 < 1" true (Bignum.compare zero Bignum.one < 0);
   Alcotest.(check bool) "big > small" true
     (Bignum.compare (Bignum.of_int 1000000) (Bignum.of_int 999999) > 0);
   Alcotest.(check bool) "equal" true (Bignum.equal (Bignum.of_int 42) (Bignum.of_int 42))
@@ -28,23 +48,23 @@ let arith_props =
   let gen = QCheck.(pair (int_bound 1_000_000_000) (int_bound 1_000_000_000)) in
   [
     QCheck.Test.make ~name:"add matches int" ~count:500 gen (fun (a, b) ->
-        Bignum.to_int (Bignum.add (Bignum.of_int a) (Bignum.of_int b)) = Some (a + b));
+        is_int (Bignum.add (Bignum.of_int a) (Bignum.of_int b)) (a + b));
     QCheck.Test.make ~name:"sub matches int" ~count:500 gen (fun (a, b) ->
         let hi = max a b and lo = min a b in
-        Bignum.to_int (Bignum.sub (Bignum.of_int hi) (Bignum.of_int lo)) = Some (hi - lo));
+        is_int (Bignum.sub (Bignum.of_int hi) (Bignum.of_int lo)) (hi - lo));
     QCheck.Test.make ~name:"mul matches int" ~count:500
       QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
       (fun (a, b) ->
-        Bignum.to_int (Bignum.mul (Bignum.of_int a) (Bignum.of_int b)) = Some (a * b));
+        is_int (Bignum.mul (Bignum.of_int a) (Bignum.of_int b)) (a * b));
     QCheck.Test.make ~name:"divmod matches int" ~count:500 gen (fun (a, b) ->
         QCheck.assume (b > 0);
         let q, r = Bignum.divmod (Bignum.of_int a) (Bignum.of_int b) in
-        Bignum.to_int q = Some (a / b) && Bignum.to_int r = Some (a mod b));
+        is_int q (a / b) && is_int r (a mod b));
     QCheck.Test.make ~name:"shift roundtrip" ~count:500
       QCheck.(pair (int_bound 1_000_000_000) (int_bound 80))
       (fun (a, k) ->
         let x = Bignum.of_int a in
-        Bignum.equal (Bignum.shift_right (Bignum.shift_left x k) k) x);
+        Bignum.equal (Bignum.shift_right (shift_left x k) k) x);
     QCheck.Test.make ~name:"bytes roundtrip" ~count:500 QCheck.(int_bound max_int)
       (fun a ->
         let x = Bignum.of_int a in
@@ -53,23 +73,23 @@ let arith_props =
       QCheck.(triple (int_bound 1000) (int_bound 30) (int_range 2 1000))
       (fun (b, e, m) ->
         let rec naive acc i = if i = 0 then acc else naive (acc * b mod m) (i - 1) in
-        Bignum.to_int
+        is_int
           (Bignum.mod_pow ~base:(Bignum.of_int b) ~exp:(Bignum.of_int e)
              ~modulus:(Bignum.of_int m))
-        = Some (naive 1 e));
+          (naive 1 e));
   ]
 
 (* Shift-and-subtract long division, one quotient bit at a time: the
    reference [Bignum.divmod] must match exactly. *)
 let bit_serial_divmod a b =
-  if Bignum.compare a b < 0 then Bignum.zero, a
+  if Bignum.compare a b < 0 then zero, a
   else begin
-    let q = ref Bignum.zero and r = ref a in
+    let q = ref zero and r = ref a in
     for i = Bignum.bits a - Bignum.bits b downto 0 do
-      let d = Bignum.shift_left b i in
+      let d = shift_left b i in
       if Bignum.compare !r d >= 0 then begin
         r := Bignum.sub !r d;
-        q := Bignum.add !q (Bignum.shift_left Bignum.one i)
+        q := Bignum.add !q (pow2 i)
       end
     done;
     !q, !r
@@ -85,7 +105,7 @@ let divmod_reference_prop =
       let p = Mpk_util.Prng.create ~seed:(Int64.of_int seed) in
       let a = Bignum.random p ~bits:abits in
       let b =
-        if seed mod 3 = 0 then Bignum.sub (Bignum.shift_left Bignum.one bbits) Bignum.one
+        if seed mod 3 = 0 then Bignum.sub (pow2 bbits) Bignum.one
         else Bignum.random p ~bits:bbits
       in
       let q, r = Bignum.divmod a b in
@@ -100,8 +120,8 @@ let divmod_reference_prop =
 let test_bignum_divmod_add_back () =
   let of_digits =
     List.fold_left
-      (fun acc d -> Bignum.add (Bignum.shift_left acc 26) (Bignum.of_int d))
-      Bignum.zero
+      (fun acc d -> Bignum.add (shift_left acc 26) (Bignum.of_int d))
+      zero
   in
   let half = 1 lsl 25 and top = (1 lsl 26) - 1 in
   List.iter
@@ -125,7 +145,7 @@ let test_bignum_large_mul_div () =
   let prod = Bignum.mul a b in
   let q, r = Bignum.divmod prod b in
   Alcotest.check big "(a*b)/b = a" a q;
-  Alcotest.check big "(a*b) mod b = 0" Bignum.zero r
+  Alcotest.check big "(a*b) mod b = 0" zero r
 
 let test_bignum_sub_negative () =
   Alcotest.check_raises "negative sub" (Invalid_argument "Bignum.sub: would be negative")
@@ -146,8 +166,7 @@ let invmod_property =
       match Bignum.invmod (Bignum.of_int a) (Bignum.of_int m) with
       | None -> true  (* not coprime *)
       | Some inv ->
-          Bignum.to_int (Bignum.rem (Bignum.mul (Bignum.of_int a) inv) (Bignum.of_int m))
-          = Some 1)
+          is_int (Bignum.rem (Bignum.mul (Bignum.of_int a) inv) (Bignum.of_int m)) 1)
 
 let test_bignum_random_bits () =
   let p = prng () in
@@ -166,19 +185,19 @@ let test_bignum_padded () =
 let test_sha256_vectors () =
   Alcotest.(check string) "empty"
     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (Sha256.hex (Bytes.of_string ""));
+    (Mpk_util.Hex.encode (Sha256.digest (Bytes.of_string "")));
   Alcotest.(check string) "abc"
     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.hex (Bytes.of_string "abc"));
+    (Mpk_util.Hex.encode (Sha256.digest (Bytes.of_string "abc")));
   Alcotest.(check string) "448-bit"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.hex (Bytes.of_string "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
+    (Mpk_util.Hex.encode (Sha256.digest (Bytes.of_string "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")))
 
 let test_sha256_long () =
   (* one million 'a' characters, the classic NIST vector *)
   Alcotest.(check string) "million a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hex (Bytes.make 1_000_000 'a'))
+    (Mpk_util.Hex.encode (Sha256.digest (Bytes.make 1_000_000 'a')))
 
 (* --- ChaCha20 RFC 8439 vector --- *)
 
@@ -195,7 +214,8 @@ let test_chacha20_rfc_block () =
   (* RFC 8439 §2.3.2 test vector *)
   let key = hex_to_bytes "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
   let nonce = hex_to_bytes "000000090000004a00000000" in
-  let ks = Chacha20.block ~key ~nonce ~counter:1 in
+  (* the keystream block is what encrypting 64 zero bytes yields *)
+  let ks = Chacha20.crypt ~key ~nonce ~counter:1 (Bytes.make 64 '\000') in
   Alcotest.(check string) "keystream block"
     "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4ed2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
     (bytes_to_hex ks)
@@ -263,10 +283,12 @@ let test_miller_rabin_known () =
 let test_rsa_roundtrip () =
   let p = prng () in
   let kp = Rsa.generate p ~bits:128 in
-  let msg = Bignum.of_int 123456789 in
-  let ct = Rsa.encrypt kp.Rsa.public msg in
-  Alcotest.(check bool) "ciphertext differs" false (Bignum.equal ct msg);
-  Alcotest.check big "decrypt" msg (Rsa.decrypt kp.Rsa.secret ct)
+  let msg = Bignum.to_bytes (Bignum.of_int 123456789) in
+  let ct = Rsa.encrypt_bytes kp.Rsa.public msg in
+  Alcotest.(check bool) "ciphertext differs" false
+    (Bignum.equal (Bignum.of_bytes ct) (Bignum.of_bytes msg));
+  Alcotest.(check bytes) "decrypt" msg
+    (Rsa.decrypt_bytes_padded kp.Rsa.secret ct ~len:(Bytes.length msg))
 
 let test_rsa_bytes_roundtrip () =
   let p = prng () in
@@ -283,10 +305,12 @@ let test_rsa_distinct_keys () =
   Alcotest.(check bool) "moduli differ" false
     (Bignum.equal k1.Rsa.public.Rsa.n k2.Rsa.public.Rsa.n);
   (* decrypting with the wrong key garbles *)
-  let msg = Bignum.of_int 424242 in
-  let ct = Rsa.encrypt k1.Rsa.public msg in
-  let wrong = Rsa.decrypt k2.Rsa.secret (Bignum.rem ct k2.Rsa.secret.Rsa.n) in
-  Alcotest.(check bool) "wrong key fails" false (Bignum.equal wrong msg)
+  let msg = Bignum.to_bytes (Bignum.of_int 424242) in
+  let ct = Rsa.encrypt_bytes k1.Rsa.public msg in
+  let ct = Bignum.to_bytes (Bignum.rem (Bignum.of_bytes ct) k2.Rsa.secret.Rsa.n) in
+  let wrong = Rsa.decrypt_bytes_padded k2.Rsa.secret ct ~len:12 in
+  Alcotest.(check bool) "wrong key fails" false
+    (Bignum.equal (Bignum.of_bytes wrong) (Bignum.of_bytes msg))
 
 (* --- Aead (encrypt-then-MAC, the core-dump sealer) --- *)
 
@@ -321,8 +345,7 @@ let test_aead_roundtrip () =
 let expect_reject name ~nonce ~aad ~tag ct =
   (match Aead.open_ ~key:aead_key ~nonce ~aad ~tag ct with
   | Error _ -> ()
-  | Ok _ -> Alcotest.failf "%s: forgery accepted" name);
-  Alcotest.(check bool) name false (Aead.verify ~key:aead_key ~nonce ~aad ~tag ct)
+  | Ok _ -> Alcotest.failf "%s: forgery accepted" name)
 
 let test_aead_tamper () =
   let pt = Bytes.of_string "protected page bytes" in

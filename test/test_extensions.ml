@@ -78,10 +78,19 @@ let test_random_policy_victim_order () =
     [ 8; 20; 1; 5; 2; 7; 24; 6; 22; 28; 23; 4; 31; 3; 32; 33 ]
     victims
 
+(* [init]'s policy reaches the cache: with 15 groups holding the 15 keys,
+   a 16th group's miss evicts vkey 1 although it was used last, where LRU
+   would evict vkey 2. *)
 let test_policy_plumbed_through_init () =
-  let mpk, _, _, _ = make_env ~policy:Libmpk.Key_cache.Fifo () in
-  Alcotest.(check bool) "policy" true
-    (Libmpk.Key_cache.policy (Libmpk.cache mpk) = Libmpk.Key_cache.Fifo)
+  let mpk, _, main, _ = make_env ~policy:Libmpk.Key_cache.Fifo () in
+  for vkey = 1 to 16 do
+    ignore (Libmpk.mpk_mmap mpk main ~vkey ~len:4096 ~prot:Perm.rw)
+  done;
+  Libmpk.mpk_mprotect mpk main ~vkey:1 ~prot:Perm.rw;
+  Libmpk.mpk_mprotect mpk main ~vkey:16 ~prot:Perm.rw;
+  let mapped vkey = (Option.get (Libmpk.find_group mpk vkey)).Libmpk.Group.state <> Libmpk.Group.Unmapped in
+  Alcotest.(check (list bool)) "vkeys 1, 2 and 16 mapped" [ false; true; true ]
+    [ mapped 1; mapped 2; mapped 16 ]
 
 (* --- restricted hardware key counts --- *)
 
@@ -243,7 +252,7 @@ let update_range_matches_per_page =
         pt
       in
       let a = mk () and b = mk () in
-      let rw = Pte.rewrite ~perm:Perm.r () in
+      let rw = Pte.rewrite_perm Perm.r in
       let na = Page_table.update_range a ~vpn:start ~pages rw in
       let nb = ref 0 in
       for vpn = start to start + pages - 1 do
@@ -309,17 +318,22 @@ let update_range_every_level =
           vpns;
         pt
       in
-      let perm = if fields <> 1 then Some (perm_of p) else None in
+      (* 0 replaces the permission, 1 and 2 the permission and the key *)
+      let perm = perm_of p in
       let pkey = if fields <> 0 then Some (Pkey.of_int k) else None in
+      let rw =
+        match pkey with
+        | None -> Pte.rewrite_perm perm
+        | Some k -> Pte.rewrite_perm_pkey perm k
+      in
       let a = table () and b = table () in
-      let n = Page_table.update_range a ~vpn:start ~pages (Pte.rewrite ?perm ?pkey ()) in
+      let n = Page_table.update_range a ~vpn:start ~pages rw in
       let inside = List.filter (fun v -> v >= start && v < start + pages) vpns in
       List.iter
         (fun vpn ->
           let old = Page_table.get b ~vpn in
           Page_table.set b ~vpn
-            (Pte.make ~frame:(Pte.frame old)
-               ~perm:(Option.value perm ~default:(Pte.perm old))
+            (Pte.make ~frame:(Pte.frame old) ~perm
                ~pkey:(Option.value pkey ~default:(Pte.pkey old))))
         inside;
       let entries pt = Page_table.fold pt (fun v pte acc -> (v, pte) :: acc) [] in
@@ -329,7 +343,7 @@ let test_update_range_counts_present_only () =
   let pt = Page_table.create () in
   Page_table.set pt ~vpn:100 (Pte.make ~frame:1 ~perm:Perm.rw ~pkey:Pkey.default);
   Page_table.set pt ~vpn:102 (Pte.make ~frame:2 ~perm:Perm.rw ~pkey:Pkey.default);
-  let n = Page_table.update_range pt ~vpn:95 ~pages:20 (Pte.rewrite ~perm:Perm.r ()) in
+  let n = Page_table.update_range pt ~vpn:95 ~pages:20 (Pte.rewrite_perm Perm.r) in
   Alcotest.(check int) "two present" 2 n
 
 let test_update_range_leaf_boundaries () =
@@ -338,7 +352,7 @@ let test_update_range_leaf_boundaries () =
   List.iter
     (fun vpn -> Page_table.set pt ~vpn (Pte.make ~frame:7 ~perm:Perm.rw ~pkey:Pkey.default))
     [ 510; 511; 512; 513; 1023; 1024 ];
-  let n = Page_table.update_range pt ~vpn:511 ~pages:514 (Pte.rewrite ~perm:Perm.r ()) in
+  let n = Page_table.update_range pt ~vpn:511 ~pages:514 (Pte.rewrite_perm Perm.r) in
   (* 511, 512, 513, 1023, 1024 are inside [511, 1025) *)
   Alcotest.(check int) "five rewritten" 5 n;
   Alcotest.(check string) "outside untouched" "rw-"

@@ -235,7 +235,7 @@ let test_key_per_page_distinct_vkeys () =
   let big = Bytes.make 3000 '\x02' in
   let e1 = Codecache.emit cache task ~name:"f1" big in
   let e2 = Codecache.emit cache task ~name:"f2" big in
-  Alcotest.(check bool) "two pages" true (Codecache.pages cache = 2);
+  Alcotest.(check bool) "two pages" true (e1.Codecache.addr / 4096 <> e2.Codecache.addr / 4096);
   match e1.Codecache.page_vkey, e2.Codecache.page_vkey with
   | Some v1, Some v2 -> Alcotest.(check bool) "distinct vkeys" true (v1 <> v2)
   | _ -> Alcotest.fail "expected vkeys"
@@ -304,21 +304,23 @@ let test_engine_profiles_switch_ratio () =
   Alcotest.(check bool) "SM batches" true
     (switch_cycles Engine.Spidermonkey 100 < 100.0 *. one)
 
+let find_program name = List.find (fun p -> p.Octane.name = name) Octane.programs
+
 let test_octane_program_table () =
   Alcotest.(check int) "17 programs" 17 (List.length Octane.programs);
-  let box2d = Octane.find "Box2D" in
-  let splay = Octane.find "SplayLatency" in
+  let box2d = find_program "Box2D" in
+  let splay = find_program "SplayLatency" in
   Alcotest.(check bool) "Box2D patch-heavy" true (box2d.Octane.patches_per_function > 20);
   Alcotest.(check bool) "SplayLatency page-heavy" true
     (splay.Octane.hot_functions > 15 && splay.Octane.patches_per_function <= 1)
 
 let test_octane_baseline_scores_10000 () =
-  let prog = Octane.find "Richards" in
+  let prog = find_program "Richards" in
   let run = Octane.run_program Engine.V8 Wx.No_wx prog in
   Alcotest.(check (float 1.0)) "baseline = 10000" 10_000.0 run.Octane.score
 
 let test_octane_protection_costs_something () =
-  let prog = Octane.find "Box2D" in
+  let prog = find_program "Box2D" in
   let reference = Octane.measure Engine.Chakracore Wx.No_wx prog in
   let mprotect = Octane.run_program Engine.Chakracore Wx.Mprotect ~reference prog in
   let libmpk = Octane.run_program Engine.Chakracore Wx.Key_per_process ~reference prog in

@@ -19,13 +19,18 @@ let set_attrs t ~start ~pages rw =
 
 (* --- Vma --- *)
 
+let vma_count t = List.length (Vma.to_list t)
+
+(* The present pages of an address space. *)
+let mapped mm = Page_table.fold (Mm.page_table mm) (fun _ _ n -> n + 1) 0
+
 let test_vma_add_find () =
   let t = Vma.create () in
   Vma.add t ~start:10 ~pages:5 (attrs Perm.rw);
   Alcotest.(check bool) "inside" true (Vma.find t 12 <> None);
   Alcotest.(check bool) "before" true (Vma.find t 9 = None);
   Alcotest.(check bool) "at end (exclusive)" true (Vma.find t 15 = None);
-  Alcotest.(check int) "count" 1 (Vma.count t)
+  Alcotest.(check int) "count" 1 (vma_count t)
 
 let test_vma_add_overlap_rejected () =
   let t = Vma.create () in
@@ -37,16 +42,16 @@ let test_vma_merge_on_add () =
   let t = Vma.create () in
   Vma.add t ~start:10 ~pages:5 (attrs Perm.rw);
   Vma.add t ~start:15 ~pages:5 (attrs Perm.rw);
-  Alcotest.(check int) "merged" 1 (Vma.count t);
+  Alcotest.(check int) "merged" 1 (vma_count t);
   Vma.add t ~start:20 ~pages:3 (attrs Perm.r);
-  Alcotest.(check int) "different attrs not merged" 2 (Vma.count t);
+  Alcotest.(check int) "different attrs not merged" 2 (vma_count t);
   Alcotest.(check bool) "invariant" true (Vma.invariant t)
 
 let test_vma_guard_gap_no_merge () =
   let t = Vma.create () in
   Vma.add t ~start:10 ~pages:2 (attrs Perm.rw);
   Vma.add t ~start:13 ~pages:2 (attrs Perm.rw);
-  Alcotest.(check int) "gap keeps them apart" 2 (Vma.count t)
+  Alcotest.(check int) "gap keeps them apart" 2 (vma_count t)
 
 let test_vma_set_attrs_splits () =
   let t = Vma.create () in
@@ -56,7 +61,7 @@ let test_vma_set_attrs_splits () =
   in
   Alcotest.(check int) "one vma touched" 1 touched;
   Alcotest.(check int) "two splits" 2 splits;
-  Alcotest.(check int) "three areas now" 3 (Vma.count t);
+  Alcotest.(check int) "three areas now" 3 (vma_count t);
   (match Vma.find t 4 with
   | Some v -> Alcotest.(check string) "middle r" "r--" (Perm.to_string v.Vma.attrs.Vma.prot)
   | None -> Alcotest.fail "middle missing");
@@ -67,7 +72,7 @@ let test_vma_set_attrs_merges_back () =
   Vma.add t ~start:0 ~pages:10 (attrs Perm.rw);
   ignore (set_attrs t ~start:3 ~pages:4 (Pte.rewrite_perm Perm.r));
   ignore (set_attrs t ~start:3 ~pages:4 (Pte.rewrite_perm Perm.rw));
-  Alcotest.(check int) "merged back to one" 1 (Vma.count t);
+  Alcotest.(check int) "merged back to one" 1 (vma_count t);
   Alcotest.(check bool) "invariant" true (Vma.invariant t)
 
 let test_vma_set_attrs_uncovered () =
@@ -94,7 +99,7 @@ let test_vma_remove_range_splits () =
   Vma.add t ~start:0 ~pages:10 (attrs Perm.rw);
   let removed = Vma.remove_range t ~start:4 ~pages:2 in
   Alcotest.(check int) "one removed piece" 1 (List.length removed);
-  Alcotest.(check int) "two remain" 2 (Vma.count t);
+  Alcotest.(check int) "two remain" 2 (vma_count t);
   Alcotest.(check bool) "hole" true (Vma.find t 5 = None);
   Alcotest.(check bool) "left intact" true (Vma.find t 3 <> None);
   Alcotest.(check bool) "right intact" true (Vma.find t 6 <> None)
@@ -276,7 +281,8 @@ let test_bitmap_exhaustion () =
     | None -> Alcotest.fail "premature exhaustion"
   done;
   Alcotest.(check bool) "16th fails" true (Pkey_bitmap.alloc b = None);
-  Alcotest.(check int) "count" 15 (List.length (Pkey_bitmap.allocated b))
+  Alcotest.(check int) "count" 15
+    (List.length (List.filter (Pkey_bitmap.is_allocated b) Pkey.allocatable))
 
 let test_bitmap_free_reuse () =
   let b = Pkey_bitmap.create () in
@@ -510,10 +516,10 @@ let test_mm_mmap_read_write () =
     (Bytes.to_string (Mmu.read_bytes mmu core ~addr ~len:5));
   (* Demand paging: only the touched page is populated. *)
   Alcotest.(check int) "one page present after touching one" 1
-    (Mm.mapped_pages (Proc.mm proc));
+    (mapped (Proc.mm proc));
   Mmu.write_byte mmu core ~addr:(addr + 4096) 'x';
   Alcotest.(check int) "both present after touching both" 2
-    (Mm.mapped_pages (Proc.mm proc))
+    (mapped (Proc.mm proc))
 
 let test_mm_mmap_zeroed () =
   let proc = make_proc () in
@@ -538,13 +544,13 @@ let test_mm_sparse_vs_contiguous_vmas () =
   let task = Proc.spawn proc ~core_id:0 () in
   let core = Task.core task in
   let mm = Proc.mm proc in
-  let before = Vma.count (Mm.vmas mm) in
+  let before = vma_count (Mm.vmas mm) in
   ignore (Mm.mmap mm core ~len:(10 * 4096) ~prot:Perm.rw ());
-  Alcotest.(check int) "contiguous = 1 vma" (before + 1) (Vma.count (Mm.vmas mm));
+  Alcotest.(check int) "contiguous = 1 vma" (before + 1) (vma_count (Mm.vmas mm));
   for _ = 1 to 10 do
     ignore (Mm.mmap mm core ~len:4096 ~prot:Perm.rw ())
   done;
-  Alcotest.(check int) "sparse = 10 more vmas" (before + 11) (Vma.count (Mm.vmas mm))
+  Alcotest.(check int) "sparse = 10 more vmas" (before + 11) (vma_count (Mm.vmas mm))
 
 let test_mm_change_protection () =
   let proc = make_proc () in
@@ -553,7 +559,7 @@ let test_mm_change_protection () =
   let mm = Proc.mm proc in
   let addr = Mm.mmap mm core ~len:(4 * 4096) ~prot:Perm.rw () in
   Mm.populate mm core ~addr ~len:(4 * 4096);
-  let vmas = Vma.count (Mm.vmas mm) in
+  let vmas = vma_count (Mm.vmas mm) in
   Mm.change_protection mm core ~addr ~len:(4 * 4096) ~prot:Perm.r;
   let vpn = Page_table.vpn_of_addr addr in
   for i = 0 to 3 do
@@ -562,7 +568,7 @@ let test_mm_change_protection () =
       "r--"
       (Perm.to_string (Pte.perm (Page_table.get (Mm.page_table mm) ~vpn:(vpn + i))))
   done;
-  Alcotest.(check int) "one vma, no splits" vmas (Vma.count (Mm.vmas mm));
+  Alcotest.(check int) "one vma, no splits" vmas (vma_count (Mm.vmas mm));
   match Mmu.write_byte (Proc.mmu proc) core ~addr 'x' with
   | exception Signal.Killed { Signal.code = Signal.Segv_accerr; _ } -> ()
   | _ -> Alcotest.fail "write should fault after mprotect(r)"
@@ -573,9 +579,9 @@ let test_mm_change_protection_partial () =
   let core = Task.core task in
   let mm = Proc.mm proc in
   let addr = Mm.mmap mm core ~len:(8 * 4096) ~prot:Perm.rw () in
-  let vmas = Vma.count (Mm.vmas mm) in
+  let vmas = vma_count (Mm.vmas mm) in
   Mm.change_protection mm core ~addr:(addr + 8192) ~len:8192 ~prot:Perm.r;
-  Alcotest.(check int) "splits at both edges" (vmas + 2) (Vma.count (Mm.vmas mm));
+  Alcotest.(check int) "splits at both edges" (vmas + 2) (vma_count (Mm.vmas mm));
   Alcotest.(check bool) "vma invariant" true (Vma.invariant (Mm.vmas mm))
 
 let test_mm_change_protection_flushes_tlb () =
@@ -735,7 +741,7 @@ let test_populate_allocation () =
     Mm.munmap mm cpu ~addr ~len;
     ignore (Mm.mmap mm cpu ~at:addr ~len ~prot:Perm.rw ());
     let w = Alloc_budget.allocated (fun () -> Mm.populate mm cpu ~addr ~len) in
-    Alcotest.(check int) "every page present" pages (Mm.mapped_pages mm);
+    Alcotest.(check int) "every page present" pages (mapped mm);
     w
   in
   let eight = words 8 in
@@ -761,8 +767,8 @@ let test_change_range_allocation () =
     flip 0;
     flip 1;
     let w = Alloc_budget.allocated (fun () -> for i = 0 to 49 do flip i done) /. 50.0 in
-    Alcotest.(check int) "VMA count" vmas (Vma.count (Mm.vmas mm));
-    Alcotest.(check int) "every page present" pages (Mm.mapped_pages mm);
+    Alcotest.(check int) "VMA count" vmas (vma_count (Mm.vmas mm));
+    Alcotest.(check int) "every page present" pages (mapped mm);
     w
   in
   let k = Pkey.of_int 3 in
