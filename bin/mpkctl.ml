@@ -408,6 +408,21 @@ let profile_run_cmd =
         Printf.printf "attributed %.1f cycles, machine charged %.1f cycles: %s\n"
           attributed charged
           (if exact then "exact match" else "MISMATCH");
+        (* the trace's events per kind, one counter each *)
+        let trace_counter (kind, n) =
+          Mpk_trace.Json.Obj
+            [
+              "name", Mpk_trace.Json.String (Printf.sprintf "trace_events_total{kind=%S}" kind);
+              "type", Mpk_trace.Json.String "counter";
+              "help", Mpk_trace.Json.String "Trace events emitted, by event kind";
+              "value", Mpk_trace.Json.Float (float_of_int n);
+            ]
+        in
+        let counts =
+          match perfetto with
+          | None -> []
+          | Some (_, trace) -> Mpk_trace.Tracer.kind_counts trace
+        in
         let json =
           Mpk_trace.Json.Obj
             [
@@ -416,7 +431,7 @@ let profile_run_cmd =
               "cycles_attributed", Mpk_trace.Json.Float attributed;
               "attribution_exact", Mpk_trace.Json.Bool exact;
               "profile", Mpk_trace.Prof.json_of_snapshot (Mpk_trace.Prof.tree profile);
-              "metrics", Mpk_trace.Metrics.export_json ();
+              "metrics", Mpk_trace.Json.List (List.map trace_counter counts);
             ]
         in
         let json_ok = write_json ~cmd:"profile" json_path Mpk_bench.Io.Profile json in
@@ -573,10 +588,10 @@ let scale_cmd =
       value
       & opt (list int) []
       & info [ "open-loop" ] ~docv:"RATE,RATE,..."
-          ~doc:"also sweep these open-loop arrival rates (connections/s) at the \
-                largest core count and report the latency knee — the first rate \
-                whose p99 doubles the lowest rate's or that drops > 1% of offered \
-                connections")
+          ~doc:"also sweep these open-loop arrival rates (connections/s, at least \
+                10, or 50 with --smoke) at the largest core count and report the \
+                latency knee — the first rate whose p99 doubles the lowest rate's or \
+                that drops > 1% of offered connections")
   in
   let json_arg =
     Arg.(
@@ -585,12 +600,14 @@ let scale_cmd =
       & info [ "json" ] ~docv:"FILE" ~doc:"metrics JSON output")
   in
   let run cores mode smoke seed open_rates json_path =
+    (* a lower rate offers no connection in the sweep's window *)
+    let min_rate = Mpk_kvstore.Scale.min_open_rate ~smoke in
     if cores = [] || List.exists (fun c -> c < 1) cores then
       fail 2 "scale" "--cores needs a non-empty list of counts >= 1"
-    else if List.exists (fun r -> r < 1) open_rates then
-      fail 2 "scale" "--open-loop rates must be >= 1"
+    else if List.exists (fun r -> r < min_rate) open_rates then
+      fail 2 "scale" "--open-loop rates must be >= %d%s" min_rate
+        (if smoke then " with --smoke" else "")
     else begin
-      Mpk_trace.Metrics.reset ();
       let report =
         Mpk_kvstore.Scale.run ~mode ~cores ~open_rates ~smoke
           ~seed:(Int64.of_int seed) ()
@@ -652,9 +669,8 @@ let bench_run_cmd =
   let doc =
     "Re-run each benchmark scenario across --trials seeds under the \
      cycle-attribution profiler and write BENCH_$(i,ID).json: every metric's \
-     per-seed samples, the trial-0 attribution tree, and the metrics-registry \
-     export. Exits 1 on a scenario failure, attribution mismatch, or invalid \
-     export."
+     per-seed samples and the trial-0 attribution tree. Exits 1 on a scenario \
+     failure, attribution mismatch, or invalid export."
   in
   let trials =
     Arg.(value & opt int 3 & info [ "trials" ] ~docv:"N" ~doc:"trials per id (>= 1)")

@@ -70,8 +70,7 @@ let validate kind j =
           | _ -> Error "member \"bench\" is not \"scale\""
         in
         let* _ = require "points" "a non-empty list" is_nonempty_list j in
-        let* _ = require "valid" "a bool" is_bool j in
-        unit_of (require "metrics" "a list" is_list j)
+        unit_of (require "valid" "a bool" is_bool j)
     | Bench -> unit_of (Runner.of_json j)
     | Bench_diff ->
         let* s = require "schema" "a string" is_string j in

@@ -15,17 +15,15 @@ type report = {
   r_metrics : metric_samples list;
   r_attribution_exact : bool;
   r_profile : Mpk_trace.Prof.snapshot;
-  r_registry : J.t;
 }
 
 (* A clean slate for the attribution exactness contract
-   (Prof.total = Cpu.total_charged, bit-for-bit): the metrics registry
-   and the global cycle accumulator reset together with a fresh profile,
-   so the contract holds for [f] alone. [charge] feeds both totals with
+   (Prof.total = Cpu.total_charged, bit-for-bit): the global cycle
+   accumulator resets together with a fresh profile, so the contract
+   holds for [f] alone. [charge] feeds both totals with
    the same additions from the same starting point, so any difference
    at all means a charge escaped attribution. *)
 let observe f =
-  Mpk_trace.Metrics.reset ();
   Mpk_hw.Cpu.reset_total_charged ();
   let result, profile = Mpk_trace.Prof.record f in
   (result, profile, Float.equal (Mpk_trace.Prof.total profile) (Mpk_hw.Cpu.total_charged ()))
@@ -43,12 +41,8 @@ let run ~id ~trials ~seed ~smoke =
                 if not (Float.is_finite m.value) then
                   failwith (Printf.sprintf "metric %s is not finite" m.name))
               ms;
-            (* trial 0 keeps its attribution tree and registry export *)
-            let kept =
-              if t = 0 then
-                Some (Mpk_trace.Prof.tree profile, Mpk_trace.Metrics.export_json ())
-              else None
-            in
+            (* trial 0 keeps its attribution tree *)
+            let kept = if t = 0 then Some (Mpk_trace.Prof.tree profile) else None in
             ms, exact, kept)
       with
       | exception (Failure msg | Invalid_argument msg) -> Error msg
@@ -58,7 +52,7 @@ let run ~id ~trials ~seed ~smoke =
           match List.find_index (fun (ms, _, _) -> names ms <> names first) per_trial with
           | Some t -> Error (Printf.sprintf "trial %d changed the metric set for %s" t id)
           | None ->
-              let profile, registry = Option.get kept in
+              let profile = Option.get kept in
               (* transpose: metric [i]'s samples are every trial's [i]th value *)
               let samples i =
                 List.map (fun (ms, _, _) -> (List.nth ms i).Env.value) per_trial
@@ -81,7 +75,6 @@ let run ~id ~trials ~seed ~smoke =
                   r_attribution_exact =
                     List.for_all (fun (_, exact, _) -> exact) per_trial;
                   r_profile = profile;
-                  r_registry = registry;
                 }))
 
 let to_json r =
@@ -105,7 +98,6 @@ let to_json r =
              r.r_metrics) );
       "attribution_exact", J.Bool r.r_attribution_exact;
       "profile", Mpk_trace.Prof.json_of_snapshot r.r_profile;
-      "registry", r.r_registry;
     ]
 
 let ( let* ) = Result.bind
@@ -167,9 +159,6 @@ let of_json j =
   let* profile =
     Result.bind (field "profile" "member" Option.some j) Mpk_trace.Prof.snapshot_of_json
   in
-  let* registry =
-    field "registry" "list" (function J.List _ as l -> Some l | _ -> None) j
-  in
   Ok
     {
       r_id = id;
@@ -179,5 +168,4 @@ let of_json j =
       r_metrics = metrics;
       r_attribution_exact = exact;
       r_profile = profile;
-      r_registry = registry;
     }

@@ -1,8 +1,8 @@
 (** Multi-trial benchmark runner: re-run a gated experiment's metrics
     ({!Mpk_experiments.Report.gated}) across varied seeds under the
     cycle-attribution profiler, keep every metric's per-trial samples,
-    and keep the trial-0 attribution tree and metrics-registry export so
-    the whole observability surface lands in one artifact. *)
+    and keep the trial-0 attribution tree, so the whole observability
+    surface lands in one artifact. *)
 
 type metric_samples = {
   ms_name : string;
@@ -20,14 +20,12 @@ type report = {
       (** every trial's attributed total matched the machine's cycle
           counter bit-for-bit *)
   r_profile : Mpk_trace.Prof.snapshot;  (** trial 0 *)
-  r_registry : Mpk_trace.Json.t;  (** trial-0 {!Mpk_trace.Metrics} export *)
 }
 
 val observe : (unit -> 'a) -> 'a * Mpk_trace.Prof.capture * bool
-(** [observe f] resets the metrics registry and
-    {!Mpk_hw.Cpu.total_charged}, then runs [f] in a fresh profile
-    ({!Mpk_trace.Prof.record}) — the outermost one, as the cycle
-    accumulator starts with it. Returns [f]'s result, the profile, and
+(** [observe f] resets {!Mpk_hw.Cpu.total_charged}, then runs [f] in a
+    fresh profile ({!Mpk_trace.Prof.record}) — the outermost one, as the
+    cycle accumulator starts with it. Returns [f]'s result, the profile, and
     whether its attribution equals the charged cycles bit for bit. *)
 
 val run :

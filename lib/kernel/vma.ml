@@ -7,15 +7,13 @@ type attrs = { prot : Perm.t; pkey : Pkey.t }
    readers may hold a reference to a vma after it has been unmapped and
    its storage handed to another mapping. [vm_mm] names the owning
    address space (-1 only before first use), [detached] marks removal
-   from the array, [gen] counts slab recycles (diagnostics only — the
-   lookup protocol never needs it), and [vlock]'s shared side is the
-   vm_refcnt readers hold across their critical section. *)
+   from the array, and [vlock]'s shared side is the vm_refcnt readers
+   hold across their critical section. *)
 type vma = {
   mutable start : int;
   mutable pages : int;
   mutable attrs : attrs;
   mutable vm_mm : int;
-  mutable gen : int;
   mutable detached : bool;
   vlock : Lock.t;
 }
@@ -120,7 +118,6 @@ let alloc_vma t ~start ~pages ~attrs =
   match take [] !slab with
   | Some v ->
       incr recycle_count;
-      v.gen <- v.gen + 1;
       v.start <- start;
       v.pages <- pages;
       v.attrs <- attrs;
@@ -133,7 +130,6 @@ let alloc_vma t ~start ~pages ~attrs =
         pages;
         attrs;
         vm_mm = t.mm_id;
-        gen = 0;
         detached = false;
         vlock = Lock.make ~cls:"vma_lock";
       }

@@ -32,7 +32,6 @@ type vma = {
   mutable pages : int;
   mutable attrs : attrs;
   mutable vm_mm : int;  (** owning address-space id; stale after free *)
-  mutable gen : int;  (** slab recycle count (diagnostics) *)
   mutable detached : bool;  (** unlinked from the area array *)
   vlock : Lock.t;  (** per-VMA lock; shared holds = [vm_refcnt] *)
 }

@@ -6,7 +6,6 @@ type loop =
   | Closed_loop of int  (* total connections, issued back-to-back (saturation) *)
 
 type result = {
-  loop : loop;
   offered_conns : int;
   handled_conns : int;
   dropped_conns : int;
@@ -38,7 +37,13 @@ let run server ~loop ?(value_size = 1024) ?(working_set = 10_000) ?(theta = 0.99
   let clock i = Cpu.cycles (Task.core workers.(i)) -. start.(i) in
   let sched = Proc.sched (Server.proc server) in
   let ipis0 = Sched.ipis_sent sched in
-  let lat = Mpk_util.Stats.Histogram.create ~lo:1024.0 ~growth:2.0 ~buckets:24 () in
+  let conns =
+    match loop with
+    | Closed_loop conns -> conns
+    | Open_loop rate -> int_of_float (float_of_int rate *. duration_s)
+  in
+  (* every request's latency, in cycles; dropped connections leave a tail unused *)
+  let lat = Array.make (conns * reqs_per_conn) 0.0 in
   let handled = ref 0 and dropped = ref 0 and requests = ref 0 in
   let gets = ref 0 and sets = ref 0 and data = ref 0 in
   (* With a sharded store, requests run on the shard's owning worker
@@ -51,7 +56,6 @@ let run server ~loop ?(value_size = 1024) ?(working_set = 10_000) ?(theta = 0.99
      without it the tail stays flat past saturation and the knee is
      invisible. *)
   let exec_request ~queue_delay conn_worker =
-    incr requests;
     let key = Server.key_name (Mpk_util.Zipf.sample zipf prng) in
     let w = if sharded then Server.shard_of_key server key mod n else conn_worker in
     let core = Task.core workers.(w) in
@@ -68,7 +72,8 @@ let run server ~loop ?(value_size = 1024) ?(working_set = 10_000) ?(theta = 0.99
        | Ok () -> data := !data + value_size
        | Error _ -> ()
      end);
-    Mpk_util.Stats.Histogram.add lat (Cpu.cycles core -. t0 +. queue_delay)
+    lat.(!requests) <- Cpu.cycles core -. t0 +. queue_delay;
+    incr requests
   in
   let run_conn ?(queue_delay = 0.0) w =
     incr handled;
@@ -80,34 +85,29 @@ let run server ~loop ?(value_size = 1024) ?(working_set = 10_000) ?(theta = 0.99
       exec_request ~queue_delay w
     done
   in
-  let offered =
-    match loop with
-    | Closed_loop conns ->
-        for c = 0 to conns - 1 do
-          run_conn (c mod n)
+  (match loop with
+  | Closed_loop _ ->
+      for c = 0 to conns - 1 do
+        run_conn (c mod n)
+      done
+  | Open_loop rate ->
+      let interval = cycles_per_s /. float_of_int rate in
+      let max_delay = max_delay_s *. cycles_per_s in
+      for c = 0 to conns - 1 do
+        let arrival = float_of_int c *. interval in
+        (* least-loaded worker accepts *)
+        let w = ref 0 in
+        for i = 1 to n - 1 do
+          if clock i < clock !w then w := i
         done;
-        conns
-    | Open_loop rate ->
-        let offered = int_of_float (float_of_int rate *. duration_s) in
-        let interval = cycles_per_s /. float_of_int rate in
-        let max_delay = max_delay_s *. cycles_per_s in
-        for c = 0 to offered - 1 do
-          let arrival = float_of_int c *. interval in
-          (* least-loaded worker accepts *)
-          let w = ref 0 in
-          for i = 1 to n - 1 do
-            if clock i < clock !w then w := i
-          done;
-          let queue_delay = clock !w -. arrival in
-          if queue_delay > max_delay then incr dropped
-          else begin
-            if queue_delay < 0.0 then
-              Cpu.charge ~label:"idle_wait" (Task.core workers.(!w)) (-.queue_delay);
-            run_conn ~queue_delay:(Float.max 0.0 queue_delay) !w
-          end
-        done;
-        offered
-  in
+        let queue_delay = clock !w -. arrival in
+        if queue_delay > max_delay then incr dropped
+        else begin
+          if queue_delay < 0.0 then
+            Cpu.charge ~label:"idle_wait" (Task.core workers.(!w)) (-.queue_delay);
+          run_conn ~queue_delay:(Float.max 0.0 queue_delay) !w
+        end
+      done);
   (* An open loop is measured over at least its arrival window: load
      offered over the whole window and served early still took the
      window, so throughput never exceeds the offered load. *)
@@ -118,10 +118,10 @@ let run server ~loop ?(value_size = 1024) ?(working_set = 10_000) ?(theta = 0.99
     makespan := Float.max !makespan (clock i)
   done;
   let seconds = !makespan /. cycles_per_s in
-  let pct p = Mpk_util.Stats.Histogram.percentile lat p in
+  let lat = Array.sub lat 0 !requests in
+  let pct p = Mpk_util.Stats.percentile lat p in
   {
-    loop;
-    offered_conns = offered;
+    offered_conns = conns;
     handled_conns = !handled;
     dropped_conns = !dropped;
     requests = !requests;

@@ -20,7 +20,6 @@ type loop =
           the saturation (capacity) measurement *)
 
 type result = {
-  loop : loop;
   offered_conns : int;
   handled_conns : int;
   dropped_conns : int;
@@ -44,8 +43,10 @@ type result = {
     caller), per-connection churn cost
     ([conn_setup_cycles] on the accepting worker), and key-affine
     routing — with a sharded server each request executes on its shard's
-    owning worker. Latency percentiles cover exactly this run's requests
-    (end-to-end per request, protection discipline included); [ipis]
+    owning worker. Latency percentiles are exact order statistics
+    ({!Mpk_util.Stats.percentile}) of exactly this run's requests
+    (end-to-end per request, protection discipline included); a run
+    that completes no request raises [Invalid_argument]. [ipis]
     counts the scheduler's IPIs during the run, so batched and per-update
     sync can be compared on identical workloads by seed. *)
 val run :

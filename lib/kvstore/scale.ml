@@ -1,6 +1,5 @@
 open Mpk_kernel
 module Json = Mpk_trace.Json
-module Metrics = Mpk_trace.Metrics
 
 (* One core count, measured twice on the identical workload (same seed,
    same zipfian key stream): once with batched do_pkey_sync IPIs (and
@@ -130,13 +129,16 @@ let find_knee points =
       in
       List.find_opt saturated points |> Option.map (fun p -> p.op_rate)
 
+(* A short measured window keeps the sweep cheap: offered load is
+   [rate * duration], and the knee is a property of the rate, not of
+   how long we hold it. *)
+let open_window_s ~smoke = if smoke then 0.02 else 0.1
+
+(* A window of [d] seconds offers [int_of_float (rate *. d)] connections. *)
+let min_open_rate ~smoke = int_of_float (Float.ceil (1.0 /. open_window_s ~smoke))
+
 let run_open ~mode ~workers ~rates ~smoke ~seed cfg =
-  if List.exists (fun r -> r < 1) rates then
-    invalid_arg "Scale.run: open-loop rates must be >= 1";
-  (* A short measured window keeps the sweep cheap: offered load is
-     [rate * duration], and the knee is a property of the rate, not of
-     how long we hold it. *)
-  let duration_s = if smoke then 0.02 else 0.1 in
+  let duration_s = open_window_s ~smoke in
   let points =
     List.sort_uniq compare rates
     |> List.map (fun rate -> run_open_one ~mode ~workers ~rate ~duration_s ~seed cfg)
@@ -144,37 +146,20 @@ let run_open ~mode ~workers ~rates ~smoke ~seed cfg =
   { os_cores = workers; os_duration_s = duration_s; os_points = points;
     os_knee = find_knee points }
 
-let publish_metrics ~cores (r : Loadgen.result) per_core_ipis =
-  Array.iteri
-    (fun i busy ->
-      Metrics.set
-        (Metrics.gauge
-           (Printf.sprintf "scale_core_busy_seconds{cores=\"%d\",core=\"%d\"}" cores i))
-        busy)
-    r.Loadgen.per_core_busy_s;
-  List.iter
-    (fun (core, sent, received) ->
-      Metrics.set
-        (Metrics.gauge (Printf.sprintf "scale_ipis_sent{cores=\"%d\",core=\"%d\"}" cores core))
-        (float_of_int sent);
-      Metrics.set
-        (Metrics.gauge
-           (Printf.sprintf "scale_ipis_received{cores=\"%d\",core=\"%d\"}" cores core))
-        (float_of_int received))
-    per_core_ipis
-
 let run ~mode ~cores ?(open_rates = []) ?(smoke = false) ?(seed = 0xC0FEL) () =
+  if List.exists (fun c -> c < 1) cores then invalid_arg "Scale.run: core counts must be >= 1";
+  let min_rate = min_open_rate ~smoke in
+  if List.exists (fun r -> r < min_rate) open_rates then
+    invalid_arg (Printf.sprintf "Scale.run: open-loop rates must be >= %d" min_rate);
   let cfg = config ~smoke in
   let points =
     List.map
       (fun workers ->
-        if workers < 1 then invalid_arg "Scale.run: core counts must be >= 1";
         let loop = Loadgen.Closed_loop cfg.c_conns in
         let batched, per_core_ipis, audit_b, slabs_b = measure ~mode ~workers ~loop ~seed cfg in
         let per_update, _, audit_u, slabs_u =
           measure ~mode ~workers ~batch:false ~loop ~seed cfg
         in
-        publish_metrics ~cores:workers batched per_core_ipis;
         {
           cores = workers;
           batched;
@@ -324,7 +309,7 @@ let to_json r =
     @ (match r.open_loop with
       | None -> []
       | Some s -> [ ("open_loop", open_sweep_json s) ])
-    @ [ ("valid", Json.Bool (problems r = [])); ("metrics", Metrics.export_json ()) ])
+    @ [ ("valid", Json.Bool (problems r = [])) ])
 
 let render r =
   let b = Buffer.create 512 in

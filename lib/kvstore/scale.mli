@@ -9,8 +9,8 @@
     The IPIs of the measured window are counted from [Sched.ipis_sent]
     (each is one [Ipi] trace event; no tracer is touched), the
     cross-layer auditor runs against the live libmpk instance after each
-    run, and per-core busy time and IPI counters are published to the
-    metrics registry. *)
+    run, and the point keeps both runs' results and the batched run's
+    per-core IPI counters. *)
 
 type point = {
   cores : int;
@@ -59,7 +59,7 @@ type report = {
     [open_rates] is non-empty, an open-loop sweep over those arrival
     rates (sorted and deduplicated) runs at the largest core count and
     lands in [report.open_loop]. Raises [Invalid_argument] on a core
-    count or rate below 1. *)
+    count below 1 or a rate below {!min_open_rate}. *)
 val run :
   mode:Server.mode ->
   cores:int list ->
@@ -69,8 +69,12 @@ val run :
   unit ->
   report
 
+(** The smallest open-loop rate whose arrival window (0.02 s for
+    [smoke], else 0.1 s) offers a connection: 50 or 10 conns/s. *)
+val min_open_rate : smoke:bool -> int
+
 (** The report as [mpkctl scale] writes it: every point, then [valid]
-    (no {!problems}) and the metrics registry's export. *)
+    (no {!problems}). *)
 val to_json : report -> Mpk_trace.Json.t
 
 (** One line per core count (batched and per-update throughput, p50/p99

@@ -1,12 +1,7 @@
 open Mpk_hw
 open Mpk_kernel
 
-type result = {
-  requests : int;
-  makespan_cycles : float;
-  throughput_rps : float;
-  mb_per_s : float;
-}
+type result = { requests : int; throughput_rps : float }
 
 let run server workers ~requests ~size =
   (match workers with [] -> invalid_arg "Loadgen.run: no workers" | _ -> ());
@@ -36,9 +31,5 @@ let run server workers ~requests ~size =
   let seconds = makespan /. 2.4e9 in
   {
     requests;
-    makespan_cycles = makespan;
     throughput_rps = (if seconds > 0.0 then float_of_int requests /. seconds else 0.0);
-    mb_per_s =
-      (if seconds > 0.0 then float_of_int requests *. float_of_int size /. (seconds *. 1e6)
-       else 0.0);
   }

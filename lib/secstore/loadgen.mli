@@ -9,9 +9,7 @@ open Mpk_kernel
 
 type result = {
   requests : int;
-  makespan_cycles : float;
   throughput_rps : float;  (** requests per second *)
-  mb_per_s : float;  (** payload throughput *)
 }
 
 (** [run server workers ~requests ~size] — [workers] are the server's

@@ -4,9 +4,9 @@
    open recording and returns at once when there is none, and
    [Cpu.span] skips [with_span] when tracing and profiling are both off,
    so instrumented hot paths (TLB lookups, WRPKRU) cost a branch. An
-   open recording stamps each event and pushes it to a bounded ring per
-   core (newest events win), to the metrics registry (one counter per
-   event kind), and to the recording's sinks. *)
+   open recording stamps each event, pushes it to a bounded ring per
+   core (newest events win) and to the recording's sinks, and counts it
+   by kind. *)
 
 let capacity = 8192
 
@@ -20,6 +20,8 @@ type capture = {
   mutable spans : int;  (* span ids handed out *)
   mutable span_stack : int list;
   mutable sinks : sink list;
+  kinds : (string, int ref) Hashtbl.t;  (* events per kind, dropped ones included *)
+  mutable kind_order : string list;  (* kinds by first emission, newest first *)
 }
 
 let fresh () =
@@ -30,6 +32,8 @@ let fresh () =
     spans = 0;
     span_stack = [];
     sinks = [];
+    kinds = Hashtbl.create 32;
+    kind_order = [];
   }
 
 let opened : capture option ref = ref None
@@ -44,29 +48,12 @@ let ring_for r core =
       Hashtbl.replace r.rings core ring;
       ring
 
-(* One counter per event kind, e.g. trace_events_total{kind="wrpkru"};
-   memoized so the enabled-path cost is one hash lookup. The memo is
-   invalidated when [Metrics.reset] bumps the registry generation, or
-   cached handles would keep counting into detached refs. *)
-let kind_counters : (string, Metrics.counter) Hashtbl.t = Hashtbl.create 32
-let kind_counters_gen = ref (Metrics.generation ())
-
-let counter_for kind =
-  let gen = Metrics.generation () in
-  if gen <> !kind_counters_gen then begin
-    Hashtbl.reset kind_counters;
-    kind_counters_gen := gen
-  end;
-  match Hashtbl.find_opt kind_counters kind with
-  | Some c -> c
-  | None ->
-      let c =
-        Metrics.counter
-          ~help:"Trace events emitted, by event kind"
-          (Printf.sprintf "trace_events_total{kind=%S}" kind)
-      in
-      Hashtbl.replace kind_counters kind c;
-      c
+let count r kind =
+  match Hashtbl.find r.kinds kind with
+  | n -> incr n
+  | exception Not_found ->
+      Hashtbl.replace r.kinds kind (ref 1);
+      r.kind_order <- kind :: r.kind_order
 
 let push r ~core ~task ~ts ev =
   let span = match r.span_stack with s :: _ -> s | [] -> 0 in
@@ -74,7 +61,7 @@ let push r ~core ~task ~ts ev =
   r.seq <- r.seq + 1;
   if ts > r.last then r.last <- ts;
   Ring.push (ring_for r core) e;
-  Metrics.inc (counter_for (Event.kind ev));
+  count r (Event.kind ev);
   List.iter (fun s -> s e) r.sinks
 
 let emit ~core ~task ~ts ev = match !opened with None -> () | Some r -> push r ~core ~task ~ts ev
@@ -115,6 +102,8 @@ let rec record f =
 
 let emitted c = c.seq
 
+let kind_counts c = List.rev_map (fun k -> (k, !(Hashtbl.find c.kinds k))) c.kind_order
+
 let events c =
   Hashtbl.fold (fun _ ring acc -> List.rev_append (Ring.to_list ring) acc) c.rings []
   |> List.sort (fun (a : Event.t) b -> Int.compare a.seq b.seq)
@@ -139,7 +128,9 @@ let clear () =
   controlled.seq <- 0;
   controlled.last <- 0.0;
   controlled.spans <- 0;
-  controlled.span_stack <- []
+  controlled.span_stack <- [];
+  Hashtbl.reset controlled.kinds;
+  controlled.kind_order <- []
 
 let add_sink s = controlled.sinks <- s :: controlled.sinks
 let clear_sinks () = controlled.sinks <- []

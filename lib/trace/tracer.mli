@@ -6,8 +6,8 @@
     hot paths is a branch, verified by the overhead-freedom test. An
     open recording stamps each event (seq, cycle ts, core, resident
     task, innermost span id), pushes it to that core's bounded ring of
-    8,192 events (oldest events are dropped first), and counts it in the
-    metrics registry per event kind. *)
+    8,192 events (oldest events are dropped first), and counts it by
+    event kind. *)
 
 val on : unit -> bool
 (** A recording is open. Allocates nothing. *)
@@ -23,6 +23,10 @@ val record : (unit -> 'a) -> 'a * capture
 
 val emitted : capture -> int
 (** Events emitted, including ones already dropped from the rings. *)
+
+val kind_counts : capture -> (string * int) list
+(** Events emitted per {!Event.kind}, dropped ones included, in the order
+    each kind was first emitted; the counts sum to {!emitted}. *)
 
 val events : capture -> Event.t list
 (** The events still in the rings, in emission (seq) order. *)
@@ -60,8 +64,8 @@ val with_span : core:int -> task:int -> clock:(unit -> float) -> string -> (unit
 
     Open, close and reset one long-lived recording, for the host-cost
     benchmark's traced phase; do not mix them with {!record}. [clear]
-    drops its events but keeps its sinks, which run on every event it
-    keeps. *)
+    drops its events and kind counts but keeps its sinks, which run on
+    every event it keeps. *)
 
 val enable : unit -> unit
 val disable : unit -> unit

@@ -120,7 +120,6 @@ let classify direction base fresh =
       r_metrics = [ { Runner.ms_name = "m"; ms_direction = direction; ms_samples = samples } ];
       r_attribution_exact = true;
       r_profile = { Prof.label = "root"; self = 0.; calls = 0; total = 0.; children = [] };
-      r_registry = J.List [];
     }
   in
   match (Gate.diff ~baseline:(report base) ~fresh:(report fresh)).Gate.d_verdicts with

@@ -708,17 +708,8 @@ let test_scale_ipis_are_trace_events () =
   (* Scale counts a run's IPIs as its [Sched.ipis_sent] delta: with a
      trace recording a smoke-sized measured run, that count equals the
      run's [Ipi] events, batched and per-update alike. The run emits
-     more events than the rings keep, so they are counted by the
-     registry's per-kind counter. *)
-  let ipi_events () =
-    List.find_map
-      (fun m ->
-        match Mpk_trace.Json.member "name" m with
-        | Some (Mpk_trace.Json.String "trace_events_total{kind=\"ipi\"}") ->
-            Option.bind (Mpk_trace.Json.member "value" m) Mpk_trace.Json.to_number
-        | _ -> None)
-      (Option.get (Mpk_trace.Json.to_list (Mpk_trace.Metrics.export_json ())))
-  in
+     more events than the rings keep, so they are read from the
+     recording's per-kind counts. *)
   List.iter
     (fun batch ->
       let srv =
@@ -726,21 +717,53 @@ let test_scale_ipis_are_trace_events () =
           ~slab_mib:16 ~buckets:4096 ()
       in
       Server.prefill srv ~items:300 ~value_size:128;
-      Mpk_trace.Metrics.reset ();
-      let r, _ =
+      let r, trace =
         Mpk_trace.Tracer.record (fun () ->
             Loadgen.run srv ~loop:(Loadgen.Closed_loop 120) ~value_size:128
               ~working_set:500 ())
       in
-      Alcotest.(check (option (float 0.)))
+      Alcotest.(check (option int))
         (Printf.sprintf "batch=%b: Ipi events = ipis_sent delta" batch)
-        (Some (float_of_int r.Loadgen.ipis))
-        (ipi_events ());
+        (Some r.Loadgen.ipis)
+        (List.assoc_opt "ipi" (Mpk_trace.Tracer.kind_counts trace));
       Alcotest.(check bool) "the run sent IPIs" true (r.Loadgen.ipis > 0))
     [ true; false ]
 
+(* Scale's smoke closed loop at one core: sets cost more than gets, so the
+   p99 of exact per-request latencies sits above the median. *)
+let test_closed_loop_has_a_tail () =
+  let srv =
+    Server.create ~mode:Server.Sync ~workers:1 ~shards:1 ~slab_mib:16 ~buckets:4096 ()
+  in
+  Server.prefill srv ~items:300 ~value_size:128;
+  let r =
+    Loadgen.run srv ~loop:(Loadgen.Closed_loop 120) ~value_size:128 ~working_set:500 ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "p50 %.0f < p99 %.0f cycles" r.Loadgen.p50_cycles r.Loadgen.p99_cycles)
+    true
+    (r.Loadgen.p50_cycles < r.Loadgen.p99_cycles)
+
+(* An open-loop rate whose window offers no connection is rejected before
+   any point runs, naming the smallest rate the window accepts. *)
+let test_open_loop_rate_floor () =
+  List.iter
+    (fun (smoke, floor) ->
+      Alcotest.(check int) "the window's smallest rate" floor (Scale.min_open_rate ~smoke);
+      Alcotest.check_raises
+        (Printf.sprintf "smoke=%b: rate %d" smoke (floor - 1))
+        (Invalid_argument (Printf.sprintf "Scale.run: open-loop rates must be >= %d" floor))
+        (fun () ->
+          ignore (Scale.run ~mode:Server.Sync ~cores:[ 1 ] ~open_rates:[ floor - 1 ] ~smoke ())))
+    [ (true, 50); (false, 10) ];
+  let sweep =
+    Option.get
+      (Scale.run ~mode:Server.Sync ~cores:[] ~open_rates:[ 50 ] ~smoke:true ()).Scale.open_loop
+  in
+  let r = (List.hd sweep.Scale.os_points).Scale.op_result in
+  Alcotest.(check int) "the smallest rate offers one connection" 1 r.Loadgen.offered_conns
+
 let test_scale_report_batched_fewer_ipis () =
-  Mpk_trace.Metrics.reset ();
   let report = Scale.run ~mode:Server.Sync ~cores:[ 1; 2 ] ~smoke:true () in
   Alcotest.(check (list string)) "no validation problems" [] (Scale.problems report);
   Alcotest.(check int) "one point per core count" 2 (List.length report.Scale.points);
@@ -819,5 +842,7 @@ let () =
           tc "open loop within offered load" `Quick test_open_loop_within_offered_load;
           tc "batched fewer IPIs" `Quick test_scale_report_batched_fewer_ipis;
           tc "IPIs are trace events" `Quick test_scale_ipis_are_trace_events;
+          tc "closed loop has a tail" `Quick test_closed_loop_has_a_tail;
+          tc "open-loop rate floor" `Quick test_open_loop_rate_floor;
         ] );
     ]

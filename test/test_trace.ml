@@ -1,6 +1,6 @@
 (* The observability layer: ring buffer, strict JSON, tracer semantics
    (including the zero-perturbation guarantee), cycle attribution, the
-   Perfetto exporter and the metrics registry. *)
+   Perfetto exporter and a recording's per-kind event counts. *)
 
 open Mpk_trace
 open Mpk_hw
@@ -365,43 +365,70 @@ let test_perfetto_span_phases_balance () =
   Alcotest.(check int) "B/E balanced" (count "B") (count "E");
   Alcotest.(check bool) "has instants" true (count "i" > 0)
 
-(* --- metrics registry --- *)
+(* --- per-kind event counts (PROFILE's metrics) --- *)
 
-(* The registry's JSON export entry named [name]: strict-parser clean,
-   like every artifact that embeds it. *)
-let exported_metric name =
-  let j = parse_exn (Json.to_string (Metrics.export_json ())) in
-  match
-    Option.value ~default:[] (Json.to_list j)
-    |> List.find_opt (fun m ->
-           Option.bind (Json.member "name" m) Json.to_string_opt = Some name)
-  with
-  | Some m -> m
-  | None -> Alcotest.failf "no %s in the JSON export" name
-
-let number_field m field = Option.bind (Json.member field m) Json.to_number
-
-let test_metrics_counter_gauge () =
-  Metrics.reset ();
-  let c = Metrics.counter ~help:"test counter" "test_total" in
-  Metrics.inc c;
-  Metrics.inc ~by:4.0 c;
-  let g = Metrics.gauge "test_gauge" in
-  Metrics.set g 2.5;
-  let total = exported_metric "test_total" and gauge = exported_metric "test_gauge" in
-  Alcotest.(check (option (float 0.))) "counter value" (Some 5.0) (number_field total "value");
-  Alcotest.(check (option (float 0.))) "gauge value" (Some 2.5) (number_field gauge "value");
-  Alcotest.(check (option string)) "help text" (Some "test counter")
-    (Option.bind (Json.member "help" total) Json.to_string_opt);
-  Alcotest.(check (option string)) "type" (Some "counter")
-    (Option.bind (Json.member "type" total) Json.to_string_opt)
+let count kind trace = Option.value ~default:0 (List.assoc_opt kind (Tracer.kind_counts trace))
 
 let test_metrics_event_counters () =
-  Metrics.reset ();
-  ignore (Tracer.record demo_workload);
-  match number_field (exported_metric "trace_events_total{kind=\"wrpkru\"}") "value" with
-  | Some n -> Alcotest.(check bool) "wrpkru counter positive" true (n > 0.0)
-  | None -> Alcotest.fail "the wrpkru counter has no value"
+  let _, trace = Tracer.record demo_workload in
+  Alcotest.(check bool) "wrpkru counted" true (count "wrpkru" trace > 0);
+  (* every event is still in the rings, so the kinds' first-emission
+     order is that of the events *)
+  let first_seen =
+    List.fold_left
+      (fun acc (e : Event.t) ->
+        let k = Event.kind e.Event.ev in
+        if List.mem k acc then acc else k :: acc)
+      [] (Tracer.events trace)
+  in
+  Alcotest.(check (list string)) "kinds in first-emission order" (List.rev first_seen)
+    (List.map fst (Tracer.kind_counts trace))
+
+let counts = Alcotest.(list (pair string int))
+
+let test_kind_counts_fresh_record () =
+  let _, first = Tracer.record demo_workload in
+  let _, second = Tracer.record demo_workload in
+  Alcotest.(check bool) "the first recording counted" true (Tracer.kind_counts first <> []);
+  Alcotest.check counts "a second record starts from zero" (Tracer.kind_counts first)
+    (Tracer.kind_counts second)
+
+let test_kind_counts_sum_to_emitted () =
+  let capacity = 8192 (* each core's ring, as [Tracer] documents *) in
+  let (), trace =
+    Tracer.record (fun () ->
+        for i = 1 to capacity + 100 do
+          Tracer.emit ~core:0 ~task:(-1) ~ts:(float_of_int i) (Event.Wrpkru { pkru = i })
+        done;
+        ignore (demo_workload ()))
+  in
+  Alcotest.(check bool) "the rings dropped events" true
+    (List.length (Tracer.events trace) < Tracer.emitted trace);
+  Alcotest.(check int) "counts sum to emitted" (Tracer.emitted trace)
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 (Tracer.kind_counts trace));
+  Alcotest.(check bool) "dropped events counted" true (count "wrpkru" trace > capacity)
+
+let test_kind_counts_nested_record () =
+  let emit ev () = Tracer.emit ~core:0 ~task:(-1) ~ts:0.0 ev in
+  let (), outer =
+    Tracer.record (fun () ->
+        emit (Event.Wrpkru { pkru = 0 }) ();
+        ignore (Tracer.record (emit (Event.Rdpkru { pkru = 0 })));
+        emit (Event.Wrpkru { pkru = 1 }) ())
+  in
+  Alcotest.check counts "the inner record adds to the outer capture"
+    [ ("wrpkru", 2); ("rdpkru", 1) ]
+    (Tracer.kind_counts outer)
+
+let test_kind_counts_clear () =
+  Tracer.clear ();
+  Tracer.enable ();
+  Tracer.emit ~core:0 ~task:(-1) ~ts:0.0 (Event.Wrpkru { pkru = 0 });
+  let controlled = Option.get (Tracer.current ()) in
+  Alcotest.check counts "counted while enabled" [ ("wrpkru", 1) ] (Tracer.kind_counts controlled);
+  Tracer.disable ();
+  Tracer.clear ();
+  Alcotest.check counts "clear resets the counts" [] (Tracer.kind_counts controlled)
 
 (* --- the stress harness's black box --- *)
 
@@ -570,8 +597,11 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "counter + gauge" `Quick test_metrics_counter_gauge;
           Alcotest.test_case "event counters" `Quick test_metrics_event_counters;
+          Alcotest.test_case "second record from zero" `Quick test_kind_counts_fresh_record;
+          Alcotest.test_case "counts sum to emitted" `Quick test_kind_counts_sum_to_emitted;
+          Alcotest.test_case "nested record adds" `Quick test_kind_counts_nested_record;
+          Alcotest.test_case "clear resets counts" `Quick test_kind_counts_clear;
         ] );
       ( "blackbox",
         [

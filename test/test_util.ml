@@ -143,55 +143,6 @@ let test_percentile_empty () =
   Alcotest.check_raises "empty raises" (Invalid_argument "Stats.percentile: empty array")
     (fun () -> ignore (Stats.percentile [||] 50.0))
 
-(* --- Stats.Histogram --- *)
-
-let test_hist_buckets () =
-  let h = Stats.Histogram.create ~lo:1.0 ~growth:2.0 ~buckets:4 () in
-  (* bounds: 1 2 4 8, plus overflow; per-bucket counts 2 1 1 1 1 *)
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.0; 1.5; 3.0; 8.0; 100.0 ];
-  (* The percentile at rank k of 6 reads the upper bound of the bucket
-     that holds the k-th sample. *)
-  List.iteri
-    (fun i bound ->
-      check_float
-        (Printf.sprintf "rank %d of 6" (i + 2))
-        bound
-        (Stats.Histogram.percentile h (100.0 *. float_of_int (i + 2) /. 6.0)))
-    [ 1.0; 2.0; 4.0; 8.0 ];
-  check_float "interpolates inside bucket 0" 0.75 (Stats.Histogram.percentile h 25.0);
-  check_float "p0 is the exact minimum" 0.5 (Stats.Histogram.percentile h 0.0);
-  check_float "p100 is the exact maximum" 100.0 (Stats.Histogram.percentile h 100.0)
-
-let test_hist_nan_rejected () =
-  let h = Stats.Histogram.create () in
-  Alcotest.check_raises "NaN raises" (Invalid_argument "Stats.Histogram.add: NaN sample")
-    (fun () -> Stats.Histogram.add h Float.nan)
-
-let test_hist_percentiles () =
-  let h = Stats.Histogram.create ~lo:1.0 ~growth:2.0 ~buckets:12 () in
-  for i = 1 to 1000 do
-    Stats.Histogram.add h (float_of_int i)
-  done;
-  (* Bucketed percentiles are approximate; the error is bounded by one
-     bucket width, i.e. a factor of growth=2. *)
-  let within name expected v =
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %g within 2x of %g" name v expected)
-      true
-      (v >= expected /. 2.0 && v <= expected *. 2.0)
-  in
-  within "p50" 500.0 (Stats.Histogram.percentile h 50.0);
-  within "p95" 950.0 (Stats.Histogram.percentile h 95.0);
-  within "p99" 990.0 (Stats.Histogram.percentile h 99.0);
-  let p100 = Stats.Histogram.percentile h 100.0 in
-  Alcotest.(check bool) "p100 clamped to max" true (p100 <= 1000.0)
-
-let test_hist_percentile_empty () =
-  let h = Stats.Histogram.create () in
-  Alcotest.check_raises "empty raises"
-    (Invalid_argument "Stats.Histogram.percentile: empty histogram")
-    (fun () -> ignore (Stats.Histogram.percentile h 50.0))
-
 (* --- Table --- *)
 
 let contains ~needle hay =
@@ -307,13 +258,6 @@ let () =
           tc "percentile" `Quick test_percentile;
           tc "percentile unsorted" `Quick test_percentile_unsorted;
           tc "percentile empty" `Quick test_percentile_empty;
-        ] );
-      ( "histogram",
-        [
-          tc "buckets" `Quick test_hist_buckets;
-          tc "nan rejected" `Quick test_hist_nan_rejected;
-          tc "percentiles" `Quick test_hist_percentiles;
-          tc "percentile empty" `Quick test_hist_percentile_empty;
         ] );
       ( "table",
         [

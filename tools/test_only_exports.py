@@ -27,7 +27,7 @@ which names its values bare. The rules:
   `include module type of struct include Api end` in `libmpk.mli`, so
   `Libmpk.Key_cache.v` and `Libmpk.v` reach `Key_cache.v` and `Api.v`;
 - a nested `module X : sig ... end` in an interface: its values are
-  `M.X.v` (`Task.Updates`, `Stats.Histogram`).
+  `M.X.v` (`Task.Updates.add`).
 
 A functor's result signature (`Dataflow.MustMay`) and a `module type` are
 not searched: their values are reached through an application (`Held.add`).
@@ -37,6 +37,14 @@ not count after `:` or `of`, or inside a `type` declaration.
 Each export that only files under test/ use is printed as `PATH NAME`;
 each one must say in its `.mli` why it stays. Each export that no code
 names at all, tests included, is printed as `PATH NAME unused`.
+
+A variant constructor declared in an interface is unused, and printed
+the same way, when no `.ml` file (tests included, its own module's too)
+names it outside a type declaration. Constructors are searched by bare
+name, since type-directed disambiguation lets code name them without a
+module path; a name before a `.` (a module path) or after `module`,
+`open`, `include` or `exception` is not a use. Module re-exports
+(`module Key_cache = Key_cache`) are not searched.
 
 The exit status is 1 when any export is unused, or when more than
 MAX_LINES exports only tests name; else 0.
@@ -72,6 +80,14 @@ CLOSERS = {")", "]", "}", "end", "done"}
 # Keywords that, in column 0, begin a structure item.
 ITEMS = {"let", "and", "type", "module", "open", "include", "exception",
          "external", "class", ";;"}
+# Keywords that begin a signature item.
+SIG_ITEMS = {"val", "type", "and", "module", "include", "exception", "external",
+             "open", "class", ";;"}
+# Keywords that end a type declaration in a structure or a signature.
+DECL_END = {"let", "val", "module", "open", "include", "exception", "external", "class",
+            ";;"}
+# Keywords after which a capitalized name is not a constructor use.
+NOT_CONSTRUCTOR = {"module", "open", "include", "exception"}
 # Tokens after which a type annotation is over.
 VALUE_AGAIN = {"=", ";", "in", "with", "then", "else", "fun", "function",
                "match", "let", "if", "when", "<-", ":=", ","}
@@ -142,9 +158,10 @@ class Module:
 
     def __init__(self, mli, path):
         self.mli = mli  # the interface that declares it
-        self.path = path  # its path inside that interface: "" or "Histogram"
+        self.path = path  # its path inside that interface: "" or "Updates"
         self.vals = []
         self.types = set()
+        self.constructors = []  # of the variant types it declares
         self.children = {}  # name -> Module, or a path that re-exports one
         self.includes = []  # paths of the modules whose values it re-exports
 
@@ -201,8 +218,33 @@ def read_interface(mli, text):
                 j += 1
             if j < len(toks) and toks[j][:1].islower():
                 cur.types.add(toks[j])
+            cur.constructors += constructors(toks, j)
         i += 1
     return top
+
+
+def constructors(toks, i):
+    """The variant constructors of the type declaration whose name is at toks[i].
+
+    A constructor is a capitalized name at the declaration's own bracket
+    depth that no `.` follows (`= M.t` is a type path); the declaration
+    ends at the next signature item.
+    """
+    out = []
+    depth = 0
+    for j in range(i + 1, len(toks)):
+        t = toks[j]
+        if t in OPENERS:
+            depth += 1
+        elif t in CLOSERS:
+            if not depth:
+                break
+            depth -= 1
+        elif not depth and t in SIG_ITEMS:
+            break
+        elif not depth and t[:1].isupper() and (j + 1 == len(toks) or toks[j + 1] != "."):
+            out.append(t)
+    return out
 
 
 def read_path(toks, i):
@@ -387,6 +429,33 @@ def uses(world, path, code):
     return found
 
 
+def constructor_uses(code):
+    """Every capitalized name [code] names outside a type declaration, as a
+    constructor may be: not a module path's (`M.`) and not a module's,
+    an open's or an exception's own name."""
+    words = [t for t, _ in tokens(code)]
+    names = set()
+    depth = 0
+    decl = None  # the depth of the type declaration being read
+    for i, t in enumerate(words):
+        if t in OPENERS:
+            depth += 1
+        elif t in CLOSERS:
+            depth -= 1
+            if decl is not None and depth < decl:
+                decl = None
+        elif t == "type":
+            if decl is None:
+                decl = depth
+        elif decl is not None:
+            if depth <= decl and t in DECL_END:
+                decl = None
+        elif (t[:1].isupper() and (i + 1 == len(words) or words[i + 1] != ".")
+              and (i == 0 or words[i - 1] not in NOT_CONSTRUCTOR)):
+            names.add(t)
+    return names
+
+
 def read_sources(root, tops):
     """{path relative to [root]: code without comments and strings} of each .ml under [tops]."""
     code = {}
@@ -404,11 +473,13 @@ def read_sources(root, tops):
 def search(root):
     """([(mli, name) only tests use], [(mli, name) no code uses]) under [root]."""
     world = World(root)
-    used, tested = set(), set()
+    used, tested, named = set(), set(), set()
     for path, code in read_sources(root, SEARCHED).items():
         used |= uses(world, path, code)
+        named |= constructor_uses(code)
     for path, code in read_sources(root, TESTS).items():
         tested |= uses(world, path, code)
+        named |= constructor_uses(code)
     test_only, unused = [], []
 
     def walk(m):
@@ -418,6 +489,9 @@ def search(root):
                 continue
             label = (m.path + "." if m.path else "") + name
             (test_only if key in tested else unused).append((m.mli, label))
+        for name in m.constructors:
+            if name not in named:
+                unused.append((m.mli, (m.path + "." if m.path else "") + name))
         for child in m.children.values():
             if isinstance(child, Module) and child.mli == m.mli:
                 walk(child)

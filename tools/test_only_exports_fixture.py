@@ -8,8 +8,11 @@ Run from anywhere:
 The tree below has one use for each rule by which the search resolves a
 value through its module path, and values that only a test, a comment, a
 string, the module's own .ml, another module's same-named value or a type
-annotation name. The search must print exactly the expected lines and
-exit 1, since the tree has unused values. Exits 1 on any difference.
+annotation name. Of its variant constructors, one is named by its own
+module's .ml and one only by a test; the third only by type declarations,
+a comment, a string and a module of the same name. The search must print
+exactly the expected lines and exit 1, since the tree has unused values.
+Exits 1 on any difference.
 """
 
 import contextlib
@@ -24,7 +27,7 @@ import test_only_exports  # noqa: E402
 TREE = {
     "lib/a/dune": "(library (name lib_a))\n",
     "lib/a/m.mli": """
-type mode = Fast | Slow
+type mode = Fast | Slow | Turbo
 
 val qualified : int
 val through_lib : int
@@ -41,15 +44,25 @@ val own_use : int
 val mode : mode
 
 module Nested : sig
+  type t
+
   val nested_val : int
   val nested_unused : int
 end
+
+type alias = Nested.t
 
 module F (X : sig end) : sig
   val functor_val : int
 end
 """,
-    "lib/a/m.ml": "let own_use = 1\nlet twice = own_use + own_use\n",
+    "lib/a/m.ml": """
+type mode = Fast | Slow | Turbo
+
+let own_use = 1
+let twice = own_use + own_use
+let default = Fast
+""",
     "lib/a/n.mli": "val shadowed : int\n",
     "lib/a/n.ml": "let shadowed = 0\n",
     "lib/c/dune": "(library (name libc))\n",
@@ -81,8 +94,12 @@ let _ = N.shadowed
 let shadowed = 2
 let id (x : M.mode) = x
 
-(* M.in_comment *)
-let _ = "M.in_comment"
+(* M.in_comment, M.Turbo *)
+let _ = "M.in_comment, Turbo"
+
+module Turbo = Lib_a.N
+
+let _ = Turbo.shadowed
 
 module G = M.F (struct end)
 
@@ -98,12 +115,13 @@ let g () =
   let open Lib_a.M in
   let_opened
 """,
-    "test/t.ml": "let _ = Lib_a.M.test_only\n",
+    "test/t.ml": "let _ = Lib_a.M.test_only\nlet _ = Lib_a.M.Slow\n",
 }
 
 EXPECTED = """\
 lib/a/m.mli test_only
 lib/a/m.mli Nested.nested_unused unused
+lib/a/m.mli Turbo unused
 lib/a/m.mli in_comment unused
 lib/a/m.mli mode unused
 lib/a/m.mli own_use unused
